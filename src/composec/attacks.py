@@ -14,7 +14,6 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 from . import lp as lpmod
@@ -29,14 +28,19 @@ from .comb import (
     Wire,
     behavior_distance,
     canonical,
-    canonical_rounds,
     make_behavior,
     make_signature,
     merge_asap,
     schedule_to_match,
-    strategy_count,
-    strategy_input_index,
-    _strategies,
+)
+from .distinguisher import (
+    add_advantage_objective,
+    add_match_rows,
+    canonical_forms,
+    expect_outcome,
+    table_behavior,
+    table_lp,
+    verify_or_raise,
 )
 from .errors import (
     CompositeVerificationFailed,
@@ -44,10 +48,10 @@ from .errors import (
     ProblemTooLarge,
     WiringMismatch,
 )
-from .lp import FarkasCert, Feasible, Infeasible, LpBuilder, Optimal
+from .lp import FarkasCert, Feasible, Infeasible, Optimal
 from .resources import RES, Protocol, Resource
-from .scalars import RATIONAL, TOL_EQ, Scalar, one, zero
-from .stoch import Kernel, all_tuples, make_kernel, ports_size, tuple_index
+from .scalars import RATIONAL, TOL_EQ, Scalar, zero
+from .stoch import Kernel, make_kernel
 
 DEFAULT_LP_CAP = 200_000  # variables x rows guard for simulator searches
 
@@ -317,90 +321,17 @@ def check_secure_with(
     return SecurityReport("insecure", epsilon=None, cert=cert, wall_ms=ms)
 
 
-def _sigma_causality_rows(sig: Signature, var):
-    """Causality of the simulator table as linear equations (marginal of the
-    first r rounds' outputs must not depend on later inputs)."""
-    ins, outs = sig.ins(), sig.outs()
-    in_alphas = tuple(p.alphabet for p in ins)
-    out_alphas = tuple(p.alphabet for p in outs)
-    rows = []
-    for r in range(1, sig.rounds):
-        late = [k for k, p in enumerate(ins) if p.round > r]
-        if not late:
-            continue
-        early = [k for k, p in enumerate(ins) if p.round <= r]
-        keep = [k for k, p in enumerate(outs) if p.round <= r]
-        groups: dict[tuple, int] = {}
-        for x in all_tuples(in_alphas):
-            j = tuple_index(in_alphas, x)
-            key = tuple(x[k] for k in early)
-            if key not in groups:
-                groups[key] = j
-                continue
-            j0 = groups[key]
-            for y_pre in all_tuples(tuple(out_alphas[k] for k in keep)):
-                coeffs: dict[int, Scalar] = {}
-                for y in all_tuples(out_alphas):
-                    if tuple(y[k] for k in keep) != y_pre:
-                        continue
-                    i = tuple_index(out_alphas, y)
-                    coeffs[var(j, i)] = coeffs.get(var(j, i), Fraction(0)) + 1
-                    coeffs[var(j0, i)] = coeffs.get(var(j0, i), Fraction(0)) - 1
-                rows.append(coeffs)
-    return rows
-
-
-def _lin_index_maps(net_sig: Signature):
-    """Map canonical x/y indices to the raw network table's indices."""
-    can_sig, order = canonical_rounds(net_sig)
-    net_ins = [i for i in range(len(net_sig.ports)) if net_sig.ports[i].direction == IN]
-    net_outs = [i for i in range(len(net_sig.ports)) if net_sig.ports[i].direction == OUT]
-    dom_perm = [net_ins.index(i) for i in order if net_sig.ports[i].direction == IN]
-    cod_perm = [net_outs.index(i) for i in order if net_sig.ports[i].direction == OUT]
-    in_alphas = tuple(net_sig.ports[i].alphabet for i in net_ins)
-    out_alphas = tuple(net_sig.ports[i].alphabet for i in net_outs)
-    can_in_alphas = tuple(in_alphas[k] for k in dom_perm)
-    can_out_alphas = tuple(out_alphas[k] for k in cod_perm)
-    x_map = []
-    for x in all_tuples(can_in_alphas):
-        raw = [0] * len(in_alphas)
-        for pos, v in zip(dom_perm, x):
-            raw[pos] = v
-        x_map.append(tuple_index(in_alphas, tuple(raw)))
-    y_map = []
-    for y in all_tuples(can_out_alphas):
-        raw = [0] * len(out_alphas)
-        for pos, v in zip(cod_perm, y):
-            raw[pos] = v
-        y_map.append(tuple_index(out_alphas, tuple(raw)))
-    return can_sig, x_map, y_map
-
-
 def _symbolic_ideal(real: Behavior, s: Resource, j_parties: Sequence[str]):
     """Linear forms of the simulator-wrapped ideal view, aligned to the
     canonical real view's indexing."""
     shape = derive_simulator_shape(real.signature, s, j_parties)
     nodes = [(RES, s.behavior), ("sim", shape.signature)]
-    net = Network(nodes, list(shape.wires), list(shape.schedule))
-    net_sig, columns = net.linear_evaluate()
-    can_sig, x_map, y_map = _lin_index_maps(net_sig)
+    can_sig, aligned = canonical_forms(Network(nodes, list(shape.wires), list(shape.schedule)))
     if can_sig != real.signature:
         raise InterfaceMismatch(
             "derived simulator interface cannot reproduce the real view's moment structure"
         )
-    aligned = []
-    for can_j in range(len(x_map)):
-        col = columns[x_map[can_j]]
-        aligned.append([col.get(y_map[can_i], {}) for can_i in range(len(y_map))])
     return shape, aligned
-
-
-def _sigma_from_point(shape: SimulatorShape, point, mode: str) -> Behavior:
-    ins = tuple(p.alphabet for p in shape.signature.ins())
-    outs = tuple(p.alphabet for p in shape.signature.outs())
-    n_x, n_y = ports_size(ins), ports_size(outs)
-    table = [[point[j * n_y + i] for j in range(n_x)] for i in range(n_y)]
-    return make_behavior(shape.signature, make_kernel(ins, outs, table, mode), check=True)
 
 
 def search_simulator(
@@ -416,22 +347,8 @@ def search_simulator(
     t0 = time.perf_counter()
     real = dummy_attack(p, r, j_parties)
     shape, aligned = _symbolic_ideal(real, s, j_parties)
-    ins = tuple(q.alphabet for q in shape.signature.ins())
-    outs = tuple(q.alphabet for q in shape.signature.outs())
-    n_x, n_y = ports_size(ins), ports_size(outs)
-    bld = LpBuilder(real.mode)
-    sigma = list(bld.new_vars(n_x * n_y))
-
-    def var(j, i):
-        return sigma[j * n_y + i]
-
-    for j in range(n_x):
-        bld.add_eq({var(j, i): one(real.mode) for i in range(n_y)}, one(real.mode))
-    for coeffs in _sigma_causality_rows(shape.signature, var):
-        bld.add_eq({sigma[k]: v for k, v in coeffs.items()}, zero(real.mode))
-    for can_j, col in enumerate(aligned):
-        for can_i, form in enumerate(col):
-            bld.add_eq({sigma[k]: v for k, v in form.items()}, real.kernel.matrix[can_i][can_j])
+    bld = table_lp(shape.signature, real.mode)
+    add_match_rows(bld, aligned, real)
     prog = bld.build(with_objective=False)
     if prog.n * prog.m > lp_cap:
         raise ProblemTooLarge(f"simulator LP has {prog.n} vars x {prog.m} rows")
@@ -439,10 +356,10 @@ def search_simulator(
     ms = (time.perf_counter() - t0) * 1000
     size = (prog.n, prog.m)
     if isinstance(out, Infeasible):
-        assert lpmod.verify(out, prog)
+        verify_or_raise(out, prog, "simulator")
         return SecurityReport("insecure", farkas=out.cert, lp_size=size, wall_ms=ms, lp=prog)
-    assert isinstance(out, Feasible)
-    sigma_b = _sigma_from_point(shape, out.point, real.mode)
+    expect_outcome(out, Feasible, "simulator")
+    sigma_b = table_behavior(shape.signature, out.point, real.mode)
     sim = Simulator(tuple(j_parties), (("sim", sigma_b),), shape.wires)
     recheck = check_secure_with(p, r, s, j_parties, sim)
     if not recheck.secure:
@@ -462,66 +379,16 @@ def min_epsilon(
     s: Resource,
     j_parties: Sequence[str],
     lp_cap: int = DEFAULT_LP_CAP,
-    strategy_cap: int = 4096,
 ) -> SecurityReport:
     """Best achievable distinguisher advantage: minimize over simulators the
-    worst-case total variation distance between real and ideal views, as one
-    linear program with absolute-value and max variables."""
+    adaptive distinguisher's advantage between real and ideal views, as one
+    linear program (see `distinguisher`)."""
     t0 = time.perf_counter()
     real = dummy_attack(p, r, j_parties)
     shape, aligned = _symbolic_ideal(real, s, j_parties)
-    ins = tuple(q.alphabet for q in shape.signature.ins())
-    outs = tuple(q.alphabet for q in shape.signature.outs())
-    n_x, n_y = ports_size(ins), ports_size(outs)
-    n_strats = strategy_count(real.signature)
-    if n_strats > strategy_cap:
-        raise ProblemTooLarge(f"{n_strats} distinguisher strategies exceed cap {strategy_cap}")
     mode = real.mode
-    bld = LpBuilder(mode)
-    sigma = list(bld.new_vars(n_x * n_y))
-    t_var = bld.new_vars(1)[0]
-
-    def var(j, i):
-        return sigma[j * n_y + i]
-
-    for j in range(n_x):
-        bld.add_eq({var(j, i): one(mode) for i in range(n_y)}, one(mode))
-    for coeffs in _sigma_causality_rows(shape.signature, var):
-        bld.add_eq({sigma[k]: v for k, v in coeffs.items()}, zero(mode))
-    out_alphas = tuple(q.alphabet for q in real.signature.outs())
-    ys = list(all_tuples(out_alphas))
-    half = Fraction(1, 2) if mode == RATIONAL else 0.5
-    # one absolute-value variable per table cell, shared by all strategies
-    n_cols = len(aligned)
-    u_vars = {}
-    for j in range(n_cols):
-        for i in range(len(ys)):
-            u = bld.new_vars(1)[0]
-            u_vars[(j, i)] = u
-            form = aligned[j][i]
-            rv = real.kernel.matrix[i][j]
-            # u >= ideal - real  and  u >= real - ideal
-            row = {sigma[k]: -v for k, v in form.items()}
-            row[u] = one(mode)
-            bld.add_ge(row, -rv)
-            row2 = {sigma[k]: v for k, v in form.items()}
-            row2[u] = one(mode)
-            bld.add_ge(row2, rv)
-    seen_rows = set()
-    for strat in _strategies(real.signature):
-        cells = []
-        for y in ys:
-            j = strategy_input_index(real.signature, strat, y)
-            i = tuple_index(out_alphas, y)
-            cells.append((j, i))
-        key = tuple(cells)
-        if key in seen_rows:
-            continue
-        seen_rows.add(key)
-        row = {u_vars[c]: -half for c in cells}
-        row[t_var] = one(mode)
-        bld.add_ge(row, zero(mode))
-    bld.set_objective({t_var: one(mode)})
+    bld = table_lp(shape.signature, mode)
+    add_advantage_objective(bld, aligned, real)
     prog = bld.build(with_objective=True)
     if prog.n * prog.m > lp_cap:
         raise ProblemTooLarge(f"epsilon LP has {prog.n} vars x {prog.m} rows")
@@ -529,11 +396,16 @@ def min_epsilon(
     ms = (time.perf_counter() - t0) * 1000
     size = (prog.n, prog.m)
     if isinstance(out, Infeasible):
-        return SecurityReport("insecure", farkas=out.cert, lp_size=size, wall_ms=ms)
-    assert isinstance(out, Optimal)
-    sigma_b = _sigma_from_point(shape, out.point[: n_x * n_y], mode)
+        verify_or_raise(out, prog, "epsilon")
+        return SecurityReport("insecure", farkas=out.cert, lp_size=size, wall_ms=ms, lp=prog)
+    expect_outcome(out, Optimal, "epsilon")
+    sigma_b = table_behavior(shape.signature, out.point, mode)
     sim = Simulator(tuple(j_parties), (("sim", sigma_b),), shape.wires)
     eps = out.value
+    if mode == RATIONAL:
+        ideal = ideal_view(s, sim, match=real.signature)
+        if ideal.signature != real.signature or behavior_distance(real, ideal) != eps:
+            raise CompositeVerificationFailed("epsilon LP's simulator does not achieve its value")
     verdict = "secure" if eps == 0 else "epsilon"
     return SecurityReport(
         verdict,

@@ -619,8 +619,6 @@ def run(
             entries = list(pool.map(one, env.checks))
     else:
         entries = [one(item) for item in env.checks]
-    if limit_exceeded:
-        return RunResult({"schema": 1, "error": limit_exceeded[0]}, 3)
     failed = sum(1 for e in entries if not e.get("pass"))
     report = {
         "schema": 1,
@@ -629,6 +627,10 @@ def run(
         "failed": failed,
         "ok": failed == 0,
     }
+    if limit_exceeded:
+        # the other checks' entries stand; the limit decides the exit code
+        report["error"] = limit_exceeded[0]
+        return RunResult(report, 3)
     return RunResult(report, 0 if report["ok"] else 1)
 
 
@@ -703,7 +705,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     result = run(ast, no_meta=no_meta, jobs=jobs, mode=mode, tol=tol)
     if "error" in result.report:
         sys.stderr.write(f"composec: {result.report['error']}\n")
-        return result.exit_code
+        if "checks" not in result.report:
+            return result.exit_code
     _emit(result.report, args.json_path if args.command == "verify" else None)
     return result.exit_code
 

@@ -17,7 +17,6 @@ splittability questions into linear programs.
 
 from __future__ import annotations
 
-import itertools
 import weakref
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -31,7 +30,6 @@ from .errors import (
     DirectionMismatch,
     DuplicatePortId,
     NotCausal,
-    ProblemTooLarge,
     SignatureMismatch,
     WiringMismatch,
 )
@@ -51,10 +49,6 @@ from .stoch import (
 
 IN = "in"
 OUT = "out"
-
-# Deterministic adaptive strategies explode combinatorially; refuse beyond
-# this many rather than hang.
-DEFAULT_STRATEGY_CAP = 20_000
 
 
 @dataclass(frozen=True)
@@ -505,76 +499,53 @@ def observationally_equal(a: Behavior, b: Behavior, tol: Scalar = 0) -> bool:
     return behavior_equal(ca, cb, tol)
 
 
-def _strategies(sig: Signature):
-    """All deterministic adaptive input strategies, as one dict mapping
-    (round, y_prefix) -> input tuple for that round."""
+def _round_offsets(ports: Sequence[PortSpec], r: int) -> tuple[int, ...]:
+    """Index offsets, within the table of all `ports`, of every value of the
+    round-r ports (row-major, leftmost port most significant)."""
+    stride = 1
+    picked = []
+    for p in reversed(ports):
+        if p.round == r:
+            picked.append((p.alphabet, stride))
+        stride *= p.alphabet.size
+    picked.reverse()
+    return tuple(
+        sum(v * s for v, (_a, s) in zip(vals, picked))
+        for vals in all_tuples(tuple(a for a, _s in picked))
+    )
+
+
+def decision_rounds(sig: Signature) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+    """The adaptive distinguisher's decision tree, one entry per round: the
+    column offsets of the round's input choices and the row offsets of its
+    outputs.  A history x_1 y_1 ... x_r y_r is identified by the sums of its
+    offsets, and a full history's sums are its table cell (column, row)."""
     ins, outs = sig.ins(), sig.outs()
-    per_round = []
-    for r in range(1, sig.rounds + 1):
-        x_alphas = tuple(p.alphabet for p in ins if p.round == r)
-        y_prev = tuple(p.alphabet for p in outs if p.round < r)
-        prefixes = list(all_tuples(y_prev))
-        choices = list(all_tuples(x_alphas))
-        per_round.append((r, prefixes, choices))
-    count = 1
-    for _r, prefixes, choices in per_round:
-        count *= len(choices) ** len(prefixes)
-    selectors = []
-    for r, prefixes, choices in per_round:
-        selectors.append([(r, prefixes, assign) for assign in itertools.product(choices, repeat=len(prefixes))])
-    for combo in itertools.product(*selectors):
-        strat = {}
-        for r, prefixes, assign in combo:
-            for prefix, x in zip(prefixes, assign):
-                strat[(r, prefix)] = x
-        yield strat
+    return tuple(
+        (_round_offsets(ins, r), _round_offsets(outs, r)) for r in range(1, sig.rounds + 1)
+    )
 
 
-def strategy_count(sig: Signature) -> int:
-    ins, outs = sig.ins(), sig.outs()
-    count = 1
-    for r in range(1, sig.rounds + 1):
-        n_x = ports_size(tuple(p.alphabet for p in ins if p.round == r))
-        n_prev = ports_size(tuple(p.alphabet for p in outs if p.round < r))
-        count *= n_x ** n_prev
-    return count
+def behavior_distance(a: Behavior, b: Behavior) -> Scalar:
+    """Distinguisher advantage: max over adaptive strategies of the total
+    variation distance between induced transcript distributions.
 
-
-def strategy_input_index(sig: Signature, strat, y_vals: tuple[int, ...]) -> int:
-    """Input column the strategy induces along the transcript y_vals
-    (y_vals indexed over out-ports in signature order)."""
-    ins, outs = sig.ins(), sig.outs()
-    x_by_pos: dict[int, int] = {}
-    for r in range(1, sig.rounds + 1):
-        prefix = tuple(y_vals[k] for k, p in enumerate(outs) if p.round < r)
-        x_r = strat[(r, prefix)]
-        for (k, _p), v in zip([(k, p) for k, p in enumerate(ins) if p.round == r], x_r):
-            x_by_pos[k] = v
-    x_full = tuple(x_by_pos[k] for k in range(len(ins)))
-    return tuple_index(tuple(p.alphabet for p in ins), x_full)
-
-
-def behavior_distance(a: Behavior, b: Behavior, strategy_cap: int = DEFAULT_STRATEGY_CAP) -> Scalar:
-    """Distinguisher advantage: max over deterministic adaptive strategies of
-    the total variation distance between induced transcript distributions."""
+    Backward induction over the decision tree: a node's value is the best
+    input choice's sum of its children's values, a leaf's value is
+    |a[y|x] - b[y|x]|, and the advantage is half the root's value.  This is
+    linear in the table size."""
     if a.signature != b.signature:
         raise SignatureMismatch("behaviors have different signatures")
-    sig = a.signature
-    if strategy_count(sig) > strategy_cap:
-        raise ProblemTooLarge(f"{strategy_count(sig)} strategies exceed cap {strategy_cap}")
-    outs = tuple(p.alphabet for p in sig.outs())
-    best = zero(a.mode)
-    ys = list(all_tuples(outs))
-    for strat in _strategies(sig):
-        acc = zero(a.mode)
-        for y in ys:
-            j = strategy_input_index(sig, strat, y)
-            i = tuple_index(outs, y)
-            acc += abs(a.kernel.matrix[i][j] - b.kernel.matrix[i][j])
-        acc = acc / 2
-        if acc > best:
-            best = acc
-    return best
+    steps = decision_rounds(a.signature)
+    ma, mb = a.kernel.matrix, b.kernel.matrix
+
+    def value(r: int, j: int, i: int) -> Scalar:
+        if r == len(steps):
+            return abs(ma[i][j] - mb[i][j])
+        xs, ys = steps[r]
+        return max(sum(value(r + 1, j + dj, i + di) for di in ys) for dj in xs)
+
+    return value(0, 0, 0) / 2
 
 
 # ---------------------------------------------------------------------------

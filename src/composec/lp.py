@@ -4,8 +4,9 @@ Canonical form: equality constraints A x = b over x >= lower_bounds
 (componentwise, default 0).  Callers encode inequalities through slack
 variables; `LpBuilder` below does that bookkeeping.
 
-The solver is a dense two-phase tableau simplex with Bland's rule, which
-cannot cycle.  In rational mode every pivot is exact, so a Feasible/Optimal
+The solver is a two-phase tableau simplex with Bland's rule, which cannot
+cycle; the tableau is stored dense, but each pivot touches only the pivot
+row's nonzero columns.  In rational mode every pivot is exact, so a Feasible/Optimal
 point satisfies the constraints exactly and an Infeasible outcome carries a
 Farkas certificate y with  yT A <= 0  and  yT b > 0, checkable without
 trusting the solver.  Float mode runs the same algorithm with a pivot
@@ -148,16 +149,21 @@ class _Simplex:
         if inv != 1:
             prow = [v * inv for v in prow]
             tab[r] = prow
+        # Tableaux are mostly zeros: only the pivot row's nonzero columns
+        # change, and each of them gets the same arithmetic as a dense update.
+        nonzero = [(k, v) for k, v in enumerate(prow) if v]
         for i in range(self.m):
             if i == r:
                 continue
-            factor = tab[i][col]
+            row = tab[i]
+            factor = row[col]
             if factor:
-                tab[i] = [a - factor * pb for a, pb in zip(tab[i], prow)]
+                for k, v in nonzero:
+                    row[k] -= factor * v
         factor = obj[col]
         if factor:
-            for k in range(len(obj)):
-                obj[k] -= factor * prow[k]
+            for k, v in nonzero:
+                obj[k] -= factor * v
         self.basis[r] = col
 
     def _iterate(self, obj, allowed_cols):

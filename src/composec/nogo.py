@@ -34,11 +34,18 @@ from .comb import (
     canonical,
     make_behavior,
     make_signature,
-    strategy_count,
-    strategy_input_index,
-    _strategies,
+)
+from .distinguisher import (
+    add_advantage_objective,
+    add_match_rows,
+    canonical_forms,
+    expect_outcome,
+    table_behavior,
+    table_lp,
+    verify_or_raise,
 )
 from .errors import (
+    CompositeVerificationFailed,
     InterfaceMismatch,
     ProblemTooLarge,
     ShapeMismatch,
@@ -288,129 +295,52 @@ def _split_linear(r: Resource):
     canonical indexing of r itself."""
     g_sig, wires, schedule = mediator_problem(r)
     net = Network([("c1", r.behavior), ("g", g_sig), ("c2", r.behavior)], list(wires), list(schedule))
-    net_sig, columns = net.linear_evaluate()
-    from .attacks import _lin_index_maps
-
-    can_sig, x_map, y_map = _lin_index_maps(net_sig)
+    can_sig, aligned = canonical_forms(net)
     target = canonical(r.behavior)
     if can_sig != target.signature:
         raise ShapeMismatch(
             "the two-copy gluing cannot reproduce this resource's moment structure"
         )
-    aligned = []
-    for can_j in range(len(x_map)):
-        col = columns[x_map[can_j]]
-        aligned.append([col.get(y_map[can_i], {}) for can_i in range(len(y_map))])
-    return g_sig, wires, aligned, target
+    return g_sig, aligned, target
 
 
-def _table_constraints(bld: LpBuilder, sig: Signature, variables) -> None:
-    """Stochasticity and causality rows for a table of comb variables."""
-    from .attacks import _sigma_causality_rows
-
-    ins = tuple(p.alphabet for p in sig.ins())
-    outs = tuple(p.alphabet for p in sig.outs())
-    n_x, n_y = ports_size(ins), ports_size(outs)
-
-    def var(j, i):
-        return variables[j * n_y + i]
-
-    for j in range(n_x):
-        bld.add_eq({var(j, i): Fraction(1) for i in range(n_y)}, Fraction(1))
-    for coeffs in _sigma_causality_rows(sig, var):
-        bld.add_eq({variables[k]: v for k, v in coeffs.items()}, Fraction(0))
-
-
-def _behavior_from_vars(sig: Signature, point, offset: int = 0) -> Behavior:
-    ins = tuple(p.alphabet for p in sig.ins())
-    outs = tuple(p.alphabet for p in sig.outs())
-    n_x, n_y = ports_size(ins), ports_size(outs)
-    table = [[point[offset + j * n_y + i] for j in range(n_x)] for i in range(n_y)]
-    return make_behavior(sig, make_kernel(ins, outs, table), check=True)
+def _certified_farkas(out, prog, what: str) -> NogoVerdict:
+    """An infeasibility verdict, after re-checking its Farkas certificate
+    against the raw program."""
+    verify_or_raise(out, prog, what)
+    return NogoVerdict(False, cert=out.cert, lp_size=(prog.n, prog.m), lp=prog)
 
 
 def split_check(r: Resource, lp_cap: int = DEFAULT_NOGO_LP_CAP) -> NogoVerdict:
     """Does any stochastic causal mediator make two copies of r equal r?"""
-    g_sig, wires, aligned, target = _split_linear(r)
-    ins = tuple(p.alphabet for p in g_sig.ins())
-    outs = tuple(p.alphabet for p in g_sig.outs())
-    n_vars = ports_size(ins) * ports_size(outs)
-    bld = LpBuilder()
-    gv = list(bld.new_vars(n_vars))
-    _table_constraints(bld, g_sig, gv)
-    for can_j, col in enumerate(aligned):
-        for can_i, form in enumerate(col):
-            bld.add_eq({gv[k]: v for k, v in form.items()}, target.kernel.matrix[can_i][can_j])
+    g_sig, aligned, target = _split_linear(r)
+    bld = table_lp(g_sig)
+    add_match_rows(bld, aligned, target)
     prog = bld.build(with_objective=False)
     if prog.n * prog.m > lp_cap:
         raise ProblemTooLarge(f"split LP has {prog.n} vars x {prog.m} rows")
     out = lpmod.solve_feasible(prog)
-    size = (prog.n, prog.m)
     if isinstance(out, Infeasible):
-        assert lpmod.verify(out, prog)
-        return NogoVerdict(False, cert=out.cert, lp_size=size, lp=prog)
-    assert isinstance(out, Feasible)
-    g = _behavior_from_vars(g_sig, out.point)
-    glued = split(r, g)
-    assert behavior_equal(glued, target, 0), "witness mediator failed re-verification"
-    return NogoVerdict(True, witness={"g": g}, lp_size=size)
+        return _certified_farkas(out, prog, "split")
+    expect_outcome(out, Feasible, "split")
+    g = table_behavior(g_sig, out.point)
+    if not behavior_equal(split(r, g), target, 0):
+        raise CompositeVerificationFailed("witness mediator failed re-verification")
+    return NogoVerdict(True, witness={"g": g}, lp_size=(prog.n, prog.m))
 
 
-def min_split_advantage(
-    r: Resource,
-    lp_cap: int = DEFAULT_NOGO_LP_CAP,
-    strategy_cap: int = 4096,
-) -> Scalar:
+def min_split_advantage(r: Resource, lp_cap: int = DEFAULT_NOGO_LP_CAP) -> Scalar:
     """Exact minimum, over mediators, of the distinguisher advantage between
     r and its split; 0 iff r is splittable."""
-    g_sig, wires, aligned, target = _split_linear(r)
-    n_strats = strategy_count(target.signature)
-    if n_strats > strategy_cap:
-        raise ProblemTooLarge(f"{n_strats} distinguisher strategies exceed cap {strategy_cap}")
-    ins = tuple(p.alphabet for p in g_sig.ins())
-    outs = tuple(p.alphabet for p in g_sig.outs())
-    n_vars = ports_size(ins) * ports_size(outs)
-    bld = LpBuilder()
-    gv = list(bld.new_vars(n_vars))
-    t_var = bld.new_vars(1)[0]
-    _table_constraints(bld, g_sig, gv)
-    out_alphas = tuple(q.alphabet for q in target.signature.outs())
-    ys = list(all_tuples(out_alphas))
-    u_vars = {}
-    for j in range(len(aligned)):
-        for i in range(len(ys)):
-            u = bld.new_vars(1)[0]
-            u_vars[(j, i)] = u
-            form = aligned[j][i]
-            rv = target.kernel.matrix[i][j]
-            row = {gv[k]: -v for k, v in form.items()}
-            row[u] = Fraction(1)
-            bld.add_ge(row, -rv)
-            row2 = {gv[k]: v for k, v in form.items()}
-            row2[u] = Fraction(1)
-            bld.add_ge(row2, rv)
-    half = Fraction(1, 2)
-    seen = set()
-    for strat in _strategies(target.signature):
-        cells = []
-        for y in ys:
-            j = strategy_input_index(target.signature, strat, y)
-            i = tuple_index(out_alphas, y)
-            cells.append((j, i))
-        key = tuple(cells)
-        if key in seen:
-            continue
-        seen.add(key)
-        row = {u_vars[c]: -half for c in cells}
-        row[t_var] = Fraction(1)
-        bld.add_ge(row, Fraction(0))
-    bld.set_objective({t_var: Fraction(1)})
+    g_sig, aligned, target = _split_linear(r)
+    bld = table_lp(g_sig)
+    add_advantage_objective(bld, aligned, target)
     prog = bld.build(with_objective=True)
     if prog.n * prog.m > lp_cap:
         raise ProblemTooLarge(f"advantage LP has {prog.n} vars x {prog.m} rows")
     out = lpmod.minimize(prog)
-    assert isinstance(out, Optimal)
-    assert lpmod.verify(out, prog)
+    expect_outcome(out, Optimal, "advantage")
+    verify_or_raise(out, prog, "advantage")
     return out.value
 
 
@@ -537,11 +467,9 @@ def tripartite_split_check(r: Resource, lp_cap: int = DEFAULT_NOGO_LP_CAP) -> No
     if prog.n * prog.m > lp_cap:
         raise ProblemTooLarge(f"tripartite LP has {prog.n} vars x {prog.m} rows")
     out = lpmod.solve_feasible(prog)
-    size = (prog.n, prog.m)
     if isinstance(out, Infeasible):
-        assert lpmod.verify(out, prog)
-        return NogoVerdict(False, cert=out.cert, lp_size=size, lp=prog)
-    assert isinstance(out, Feasible)
+        return _certified_farkas(out, prog, "tripartite")
+    expect_outcome(out, Feasible, "tripartite")
     witness = {
         "D": out.point[: n_d],
         "s_A": out.point[n_d : n_d + n_sa],
@@ -549,7 +477,7 @@ def tripartite_split_check(r: Resource, lp_cap: int = DEFAULT_NOGO_LP_CAP) -> No
         "s_C": out.point[n_d + n_sa + n_sb : n_d + n_sa + n_sb + n_sc],
     }
     _verify_tripartite_witness(r, witness)
-    return NogoVerdict(True, witness=witness, lp_size=size)
+    return NogoVerdict(True, witness=witness, lp_size=(prog.n, prog.m))
 
 
 def _r_entry_fn(r: Resource):
@@ -637,16 +565,14 @@ def tripartite_completion(r: Resource, d_table: Sequence[Sequence[Scalar]], lp_c
     if prog.n * prog.m > lp_cap:
         raise ProblemTooLarge(f"completion LP has {prog.n} vars x {prog.m} rows")
     out = lpmod.solve_feasible(prog)
-    size = (prog.n, prog.m)
     if isinstance(out, Infeasible):
-        assert lpmod.verify(out, prog)
-        return NogoVerdict(False, cert=out.cert, lp_size=size, lp=prog)
-    assert isinstance(out, Feasible)
+        return _certified_farkas(out, prog, "completion")
+    expect_outcome(out, Feasible, "completion")
     n_sa = len(sa_vars)
     return NogoVerdict(
         True,
         witness={"s_A": out.point[:n_sa], "s_C": out.point[n_sa:]},
-        lp_size=size,
+        lp_size=(prog.n, prog.m),
     )
 
 
@@ -670,7 +596,8 @@ def _verify_tripartite_witness(r: Resource, witness) -> None:
                     ea = sum(r_entry(ar, c, br) * SA[(ar * nb + bl) * na + a] for ar in range(na))
                     eb = sum(r_entry(a, c, b) * SB[(bl * nb + br) * nb + b] for b in range(nb))
                     ec = sum(r_entry(a, cr, bl) * SC[(cr * nb + br) * nc + c] for cr in range(nc))
-                    assert dv == ea == eb == ec, "tripartite witness failed re-verification"
+                    if not dv == ea == eb == ec:
+                        raise CompositeVerificationFailed("tripartite witness failed re-verification")
 
 
 @dataclass(frozen=True)

@@ -218,12 +218,23 @@ def tensor(f: Kernel, g: Kernel) -> Kernel:
     if g.mode != f.mode:
         raise InterfaceMismatch(f"mode mismatch: {f.mode} vs {g.mode}")
     fm, gm = f.matrix, g.matrix
+    # Structural kernels are mostly 0s and 1s: copy those blocks instead of
+    # multiplying, which is exact in both modes for finite probabilities.
+    zeros = (zero(f.mode),) * g.n_dom
     rows = []
     for i1 in range(f.n_cod):
         frow = fm[i1]
         for i2 in range(g.n_cod):
             grow = gm[i2]
-            rows.append(tuple(a * b for a in frow for b in grow))
+            row = []
+            for a in frow:
+                if not a:
+                    row.extend(zeros)
+                elif a == 1:
+                    row.extend(grow)
+                else:
+                    row.extend(a * b for b in grow)
+            rows.append(tuple(row))
     return Kernel(f.dom + g.dom, f.cod + g.cod, tuple(rows), f.mode)
 
 

@@ -169,25 +169,44 @@ def test_float_mode_secure_check():
     assert result.exit_code == 0 and result.report["ok"]
 
 
-def test_resource_limit_gives_exit_3():
-    # an epsilon check whose distinguisher adapts on a 16-value prefix blows
-    # past the strategy cap
-    text = (
-        "group z4 cyclic 4\n"
-        "resource wide parties alice,bob rounds 2 ports ka:alice:out:z4@1 kb:bob:out:z4@1"
-        " cin:alice:in:z4@2 cout:bob:out:z4@2 rows "
-        + " ; ".join(
-            " ".join(
-                ("1/4" if (ka == kb and co == ci) else "0") for ci in range(4)
-            )
-            for ka in range(4)
-            for kb in range(4)
-            for co in range(4)
+# an epsilon check over a 2-round view with a 16-value first-round output
+# builds an LP of 1106 variables x 641 rows, past the 2x10^5 LP cap; the small
+# axioms check before it keeps its entry in the report
+LIMIT_SPEC = (
+    "group z2 cyclic 2\n"
+    "check axioms z2\n"
+    "group z4 cyclic 4\n"
+    "resource wide parties alice,bob rounds 2 ports ka:alice:out:z4@1 kb:bob:out:z4@1"
+    " cin:alice:in:z4@2 cout:bob:out:z4@2 rows "
+    + " ; ".join(
+        " ".join(
+            ("1/4" if (ka == kb and co == ci) else "0") for ci in range(4)
         )
-        + "\n"
-        "protocol pid from wide to wide converters none schedule res.1,res.2\n"
-        "check epsilon pid dishonest bob\n"
+        for ka in range(4)
+        for kb in range(4)
+        for co in range(4)
     )
-    result = run(parse_spec(text), no_meta=True)
+    + "\n"
+    "protocol pid from wide to wide converters none schedule res.1,res.2\n"
+    "check epsilon pid dishonest bob\n"
+)
+
+
+def test_resource_limit_gives_exit_3():
+    result = run(parse_spec(LIMIT_SPEC), no_meta=True)
     assert result.exit_code == 3
     assert "error" in result.report
+    axioms, epsilon = result.report["checks"]
+    assert axioms["kind"] == "axioms" and axioms["pass"]
+    assert epsilon["kind"] == "epsilon" and "error" in epsilon
+    assert result.report["total"] == 2 and result.report["failed"] == 1 and not result.report["ok"]
+
+
+def test_main_resource_limit_emits_report(tmp_path, capsys):
+    spec = tmp_path / "limit.spec"
+    spec.write_text(LIMIT_SPEC)
+    code = main(["verify", str(spec), "--no-meta"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert "LP has 1106 vars x 641 rows" in captured.err
+    assert [e["kind"] for e in json.loads(captured.out)["checks"]] == ["axioms", "epsilon"]

@@ -22,7 +22,6 @@ from composec.comb import (
     make_signature,
     observationally_equal,
     realize,
-    strategy_count,
     tensor_behavior,
     trivial_behavior,
 )
@@ -44,7 +43,7 @@ def port(pid, party, alphabet, direction, rnd):
     return PortSpec(pid, party, alphabet, direction, rnd)
 
 
-from tests.helpers import random_comb, random_kernel
+from tests.helpers import random_comb, random_kernel, strategy_count
 
 
 def one_round_behavior(kernel, party="p"):
@@ -413,7 +412,6 @@ def test_behavior_signature_mismatch():
 def test_randomized_strategies_never_beat_deterministic():
     # convexity probe: total variation is linear in the tester's realization
     # weights, so deterministic strategies attain the maximum
-    from composec.comb import _strategies
     from composec.stoch import all_tuples, tuple_index
 
     rng = random.Random(22)
