@@ -11,7 +11,6 @@ Farkas certificate, feasibility as a re-verified simulator.
 
 from __future__ import annotations
 
-import itertools
 import time
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
@@ -43,15 +42,27 @@ from .distinguisher import (
     verify_or_raise,
 )
 from .errors import (
+    ColumnNotStochastic,
     CompositeVerificationFailed,
+    DimensionMismatch,
     InterfaceMismatch,
+    NegativeEntry,
     ProblemTooLarge,
     WiringMismatch,
 )
 from .lp import FarkasCert, Feasible, Infeasible, Optimal
 from .resources import RES, Protocol, Resource
 from .scalars import RATIONAL, TOL_EQ, Scalar, zero
-from .stoch import Kernel, make_kernel
+from .stoch import (
+    Kernel,
+    column_pairs,
+    compose as k_compose,
+    identity as k_identity,
+    kernel_equal,
+    make_kernel,
+    tensor as k_tensor,
+    validate_kernel,
+)
 
 DEFAULT_LP_CAP = 200_000  # variables x rows guard for simulator searches
 
@@ -301,24 +312,35 @@ def check_secure_with(
     simulator-wrapped ideal view."""
     t0 = time.perf_counter()
     real = dummy_attack(p, r, j_parties)
+    residual = _residual(real, s, sim)
+    ms = (time.perf_counter() - t0) * 1000
+    cert = SimulatorCert(tuple(j_parties), sim, residual, p.name)
+    if residual <= _tolerance(real.mode):
+        return SecurityReport("secure", epsilon=zero(real.mode), cert=cert, wall_ms=ms)
+    return SecurityReport("insecure", epsilon=None, cert=cert, wall_ms=ms)
+
+
+def _tolerance(mode: str) -> Scalar:
+    return 0 if mode == RATIONAL else TOL_EQ
+
+
+def _residual(real: Behavior, s: Resource, sim: Simulator) -> Scalar:
+    """Largest entrywise gap between the real view and the simulator-wrapped
+    ideal view, scheduled to match the real view's moments."""
     ideal = ideal_view(s, sim, match=real.signature)
     if ideal.signature != real.signature:
         raise InterfaceMismatch(
             f"ideal view interface {[q.id for q in ideal.signature.ports]} does not match "
             f"real view {[q.id for q in real.signature.ports]}"
         )
-    residual = zero(real.mode)
-    for ri, ii in zip(real.kernel.matrix, ideal.kernel.matrix):
-        for a, b in zip(ri, ii):
+    zero_ = zero(real.mode)
+    residual = zero_
+    for ca, cb in zip(real.kernel.cols, ideal.kernel.cols):
+        for a, b in column_pairs(ca, cb, zero_):
             d = abs(a - b)
             if d > residual:
                 residual = d
-    ms = (time.perf_counter() - t0) * 1000
-    cert = SimulatorCert(tuple(j_parties), sim, residual, p.name)
-    tol = 0 if real.mode == RATIONAL else TOL_EQ
-    if residual <= tol:
-        return SecurityReport("secure", epsilon=zero(real.mode), cert=cert, wall_ms=ms)
-    return SecurityReport("insecure", epsilon=None, cert=cert, wall_ms=ms)
+    return residual
 
 
 def _symbolic_ideal(real: Behavior, s: Resource, j_parties: Sequence[str]):
@@ -361,8 +383,7 @@ def search_simulator(
     expect_outcome(out, Feasible, "simulator")
     sigma_b = table_behavior(shape.signature, out.point, real.mode)
     sim = Simulator(tuple(j_parties), (("sim", sigma_b),), shape.wires)
-    recheck = check_secure_with(p, r, s, j_parties, sim)
-    if not recheck.secure:
+    if _residual(real, s, sim) > _tolerance(real.mode):
         raise CompositeVerificationFailed("LP simulator failed re-verification")
     return SecurityReport(
         "secure",
@@ -622,56 +643,55 @@ def attack_model_axiom_suite(
     classes; for the colluding model they are witnessed through the dummy
     factorization (any attacked execution is an attack comb linked onto the
     dummy view), which is checked when a protocol is supplied."""
-    from .stoch import compose as k_compose
-    from .stoch import kernel_equal, tensor as k_tensor, validate_kernel
-
     checks: list[AxiomCheck] = []
 
-    def membership(model, honest: Kernel, attacked: Kernel) -> bool:
+    def membership(model, k: Kernel) -> bool:
+        """Whether the model admits k.  The minimal model admits only the
+        honest kernel, so its only attack is the trivial one: composing with
+        identities and tensoring with the trivial kernel must give k back.
+        The maximal model admits every stochastic kernel."""
         if isinstance(model, Minimal):
-            return kernel_equal(honest, attacked)
+            unit = k_identity((), k.mode)
+            return (
+                kernel_equal(k_compose(k_identity(k.cod, k.mode), k), k)
+                and kernel_equal(k_compose(k, k_identity(k.dom, k.mode)), k)
+                and kernel_equal(k_tensor(k, unit), k)
+                and kernel_equal(k_tensor(unit, k), k)
+            )
         if isinstance(model, Maximal):
-            validate_kernel(attacked)
+            try:
+                validate_kernel(k)
+            except (ColumnNotStochastic, DimensionMismatch, NegativeEntry):
+                return False
             return True
         raise ValueError(model)
 
+    composable = [(f, g) for f in samples for g in samples if f.cod == g.dom]
     if isinstance(spec, (Minimal, Maximal)):
+        checks.append(AxiomCheck("honest-inclusion", all(membership(spec, f) for f in samples)))
+        checks.append(
+            AxiomCheck(
+                "sequential-closure",
+                all(membership(spec, k_compose(g, f)) for f, g in composable),
+            )
+        )
+        checks.append(
+            AxiomCheck(
+                "parallel-closure",
+                all(membership(spec, k_tensor(f, g)) for f in samples for g in samples),
+            )
+        )
+    elif isinstance(spec, PerParty):
         checks.append(
             AxiomCheck(
                 "honest-inclusion",
-                all(membership(spec, f, f) for f in samples),
+                all(membership(m, f) for m in spec.models for f in samples),
             )
         )
-        composable = [
-            (f, g) for f in samples for g in samples if f.cod == g.dom
-        ]
-        ok = True
-        for f, g in composable:
-            gf = k_compose(g, f)
-            ok = ok and membership(spec, gf, gf)
-        checks.append(AxiomCheck("sequential-closure", ok))
-        ok = True
-        for f in samples:
-            for g in samples:
-                fg = k_tensor(f, g)
-                ok = ok and membership(spec, fg, fg)
-        checks.append(AxiomCheck("parallel-closure", ok))
-    elif isinstance(spec, PerParty):
-        ok = True
-        for combo in itertools.product(samples, repeat=len(spec.models)):
-            for model, f in zip(spec.models, combo):
-                ok = ok and membership(model, f, f)
-        checks.append(AxiomCheck("honest-inclusion", ok))
         checks.append(
             AxiomCheck(
                 "componentwise-closure",
-                all(
-                    membership(m, k_compose(g, f), k_compose(g, f))
-                    for m in spec.models
-                    for f in samples
-                    for g in samples
-                    if f.cod == g.dom
-                ),
+                all(membership(m, k_compose(g, f)) for m in spec.models for f, g in composable),
             )
         )
     elif isinstance(spec, Colluding):

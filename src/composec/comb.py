@@ -17,9 +17,7 @@ splittability questions into linear programs.
 
 from __future__ import annotations
 
-import weakref
-from dataclasses import dataclass, replace
-from fractions import Fraction
+from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence, Union
 
 from .errors import (
@@ -39,11 +37,15 @@ from .stoch import (
     Alphabet,
     Kernel,
     all_tuples,
+    columns_within,
+    index_projection,
     index_tuple,
+    kernel_from_columns,
     make_kernel,
     marginalize,
     permute_axes,
     ports_size,
+    sparse_column,
     tuple_index,
 )
 
@@ -112,11 +114,12 @@ class Behavior:
     """Conditional transcript table P(all outputs | all inputs).
 
     The kernel's domain lists the in-ports and its codomain the out-ports,
-    both in signature order.
+    both in signature order.  `realize` memoises its comb on the object.
     """
 
     signature: Signature
     kernel: Kernel
+    _comb: Optional["CombKernels"] = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def mode(self) -> str:
@@ -186,7 +189,6 @@ def causality_report(b: Behavior) -> CausalityReport:
     sig = b.signature
     ins = sig.ins()
     outs = sig.outs()
-    tol = 0 if b.mode == RATIONAL else TOL_EQ
     violations = []
     for r in range(1, sig.rounds + 1):
         late = [k for k, p in enumerate(ins) if p.round > r]
@@ -203,12 +205,10 @@ def causality_report(b: Behavior) -> CausalityReport:
                 groups[key] = j
                 continue
             j0 = groups[key]
-            same = all(
-                (marg.matrix[i][j] == marg.matrix[i][j0])
-                if b.mode == RATIONAL
-                else abs(marg.matrix[i][j] - marg.matrix[i][j0]) <= tol
-                for i in range(marg.n_cod)
-            )
+            if b.mode == RATIONAL:
+                same = marg.cols[j] == marg.cols[j0]
+            else:
+                same = columns_within(marg.cols[j], marg.cols[j0], TOL_EQ)
             if not same:
                 x0 = index_tuple(marg.dom, j0)
                 prefix = tuple((ins[k].id, x[k]) for k in early)
@@ -268,9 +268,8 @@ def flatten(c: CombKernels) -> Behavior:
         [k for k, p in enumerate(ins) if p.round == r] for r in range(1, sig.rounds + 1)
     ]
     mode = c.kernels[0].mode if c.kernels else RATIONAL
-    n_in, n_out = ports_size(in_alphas), ports_size(out_alphas)
-    table = [[zero(mode)] * n_in for _ in range(n_out)]
-    for j, x in enumerate(all_tuples(in_alphas)):
+    cols = []
+    for x in all_tuples(in_alphas):
         states: dict[tuple[tuple[int, ...], int], Scalar] = {((), 0): one(mode)}
         for r in range(1, sig.rounds + 1):
             f = c.kernels[r - 1]
@@ -278,40 +277,31 @@ def flatten(c: CombKernels) -> Behavior:
             n_round_outs = len(f.cod) - 1
             new_states: dict[tuple[tuple[int, ...], int], Scalar] = {}
             for (ys, mem), w in states.items():
-                col = tuple_index(f.dom, (mem,) + x_r)
-                for i in range(f.n_cod):
-                    p = f.matrix[i][col]
-                    if not p:
-                        continue
+                for i, p in f.cols[tuple_index(f.dom, (mem,) + x_r)]:
                     cod_vals = index_tuple(f.cod, i)
-                    y_new = ys + cod_vals[:n_round_outs]
-                    key = (y_new, cod_vals[-1])
+                    key = (ys + cod_vals[:n_round_outs], cod_vals[-1])
                     new_states[key] = new_states.get(key, zero(mode)) + w * p
             states = new_states
+        acc: dict[int, Scalar] = {}
         for (ys, _m), w in states.items():
-            y_sig = tuple(ys[inv_out[k]] for k in range(len(outs)))
-            table[tuple_index(out_alphas, y_sig)][j] += w
-    kernel = make_kernel(in_alphas, out_alphas, table, mode)
-    return Behavior(sig, kernel)
-
-
-_REALIZE_CACHE: "weakref.WeakKeyDictionary[Behavior, CombKernels]" = weakref.WeakKeyDictionary()
+            i = tuple_index(out_alphas, tuple(ys[inv_out[k]] for k in range(len(outs))))
+            acc[i] = acc.get(i, zero(mode)) + w
+        cols.append(sparse_column(acc))
+    return Behavior(sig, kernel_from_columns(in_alphas, out_alphas, cols, mode))
 
 
 def realize(b: Behavior) -> CombKernels:
     """Transcript-memory realization: memory i stores everything seen through
     round i, and round i emits with the conditional P(y_i | x..i, y..i-1).
 
-    flatten(realize(b)) reproduces b exactly.  Results are cached per
-    behavior instance; everything is immutable so sharing is safe.
+    A history of probability zero gets a point mass at codomain index 0
+    instead; no execution enters its column, so flatten(realize(b))
+    reproduces b exactly.  The result is memoised on `b` itself; everything
+    is immutable, so sharing is safe.
     """
-    cached = _REALIZE_CACHE.get(b) if _REALIZE_CACHE is not None else None
-    if cached is not None:
-        return cached
-    comb = _realize(b)
-    if _REALIZE_CACHE is not None:
-        _REALIZE_CACHE[b] = comb
-    return comb
+    if b._comb is None:
+        object.__setattr__(b, "_comb", _realize(b))
+    return b._comb
 
 
 def _realize(b: Behavior) -> CombKernels:
@@ -320,81 +310,65 @@ def _realize(b: Behavior) -> CombKernels:
         raise NotCausal(str(report.violations[0]))
     sig = b.signature
     ins, outs = sig.ins(), sig.outs()
-    in_alphas = tuple(p.alphabet for p in ins)
     mode = b.mode
     k = sig.rounds
-    # ports seen through round r, in (round, kind, signature position) order
-    seen: list[list[tuple[str, int, Alphabet]]] = []  # (kind, sig position, alphabet)
-    running: list[tuple[str, int, Alphabet]] = []
-    for r in range(1, k + 1):
-        for pos, p in enumerate(ins):
-            if p.round == r:
-                running.append(("in", pos, p.alphabet))
-        for pos, p in enumerate(outs):
-            if p.round == r:
-                running.append(("out", pos, p.alphabet))
-        seen.append(list(running))
+    rounds = range(1, k + 1)
+    x_alphas = [tuple(p.alphabet for p in sig.round_ins(r)) for r in rounds]
+    y_alphas = [tuple(p.alphabet for p in sig.round_outs(r)) for r in rounds]
+    n_x = [ports_size(a) for a in x_alphas]
+    n_y = [ports_size(a) for a in y_alphas]
+    x_code = [
+        index_projection(b.kernel.dom, [pos for pos, p in enumerate(ins) if p.round == r]) for r in rounds
+    ]
+    y_code = [
+        index_projection(b.kernel.cod, [pos for pos, p in enumerate(outs) if p.round == r]) for r in rounds
+    ]
+    # a history through round r is coded row-major over x_1, y_1, ..., x_r,
+    # y_r; memory r holds that code
     memories = [UNIT]
     for r in range(1, k):
-        size = 1
-        for _, _, a in seen[r - 1]:
-            size *= a.size
-        memories.append(Alphabet(f"mem{r}", size))
+        memories.append(Alphabet(f"mem{r}", memories[-1].size * n_x[r - 1] * n_y[r - 1]))
     memories.append(UNIT)
 
-    outs_le = [[pos for pos, p in enumerate(outs) if p.round <= r] for r in range(0, k + 1)]
-    margs = [marginalize(b.kernel, outs_le[r]) for r in range(0, k + 1)]
+    # Round r's column c codes (history through r-1, x_r) and its cell h
+    # codes (c, y_r).  den[r][c] = P(y..r-1 | x..r) and num[r][h] =
+    # P(y..r | x..r), both read from the column of b whose inputs after
+    # round r are 0 and summed in row order, as marginals of b would be.
+    den: list[dict[int, Scalar]] = [{} for _ in rounds]
+    num: list[dict[int, Scalar]] = [{} for _ in rounds]
+    y_codes: dict[int, list[int]] = {}
+    for j, col in enumerate(b.kernel.cols):
+        xs = [code(j) for code in x_code]
+        first = max([r for r in rounds if xs[r - 1]], default=1)
+        for i, v in col:
+            ys = y_codes.get(i)
+            if ys is None:
+                ys = y_codes[i] = [code(i) for code in y_code]
+            h = 0
+            for r in rounds:
+                c = h * n_x[r - 1] + xs[r - 1]
+                h = c * n_y[r - 1] + ys[r - 1]
+                if r >= first:
+                    d, n = den[r - 1], num[r - 1]
+                    d[c] = d[c] + v if c in d else v
+                    n[h] = n[h] + v if h in n else v
 
-    def prefix_prob(r, x_by_pos, y_by_pos):
-        """P(outputs through round r | inputs through round r), future inputs 0."""
-        marg = margs[r]
-        x_full = [0] * len(ins)
-        for pos, v in x_by_pos.items():
-            x_full[pos] = v
-        y_vals = tuple(y_by_pos[pos] for pos in outs_le[r])
-        return marg.matrix[tuple_index(marg.cod, y_vals)][tuple_index(in_alphas, x_full)]
-
+    one_ = one(mode)
+    point_mass = ((0, one_),)
     kernels = []
-    for r in range(1, k + 1):
-        r_ins = [(pos, p) for pos, p in enumerate(ins) if p.round == r]
-        r_outs = [(pos, p) for pos, p in enumerate(outs) if p.round == r]
-        dom = (memories[r - 1],) + tuple(p.alphabet for _, p in r_ins)
-        cod = tuple(p.alphabet for _, p in r_outs) + (memories[r],)
-        hist_ports = seen[r - 1]
-        prev_ports = seen[r - 2] if r >= 2 else []
-        n_dom = ports_size(dom)
-        n_cod = ports_size(cod)
-        table = [[zero(mode)] * n_dom for _ in range(n_cod)]
-        for col in range(n_dom):
-            dom_vals = index_tuple(dom, col)
-            mem_val, x_r = dom_vals[0], dom_vals[1:]
-            # decode the transcript stored in memory
-            prev_alphas = tuple(a for _, _, a in prev_ports)
-            prev_vals = index_tuple(prev_alphas, mem_val) if prev_ports else ()
-            x_by_pos = {pos: v for (kind, pos, _), v in zip(prev_ports, prev_vals) if kind == "in"}
-            y_by_pos = {pos: v for (kind, pos, _), v in zip(prev_ports, prev_vals) if kind == "out"}
-            for (pos, _p), v in zip(r_ins, x_r):
-                x_by_pos[pos] = v
-            den = prefix_prob(r - 1, x_by_pos, y_by_pos) if r >= 2 else one(mode)
-            out_alphas_r = tuple(p.alphabet for _, p in r_outs)
-            for y_r in all_tuples(out_alphas_r):
-                y2 = dict(y_by_pos)
-                for (pos, _p), v in zip(r_outs, y_r):
-                    y2[pos] = v
-                if den == 0:
-                    p_y = Fraction(1, ports_size(out_alphas_r)) if mode == RATIONAL else 1.0 / ports_size(out_alphas_r)
-                else:
-                    p_y = prefix_prob(r, x_by_pos, y2) / den
-                if r < k:
-                    hist_vals = tuple(
-                        (x_by_pos[pos] if kind == "in" else y2[pos]) for kind, pos, _ in hist_ports
-                    )
-                    mem_next = tuple_index(tuple(a for _, _, a in hist_ports), hist_vals)
-                else:
-                    mem_next = 0
-                if p_y:
-                    table[tuple_index(cod, y_r + (mem_next,))][col] += p_y
-        kernels.append(make_kernel(dom, cod, table, mode))
+    for r in rounds:
+        n_mem = memories[r].size
+        cols: dict[int, list] = {}
+        for h, p in num[r - 1].items():
+            c, y = divmod(h, n_y[r - 1])
+            d = den[r - 1][c] if r > 1 else one_
+            q = p / d if d else 0
+            if q:
+                cols.setdefault(c, []).append((y * n_mem + (h if r < k else 0), q))
+        dom = (memories[r - 1],) + x_alphas[r - 1]
+        cod = y_alphas[r - 1] + (memories[r],)
+        table = [tuple(sorted(cols[c])) if c in cols else point_mass for c in range(ports_size(dom))]
+        kernels.append(kernel_from_columns(dom, cod, table, mode))
     return CombKernels(sig, tuple(memories), tuple(kernels))
 
 
@@ -483,10 +457,8 @@ def behavior_equal(a: Behavior, b: Behavior, tol: Scalar = 0) -> bool:
     if a.mode == RATIONAL:
         if tol != 0:
             raise ValueError("rational mode requires tol = 0")
-        return a.kernel.matrix == b.kernel.matrix
-    return all(
-        abs(x - y) <= tol for rx, ry in zip(a.kernel.matrix, b.kernel.matrix) for x, y in zip(rx, ry)
-    )
+        return a.kernel.cols == b.kernel.cols
+    return all(columns_within(x, y, tol) for x, y in zip(a.kernel.cols, b.kernel.cols))
 
 
 def observationally_equal(a: Behavior, b: Behavior, tol: Scalar = 0) -> bool:
@@ -537,11 +509,13 @@ def behavior_distance(a: Behavior, b: Behavior) -> Scalar:
     if a.signature != b.signature:
         raise SignatureMismatch("behaviors have different signatures")
     steps = decision_rounds(a.signature)
-    ma, mb = a.kernel.matrix, b.kernel.matrix
+    ca = [dict(col) for col in a.kernel.cols]
+    cb = [dict(col) for col in b.kernel.cols]
+    zero_ = zero(a.mode)
 
     def value(r: int, j: int, i: int) -> Scalar:
         if r == len(steps):
-            return abs(ma[i][j] - mb[i][j])
+            return abs(ca[j].get(i, zero_) - cb[j].get(i, zero_))
         xs, ys = steps[r]
         return max(sum(value(r + 1, j + dj, i + di) for di in ys) for dj in xs)
 
@@ -725,12 +699,7 @@ class Network:
                     col = tuple_index(f.dom, (mems[mem_i],) + x_vals)
                     moves = col_cache.get(col)
                     if moves is None:
-                        moves = []
-                        for i in range(f.n_cod):
-                            p = f.matrix[i][col]
-                            if p:
-                                moves.append((index_tuple(f.cod, i), p))
-                        col_cache[col] = moves
+                        moves = col_cache[col] = [(index_tuple(f.cod, i), p) for i, p in f.cols[col]]
                     for cod_vals, p in moves:
                         y_r, mem_next = cod_vals[:n_round_outs], cod_vals[-1]
                         wv = list(wvals)
@@ -793,12 +762,15 @@ class Network:
         ins, outs = sig.ins(), sig.outs()
         in_alphas = tuple(p.alphabet for p in ins)
         out_alphas = tuple(p.alphabet for p in outs)
-        table = [[zero(self._mode)] * ports_size(in_alphas) for _ in range(ports_size(out_alphas))]
-        for j, x in enumerate(all_tuples(in_alphas)):
+        cols = []
+        for x in all_tuples(in_alphas):
             x_ext = {p.id: v for p, v in zip(ins, x)}
+            acc: dict[int, Scalar] = {}
             for ys, w in self._run(x_ext, symbolic=False).items():
-                table[tuple_index(out_alphas, ys)][j] += w
-        kernel = make_kernel(in_alphas, out_alphas, table, self._mode)
+                i = tuple_index(out_alphas, ys)
+                acc[i] = acc.get(i, zero(self._mode)) + w
+            cols.append(sparse_column(acc))
+        kernel = kernel_from_columns(in_alphas, out_alphas, cols, self._mode)
         return make_behavior(sig, kernel, check=check)
 
     def linear_evaluate(self):

@@ -135,8 +135,9 @@ def table_behavior(sig: Signature, point, mode: str = RATIONAL) -> Behavior:
 def add_match_rows(bld: LpBuilder, aligned: LinearForms, target: Behavior) -> None:
     """Every linear form equals the target's table entry."""
     for j, col in enumerate(aligned):
+        values = target.kernel.column(j)
         for i, form in enumerate(col):
-            bld.add_eq(form, target.kernel.matrix[i][j])
+            bld.add_eq(form, values[i])
 
 
 def add_cell_gaps(bld: LpBuilder, aligned: LinearForms, target: Behavior) -> tuple[int, list[list[int]]]:
@@ -146,10 +147,11 @@ def add_cell_gaps(bld: LpBuilder, aligned: LinearForms, target: Behavior) -> tup
     t = bld.new_vars(1)[0]
     u = []
     for j, col in enumerate(aligned):
+        values = target.kernel.column(j)
         u_col = []
         for i, form in enumerate(col):
             cell = bld.new_vars(1)[0]
-            rv = target.kernel.matrix[i][j]
+            rv = values[i]
             below = {k: -v for k, v in form.items()}
             below[cell] = one(mode)
             bld.add_ge(below, -rv)

@@ -145,11 +145,11 @@ def mix_resources(r1: Resource, r2: Resource, weight: Scalar, name: str = "") ->
     if r1.signature != r2.signature:
         raise InterfaceMismatch("mixture needs identical signatures")
     w = weight
-    table = [
-        [w * a + (1 - w) * b for a, b in zip(ra, rb)]
-        for ra, rb in zip(r1.behavior.kernel.matrix, r2.behavior.kernel.matrix)
+    k1, k2 = r1.behavior.kernel, r2.behavior.kernel
+    columns = [
+        [w * a + (1 - w) * b for a, b in zip(k1.column(j), k2.column(j))] for j in range(k1.n_dom)
     ]
-    kern = make_kernel(r1.behavior.kernel.dom, r1.behavior.kernel.cod, table)
+    kern = make_kernel(k1.dom, k1.cod, list(zip(*columns)))
     return Resource(make_behavior(r1.signature, kern), name=name or f"mix_{w}")
 
 
@@ -486,7 +486,7 @@ def _r_entry_fn(r: Resource):
     b_in, a_out, c_out = _tripartite_shape(r)
     a_alphas = tuple(q.alphabet for q in a_out)
     c_alphas = tuple(q.alphabet for q in c_out)
-    rk = r.behavior.kernel
+    columns = [r.behavior.kernel.column(j) for j in range(r.behavior.kernel.n_dom)]
     out_ports = r.signature.outs()
     a_pos = [k for k, q in enumerate(out_ports) if q.party == "alice"]
     c_pos = [k for k, q in enumerate(out_ports) if q.party == "charlie"]
@@ -498,7 +498,7 @@ def _r_entry_fn(r: Resource):
             y[pos] = v
         for pos, v in zip(c_pos, _int_to_tuple(c_alphas, c_idx)):
             y[pos] = v
-        return rk.matrix[tuple_index(out_alphas, tuple(y))][b_idx]
+        return columns[b_idx][tuple_index(out_alphas, tuple(y))]
 
     nb = ports_size(tuple(q.alphabet for q in b_in))
     return entry, nb, ports_size(a_alphas), ports_size(c_alphas)
@@ -641,15 +641,16 @@ def broadcast_contradiction_oracle(r: Resource) -> OracleReport:
     nc = c_out[0].alphabet.size
     charlie_marg = marginalize(rk, [c_k])
     alice_marg = marginalize(rk, [a_k])
-    charlie_forced = tuple(charlie_marg.matrix[v][1] for v in range(nc))  # driven by input 1
-    alice_forced = tuple(alice_marg.matrix[v][0] for v in range(na))  # driven by input 0
+    charlie_forced = charlie_marg.column(1)  # driven by input 1
+    alice_forced = alice_marg.column(0)  # driven by input 0
     out_alphas = tuple(q.alphabet for q in out_ports)
     agree_by_b = []
     for b in range(b_in[0].alphabet.size):
+        column = rk.column(b)
         acc = Fraction(0)
         for y in all_tuples(out_alphas):
             if y[a_k] == y[c_k]:
-                acc += rk.matrix[tuple_index(out_alphas, y)][b]
+                acc += column[tuple_index(out_alphas, y)]
         agree_by_b.append(acc)
     required = min(agree_by_b)
     achievable = sum(min(a, c) for a, c in zip(alice_forced, charlie_forced))

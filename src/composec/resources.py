@@ -322,9 +322,10 @@ def to_float_protocol(p: Protocol) -> Protocol:
 
 
 def is_deterministic(b: Behavior) -> bool:
+    values = [v for col in b.kernel.cols for _i, v in col]
     if b.mode == RATIONAL:
-        return all(v == 0 or v == 1 for row in b.kernel.matrix for v in row)
-    return all(min(abs(v), abs(v - 1.0)) <= 1e-9 for row in b.kernel.matrix for v in row)
+        return all(v == 1 for v in values)
+    return all(min(abs(v), abs(v - 1.0)) <= 1e-9 for v in values)
 
 
 def lift_deterministic(p: Protocol) -> Protocol:

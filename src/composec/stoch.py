@@ -2,9 +2,16 @@
 
 A Kernel is a morphism of the category of finite sets and stochastic maps:
 an ordered list of domain ports, an ordered list of codomain ports, and a
-dense matrix indexed (codomain tuple, domain tuple).  Tuples are enumerated
+matrix indexed (codomain tuple, domain tuple).  Tuples are enumerated
 row-major with the leftmost port most significant; every module in this
 package inherits that convention.
+
+The matrix is stored by columns and sparsely: for every domain index, the
+(codomain index, value) pairs of its nonzero entries in increasing codomain
+order.  Transcript tables are almost all zeros, so every operation here
+works on the support only; it adds the same products in the same order as
+the dense loops would, so rational results are exact and float results are
+bit-identical to theirs.
 """
 
 from __future__ import annotations
@@ -12,7 +19,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from functools import cached_property
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import (
     BadPermutation,
@@ -35,8 +43,12 @@ from .scalars import (
     zero,
 )
 
-# Dense tables only; guards against accidentally huge tensor products.
+# Dense tables given to make_kernel only; guards against accidentally huge
+# tables typed or generated in full.
 DEFAULT_SIZE_CAP = 1 << 20
+
+# The nonzero entries (codomain index, value) of one column, by index.
+Column = tuple[tuple[int, Scalar], ...]
 
 
 @dataclass(frozen=True)
@@ -93,13 +105,35 @@ def all_tuples(ports: Sequence[Alphabet]) -> Iterable[tuple[int, ...]]:
     return itertools.product(*(range(a.size) for a in ports))
 
 
+def index_projection(ports: Sequence[Alphabet], picks: Sequence[int]) -> Callable[[int], int]:
+    """Map the index of a tuple over `ports` to the index of its values at
+    positions `picks`, taken in that order, over those ports."""
+    strides = [1] * len(ports)
+    for k in range(len(ports) - 2, -1, -1):
+        strides[k] = strides[k + 1] * ports[k + 1].size
+    digits = []
+    new_stride = 1
+    for p in reversed(picks):
+        digits.append((strides[p], ports[p].size, new_stride))
+        new_stride *= ports[p].size
+
+    def index(i: int) -> int:
+        return sum(i // stride % size * step for stride, size, step in digits)
+
+    return index
+
+
 @dataclass(frozen=True)
 class Kernel:
-    """Column-stochastic matrix with typed ports.  Immutable; share freely."""
+    """Column-stochastic matrix with typed ports.  Immutable; share freely.
+
+    `cols[j]` lists the nonzero entries of domain column j as (codomain
+    index, value) pairs in increasing codomain index; absent entries are 0.
+    """
 
     dom: tuple[Alphabet, ...]
     cod: tuple[Alphabet, ...]
-    matrix: tuple[tuple[Scalar, ...], ...]  # matrix[cod_index][dom_index]
+    cols: tuple[Column, ...]
     mode: str = RATIONAL
 
     @property
@@ -110,11 +144,28 @@ class Kernel:
     def n_cod(self) -> int:
         return ports_size(self.cod)
 
-    def entry(self, out_values: Sequence[int], in_values: Sequence[int]) -> Scalar:
-        return self.matrix[tuple_index(self.cod, out_values)][tuple_index(self.dom, in_values)]
+    @cached_property
+    def matrix(self) -> tuple[tuple[Scalar, ...], ...]:
+        """Dense view, matrix[cod_index][dom_index], built on first use."""
+        rows = [[zero(self.mode)] * self.n_dom for _ in range(self.n_cod)]
+        for j, col in enumerate(self.cols):
+            for i, v in col:
+                rows[i][j] = v
+        return tuple(tuple(r) for r in rows)
 
     def column(self, dom_index: int) -> tuple[Scalar, ...]:
-        return tuple(row[dom_index] for row in self.matrix)
+        """Dense column dom_index."""
+        out = [zero(self.mode)] * self.n_cod
+        for i, v in self.cols[dom_index]:
+            out[i] = v
+        return tuple(out)
+
+    def entry(self, out_values: Sequence[int], in_values: Sequence[int]) -> Scalar:
+        i = tuple_index(self.cod, out_values)
+        for k, v in self.cols[tuple_index(self.dom, in_values)]:
+            if k == i:
+                return v
+        return zero(self.mode)
 
 
 @dataclass(frozen=True)
@@ -131,10 +182,11 @@ class Dist:
         _check_column(self.weights, 0, self.mode)
 
     def as_kernel(self) -> Kernel:
-        return Kernel((), (self.alphabet,), tuple((w,) for w in self.weights), self.mode)
+        col = tuple((i, w) for i, w in enumerate(self.weights) if w)
+        return Kernel((), (self.alphabet,), (col,), self.mode)
 
 
-def _check_column(values: Sequence[Scalar], col: int, mode: str) -> None:
+def _check_column(values: Iterable[Scalar], col: int, mode: str) -> None:
     total = zero(mode)
     for v in values:
         if mode == RATIONAL:
@@ -167,20 +219,52 @@ def make_kernel(
         raise DimensionMismatch(f"table of {n_dom * n_cod} entries exceeds size cap {size_cap}")
     if len(table) != n_cod:
         raise DimensionMismatch(f"{len(table)} rows, expected {n_cod}")
-    rows = []
-    for row in table:
+    cols: list[list] = [[] for _ in range(n_dom)]
+    for i, row in enumerate(table):
         if len(row) != n_dom:
             raise DimensionMismatch(f"row of length {len(row)}, expected {n_dom}")
-        rows.append(tuple(as_scalar(v, mode) for v in row))
-    matrix = tuple(rows)
-    for j in range(n_dom):
-        _check_column([matrix[i][j] for i in range(n_cod)], j, mode)
-    return Kernel(tuple(dom), tuple(cod), matrix, mode)
+        for j, v in enumerate(row):
+            v = as_scalar(v, mode)
+            if v:
+                cols[j].append((i, v))
+    for j, col in enumerate(cols):
+        _check_column((v for _i, v in col), j, mode)
+    return Kernel(tuple(dom), tuple(cod), tuple(tuple(c) for c in cols), mode)
+
+
+def kernel_from_columns(
+    dom: Sequence[Alphabet],
+    cod: Sequence[Alphabet],
+    cols: Sequence[Column],
+    mode: str = RATIONAL,
+) -> Kernel:
+    """Validate sparse columns (see `Kernel.cols`) and wrap them."""
+    k = Kernel(tuple(dom), tuple(cod), tuple(cols), check_mode(mode))
+    validate_kernel(k)
+    return k
 
 
 def validate_kernel(k: Kernel) -> None:
-    """Re-run the construction invariants on an existing kernel."""
-    make_kernel(k.dom, k.cod, k.matrix, k.mode)
+    """Re-run the construction invariants on an existing kernel: one
+    column per domain index, nonzero entries at increasing codomain indices
+    in range, columns stochastic."""
+    n_cod = k.n_cod
+    if len(k.cols) != k.n_dom:
+        raise DimensionMismatch(f"{len(k.cols)} columns, expected {k.n_dom}")
+    for j, col in enumerate(k.cols):
+        last = -1
+        for i, v in col:
+            if not last < i < n_cod:
+                raise DimensionMismatch(f"column {j}: row {i} out of order or out of range")
+            if not v:
+                raise DimensionMismatch(f"column {j}: explicit zero at row {i}")
+            last = i
+        _check_column((v for _i, v in col), j, k.mode)
+
+
+def sparse_column(acc: dict[int, Scalar]) -> Column:
+    """The nonzero entries of an index -> value map, as a Column."""
+    return tuple((i, v) for i, v in sorted(acc.items()) if v)
 
 
 # ---------------------------------------------------------------------------
@@ -195,47 +279,38 @@ def compose(g: Kernel, f: Kernel) -> Kernel:
         raise InterfaceMismatch(
             f"cannot compose: middle interface {[a.name for a in f.cod]} vs {[a.name for a in g.dom]}"
         )
-    mid = f.n_cod
-    zero_ = zero(f.mode)
-    fm, gm = f.matrix, g.matrix
-    rows = [[zero_] * f.n_dom for _ in range(g.n_cod)]
-    for k in range(mid):
-        frow = fm[k]
-        hot = [j for j in range(f.n_dom) if frow[j]]
-        if not hot:
-            continue
-        for i in range(g.n_cod):
-            gik = gm[i][k]
-            if gik:
-                target = rows[i]
-                for j in hot:
-                    target[j] += gik * frow[j]
-    return Kernel(f.dom, g.cod, tuple(tuple(r) for r in rows), f.mode)
+    gcols = g.cols
+    cols = []
+    for fcol in f.cols:
+        acc: dict[int, Scalar] = {}
+        for k, fkj in fcol:
+            for i, gik in gcols[k]:
+                p = gik * fkj
+                acc[i] = acc[i] + p if i in acc else p
+        cols.append(sparse_column(acc))
+    return Kernel(f.dom, g.cod, tuple(cols), f.mode)
 
 
 def tensor(f: Kernel, g: Kernel) -> Kernel:
     """Parallel composition (Kronecker product); f's ports come first."""
     if g.mode != f.mode:
         raise InterfaceMismatch(f"mode mismatch: {f.mode} vs {g.mode}")
-    fm, gm = f.matrix, g.matrix
-    # Structural kernels are mostly 0s and 1s: copy those blocks instead of
-    # multiplying, which is exact in both modes for finite probabilities.
-    zeros = (zero(f.mode),) * g.n_dom
-    rows = []
-    for i1 in range(f.n_cod):
-        frow = fm[i1]
-        for i2 in range(g.n_cod):
-            grow = gm[i2]
-            row = []
-            for a in frow:
-                if not a:
-                    row.extend(zeros)
-                elif a == 1:
-                    row.extend(grow)
-                else:
-                    row.extend(a * b for b in grow)
-            rows.append(tuple(row))
-    return Kernel(f.dom + g.dom, f.cod + g.cod, tuple(rows), f.mode)
+    n = g.n_cod
+    cols = []
+    for fcol in f.cols:
+        for gcol in g.cols:
+            col = []
+            for i1, a in fcol:
+                base = i1 * n
+                if a == 1:  # structural kernels are mostly 1s: copy, exact in both modes
+                    col.extend((base + i2, b) for i2, b in gcol)
+                    continue
+                for i2, b in gcol:
+                    p = a * b
+                    if p:
+                        col.append((base + i2, p))
+            cols.append(tuple(col))
+    return Kernel(f.dom + g.dom, f.cod + g.cod, tuple(cols), f.mode)
 
 
 def tensor_all(kernels: Sequence[Kernel], mode: str = RATIONAL) -> Kernel:
@@ -249,11 +324,14 @@ def tensor_all(kernels: Sequence[Kernel], mode: str = RATIONAL) -> Kernel:
 # structural kernels
 
 
+def _deterministic(dom: Sequence[Alphabet], cod: Sequence[Alphabet], rows: Iterable[int], mode: str) -> Kernel:
+    """The kernel sending domain index j to codomain index rows[j]."""
+    one_ = one(mode)
+    return Kernel(tuple(dom), tuple(cod), tuple(((i, one_),) for i in rows), mode)
+
+
 def identity(ports: Sequence[Alphabet], mode: str = RATIONAL) -> Kernel:
-    n = ports_size(ports)
-    one_, zero_ = one(mode), zero(mode)
-    rows = tuple(tuple(one_ if i == j else zero_ for j in range(n)) for i in range(n))
-    return Kernel(tuple(ports), tuple(ports), rows, mode)
+    return _deterministic(ports, ports, range(ports_size(ports)), mode)
 
 
 def permutation(ports: Sequence[Alphabet], perm: Sequence[int], mode: str = RATIONAL) -> Kernel:
@@ -261,13 +339,7 @@ def permutation(ports: Sequence[Alphabet], perm: Sequence[int], mode: str = RATI
     if sorted(perm) != list(range(len(ports))):
         raise BadPermutation(f"{perm} is not a permutation of 0..{len(ports) - 1}")
     cod = tuple(ports[p] for p in perm)
-    n_dom = ports_size(ports)
-    one_, zero_ = one(mode), zero(mode)
-    rows = [[zero_] * n_dom for _ in range(ports_size(cod))]
-    for x in all_tuples(ports):
-        y = tuple(x[p] for p in perm)
-        rows[tuple_index(cod, y)][tuple_index(ports, x)] = one_
-    return Kernel(tuple(ports), cod, tuple(tuple(r) for r in rows), mode)
+    return _deterministic(ports, cod, map(index_projection(ports, perm), range(ports_size(ports))), mode)
 
 
 def swap(a: Alphabet, b: Alphabet, mode: str = RATIONAL) -> Kernel:
@@ -278,31 +350,22 @@ def copy_map(ports: Sequence[Alphabet], mode: str = RATIONAL) -> Kernel:
     """Duplicate the whole tuple: X -> X (x) X."""
     ports = tuple(ports)
     n = ports_size(ports)
-    one_, zero_ = one(mode), zero(mode)
-    rows = [[zero_] * n for _ in range(n * n)]
-    for j in range(n):
-        rows[j * n + j][j] = one_
-    return Kernel(ports, ports + ports, tuple(tuple(r) for r in rows), mode)
+    return _deterministic(ports, ports + ports, (j * n + j for j in range(n)), mode)
 
 
 def delete(ports: Sequence[Alphabet], mode: str = RATIONAL) -> Kernel:
-    n = ports_size(ports)
-    return Kernel(tuple(ports), (), (tuple(one(mode) for _ in range(n)),), mode)
+    return _deterministic(ports, (), [0] * ports_size(ports), mode)
 
 
 def point(ports: Sequence[Alphabet], values: Sequence[int], mode: str = RATIONAL) -> Kernel:
     """Deterministic state I -> X at the given value tuple."""
-    idx = tuple_index(ports, values)
-    n = ports_size(ports)
-    one_, zero_ = one(mode), zero(mode)
-    rows = tuple((one_,) if i == idx else (zero_,) for i in range(n))
-    return Kernel((), tuple(ports), rows, mode)
+    return _deterministic((), ports, [tuple_index(ports, values)], mode)
 
 
 def uniform(ports: Sequence[Alphabet], mode: str = RATIONAL) -> Kernel:
     n = ports_size(ports)
     w = Fraction(1, n) if mode == RATIONAL else 1.0 / n
-    return Kernel((), tuple(ports), tuple((w,) for _ in range(n)), mode)
+    return Kernel((), tuple(ports), (tuple((i, w) for i in range(n)),), mode)
 
 
 _STRUCTURAL = {
@@ -340,18 +403,27 @@ def _require_same_interface(f: Kernel, g: Kernel) -> None:
         raise InterfaceMismatch("kernels have different interfaces or modes")
 
 
+def column_pairs(a: Column, b: Column, zero_: Scalar) -> Iterator[tuple[Scalar, Scalar]]:
+    """The entries of two columns at every index either one holds, in
+    increasing index; an absent entry reads `zero_`."""
+    da, db = dict(a), dict(b)
+    for i in sorted(da.keys() | db.keys()):
+        yield da.get(i, zero_), db.get(i, zero_)
+
+
+def columns_within(a: Column, b: Column, tol: float) -> bool:
+    """Float columns equal entrywise up to `tol`."""
+    return all(abs(x - y) <= tol for x, y in column_pairs(a, b, 0.0))
+
+
 def equal_within(f: Kernel, g: Kernel, tol: Scalar = 0) -> bool:
     """Max-norm comparison.  Rational mode admits only tol = 0."""
     _require_same_interface(f, g)
     if f.mode == RATIONAL:
         if tol != 0:
             raise ValueError("rational mode requires tol = 0")
-        return f.matrix == g.matrix
-    for fr, gr in zip(f.matrix, g.matrix):
-        for a, b in zip(fr, gr):
-            if abs(a - b) > tol:
-                return False
-    return True
+        return f.cols == g.cols
+    return all(columns_within(a, b, tol) for a, b in zip(f.cols, g.cols))
 
 
 def kernel_equal(f: Kernel, g: Kernel) -> bool:
@@ -361,11 +433,12 @@ def kernel_equal(f: Kernel, g: Kernel) -> bool:
 def channel_distance(f: Kernel, g: Kernel) -> Scalar:
     """Worst-case total variation distance over inputs (distinguisher advantage)."""
     _require_same_interface(f, g)
-    best = zero(f.mode)
-    for j in range(f.n_dom):
-        acc = zero(f.mode)
-        for i in range(f.n_cod):
-            acc += abs(f.matrix[i][j] - g.matrix[i][j])
+    zero_ = zero(f.mode)
+    best = zero_
+    for a, b in zip(f.cols, g.cols):
+        acc = zero_
+        for x, y in column_pairs(a, b, zero_):
+            acc += abs(x - y)
         acc = acc / 2
         if acc > best:
             best = acc
@@ -379,41 +452,31 @@ def marginalize(f: Kernel, keep: Sequence[int]) -> Kernel:
         raise BadPortSelection(f"bad codomain selection {keep} for {len(f.cod)} ports")
     if sorted(keep) != keep:
         raise BadPortSelection("keep must list ports in their original order")
-    new_cod = tuple(f.cod[i] for i in keep)
-    n_new = ports_size(new_cod)
-    rows = [[zero(f.mode)] * f.n_dom for _ in range(n_new)]
-    for i in range(f.n_cod):
-        y = index_tuple(f.cod, i)
-        ni = tuple_index(new_cod, tuple(y[p] for p in keep))
-        row = f.matrix[i]
-        target = rows[ni]
-        for j in range(f.n_dom):
-            target[j] += row[j]
-    return Kernel(f.dom, new_cod, tuple(tuple(r) for r in rows), f.mode)
+    row = index_projection(f.cod, keep)
+    cols = []
+    for col in f.cols:
+        acc: dict[int, Scalar] = {}
+        for i, v in col:
+            ni = row(i)
+            acc[ni] = acc[ni] + v if ni in acc else v
+        cols.append(sparse_column(acc))
+    return Kernel(f.dom, tuple(f.cod[i] for i in keep), tuple(cols), f.mode)
 
 
 def permute_axes(f: Kernel, dom_perm: Sequence[int], cod_perm: Sequence[int]) -> Kernel:
     """Reorder domain and codomain ports; new slot k is old port perm[k]."""
     if sorted(dom_perm) != list(range(len(f.dom))) or sorted(cod_perm) != list(range(len(f.cod))):
         raise BadPermutation("axis permutations must cover all ports")
-    new_dom = tuple(f.dom[p] for p in dom_perm)
-    new_cod = tuple(f.cod[p] for p in cod_perm)
-    col_map = [0] * f.n_dom  # new column -> old column
-    for j in range(f.n_dom):
-        x = index_tuple(f.dom, j)
-        col_map[tuple_index(new_dom, tuple(x[p] for p in dom_perm))] = j
-    row_map = [0] * f.n_cod
-    for i in range(f.n_cod):
-        y = index_tuple(f.cod, i)
-        row_map[tuple_index(new_cod, tuple(y[p] for p in cod_perm))] = i
-    rows = tuple(
-        tuple(f.matrix[oi][col_map[nj]] for nj in range(f.n_dom)) for oi in row_map
-    )
-    return Kernel(new_dom, new_cod, rows, f.mode)
+    new_col = index_projection(f.dom, dom_perm)
+    row = index_projection(f.cod, cod_perm)
+    cols: list[Column] = [()] * f.n_dom
+    for j, col in enumerate(f.cols):
+        cols[new_col(j)] = tuple(sorted((row(i), v) for i, v in col))
+    return Kernel(tuple(f.dom[p] for p in dom_perm), tuple(f.cod[p] for p in cod_perm), tuple(cols), f.mode)
 
 
 def to_float(f: Kernel) -> Kernel:
     if f.mode == FLOAT:
         return f
-    rows = tuple(tuple(float(v) for v in row) for row in f.matrix)
-    return Kernel(f.dom, f.cod, rows, FLOAT)
+    cols = tuple(tuple((i, float(v)) for i, v in col if float(v)) for col in f.cols)
+    return Kernel(f.dom, f.cod, cols, FLOAT)

@@ -119,3 +119,66 @@ def enumerated_distance(a, b):
     """max over deterministic strategies of the total variation distance."""
     ma, mb = a.kernel.matrix, b.kernel.matrix
     return max(sum(abs(ma[i][j] - mb[i][j]) for j, i in cells) for cells in strategy_cells(a.signature)) / 2
+
+
+# ---------------------------------------------------------------------------
+# dense kernel algebra (oracles for the sparse column kernels of `stoch`):
+# the loops over full matrix[cod_index][dom_index] tables, in the order
+# their sums accumulate
+
+
+def dense_compose(g, f):
+    zero_ = Fraction(0) if f.mode == "rational" else 0.0
+    fm, gm = f.matrix, g.matrix
+    rows = [[zero_] * f.n_dom for _ in range(g.n_cod)]
+    for k in range(f.n_cod):
+        frow = fm[k]
+        hot = [j for j in range(f.n_dom) if frow[j]]
+        for i in range(g.n_cod):
+            gik = gm[i][k]
+            if gik:
+                for j in hot:
+                    rows[i][j] += gik * frow[j]
+    return tuple(tuple(r) for r in rows)
+
+
+def dense_tensor(f, g):
+    return tuple(
+        tuple(a * b for a in frow for b in grow) for frow in f.matrix for grow in g.matrix
+    )
+
+
+def dense_marginalize(f, keep):
+    zero_ = Fraction(0) if f.mode == "rational" else 0.0
+    new_cod = tuple(f.cod[i] for i in keep)
+    rows = [[zero_] * f.n_dom for _ in range(ports_size(new_cod))]
+    for i, y in enumerate(all_tuples(f.cod)):
+        target = rows[tuple_index(new_cod, tuple(y[p] for p in keep))]
+        for j in range(f.n_dom):
+            target[j] += f.matrix[i][j]
+    return tuple(tuple(r) for r in rows)
+
+
+def dense_permute_axes(f, dom_perm, cod_perm):
+    new_dom = tuple(f.dom[p] for p in dom_perm)
+    new_cod = tuple(f.cod[p] for p in cod_perm)
+    col_map = [0] * f.n_dom  # new column -> old column
+    for j, x in enumerate(all_tuples(f.dom)):
+        col_map[tuple_index(new_dom, tuple(x[p] for p in dom_perm))] = j
+    row_map = [0] * f.n_cod
+    for i, y in enumerate(all_tuples(f.cod)):
+        row_map[tuple_index(new_cod, tuple(y[p] for p in cod_perm))] = i
+    return tuple(tuple(f.matrix[oi][col_map[nj]] for nj in range(f.n_dom)) for oi in row_map)
+
+
+def dense_channel_distance(f, g):
+    zero_ = Fraction(0) if f.mode == "rational" else 0.0
+    best = zero_
+    for j in range(f.n_dom):
+        acc = zero_
+        for i in range(f.n_cod):
+            acc += abs(f.matrix[i][j] - g.matrix[i][j])
+        acc = acc / 2
+        if acc > best:
+            best = acc
+    return best

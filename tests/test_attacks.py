@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from composec import attacks
 from composec.attacks import (
     Attack,
     Colluding,
@@ -38,7 +39,7 @@ from composec.comb import (
 from composec.errors import CompositeVerificationFailed, WiringMismatch
 from composec.hopf import build_otp, group_make
 from composec.resources import Converter, Protocol, Resource, apply_protocol
-from composec.stoch import Alphabet, index_tuple, make_kernel, marginalize
+from composec.stoch import Alphabet, Kernel, index_tuple, make_kernel, marginalize, ports_size
 
 from tests.helpers import BIT, random_kernel
 
@@ -300,6 +301,55 @@ def test_axiom_suite_minimal_maximal():
     assert attack_model_axiom_suite(Minimal(), samples).ok
     assert attack_model_axiom_suite(Maximal(), samples).ok
     assert attack_model_axiom_suite(PerParty((Minimal(), Maximal())), samples).ok
+
+
+def test_axiom_suite_maximal_reports_non_stochastic_samples():
+    a2 = Alphabet("m2", 2)
+    good = random_kernel(random.Random(63), (a2,), (a2,))
+    leaky = Kernel((a2,), (a2,), (((0, F(1, 2)),), ((1, F(1)),)))  # column 0 sums to 1/2
+    assert attack_model_axiom_suite(Maximal(), [good]).ok
+    rep = attack_model_axiom_suite(Maximal(), [good, leaky])
+    assert {c.name: c.passed for c in rep.checks} == {
+        "honest-inclusion": False,
+        "sequential-closure": False,
+        "parallel-closure": False,
+    }
+    assert not attack_model_axiom_suite(PerParty((Minimal(), Maximal())), [good, leaky]).ok
+
+
+def test_axiom_suite_minimal_checks_unit_laws():
+    # rows out of order: composing with an identity sorts them, so the unit
+    # laws fail to give the kernel back; its self-composite is well formed
+    a2 = Alphabet("m2", 2)
+    shuffled = Kernel((a2,), (a2,), (((1, F(1, 2)), (0, F(1, 2))), ((1, F(1)),)))
+    rep = attack_model_axiom_suite(Minimal(), [shuffled])
+    assert {c.name: c.passed for c in rep.checks} == {
+        "honest-inclusion": False,
+        "sequential-closure": True,
+        "parallel-closure": False,
+    }
+
+
+def test_search_simulator_evaluates_real_view_once(monkeypatch):
+    inst = build_otp(group_make(("cyclic", 2)))
+    calls = []
+    dummy = attacks.dummy_attack
+    monkeypatch.setattr(attacks, "dummy_attack", lambda *args: calls.append(args) or dummy(*args))
+    assert search_simulator(inst.protocol, inst.source, inst.target, ("eve",)).secure
+    assert len(calls) == 1
+
+
+def test_search_simulator_rechecks_lp_simulator(monkeypatch):
+    inst = build_otp(group_make(("cyclic", 2)))
+    table_behavior = attacks.table_behavior
+
+    def constant_simulator(sig, point, mode):
+        n_y = ports_size(tuple(p.alphabet for p in sig.outs()))
+        return table_behavior(sig, [1 if k % n_y == 0 else 0 for k in range(len(point))], mode)
+
+    monkeypatch.setattr(attacks, "table_behavior", constant_simulator)
+    with pytest.raises(CompositeVerificationFailed):
+        search_simulator(inst.protocol, inst.source, inst.target, ("eve",))
 
 
 def test_axiom_suite_colluding_on_otp():

@@ -1,3 +1,4 @@
+import gc
 import random
 from fractions import Fraction
 
@@ -31,7 +32,19 @@ from composec.errors import (
     NotCausal,
     SignatureMismatch,
 )
-from composec.stoch import UNIT, Alphabet, channel_distance, identity, make_kernel, uniform
+from composec.hopf import build_otp, group_make
+from composec.nogo import commitment_resource
+from composec.stoch import (
+    UNIT,
+    Alphabet,
+    all_tuples,
+    channel_distance,
+    identity,
+    index_tuple,
+    make_kernel,
+    tuple_index,
+    uniform,
+)
 
 BIT = Alphabet("bit", 2)
 TRIT = Alphabet("trit", 3)
@@ -99,6 +112,55 @@ def test_realize_flatten_roundtrip():
         b = flatten(random_comb(rng, rounds=rng.randint(1, 3)))
         again = flatten(realize(b))
         assert behavior_equal(b, again, 0)
+
+
+def _entered_columns(comb):
+    """Per round, the kernel columns some input sequence reaches with
+    positive probability, found by running the comb forward."""
+    ins = comb.signature.ins()
+    entered = [set() for _ in comb.kernels]
+    for x in all_tuples(tuple(p.alphabet for p in ins)):
+        mems = {0}
+        for r, f in enumerate(comb.kernels, start=1):
+            x_r = tuple(v for v, p in zip(x, ins) if p.round == r)
+            reached = set()
+            for m in mems:
+                col = tuple_index(f.dom, (m,) + x_r)
+                entered[r - 1].add(col)
+                reached.update(index_tuple(f.cod, i)[-1] for i, _p in f.cols[col])
+            mems = reached
+    return entered
+
+
+@pytest.mark.parametrize(
+    "behavior,n_unreachable",
+    [
+        # round 2 remembers both key copies: 9 of its 27 columns have ka = kb
+        (build_otp(group_make(("cyclic", 3))).source.behavior, 18),
+        (commitment_resource().behavior, 0),
+    ],
+    ids=["otp_source_z3", "commitment"],
+)
+def test_realize_point_mass_on_unreachable_histories(behavior, n_unreachable):
+    comb = realize(behavior)
+    assert flatten(comb) == behavior
+    unreachable = 0
+    for f, entered in zip(comb.kernels, _entered_columns(comb)):
+        for col in set(range(f.n_dom)) - entered:
+            assert len(f.cols[col]) == 1
+            unreachable += 1
+    assert unreachable == n_unreachable
+
+
+def test_realize_memo_belongs_to_each_behavior():
+    b1 = flatten(random_comb(random.Random(12), rounds=2))
+    b2 = Behavior(b1.signature, b1.kernel)
+    assert b1 == b2 and b1 is not b2
+    c1, c2 = realize(b1), realize(b2)
+    assert realize(b1) is c1 and realize(b2) is c2
+    del b1, c1
+    gc.collect()
+    assert realize(b2) is c2
 
 
 def test_realize_rejects_noncausal():

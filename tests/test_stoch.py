@@ -25,13 +25,22 @@ from composec.stoch import (
     make_kernel,
     marginalize,
     permutation,
+    permute_axes,
     point,
     structural,
     swap,
     tensor,
+    to_float,
     tuple_index,
     uniform,
     validate_kernel,
+)
+from tests.helpers import (
+    dense_channel_distance,
+    dense_compose,
+    dense_marginalize,
+    dense_permute_axes,
+    dense_tensor,
 )
 
 BIT = Alphabet("bit", 2)
@@ -261,3 +270,74 @@ def test_structural_outputs_pass_invariants():
     ]:
         k = structural(kind, [BIT, TRIT], **kwargs)
         validate_kernel(k)
+
+
+# ---------------------------------------------------------------------------
+# sparse columns against the dense loops
+
+
+def sparse_random_kernel(rng, dom, cod, mode):
+    """Columns with one to three nonzero entries, or dense ones."""
+    n_dom, n_cod = stoch.ports_size(dom), stoch.ports_size(cod)
+    table = [[0] * n_dom for _ in range(n_cod)]
+    for j in range(n_dom):
+        rows = range(n_cod) if rng.random() < 0.3 else rng.sample(range(n_cod), rng.randint(1, min(3, n_cod)))
+        raw = {i: rng.randint(1, 9) for i in rows}
+        total = sum(raw.values())
+        for i, v in raw.items():
+            table[i][j] = Fraction(v, total)
+    return make_kernel(dom, cod, table, mode)
+
+
+def bits(x):
+    """Exact identity of values: floats by their repr, which round-trips."""
+    if isinstance(x, tuple):
+        return tuple(bits(v) for v in x)
+    return (type(x).__name__, repr(x))
+
+
+@pytest.mark.parametrize("mode", ["rational", "float"])
+def test_sparse_kernels_match_dense_oracles(mode):
+    rng = random.Random(2024)
+
+    def ports():
+        return tuple(rng.choice((BIT, TRIT)) for _ in range(rng.randint(0, 3)))
+
+    for _ in range(80):
+        a, b, c = ports(), ports(), ports()
+        f, h = sparse_random_kernel(rng, a, b, mode), sparse_random_kernel(rng, a, b, mode)
+        g = sparse_random_kernel(rng, b, c, mode)
+        keep = sorted(rng.sample(range(len(b)), rng.randint(0, len(b))))
+        dom_perm, cod_perm = rng.sample(range(len(a)), len(a)), rng.sample(range(len(b)), len(b))
+        for sparse, dense in [
+            (compose(g, f), dense_compose(g, f)),
+            (tensor(f, g), dense_tensor(f, g)),
+            (marginalize(f, keep), dense_marginalize(f, keep)),
+            (permute_axes(f, dom_perm, cod_perm), dense_permute_axes(f, dom_perm, cod_perm)),
+        ]:
+            validate_kernel(sparse)
+            assert bits(sparse.matrix) == bits(dense)
+        assert bits(channel_distance(f, h)) == bits(dense_channel_distance(f, h))
+        assert make_kernel(a, b, f.matrix, mode).cols == f.cols
+
+
+def test_to_float_matches_entrywise_conversion():
+    rng = random.Random(2025)
+    for _ in range(20):
+        f = sparse_random_kernel(rng, (BIT, TRIT), (TRIT, BIT), "rational")
+        assert bits(to_float(f).matrix) == bits(tuple(tuple(float(v) for v in row) for row in f.matrix))
+
+
+def test_columns_hold_only_sorted_nonzero_entries():
+    k = make_kernel([BIT], [TRIT], [[1, "1/2"], [0, 0], [0, "1/2"]])
+    assert k.cols == (((0, Fraction(1)),), ((0, Fraction(1, 2)), (2, Fraction(1, 2))))
+    assert k.matrix == ((1, Fraction(1, 2)), (0, 0), (0, Fraction(1, 2)))
+    assert k.column(1) == (Fraction(1, 2), 0, Fraction(1, 2))
+    unsorted = stoch.Kernel((BIT,), (BIT,), (((1, Fraction(1, 2)), (0, Fraction(1, 2))), ((1, Fraction(1)),)))
+    with pytest.raises(DimensionMismatch):
+        validate_kernel(unsorted)
+    explicit_zero = stoch.Kernel((BIT,), (BIT,), (((0, Fraction(0)), (1, Fraction(1))), ((1, Fraction(1)),)))
+    with pytest.raises(DimensionMismatch):
+        validate_kernel(explicit_zero)
+    with pytest.raises(DimensionMismatch):
+        validate_kernel(stoch.Kernel((BIT,), (BIT,), (((0, Fraction(1)),),)))
