@@ -5,23 +5,29 @@ Canonical form: equality constraints A x = b over x >= lower_bounds
 variables; `LpBuilder` below does that bookkeeping.
 
 The solver is a two-phase tableau simplex with Bland's rule, which cannot
-cycle; the tableau is stored dense, but each pivot touches only the pivot
-row's nonzero columns.  In rational mode every pivot is exact, so a Feasible/Optimal
+cycle.  In rational mode each tableau row is held as integers: a dict of its
+nonzero numerators by column, the right-hand side under one extra key, and
+one positive denominator for the whole row, in lowest terms.  Zero cells are
+never stored, a pivot combines two rows over the union of their supports,
+and the ratio test compares rhs_i / N_i[enter] by cross-multiplication, since
+the row denominators cancel.  Every pivot is exact, so a Feasible/Optimal
 point satisfies the constraints exactly and an Infeasible outcome carries a
 Farkas certificate y with  yT A <= 0  and  yT b > 0, checkable without
-trusting the solver.  Float mode runs the same algorithm with a pivot
-tolerance and is meant for large epsilon-minimizations only; verdicts that
-matter are produced in rational mode.
+trusting the solver.  Float mode runs the same pivoting rule on a dense float
+tableau with a pivot tolerance and is meant for large epsilon-minimizations
+only; verdicts that matter are produced in rational mode.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
+from numbers import Rational
 from typing import Optional, Union
 
 from .errors import DimensionMismatch
-from .scalars import RATIONAL, TOL_LP, TOL_PIVOT, Scalar, check_mode, zero
+from .scalars import RATIONAL, TOL_LP, TOL_PIVOT, Scalar, check_mode, one, zero
 
 
 @dataclass(frozen=True)
@@ -91,42 +97,205 @@ def _shift_bounds(lp: LinearProgram):
 
 
 def _preprocess(a, b, mode):
-    """Drop empty and duplicate rows; returns (rows, rhs, keep_map) or an
-    immediate Farkas certificate as ('infeasible', y)."""
-    tol = 0 if mode == RATIONAL else TOL_PIVOT
-    seen: dict = {}
+    """Read each row once into its nonzero (column, value) pairs and drop
+    empty and duplicate rows; returns ("ok", (pairs, rhs, keep)) or an
+    immediate Farkas certificate as ("infeasible", y)."""
+    exact = mode == RATIONAL
+    seen = set()
     rows, rhs, keep = [], [], []
     for i, (row, bi) in enumerate(zip(a, b)):
-        if all((v == 0 if mode == RATIONAL else abs(v) <= tol) for v in row):
-            if (bi == 0 if mode == RATIONAL else abs(bi) <= tol):
+        pairs = tuple((j, v) for j, v in enumerate(row) if v)
+        if (not pairs) if exact else all(abs(v) <= TOL_PIVOT for _, v in pairs):
+            if (bi == 0) if exact else (abs(bi) <= TOL_PIVOT):
                 continue
             y = [zero(mode)] * len(a)
-            y[i] = (1 if bi > 0 else -1) if mode == RATIONAL else (1.0 if bi > 0 else -1.0)
+            y[i] = one(mode) if bi > 0 else -one(mode)
             return "infeasible", tuple(y)
-        key = (tuple(row), bi)
+        key = (pairs, bi)
         if key in seen:
             continue
-        seen[key] = i
-        rows.append(list(row))
+        seen.add(key)
+        rows.append(pairs)
         rhs.append(bi)
         keep.append(i)
     return "ok", (rows, rhs, keep)
 
 
-class _Simplex:
-    """One solve; tableau state is local to the instance."""
+# Key of the right-hand side in a sparse row; columns are 0..n+m-1.
+_RHS = -1
 
-    def __init__(self, rows, rhs, n, mode):
+
+class _ExactSimplex:
+    """One rational-mode solve on sparse integer rows.
+
+    Row i stands for rows[i] / dens[i]: a dict of the nonzero integer
+    numerators (right-hand side under `_RHS`) over one positive integer
+    denominator, kept in lowest terms.  Every cell equals the `Fraction` a
+    dense tableau would hold, so Bland's rule makes the same pivots."""
+
+    def __init__(self, pairs, rhs, n):
+        self.n = n
+        self.signs = []
+        self.rows = []
+        self.dens = []
+        for i, (row, bi) in enumerate(zip(pairs, rhs)):
+            # Flip rows so the right-hand side is nonnegative; remember signs
+            # to map Farkas certificates back.
+            sign = -1 if bi < 0 else 1
+            den = lcm(bi.denominator, *(v.denominator for _, v in row))
+            nums = {j: sign * v.numerator * (den // v.denominator) for j, v in row}
+            if bi:
+                nums[_RHS] = sign * bi.numerator * (den // bi.denominator)
+            nums[n + i] = den  # artificial column, cell 1
+            self.signs.append(sign)
+            self.rows.append(nums)
+            self.dens.append(den)
+        self.basis = [n + i for i in range(len(self.rows))]
+        self.obj = None
+        self.obj_den = 1
+
+    def _set_objective(self, c):
+        """Objective row c - sum_i c[basis_i] * row_i over one denominator;
+        `c` maps columns to nonzero rationals."""
+        parts = [(c[j], row, den) for j, row, den in zip(self.basis, self.rows, self.dens) if j in c]
+        den = lcm(*(v.denominator for v in c.values()), *(cb.denominator * d for cb, _, d in parts))
+        obj = {j: v.numerator * (den // v.denominator) for j, v in c.items()}
+        for cb, row, d in parts:
+            f = cb.numerator * (den // (cb.denominator * d))
+            for k, v in row.items():
+                nv = obj.get(k, 0) - f * v
+                if nv:
+                    obj[k] = nv
+                else:
+                    del obj[k]
+        self.obj, self.obj_den = obj, _reduce(obj, den)
+
+    def _pivot(self, r, col):
+        prow = self.rows[r]
+        p = prow[col]
+        if p < 0:
+            for k in prow:
+                prow[k] = -prow[k]
+            p = -p
+        g = gcd(*prow.values())
+        if g > 1:
+            for k in prow:
+                prow[k] //= g
+            p //= g
+        self.dens[r] = p
+        for i, row in enumerate(self.rows):
+            f = row.get(col)
+            if f and i != r:
+                self.dens[i] = _eliminate(row, self.dens[i], f, prow, p)
+        if self.obj is not None:
+            f = self.obj.get(col)
+            if f:
+                self.obj_den = _eliminate(self.obj, self.obj_den, f, prow, p)
+        self.basis[r] = col
+
+    def _iterate(self):
+        """Bland's rule: smallest entering column with a negative reduced
+        cost, leaving row by the smallest ratio rhs_i / N_i[enter] (compared
+        by cross-multiplication, the row denominators cancel), tie-broken by
+        smallest basis variable.  Returns None or the unbounded column."""
+        rows, basis = self.rows, self.basis
+        while True:
+            enter = min((k for k, v in self.obj.items() if v < 0 and k != _RHS), default=-1)
+            if enter < 0:
+                return None
+            leave, best_rhs, best_piv = -1, 0, 1
+            for i, row in enumerate(rows):
+                piv = row.get(enter, 0)
+                if piv > 0:
+                    lhs = row.get(_RHS, 0) * best_piv
+                    rhs = best_rhs * piv
+                    if leave < 0 or lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
+                        leave, best_rhs, best_piv = i, row.get(_RHS, 0), piv
+            if leave < 0:
+                return enter
+            self._pivot(leave, enter)
+
+    def phase1(self):
+        """Returns ('feasible', None) or ('infeasible', y) for the scaled rows."""
+        n, m = self.n, len(self.rows)
+        self._set_objective({n + i: 1 for i in range(m)})
+        self._iterate()
+        # the phase-1 value is minus the objective row's right-hand side
+        if self.obj.get(_RHS):
+            obj, den = self.obj, self.obj_den
+            return "infeasible", [Fraction(s * (den - obj.get(n + i, 0)), den) for i, s in enumerate(self.signs)]
+        # Drive artificial variables out of the basis; drop redundant rows.
+        self.obj = None
+        r = 0
+        while r < len(self.rows):
+            if self.basis[r] >= n:
+                col = min((k for k in self.rows[r] if 0 <= k < n), default=-1)
+                if col >= 0:
+                    self._pivot(r, col)
+                    r += 1
+                else:
+                    del self.rows[r], self.dens[r], self.basis[r]
+            else:
+                r += 1
+        # Drop artificial columns.
+        self.rows = [{k: v for k, v in row.items() if k < n} for row in self.rows]
+        return "feasible", None
+
+    def point(self):
+        x = [Fraction(0)] * self.n
+        for j, row, den in zip(self.basis, self.rows, self.dens):
+            x[j] = Fraction(row.get(_RHS, 0), den)
+        return x
+
+    def phase2(self, c):
+        self._set_objective({j: v for j, v in enumerate(c) if v})
+        unb = self._iterate()
+        if unb is not None:
+            ray = [Fraction(0)] * self.n
+            ray[unb] = Fraction(1)
+            for j, row, den in zip(self.basis, self.rows, self.dens):
+                ray[j] = Fraction(-row.get(unb, 0), den)
+            return "unbounded", ray, None
+        return "optimal", self.point(), Fraction(-self.obj.get(_RHS, 0), self.obj_den)
+
+
+def _eliminate(row, den, f, prow, p):
+    """Replace `row` / den, whose cell in the pivot column is f / den, by
+    (row * p - f * prow) / (den * p) in place, over the union of the two
+    supports; returns the new denominator."""
+    if p != 1:
+        for k in row:
+            row[k] *= p
+    for k, v in prow.items():
+        nv = row.get(k, 0) - f * v
+        if nv:
+            row[k] = nv
+        else:
+            del row[k]
+    return _reduce(row, den * p)
+
+
+def _reduce(row, den):
+    """Divide the numerators and `den` by their gcd in place; returns the new
+    denominator."""
+    g = gcd(den, *row.values())
+    if g > 1:
+        for k in row:
+            row[k] //= g
+        den //= g
+    return den
+
+
+class _FloatSimplex:
+    """One float-mode solve on a dense tableau with a pivot tolerance."""
+
+    def __init__(self, rows, rhs, n):
         self.n = n
         self.m = len(rows)
-        self.mode = mode
-        self.tol = 0 if mode == RATIONAL else TOL_PIVOT
         # Flip rows so the right-hand side is nonnegative; remember signs to
         # map Farkas certificates back.
         self.signs = []
         self.tab = []
-        one_ = Fraction(1) if mode == RATIONAL else 1.0
-        zero_ = Fraction(0) if mode == RATIONAL else 0.0
         for i in range(self.m):
             if rhs[i] < 0:
                 row = [-v for v in rows[i]]
@@ -136,16 +305,14 @@ class _Simplex:
                 row = list(rows[i])
                 bi = rhs[i]
                 self.signs.append(1)
-            art = [one_ if k == i else zero_ for k in range(self.m)]
+            art = [1.0 if k == i else 0.0 for k in range(self.m)]
             self.tab.append(row + art + [bi])
         self.basis = [n + i for i in range(self.m)]
-        self.zero_ = zero_
-        self.one_ = one_
 
     def _pivot(self, obj, r, col):
         tab = self.tab
         prow = tab[r]
-        inv = self.one_ / prow[col]
+        inv = 1.0 / prow[col]
         if inv != 1:
             prow = [v * inv for v in prow]
             tab[r] = prow
@@ -169,11 +336,10 @@ class _Simplex:
     def _iterate(self, obj, allowed_cols):
         """Bland's rule: smallest eligible entering column, tie-broken leaving
         row by smallest basis variable.  Returns None or the unbounded column."""
-        tol = self.tol
         while True:
             enter = -1
             for j in allowed_cols:
-                if obj[j] < -tol:
+                if obj[j] < -TOL_PIVOT:
                     enter = j
                     break
             if enter < 0:
@@ -182,7 +348,7 @@ class _Simplex:
             best = None
             for i in range(self.m):
                 piv = self.tab[i][enter]
-                if piv > tol:
+                if piv > TOL_PIVOT:
                     ratio = self.tab[i][-1] / piv
                     if best is None or ratio < best or (ratio == best and self.basis[i] < self.basis[leave]):
                         best = ratio
@@ -194,26 +360,23 @@ class _Simplex:
     def phase1(self):
         """Returns ('feasible', None) or ('infeasible', y) for the scaled rows."""
         n, m = self.n, self.m
-        obj = [self.zero_] * (n + m) + [self.zero_]
-        for j in range(n + m):
-            obj[j] = self.one_ if j >= n else self.zero_
+        obj = [0.0] * n + [1.0] * m + [0.0]
         for row in self.tab:
             for k in range(len(obj)):
                 obj[k] -= row[k]
         # obj[-1] == -(sum of artificials); phase-1 value is -obj[-1]
         self._iterate(obj, range(n + m))
-        value = -obj[-1]
-        # float mode: judge feasibility at the solution tolerance, not the
-        # pivot tolerance, so accumulation error cannot flip the verdict
-        if (value != 0) if self.mode == RATIONAL else (value > TOL_LP):
-            y_scaled = [self.one_ - obj[n + i] for i in range(m)]
+        # judge feasibility at the solution tolerance, not the pivot
+        # tolerance, so accumulation error cannot flip the verdict
+        if -obj[-1] > TOL_LP:
+            y_scaled = [1.0 - obj[n + i] for i in range(m)]
             y = [s * v for s, v in zip(self.signs, y_scaled)]
             return "infeasible", y
         # Drive artificial variables out of the basis; drop redundant rows.
         r = 0
         while r < self.m:
             if self.basis[r] >= n:
-                col = next((j for j in range(n) if (self.tab[r][j] != 0 if self.mode == RATIONAL else abs(self.tab[r][j]) > TOL_PIVOT)), -1)
+                col = next((j for j in range(n) if abs(self.tab[r][j]) > TOL_PIVOT), -1)
                 if col >= 0:
                     self._pivot(obj, r, col)
                     r += 1
@@ -228,14 +391,14 @@ class _Simplex:
         return "feasible", None
 
     def point(self):
-        x = [self.zero_] * self.n
+        x = [0.0] * self.n
         for i in range(self.m):
             if self.basis[i] < self.n:
                 x[self.basis[i]] = self.tab[i][-1]
         return x
 
     def phase2(self, c):
-        obj = list(c) + [self.zero_]
+        obj = list(c) + [0.0]
         for i in range(self.m):
             cb = c[self.basis[i]]
             if cb:
@@ -244,12 +407,21 @@ class _Simplex:
                     obj[k] -= cb * row[k]
         unb = self._iterate(obj, range(self.n))
         if unb is not None:
-            ray = [self.zero_] * self.n
-            ray[unb] = self.one_
+            ray = [0.0] * self.n
+            ray[unb] = 1.0
             for i in range(self.m):
                 ray[self.basis[i]] = -self.tab[i][unb]
             return "unbounded", ray, None
         return "optimal", self.point(), -obj[-1]
+
+
+def _simplex(lp: LinearProgram, pairs, rhs, keep):
+    """The exact solver in rational mode, the dense float tableau otherwise
+    (float data rounded off can be exactly infeasible where the tolerance
+    accepts it)."""
+    if lp.mode == RATIONAL:
+        return _ExactSimplex(pairs, rhs, lp.n)
+    return _FloatSimplex([lp.a[i] for i in keep], rhs, lp.n)
 
 
 def _lift_cert(y_red, keep, m_full, mode):
@@ -269,7 +441,7 @@ def solve_feasible(lp: LinearProgram) -> LpOutcome:
     if not rows:
         x = list(lb) if lb else [zero(lp.mode)] * lp.n
         return Feasible(tuple(x))
-    sx = _Simplex(rows, rhs, lp.n, lp.mode)
+    sx = _simplex(lp, rows, rhs, keep)
     status, y = sx.phase1()
     if status == "infeasible":
         return Infeasible(FarkasCert(_lift_cert(y, keep, lp.m, lp.mode)))
@@ -294,11 +466,11 @@ def minimize(lp: LinearProgram) -> LpOutcome:
         if any(v < 0 for v in c):
             j = next(i for i, v in enumerate(c) if v < 0)
             ray = [zero(lp.mode)] * lp.n
-            ray[j] = Fraction(1) if lp.mode == RATIONAL else 1.0
+            ray[j] = one(lp.mode)
             return Unbounded(tuple(ray))
         x = list(lb) if lb else [zero(lp.mode)] * lp.n
         return Optimal(tuple(x), sum(ci * xi for ci, xi in zip(c, x)) if lb else zero(lp.mode))
-    sx = _Simplex(rows, rhs, lp.n, lp.mode)
+    sx = _simplex(lp, rows, rhs, keep)
     status, y = sx.phase1()
     if status == "infeasible":
         return Infeasible(FarkasCert(_lift_cert(y, keep, lp.m, lp.mode)))
@@ -312,15 +484,36 @@ def minimize(lp: LinearProgram) -> LpOutcome:
     return Optimal(tuple(x), value)
 
 
+def _entries(outcome: LpOutcome) -> tuple:
+    """Every number the outcome reports."""
+    if isinstance(outcome, Optimal):
+        return (*outcome.point, outcome.value)
+    if isinstance(outcome, Feasible):
+        return outcome.point
+    if isinstance(outcome, Infeasible):
+        return outcome.cert.y
+    if isinstance(outcome, Unbounded):
+        return outcome.ray
+    return ()
+
+
 def verify(outcome: LpOutcome, lp: LinearProgram) -> bool:
-    """Re-check an outcome against the raw program data."""
-    tol = 0 if lp.mode == RATIONAL else TOL_LP
+    """Re-check an outcome against the raw program data.  In rational mode
+    every entry of the outcome must be an exact rational and every check is
+    exact; float mode checks to the solution tolerance."""
+    exact = lp.mode == RATIONAL
+    if exact and not all(isinstance(v, Rational) for v in _entries(outcome)):
+        return False
+    tol = 0 if exact else TOL_LP
     lb = lp.lower_bounds or tuple(zero(lp.mode) for _ in range(lp.n))
+
+    def dot(row, x):
+        return sum(c * x[j] for j, c in enumerate(row) if c)
 
     def residual(x):
         for row, bi in zip(lp.a, lp.b):
-            r = sum(c * v for c, v in zip(row, x)) - bi
-            if (r != 0) if lp.mode == RATIONAL else (abs(r) > tol):
+            r = dot(row, x) - bi
+            if (r != 0) if exact else (abs(r) > tol):
                 return False
         return True
 
@@ -328,27 +521,32 @@ def verify(outcome: LpOutcome, lp: LinearProgram) -> bool:
         x = outcome.point
         if len(x) != lp.n:
             return False
-        if any(v < l - tol for v, l in zip(x, lb)):
+        if any((v < l) if exact else (v < l - tol) for v, l in zip(x, lb)):
             return False
         if not residual(x):
             return False
         if isinstance(outcome, Optimal):
-            val = sum(c * v for c, v in zip(lp.objective, x))
-            return (val == outcome.value) if lp.mode == RATIONAL else abs(val - outcome.value) <= tol
+            val = dot(lp.objective, x)
+            return (val == outcome.value) if exact else abs(val - outcome.value) <= tol
         return True
     if isinstance(outcome, Infeasible):
         y = outcome.cert.y
         if len(y) != lp.m:
             return False
-        for j in range(lp.n):
-            s = sum(y[i] * lp.a[i][j] for i in range(lp.m))
-            if (s > 0) if lp.mode == RATIONAL else (s > tol):
-                return False
-        shift = sum(
-            y[i] * (lp.b[i] - sum(c * l for c, l in zip(lp.a[i], lb)))
-            for i in range(lp.m)
-        )
-        return (shift > 0) if lp.mode == RATIONAL else (shift > tol)
+        # yT A column by column and yT (b - A lb), adding each column's terms
+        # in increasing row order, over the rows with a nonzero multiplier
+        cols = [0] * lp.n
+        shift = 0
+        for yi, row, bi in zip(y, lp.a, lp.b):
+            if not yi:
+                continue
+            for j, c in enumerate(row):
+                if c:
+                    cols[j] += yi * c
+            shift += yi * (bi - dot(row, lb) if lp.lower_bounds else bi)
+        if any((s > 0) if exact else (s > tol) for s in cols):
+            return False
+        return (shift > 0) if exact else (shift > tol)
     if isinstance(outcome, Unbounded):
         if lp.objective is None or len(outcome.ray) != lp.n:
             return False
@@ -356,11 +554,11 @@ def verify(outcome: LpOutcome, lp: LinearProgram) -> bool:
         if any(v < -tol for v in d):
             return False
         for row in lp.a:
-            s = sum(c * v for c, v in zip(row, d))
-            if (s != 0) if lp.mode == RATIONAL else (abs(s) > tol):
+            s = dot(row, d)
+            if (s != 0) if exact else (abs(s) > tol):
                 return False
-        cd = sum(c * v for c, v in zip(lp.objective, d))
-        return (cd < 0) if lp.mode == RATIONAL else (cd < -tol)
+        cd = dot(lp.objective, d)
+        return (cd < 0) if exact else (cd < -tol)
     return False
 
 

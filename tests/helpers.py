@@ -182,3 +182,188 @@ def dense_channel_distance(f, g):
         if acc > best:
             best = acc
     return best
+
+
+# ---------------------------------------------------------------------------
+# dense rational simplex (oracle for the sparse integer-row solver of `lp`):
+# the two-phase Bland tableau over `Fraction` cells, zeros included, with the
+# same bound shift, row preprocessing and certificate lifting
+
+
+def dense_solve_feasible(lp):
+    """`lp.solve_feasible` on a dense `Fraction` tableau (rational mode)."""
+    from composec.lp import FarkasCert, Feasible, Infeasible
+
+    start = _dense_start(lp)
+    if isinstance(start, Infeasible):
+        return start
+    sx, keep, lb = start
+    if sx is None:
+        return Feasible(tuple(lb) if lb else (Fraction(0),) * lp.n)
+    status, y = sx.phase1()
+    if status == "infeasible":
+        return Infeasible(FarkasCert(_dense_lift(y, keep, lp.m)))
+    x = sx.point()
+    if lb:
+        x = [v + l for v, l in zip(x, lb)]
+    return Feasible(tuple(x))
+
+
+def dense_minimize(lp):
+    """`lp.minimize` on a dense `Fraction` tableau (rational mode)."""
+    from composec.lp import FarkasCert, Infeasible, Optimal, Unbounded
+
+    start = _dense_start(lp)
+    if isinstance(start, Infeasible):
+        return start
+    sx, keep, lb = start
+    c = list(lp.objective)
+    if sx is None:
+        if any(v < 0 for v in c):
+            ray = [Fraction(0)] * lp.n
+            ray[next(i for i, v in enumerate(c) if v < 0)] = Fraction(1)
+            return Unbounded(tuple(ray))
+        x = list(lb) if lb else [Fraction(0)] * lp.n
+        return Optimal(tuple(x), sum(ci * xi for ci, xi in zip(c, x)) if lb else Fraction(0))
+    status, y = sx.phase1()
+    if status == "infeasible":
+        return Infeasible(FarkasCert(_dense_lift(y, keep, lp.m)))
+    status, vec, value = sx.phase2(c)
+    if status == "unbounded":
+        return Unbounded(tuple(vec))
+    x = vec
+    if lb:
+        x = [v + l for v, l in zip(x, lb)]
+        value = sum(ci * xi for ci, xi in zip(c, x))
+    return Optimal(tuple(x), value)
+
+
+def _dense_start(lp):
+    """Shift the lower bounds, drop empty and duplicate rows, and set up the
+    tableau: (simplex or None when no row is left, keep, lb) or Infeasible."""
+    from composec.lp import FarkasCert, Infeasible
+
+    lb = lp.lower_bounds
+    b = lp.b
+    if lb is None or all(v == 0 for v in lb):
+        lb = None
+    else:
+        b = tuple(bi - sum(c * l for c, l in zip(row, lb) if l != 0) for row, bi in zip(lp.a, b))
+    seen = set()
+    rows, rhs, keep = [], [], []
+    for i, (row, bi) in enumerate(zip(lp.a, b)):
+        if all(v == 0 for v in row):
+            if bi == 0:
+                continue
+            y = [Fraction(0)] * lp.m
+            y[i] = 1 if bi > 0 else -1
+            return Infeasible(FarkasCert(tuple(y)))
+        key = (tuple(row), bi)
+        if key in seen:
+            continue
+        seen.add(key)
+        rows.append(list(row))
+        rhs.append(bi)
+        keep.append(i)
+    return (DenseSimplex(rows, rhs, lp.n) if rows else None), keep, lb
+
+
+def _dense_lift(y_red, keep, m_full):
+    y = [Fraction(0)] * m_full
+    for v, i in zip(y_red, keep):
+        y[i] = v
+    return tuple(y)
+
+
+class DenseSimplex:
+    def __init__(self, rows, rhs, n):
+        self.n = n
+        self.m = len(rows)
+        self.signs = []
+        self.tab = []
+        for i in range(self.m):
+            sign = -1 if rhs[i] < 0 else 1
+            self.signs.append(sign)
+            art = [Fraction(1) if k == i else Fraction(0) for k in range(self.m)]
+            self.tab.append([sign * v for v in rows[i]] + art + [sign * rhs[i]])
+        self.basis = [n + i for i in range(self.m)]
+
+    def _pivot(self, obj, r, col):
+        inv = 1 / self.tab[r][col]
+        prow = self.tab[r] = [v * inv for v in self.tab[r]]
+        for i in range(self.m):
+            row = self.tab[i]
+            factor = row[col]
+            if i != r and factor:
+                for k in range(len(row)):
+                    row[k] -= factor * prow[k]
+        factor = obj[col]
+        if factor:
+            for k in range(len(obj)):
+                obj[k] -= factor * prow[k]
+        self.basis[r] = col
+
+    def _iterate(self, obj, allowed_cols):
+        """Bland's rule; returns None or the unbounded column."""
+        while True:
+            enter = next((j for j in allowed_cols if obj[j] < 0), -1)
+            if enter < 0:
+                return None
+            leave, best = -1, None
+            for i in range(self.m):
+                piv = self.tab[i][enter]
+                if piv > 0:
+                    ratio = self.tab[i][-1] / piv
+                    if best is None or ratio < best or (ratio == best and self.basis[i] < self.basis[leave]):
+                        best, leave = ratio, i
+            if leave < 0:
+                return enter
+            self._pivot(obj, leave, enter)
+
+    def phase1(self):
+        n, m = self.n, self.m
+        obj = [Fraction(0)] * n + [Fraction(1)] * m + [Fraction(0)]
+        for row in self.tab:
+            for k in range(len(obj)):
+                obj[k] -= row[k]
+        self._iterate(obj, range(n + m))
+        if obj[-1] != 0:
+            return "infeasible", [s * (1 - obj[n + i]) for i, s in enumerate(self.signs)]
+        r = 0
+        while r < self.m:
+            if self.basis[r] >= n:
+                col = next((j for j in range(n) if self.tab[r][j] != 0), -1)
+                if col >= 0:
+                    self._pivot(obj, r, col)
+                    r += 1
+                else:
+                    del self.tab[r]
+                    del self.basis[r]
+                    self.m -= 1
+            else:
+                r += 1
+        self.tab = [row[:n] + [row[-1]] for row in self.tab]
+        return "feasible", None
+
+    def point(self):
+        x = [Fraction(0)] * self.n
+        for i in range(self.m):
+            if self.basis[i] < self.n:
+                x[self.basis[i]] = self.tab[i][-1]
+        return x
+
+    def phase2(self, c):
+        obj = list(c) + [Fraction(0)]
+        for i in range(self.m):
+            cb = c[self.basis[i]]
+            if cb:
+                for k in range(len(obj)):
+                    obj[k] -= cb * self.tab[i][k]
+        unb = self._iterate(obj, range(self.n))
+        if unb is not None:
+            ray = [Fraction(0)] * self.n
+            ray[unb] = Fraction(1)
+            for i in range(self.m):
+                ray[self.basis[i]] = -self.tab[i][unb]
+            return "unbounded", ray, None
+        return "optimal", self.point(), -obj[-1]

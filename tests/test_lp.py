@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from composec.lp import (
+    FarkasCert,
     Feasible,
     Infeasible,
     LinearProgram,
@@ -14,6 +15,8 @@ from composec.lp import (
     solve_feasible,
     verify,
 )
+
+from tests.helpers import dense_minimize, dense_solve_feasible
 
 F = Fraction
 
@@ -80,6 +83,29 @@ def test_verify_rejects_wrong_point():
     prog = lp(2, [[1, -1]], [1])
     assert not verify(Feasible((F(0), F(1))), prog)
     assert verify(Feasible((F(1), F(0))), prog)
+
+
+def test_verify_rejects_inexact_entries_in_rational_mode():
+    prog = lp(2, [[1, 1]], [1], c=[1, 0])
+    assert verify(Feasible((F(1, 2), F(1, 2))), prog)
+    assert not verify(Feasible((0.5, 0.5)), prog)
+    assert verify(Optimal((F(0), F(1)), F(0)), prog)
+    assert not verify(Optimal((F(0), F(1)), 0.0), prog)
+    assert not verify(Optimal((0.0, 1.0), F(0)), prog)
+    infeasible = lp(2, [[1, 1]], [-1])
+    assert verify(Infeasible(FarkasCert((F(-1),))), infeasible)
+    assert not verify(Infeasible(FarkasCert((-1.0,))), infeasible)
+    unbounded = lp(2, [[1, -1]], [0], c=[-1, 0])
+    assert verify(Unbounded((F(1), F(1))), unbounded)
+    assert not verify(Unbounded((1.0, 1.0)), unbounded)
+
+
+def test_drive_out_enters_first_structural_column():
+    # Phase 1 makes no pivot and leaves both artificials basic at zero; the
+    # ray phase 2 returns depends on which structural column replaces the
+    # first one (the first nonzero one), the second row is then dropped.
+    prog = lp(4, [[-1, 1, 0, 1], [1, -1, 0, -1]], [0, 0], c=[-1, -1, 0, 0])
+    assert minimize(prog) == dense_minimize(prog) == Unbounded((F(1), F(1), F(0), F(0)))
 
 
 def test_lower_bounds():
@@ -189,3 +215,71 @@ def test_float_mode_smoke():
     assert isinstance(out, Optimal)
     assert abs(out.value) < 1e-9
     assert verify(out, prog)
+
+
+def _q(rng):
+    return F(rng.randint(-4, 4), rng.randint(1, 6))
+
+
+def _oracle_program(rng):
+    """Small program mixing what the sparse solver handles specially:
+    fractions with different denominators in one row, negative right-hand
+    sides, zero, duplicate and redundant rows (the redundant one is the sum of
+    two others, so a feasible program usually drops a row after phase 1),
+    degenerate vertices (ties in the ratio test), lower bounds, and
+    objectives with free descent directions (unbounded programs)."""
+    n = rng.randint(1, 7)
+    m = rng.randint(1, 6)
+    a = [[_q(rng) if rng.random() < 0.6 else F(0) for _ in range(n)] for _ in range(m)]
+    if rng.random() < 0.5:
+        x0 = [F(rng.randint(0, 3), rng.randint(1, 3)) if rng.random() < 0.5 else F(0) for _ in range(n)]
+        b = [sum(c * v for c, v in zip(row, x0)) for row in a]
+    else:
+        b = [_q(rng) for _ in range(m)]
+    redundant = m >= 2 and rng.random() < 0.35
+    if redundant:
+        i, k = rng.sample(range(m), 2)
+        a.append([u + v for u, v in zip(a[i], a[k])])
+        b.append(b[i] + b[k])
+    if rng.random() < 0.25:
+        i = rng.randrange(len(a))
+        a.append(list(a[i]))
+        b.append(b[i])
+    if rng.random() < 0.2:
+        a.append([F(0)] * n)
+        b.append(F(0) if rng.random() < 0.7 else _q(rng))
+    order = list(range(len(a)))
+    rng.shuffle(order)
+    lb = [F(rng.randint(-2, 2), rng.randint(1, 3)) for _ in range(n)] if rng.random() < 0.3 else None
+    c = [_q(rng) for _ in range(n)]
+    return lp(n, [a[i] for i in order], [b[i] for i in order], c=c, lb=lb), redundant
+
+
+def _entries(out):
+    if isinstance(out, Optimal):
+        return (*out.point, out.value)
+    if isinstance(out, Feasible):
+        return out.point
+    if isinstance(out, Infeasible):
+        return out.cert.y
+    return out.ray
+
+
+def test_sparse_simplex_matches_dense_oracle():
+    """The integer-row solver makes the dense Fraction tableau's pivots, so
+    every outcome and every entry is the same."""
+    rng = random.Random(2024)
+    kinds = {}
+    redundant_feasible = 0
+    for _ in range(200):
+        prog, redundant = _oracle_program(rng)
+        for solve, oracle in ((solve_feasible, dense_solve_feasible), (minimize, dense_minimize)):
+            out, ref = solve(prog), oracle(prog)
+            assert type(out) is type(ref), prog
+            assert _entries(out) == _entries(ref), prog
+            assert all(type(v) is Fraction for v in _entries(out)), out
+            assert verify(out, prog)
+            kinds[type(out).__name__] = kinds.get(type(out).__name__, 0) + 1
+        redundant_feasible += redundant and isinstance(out, Optimal)
+    assert min(kinds[k] for k in ("Feasible", "Infeasible", "Optimal", "Unbounded")) >= 20, kinds
+    assert redundant_feasible >= 10

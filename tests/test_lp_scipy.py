@@ -1,7 +1,7 @@
 """Differential test: the exact simplex against scipy's HiGHS on small
-random programs.  scipy and hypothesis are test-only dependencies, imported
-inside the test so that collecting the suite does not load them into the
-process the timed acceptance criteria run in."""
+random programs with rational data.  scipy and hypothesis are test-only
+dependencies, imported inside the test so that collecting the suite does not
+load them into the process the timed acceptance criteria run in."""
 
 from fractions import Fraction
 
@@ -11,8 +11,12 @@ from composec.lp import Infeasible, LinearProgram, Optimal, Unbounded, minimize,
 
 
 def _highs(linprog, a, b, c, lb):
-    """HiGHS verdict ("optimal" | "infeasible" | "unbounded") and value."""
-    bounds = [(0 if lb is None else lb[k], None) for k in range(len(c))]
+    """HiGHS verdict ("optimal" | "infeasible" | "unbounded") and value,
+    on the float roundings of the rational data."""
+    a = [[float(v) for v in row] for row in a]
+    b = [float(v) for v in b]
+    c = [float(v) for v in c]
+    bounds = [(0 if lb is None else float(lb[k]), None) for k in range(len(c))]
     res = linprog(c, A_eq=a, b_eq=b, bounds=bounds, method="highs")
     if res.status == 4:
         # "infeasible or unbounded": a zero objective tells the two apart
@@ -28,16 +32,19 @@ def test_exact_simplex_agrees_with_highs():
     from hypothesis import HealthCheck, given, settings
     from hypothesis import strategies as st
 
-    small = st.integers(min_value=-3, max_value=3)
+    def rationals(low, high):
+        return st.builds(Fraction, st.integers(min_value=low, max_value=high), st.integers(min_value=1, max_value=6))
+
+    small = rationals(-3, 3)
 
     @st.composite
     def programs(draw):
         m = draw(st.integers(min_value=1, max_value=6))
         n = draw(st.integers(min_value=1, max_value=8))
         a = [[draw(small) for _ in range(n)] for _ in range(m)]
-        b = [draw(st.integers(min_value=-5, max_value=5)) for _ in range(m)]
+        b = [draw(rationals(-5, 5)) for _ in range(m)]
         c = [draw(small) for _ in range(n)]
-        lb = draw(st.one_of(st.none(), st.lists(st.integers(min_value=-2, max_value=2), min_size=n, max_size=n)))
+        lb = draw(st.one_of(st.none(), st.lists(rationals(-2, 2), min_size=n, max_size=n)))
         return a, b, c, lb
 
     @settings(
@@ -50,13 +57,7 @@ def test_exact_simplex_agrees_with_highs():
     @given(programs())
     def agrees(prog):
         a, b, c, lb = prog
-        lp = LinearProgram(
-            len(c),
-            tuple(tuple(Fraction(v) for v in row) for row in a),
-            tuple(Fraction(v) for v in b),
-            tuple(Fraction(v) for v in c),
-            None if lb is None else tuple(Fraction(v) for v in lb),
-        )
+        lp = LinearProgram(len(c), tuple(map(tuple, a)), tuple(b), tuple(c), None if lb is None else tuple(lb))
         out = minimize(lp)
         assert verify(out, lp)
         verdict, value = _highs(linprog, a, b, c, lb)
