@@ -5,8 +5,11 @@ initial (dummy) attack only: the J parties' converters are removed, exposing
 their raw resource ports.  A simulator is a process wrapped around the ideal
 resource's J interface that reproduces that view exactly; searching for one
 is a linear feasibility problem because the attacked ideal execution is
-linear in the simulator's table.  Infeasibility comes back as an exact
-Farkas certificate, feasibility as a re-verified simulator.
+linear in the simulator's table.  Both searches solve through
+`distinguisher.solve_checked`: infeasibility comes back as a re-verified
+exact Farkas certificate, feasibility as a simulator re-checked against the
+real view, an optimum as a simulator whose distance achieves the value
+(checked exactly in rational mode).
 """
 
 from __future__ import annotations
@@ -36,10 +39,9 @@ from .distinguisher import (
     add_advantage_objective,
     add_match_rows,
     canonical_forms,
-    expect_outcome,
+    solve_checked,
     table_behavior,
     table_lp,
-    verify_or_raise,
 )
 from .errors import (
     ColumnNotStochastic,
@@ -47,10 +49,10 @@ from .errors import (
     DimensionMismatch,
     InterfaceMismatch,
     NegativeEntry,
-    ProblemTooLarge,
+    ShapeMismatch,
     WiringMismatch,
 )
-from .lp import FarkasCert, Feasible, Infeasible, Optimal
+from .lp import FarkasCert, Infeasible
 from .resources import RES, Protocol, Resource
 from .scalars import RATIONAL, TOL_EQ, Scalar, zero
 from .stoch import (
@@ -64,7 +66,7 @@ from .stoch import (
     validate_kernel,
 )
 
-DEFAULT_LP_CAP = 200_000  # variables x rows guard for simulator searches
+LP_CAP = 200_000  # variables x rows guard for simulator searches
 
 
 # ---------------------------------------------------------------------------
@@ -361,7 +363,6 @@ def search_simulator(
     r: Resource,
     s: Resource,
     j_parties: Sequence[str],
-    lp_cap: int = DEFAULT_LP_CAP,
 ) -> SecurityReport:
     """Decide security against the dummy attack by linear feasibility over
     the simulator's table entries; the dummy attack is initial (every attack
@@ -371,16 +372,11 @@ def search_simulator(
     shape, aligned = _symbolic_ideal(real, s, j_parties)
     bld = table_lp(shape.signature, real.mode)
     add_match_rows(bld, aligned, real)
-    prog = bld.build(with_objective=False)
-    if prog.n * prog.m > lp_cap:
-        raise ProblemTooLarge(f"simulator LP has {prog.n} vars x {prog.m} rows")
-    out = lpmod.solve_feasible(prog)
+    prog, out = solve_checked(bld, "simulator", LP_CAP)
     ms = (time.perf_counter() - t0) * 1000
     size = (prog.n, prog.m)
     if isinstance(out, Infeasible):
-        verify_or_raise(out, prog, "simulator")
         return SecurityReport("insecure", farkas=out.cert, lp_size=size, wall_ms=ms, lp=prog)
-    expect_outcome(out, Feasible, "simulator")
     sigma_b = table_behavior(shape.signature, out.point, real.mode)
     sim = Simulator(tuple(j_parties), (("sim", sigma_b),), shape.wires)
     if _residual(real, s, sim) > _tolerance(real.mode):
@@ -399,7 +395,6 @@ def min_epsilon(
     r: Resource,
     s: Resource,
     j_parties: Sequence[str],
-    lp_cap: int = DEFAULT_LP_CAP,
 ) -> SecurityReport:
     """Best achievable distinguisher advantage: minimize over simulators the
     adaptive distinguisher's advantage between real and ideal views, as one
@@ -410,16 +405,11 @@ def min_epsilon(
     mode = real.mode
     bld = table_lp(shape.signature, mode)
     add_advantage_objective(bld, aligned, real)
-    prog = bld.build(with_objective=True)
-    if prog.n * prog.m > lp_cap:
-        raise ProblemTooLarge(f"epsilon LP has {prog.n} vars x {prog.m} rows")
-    out = lpmod.minimize(prog)
+    prog, out = solve_checked(bld, "epsilon", LP_CAP, with_objective=True)
     ms = (time.perf_counter() - t0) * 1000
     size = (prog.n, prog.m)
     if isinstance(out, Infeasible):
-        verify_or_raise(out, prog, "epsilon")
         return SecurityReport("insecure", farkas=out.cert, lp_size=size, wall_ms=ms, lp=prog)
-    expect_outcome(out, Optimal, "epsilon")
     sigma_b = table_behavior(shape.signature, out.point, mode)
     sim = Simulator(tuple(j_parties), (("sim", sigma_b),), shape.wires)
     eps = out.value
@@ -478,7 +468,7 @@ def semi_honest_attack(p: Protocol, j_parties: Sequence[str]) -> Attack:
         party_ports = [q for q in src.ports if q.party == party]
         wired = {rp: cp for cp, rp in (conv.wiring if conv else ())}
         if conv is not None and conv.comb.signature.rounds != 1:
-            raise ProblemTooLarge("semi-honest attacks support single-round converters only")
+            raise ShapeMismatch("semi-honest attacks support single-round converters only")
         if conv is not None:
             nodes.append((party, conv.comb))
         for q in party_ports:

@@ -585,7 +585,6 @@ class RunResult:
 def run(
     ast: SpecFileAst,
     no_meta: bool = False,
-    jobs: int = 1,
     mode: str = "rational",
     tol: Optional[float] = None,
 ) -> RunResult:
@@ -597,9 +596,8 @@ def run(
         return RunResult({"schema": 1, "error": str(exc)}, 2)
 
     limit_exceeded: list[str] = []
-
-    def one(item):
-        line, tokens = item
+    entries = []
+    for line, tokens in env.checks:
         t0 = time.perf_counter()
         try:
             entry = run_check(env, line, tokens, mode=mode, tol=tol)
@@ -610,15 +608,7 @@ def run(
             entry = {"kind": tokens[0], "line": line, "error": str(exc), "pass": False}
         if not no_meta:
             entry["wall_ms"] = round((time.perf_counter() - t0) * 1000, 3)
-        return entry
-
-    if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            entries = list(pool.map(one, env.checks))
-    else:
-        entries = [one(item) for item in env.checks]
+        entries.append(entry)
     failed = sum(1 for e in entries if not e.get("pass"))
     report = {
         "schema": 1,
@@ -669,7 +659,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     v.add_argument("--tol", type=float, default=None, help="float-mode comparison tolerance")
     v.add_argument("--json", dest="json_path", default=None)
     v.add_argument("--no-meta", action="store_true", help="omit timing for byte-stable output")
-    v.add_argument("--jobs", type=int, default=1)
     a = sub.add_parser("axioms", help="Hopf axiom suite for one group")
     a.add_argument("--group", required=True, help="e.g. 'cyclic 6' or 'symmetric3'")
     o = sub.add_parser("otp", help="verify the one-time pad over one group")
@@ -689,11 +678,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             sys.stderr.write(f"composec: {exc}\n")
             return 2
         no_meta = args.no_meta
-        jobs = args.jobs
     else:
         text = _inline_spec(args)
         no_meta = False
-        jobs = 1
 
     try:
         ast = parse_spec(text)
@@ -702,7 +689,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 2
     mode = getattr(args, "mode", "rational")
     tol = getattr(args, "tol", None)
-    result = run(ast, no_meta=no_meta, jobs=jobs, mode=mode, tol=tol)
+    result = run(ast, no_meta=no_meta, mode=mode, tol=tol)
     if "error" in result.report:
         sys.stderr.write(f"composec: {result.report['error']}\n")
         if "checks" not in result.report:

@@ -754,7 +754,7 @@ class Network:
             forms[var] = forms.get(var, zero(mode)) + w
         return lin
 
-    def evaluate(self, check: bool = False) -> Behavior:
+    def evaluate(self) -> Behavior:
         if self.symbolic is not None:
             raise WiringMismatch("network contains a symbolic node; use linear_evaluate")
         self._prepare()
@@ -771,7 +771,7 @@ class Network:
                 acc[i] = acc.get(i, zero(self._mode)) + w
             cols.append(sparse_column(acc))
         kernel = kernel_from_columns(in_alphas, out_alphas, cols, self._mode)
-        return make_behavior(sig, kernel, check=check)
+        return make_behavior(sig, kernel, check=False)
 
     def linear_evaluate(self):
         """Returns (signature, columns) where columns[x_index][y_index] is a
@@ -911,13 +911,12 @@ def link(
     b: Behavior,
     wiring: Sequence[tuple[str, str]],
     schedule: Sequence[ScheduleItem],
-    check: bool = False,
 ) -> Behavior:
     """Wire two behaviors together; `wiring` pairs an a-port id with a b-port
     id (directions inferred), and `schedule` totally orders the rounds using
     labels "a" and "b"."""
     wires = [(("a", pa), ("b", pb)) for pa, pb in wiring]
-    return Network([("a", a), ("b", b)], wires, schedule).evaluate(check=check)
+    return Network([("a", a), ("b", b)], wires, schedule).evaluate()
 
 
 def tensor_behavior(a: Behavior, b: Behavior, schedule: Optional[Sequence[ScheduleItem]] = None) -> Behavior:

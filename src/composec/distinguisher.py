@@ -15,6 +15,11 @@ x_r, and t >= 1/2 sum over y_1 of the root's children for every x_1.  This is
 the classical case of the linear description of strategies (Gutoski and
 Watrous, STOC 2007; Chiribella, D'Ariano and Perinotti, PRA 80, 022339,
 2009), with one row per (node, choice) instead of one per strategy.
+
+Every check in `attacks` and `nogo` solves its program through
+`solve_checked`: one size guard, one solver call, and a re-check of every
+Farkas certificate against the raw program, so a verdict of infeasibility
+never rests on the solver alone.
 """
 
 from __future__ import annotations
@@ -24,8 +29,8 @@ from typing import Callable
 
 from . import lp as lpmod
 from .comb import IN, OUT, Behavior, Network, Signature, canonical_rounds, decision_rounds, make_behavior
-from .errors import CompositeVerificationFailed
-from .lp import Infeasible, LinearProgram, LpBuilder
+from .errors import CompositeVerificationFailed, ProblemTooLarge
+from .lp import Feasible, Infeasible, LinearProgram, LpBuilder, Optimal
 from .scalars import RATIONAL, Scalar, one, zero
 from .stoch import all_tuples, make_kernel, ports_size, tuple_index
 
@@ -197,15 +202,28 @@ def add_advantage_objective(bld: LpBuilder, aligned: LinearForms, target: Behavi
     bld.set_objective({t: one(bld.mode)})
 
 
-def expect_outcome(out, kind, what: str) -> None:
-    """Raise unless the solver returned the expected kind of outcome."""
-    if not isinstance(out, kind):
-        raise CompositeVerificationFailed(f"{what} LP returned {type(out).__name__}")
-
-
 def verify_or_raise(out, prog: LinearProgram, what: str) -> None:
-    """Raise unless `lp.verify` re-checks the outcome (a Farkas certificate
-    or an optimum) against the raw program."""
+    """Raise unless `lp.verify` re-checks the outcome (a Farkas certificate,
+    a feasible point or an optimum) against the raw program."""
     if not lpmod.verify(out, prog):
-        thing = "Farkas certificate" if isinstance(out, Infeasible) else "optimum"
+        thing = {Infeasible: "Farkas certificate", Feasible: "feasible point"}.get(type(out), "optimum")
         raise CompositeVerificationFailed(f"{what} LP's {thing} failed re-verification")
+
+
+def solve_checked(bld: LpBuilder, what: str, cap: int, with_objective: bool = False):
+    """Build the program, refuse it past `cap` variables x rows, and solve
+    it: feasibility, or minimization `with_objective`.  Returns
+    (program, outcome); the outcome is Infeasible with a re-verified Farkas
+    certificate, or else Feasible (Optimal when minimizing)."""
+    prog = bld.build(with_objective=with_objective)
+    if prog.n * prog.m > cap:
+        raise ProblemTooLarge(f"{what} LP has {prog.n} vars x {prog.m} rows")
+    if with_objective:
+        out, kind = lpmod.minimize(prog), Optimal
+    else:
+        out, kind = lpmod.solve_feasible(prog), Feasible
+    if isinstance(out, Infeasible):
+        verify_or_raise(out, prog, what)
+    elif not isinstance(out, kind):
+        raise CompositeVerificationFailed(f"{what} LP returned {type(out).__name__}")
+    return prog, out

@@ -48,6 +48,7 @@ from .stoch import (
     kernel_equal,
     make_kernel,
     point,
+    ports_size,
     tensor,
     uniform,
 )
@@ -361,19 +362,10 @@ def uniform_simulator(protocol: Protocol, source: Resource, target: Resource) ->
     shape = derive_simulator_shape(real.signature, target, (EVE,))
     ins = tuple(p.alphabet for p in shape.signature.ins())
     outs = tuple(p.alphabet for p in shape.signature.outs())
-    n_out = 1
-    for al in outs:
-        n_out *= al.size
-    table = [[Fraction(1, n_out)] * max(1, _size(ins)) for _ in range(n_out)]
+    n_out = ports_size(outs)
+    table = [[Fraction(1, n_out)] * ports_size(ins) for _ in range(n_out)]
     comb = make_behavior(shape.signature, make_kernel(ins, outs, table))
     return Simulator((EVE,), (("sim", comb),), shape.wires)
-
-
-def _size(alphabets) -> int:
-    n = 1
-    for a in alphabets:
-        n *= a.size
-    return n
 
 
 def otp_correctness(inst: OtpInstance) -> bool:

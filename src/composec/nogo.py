@@ -12,13 +12,18 @@ channels admits a doubled-middle process that three single-cheater attacks
 explain simultaneously; infeasibility of that linear system rules out
 broadcast.  An independent combinatorial oracle cross-checks the LP verdict
 on broadcast-shaped resources.
+
+Every program here is solved through `distinguisher.solve_checked`, which
+re-verifies each Farkas certificate; feasible witnesses are re-checked by
+substitution (`split`, `_verify_tripartite_witness`, or `lp.verify` of the
+completion's simulators), and the minimum advantage by `lp.verify`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Optional, Sequence
 
 from . import lp as lpmod
 from .comb import (
@@ -39,23 +44,19 @@ from .distinguisher import (
     add_advantage_objective,
     add_match_rows,
     canonical_forms,
-    expect_outcome,
+    solve_checked,
     table_behavior,
     table_lp,
     verify_or_raise,
 )
-from .errors import (
-    CompositeVerificationFailed,
-    InterfaceMismatch,
-    ProblemTooLarge,
-    ShapeMismatch,
-)
-from .lp import FarkasCert, Feasible, Infeasible, LpBuilder, Optimal
+from .errors import CompositeVerificationFailed, InterfaceMismatch, ShapeMismatch
+from .lp import FarkasCert, Infeasible, LpBuilder
 from .resources import Resource
 from .scalars import Scalar
 from .stoch import (
     Alphabet,
     all_tuples,
+    index_tuple,
     make_kernel,
     marginalize,
     ports_size,
@@ -68,7 +69,7 @@ RECEIPT = Alphabet("receipt", 1)
 
 MEDIATOR = "mediator"
 
-DEFAULT_NOGO_LP_CAP = 400_000
+NOGO_LP_CAP = 400_000  # variables x rows guard for mediator and broadcast programs
 
 
 @dataclass(frozen=True)
@@ -304,42 +305,30 @@ def _split_linear(r: Resource):
     return g_sig, aligned, target
 
 
-def _certified_farkas(out, prog, what: str) -> NogoVerdict:
-    """An infeasibility verdict, after re-checking its Farkas certificate
-    against the raw program."""
-    verify_or_raise(out, prog, what)
-    return NogoVerdict(False, cert=out.cert, lp_size=(prog.n, prog.m), lp=prog)
-
-
-def split_check(r: Resource, lp_cap: int = DEFAULT_NOGO_LP_CAP) -> NogoVerdict:
+def split_check(r: Resource) -> NogoVerdict:
     """Does any stochastic causal mediator make two copies of r equal r?"""
     g_sig, aligned, target = _split_linear(r)
     bld = table_lp(g_sig)
     add_match_rows(bld, aligned, target)
-    prog = bld.build(with_objective=False)
-    if prog.n * prog.m > lp_cap:
-        raise ProblemTooLarge(f"split LP has {prog.n} vars x {prog.m} rows")
-    out = lpmod.solve_feasible(prog)
+    prog, out = solve_checked(bld, "split", NOGO_LP_CAP)
     if isinstance(out, Infeasible):
-        return _certified_farkas(out, prog, "split")
-    expect_outcome(out, Feasible, "split")
+        return NogoVerdict(False, cert=out.cert, lp_size=(prog.n, prog.m), lp=prog)
     g = table_behavior(g_sig, out.point)
     if not behavior_equal(split(r, g), target, 0):
         raise CompositeVerificationFailed("witness mediator failed re-verification")
     return NogoVerdict(True, witness={"g": g}, lp_size=(prog.n, prog.m))
 
 
-def min_split_advantage(r: Resource, lp_cap: int = DEFAULT_NOGO_LP_CAP) -> Scalar:
+def min_split_advantage(r: Resource) -> Scalar:
     """Exact minimum, over mediators, of the distinguisher advantage between
     r and its split; 0 iff r is splittable."""
     g_sig, aligned, target = _split_linear(r)
     bld = table_lp(g_sig)
     add_advantage_objective(bld, aligned, target)
-    prog = bld.build(with_objective=True)
-    if prog.n * prog.m > lp_cap:
-        raise ProblemTooLarge(f"advantage LP has {prog.n} vars x {prog.m} rows")
-    out = lpmod.minimize(prog)
-    expect_outcome(out, Optimal, "advantage")
+    prog, out = solve_checked(bld, "advantage", NOGO_LP_CAP, with_objective=True)
+    if isinstance(out, Infeasible):
+        # every stochastic causal mediator is a feasible point
+        raise CompositeVerificationFailed("advantage LP returned Infeasible")
     verify_or_raise(out, prog, "advantage")
     return out.value
 
@@ -395,7 +384,7 @@ def _tripartite_shape(r: Resource):
     return b_in, a_out, c_out
 
 
-def tripartite_split_check(r: Resource, lp_cap: int = DEFAULT_NOGO_LP_CAP) -> NogoVerdict:
+def tripartite_split_check(r: Resource) -> NogoVerdict:
     """Feasibility of the doubled-middle system: one joint process D with two
     copies of Bob's input that three single-cheater simulators explain at
     once.  Infeasible for genuine broadcast."""
@@ -463,13 +452,9 @@ def tripartite_split_check(r: Resource, lp_cap: int = DEFAULT_NOGO_LP_CAP) -> No
                             row[sc(cr, br, c)] = row.get(sc(cr, br, c), Fraction(0)) - w
                     bld.add_eq(row, Fraction(0))
 
-    prog = bld.build(with_objective=False)
-    if prog.n * prog.m > lp_cap:
-        raise ProblemTooLarge(f"tripartite LP has {prog.n} vars x {prog.m} rows")
-    out = lpmod.solve_feasible(prog)
+    prog, out = solve_checked(bld, "tripartite", NOGO_LP_CAP)
     if isinstance(out, Infeasible):
-        return _certified_farkas(out, prog, "tripartite")
-    expect_outcome(out, Feasible, "tripartite")
+        return NogoVerdict(False, cert=out.cert, lp_size=(prog.n, prog.m), lp=prog)
     witness = {
         "D": out.point[: n_d],
         "s_A": out.point[n_d : n_d + n_sa],
@@ -494,9 +479,9 @@ def _r_entry_fn(r: Resource):
 
     def entry(a_idx: int, c_idx: int, b_idx: int):
         y = [0] * len(out_ports)
-        for pos, v in zip(a_pos, _int_to_tuple(a_alphas, a_idx)):
+        for pos, v in zip(a_pos, index_tuple(a_alphas, a_idx)):
             y[pos] = v
-        for pos, v in zip(c_pos, _int_to_tuple(c_alphas, c_idx)):
+        for pos, v in zip(c_pos, index_tuple(c_alphas, c_idx)):
             y[pos] = v
         return columns[b_idx][tuple_index(out_alphas, tuple(y))]
 
@@ -523,7 +508,7 @@ def doubled_middle(r: Resource, s_b: Sequence[Sequence[Scalar]]) -> list[list[Sc
     return d
 
 
-def tripartite_completion(r: Resource, d_table: Sequence[Sequence[Scalar]], lp_cap: int = DEFAULT_NOGO_LP_CAP) -> NogoVerdict:
+def tripartite_completion(r: Resource, d_table: Sequence[Sequence[Scalar]]) -> NogoVerdict:
     """Given a fixed doubled-middle process D, do the Alice- and
     Charlie-cheating simulators explaining D exist?"""
     r_entry, nb, na, nc = _r_entry_fn(r)
@@ -561,27 +546,16 @@ def tripartite_completion(r: Resource, d_table: Sequence[Sequence[Scalar]], lp_c
                         if w:
                             row[sc(cr, br, c)] = row.get(sc(cr, br, c), Fraction(0)) + w
                     bld.add_eq(row, dv)
-    prog = bld.build(with_objective=False)
-    if prog.n * prog.m > lp_cap:
-        raise ProblemTooLarge(f"completion LP has {prog.n} vars x {prog.m} rows")
-    out = lpmod.solve_feasible(prog)
+    prog, out = solve_checked(bld, "completion", NOGO_LP_CAP)
     if isinstance(out, Infeasible):
-        return _certified_farkas(out, prog, "completion")
-    expect_outcome(out, Feasible, "completion")
+        return NogoVerdict(False, cert=out.cert, lp_size=(prog.n, prog.m), lp=prog)
+    verify_or_raise(out, prog, "completion")
     n_sa = len(sa_vars)
     return NogoVerdict(
         True,
         witness={"s_A": out.point[:n_sa], "s_C": out.point[n_sa:]},
         lp_size=(prog.n, prog.m),
     )
-
-
-def _int_to_tuple(alphas, idx):
-    vals = []
-    for a in reversed(alphas):
-        idx, v = divmod(idx, a.size)
-        vals.append(v)
-    return tuple(reversed(vals))
 
 
 def _verify_tripartite_witness(r: Resource, witness) -> None:

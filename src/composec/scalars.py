@@ -48,12 +48,6 @@ def one(mode: str) -> Scalar:
     return Fraction(1) if mode == RATIONAL else 1.0
 
 
-def is_zero(x: Scalar, mode: str, tol: float = TOL_EQ) -> bool:
-    if mode == RATIONAL:
-        return x == 0
-    return abs(x) <= tol
-
-
 def scalar_str(x: Scalar) -> str:
     """Deterministic rendering used in reports: 'p/q' for rationals."""
     if isinstance(x, Fraction):

@@ -45,7 +45,7 @@ from .scalars import (
 
 # Dense tables given to make_kernel only; guards against accidentally huge
 # tables typed or generated in full.
-DEFAULT_SIZE_CAP = 1 << 20
+SIZE_CAP = 1 << 20
 
 # The nonzero entries (codomain index, value) of one column, by index.
 Column = tuple[tuple[int, Scalar], ...]
@@ -207,7 +207,6 @@ def make_kernel(
     cod: Sequence[Alphabet],
     table: Sequence[Sequence],
     mode: str = RATIONAL,
-    size_cap: int = DEFAULT_SIZE_CAP,
 ) -> Kernel:
     """Validate a dense table and wrap it as a Kernel.
 
@@ -215,8 +214,8 @@ def make_kernel(
     """
     check_mode(mode)
     n_dom, n_cod = ports_size(dom), ports_size(cod)
-    if n_dom * n_cod > size_cap:
-        raise DimensionMismatch(f"table of {n_dom * n_cod} entries exceeds size cap {size_cap}")
+    if n_dom * n_cod > SIZE_CAP:
+        raise DimensionMismatch(f"table of {n_dom * n_cod} entries exceeds size cap {SIZE_CAP}")
     if len(table) != n_cod:
         raise DimensionMismatch(f"{len(table)} rows, expected {n_cod}")
     cols: list[list] = [[] for _ in range(n_dom)]
@@ -311,13 +310,6 @@ def tensor(f: Kernel, g: Kernel) -> Kernel:
                         col.append((base + i2, p))
             cols.append(tuple(col))
     return Kernel(f.dom + g.dom, f.cod + g.cod, tuple(cols), f.mode)
-
-
-def tensor_all(kernels: Sequence[Kernel], mode: str = RATIONAL) -> Kernel:
-    out = identity((), mode)
-    for k in kernels:
-        out = tensor(out, k)
-    return out
 
 
 # ---------------------------------------------------------------------------

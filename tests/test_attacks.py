@@ -36,7 +36,7 @@ from composec.comb import (
     merge_asap,
     observationally_equal,
 )
-from composec.errors import CompositeVerificationFailed, WiringMismatch
+from composec.errors import CompositeVerificationFailed, ShapeMismatch, WiringMismatch
 from composec.hopf import build_otp, group_make
 from composec.resources import Converter, Protocol, Resource, apply_protocol
 from composec.stoch import Alphabet, Kernel, index_tuple, make_kernel, marginalize, ports_size
@@ -457,3 +457,20 @@ def test_multi_round_simulator_search():
     assert rep.secure
     sim_comb = rep.cert.simulator.nodes[0][1]
     assert sim_comb.signature.rounds >= 2
+
+
+def test_semi_honest_rejects_a_multi_round_converter():
+    src_sig = make_signature(["eve"], 1, [PortSpec("pe", "eve", BIT, OUT, 1)])
+    src = Resource(make_behavior(src_sig, make_kernel((), (BIT,), [[F(1, 2)], [F(1, 2)]])), name="coin")
+    # Eve reads the coin in round 1 and announces it in round 2
+    csig = make_signature(
+        ["eve"],
+        2,
+        [PortSpec("pe_c", "eve", BIT, IN, 1), PortSpec("pe_s", "eve", BIT, OUT, 2)],
+    )
+    conv = Converter("eve", make_behavior(csig, make_kernel((BIT,), (BIT,), [[1, 0], [0, 1]])), (("pe_c", "pe"),))
+    schedule = (("res", 1), ("eve", 1), ("eve", 2))
+    net = Network([("res", src.behavior), ("eve", conv.comb)], [(("eve", "pe_c"), ("res", "pe"))], schedule)
+    p = Protocol(src, Resource(net.evaluate(), name="coin_late"), (conv,), schedule, name="delay")
+    with pytest.raises(ShapeMismatch, match="single-round"):
+        semi_honest_attack(p, ("eve",))

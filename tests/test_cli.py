@@ -78,13 +78,6 @@ def test_deterministic_output_no_meta(tmp_path):
     assert outs[0] == outs[1]
 
 
-def test_jobs_parallel_same_report():
-    text = (SPECS / "broadcast_nogo.spec").read_text()
-    seq = run(parse_spec(text), no_meta=True, jobs=1)
-    par = run(parse_spec(text), no_meta=True, jobs=4)
-    assert seq.report == par.report
-
-
 def test_cli_matches_library_verdicts():
     from composec.nogo import commitment_resource, split_check
 

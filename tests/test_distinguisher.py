@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from composec import lp as lpmod
-from composec.attacks import _symbolic_ideal, dummy_attack, min_epsilon
+from composec.attacks import _symbolic_ideal, dummy_attack, min_epsilon, search_simulator
 from composec.comb import (
     IN,
     OUT,
@@ -24,8 +24,16 @@ from composec.comb import (
 )
 from composec.distinguisher import add_cell_gaps, table_lp
 from composec.errors import CompositeVerificationFailed, InterfaceMismatch
-from composec.lp import FarkasCert, Infeasible, Optimal
-from composec.nogo import _split_linear, commitment_resource, min_split_advantage
+from composec.lp import FarkasCert, Infeasible, Optimal, Unbounded
+from composec.nogo import (
+    _split_linear,
+    broadcast_resource,
+    commitment_resource,
+    min_split_advantage,
+    split_check,
+    tripartite_completion,
+    tripartite_split_check,
+)
 from composec.resources import Protocol, Resource
 from composec.stoch import UNIT, Alphabet
 from tests.helpers import (
@@ -206,3 +214,50 @@ def test_reverification_survives_optimized_python():
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+def _otp_z2():
+    from composec.hopf import build_otp, group_make
+
+    inst = build_otp(group_make(("cyclic", 2)))
+    return inst.protocol, inst.source, inst.target, ("eve",)
+
+
+def _completion_input():
+    from composec.nogo import constant_output_resource, doubled_middle
+
+    r = constant_output_resource()
+    return r, doubled_middle(r, [[1, 1, 0, 0], [0, 0, 1, 1]])
+
+
+LP_CHECKS = {
+    "simulator": lambda: search_simulator(*_otp_z2()),
+    "epsilon": lambda: min_epsilon(*_otp_z2()),
+    "split": lambda: split_check(commitment_resource()),
+    "advantage": lambda: min_split_advantage(commitment_resource()),
+    "tripartite": lambda: tripartite_split_check(broadcast_resource()),
+    "completion": lambda: tripartite_completion(*_completion_input()),
+}
+
+WRONG_OUTCOMES = {
+    "unbounded": lambda prog: Unbounded(tuple(Fraction(0) for _ in range(prog.n))),
+    "zero-farkas": lambda prog: Infeasible(FarkasCert(tuple(Fraction(0) for _ in range(prog.m)))),
+}
+
+
+@pytest.mark.parametrize("outcome", sorted(WRONG_OUTCOMES))
+@pytest.mark.parametrize("what", sorted(LP_CHECKS))
+def test_every_lp_check_rejects_a_wrong_outcome(monkeypatch, what, outcome):
+    LP_CHECKS[what]()  # passes with the real solver
+    monkeypatch.setattr(lpmod, "solve_feasible", WRONG_OUTCOMES[outcome])
+    monkeypatch.setattr(lpmod, "minimize", WRONG_OUTCOMES[outcome])
+    with pytest.raises(CompositeVerificationFailed, match=f"^{what} LP"):
+        LP_CHECKS[what]()
+
+
+def test_completion_rechecks_its_feasible_point(monkeypatch):
+    r, d = _completion_input()
+    assert tripartite_completion(r, d).feasible
+    monkeypatch.setattr(lpmod, "verify", lambda out, prog: False)
+    with pytest.raises(CompositeVerificationFailed, match="completion LP's feasible point"):
+        tripartite_completion(r, d)

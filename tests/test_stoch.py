@@ -341,3 +341,20 @@ def test_columns_hold_only_sorted_nonzero_entries():
         validate_kernel(explicit_zero)
     with pytest.raises(DimensionMismatch):
         validate_kernel(stoch.Kernel((BIT,), (BIT,), (((0, Fraction(1)),),)))
+
+
+def test_make_kernel_refuses_a_table_past_the_size_cap():
+    class Unread:
+        """A table of the right length whose rows must never be read."""
+
+        def __len__(self):
+            return 1 << 10
+
+        def __iter__(self):
+            raise AssertionError("a row was read")
+
+        __getitem__ = __iter__
+
+    dom, cod = (Alphabet("x", 1 << 11),), (Alphabet("y", 1 << 10),)
+    with pytest.raises(DimensionMismatch, match="exceeds size cap"):
+        make_kernel(dom, cod, Unread())
