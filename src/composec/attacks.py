@@ -148,13 +148,19 @@ class SecurityReport:
 
 def dummy_attack(p: Protocol, r: Resource, j_parties: Sequence[str]) -> Behavior:
     """Real-world view under the initial attack: honest converters linked,
-    every J-party resource port left exposed.  Returned in canonical form."""
+    every J-party resource port left exposed.  Returned in canonical form.
+
+    The view of the protocol's own source (`r is p.source`) is memoised on
+    `p` by dishonest set; everything is immutable, so sharing is safe."""
     j = set(j_parties)
     unknown = j - set(r.signature.parties)
     if unknown:
         raise WiringMismatch(f"dishonest parties {sorted(unknown)} not in the resource")
     if r.signature != p.source.signature:
         raise WiringMismatch("resource does not match the protocol's source interface")
+    key = tuple(sorted(j))
+    if r is p.source and key in p._views:
+        return p._views[key]
     nodes = [(RES, r.behavior)]
     wires = []
     for c in p.converters:
@@ -164,8 +170,10 @@ def dummy_attack(p: Protocol, r: Resource, j_parties: Sequence[str]) -> Behavior
         for cp, rp in c.wiring:
             wires.append(((c.party, cp), (RES, rp)))
     schedule = [item for item in p.schedule if item[0] == RES or item[0] not in j]
-    view = Network(nodes, wires, schedule).evaluate()
-    return canonical(view)
+    view = canonical(Network(nodes, wires, schedule).evaluate())
+    if r is p.source:
+        p._views[key] = view
+    return view
 
 
 def apply_attack(p: Protocol, r: Resource, a: Attack) -> Behavior:

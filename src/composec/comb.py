@@ -45,8 +45,9 @@ from .stoch import (
     marginalize,
     permute_axes,
     ports_size,
-    sparse_column,
+    scaled_column,
     tuple_index,
+    unscale,
 )
 
 IN = "in"
@@ -268,25 +269,32 @@ def flatten(c: CombKernels) -> Behavior:
         [k for k, p in enumerate(ins) if p.round == r] for r in range(1, sig.rounds + 1)
     ]
     mode = c.kernels[0].mode if c.kernels else RATIONAL
+    # every weight is a numerator over den, the product of the round
+    # kernels' scales
+    scaled = [f.scaled for f in c.kernels]
+    den = 1
+    for scale, _cols in scaled:
+        den *= scale
     cols = []
     for x in all_tuples(in_alphas):
-        states: dict[tuple[tuple[int, ...], int], Scalar] = {((), 0): one(mode)}
+        states: dict[tuple[tuple[int, ...], int], Scalar] = {((), 0): 1}
         for r in range(1, sig.rounds + 1):
             f = c.kernels[r - 1]
+            f_cols = scaled[r - 1][1]
             x_r = tuple(x[k] for k in round_in_pos[r - 1])
             n_round_outs = len(f.cod) - 1
             new_states: dict[tuple[tuple[int, ...], int], Scalar] = {}
             for (ys, mem), w in states.items():
-                for i, p in f.cols[tuple_index(f.dom, (mem,) + x_r)]:
+                for i, p in f_cols[tuple_index(f.dom, (mem,) + x_r)]:
                     cod_vals = index_tuple(f.cod, i)
                     key = (ys + cod_vals[:n_round_outs], cod_vals[-1])
-                    new_states[key] = new_states.get(key, zero(mode)) + w * p
+                    new_states[key] = new_states[key] + w * p if key in new_states else w * p
             states = new_states
         acc: dict[int, Scalar] = {}
         for (ys, _m), w in states.items():
             i = tuple_index(out_alphas, tuple(ys[inv_out[k]] for k in range(len(outs))))
-            acc[i] = acc.get(i, zero(mode)) + w
-        cols.append(sparse_column(acc))
+            acc[i] = acc[i] + w if i in acc else w
+        cols.append(scaled_column(acc, den, mode))
     return Behavior(sig, kernel_from_columns(in_alphas, out_alphas, cols, mode))
 
 
@@ -645,6 +653,12 @@ class Network:
         self._combs = {
             lab: realize(b) for lab, b in self.behaviors.items() if b is not None
         }
+        # _run's weights are numerators over the product of the scales of
+        # the kernels it runs (see Kernel.scaled)
+        self._den = 1
+        for lab, r in self.schedule:
+            if lab in self._combs:
+                self._den *= self._combs[lab].kernels[r - 1].scaled[0]
         wire_index = {ref: k for k, ref in enumerate(self._wire_in)}
         out_wire = {ref: k for k, ref in enumerate(self._wire_out)}
         # per schedule item: the port plumbing needed to run that round
@@ -675,19 +689,19 @@ class Network:
         """Forward-simulate one external input assignment.
 
         Returns {y_tuple: weight} for numeric evaluation, or
-        {y_tuple: {var_index: coeff}} when a symbolic node is present.
+        {y_tuple: {var_index: coeff}} when a symbolic node is present; every
+        weight and coefficient is a numerator over `self._den`.
         """
-        mode = self._mode
         n_wires = len(self.wires)
         init_mems = tuple(0 for _ in self._numeric_labels)
         # state: (mems, wire values, external outputs so far, symbolic history)
-        states: dict[tuple, Scalar] = {(init_mems, (None,) * n_wires, (), ()): one(mode)}
+        states: dict[tuple, Scalar] = {(init_mems, (None,) * n_wires, (), ()): 1}
         for lab, r, ins, outs in self._plan:
             new_states: dict[tuple, Scalar] = {}
             consumed = [spec[1] for _p, spec in ins if spec[0] == "wire"]
             if self.behaviors[lab] is not None:
-                comb = self._combs[lab]
-                f = comb.kernels[r - 1]
+                f = self._combs[lab].kernels[r - 1]
+                f_cols = f.scaled[1]
                 n_round_outs = len(f.cod) - 1
                 mem_i = self._mem_pos[lab]
                 col_cache: dict[int, list] = {}
@@ -699,7 +713,7 @@ class Network:
                     col = tuple_index(f.dom, (mems[mem_i],) + x_vals)
                     moves = col_cache.get(col)
                     if moves is None:
-                        moves = col_cache[col] = [(index_tuple(f.cod, i), p) for i, p in f.cols[col]]
+                        moves = col_cache[col] = [(index_tuple(f.cod, i), p) for i, p in f_cols[col]]
                     for cod_vals, p in moves:
                         y_r, mem_next = cod_vals[:n_round_outs], cod_vals[-1]
                         wv = list(wvals)
@@ -713,7 +727,7 @@ class Network:
                                 ys2 = ys2 + (v,)
                         mems2 = mems[:mem_i] + (mem_next,) + mems[mem_i + 1 :]
                         key = (mems2, tuple(wv), ys2, hist)
-                        new_states[key] = new_states.get(key, zero(mode)) + w * p
+                        new_states[key] = new_states[key] + w * p if key in new_states else w * p
             else:
                 out_alphas = tuple(p.alphabet for p, _spec in outs)
                 for (mems, wvals, ys, hist), w in states.items():
@@ -732,12 +746,12 @@ class Network:
                             else:
                                 ys2 = ys2 + (v,)
                         key = (mems, tuple(wv), ys2, hist + ((x_vals, y_r),))
-                        new_states[key] = new_states.get(key, zero(mode)) + w
+                        new_states[key] = new_states[key] + w if key in new_states else w
             states = new_states
         if not symbolic:
             result: dict[tuple, Scalar] = {}
             for (_m, _w, ys, _h), w in states.items():
-                result[ys] = result.get(ys, zero(mode)) + w
+                result[ys] = result[ys] + w if ys in result else w
             return result
         sym_sig = self.signatures[self.symbolic]
         sym_ins = tuple(p.alphabet for p in sym_sig.ins())
@@ -751,7 +765,7 @@ class Network:
             yv = tuple(yv_cons[self._sym_out_inv[k]] for k in range(len(sym_outs)))
             var = tuple_index(sym_ins, xs) * n_rows + tuple_index(sym_outs, yv)
             forms = lin.setdefault(ys, {})
-            forms[var] = forms.get(var, zero(mode)) + w
+            forms[var] = forms[var] + w if var in forms else w
         return lin
 
     def evaluate(self) -> Behavior:
@@ -765,11 +779,8 @@ class Network:
         cols = []
         for x in all_tuples(in_alphas):
             x_ext = {p.id: v for p, v in zip(ins, x)}
-            acc: dict[int, Scalar] = {}
-            for ys, w in self._run(x_ext, symbolic=False).items():
-                i = tuple_index(out_alphas, ys)
-                acc[i] = acc.get(i, zero(self._mode)) + w
-            cols.append(sparse_column(acc))
+            acc = {tuple_index(out_alphas, ys): w for ys, w in self._run(x_ext, symbolic=False).items()}
+            cols.append(scaled_column(acc, self._den, self._mode))
         kernel = kernel_from_columns(in_alphas, out_alphas, cols, self._mode)
         return make_behavior(sig, kernel, check=False)
 
@@ -794,6 +805,7 @@ class Network:
             x_ext = {p.id: v for p, v in zip(ins, x)}
             col: dict[int, dict[int, Scalar]] = {}
             for ys, forms in self._run(x_ext, symbolic=True).items():
+                forms = {var: unscale(v, self._den, self._mode) for var, v in forms.items()}
                 col[tuple_index(out_alphas, ys)] = forms
             columns.append(col)
         return sig, columns

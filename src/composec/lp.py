@@ -2,7 +2,10 @@
 
 Canonical form: equality constraints A x = b over x >= lower_bounds
 (componentwise, default 0).  Callers encode inequalities through slack
-variables; `LpBuilder` below does that bookkeeping.
+variables; `LpBuilder` below does that bookkeeping.  A program holds each
+row of A sparsely, as its nonzero (column, value) pairs in increasing column
+order; bound shifting, preprocessing and `verify` read only those pairs, and
+the dense matrix `a` is a view built on first read.
 
 The solver is a two-phase tableau simplex with Bland's rule, which cannot
 cycle.  In rational mode each tableau row is held as integers: a dict of its
@@ -22,7 +25,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from functools import cached_property
+from math import gcd, isfinite, lcm
 from numbers import Rational
 from typing import Optional, Union
 
@@ -30,10 +34,17 @@ from .errors import DimensionMismatch
 from .scalars import RATIONAL, TOL_LP, TOL_PIVOT, Scalar, check_mode, one, zero
 
 
+# The nonzero entries (column, value) of one constraint row, by column.
+Row = tuple[tuple[int, Scalar], ...]
+
+
 @dataclass(frozen=True)
 class LinearProgram:
+    """`rows[i]` lists the nonzero coefficients of constraint i as (column,
+    value) pairs in increasing column order; absent coefficients are 0."""
+
     n: int
-    a: tuple[tuple[Scalar, ...], ...]
+    rows: tuple[Row, ...]
     b: tuple[Scalar, ...]
     objective: Optional[tuple[Scalar, ...]] = None
     lower_bounds: Optional[tuple[Scalar, ...]] = None
@@ -41,11 +52,16 @@ class LinearProgram:
 
     def __post_init__(self) -> None:
         check_mode(self.mode)
-        if len(self.a) != len(self.b):
-            raise DimensionMismatch(f"{len(self.a)} rows vs {len(self.b)} right-hand sides")
-        for row in self.a:
-            if len(row) != self.n:
-                raise DimensionMismatch(f"row of length {len(row)}, expected {self.n}")
+        if len(self.rows) != len(self.b):
+            raise DimensionMismatch(f"{len(self.rows)} rows vs {len(self.b)} right-hand sides")
+        for i, row in enumerate(self.rows):
+            last = -1
+            for j, v in row:
+                if not last < j < self.n:
+                    raise DimensionMismatch(f"row {i}: column {j} out of order or out of range")
+                if not v:
+                    raise DimensionMismatch(f"row {i}: explicit zero at column {j}")
+                last = j
         if self.objective is not None and len(self.objective) != self.n:
             raise DimensionMismatch("objective length mismatch")
         if self.lower_bounds is not None and len(self.lower_bounds) != self.n:
@@ -53,7 +69,19 @@ class LinearProgram:
 
     @property
     def m(self) -> int:
-        return len(self.a)
+        return len(self.rows)
+
+    @cached_property
+    def a(self) -> tuple[tuple[Scalar, ...], ...]:
+        """Dense view, a[row][column], built on first use."""
+        z = zero(self.mode)
+        dense = []
+        for row in self.rows:
+            out = [z] * self.n
+            for j, v in row:
+                out[j] = v
+            dense.append(tuple(out))
+        return tuple(dense)
 
 
 @dataclass(frozen=True)
@@ -85,40 +113,39 @@ class Unbounded:
 LpOutcome = Union[Feasible, Optimal, Infeasible, Unbounded]
 
 
+def _dot(row: Row, x) -> Scalar:
+    return sum(c * x[j] for j, c in row)
+
+
 def _shift_bounds(lp: LinearProgram):
     """Substitute x = x' + lb so the solver only sees x' >= 0."""
     if lp.lower_bounds is None or all(v == 0 for v in lp.lower_bounds):
-        return lp.a, lp.b, None
+        return lp.b, None
     lb = lp.lower_bounds
-    b2 = []
-    for row, bi in zip(lp.a, lp.b):
-        b2.append(bi - sum(c * l for c, l in zip(row, lb) if l != 0))
-    return lp.a, tuple(b2), lb
+    return tuple(bi - sum(c * lb[j] for j, c in row if lb[j] != 0) for row, bi in zip(lp.rows, lp.b)), lb
 
 
-def _preprocess(a, b, mode):
-    """Read each row once into its nonzero (column, value) pairs and drop
-    empty and duplicate rows; returns ("ok", (pairs, rhs, keep)) or an
-    immediate Farkas certificate as ("infeasible", y)."""
+def _preprocess(rows, b, mode):
+    """Drop empty and duplicate rows; returns ("ok", (pairs, rhs, keep)) or
+    an immediate Farkas certificate as ("infeasible", y)."""
     exact = mode == RATIONAL
     seen = set()
-    rows, rhs, keep = [], [], []
-    for i, (row, bi) in enumerate(zip(a, b)):
-        pairs = tuple((j, v) for j, v in enumerate(row) if v)
+    kept, rhs, keep = [], [], []
+    for i, (pairs, bi) in enumerate(zip(rows, b)):
         if (not pairs) if exact else all(abs(v) <= TOL_PIVOT for _, v in pairs):
             if (bi == 0) if exact else (abs(bi) <= TOL_PIVOT):
                 continue
-            y = [zero(mode)] * len(a)
+            y = [zero(mode)] * len(rows)
             y[i] = one(mode) if bi > 0 else -one(mode)
             return "infeasible", tuple(y)
         key = (pairs, bi)
         if key in seen:
             continue
         seen.add(key)
-        rows.append(pairs)
+        kept.append(pairs)
         rhs.append(bi)
         keep.append(i)
-    return "ok", (rows, rhs, keep)
+    return "ok", (kept, rhs, keep)
 
 
 # Key of the right-hand side in a sparse row; columns are 0..n+m-1.
@@ -433,8 +460,8 @@ def _lift_cert(y_red, keep, m_full, mode):
 
 def solve_feasible(lp: LinearProgram) -> LpOutcome:
     """Find any feasible point or prove there is none."""
-    a, b, lb = _shift_bounds(lp)
-    status, data = _preprocess(a, b, lp.mode)
+    b, lb = _shift_bounds(lp)
+    status, data = _preprocess(lp.rows, b, lp.mode)
     if status == "infeasible":
         return Infeasible(FarkasCert(data))
     rows, rhs, keep = data
@@ -455,8 +482,8 @@ def minimize(lp: LinearProgram) -> LpOutcome:
     """Minimize the objective over the feasible region."""
     if lp.objective is None:
         raise ValueError("minimize requires an objective")
-    a, b, lb = _shift_bounds(lp)
-    status, data = _preprocess(a, b, lp.mode)
+    b, lb = _shift_bounds(lp)
+    status, data = _preprocess(lp.rows, b, lp.mode)
     if status == "infeasible":
         return Infeasible(FarkasCert(data))
     rows, rhs, keep = data
@@ -500,22 +527,23 @@ def _entries(outcome: LpOutcome) -> tuple:
 def verify(outcome: LpOutcome, lp: LinearProgram) -> bool:
     """Re-check an outcome against the raw program data.  In rational mode
     every entry of the outcome must be an exact rational and every check is
-    exact; float mode checks to the solution tolerance."""
+    exact; in float mode every entry must be finite and the checks hold to
+    the solution tolerance."""
     exact = lp.mode == RATIONAL
-    if exact and not all(isinstance(v, Rational) for v in _entries(outcome)):
+    if not all(isinstance(v, Rational) if exact else isfinite(v) for v in _entries(outcome)):
         return False
     tol = 0 if exact else TOL_LP
     lb = lp.lower_bounds or tuple(zero(lp.mode) for _ in range(lp.n))
 
-    def dot(row, x):
-        return sum(c * x[j] for j, c in enumerate(row) if c)
-
     def residual(x):
-        for row, bi in zip(lp.a, lp.b):
-            r = dot(row, x) - bi
+        for row, bi in zip(lp.rows, lp.b):
+            r = _dot(row, x) - bi
             if (r != 0) if exact else (abs(r) > tol):
                 return False
         return True
+
+    def objective(x):
+        return sum(c * x[j] for j, c in enumerate(lp.objective) if c)
 
     if isinstance(outcome, (Feasible, Optimal)):
         x = outcome.point
@@ -526,7 +554,7 @@ def verify(outcome: LpOutcome, lp: LinearProgram) -> bool:
         if not residual(x):
             return False
         if isinstance(outcome, Optimal):
-            val = dot(lp.objective, x)
+            val = objective(x)
             return (val == outcome.value) if exact else abs(val - outcome.value) <= tol
         return True
     if isinstance(outcome, Infeasible):
@@ -537,13 +565,12 @@ def verify(outcome: LpOutcome, lp: LinearProgram) -> bool:
         # in increasing row order, over the rows with a nonzero multiplier
         cols = [0] * lp.n
         shift = 0
-        for yi, row, bi in zip(y, lp.a, lp.b):
+        for yi, row, bi in zip(y, lp.rows, lp.b):
             if not yi:
                 continue
-            for j, c in enumerate(row):
-                if c:
-                    cols[j] += yi * c
-            shift += yi * (bi - dot(row, lb) if lp.lower_bounds else bi)
+            for j, c in row:
+                cols[j] += yi * c
+            shift += yi * (bi - _dot(row, lb) if lp.lower_bounds else bi)
         if any((s > 0) if exact else (s > tol) for s in cols):
             return False
         return (shift > 0) if exact else (shift > tol)
@@ -553,11 +580,11 @@ def verify(outcome: LpOutcome, lp: LinearProgram) -> bool:
         d = outcome.ray
         if any(v < -tol for v in d):
             return False
-        for row in lp.a:
-            s = dot(row, d)
+        for row in lp.rows:
+            s = _dot(row, d)
             if (s != 0) if exact else (abs(s) > tol):
                 return False
-        cd = dot(lp.objective, d)
+        cd = objective(d)
         return (cd < 0) if exact else (cd < -tol)
     return False
 
@@ -609,11 +636,9 @@ class LpBuilder:
         self.objective = dict(coeffs)
 
     def build(self, with_objective: bool) -> LinearProgram:
-        z = zero(self.mode)
-        a = tuple(
-            tuple(row.get(j, z) for j in range(self.n)) for row in self.rows
-        )
+        rows = tuple(tuple(sorted((j, v) for j, v in row.items() if v)) for row in self.rows)
         obj = None
         if with_objective:
+            z = zero(self.mode)
             obj = tuple(self.objective.get(j, z) for j in range(self.n))
-        return LinearProgram(self.n, a, tuple(self.rhs), obj, None, self.mode)
+        return LinearProgram(self.n, rows, tuple(self.rhs), obj, None, self.mode)

@@ -15,7 +15,7 @@ declared target's.  `apply_protocol` therefore only computes tables.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 from .comb import (
@@ -63,11 +63,15 @@ class Converter:
 
 @dataclass(frozen=True)
 class Protocol:
+    """`attacks.dummy_attack` memoises the dummy-attacked view of `source`
+    on the object, by dishonest set."""
+
     source: Resource
     target: Resource
     converters: tuple[Converter, ...]
     schedule: tuple[ScheduleItem, ...]
     name: str = ""
+    _views: dict[tuple[str, ...], Behavior] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         parties = [c.party for c in self.converters]

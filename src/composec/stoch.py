@@ -12,11 +12,20 @@ order.  Transcript tables are almost all zeros, so every operation here
 works on the support only; it adds the same products in the same order as
 the dense loops would, so rational results are exact and float results are
 bit-identical to theirs.
+
+Rational arithmetic runs on integers where it can.  `Kernel.scaled` holds a
+kernel's entries as integer numerators over one shared denominator (the lcm
+of its entries' denominators), which lets `Network` evaluation carry its
+weights as integers and divide once per output cell (`scaled_column`); a
+column check sums numerators over the column's lcm instead of adding
+`Fraction`s.  In float mode the scaled view is the floats themselves over 1,
+so both modes share one code path.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -153,6 +162,17 @@ class Kernel:
                 rows[i][j] = v
         return tuple(tuple(r) for r in rows)
 
+    @cached_property
+    def scaled(self) -> tuple[int, tuple[Column, ...]]:
+        """(scale, columns) with every entry times `scale`, built on first
+        use: in rational mode the lcm of the entries' denominators and
+        integer columns, in float mode 1 and the same columns."""
+        if self.mode != RATIONAL:
+            return 1, self.cols
+        scale = math.lcm(*(v.denominator for col in self.cols for _i, v in col))
+        cols = tuple(tuple((i, v.numerator * (scale // v.denominator)) for i, v in col) for col in self.cols)
+        return scale, cols
+
     def column(self, dom_index: int) -> tuple[Scalar, ...]:
         """Dense column dom_index."""
         out = [zero(self.mode)] * self.n_cod
@@ -187,18 +207,27 @@ class Dist:
 
 
 def _check_column(values: Iterable[Scalar], col: int, mode: str) -> None:
-    total = zero(mode)
-    for v in values:
-        if mode == RATIONAL:
-            if v < 0:
+    """Entries nonnegative and summing to 1: exactly in rational mode, where
+    the numerators are summed over the lcm of the denominators, and within
+    `TOL_SUM` in float mode, where a non-finite entry fails."""
+    if mode == RATIONAL:
+        values = tuple(values)
+        den = math.lcm(*(v.denominator for v in values))
+        total = 0
+        for v in values:
+            if v.numerator < 0:
                 raise NegativeEntry(f"negative entry {v} in column {col}")
-        elif v < -TOL_EQ:
+            total += v.numerator * (den // v.denominator)
+        if total != den:
+            raise ColumnNotStochastic(col, Fraction(total, den))
+        return
+    total = 0.0
+    for v in values:
+        if v < -TOL_EQ:
             raise NegativeEntry(f"negative entry {v} in column {col}")
         total += v
-    if mode == RATIONAL:
-        if total != 1:
-            raise ColumnNotStochastic(col, total)
-    elif abs(total - 1.0) > TOL_SUM:
+    # a NaN or infinite entry leaves the total non-finite
+    if not (math.isfinite(total) and abs(total - 1.0) <= TOL_SUM):
         raise ColumnNotStochastic(col, total)
 
 
@@ -266,6 +295,18 @@ def sparse_column(acc: dict[int, Scalar]) -> Column:
     return tuple((i, v) for i, v in sorted(acc.items()) if v)
 
 
+def unscale(num, den: int, mode: str) -> Scalar:
+    """A numerator over a common denominator (see `Kernel.scaled`) as a
+    scalar: the exact quotient in rational mode."""
+    return Fraction(num, den) if mode == RATIONAL else num / den
+
+
+def scaled_column(acc: dict[int, Scalar], den: int, mode: str) -> Column:
+    """The nonzero entries of an index -> numerator map over `den`, each
+    divided once, as a Column."""
+    return tuple((i, unscale(v, den, mode)) for i, v in sorted(acc.items()) if v)
+
+
 # ---------------------------------------------------------------------------
 # composition
 
@@ -281,6 +322,9 @@ def compose(g: Kernel, f: Kernel) -> Kernel:
     gcols = g.cols
     cols = []
     for fcol in f.cols:
+        if len(fcol) == 1 and fcol[0][1] == 1:  # deterministic column: g's column, exact in both modes
+            cols.append(gcols[fcol[0][0]])
+            continue
         acc: dict[int, Scalar] = {}
         for k, fkj in fcol:
             for i, gik in gcols[k]:

@@ -1,12 +1,24 @@
 """Shared randomized generators for the test suite (seeded, deterministic),
-and the exhaustive strategy enumeration that serves as a test oracle for the
-adaptive distinguisher."""
+and the slow, plain implementations that serve as test oracles: exhaustive
+strategy enumeration for the adaptive distinguisher, dense kernel algebra,
+a dense simplex, and network simulation on scalar weights."""
 
 import itertools
 from fractions import Fraction
 
-from composec.comb import IN, OUT, CombKernels, PortSpec, Signature, flatten, make_signature
-from composec.stoch import UNIT, Alphabet, all_tuples, make_kernel, ports_size, tuple_index
+from composec.comb import (
+    IN,
+    OUT,
+    CombKernels,
+    Network,
+    PortSpec,
+    Signature,
+    flatten,
+    make_signature,
+    to_float_behavior,
+)
+from composec.scalars import one, zero
+from composec.stoch import UNIT, Alphabet, all_tuples, index_tuple, make_kernel, ports_size, tuple_index
 
 BIT = Alphabet("bit", 2)
 TRIT = Alphabet("trit", 3)
@@ -367,3 +379,145 @@ class DenseSimplex:
                 ray[self.basis[i]] = -self.tab[i][unb]
             return "unbounded", ray, None
         return "optimal", self.point(), -obj[-1]
+
+
+# ---------------------------------------------------------------------------
+# Fraction-weight network simulation (oracle for the integer weights of
+# `Network._run` and `flatten`): every state carries its own weight as a
+# scalar of the kernels' mode, summed as it arrives
+
+
+def _fraction_run(net, x_ext, symbolic):
+    """`Network._run` on `net` (prepared) with scalar weights."""
+    mode = net._mode
+    zero_ = zero(mode)
+    states = {(tuple(0 for _ in net._numeric_labels), (None,) * len(net.wires), (), ()): one(mode)}
+    for lab, r, ins, outs in net._plan:
+        new_states = {}
+        consumed = [spec[1] for _p, spec in ins if spec[0] == "wire"]
+        for (mems, wvals, ys, hist), w in states.items():
+            x_vals = tuple(wvals[spec[1]] if spec[0] == "wire" else x_ext[spec[1]] for _p, spec in ins)
+            if net.behaviors[lab] is not None:
+                f = net._combs[lab].kernels[r - 1]
+                mem_i = net._mem_pos[lab]
+                moves = [(index_tuple(f.cod, i), p) for i, p in f.cols[tuple_index(f.dom, (mems[mem_i],) + x_vals)]]
+            else:
+                moves = [(y_r, None) for y_r in all_tuples(tuple(p.alphabet for p, _spec in outs))]
+            for cod_vals, p in moves:
+                wv = list(wvals)
+                for k in consumed:
+                    wv[k] = None
+                ys2 = ys
+                for (_pp, spec), v in zip(outs, cod_vals):
+                    if spec[0] == "wire":
+                        wv[spec[1]] = v
+                    else:
+                        ys2 = ys2 + (v,)
+                if p is None:
+                    key, add = (mems, tuple(wv), ys2, hist + ((x_vals, cod_vals),)), w
+                else:
+                    mems2 = mems[:mem_i] + (cod_vals[-1],) + mems[mem_i + 1 :]
+                    key, add = (mems2, tuple(wv), ys2, hist), w * p
+                new_states[key] = new_states.get(key, zero_) + add
+        states = new_states
+    if not symbolic:
+        result = {}
+        for (_m, _w, ys, _h), w in states.items():
+            result[ys] = result.get(ys, zero_) + w
+        return result
+    sym = net.signatures[net.symbolic]
+    sym_ins = tuple(p.alphabet for p in sym.ins())
+    sym_outs = tuple(p.alphabet for p in sym.outs())
+    lin = {}
+    for (_m, _wv, ys, hist), w in states.items():
+        xs_cons = tuple(v for x_r, _y in hist for v in x_r)
+        yv_cons = tuple(v for _x, y_r in hist for v in y_r)
+        xs = tuple(xs_cons[net._sym_in_inv[k]] for k in range(len(sym_ins)))
+        yv = tuple(yv_cons[net._sym_out_inv[k]] for k in range(len(sym_outs)))
+        var = tuple_index(sym_ins, xs) * ports_size(sym_outs) + tuple_index(sym_outs, yv)
+        forms = lin.setdefault(ys, {})
+        forms[var] = forms.get(var, zero_) + w
+    return lin
+
+
+def fraction_evaluate(net):
+    """The columns `net.evaluate()` gives, from scalar weights."""
+    net._prepare()
+    sig = net.result_signature()
+    ins, outs = sig.ins(), sig.outs()
+    out_alphas = tuple(p.alphabet for p in outs)
+    cols = []
+    for x in all_tuples(tuple(p.alphabet for p in ins)):
+        run = _fraction_run(net, {p.id: v for p, v in zip(ins, x)}, symbolic=False)
+        cols.append(tuple(sorted((tuple_index(out_alphas, ys), w) for ys, w in run.items() if w)))
+    return tuple(cols)
+
+
+def fraction_linear_evaluate(net):
+    """`net.linear_evaluate()` from scalar weights."""
+    net._prepare()
+    sig = net.result_signature()
+    ins, outs = sig.ins(), sig.outs()
+    out_alphas = tuple(p.alphabet for p in outs)
+    columns = []
+    for x in all_tuples(tuple(p.alphabet for p in ins)):
+        run = _fraction_run(net, {p.id: v for p, v in zip(ins, x)}, symbolic=True)
+        columns.append({tuple_index(out_alphas, ys): forms for ys, forms in run.items()})
+    return sig, columns
+
+
+def fraction_flatten(c):
+    """The columns `flatten(c)` gives, from scalar weights."""
+    sig = c.signature
+    ins, outs = sig.ins(), sig.outs()
+    out_alphas = tuple(p.alphabet for p in outs)
+    proc_outs = [k for r in range(1, sig.rounds + 1) for k, p in enumerate(outs) if p.round == r]
+    inv_out = {k: pos for pos, k in enumerate(proc_outs)}
+    mode = c.kernels[0].mode
+    cols = []
+    for x in all_tuples(tuple(p.alphabet for p in ins)):
+        states = {((), 0): one(mode)}
+        for r, f in enumerate(c.kernels, start=1):
+            x_r = tuple(x[k] for k, p in enumerate(ins) if p.round == r)
+            new_states = {}
+            for (ys, mem), w in states.items():
+                for i, p in f.cols[tuple_index(f.dom, (mem,) + x_r)]:
+                    cod_vals = index_tuple(f.cod, i)
+                    key = (ys + cod_vals[:-1], cod_vals[-1])
+                    new_states[key] = new_states.get(key, zero(mode)) + w * p
+            states = new_states
+        acc = {}
+        for (ys, _m), w in states.items():
+            i = tuple_index(out_alphas, tuple(ys[inv_out[k]] for k in range(len(outs))))
+            acc[i] = acc.get(i, zero(mode)) + w
+        cols.append(tuple((i, v) for i, v in sorted(acc.items()) if v))
+    return tuple(cols)
+
+
+def random_network(rng, symbolic=False, mode="rational"):
+    """Three flattened random combs under a random interleaving of
+    their rounds, each out-port wired at random to a later in-port of the
+    same alphabet; with `symbolic`, one node is its bare signature."""
+    labels = ["a", "b", "c"]
+    nodes = {}
+    for lab in labels:
+        b = flatten(random_comb(rng, parties=(lab,), rounds=rng.randint(1, 2), prefix=lab))
+        nodes[lab] = b if mode == "rational" else to_float_behavior(b)
+    pending = {lab: list(range(1, b.signature.rounds + 1)) for lab, b in nodes.items()}
+    schedule = []
+    while any(pending.values()):
+        lab = rng.choice([lab for lab in labels if pending[lab]])
+        schedule.append((lab, pending[lab].pop(0)))
+    pos = {item: t for t, item in enumerate(schedule)}
+    free_ins = [(lab, p) for lab in labels for p in nodes[lab].signature.ins()]
+    wires = []
+    for lab, p in [(lab, p) for lab in labels for p in nodes[lab].signature.outs()]:
+        for k, (lab2, q) in enumerate(free_ins):
+            if q.alphabet == p.alphabet and pos[(lab, p.round)] < pos[(lab2, q.round)] and rng.random() < 0.9:
+                wires.append(((lab, p.id), (lab2, q.id)))
+                del free_ins[k]
+                break
+    if symbolic:
+        lab = rng.choice(labels)
+        nodes[lab] = nodes[lab].signature
+    return Network(list(nodes.items()), wires, schedule)

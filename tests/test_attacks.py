@@ -129,6 +129,40 @@ def test_dummy_attack_unknown_party():
         dummy_attack(p, src, ("mallory",))
 
 
+def test_dummy_attack_memo_returns_one_view_per_dishonest_set():
+    p = build_otp(group_make(("cyclic", 3))).protocol
+    view = dummy_attack(p, p.source, ("eve", "bob"))
+    assert dummy_attack(p, p.source, ["bob", "eve"]) is view
+    assert dummy_attack(p, p.source, ("bob", "eve", "bob")) is view
+    assert p == build_otp(group_make(("cyclic", 3))).protocol  # the memo is not compared
+    hash(p)
+
+
+def test_dummy_attack_memo_misses_give_fresh_correct_views():
+    rng = random.Random(55)
+    src = three_party_resource(rng)
+    p = bijection_protocol(rng, src)
+    # a value-equal resource that is not the protocol's own object
+    twin = Resource(src.behavior, src.name)
+    assert twin == src and twin is not src
+    eve = dummy_attack(p, src, ("eve",))
+    other = dummy_attack(p, twin, ("eve",))
+    assert other is not eve and other == eve
+    bob = dummy_attack(p, src, ("bob",))
+    assert bob is not eve and bob == dummy_attack(p, twin, ("bob",))
+    assert dummy_attack(p, src, ("bob",)) is bob
+    assert dummy_attack(p, src, ()) == dummy_attack(p, twin, ())
+    assert observationally_equal(dummy_attack(p, src, ()), apply_protocol(p, src).behavior)
+
+
+def test_dummy_attack_unknown_party_raises_after_memo():
+    p = build_otp(group_make(("cyclic", 2))).protocol
+    dummy_attack(p, p.source, ("eve",))
+    for _ in range(2):
+        with pytest.raises(WiringMismatch):
+            dummy_attack(p, p.source, ("eve", "mallory"))
+
+
 def test_apply_attack_identity_is_dummy():
     rng = random.Random(54)
     src = three_party_resource(rng)

@@ -42,6 +42,7 @@ from composec.stoch import (
     identity,
     index_tuple,
     make_kernel,
+    to_float,
     tuple_index,
     uniform,
 )
@@ -56,7 +57,15 @@ def port(pid, party, alphabet, direction, rnd):
     return PortSpec(pid, party, alphabet, direction, rnd)
 
 
-from tests.helpers import random_comb, random_kernel, strategy_count
+from tests.helpers import (
+    fraction_evaluate,
+    fraction_flatten,
+    fraction_linear_evaluate,
+    random_comb,
+    random_kernel,
+    random_network,
+    strategy_count,
+)
 
 
 def one_round_behavior(kernel, party="p"):
@@ -516,3 +525,64 @@ def test_randomized_strategies_never_beat_deterministic():
                         j = tuple_index(in_alphas, x)
                         tv += weight * abs(b1.kernel.matrix[i][j] - b2.kernel.matrix[i][j])
             assert tv / 2 <= det_max
+
+
+# ---------------------------------------------------------------------------
+# integer weights against the scalar-weight oracle
+
+
+def _simulations(mode):
+    """(what, wire count, result, reference) for seeded random networks,
+    symbolic ones and flattened combs."""
+    rng = random.Random(61)
+    for _ in range(40):
+        net = random_network(rng, mode=mode)
+        yield "evaluate", len(net.wires), net.evaluate().kernel.cols, fraction_evaluate(net)
+        net = random_network(rng, symbolic=True, mode=mode)
+        yield "linear_evaluate", len(net.wires), net.linear_evaluate(), fraction_linear_evaluate(net)
+        c = random_comb(rng, rounds=3)
+        if mode == "float":
+            c = CombKernels(c.signature, c.memories, tuple(to_float(f) for f in c.kernels))
+        yield "flatten", 0, flatten(c).kernel.cols, fraction_flatten(c)
+
+
+def test_integer_weights_equal_fraction_weights():
+    wires = {}
+    for what, n_wires, got, want in _simulations("rational"):
+        assert got == want, what
+        wires[what] = wires.get(what, 0) + n_wires
+    assert wires["evaluate"] >= 15 and wires["linear_evaluate"] >= 15 and "flatten" in wires
+
+
+def test_float_weights_unchanged_by_scaled_views():
+    for what, _n_wires, got, want in _simulations("float"):
+        assert repr(got) == repr(want), what
+
+
+def _prime_kernel(primes, shift):
+    """Kernel on an alphabet of len(primes) + 1 letters whose column c puts
+    1/primes[(c + shift + i) % len(primes)] on letter i and the rest on the
+    last."""
+    a = Alphabet("p", len(primes) + 1)
+    cols = []
+    for c in range(a.size):
+        col = [F(1, primes[(c + shift + i) % len(primes)]) for i in range(len(primes))]
+        cols.append(col + [1 - sum(col)])
+    return make_kernel((a,), (a,), [[cols[j][i] for j in range(a.size)] for i in range(a.size)])
+
+
+def test_integer_weights_with_many_prime_denominators():
+    # four chained nodes whose kernels each have 25 distinct prime
+    # denominators: the shared denominator grows to about 2^625
+    primes = [p for p in range(31, 200) if all(p % d for d in range(2, p))][:25]
+    k = _prime_kernel(primes, 0)
+    a = k.dom[0]
+    assert len({v.denominator for col in k.cols for _i, v in col} & set(primes)) == 25
+    nodes, wires = [], []
+    for t in range(4):
+        sig = make_signature(["p"], 1, [port(f"i{t}", "p", a, IN, 1), port(f"o{t}", "p", a, OUT, 1)])
+        nodes.append((f"n{t}", make_behavior(sig, _prime_kernel(primes, 7 * t))))
+        if t:
+            wires.append(((f"n{t - 1}", f"o{t - 1}"), (f"n{t}", f"i{t}")))
+    net = Network(nodes, wires, [(lab, 1) for lab, _b in nodes])
+    assert net.evaluate().kernel.cols == fraction_evaluate(net)

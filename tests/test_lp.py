@@ -3,6 +3,10 @@ from fractions import Fraction
 
 import pytest
 
+from composec import nogo
+from composec.attacks import min_epsilon
+from composec.errors import DimensionMismatch
+from composec.hopf import build_otp, group_make
 from composec.lp import (
     FarkasCert,
     Feasible,
@@ -25,7 +29,7 @@ def lp(n, a, b, c=None, lb=None, mode="rational"):
     conv = (lambda v: F(v)) if mode == "rational" else float
     return LinearProgram(
         n,
-        tuple(tuple(conv(v) for v in row) for row in a),
+        tuple(tuple((j, conv(v)) for j, v in enumerate(row) if v) for row in a),
         tuple(conv(v) for v in b),
         None if c is None else tuple(conv(v) for v in c),
         None if lb is None else tuple(conv(v) for v in lb),
@@ -207,6 +211,66 @@ def test_builder_inequalities():
     assert isinstance(out, Optimal)
     assert out.point[x[0]] == 2 and out.value == 2
     assert verify(out, prog)
+
+
+@pytest.mark.parametrize(
+    "row",
+    [
+        ((1, F(1)), (0, F(1))),  # unsorted
+        ((0, F(1)), (0, F(2))),  # a column twice
+        ((0, F(1)), (2, F(1))),  # past the last column
+        ((-1, F(1)),),  # before the first column
+        ((0, F(0)), (1, F(1))),  # an explicit zero
+    ],
+)
+def test_program_rejects_malformed_rows(row):
+    with pytest.raises(DimensionMismatch):
+        LinearProgram(2, (((0, F(1)),), row), (F(1), F(1)))
+
+
+def test_program_rows_and_dense_view():
+    prog = lp(3, [[0, 2, 0], [1, 0, -1]], [1, 0])
+    assert prog.rows == (((1, F(2)),), ((0, F(1)), (2, F(-1))))
+    assert prog.m == 2
+    assert prog.a == ((0, F(2), 0), (F(1), 0, F(-1)))
+    assert prog.a is prog.a
+    with pytest.raises(DimensionMismatch):
+        LinearProgram(3, prog.rows, (F(1),))
+
+
+def test_dense_view_equals_the_dense_build_on_an_adaptive_pass(monkeypatch):
+    """`lp.a` holds what `LpBuilder.build` wrote when rows were dense, on
+    every program of the benchmark's `adaptive` checks."""
+    built = []
+    build = LpBuilder.build
+
+    def recording(self, with_objective):
+        dense = tuple(tuple(row.get(j, F(0)) for j in range(self.n)) for row in self.rows)
+        built.append((dense, build(self, with_objective)))
+        return built[-1][1]
+
+    monkeypatch.setattr(LpBuilder, "build", recording)
+    for r in (nogo.commitment_resource(), nogo.ot_resource(), nogo.identity_channel_resource()):
+        nogo.split_check(r)
+        nogo.min_split_advantage(r)
+    for r in (nogo.broadcast_resource(), nogo.product_uniform_resource()):
+        nogo.tripartite_split_check(r)
+        nogo.broadcast_contradiction_oracle(r)
+    for order, key in ((3, (F(1, 2), F(1, 2), 0)), (4, (F(1, 2), F(1, 4), F(1, 4), 0))):
+        inst = build_otp(group_make(("cyclic", order)), key)
+        min_epsilon(inst.protocol, inst.source, inst.target, ("eve",))
+    assert len(built) >= 10
+    for dense, prog in built:
+        assert prog.a == dense
+
+
+def test_verify_rejects_non_finite_entries_in_float_mode():
+    prog = lp(2, [[1, 1]], [1], c=[1, 0], mode="float")
+    nan = float("nan")
+    assert verify(Feasible((0.5, 0.5)), prog)
+    assert not verify(Feasible((nan, nan)), prog)
+    assert not verify(Feasible((nan, 1.0)), prog)
+    assert not verify(Optimal((nan, 1.0), 0.0), prog)
 
 
 def test_float_mode_smoke():

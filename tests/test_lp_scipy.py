@@ -57,7 +57,8 @@ def test_exact_simplex_agrees_with_highs():
     @given(programs())
     def agrees(prog):
         a, b, c, lb = prog
-        lp = LinearProgram(len(c), tuple(map(tuple, a)), tuple(b), tuple(c), None if lb is None else tuple(lb))
+        rows = tuple(tuple((j, v) for j, v in enumerate(row) if v) for row in a)
+        lp = LinearProgram(len(c), rows, tuple(b), tuple(c), None if lb is None else tuple(lb))
         out = minimize(lp)
         assert verify(out, lp)
         verdict, value = _highs(linprog, a, b, c, lb)

@@ -10,6 +10,7 @@ from composec.errors import (
     ColumnNotStochastic,
     DimensionMismatch,
     InterfaceMismatch,
+    NegativeEntry,
 )
 from composec.stoch import (
     Alphabet,
@@ -242,6 +243,41 @@ def test_dist_validation():
         Dist(BIT, (Fraction(1, 2), Fraction(1, 3)))
 
 
+def test_column_check_is_exact():
+    with pytest.raises(ColumnNotStochastic) as exc:
+        Dist(TRIT, (Fraction(1, 3), Fraction(1, 3), Fraction(0)))
+    assert exc.value.total == Fraction(2, 3) and type(exc.value.total) is Fraction
+    with pytest.raises(ColumnNotStochastic) as exc:
+        make_kernel([BIT], [TRIT], [["1/3", "1/2"], ["1/3", "1/3"], ["1/3", "1/7"]])
+    assert (exc.value.column, exc.value.total) == (1, Fraction(41, 42))
+    with pytest.raises(NegativeEntry):
+        make_kernel([], [TRIT], [["-1/2"], ["1"], ["1/2"]])
+    with pytest.raises(NegativeEntry):
+        Dist(BIT, (Fraction(3, 2), Fraction(-1, 2)))
+    assert Dist(TRIT, (0, 1, 0)).as_kernel().cols == (((1, 1),),)
+    assert kernel_equal(Dist(BIT, (1, 0)).as_kernel(), stoch.point([BIT], [0]))
+
+
+def test_float_checks_reject_non_finite_entries():
+    nan, inf = float("nan"), float("inf")
+    with pytest.raises(ColumnNotStochastic):
+        make_kernel([stoch.UNIT], [BIT], [[nan], [0.5]], "float")
+    with pytest.raises(ColumnNotStochastic):
+        Dist(BIT, (nan, nan), "float")
+    with pytest.raises(ColumnNotStochastic):
+        Dist(BIT, (inf, 0.0), "float")
+    Dist(BIT, (0.25, 0.75), "float")
+
+
+def test_scaled_view_holds_numerators_over_the_lcm():
+    k = make_kernel([BIT], [TRIT], [["1/2", 1], ["1/3", 0], ["1/6", 0]])
+    assert k.scaled == (6, (((0, 3), (1, 2), (2, 1)), ((0, 6),)))
+    assert all(type(v) is int for col in k.scaled[1] for _i, v in col)
+    f = to_float(k)
+    assert f.scaled == (1, f.cols)
+    assert identity([BIT]).scaled == (1, (((0, 1),), ((1, 1),)))
+
+
 def test_permute_axes():
     rng = random.Random(13)
     f = random_kernel(rng, (BIT, TRIT), (Z4, BIT))
@@ -319,6 +355,14 @@ def test_sparse_kernels_match_dense_oracles(mode):
             assert bits(sparse.matrix) == bits(dense)
         assert bits(channel_distance(f, h)) == bits(dense_channel_distance(f, h))
         assert make_kernel(a, b, f.matrix, mode).cols == f.cols
+
+
+def test_compose_copies_only_columns_that_are_exactly_one():
+    # a float column within tolerance of 1 is multiplied, not copied
+    f = make_kernel([BIT], [BIT], [[1.0, 1 - 1e-12], [0.0, 0.0]], mode="float")
+    g = make_kernel([BIT], [TRIT], [[0.5, 0.25], [0.25, 0.25], [0.25, 0.5]], mode="float")
+    assert bits(compose(g, f).matrix) == bits(dense_compose(g, f))
+    assert compose(g, f).cols[0] is g.cols[0]
 
 
 def test_to_float_matches_entrywise_conversion():
