@@ -9,7 +9,6 @@ with machine-checkable Farkas certificates.
 """
 
 from .errors import ComposecError
-from .scalars import FLOAT, RATIONAL
 from .stoch import (
     Alphabet,
     Dist,
@@ -143,5 +142,5 @@ __all__ = [
     "commitment_resource", "doubled_middle", "min_split_advantage",
     "ot_resource", "split", "split_check", "split_problem",
     "tripartite_completion", "tripartite_problem", "tripartite_split_check",
-    "ComposecError", "RATIONAL", "FLOAT",
+    "ComposecError",
 ]

@@ -8,8 +8,7 @@ is a linear feasibility problem because the attacked ideal execution is
 linear in the simulator's table.  Both searches solve through
 `distinguisher.solve_checked`: infeasibility comes back as a re-verified
 exact Farkas certificate, feasibility as a simulator re-checked against the
-real view, an optimum as a simulator whose distance achieves the value
-(checked exactly in rational mode).
+real view, an optimum as a simulator whose distance achieves the value.
 """
 
 from __future__ import annotations
@@ -54,7 +53,7 @@ from .errors import (
 )
 from .lp import FarkasCert, Infeasible
 from .resources import RES, Protocol, Resource
-from .scalars import RATIONAL, TOL_EQ, Scalar, zero
+from .scalars import ZERO, Scalar
 from .stoch import (
     Kernel,
     column_pairs,
@@ -325,13 +324,9 @@ def check_secure_with(
     residual = _residual(real, s, sim)
     ms = (time.perf_counter() - t0) * 1000
     cert = SimulatorCert(tuple(j_parties), sim, residual, p.name)
-    if residual <= _tolerance(real.mode):
-        return SecurityReport("secure", epsilon=zero(real.mode), cert=cert, wall_ms=ms)
+    if residual == 0:
+        return SecurityReport("secure", epsilon=ZERO, cert=cert, wall_ms=ms)
     return SecurityReport("insecure", epsilon=None, cert=cert, wall_ms=ms)
-
-
-def _tolerance(mode: str) -> Scalar:
-    return 0 if mode == RATIONAL else TOL_EQ
 
 
 def _residual(real: Behavior, s: Resource, sim: Simulator) -> Scalar:
@@ -343,10 +338,9 @@ def _residual(real: Behavior, s: Resource, sim: Simulator) -> Scalar:
             f"ideal view interface {[q.id for q in ideal.signature.ports]} does not match "
             f"real view {[q.id for q in real.signature.ports]}"
         )
-    zero_ = zero(real.mode)
-    residual = zero_
+    residual = ZERO
     for ca, cb in zip(real.kernel.cols, ideal.kernel.cols):
-        for a, b in column_pairs(ca, cb, zero_):
+        for a, b in column_pairs(ca, cb):
             d = abs(a - b)
             if d > residual:
                 residual = d
@@ -378,21 +372,21 @@ def search_simulator(
     t0 = time.perf_counter()
     real = dummy_attack(p, r, j_parties)
     shape, aligned = _symbolic_ideal(real, s, j_parties)
-    bld = table_lp(shape.signature, real.mode)
+    bld = table_lp(shape.signature)
     add_match_rows(bld, aligned, real)
     prog, out = solve_checked(bld, "simulator", LP_CAP)
     ms = (time.perf_counter() - t0) * 1000
     size = (prog.n, prog.m)
     if isinstance(out, Infeasible):
         return SecurityReport("insecure", farkas=out.cert, lp_size=size, wall_ms=ms, lp=prog)
-    sigma_b = table_behavior(shape.signature, out.point, real.mode)
+    sigma_b = table_behavior(shape.signature, out.point)
     sim = Simulator(tuple(j_parties), (("sim", sigma_b),), shape.wires)
-    if _residual(real, s, sim) > _tolerance(real.mode):
+    if _residual(real, s, sim) != 0:
         raise CompositeVerificationFailed("LP simulator failed re-verification")
     return SecurityReport(
         "secure",
-        epsilon=zero(real.mode),
-        cert=SimulatorCert(tuple(j_parties), sim, zero(real.mode), p.name),
+        epsilon=ZERO,
+        cert=SimulatorCert(tuple(j_parties), sim, ZERO, p.name),
         lp_size=size,
         wall_ms=ms,
     )
@@ -410,21 +404,19 @@ def min_epsilon(
     t0 = time.perf_counter()
     real = dummy_attack(p, r, j_parties)
     shape, aligned = _symbolic_ideal(real, s, j_parties)
-    mode = real.mode
-    bld = table_lp(shape.signature, mode)
+    bld = table_lp(shape.signature)
     add_advantage_objective(bld, aligned, real)
     prog, out = solve_checked(bld, "epsilon", LP_CAP, with_objective=True)
     ms = (time.perf_counter() - t0) * 1000
     size = (prog.n, prog.m)
     if isinstance(out, Infeasible):
         return SecurityReport("insecure", farkas=out.cert, lp_size=size, wall_ms=ms, lp=prog)
-    sigma_b = table_behavior(shape.signature, out.point, mode)
+    sigma_b = table_behavior(shape.signature, out.point)
     sim = Simulator(tuple(j_parties), (("sim", sigma_b),), shape.wires)
     eps = out.value
-    if mode == RATIONAL:
-        ideal = ideal_view(s, sim, match=real.signature)
-        if ideal.signature != real.signature or behavior_distance(real, ideal) != eps:
-            raise CompositeVerificationFailed("epsilon LP's simulator does not achieve its value")
+    ideal = ideal_view(s, sim, match=real.signature)
+    if ideal.signature != real.signature or behavior_distance(real, ideal) != eps:
+        raise CompositeVerificationFailed("epsilon LP's simulator does not achieve its value")
     verdict = "secure" if eps == 0 else "epsilon"
     return SecurityReport(
         verdict,
@@ -649,10 +641,10 @@ def attack_model_axiom_suite(
         identities and tensoring with the trivial kernel must give k back.
         The maximal model admits every stochastic kernel."""
         if isinstance(model, Minimal):
-            unit = k_identity((), k.mode)
+            unit = k_identity(())
             return (
-                kernel_equal(k_compose(k_identity(k.cod, k.mode), k), k)
-                and kernel_equal(k_compose(k, k_identity(k.dom, k.mode)), k)
+                kernel_equal(k_compose(k_identity(k.cod), k), k)
+                and kernel_equal(k_compose(k, k_identity(k.dom)), k)
                 and kernel_equal(k_tensor(k, unit), k)
                 and kernel_equal(k_tensor(unit, k), k)
             )

@@ -3,7 +3,8 @@ groups, kernels, resources, converters and protocols, plus check directives
 that drive the library's verifiers and emit deterministic JSON reports.
 
 Grammar (one statement per line; `#` starts a comment; `;` separates table
-rows; numbers are exact rationals written `p/q` or as decimals):
+rows; numbers are exact rationals written `p/q` or as decimals, and every
+number in a report is an exact rational written `p/q`):
 
     alphabet NAME size N
     group NAME cyclic N | symmetric3 | table R ; R ; ...
@@ -23,6 +24,9 @@ rows; numbers are exact rationals written `p/q` or as decimals):
     check otp GROUP [key w w ...] [attacks N seed S] [expect secure|insecure]
     check lift GROUP [expect pass]
     check stream GROUP expander KERNEL [expect_at_most VALUE]
+
+A malformed or unresolvable check line becomes a failed entry with an
+`error`; the other checks keep their entries.
 
 Exit codes: 0 all checks pass, 1 a check failed, 2 usage or parse error,
 3 resource limit exceeded.
@@ -173,6 +177,16 @@ class Env:
             return UNIT
         raise UnresolvedName(f"line {line}: unknown alphabet {name!r}")
 
+    def resolve_group(self, name: str, line: int):
+        if name not in self.groups:
+            raise UnresolvedName(f"line {line}: unknown group {name!r}")
+        return self.groups[name][0]
+
+    def resolve_resource(self, name: str, line: int) -> Resource:
+        if name not in self.resources:
+            raise UnresolvedName(f"line {line}: unknown resource {name!r}")
+        return self.resources[name]
+
 
 def _split_rows(tokens: Sequence[str]) -> list[list[Fraction]]:
     rows: list[list[Fraction]] = [[]]
@@ -233,12 +247,10 @@ def elaborate(env: Env, stmt: Statement) -> None:
             tokens.pop(0)
             kind = tokens.pop(0)
             if kind in ("mult", "inv", "unit"):
-                gname = tokens.pop(0)
-                if gname not in env.groups:
-                    raise UnresolvedName(f"line {line}: unknown group {gname!r}")
                 from .hopf import group_kernels
 
-                env.define(env.kernels, name, group_kernels(env.groups[gname][0])[kind], line)
+                g = env.resolve_group(tokens.pop(0), line)
+                env.define(env.kernels, name, group_kernels(g)[kind], line)
             else:
                 alphas = [env.alphabet(t, line) for t in tokens if not t.isdigit()]
                 values = [int(t) for t in tokens if t.isdigit()]
@@ -316,12 +328,8 @@ def elaborate(env: Env, stmt: Statement) -> None:
         name = tokens.pop(0)
         if tokens[:1] != ["from"]:
             raise ParseError(line, 1, "'from R to S'")
-        src = env.resources.get(tokens[1])
-        tgt = env.resources.get(tokens[3])
-        if src is None:
-            raise UnresolvedName(f"line {line}: unknown resource {tokens[1]!r}")
-        if tgt is None:
-            raise UnresolvedName(f"line {line}: unknown resource {tokens[3]!r}")
+        src = env.resolve_resource(tokens[1], line)
+        tgt = env.resolve_resource(tokens[3], line)
         if tokens[4] != "converters":
             raise ParseError(line, 1, "'converters C1,C2' (or 'converters none')")
         convs = []
@@ -345,6 +353,8 @@ def elaborate(env: Env, stmt: Statement) -> None:
             line,
         )
     elif head == "check":
+        if not tokens:
+            raise ParseError(line, 1, "a check kind")
         env.checks.append((line, tuple(tokens)))
     else:
         raise ParseError(line, 1, f"unknown statement {head!r}")
@@ -372,51 +382,52 @@ def _cert_payload(report: SecurityReport):
     return {}
 
 
-def _expectation(tokens: list[str]):
+def _expectation(tokens: list[str], line: int):
     for key in ("expect", "expect_at_most"):
         if key in tokens:
             i = tokens.index(key)
+            if i + 1 == len(tokens):
+                raise ParseError(line, 1, f"a value after {key!r}")
             value = tokens[i + 1]
             del tokens[i : i + 2]
             return key, value
     return None, None
 
 
-def run_check(env: Env, line: int, tokens: tuple[str, ...], mode: str = "rational", tol: Optional[float] = None) -> dict:
+def run_check(env: Env, line: int, tokens: tuple[str, ...]) -> dict:
     toks = list(tokens)
     kind = toks.pop(0)
-    expect_kind, expected = _expectation(toks)
+    expect_kind, expected = _expectation(toks, line)
     entry: dict = {"kind": kind, "line": line, "args": " ".join(tokens)}
 
-    def value_matches(got, want) -> bool:
-        if mode == "float":
-            return abs(float(got) - float(want)) <= (tol if tol is not None else 1e-9)
-        return got == want
+    def operand(what: str) -> str:
+        """The next token, which the check cannot do without."""
+        if not toks:
+            raise ParseError(line, 1, what)
+        return toks.pop(0)
 
-    def resolve_resource(name):
-        if name not in env.resources:
-            raise UnresolvedName(f"line {line}: unknown resource {name!r}")
-        return env.resources[name]
+    def integer(what: str) -> int:
+        try:
+            return int(operand(what))
+        except ValueError:
+            raise ParseError(line, 1, what) from None
 
     if kind in ("secure", "epsilon"):
-        pname = toks.pop(0)
+        pname = operand("a protocol name")
         if pname not in env.protocols:
             raise UnresolvedName(f"line {line}: unknown protocol {pname!r}")
         proto = env.protocols[pname]
         if toks[:1] == ["from"]:
-            src = resolve_resource(toks[1])
-            tgt = resolve_resource(toks[3])
+            if len(toks) < 4:
+                raise ParseError(line, 1, "'from R to S'")
+            src = env.resolve_resource(toks[1], line)
+            tgt = env.resolve_resource(toks[3], line)
             del toks[:4]
         else:
             src, tgt = proto.source, proto.target
-        if toks[:1] != ["dishonest"]:
+        if toks[:1] != ["dishonest"] or len(toks) < 2:
             raise ParseError(line, 1, "'dishonest P1,P2'")
         j = tuple(toks[1].split(","))
-        if mode == "float":
-            from .resources import to_float_protocol, to_float_resource
-
-            proto = to_float_protocol(proto)
-            src, tgt = to_float_resource(src), to_float_resource(tgt)
         if kind == "secure":
             rep = search_simulator(proto, src, tgt, j)
             entry["verdict"] = rep.verdict
@@ -428,9 +439,9 @@ def run_check(env: Env, line: int, tokens: tuple[str, ...], mode: str = "rationa
             entry["verdict"] = rep.verdict
             entry["epsilon"] = scalar_str(rep.epsilon)
             entry["certificate"] = _digest(_cert_payload(rep))
-            entry["pass"] = expected is None or value_matches(rep.epsilon, parse_number(expected))
+            entry["pass"] = expected is None or rep.epsilon == parse_number(expected)
     elif kind == "split":
-        r = resolve_resource(toks.pop(0))
+        r = env.resolve_resource(operand("a resource name"), line)
         verdict = split_check(r)
         entry["verdict"] = "feasible" if verdict.feasible else "infeasible"
         entry["lp_size"] = list(verdict.lp_size)
@@ -438,12 +449,12 @@ def run_check(env: Env, line: int, tokens: tuple[str, ...], mode: str = "rationa
             entry["certificate"] = _digest({"farkas": [scalar_str(v) for v in verdict.cert.y]})
         entry["pass"] = expected is None or entry["verdict"] == expected
     elif kind == "advantage":
-        r = resolve_resource(toks.pop(0))
+        r = env.resolve_resource(operand("a resource name"), line)
         adv = min_split_advantage(r)
         entry["advantage"] = scalar_str(adv)
         entry["pass"] = expected is None or adv == parse_number(expected)
     elif kind == "broadcast":
-        r = resolve_resource(toks.pop(0))
+        r = env.resolve_resource(operand("a resource name"), line)
         verdict = tripartite_split_check(r)
         oracle = broadcast_contradiction_oracle(r)
         entry["verdict"] = "feasible" if verdict.feasible else "infeasible"
@@ -455,24 +466,25 @@ def run_check(env: Env, line: int, tokens: tuple[str, ...], mode: str = "rationa
             expected is None or entry["verdict"] == expected
         )
     elif kind == "axioms":
-        gname = toks.pop(0)
-        if gname not in env.groups:
-            raise UnresolvedName(f"line {line}: unknown group {gname!r}")
-        rep = hopf_axiom_suite(env.groups[gname][0])
+        rep = hopf_axiom_suite(env.resolve_group(operand("a group name"), line))
         entry["verdict"] = "pass" if rep.all_pass else "fail"
         entry["failed_axioms"] = list(rep.failed())
         entry["pass"] = entry["verdict"] == (expected or "pass")
     elif kind == "otp":
-        gname = toks.pop(0)
-        if gname not in env.groups:
-            raise UnresolvedName(f"line {line}: unknown group {gname!r}")
-        g = env.groups[gname][0]
+        g = env.resolve_group(operand("a group name"), line)
         weights = None
         if toks[:1] == ["key"]:
             toks.pop(0)
             weights = []
             while toks and toks[0] not in ("attacks",):
                 weights.append(parse_number(toks.pop(0)))
+        n_attacks, seed = None, 0
+        if toks[:1] == ["attacks"]:
+            toks.pop(0)
+            n_attacks = integer("an attack count after 'attacks'")
+            if toks[:1] == ["seed"]:
+                toks.pop(0)
+                seed = integer("a seed after 'seed'")
         inst = build_otp(g, weights)
         correct = otp_correctness(inst)
         rep = otp_security(inst)
@@ -480,41 +492,35 @@ def run_check(env: Env, line: int, tokens: tuple[str, ...], mode: str = "rationa
         entry["verdict"] = rep.verdict
         entry["certificate"] = _digest(_cert_payload(rep))
         ok = correct if weights is None else True
-        if toks[:1] == ["attacks"]:
-            n = int(toks[1])
-            seed = int(toks[3]) if toks[2:3] == ["seed"] else 0
-            entry["attacks_checked"] = n
-            ok = ok and _attack_transfer(inst, n, seed)
+        if n_attacks is not None:
+            entry["attacks_checked"] = n_attacks
+            ok = ok and _attack_transfer(inst, n_attacks, seed)
         entry["pass"] = ok and rep.verdict == (expected or "secure")
     elif kind == "otp_epsilon":
-        gname = toks.pop(0)
-        if gname not in env.groups:
-            raise UnresolvedName(f"line {line}: unknown group {gname!r}")
+        g = env.resolve_group(operand("a group name"), line)
         if toks[:1] != ["key"]:
             raise ParseError(line, 1, "'key w w ...'")
         weights = [parse_number(t) for t in toks[1:]]
-        inst = build_otp(env.groups[gname][0], weights)
+        inst = build_otp(g, weights)
         rep = min_epsilon(inst.protocol, inst.source, inst.target, ("eve",))
         entry["epsilon"] = scalar_str(rep.epsilon)
         entry["verdict"] = rep.verdict
         entry["pass"] = expected is None or rep.epsilon == parse_number(expected)
     elif kind == "lift":
-        gname = toks.pop(0)
         from .attacks import check_secure_with
         from .resources import lift_deterministic
 
-        inst = build_otp(env.groups[gname][0])
+        inst = build_otp(env.resolve_group(operand("a group name"), line))
         lifted = lift_deterministic(inst.protocol)
         rep = check_secure_with(lifted, inst.source, inst.target, ("eve",), inst.sigma)
         entry["verdict"] = "pass" if rep.secure else "fail"
         entry["pass"] = entry["verdict"] == (expected or "pass")
     elif kind == "stream":
-        gname = toks.pop(0)
-        if toks[:1] != ["expander"]:
+        g = env.resolve_group(operand("a group name"), line)
+        if toks[:1] != ["expander"] or len(toks) < 2:
             raise ParseError(line, 1, "'expander KERNEL'")
         kname = toks[1]
         if kname == "identity":
-            g = env.groups[gname][0]
             from .stoch import identity as idk
 
             expander = idk([group_alphabet(g)])
@@ -522,7 +528,7 @@ def run_check(env: Env, line: int, tokens: tuple[str, ...], mode: str = "rationa
             expander = env.kernels[kname]
         else:
             raise UnresolvedName(f"line {line}: unknown kernel {kname!r}")
-        rep = stream_cipher_demo(env.groups[gname][0], expander)
+        rep = stream_cipher_demo(g, expander)
         entry["expansion_epsilon"] = scalar_str(rep.expansion_epsilon)
         entry["composite_epsilon"] = scalar_str(rep.composite.epsilon)
         bound_ok = rep.composite.epsilon <= rep.expansion_epsilon
@@ -571,7 +577,7 @@ def _attack_transfer(inst, n: int, seed: int) -> bool:
             outs.append(
                 canonical(Network(nodes, wires, merge_asap(nodes, wires, "view")).evaluate())
             )
-        if not behavior_equal(outs[0], outs[1], 0):
+        if not behavior_equal(outs[0], outs[1]):
             return False
     return True
 
@@ -582,12 +588,7 @@ class RunResult:
     exit_code: int
 
 
-def run(
-    ast: SpecFileAst,
-    no_meta: bool = False,
-    mode: str = "rational",
-    tol: Optional[float] = None,
-) -> RunResult:
+def run(ast: SpecFileAst, no_meta: bool = False) -> RunResult:
     env = Env()
     try:
         for stmt in ast.statements:
@@ -600,7 +601,7 @@ def run(
     for line, tokens in env.checks:
         t0 = time.perf_counter()
         try:
-            entry = run_check(env, line, tokens, mode=mode, tol=tol)
+            entry = run_check(env, line, tokens)
         except ProblemTooLarge as exc:
             limit_exceeded.append(str(exc))
             entry = {"kind": tokens[0], "line": line, "error": str(exc), "pass": False}
@@ -655,8 +656,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
     v = sub.add_parser("verify", help="run every check directive in a spec file")
     v.add_argument("file")
-    v.add_argument("--mode", choices=["rational", "float"], default="rational")
-    v.add_argument("--tol", type=float, default=None, help="float-mode comparison tolerance")
     v.add_argument("--json", dest="json_path", default=None)
     v.add_argument("--no-meta", action="store_true", help="omit timing for byte-stable output")
     a = sub.add_parser("axioms", help="Hopf axiom suite for one group")
@@ -687,9 +686,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ParseError as exc:
         sys.stderr.write(f"composec: {exc}\n")
         return 2
-    mode = getattr(args, "mode", "rational")
-    tol = getattr(args, "tol", None)
-    result = run(ast, no_meta=no_meta, mode=mode, tol=tol)
+    result = run(ast, no_meta=no_meta)
     if "error" in result.report:
         sys.stderr.write(f"composec: {result.report['error']}\n")
         if "checks" not in result.report:

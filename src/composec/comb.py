@@ -18,6 +18,7 @@ splittability questions into linear programs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 from .errors import (
@@ -31,13 +32,12 @@ from .errors import (
     SignatureMismatch,
     WiringMismatch,
 )
-from .scalars import RATIONAL, TOL_EQ, Scalar, one, zero
+from .scalars import ONE, ZERO, Scalar
 from .stoch import (
     UNIT,
     Alphabet,
     Kernel,
     all_tuples,
-    columns_within,
     index_projection,
     index_tuple,
     kernel_from_columns,
@@ -47,7 +47,6 @@ from .stoch import (
     ports_size,
     scaled_column,
     tuple_index,
-    unscale,
 )
 
 IN = "in"
@@ -122,10 +121,6 @@ class Behavior:
     kernel: Kernel
     _comb: Optional["CombKernels"] = field(default=None, init=False, repr=False, compare=False)
 
-    @property
-    def mode(self) -> str:
-        return self.kernel.mode
-
 
 def make_behavior(signature: Signature, kernel: Kernel, check: bool = True) -> Behavior:
     ins = tuple(p.alphabet for p in signature.ins())
@@ -143,21 +138,15 @@ def make_behavior(signature: Signature, kernel: Kernel, check: bool = True) -> B
     return b
 
 
-def behavior_from_table(signature: Signature, table, mode: str = RATIONAL, check: bool = True) -> Behavior:
+def behavior_from_table(signature: Signature, table, check: bool = True) -> Behavior:
     ins = tuple(p.alphabet for p in signature.ins())
     outs = tuple(p.alphabet for p in signature.outs())
-    return make_behavior(signature, make_kernel(ins, outs, table, mode), check)
+    return make_behavior(signature, make_kernel(ins, outs, table), check)
 
 
-def trivial_behavior(mode: str = RATIONAL) -> Behavior:
+def trivial_behavior() -> Behavior:
     sig = Signature((), 1, ())
-    return Behavior(sig, make_kernel((), (), [[1]], mode))
-
-
-def to_float_behavior(b: Behavior) -> Behavior:
-    from .stoch import to_float
-
-    return Behavior(b.signature, to_float(b.kernel))
+    return Behavior(sig, make_kernel((), (), [[1]]))
 
 
 # ---------------------------------------------------------------------------
@@ -206,11 +195,7 @@ def causality_report(b: Behavior) -> CausalityReport:
                 groups[key] = j
                 continue
             j0 = groups[key]
-            if b.mode == RATIONAL:
-                same = marg.cols[j] == marg.cols[j0]
-            else:
-                same = columns_within(marg.cols[j], marg.cols[j0], TOL_EQ)
-            if not same:
+            if marg.cols[j] != marg.cols[j0]:
                 x0 = index_tuple(marg.dom, j0)
                 prefix = tuple((ins[k].id, x[k]) for k in early)
                 violations.append(
@@ -268,7 +253,6 @@ def flatten(c: CombKernels) -> Behavior:
     round_in_pos = [
         [k for k, p in enumerate(ins) if p.round == r] for r in range(1, sig.rounds + 1)
     ]
-    mode = c.kernels[0].mode if c.kernels else RATIONAL
     # every weight is a numerator over den, the product of the round
     # kernels' scales
     scaled = [f.scaled for f in c.kernels]
@@ -294,8 +278,8 @@ def flatten(c: CombKernels) -> Behavior:
         for (ys, _m), w in states.items():
             i = tuple_index(out_alphas, tuple(ys[inv_out[k]] for k in range(len(outs))))
             acc[i] = acc[i] + w if i in acc else w
-        cols.append(scaled_column(acc, den, mode))
-    return Behavior(sig, kernel_from_columns(in_alphas, out_alphas, cols, mode))
+        cols.append(scaled_column(acc, den))
+    return Behavior(sig, kernel_from_columns(in_alphas, out_alphas, cols))
 
 
 def realize(b: Behavior) -> CombKernels:
@@ -318,7 +302,6 @@ def _realize(b: Behavior) -> CombKernels:
         raise NotCausal(str(report.violations[0]))
     sig = b.signature
     ins, outs = sig.ins(), sig.outs()
-    mode = b.mode
     k = sig.rounds
     rounds = range(1, k + 1)
     x_alphas = [tuple(p.alphabet for p in sig.round_ins(r)) for r in rounds]
@@ -361,22 +344,21 @@ def _realize(b: Behavior) -> CombKernels:
                     d[c] = d[c] + v if c in d else v
                     n[h] = n[h] + v if h in n else v
 
-    one_ = one(mode)
-    point_mass = ((0, one_),)
+    point_mass = ((0, ONE),)
     kernels = []
     for r in rounds:
         n_mem = memories[r].size
         cols: dict[int, list] = {}
         for h, p in num[r - 1].items():
             c, y = divmod(h, n_y[r - 1])
-            d = den[r - 1][c] if r > 1 else one_
+            d = den[r - 1][c] if r > 1 else ONE
             q = p / d if d else 0
             if q:
                 cols.setdefault(c, []).append((y * n_mem + (h if r < k else 0), q))
         dom = (memories[r - 1],) + x_alphas[r - 1]
         cod = y_alphas[r - 1] + (memories[r],)
         table = [tuple(sorted(cols[c])) if c in cols else point_mass for c in range(ports_size(dom))]
-        kernels.append(kernel_from_columns(dom, cod, table, mode))
+        kernels.append(kernel_from_columns(dom, cod, table))
     return CombKernels(sig, tuple(memories), tuple(kernels))
 
 
@@ -459,24 +441,21 @@ def align_to(b: Behavior, ref: Signature) -> Behavior:
 # comparison
 
 
-def behavior_equal(a: Behavior, b: Behavior, tol: Scalar = 0) -> bool:
+def behavior_equal(a: Behavior, b: Behavior) -> bool:
+    """Exact equality of two tables with the same signature."""
     if a.signature != b.signature:
         raise SignatureMismatch("behaviors have different signatures")
-    if a.mode == RATIONAL:
-        if tol != 0:
-            raise ValueError("rational mode requires tol = 0")
-        return a.kernel.cols == b.kernel.cols
-    return all(columns_within(x, y, tol) for x, y in zip(a.kernel.cols, b.kernel.cols))
+    return a.kernel.cols == b.kernel.cols
 
 
-def observationally_equal(a: Behavior, b: Behavior, tol: Scalar = 0) -> bool:
+def observationally_equal(a: Behavior, b: Behavior) -> bool:
     """Equality after canonicalization and port alignment."""
     ca, cb = canonical(a), canonical(b)
     try:
         cb = align_to(cb, ca.signature)
     except SignatureMismatch:
         return False
-    return behavior_equal(ca, cb, tol)
+    return behavior_equal(ca, cb)
 
 
 def _round_offsets(ports: Sequence[PortSpec], r: int) -> tuple[int, ...]:
@@ -519,11 +498,10 @@ def behavior_distance(a: Behavior, b: Behavior) -> Scalar:
     steps = decision_rounds(a.signature)
     ca = [dict(col) for col in a.kernel.cols]
     cb = [dict(col) for col in b.kernel.cols]
-    zero_ = zero(a.mode)
 
     def value(r: int, j: int, i: int) -> Scalar:
         if r == len(steps):
-            return abs(ca[j].get(i, zero_) - cb[j].get(i, zero_))
+            return abs(ca[j].get(i, ZERO) - cb[j].get(i, ZERO))
         xs, ys = steps[r]
         return max(sum(value(r + 1, j + dj, i + di) for di in ys) for dj in xs)
 
@@ -642,14 +620,6 @@ class Network:
     # -- evaluation -----------------------------------------------------------
 
     def _prepare(self):
-        mode = None
-        for lab in self.labels:
-            b = self.behaviors[lab]
-            if b is not None:
-                mode = b.mode if mode is None else mode
-                if b.mode != mode:
-                    raise WiringMismatch("nodes use different scalar modes")
-        self._mode = mode or RATIONAL
         self._combs = {
             lab: realize(b) for lab, b in self.behaviors.items() if b is not None
         }
@@ -780,8 +750,8 @@ class Network:
         for x in all_tuples(in_alphas):
             x_ext = {p.id: v for p, v in zip(ins, x)}
             acc = {tuple_index(out_alphas, ys): w for ys, w in self._run(x_ext, symbolic=False).items()}
-            cols.append(scaled_column(acc, self._den, self._mode))
-        kernel = kernel_from_columns(in_alphas, out_alphas, cols, self._mode)
+            cols.append(scaled_column(acc, self._den))
+        kernel = kernel_from_columns(in_alphas, out_alphas, cols)
         return make_behavior(sig, kernel, check=False)
 
     def linear_evaluate(self):
@@ -805,7 +775,7 @@ class Network:
             x_ext = {p.id: v for p, v in zip(ins, x)}
             col: dict[int, dict[int, Scalar]] = {}
             for ys, forms in self._run(x_ext, symbolic=True).items():
-                forms = {var: unscale(v, self._den, self._mode) for var, v in forms.items()}
+                forms = {var: Fraction(v, self._den) for var, v in forms.items()}
                 col[tuple_index(out_alphas, ys)] = forms
             columns.append(col)
         return sig, columns

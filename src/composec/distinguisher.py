@@ -31,7 +31,7 @@ from . import lp as lpmod
 from .comb import IN, OUT, Behavior, Network, Signature, canonical_rounds, decision_rounds, make_behavior
 from .errors import CompositeVerificationFailed, ProblemTooLarge
 from .lp import Feasible, Infeasible, LinearProgram, LpBuilder, Optimal
-from .scalars import RATIONAL, Scalar, one, zero
+from .scalars import ONE, ZERO, Scalar
 from .stoch import all_tuples, make_kernel, ports_size, tuple_index
 
 # aligned[j][i]: linear form {table variable: coefficient} of cell (j, i)
@@ -109,32 +109,32 @@ def causality_rows(sig: Signature, var: Callable[[int, int], int]) -> list[dict[
     return rows
 
 
-def table_lp(sig: Signature, mode: str = RATIONAL) -> LpBuilder:
+def table_lp(sig: Signature) -> LpBuilder:
     """A builder whose first variables are the table of a comb with signature
     `sig` (cell (j, i) is variable j * n_y + i, the numbering
     `Network.linear_evaluate` uses), constrained stochastic and causal."""
     n_x = ports_size(tuple(p.alphabet for p in sig.ins()))
     n_y = ports_size(tuple(p.alphabet for p in sig.outs()))
-    bld = LpBuilder(mode)
+    bld = LpBuilder()
     bld.new_vars(n_x * n_y)
 
     def var(j: int, i: int) -> int:
         return j * n_y + i
 
     for j in range(n_x):
-        bld.add_eq({var(j, i): one(mode) for i in range(n_y)}, one(mode))
+        bld.add_eq({var(j, i): ONE for i in range(n_y)}, ONE)
     for coeffs in causality_rows(sig, var):
-        bld.add_eq(coeffs, zero(mode))
+        bld.add_eq(coeffs, ZERO)
     return bld
 
 
-def table_behavior(sig: Signature, point, mode: str = RATIONAL) -> Behavior:
+def table_behavior(sig: Signature, point) -> Behavior:
     """The comb whose table is the first variables of a `table_lp` point."""
     ins = tuple(p.alphabet for p in sig.ins())
     outs = tuple(p.alphabet for p in sig.outs())
     n_x, n_y = ports_size(ins), ports_size(outs)
     table = [[point[j * n_y + i] for j in range(n_x)] for i in range(n_y)]
-    return make_behavior(sig, make_kernel(ins, outs, table, mode), check=True)
+    return make_behavior(sig, make_kernel(ins, outs, table), check=True)
 
 
 def add_match_rows(bld: LpBuilder, aligned: LinearForms, target: Behavior) -> None:
@@ -148,7 +148,6 @@ def add_match_rows(bld: LpBuilder, aligned: LinearForms, target: Behavior) -> No
 def add_cell_gaps(bld: LpBuilder, aligned: LinearForms, target: Behavior) -> tuple[int, list[list[int]]]:
     """Allocate the advantage variable t, then one u per table cell with
     u >= |form - target|; returns t and u[j][i]."""
-    mode = target.mode
     t = bld.new_vars(1)[0]
     u = []
     for j, col in enumerate(aligned):
@@ -158,10 +157,10 @@ def add_cell_gaps(bld: LpBuilder, aligned: LinearForms, target: Behavior) -> tup
             cell = bld.new_vars(1)[0]
             rv = values[i]
             below = {k: -v for k, v in form.items()}
-            below[cell] = one(mode)
+            below[cell] = ONE
             bld.add_ge(below, -rv)
             above = dict(form)
-            above[cell] = one(mode)
+            above[cell] = ONE
             bld.add_ge(above, rv)
             u_col.append(cell)
         u.append(u_col)
@@ -171,8 +170,7 @@ def add_cell_gaps(bld: LpBuilder, aligned: LinearForms, target: Behavior) -> tup
 def add_tree_rows(bld: LpBuilder, t: int, u: list[list[int]], sig: Signature) -> None:
     """Backward-induction rows bounding t from below by the distinguisher's
     best advantage over the cell gaps u."""
-    mode = bld.mode
-    half = Fraction(1, 2) if mode == RATIONAL else 0.5
+    half = Fraction(1, 2)
     steps = decision_rounds(sig)
 
     def node(r: int, j: int, i: int) -> int:
@@ -182,16 +180,16 @@ def add_tree_rows(bld: LpBuilder, t: int, u: list[list[int]], sig: Signature) ->
         w = bld.new_vars(1)[0]
         xs, ys = steps[r]
         for dj in xs:
-            row = {node(r + 1, j + dj, i + di): -one(mode) for di in ys}
-            row[w] = one(mode)
-            bld.add_ge(row, zero(mode))
+            row = {node(r + 1, j + dj, i + di): -ONE for di in ys}
+            row[w] = ONE
+            bld.add_ge(row, ZERO)
         return w
 
     xs, ys = steps[0]
     for dj in xs:
         row = {node(1, dj, di): -half for di in ys}
-        row[t] = one(mode)
-        bld.add_ge(row, zero(mode))
+        row[t] = ONE
+        bld.add_ge(row, ZERO)
 
 
 def add_advantage_objective(bld: LpBuilder, aligned: LinearForms, target: Behavior) -> None:
@@ -199,7 +197,7 @@ def add_advantage_objective(bld: LpBuilder, aligned: LinearForms, target: Behavi
     and the target, whose minimum over the table is the program's value."""
     t, u = add_cell_gaps(bld, aligned, target)
     add_tree_rows(bld, t, u, target.signature)
-    bld.set_objective({t: one(bld.mode)})
+    bld.set_objective({t: ONE})
 
 
 def verify_or_raise(out, prog: LinearProgram, what: str) -> None:

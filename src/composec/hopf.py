@@ -35,7 +35,7 @@ from .comb import (
 )
 from .errors import InterfaceMismatch, NoIdentity, NotAssociative, NotLatinSquare
 from .resources import RES, Converter, Protocol, Resource, apply_protocol
-from .scalars import RATIONAL, Scalar
+from .scalars import ONE, Scalar
 from .stoch import (
     UNIT,
     Alphabet,
@@ -46,6 +46,7 @@ from .stoch import (
     delete,
     identity,
     kernel_equal,
+    kernel_from_columns,
     make_kernel,
     point,
     ports_size,
@@ -143,25 +144,21 @@ def group_alphabet(g: FiniteGroup) -> Alphabet:
     return Alphabet(g.name, g.order)
 
 
-def group_kernels(g: FiniteGroup, mode: str = RATIONAL) -> dict[str, Kernel]:
+def group_kernels(g: FiniteGroup) -> dict[str, Kernel]:
     """The Hopf-algebra generators of the group in FinStoch."""
     a = group_alphabet(g)
     n = g.order
-    mult = [[0] * (n * n) for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            mult[g.mul(i, j)][i * n + j] = 1
-    inv = [[0] * n for _ in range(n)]
-    for i in range(n):
-        inv[g.inverse[i]][i] = 1
+    # deterministic columns, validated like any table
+    mult = [((g.mul(i, j), ONE),) for i in range(n) for j in range(n)]
+    inv = [((g.inverse[i], ONE),) for i in range(n)]
     return {
         "alphabet": a,
-        "mult": make_kernel([a, a], [a], mult, mode),
-        "inv": make_kernel([a], [a], inv, mode),
-        "unit": point([a], [g.identity], mode),
-        "copy": copy_map([a], mode),
-        "delete": delete([a], mode),
-        "uniform": uniform([a], mode),
+        "mult": kernel_from_columns([a, a], [a], mult),
+        "inv": kernel_from_columns([a], [a], inv),
+        "unit": point([a], [g.identity]),
+        "copy": copy_map([a]),
+        "delete": delete([a]),
+        "uniform": uniform([a]),
     }
 
 

@@ -8,7 +8,7 @@ order; bound shifting, preprocessing and `verify` read only those pairs, and
 the dense matrix `a` is a view built on first read.
 
 The solver is a two-phase tableau simplex with Bland's rule, which cannot
-cycle.  In rational mode each tableau row is held as integers: a dict of its
+cycle.  Each tableau row is held as integers: a dict of its
 nonzero numerators by column, the right-hand side under one extra key, and
 one positive denominator for the whole row, in lowest terms.  Zero cells are
 never stored, a pivot combines two rows over the union of their supports,
@@ -16,9 +16,7 @@ and the ratio test compares rhs_i / N_i[enter] by cross-multiplication, since
 the row denominators cancel.  Every pivot is exact, so a Feasible/Optimal
 point satisfies the constraints exactly and an Infeasible outcome carries a
 Farkas certificate y with  yT A <= 0  and  yT b > 0, checkable without
-trusting the solver.  Float mode runs the same pivoting rule on a dense float
-tableau with a pivot tolerance and is meant for large epsilon-minimizations
-only; verdicts that matter are produced in rational mode.
+trusting the solver.
 """
 
 from __future__ import annotations
@@ -26,12 +24,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import gcd, isfinite, lcm
+from math import gcd, lcm
 from numbers import Rational
 from typing import Optional, Union
 
 from .errors import DimensionMismatch
-from .scalars import RATIONAL, TOL_LP, TOL_PIVOT, Scalar, check_mode, one, zero
+from .scalars import ONE, ZERO, Scalar
 
 
 # The nonzero entries (column, value) of one constraint row, by column.
@@ -48,10 +46,8 @@ class LinearProgram:
     b: tuple[Scalar, ...]
     objective: Optional[tuple[Scalar, ...]] = None
     lower_bounds: Optional[tuple[Scalar, ...]] = None
-    mode: str = RATIONAL
 
     def __post_init__(self) -> None:
-        check_mode(self.mode)
         if len(self.rows) != len(self.b):
             raise DimensionMismatch(f"{len(self.rows)} rows vs {len(self.b)} right-hand sides")
         for i, row in enumerate(self.rows):
@@ -74,10 +70,9 @@ class LinearProgram:
     @cached_property
     def a(self) -> tuple[tuple[Scalar, ...], ...]:
         """Dense view, a[row][column], built on first use."""
-        z = zero(self.mode)
         dense = []
         for row in self.rows:
-            out = [z] * self.n
+            out = [ZERO] * self.n
             for j, v in row:
                 out[j] = v
             dense.append(tuple(out))
@@ -125,18 +120,17 @@ def _shift_bounds(lp: LinearProgram):
     return tuple(bi - sum(c * lb[j] for j, c in row if lb[j] != 0) for row, bi in zip(lp.rows, lp.b)), lb
 
 
-def _preprocess(rows, b, mode):
+def _preprocess(rows, b):
     """Drop empty and duplicate rows; returns ("ok", (pairs, rhs, keep)) or
     an immediate Farkas certificate as ("infeasible", y)."""
-    exact = mode == RATIONAL
     seen = set()
     kept, rhs, keep = [], [], []
     for i, (pairs, bi) in enumerate(zip(rows, b)):
-        if (not pairs) if exact else all(abs(v) <= TOL_PIVOT for _, v in pairs):
-            if (bi == 0) if exact else (abs(bi) <= TOL_PIVOT):
+        if not pairs:
+            if bi == 0:
                 continue
-            y = [zero(mode)] * len(rows)
-            y[i] = one(mode) if bi > 0 else -one(mode)
+            y = [ZERO] * len(rows)
+            y[i] = ONE if bi > 0 else -ONE
             return "infeasible", tuple(y)
         key = (pairs, bi)
         if key in seen:
@@ -153,7 +147,7 @@ _RHS = -1
 
 
 class _ExactSimplex:
-    """One rational-mode solve on sparse integer rows.
+    """One solve on sparse integer rows.
 
     Row i stands for rows[i] / dens[i]: a dict of the nonzero integer
     numerators (right-hand side under `_RHS`) over one positive integer
@@ -313,146 +307,8 @@ def _reduce(row, den):
     return den
 
 
-class _FloatSimplex:
-    """One float-mode solve on a dense tableau with a pivot tolerance."""
-
-    def __init__(self, rows, rhs, n):
-        self.n = n
-        self.m = len(rows)
-        # Flip rows so the right-hand side is nonnegative; remember signs to
-        # map Farkas certificates back.
-        self.signs = []
-        self.tab = []
-        for i in range(self.m):
-            if rhs[i] < 0:
-                row = [-v for v in rows[i]]
-                bi = -rhs[i]
-                self.signs.append(-1)
-            else:
-                row = list(rows[i])
-                bi = rhs[i]
-                self.signs.append(1)
-            art = [1.0 if k == i else 0.0 for k in range(self.m)]
-            self.tab.append(row + art + [bi])
-        self.basis = [n + i for i in range(self.m)]
-
-    def _pivot(self, obj, r, col):
-        tab = self.tab
-        prow = tab[r]
-        inv = 1.0 / prow[col]
-        if inv != 1:
-            prow = [v * inv for v in prow]
-            tab[r] = prow
-        # Tableaux are mostly zeros: only the pivot row's nonzero columns
-        # change, and each of them gets the same arithmetic as a dense update.
-        nonzero = [(k, v) for k, v in enumerate(prow) if v]
-        for i in range(self.m):
-            if i == r:
-                continue
-            row = tab[i]
-            factor = row[col]
-            if factor:
-                for k, v in nonzero:
-                    row[k] -= factor * v
-        factor = obj[col]
-        if factor:
-            for k, v in nonzero:
-                obj[k] -= factor * v
-        self.basis[r] = col
-
-    def _iterate(self, obj, allowed_cols):
-        """Bland's rule: smallest eligible entering column, tie-broken leaving
-        row by smallest basis variable.  Returns None or the unbounded column."""
-        while True:
-            enter = -1
-            for j in allowed_cols:
-                if obj[j] < -TOL_PIVOT:
-                    enter = j
-                    break
-            if enter < 0:
-                return None
-            leave = -1
-            best = None
-            for i in range(self.m):
-                piv = self.tab[i][enter]
-                if piv > TOL_PIVOT:
-                    ratio = self.tab[i][-1] / piv
-                    if best is None or ratio < best or (ratio == best and self.basis[i] < self.basis[leave]):
-                        best = ratio
-                        leave = i
-            if leave < 0:
-                return enter
-            self._pivot(obj, leave, enter)
-
-    def phase1(self):
-        """Returns ('feasible', None) or ('infeasible', y) for the scaled rows."""
-        n, m = self.n, self.m
-        obj = [0.0] * n + [1.0] * m + [0.0]
-        for row in self.tab:
-            for k in range(len(obj)):
-                obj[k] -= row[k]
-        # obj[-1] == -(sum of artificials); phase-1 value is -obj[-1]
-        self._iterate(obj, range(n + m))
-        # judge feasibility at the solution tolerance, not the pivot
-        # tolerance, so accumulation error cannot flip the verdict
-        if -obj[-1] > TOL_LP:
-            y_scaled = [1.0 - obj[n + i] for i in range(m)]
-            y = [s * v for s, v in zip(self.signs, y_scaled)]
-            return "infeasible", y
-        # Drive artificial variables out of the basis; drop redundant rows.
-        r = 0
-        while r < self.m:
-            if self.basis[r] >= n:
-                col = next((j for j in range(n) if abs(self.tab[r][j]) > TOL_PIVOT), -1)
-                if col >= 0:
-                    self._pivot(obj, r, col)
-                    r += 1
-                else:
-                    del self.tab[r]
-                    del self.basis[r]
-                    self.m -= 1
-            else:
-                r += 1
-        # Drop artificial columns.
-        self.tab = [row[:n] + [row[-1]] for row in self.tab]
-        return "feasible", None
-
-    def point(self):
-        x = [0.0] * self.n
-        for i in range(self.m):
-            if self.basis[i] < self.n:
-                x[self.basis[i]] = self.tab[i][-1]
-        return x
-
-    def phase2(self, c):
-        obj = list(c) + [0.0]
-        for i in range(self.m):
-            cb = c[self.basis[i]]
-            if cb:
-                row = self.tab[i]
-                for k in range(len(obj)):
-                    obj[k] -= cb * row[k]
-        unb = self._iterate(obj, range(self.n))
-        if unb is not None:
-            ray = [0.0] * self.n
-            ray[unb] = 1.0
-            for i in range(self.m):
-                ray[self.basis[i]] = -self.tab[i][unb]
-            return "unbounded", ray, None
-        return "optimal", self.point(), -obj[-1]
-
-
-def _simplex(lp: LinearProgram, pairs, rhs, keep):
-    """The exact solver in rational mode, the dense float tableau otherwise
-    (float data rounded off can be exactly infeasible where the tolerance
-    accepts it)."""
-    if lp.mode == RATIONAL:
-        return _ExactSimplex(pairs, rhs, lp.n)
-    return _FloatSimplex([lp.a[i] for i in keep], rhs, lp.n)
-
-
-def _lift_cert(y_red, keep, m_full, mode):
-    y = [zero(mode)] * m_full
+def _lift_cert(y_red, keep, m_full):
+    y = [ZERO] * m_full
     for v, i in zip(y_red, keep):
         y[i] = v
     return tuple(y)
@@ -461,17 +317,17 @@ def _lift_cert(y_red, keep, m_full, mode):
 def solve_feasible(lp: LinearProgram) -> LpOutcome:
     """Find any feasible point or prove there is none."""
     b, lb = _shift_bounds(lp)
-    status, data = _preprocess(lp.rows, b, lp.mode)
+    status, data = _preprocess(lp.rows, b)
     if status == "infeasible":
         return Infeasible(FarkasCert(data))
     rows, rhs, keep = data
     if not rows:
-        x = list(lb) if lb else [zero(lp.mode)] * lp.n
+        x = list(lb) if lb else [ZERO] * lp.n
         return Feasible(tuple(x))
-    sx = _simplex(lp, rows, rhs, keep)
+    sx = _ExactSimplex(rows, rhs, lp.n)
     status, y = sx.phase1()
     if status == "infeasible":
-        return Infeasible(FarkasCert(_lift_cert(y, keep, lp.m, lp.mode)))
+        return Infeasible(FarkasCert(_lift_cert(y, keep, lp.m)))
     x = sx.point()
     if lb:
         x = [v + l for v, l in zip(x, lb)]
@@ -483,7 +339,7 @@ def minimize(lp: LinearProgram) -> LpOutcome:
     if lp.objective is None:
         raise ValueError("minimize requires an objective")
     b, lb = _shift_bounds(lp)
-    status, data = _preprocess(lp.rows, b, lp.mode)
+    status, data = _preprocess(lp.rows, b)
     if status == "infeasible":
         return Infeasible(FarkasCert(data))
     rows, rhs, keep = data
@@ -492,15 +348,15 @@ def minimize(lp: LinearProgram) -> LpOutcome:
         # x >= 0 free of constraints: bounded iff no negative cost.
         if any(v < 0 for v in c):
             j = next(i for i, v in enumerate(c) if v < 0)
-            ray = [zero(lp.mode)] * lp.n
-            ray[j] = one(lp.mode)
+            ray = [ZERO] * lp.n
+            ray[j] = ONE
             return Unbounded(tuple(ray))
-        x = list(lb) if lb else [zero(lp.mode)] * lp.n
-        return Optimal(tuple(x), sum(ci * xi for ci, xi in zip(c, x)) if lb else zero(lp.mode))
-    sx = _simplex(lp, rows, rhs, keep)
+        x = list(lb) if lb else [ZERO] * lp.n
+        return Optimal(tuple(x), sum(ci * xi for ci, xi in zip(c, x)) if lb else ZERO)
+    sx = _ExactSimplex(rows, rhs, lp.n)
     status, y = sx.phase1()
     if status == "infeasible":
-        return Infeasible(FarkasCert(_lift_cert(y, keep, lp.m, lp.mode)))
+        return Infeasible(FarkasCert(_lift_cert(y, keep, lp.m)))
     status, vec, value = sx.phase2(c)
     if status == "unbounded":
         return Unbounded(tuple(vec))
@@ -525,22 +381,14 @@ def _entries(outcome: LpOutcome) -> tuple:
 
 
 def verify(outcome: LpOutcome, lp: LinearProgram) -> bool:
-    """Re-check an outcome against the raw program data.  In rational mode
-    every entry of the outcome must be an exact rational and every check is
-    exact; in float mode every entry must be finite and the checks hold to
-    the solution tolerance."""
-    exact = lp.mode == RATIONAL
-    if not all(isinstance(v, Rational) if exact else isfinite(v) for v in _entries(outcome)):
+    """Re-check an outcome against the raw program data, exactly.  Every
+    entry of the outcome must be an exact rational."""
+    if not all(isinstance(v, Rational) for v in _entries(outcome)):
         return False
-    tol = 0 if exact else TOL_LP
-    lb = lp.lower_bounds or tuple(zero(lp.mode) for _ in range(lp.n))
+    lb = lp.lower_bounds or (ZERO,) * lp.n
 
     def residual(x):
-        for row, bi in zip(lp.rows, lp.b):
-            r = _dot(row, x) - bi
-            if (r != 0) if exact else (abs(r) > tol):
-                return False
-        return True
+        return all(_dot(row, x) == bi for row, bi in zip(lp.rows, lp.b))
 
     def objective(x):
         return sum(c * x[j] for j, c in enumerate(lp.objective) if c)
@@ -549,13 +397,12 @@ def verify(outcome: LpOutcome, lp: LinearProgram) -> bool:
         x = outcome.point
         if len(x) != lp.n:
             return False
-        if any((v < l) if exact else (v < l - tol) for v, l in zip(x, lb)):
+        if any(v < l for v, l in zip(x, lb)):
             return False
         if not residual(x):
             return False
         if isinstance(outcome, Optimal):
-            val = objective(x)
-            return (val == outcome.value) if exact else abs(val - outcome.value) <= tol
+            return objective(x) == outcome.value
         return True
     if isinstance(outcome, Infeasible):
         y = outcome.cert.y
@@ -571,21 +418,18 @@ def verify(outcome: LpOutcome, lp: LinearProgram) -> bool:
             for j, c in row:
                 cols[j] += yi * c
             shift += yi * (bi - _dot(row, lb) if lp.lower_bounds else bi)
-        if any((s > 0) if exact else (s > tol) for s in cols):
+        if any(s > 0 for s in cols):
             return False
-        return (shift > 0) if exact else (shift > tol)
+        return shift > 0
     if isinstance(outcome, Unbounded):
         if lp.objective is None or len(outcome.ray) != lp.n:
             return False
         d = outcome.ray
-        if any(v < -tol for v in d):
+        if any(v < 0 for v in d):
             return False
-        for row in lp.rows:
-            s = _dot(row, d)
-            if (s != 0) if exact else (abs(s) > tol):
-                return False
-        cd = objective(d)
-        return (cd < 0) if exact else (cd < -tol)
+        if any(_dot(row, d) != 0 for row in lp.rows):
+            return False
+        return objective(d) < 0
     return False
 
 
@@ -597,8 +441,7 @@ class LpBuilder:
     """Accumulates sparse linear constraints and encodes inequalities with
     slack variables, producing the canonical equality form."""
 
-    def __init__(self, mode: str = RATIONAL) -> None:
-        self.mode = check_mode(mode)
+    def __init__(self) -> None:
         self.n = 0
         self.rows: list[dict[int, Scalar]] = []
         self.rhs: list[Scalar] = []
@@ -622,13 +465,13 @@ class LpBuilder:
 
     def add_ge(self, coeffs: dict[int, Scalar], rhs: Scalar) -> None:
         row = dict(coeffs)
-        row[self._slack()] = Fraction(-1) if self.mode == RATIONAL else -1.0
+        row[self._slack()] = -ONE
         self.rows.append(row)
         self.rhs.append(rhs)
 
     def add_le(self, coeffs: dict[int, Scalar], rhs: Scalar) -> None:
         row = dict(coeffs)
-        row[self._slack()] = Fraction(1) if self.mode == RATIONAL else 1.0
+        row[self._slack()] = ONE
         self.rows.append(row)
         self.rhs.append(rhs)
 
@@ -639,6 +482,5 @@ class LpBuilder:
         rows = tuple(tuple(sorted((j, v) for j, v in row.items() if v)) for row in self.rows)
         obj = None
         if with_objective:
-            z = zero(self.mode)
-            obj = tuple(self.objective.get(j, z) for j in range(self.n))
-        return LinearProgram(self.n, rows, tuple(self.rhs), obj, None, self.mode)
+            obj = tuple(self.objective.get(j, ZERO) for j in range(self.n))
+        return LinearProgram(self.n, rows, tuple(self.rhs), obj, None)

@@ -314,7 +314,7 @@ def split_check(r: Resource) -> NogoVerdict:
     if isinstance(out, Infeasible):
         return NogoVerdict(False, cert=out.cert, lp_size=(prog.n, prog.m), lp=prog)
     g = table_behavior(g_sig, out.point)
-    if not behavior_equal(split(r, g), target, 0):
+    if not behavior_equal(split(r, g), target):
         raise CompositeVerificationFailed("witness mediator failed re-verification")
     return NogoVerdict(True, witness={"g": g}, lp_size=(prog.n, prog.m))
 

@@ -31,7 +31,6 @@ from .errors import (
     NotDeterministic,
     WiringMismatch,
 )
-from .scalars import RATIONAL
 
 RES = "res"
 
@@ -307,29 +306,8 @@ def par_compose(p: Protocol, q: Protocol, name: str = "") -> Protocol:
 # deterministic sub-category
 
 
-def to_float_resource(r: Resource) -> Resource:
-    from .comb import to_float_behavior
-
-    return Resource(to_float_behavior(r.behavior), r.name)
-
-
-def to_float_protocol(p: Protocol) -> Protocol:
-    from .comb import to_float_behavior
-
-    return Protocol(
-        to_float_resource(p.source),
-        to_float_resource(p.target),
-        tuple(Converter(c.party, to_float_behavior(c.comb), c.wiring) for c in p.converters),
-        p.schedule,
-        p.name,
-    )
-
-
 def is_deterministic(b: Behavior) -> bool:
-    values = [v for col in b.kernel.cols for _i, v in col]
-    if b.mode == RATIONAL:
-        return all(v == 1 for v in values)
-    return all(min(abs(v), abs(v - 1.0)) <= 1e-9 for v in values)
+    return all(v == 1 for col in b.kernel.cols for _i, v in col)
 
 
 def lift_deterministic(p: Protocol) -> Protocol:

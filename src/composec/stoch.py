@@ -9,17 +9,15 @@ package inherits that convention.
 The matrix is stored by columns and sparsely: for every domain index, the
 (codomain index, value) pairs of its nonzero entries in increasing codomain
 order.  Transcript tables are almost all zeros, so every operation here
-works on the support only; it adds the same products in the same order as
-the dense loops would, so rational results are exact and float results are
-bit-identical to theirs.
+works on the support only, and adds the same products in the same order as
+the dense loops would.  Every entry is an exact `Fraction`.
 
-Rational arithmetic runs on integers where it can.  `Kernel.scaled` holds a
+Arithmetic runs on integers where it can.  `Kernel.scaled` holds a
 kernel's entries as integer numerators over one shared denominator (the lcm
 of its entries' denominators), which lets `Network` evaluation carry its
 weights as integers and divide once per output cell (`scaled_column`); a
 column check sums numerators over the column's lcm instead of adding
-`Fraction`s.  In float mode the scaled view is the floats themselves over 1,
-so both modes share one code path.
+`Fraction`s.
 """
 
 from __future__ import annotations
@@ -40,17 +38,7 @@ from .errors import (
     InterfaceMismatch,
     NegativeEntry,
 )
-from .scalars import (
-    FLOAT,
-    RATIONAL,
-    TOL_EQ,
-    TOL_SUM,
-    Scalar,
-    as_scalar,
-    check_mode,
-    one,
-    zero,
-)
+from .scalars import ONE, ZERO, Scalar, as_scalar
 
 # Dense tables given to make_kernel only; guards against accidentally huge
 # tables typed or generated in full.
@@ -143,7 +131,6 @@ class Kernel:
     dom: tuple[Alphabet, ...]
     cod: tuple[Alphabet, ...]
     cols: tuple[Column, ...]
-    mode: str = RATIONAL
 
     @property
     def n_dom(self) -> int:
@@ -156,7 +143,7 @@ class Kernel:
     @cached_property
     def matrix(self) -> tuple[tuple[Scalar, ...], ...]:
         """Dense view, matrix[cod_index][dom_index], built on first use."""
-        rows = [[zero(self.mode)] * self.n_dom for _ in range(self.n_cod)]
+        rows = [[ZERO] * self.n_dom for _ in range(self.n_cod)]
         for j, col in enumerate(self.cols):
             for i, v in col:
                 rows[i][j] = v
@@ -164,18 +151,16 @@ class Kernel:
 
     @cached_property
     def scaled(self) -> tuple[int, tuple[Column, ...]]:
-        """(scale, columns) with every entry times `scale`, built on first
-        use: in rational mode the lcm of the entries' denominators and
-        integer columns, in float mode 1 and the same columns."""
-        if self.mode != RATIONAL:
-            return 1, self.cols
+        """(scale, columns) with every entry times `scale`, the lcm of the
+        entries' denominators, so the columns hold integers; built on first
+        use."""
         scale = math.lcm(*(v.denominator for col in self.cols for _i, v in col))
         cols = tuple(tuple((i, v.numerator * (scale // v.denominator)) for i, v in col) for col in self.cols)
         return scale, cols
 
     def column(self, dom_index: int) -> tuple[Scalar, ...]:
         """Dense column dom_index."""
-        out = [zero(self.mode)] * self.n_cod
+        out = [ZERO] * self.n_cod
         for i, v in self.cols[dom_index]:
             out[i] = v
         return tuple(out)
@@ -185,7 +170,7 @@ class Kernel:
         for k, v in self.cols[tuple_index(self.dom, in_values)]:
             if k == i:
                 return v
-        return zero(self.mode)
+        return ZERO
 
 
 @dataclass(frozen=True)
@@ -194,54 +179,40 @@ class Dist:
 
     alphabet: Alphabet
     weights: tuple[Scalar, ...]
-    mode: str = RATIONAL
 
     def __post_init__(self) -> None:
         if len(self.weights) != self.alphabet.size:
             raise DimensionMismatch(f"{len(self.weights)} weights for alphabet of size {self.alphabet.size}")
-        _check_column(self.weights, 0, self.mode)
+        _check_column(self.weights, 0)
 
     def as_kernel(self) -> Kernel:
         col = tuple((i, w) for i, w in enumerate(self.weights) if w)
-        return Kernel((), (self.alphabet,), (col,), self.mode)
+        return Kernel((), (self.alphabet,), (col,))
 
 
-def _check_column(values: Iterable[Scalar], col: int, mode: str) -> None:
-    """Entries nonnegative and summing to 1: exactly in rational mode, where
-    the numerators are summed over the lcm of the denominators, and within
-    `TOL_SUM` in float mode, where a non-finite entry fails."""
-    if mode == RATIONAL:
-        values = tuple(values)
-        den = math.lcm(*(v.denominator for v in values))
-        total = 0
-        for v in values:
-            if v.numerator < 0:
-                raise NegativeEntry(f"negative entry {v} in column {col}")
-            total += v.numerator * (den // v.denominator)
-        if total != den:
-            raise ColumnNotStochastic(col, Fraction(total, den))
-        return
-    total = 0.0
+def _check_column(values: Iterable[Scalar], col: int) -> None:
+    """Entries nonnegative and summing to exactly 1; the numerators are
+    summed over the lcm of the denominators."""
+    values = tuple(values)
+    den = math.lcm(*(v.denominator for v in values))
+    total = 0
     for v in values:
-        if v < -TOL_EQ:
+        if v.numerator < 0:
             raise NegativeEntry(f"negative entry {v} in column {col}")
-        total += v
-    # a NaN or infinite entry leaves the total non-finite
-    if not (math.isfinite(total) and abs(total - 1.0) <= TOL_SUM):
-        raise ColumnNotStochastic(col, total)
+        total += v.numerator * (den // v.denominator)
+    if total != den:
+        raise ColumnNotStochastic(col, Fraction(total, den))
 
 
 def make_kernel(
     dom: Sequence[Alphabet],
     cod: Sequence[Alphabet],
     table: Sequence[Sequence],
-    mode: str = RATIONAL,
 ) -> Kernel:
     """Validate a dense table and wrap it as a Kernel.
 
     `table[i][j]` is the probability of codomain tuple i given domain tuple j.
     """
-    check_mode(mode)
     n_dom, n_cod = ports_size(dom), ports_size(cod)
     if n_dom * n_cod > SIZE_CAP:
         raise DimensionMismatch(f"table of {n_dom * n_cod} entries exceeds size cap {SIZE_CAP}")
@@ -252,22 +223,21 @@ def make_kernel(
         if len(row) != n_dom:
             raise DimensionMismatch(f"row of length {len(row)}, expected {n_dom}")
         for j, v in enumerate(row):
-            v = as_scalar(v, mode)
+            v = as_scalar(v)
             if v:
                 cols[j].append((i, v))
     for j, col in enumerate(cols):
-        _check_column((v for _i, v in col), j, mode)
-    return Kernel(tuple(dom), tuple(cod), tuple(tuple(c) for c in cols), mode)
+        _check_column((v for _i, v in col), j)
+    return Kernel(tuple(dom), tuple(cod), tuple(tuple(c) for c in cols))
 
 
 def kernel_from_columns(
     dom: Sequence[Alphabet],
     cod: Sequence[Alphabet],
     cols: Sequence[Column],
-    mode: str = RATIONAL,
 ) -> Kernel:
     """Validate sparse columns (see `Kernel.cols`) and wrap them."""
-    k = Kernel(tuple(dom), tuple(cod), tuple(cols), check_mode(mode))
+    k = Kernel(tuple(dom), tuple(cod), tuple(cols))
     validate_kernel(k)
     return k
 
@@ -287,7 +257,7 @@ def validate_kernel(k: Kernel) -> None:
             if not v:
                 raise DimensionMismatch(f"column {j}: explicit zero at row {i}")
             last = i
-        _check_column((v for _i, v in col), j, k.mode)
+        _check_column((v for _i, v in col), j)
 
 
 def sparse_column(acc: dict[int, Scalar]) -> Column:
@@ -295,16 +265,11 @@ def sparse_column(acc: dict[int, Scalar]) -> Column:
     return tuple((i, v) for i, v in sorted(acc.items()) if v)
 
 
-def unscale(num, den: int, mode: str) -> Scalar:
-    """A numerator over a common denominator (see `Kernel.scaled`) as a
-    scalar: the exact quotient in rational mode."""
-    return Fraction(num, den) if mode == RATIONAL else num / den
-
-
-def scaled_column(acc: dict[int, Scalar], den: int, mode: str) -> Column:
-    """The nonzero entries of an index -> numerator map over `den`, each
-    divided once, as a Column."""
-    return tuple((i, unscale(v, den, mode)) for i, v in sorted(acc.items()) if v)
+def scaled_column(acc: dict[int, int], den: int) -> Column:
+    """The nonzero entries of an index -> numerator map over a common
+    denominator `den` (see `Kernel.scaled`), each divided once, as a
+    Column."""
+    return tuple((i, Fraction(v, den)) for i, v in sorted(acc.items()) if v)
 
 
 # ---------------------------------------------------------------------------
@@ -313,8 +278,6 @@ def scaled_column(acc: dict[int, Scalar], den: int, mode: str) -> Column:
 
 def compose(g: Kernel, f: Kernel) -> Kernel:
     """Sequential composition g after f (matrix product)."""
-    if g.mode != f.mode:
-        raise InterfaceMismatch(f"mode mismatch: {g.mode} vs {f.mode}")
     if g.dom != f.cod:
         raise InterfaceMismatch(
             f"cannot compose: middle interface {[a.name for a in f.cod]} vs {[a.name for a in g.dom]}"
@@ -322,7 +285,7 @@ def compose(g: Kernel, f: Kernel) -> Kernel:
     gcols = g.cols
     cols = []
     for fcol in f.cols:
-        if len(fcol) == 1 and fcol[0][1] == 1:  # deterministic column: g's column, exact in both modes
+        if len(fcol) == 1 and fcol[0][1] == 1:  # deterministic column: g's column
             cols.append(gcols[fcol[0][0]])
             continue
         acc: dict[int, Scalar] = {}
@@ -331,21 +294,21 @@ def compose(g: Kernel, f: Kernel) -> Kernel:
                 p = gik * fkj
                 acc[i] = acc[i] + p if i in acc else p
         cols.append(sparse_column(acc))
-    return Kernel(f.dom, g.cod, tuple(cols), f.mode)
+    return Kernel(f.dom, g.cod, tuple(cols))
 
 
 def tensor(f: Kernel, g: Kernel) -> Kernel:
     """Parallel composition (Kronecker product); f's ports come first."""
-    if g.mode != f.mode:
-        raise InterfaceMismatch(f"mode mismatch: {f.mode} vs {g.mode}")
     n = g.n_cod
     cols = []
     for fcol in f.cols:
+        # structural kernels are mostly 1s, and a 1 copies g's column; each
+        # entry of f is tested once, not once per column of g
+        fentries = [(i1 * n, a, a == 1) for i1, a in fcol]
         for gcol in g.cols:
             col = []
-            for i1, a in fcol:
-                base = i1 * n
-                if a == 1:  # structural kernels are mostly 1s: copy, exact in both modes
+            for base, a, unit in fentries:
+                if unit:
                     col.extend((base + i2, b) for i2, b in gcol)
                     continue
                 for i2, b in gcol:
@@ -353,67 +316,66 @@ def tensor(f: Kernel, g: Kernel) -> Kernel:
                     if p:
                         col.append((base + i2, p))
             cols.append(tuple(col))
-    return Kernel(f.dom + g.dom, f.cod + g.cod, tuple(cols), f.mode)
+    return Kernel(f.dom + g.dom, f.cod + g.cod, tuple(cols))
 
 
 # ---------------------------------------------------------------------------
 # structural kernels
 
 
-def _deterministic(dom: Sequence[Alphabet], cod: Sequence[Alphabet], rows: Iterable[int], mode: str) -> Kernel:
+def _deterministic(dom: Sequence[Alphabet], cod: Sequence[Alphabet], rows: Iterable[int]) -> Kernel:
     """The kernel sending domain index j to codomain index rows[j]."""
-    one_ = one(mode)
-    return Kernel(tuple(dom), tuple(cod), tuple(((i, one_),) for i in rows), mode)
+    return Kernel(tuple(dom), tuple(cod), tuple(((i, ONE),) for i in rows))
 
 
-def identity(ports: Sequence[Alphabet], mode: str = RATIONAL) -> Kernel:
-    return _deterministic(ports, ports, range(ports_size(ports)), mode)
+def identity(ports: Sequence[Alphabet]) -> Kernel:
+    return _deterministic(ports, ports, range(ports_size(ports)))
 
 
-def permutation(ports: Sequence[Alphabet], perm: Sequence[int], mode: str = RATIONAL) -> Kernel:
+def permutation(ports: Sequence[Alphabet], perm: Sequence[int]) -> Kernel:
     """Deterministic wire shuffle: output slot k carries input port perm[k]."""
     if sorted(perm) != list(range(len(ports))):
         raise BadPermutation(f"{perm} is not a permutation of 0..{len(ports) - 1}")
     cod = tuple(ports[p] for p in perm)
-    return _deterministic(ports, cod, map(index_projection(ports, perm), range(ports_size(ports))), mode)
+    return _deterministic(ports, cod, map(index_projection(ports, perm), range(ports_size(ports))))
 
 
-def swap(a: Alphabet, b: Alphabet, mode: str = RATIONAL) -> Kernel:
-    return permutation((a, b), (1, 0), mode)
+def swap(a: Alphabet, b: Alphabet) -> Kernel:
+    return permutation((a, b), (1, 0))
 
 
-def copy_map(ports: Sequence[Alphabet], mode: str = RATIONAL) -> Kernel:
+def copy_map(ports: Sequence[Alphabet]) -> Kernel:
     """Duplicate the whole tuple: X -> X (x) X."""
     ports = tuple(ports)
     n = ports_size(ports)
-    return _deterministic(ports, ports + ports, (j * n + j for j in range(n)), mode)
+    return _deterministic(ports, ports + ports, (j * n + j for j in range(n)))
 
 
-def delete(ports: Sequence[Alphabet], mode: str = RATIONAL) -> Kernel:
-    return _deterministic(ports, (), [0] * ports_size(ports), mode)
+def delete(ports: Sequence[Alphabet]) -> Kernel:
+    return _deterministic(ports, (), [0] * ports_size(ports))
 
 
-def point(ports: Sequence[Alphabet], values: Sequence[int], mode: str = RATIONAL) -> Kernel:
+def point(ports: Sequence[Alphabet], values: Sequence[int]) -> Kernel:
     """Deterministic state I -> X at the given value tuple."""
-    return _deterministic((), ports, [tuple_index(ports, values)], mode)
+    return _deterministic((), ports, [tuple_index(ports, values)])
 
 
-def uniform(ports: Sequence[Alphabet], mode: str = RATIONAL) -> Kernel:
+def uniform(ports: Sequence[Alphabet]) -> Kernel:
     n = ports_size(ports)
-    w = Fraction(1, n) if mode == RATIONAL else 1.0 / n
-    return Kernel((), tuple(ports), (tuple((i, w) for i in range(n)),), mode)
+    w = Fraction(1, n)
+    return Kernel((), tuple(ports), (tuple((i, w) for i in range(n)),))
 
 
 _STRUCTURAL = {
-    "identity": lambda ports, mode, **kw: identity(ports, mode),
-    "swap": lambda ports, mode, **kw: permutation(ports, tuple(reversed(range(len(ports)))), mode)
+    "identity": lambda ports, **kw: identity(ports),
+    "swap": lambda ports, **kw: permutation(ports, tuple(reversed(range(len(ports)))))
     if len(ports) == 2
     else _bad_swap(ports),
-    "permutation": lambda ports, mode, perm=None, **kw: permutation(ports, perm, mode),
-    "copy": lambda ports, mode, **kw: copy_map(ports, mode),
-    "delete": lambda ports, mode, **kw: delete(ports, mode),
-    "point": lambda ports, mode, values=None, **kw: point(ports, values, mode),
-    "uniform": lambda ports, mode, **kw: uniform(ports, mode),
+    "permutation": lambda ports, perm=None, **kw: permutation(ports, perm),
+    "copy": lambda ports, **kw: copy_map(ports),
+    "delete": lambda ports, **kw: delete(ports),
+    "point": lambda ports, values=None, **kw: point(ports, values),
+    "uniform": lambda ports, **kw: uniform(ports),
 }
 
 
@@ -421,13 +383,13 @@ def _bad_swap(ports):
     raise BadPermutation(f"swap takes exactly two ports, got {len(ports)}")
 
 
-def structural(kind: str, ports: Sequence[Alphabet], mode: str = RATIONAL, **kwargs) -> Kernel:
+def structural(kind: str, ports: Sequence[Alphabet], **kwargs) -> Kernel:
     """Named generator dispatch; see the individual constructors."""
     try:
         builder = _STRUCTURAL[kind]
     except KeyError:
         raise ValueError(f"unknown structural kernel kind {kind!r}") from None
-    return builder(tuple(ports), mode, **kwargs)
+    return builder(tuple(ports), **kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -435,45 +397,34 @@ def structural(kind: str, ports: Sequence[Alphabet], mode: str = RATIONAL, **kwa
 
 
 def _require_same_interface(f: Kernel, g: Kernel) -> None:
-    if f.dom != g.dom or f.cod != g.cod or f.mode != g.mode:
-        raise InterfaceMismatch("kernels have different interfaces or modes")
+    if f.dom != g.dom or f.cod != g.cod:
+        raise InterfaceMismatch("kernels have different interfaces")
 
 
-def column_pairs(a: Column, b: Column, zero_: Scalar) -> Iterator[tuple[Scalar, Scalar]]:
+def column_pairs(a: Column, b: Column) -> Iterator[tuple[Scalar, Scalar]]:
     """The entries of two columns at every index either one holds, in
-    increasing index; an absent entry reads `zero_`."""
+    increasing index; an absent entry reads 0."""
     da, db = dict(a), dict(b)
     for i in sorted(da.keys() | db.keys()):
-        yield da.get(i, zero_), db.get(i, zero_)
-
-
-def columns_within(a: Column, b: Column, tol: float) -> bool:
-    """Float columns equal entrywise up to `tol`."""
-    return all(abs(x - y) <= tol for x, y in column_pairs(a, b, 0.0))
-
-
-def equal_within(f: Kernel, g: Kernel, tol: Scalar = 0) -> bool:
-    """Max-norm comparison.  Rational mode admits only tol = 0."""
-    _require_same_interface(f, g)
-    if f.mode == RATIONAL:
-        if tol != 0:
-            raise ValueError("rational mode requires tol = 0")
-        return f.cols == g.cols
-    return all(columns_within(a, b, tol) for a, b in zip(f.cols, g.cols))
+        yield da.get(i, ZERO), db.get(i, ZERO)
 
 
 def kernel_equal(f: Kernel, g: Kernel) -> bool:
-    return equal_within(f, g, 0 if f.mode == RATIONAL else TOL_EQ)
+    """Exact equality of two kernels with the same interface."""
+    _require_same_interface(f, g)
+    return f.cols == g.cols
+
+
+equal_within = kernel_equal
 
 
 def channel_distance(f: Kernel, g: Kernel) -> Scalar:
     """Worst-case total variation distance over inputs (distinguisher advantage)."""
     _require_same_interface(f, g)
-    zero_ = zero(f.mode)
-    best = zero_
+    best = ZERO
     for a, b in zip(f.cols, g.cols):
-        acc = zero_
-        for x, y in column_pairs(a, b, zero_):
+        acc = ZERO
+        for x, y in column_pairs(a, b):
             acc += abs(x - y)
         acc = acc / 2
         if acc > best:
@@ -496,7 +447,7 @@ def marginalize(f: Kernel, keep: Sequence[int]) -> Kernel:
             ni = row(i)
             acc[ni] = acc[ni] + v if ni in acc else v
         cols.append(sparse_column(acc))
-    return Kernel(f.dom, tuple(f.cod[i] for i in keep), tuple(cols), f.mode)
+    return Kernel(f.dom, tuple(f.cod[i] for i in keep), tuple(cols))
 
 
 def permute_axes(f: Kernel, dom_perm: Sequence[int], cod_perm: Sequence[int]) -> Kernel:
@@ -508,11 +459,4 @@ def permute_axes(f: Kernel, dom_perm: Sequence[int], cod_perm: Sequence[int]) ->
     cols: list[Column] = [()] * f.n_dom
     for j, col in enumerate(f.cols):
         cols[new_col(j)] = tuple(sorted((row(i), v) for i, v in col))
-    return Kernel(tuple(f.dom[p] for p in dom_perm), tuple(f.cod[p] for p in cod_perm), tuple(cols), f.mode)
-
-
-def to_float(f: Kernel) -> Kernel:
-    if f.mode == FLOAT:
-        return f
-    cols = tuple(tuple((i, float(v)) for i, v in col if float(v)) for col in f.cols)
-    return Kernel(f.dom, f.cod, cols, FLOAT)
+    return Kernel(tuple(f.dom[p] for p in dom_perm), tuple(f.cod[p] for p in cod_perm), tuple(cols))

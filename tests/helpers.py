@@ -15,16 +15,14 @@ from composec.comb import (
     Signature,
     flatten,
     make_signature,
-    to_float_behavior,
 )
-from composec.scalars import one, zero
 from composec.stoch import UNIT, Alphabet, all_tuples, index_tuple, make_kernel, ports_size, tuple_index
 
 BIT = Alphabet("bit", 2)
 TRIT = Alphabet("trit", 3)
 
 
-def random_kernel(rng, dom, cod, mode="rational"):
+def random_kernel(rng, dom, cod):
     n_dom, n_cod = ports_size(dom), ports_size(cod)
     cols = []
     for _ in range(n_dom):
@@ -34,7 +32,7 @@ def random_kernel(rng, dom, cod, mode="rational"):
         total = sum(raw)
         cols.append([Fraction(v, total) for v in raw])
     table = [[cols[j][i] for j in range(n_dom)] for i in range(n_cod)]
-    return make_kernel(dom, cod, table, mode)
+    return make_kernel(dom, cod, table)
 
 
 def random_comb(rng, parties=("p",), rounds=2, max_size=2, prefix="p", alphabets=None):
@@ -140,7 +138,7 @@ def enumerated_distance(a, b):
 
 
 def dense_compose(g, f):
-    zero_ = Fraction(0) if f.mode == "rational" else 0.0
+    zero_ = Fraction(0)
     fm, gm = f.matrix, g.matrix
     rows = [[zero_] * f.n_dom for _ in range(g.n_cod)]
     for k in range(f.n_cod):
@@ -161,7 +159,7 @@ def dense_tensor(f, g):
 
 
 def dense_marginalize(f, keep):
-    zero_ = Fraction(0) if f.mode == "rational" else 0.0
+    zero_ = Fraction(0)
     new_cod = tuple(f.cod[i] for i in keep)
     rows = [[zero_] * f.n_dom for _ in range(ports_size(new_cod))]
     for i, y in enumerate(all_tuples(f.cod)):
@@ -184,7 +182,7 @@ def dense_permute_axes(f, dom_perm, cod_perm):
 
 
 def dense_channel_distance(f, g):
-    zero_ = Fraction(0) if f.mode == "rational" else 0.0
+    zero_ = Fraction(0)
     best = zero_
     for j in range(f.n_dom):
         acc = zero_
@@ -203,7 +201,7 @@ def dense_channel_distance(f, g):
 
 
 def dense_solve_feasible(lp):
-    """`lp.solve_feasible` on a dense `Fraction` tableau (rational mode)."""
+    """`lp.solve_feasible` on a dense `Fraction` tableau."""
     from composec.lp import FarkasCert, Feasible, Infeasible
 
     start = _dense_start(lp)
@@ -222,7 +220,7 @@ def dense_solve_feasible(lp):
 
 
 def dense_minimize(lp):
-    """`lp.minimize` on a dense `Fraction` tableau (rational mode)."""
+    """`lp.minimize` on a dense `Fraction` tableau."""
     from composec.lp import FarkasCert, Infeasible, Optimal, Unbounded
 
     start = _dense_start(lp)
@@ -384,14 +382,13 @@ class DenseSimplex:
 # ---------------------------------------------------------------------------
 # Fraction-weight network simulation (oracle for the integer weights of
 # `Network._run` and `flatten`): every state carries its own weight as a
-# scalar of the kernels' mode, summed as it arrives
+# `Fraction`, summed as it arrives
 
 
 def _fraction_run(net, x_ext, symbolic):
-    """`Network._run` on `net` (prepared) with scalar weights."""
-    mode = net._mode
-    zero_ = zero(mode)
-    states = {(tuple(0 for _ in net._numeric_labels), (None,) * len(net.wires), (), ()): one(mode)}
+    """`Network._run` on `net` (prepared) with `Fraction` weights."""
+    zero_ = Fraction(0)
+    states = {(tuple(0 for _ in net._numeric_labels), (None,) * len(net.wires), (), ()): Fraction(1)}
     for lab, r, ins, outs in net._plan:
         new_states = {}
         consumed = [spec[1] for _p, spec in ins if spec[0] == "wire"]
@@ -441,7 +438,7 @@ def _fraction_run(net, x_ext, symbolic):
 
 
 def fraction_evaluate(net):
-    """The columns `net.evaluate()` gives, from scalar weights."""
+    """The columns `net.evaluate()` gives, from `Fraction` weights."""
     net._prepare()
     sig = net.result_signature()
     ins, outs = sig.ins(), sig.outs()
@@ -454,7 +451,7 @@ def fraction_evaluate(net):
 
 
 def fraction_linear_evaluate(net):
-    """`net.linear_evaluate()` from scalar weights."""
+    """`net.linear_evaluate()` from `Fraction` weights."""
     net._prepare()
     sig = net.result_signature()
     ins, outs = sig.ins(), sig.outs()
@@ -467,16 +464,15 @@ def fraction_linear_evaluate(net):
 
 
 def fraction_flatten(c):
-    """The columns `flatten(c)` gives, from scalar weights."""
+    """The columns `flatten(c)` gives, from `Fraction` weights."""
     sig = c.signature
     ins, outs = sig.ins(), sig.outs()
     out_alphas = tuple(p.alphabet for p in outs)
     proc_outs = [k for r in range(1, sig.rounds + 1) for k, p in enumerate(outs) if p.round == r]
     inv_out = {k: pos for pos, k in enumerate(proc_outs)}
-    mode = c.kernels[0].mode
     cols = []
     for x in all_tuples(tuple(p.alphabet for p in ins)):
-        states = {((), 0): one(mode)}
+        states = {((), 0): Fraction(1)}
         for r, f in enumerate(c.kernels, start=1):
             x_r = tuple(x[k] for k, p in enumerate(ins) if p.round == r)
             new_states = {}
@@ -484,25 +480,24 @@ def fraction_flatten(c):
                 for i, p in f.cols[tuple_index(f.dom, (mem,) + x_r)]:
                     cod_vals = index_tuple(f.cod, i)
                     key = (ys + cod_vals[:-1], cod_vals[-1])
-                    new_states[key] = new_states.get(key, zero(mode)) + w * p
+                    new_states[key] = new_states.get(key, Fraction(0)) + w * p
             states = new_states
         acc = {}
         for (ys, _m), w in states.items():
             i = tuple_index(out_alphas, tuple(ys[inv_out[k]] for k in range(len(outs))))
-            acc[i] = acc.get(i, zero(mode)) + w
+            acc[i] = acc.get(i, Fraction(0)) + w
         cols.append(tuple((i, v) for i, v in sorted(acc.items()) if v))
     return tuple(cols)
 
 
-def random_network(rng, symbolic=False, mode="rational"):
+def random_network(rng, symbolic=False):
     """Three flattened random combs under a random interleaving of
     their rounds, each out-port wired at random to a later in-port of the
     same alphabet; with `symbolic`, one node is its bare signature."""
     labels = ["a", "b", "c"]
     nodes = {}
     for lab in labels:
-        b = flatten(random_comb(rng, parties=(lab,), rounds=rng.randint(1, 2), prefix=lab))
-        nodes[lab] = b if mode == "rational" else to_float_behavior(b)
+        nodes[lab] = flatten(random_comb(rng, parties=(lab,), rounds=rng.randint(1, 2), prefix=lab))
     pending = {lab: list(range(1, b.signature.rounds + 1)) for lab, b in nodes.items()}
     schedule = []
     while any(pending.values()):

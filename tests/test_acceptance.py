@@ -271,7 +271,7 @@ def test_criterion_06_dummy_completeness(scorecard):
         for view in (real, ideal):
             nodes = [("view", view), ("atk", comb)]
             outs.append(canonical(Network(nodes, wires, merge_asap(nodes, wires, "view")).evaluate()))
-        assert behavior_equal(outs[0], outs[1], 0)
+        assert behavior_equal(outs[0], outs[1])
         checked += 1
     assert checked == 50
     announce(scorecard, "6 dummy-completeness", "50 random attacks transfer through the simulator exactly")
@@ -352,7 +352,7 @@ def test_criterion_10_framework_laws(scorecard):
         assert channel_distance(f1, h1) <= channel_distance(f1, g1) + channel_distance(g1, h1)
     for _ in range(1000):  # flatten / realize round trip
         b1 = flatten(random_comb(rng, rounds=rng.randint(1, 3)))
-        assert behavior_equal(b1, flatten(realize(b1)), 0)
+        assert behavior_equal(b1, flatten(realize(b1)))
     causal_checked = 0
     while causal_checked < 1000:  # causality preservation under linking
         inner = flatten(random_comb(rng, rounds=2))

@@ -242,7 +242,7 @@ def test_theorem2_transfer_random_attacks():
         out_ideal = Network(
             [("view", ideal), ("atk", comb)], wires, merge_asap([("view", ideal), ("atk", comb)], wires, "view")
         ).evaluate()
-        assert behavior_equal(canonical(out_real), canonical(out_ideal), 0)
+        assert behavior_equal(canonical(out_real), canonical(out_ideal))
 
 
 def test_semi_honest_eve_otp():
@@ -377,9 +377,9 @@ def test_search_simulator_rechecks_lp_simulator(monkeypatch):
     inst = build_otp(group_make(("cyclic", 2)))
     table_behavior = attacks.table_behavior
 
-    def constant_simulator(sig, point, mode):
+    def constant_simulator(sig, point):
         n_y = ports_size(tuple(p.alphabet for p in sig.outs()))
-        return table_behavior(sig, [1 if k % n_y == 0 else 0 for k in range(len(point))], mode)
+        return table_behavior(sig, [1 if k % n_y == 0 else 0 for k in range(len(point))])
 
     monkeypatch.setattr(attacks, "table_behavior", constant_simulator)
     with pytest.raises(CompositeVerificationFailed):

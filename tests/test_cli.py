@@ -114,28 +114,6 @@ def test_main_verify_json(tmp_path, capsys):
     assert json.loads(out_json.read_text())["ok"]
 
 
-def test_float_mode_epsilon(tmp_path, capsys):
-    spec = tmp_path / "f.spec"
-    spec.write_text(
-        "group z2 cyclic 2\n"
-        "kernel xor gen mult z2\n"
-        "resource src parties alice,bob,eve rounds 2 ports ka:alice:out:z2@1 kb:bob:out:z2@1"
-        " cin:alice:in:z2@2 cb:bob:out:z2@2 ce:eve:out:z2@2 rows 1/2 0 ; 0 0 ; 0 0 ; 0 1/2 ;"
-        " 0 0 ; 0 0 ; 0 0 ; 0 0 ; 0 0 ; 0 0 ; 0 0 ; 0 0 ; 1/2 0 ; 0 0 ; 0 0 ; 0 1/2\n"
-        "resource tgt parties alice,bob,eve rounds 1 ports msg:alice:in:z2@1"
-        " eve_flag:eve:out:unit@1 m_out:bob:out:z2@1 rows 1 0 ; 0 1\n"
-        "converter alice fA ports msg:in:z2@1 ka_c:in:z2@1:wire=ka c_out:out:z2@1:wire=cin kernel xor\n"
-        "converter bob fB ports cb_c:in:z2@1:wire=cb kb_c:in:z2@1:wire=kb m_out:out:z2@1 kernel xor\n"
-        "converter eve fE ports ce_c:in:z2@1:wire=ce eve_flag:out:unit@1 rows 1 1\n"
-        "protocol otp2 from src to tgt converters fA,fB,fE schedule res.1,fA.1,res.2,fE.1,fB.1\n"
-        "check epsilon otp2 dishonest eve expect 0\n"
-    )
-    code = main(["verify", str(spec), "--mode", "float", "--no-meta"])
-    out = json.loads(capsys.readouterr().out)
-    assert code == 0, out
-    assert out["ok"]
-
-
 def test_console_script_entrypoint():
     proc = subprocess.run(
         [sys.executable, "-m", "composec.cli", "axioms", "--group", "cyclic 2"],
@@ -154,12 +132,6 @@ def test_quasigroup_axioms_check_fails_with_exit_1():
     result = run(parse_spec(text), no_meta=True)
     assert result.exit_code == 1
     assert result.report["checks"][0]["verdict"] == "fail"
-
-
-def test_float_mode_secure_check():
-    text = (SPECS / "otp_z2.spec").read_text()
-    result = run(parse_spec(text), no_meta=True, mode="float")
-    assert result.exit_code == 0 and result.report["ok"]
 
 
 # an epsilon check over a 2-round view with a 16-value first-round output
@@ -203,3 +175,53 @@ def test_main_resource_limit_emits_report(tmp_path, capsys):
     assert code == 3
     assert "LP has 1106 vars x 641 rows" in captured.err
     assert [e["kind"] for e in json.loads(captured.out)["checks"]] == ["axioms", "epsilon"]
+
+
+# a check line that names an unknown group or misses an operand becomes an
+# error entry after a passing check, instead of a traceback
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        ("check lift nope", "unknown group 'nope'"),
+        ("check stream nope expander identity", "unknown group 'nope'"),
+        ("check split", "expected a resource name"),
+        ("check otp g attacks", "expected an attack count"),
+        ("check otp g attacks x", "expected an attack count"),
+        ("check axioms g expect", "expected a value after 'expect'"),
+    ],
+    ids=[
+        "lift-unknown-group",
+        "stream-unknown-group",
+        "split-no-operand",
+        "otp-attacks-no-count",
+        "otp-attacks-bad-count",
+        "expect-no-value",
+    ],
+)
+def test_malformed_check_line_gives_an_error_entry(bad, message, tmp_path, capsys):
+    spec = tmp_path / "bad.spec"
+    spec.write_text(f"group g cyclic 2\ncheck axioms g\n{bad}\n")
+    code = main(["verify", str(spec), "--no-meta"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "Traceback" not in captured.err
+    report = json.loads(captured.out)
+    assert report["total"] == 2 and report["failed"] == 1 and not report["ok"]
+    axioms, entry = report["checks"]
+    assert axioms["kind"] == "axioms" and axioms["pass"]
+    assert entry["line"] == 3 and not entry["pass"]
+    assert message in entry["error"]
+
+
+def test_bare_check_is_a_parse_error():
+    result = run(parse_spec("group g cyclic 2\ncheck\n"), no_meta=True)
+    assert result.exit_code == 2
+    assert result.report["error"] == "line 2, col 1: expected a check kind"
+
+
+def test_verify_help_lists_only_file_json_and_no_meta(capsys):
+    with pytest.raises(SystemExit):
+        main(["verify", "--help"])
+    out = capsys.readouterr().out
+    assert "--json" in out and "--no-meta" in out
+    assert "--mode" not in out and "--tol" not in out

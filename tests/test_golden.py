@@ -1,9 +1,9 @@
 """`composec verify --no-meta` reports must keep their bytes.
 
-`tests/golden/` holds the reports of every spec file in rational mode
-(`<spec>.json`) and of two in float mode (`<spec>.float.json`), as written
-by `composec verify --no-meta [--mode float] specs/<spec>.spec`.  Verdicts,
-Farkas vectors, simulator digests and epsilons are all in those bytes.
+`tests/golden/` holds the report of every spec file (`<spec>.json`), as
+written by `composec verify --no-meta specs/<spec>.spec`.  Verdicts, Farkas
+vectors, simulator digests and epsilons are all in those bytes, and every
+number in them is an exact rational.
 """
 
 from pathlib import Path
@@ -15,20 +15,15 @@ from composec.cli import main
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden"
 
-CASES = [(p.stem, "rational") for p in sorted((ROOT / "specs").glob("*.spec"))] + [
-    ("otp_z2", "float"),
-    ("otp_degraded_key", "float"),
-]
+CASES = [p.stem for p in sorted((ROOT / "specs").glob("*.spec"))]
 
 
 def test_every_spec_has_a_golden_report():
-    assert {f"{name}.json" for name, mode in CASES if mode == "rational"} == {
-        p.name for p in GOLDEN.glob("*.json") if not p.name.endswith(".float.json")
-    }
+    assert {f"{name}.json" for name in CASES} == {p.name for p in GOLDEN.glob("*.json")}
 
 
-@pytest.mark.parametrize("name,mode", CASES, ids=[f"{n}-{m}" for n, m in CASES])
-def test_report_bytes_match_golden(name, mode, capsysbinary):
-    suffix = ".json" if mode == "rational" else ".float.json"
-    assert main(["verify", "--no-meta", "--mode", mode, str(ROOT / "specs" / f"{name}.spec")]) == 0
-    assert capsysbinary.readouterr().out == (GOLDEN / f"{name}{suffix}").read_bytes()
+# a case is named after its spec and the exact rational numbers of its report
+@pytest.mark.parametrize("name", CASES, ids=[f"{name}-rational" for name in CASES])
+def test_report_bytes_match_golden(name, capsysbinary):
+    assert main(["verify", "--no-meta", str(ROOT / "specs" / f"{name}.spec")]) == 0
+    assert capsysbinary.readouterr().out == (GOLDEN / f"{name}.json").read_bytes()

@@ -213,3 +213,21 @@ def test_stream_cipher_bijection_expander():
     rep = stream_cipher_demo(g, expander)
     assert rep.expansion_epsilon == 0
     assert rep.composite.epsilon == 0
+
+
+def test_group_kernels_equal_dense_table_builds():
+    groups = [group_make(("cyclic", n)) for n in range(2, 13)]
+    groups += [group_make("symmetric3"), loop_make(LOOP5, "q5")]
+    for g in groups:
+        a, n = group_alphabet(g), g.order
+        mult = [[0] * (n * n) for _ in range(n)]
+        for i in range(n):
+            for j in range(n):
+                mult[g.mul(i, j)][i * n + j] = 1
+        inv = [[0] * n for _ in range(n)]
+        for i in range(n):
+            inv[g.inverse[i]][i] = 1
+        ks = group_kernels(g)
+        assert ks["mult"] == make_kernel([a, a], [a], mult), g.name
+        assert ks["inv"] == make_kernel([a], [a], inv), g.name
+        assert {type(v) for name in ("mult", "inv") for col in ks[name].cols for _i, v in col} == {Fraction}

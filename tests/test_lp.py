@@ -25,15 +25,13 @@ from tests.helpers import dense_minimize, dense_solve_feasible
 F = Fraction
 
 
-def lp(n, a, b, c=None, lb=None, mode="rational"):
-    conv = (lambda v: F(v)) if mode == "rational" else float
+def lp(n, a, b, c=None, lb=None):
     return LinearProgram(
         n,
-        tuple(tuple((j, conv(v)) for j, v in enumerate(row) if v) for row in a),
-        tuple(conv(v) for v in b),
-        None if c is None else tuple(conv(v) for v in c),
-        None if lb is None else tuple(conv(v) for v in lb),
-        mode,
+        tuple(tuple((j, F(v)) for j, v in enumerate(row) if v) for row in a),
+        tuple(F(v) for v in b),
+        None if c is None else tuple(F(v) for v in c),
+        None if lb is None else tuple(F(v) for v in lb),
     )
 
 
@@ -262,23 +260,6 @@ def test_dense_view_equals_the_dense_build_on_an_adaptive_pass(monkeypatch):
     assert len(built) >= 10
     for dense, prog in built:
         assert prog.a == dense
-
-
-def test_verify_rejects_non_finite_entries_in_float_mode():
-    prog = lp(2, [[1, 1]], [1], c=[1, 0], mode="float")
-    nan = float("nan")
-    assert verify(Feasible((0.5, 0.5)), prog)
-    assert not verify(Feasible((nan, nan)), prog)
-    assert not verify(Feasible((nan, 1.0)), prog)
-    assert not verify(Optimal((nan, 1.0), 0.0), prog)
-
-
-def test_float_mode_smoke():
-    prog = lp(2, [[1, 1]], [1], c=[1, 0], mode="float")
-    out = minimize(prog)
-    assert isinstance(out, Optimal)
-    assert abs(out.value) < 1e-9
-    assert verify(out, prog)
 
 
 def _q(rng):

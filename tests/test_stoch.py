@@ -31,7 +31,6 @@ from composec.stoch import (
     structural,
     swap,
     tensor,
-    to_float,
     tuple_index,
     uniform,
     validate_kernel,
@@ -49,7 +48,7 @@ TRIT = Alphabet("trit", 3)
 Z4 = Alphabet("z4", 4)
 
 
-def random_kernel(rng, dom, cod, mode="rational"):
+def random_kernel(rng, dom, cod):
     n_dom, n_cod = stoch.ports_size(dom), stoch.ports_size(cod)
     cols = []
     for _ in range(n_dom):
@@ -59,7 +58,7 @@ def random_kernel(rng, dom, cod, mode="rational"):
         total = sum(raw)
         cols.append([Fraction(v, total) for v in raw])
     table = [[cols[j][i] for j in range(n_dom)] for i in range(n_cod)]
-    return make_kernel(dom, cod, table, mode)
+    return make_kernel(dom, cod, table)
 
 
 def test_indexing_roundtrip():
@@ -157,13 +156,8 @@ def test_structural_dispatch_and_errors():
 
 
 def test_equal_within():
-    assert equal_within(identity([BIT]), identity([BIT]), 0)
+    assert equal_within(identity([BIT]), identity([BIT]))
     assert not kernel_equal(point([BIT], [0]), point([BIT], [1]))
-    a = make_kernel([], [BIT], [[0.5 + 1e-12], [0.5 - 1e-12]], mode="float")
-    b = make_kernel([], [BIT], [[0.5], [0.5]], mode="float")
-    assert equal_within(a, b, 1e-9)
-    with pytest.raises(ValueError):
-        equal_within(identity([BIT]), identity([BIT]), Fraction(1, 10))
 
 
 def test_channel_distance_cases():
@@ -258,23 +252,10 @@ def test_column_check_is_exact():
     assert kernel_equal(Dist(BIT, (1, 0)).as_kernel(), stoch.point([BIT], [0]))
 
 
-def test_float_checks_reject_non_finite_entries():
-    nan, inf = float("nan"), float("inf")
-    with pytest.raises(ColumnNotStochastic):
-        make_kernel([stoch.UNIT], [BIT], [[nan], [0.5]], "float")
-    with pytest.raises(ColumnNotStochastic):
-        Dist(BIT, (nan, nan), "float")
-    with pytest.raises(ColumnNotStochastic):
-        Dist(BIT, (inf, 0.0), "float")
-    Dist(BIT, (0.25, 0.75), "float")
-
-
 def test_scaled_view_holds_numerators_over_the_lcm():
     k = make_kernel([BIT], [TRIT], [["1/2", 1], ["1/3", 0], ["1/6", 0]])
     assert k.scaled == (6, (((0, 3), (1, 2), (2, 1)), ((0, 6),)))
     assert all(type(v) is int for col in k.scaled[1] for _i, v in col)
-    f = to_float(k)
-    assert f.scaled == (1, f.cols)
     assert identity([BIT]).scaled == (1, (((0, 1),), ((1, 1),)))
 
 
@@ -285,13 +266,6 @@ def test_permute_axes():
     for x in stoch.all_tuples((BIT, TRIT)):
         for y in stoch.all_tuples((Z4, BIT)):
             assert f.entry(y, x) == p.entry((y[1], y[0]), (x[1], x[0]))
-
-
-def test_float_mode_smoke():
-    k = make_kernel([BIT], [BIT], [[0.5, 0.25], [0.5, 0.75]], mode="float")
-    kk = compose(k, k)
-    validate_kernel(kk)
-    assert stoch.to_float(identity([BIT])).mode == "float"
 
 
 def test_structural_outputs_pass_invariants():
@@ -312,7 +286,7 @@ def test_structural_outputs_pass_invariants():
 # sparse columns against the dense loops
 
 
-def sparse_random_kernel(rng, dom, cod, mode):
+def sparse_random_kernel(rng, dom, cod):
     """Columns with one to three nonzero entries, or dense ones."""
     n_dom, n_cod = stoch.ports_size(dom), stoch.ports_size(cod)
     table = [[0] * n_dom for _ in range(n_cod)]
@@ -322,18 +296,17 @@ def sparse_random_kernel(rng, dom, cod, mode):
         total = sum(raw.values())
         for i, v in raw.items():
             table[i][j] = Fraction(v, total)
-    return make_kernel(dom, cod, table, mode)
+    return make_kernel(dom, cod, table)
 
 
 def bits(x):
-    """Exact identity of values: floats by their repr, which round-trips."""
+    """Exact identity of values and of their types."""
     if isinstance(x, tuple):
         return tuple(bits(v) for v in x)
     return (type(x).__name__, repr(x))
 
 
-@pytest.mark.parametrize("mode", ["rational", "float"])
-def test_sparse_kernels_match_dense_oracles(mode):
+def test_sparse_kernels_match_dense_oracles():
     rng = random.Random(2024)
 
     def ports():
@@ -341,8 +314,8 @@ def test_sparse_kernels_match_dense_oracles(mode):
 
     for _ in range(80):
         a, b, c = ports(), ports(), ports()
-        f, h = sparse_random_kernel(rng, a, b, mode), sparse_random_kernel(rng, a, b, mode)
-        g = sparse_random_kernel(rng, b, c, mode)
+        f, h = sparse_random_kernel(rng, a, b), sparse_random_kernel(rng, a, b)
+        g = sparse_random_kernel(rng, b, c)
         keep = sorted(rng.sample(range(len(b)), rng.randint(0, len(b))))
         dom_perm, cod_perm = rng.sample(range(len(a)), len(a)), rng.sample(range(len(b)), len(b))
         for sparse, dense in [
@@ -354,22 +327,17 @@ def test_sparse_kernels_match_dense_oracles(mode):
             validate_kernel(sparse)
             assert bits(sparse.matrix) == bits(dense)
         assert bits(channel_distance(f, h)) == bits(dense_channel_distance(f, h))
-        assert make_kernel(a, b, f.matrix, mode).cols == f.cols
+        assert make_kernel(a, b, f.matrix).cols == f.cols
 
 
 def test_compose_copies_only_columns_that_are_exactly_one():
-    # a float column within tolerance of 1 is multiplied, not copied
-    f = make_kernel([BIT], [BIT], [[1.0, 1 - 1e-12], [0.0, 0.0]], mode="float")
-    g = make_kernel([BIT], [TRIT], [[0.5, 0.25], [0.25, 0.25], [0.25, 0.5]], mode="float")
+    f = make_kernel([BIT], [BIT], [[1, 0], [0, 1]])
+    g = make_kernel([BIT], [TRIT], [["1/2", "1/4"], ["1/4", "1/4"], ["1/4", "1/2"]])
     assert bits(compose(g, f).matrix) == bits(dense_compose(g, f))
     assert compose(g, f).cols[0] is g.cols[0]
-
-
-def test_to_float_matches_entrywise_conversion():
-    rng = random.Random(2025)
-    for _ in range(20):
-        f = sparse_random_kernel(rng, (BIT, TRIT), (TRIT, BIT), "rational")
-        assert bits(to_float(f).matrix) == bits(tuple(tuple(float(v) for v in row) for row in f.matrix))
+    # a single entry other than 1 (an unvalidated kernel) is multiplied
+    half = stoch.Kernel((BIT,), (BIT,), (((0, Fraction(1, 2)),), ((1, Fraction(1)),)))
+    assert compose(g, half).cols[0] == tuple((i, v / 2) for i, v in g.cols[0])
 
 
 def test_columns_hold_only_sorted_nonzero_entries():
@@ -377,6 +345,10 @@ def test_columns_hold_only_sorted_nonzero_entries():
     assert k.cols == (((0, Fraction(1)),), ((0, Fraction(1, 2)), (2, Fraction(1, 2))))
     assert k.matrix == ((1, Fraction(1, 2)), (0, 0), (0, Fraction(1, 2)))
     assert k.column(1) == (Fraction(1, 2), 0, Fraction(1, 2))
+    # a Python float becomes its exact binary value
+    quarters = make_kernel([], [BIT], [[0.25], [0.75]])
+    assert quarters.cols == (((0, Fraction(1, 4)), (1, Fraction(3, 4))),)
+    assert all(type(v) is Fraction for _i, v in quarters.cols[0])
     unsorted = stoch.Kernel((BIT,), (BIT,), (((1, Fraction(1, 2)), (0, Fraction(1, 2))), ((1, Fraction(1)),)))
     with pytest.raises(DimensionMismatch):
         validate_kernel(unsorted)
