@@ -188,24 +188,49 @@ class Env:
         return self.resources[name]
 
 
-def _split_rows(tokens: Sequence[str]) -> list[list[Fraction]]:
-    rows: list[list[Fraction]] = [[]]
+def _operand(tokens: list[str], what: str, line: int) -> str:
+    """Pop the next token, which the statement cannot do without."""
+    if not tokens:
+        raise ParseError(line, 1, what)
+    return tokens.pop(0)
+
+
+def _integer(tokens: list[str], what: str, line: int) -> int:
+    """Pop the next token as an integer."""
+    try:
+        return int(_operand(tokens, what, line))
+    except ValueError:
+        raise ParseError(line, 1, what) from None
+
+
+def _number(token: str, line: int) -> Fraction:
+    try:
+        return parse_number(token)
+    except (ValueError, ZeroDivisionError):
+        raise ParseError(line, 1, f"a number, got {token!r}") from None
+
+
+def _split_rows(tokens: Sequence[str], line: int, parse=_number) -> list[list]:
+    """Rows of numbers separated by ';', each number read by `parse`."""
+    rows: list[list] = [[]]
     for tok in tokens:
         if tok == ";":
             rows.append([])
         else:
-            rows[-1].append(parse_number(tok))
+            rows[-1].append(parse(tok, line))
     return [r for r in rows if r]
 
 
-def _split_int_rows(tokens: Sequence[str]) -> list[list[int]]:
-    rows: list[list[int]] = [[]]
-    for tok in tokens:
-        if tok == ";":
-            rows.append([])
-        else:
-            rows[-1].append(int(tok))
-    return [r for r in rows if r]
+def _element(token: str, line: int) -> int:
+    return _integer([token], "an element index", line)
+
+
+def _name_and_round(text: str, sep: str, what: str, line: int) -> tuple[str, int]:
+    """Split 'NAME<sep>ROUND' at the last `sep`."""
+    name, found, rnd = text.rpartition(sep)
+    if not (found and rnd.isdecimal()):
+        raise ParseError(line, 1, what)
+    return name, int(rnd)
 
 
 def _take_section(tokens: list[str], keyword: str, line: int) -> list[str]:
@@ -224,32 +249,35 @@ def elaborate(env: Env, stmt: Statement) -> None:
     tokens = list(stmt.tokens)
     head = tokens.pop(0)
     if head == "alphabet":
-        name = tokens.pop(0)
-        if tokens[:1] != ["size"]:
+        name = _operand(tokens, "an alphabet name", line)
+        if _operand(tokens, "'size N'", line) != "size":
             raise ParseError(line, 1, "'size N'")
-        env.define(env.alphabets, name, Alphabet(name, int(tokens[1])), line)
+        size = _integer(tokens, "a size after 'size'", line)
+        if size < 1:
+            raise ParseError(line, 1, "a positive size after 'size'")
+        env.define(env.alphabets, name, Alphabet(name, size), line)
     elif head in ("group", "quasigroup"):
-        name = tokens.pop(0)
-        kind = tokens.pop(0)
+        name = _operand(tokens, f"a {head} name", line)
+        kind = _operand(tokens, "'cyclic N', 'symmetric3' or 'table ...'", line)
         if head == "group" and kind == "cyclic":
-            g = group_make(("cyclic", int(tokens[0])), name)
+            g = group_make(("cyclic", _integer(tokens, "an order after 'cyclic'", line)), name)
         elif head == "group" and kind == "symmetric3":
             g = group_make("symmetric3", name)
         elif kind == "table":
-            rows = _split_int_rows(tokens)
+            rows = _split_rows(tokens, line, _element)
             g = group_make(rows, name) if head == "group" else loop_make(rows, name)
         else:
             raise ParseError(line, 1, "'cyclic N', 'symmetric3' or 'table ...'")
         env.define(env.groups, name, (g, head == "group"), line)
     elif head == "kernel":
-        name = tokens.pop(0)
+        name = _operand(tokens, "a kernel name", line)
         if tokens and tokens[0] == "gen":
             tokens.pop(0)
-            kind = tokens.pop(0)
+            kind = _operand(tokens, "a generator kind after 'gen'", line)
             if kind in ("mult", "inv", "unit"):
                 from .hopf import group_kernels
 
-                g = env.resolve_group(tokens.pop(0), line)
+                g = env.resolve_group(_operand(tokens, "a group name", line), line)
                 env.define(env.kernels, name, group_kernels(g)[kind], line)
             else:
                 alphas = [env.alphabet(t, line) for t in tokens if not t.isdigit()]
@@ -261,76 +289,85 @@ def elaborate(env: Env, stmt: Statement) -> None:
             cod = [env.alphabet(t, line) for t in _take_section(tokens, "cod", line)]
             if not tokens or tokens[0] != "rows":
                 raise ParseError(line, 1, "'rows ...'")
-            rows = _split_rows(tokens[1:])
+            rows = _split_rows(tokens[1:], line)
             env.define(env.kernels, name, make_kernel(dom, cod, rows), line)
     elif head == "resource":
-        name = tokens.pop(0)
+        name = _operand(tokens, "a resource name", line)
         if tokens and tokens[0] == "builtin":
-            builder = BUILTIN_RESOURCES.get(tokens[1])
+            tokens.pop(0)
+            builtin = _operand(tokens, "a builtin resource after 'builtin'", line)
+            builder = BUILTIN_RESOURCES.get(builtin)
             if builder is None:
-                raise UnresolvedName(f"line {line}: unknown builtin resource {tokens[1]!r}")
+                raise UnresolvedName(f"line {line}: unknown builtin resource {builtin!r}")
             env.define(env.resources, name, builder(), line)
             return
-        parties = _take_section(tokens, "parties", line)[0].split(",")
-        rounds = int(_take_section(tokens, "rounds", line)[0])
+        parties = _operand(_take_section(tokens, "parties", line), "a party list", line).split(",")
+        rounds = _integer(_take_section(tokens, "rounds", line), "a round count after 'rounds'", line)
         port_specs = []
         for spec in _take_section(tokens, "ports", line):
-            pid, party, direction, rest = spec.split(":", 3)
-            alpha_name, rnd = rest.split("@")
+            fields = spec.split(":", 3)
+            if len(fields) != 4:
+                raise ParseError(line, 1, "a port 'id:party:dir:alpha@round'")
+            pid, party, direction, rest = fields
+            alpha_name, rnd = _name_and_round(rest, "@", "a port 'id:party:dir:alpha@round'", line)
             port_specs.append(
-                PortSpec(pid, party, env.alphabet(alpha_name, line), direction, int(rnd))
+                PortSpec(pid, party, env.alphabet(alpha_name, line), direction, rnd)
             )
         sig = make_signature(parties, rounds, port_specs)
         if tokens and tokens[0] == "kernel":
-            kern = env.kernels.get(tokens[1])
+            kname = _operand(tokens[1:], "a kernel name after 'kernel'", line)
+            kern = env.kernels.get(kname)
             if kern is None:
-                raise UnresolvedName(f"line {line}: unknown kernel {tokens[1]!r}")
+                raise UnresolvedName(f"line {line}: unknown kernel {kname!r}")
         elif tokens and tokens[0] == "rows":
             ins = tuple(p.alphabet for p in sig.ins())
             outs = tuple(p.alphabet for p in sig.outs())
-            kern = make_kernel(ins, outs, _split_rows(tokens[1:]))
+            kern = make_kernel(ins, outs, _split_rows(tokens[1:], line))
         else:
             raise ParseError(line, 1, "'kernel NAME' or 'rows ...'")
         env.define(env.resources, name, Resource(make_behavior(sig, kern), name=name), line)
     elif head == "converter":
-        party = tokens.pop(0)
-        name = tokens.pop(0)
+        party = _operand(tokens, "a party", line)
+        name = _operand(tokens, "a converter name", line)
         port_specs = []
         wiring = []
         max_round = 1
         for spec in _take_section(tokens, "ports", line):
             parts = spec.split(":")
+            if len(parts) < 3:
+                raise ParseError(line, 1, "a port 'id:dir:alpha@round'")
             pid, direction, rest = parts[0], parts[1], parts[2]
-            alpha_name, rnd = rest.split("@")
+            alpha_name, rnd = _name_and_round(rest, "@", "a port 'id:dir:alpha@round'", line)
             if len(parts) > 3:
                 if not parts[3].startswith("wire="):
                     raise ParseError(line, 1, "'wire=RESPORT'")
                 wiring.append((pid, parts[3][5:]))
             port_specs.append(
-                PortSpec(pid, party, env.alphabet(alpha_name, line), direction, int(rnd))
+                PortSpec(pid, party, env.alphabet(alpha_name, line), direction, rnd)
             )
-            max_round = max(max_round, int(rnd))
+            max_round = max(max_round, rnd)
         sig = make_signature([party], max_round, port_specs)
         if tokens and tokens[0] == "kernel":
-            kern = env.kernels.get(tokens[1])
+            kname = _operand(tokens[1:], "a kernel name after 'kernel'", line)
+            kern = env.kernels.get(kname)
             if kern is None:
-                raise UnresolvedName(f"line {line}: unknown kernel {tokens[1]!r}")
+                raise UnresolvedName(f"line {line}: unknown kernel {kname!r}")
         elif tokens and tokens[0] == "rows":
             ins = tuple(p.alphabet for p in sig.ins())
             outs = tuple(p.alphabet for p in sig.outs())
-            kern = make_kernel(ins, outs, _split_rows(tokens[1:]))
+            kern = make_kernel(ins, outs, _split_rows(tokens[1:], line))
         else:
             raise ParseError(line, 1, "'kernel NAME' or 'rows ...'")
         env.define(
             env.converters, name, Converter(party, make_behavior(sig, kern), tuple(wiring)), line
         )
     elif head == "protocol":
-        name = tokens.pop(0)
-        if tokens[:1] != ["from"]:
+        name = _operand(tokens, "a protocol name", line)
+        if tokens[:1] != ["from"] or len(tokens) < 4:
             raise ParseError(line, 1, "'from R to S'")
         src = env.resolve_resource(tokens[1], line)
         tgt = env.resolve_resource(tokens[3], line)
-        if tokens[4] != "converters":
+        if tokens[4:5] != ["converters"] or len(tokens) < 6:
             raise ParseError(line, 1, "'converters C1,C2' (or 'converters none')")
         convs = []
         if tokens[5] != "none":
@@ -338,14 +375,14 @@ def elaborate(env: Env, stmt: Statement) -> None:
                 if cname not in env.converters:
                     raise UnresolvedName(f"line {line}: unknown converter {cname!r}")
                 convs.append(env.converters[cname])
-        if tokens[6] != "schedule":
+        if tokens[6:7] != ["schedule"] or len(tokens) < 8:
             raise ParseError(line, 1, "'schedule res.1,...'")
         names = tokens[5].split(",") if convs else []
         by_name = {names[i]: c.party for i, c in enumerate(convs)}
         schedule = []
         for item in tokens[7].split(","):
-            lab, rnd = item.rsplit(".", 1)
-            schedule.append((by_name.get(lab, lab), int(rnd)))
+            lab, rnd = _name_and_round(item, ".", "a schedule item 'NAME.ROUND'", line)
+            schedule.append((by_name.get(lab, lab), rnd))
         env.define(
             env.protocols,
             name,
@@ -401,16 +438,7 @@ def run_check(env: Env, line: int, tokens: tuple[str, ...]) -> dict:
     entry: dict = {"kind": kind, "line": line, "args": " ".join(tokens)}
 
     def operand(what: str) -> str:
-        """The next token, which the check cannot do without."""
-        if not toks:
-            raise ParseError(line, 1, what)
-        return toks.pop(0)
-
-    def integer(what: str) -> int:
-        try:
-            return int(operand(what))
-        except ValueError:
-            raise ParseError(line, 1, what) from None
+        return _operand(toks, what, line)
 
     if kind in ("secure", "epsilon"):
         pname = operand("a protocol name")
@@ -439,7 +467,7 @@ def run_check(env: Env, line: int, tokens: tuple[str, ...]) -> dict:
             entry["verdict"] = rep.verdict
             entry["epsilon"] = scalar_str(rep.epsilon)
             entry["certificate"] = _digest(_cert_payload(rep))
-            entry["pass"] = expected is None or rep.epsilon == parse_number(expected)
+            entry["pass"] = expected is None or rep.epsilon == _number(expected, line)
     elif kind == "split":
         r = env.resolve_resource(operand("a resource name"), line)
         verdict = split_check(r)
@@ -452,7 +480,7 @@ def run_check(env: Env, line: int, tokens: tuple[str, ...]) -> dict:
         r = env.resolve_resource(operand("a resource name"), line)
         adv = min_split_advantage(r)
         entry["advantage"] = scalar_str(adv)
-        entry["pass"] = expected is None or adv == parse_number(expected)
+        entry["pass"] = expected is None or adv == _number(expected, line)
     elif kind == "broadcast":
         r = env.resolve_resource(operand("a resource name"), line)
         verdict = tripartite_split_check(r)
@@ -477,14 +505,14 @@ def run_check(env: Env, line: int, tokens: tuple[str, ...]) -> dict:
             toks.pop(0)
             weights = []
             while toks and toks[0] not in ("attacks",):
-                weights.append(parse_number(toks.pop(0)))
+                weights.append(_number(toks.pop(0), line))
         n_attacks, seed = None, 0
         if toks[:1] == ["attacks"]:
             toks.pop(0)
-            n_attacks = integer("an attack count after 'attacks'")
+            n_attacks = _integer(toks, "an attack count after 'attacks'", line)
             if toks[:1] == ["seed"]:
                 toks.pop(0)
-                seed = integer("a seed after 'seed'")
+                seed = _integer(toks, "a seed after 'seed'", line)
         inst = build_otp(g, weights)
         correct = otp_correctness(inst)
         rep = otp_security(inst)
@@ -500,12 +528,12 @@ def run_check(env: Env, line: int, tokens: tuple[str, ...]) -> dict:
         g = env.resolve_group(operand("a group name"), line)
         if toks[:1] != ["key"]:
             raise ParseError(line, 1, "'key w w ...'")
-        weights = [parse_number(t) for t in toks[1:]]
+        weights = [_number(t, line) for t in toks[1:]]
         inst = build_otp(g, weights)
         rep = min_epsilon(inst.protocol, inst.source, inst.target, ("eve",))
         entry["epsilon"] = scalar_str(rep.epsilon)
         entry["verdict"] = rep.verdict
-        entry["pass"] = expected is None or rep.epsilon == parse_number(expected)
+        entry["pass"] = expected is None or rep.epsilon == _number(expected, line)
     elif kind == "lift":
         from .attacks import check_secure_with
         from .resources import lift_deterministic
@@ -534,7 +562,7 @@ def run_check(env: Env, line: int, tokens: tuple[str, ...]) -> dict:
         bound_ok = rep.composite.epsilon <= rep.expansion_epsilon
         entry["bound_holds"] = bound_ok
         if expect_kind == "expect_at_most":
-            entry["pass"] = bound_ok and rep.composite.epsilon <= parse_number(expected)
+            entry["pass"] = bound_ok and rep.composite.epsilon <= _number(expected, line)
         else:
             entry["pass"] = bound_ok
     else:

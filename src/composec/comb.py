@@ -32,7 +32,7 @@ from .errors import (
     SignatureMismatch,
     WiringMismatch,
 )
-from .scalars import ONE, ZERO, Scalar
+from .scalars import ZERO, Scalar
 from .stoch import (
     UNIT,
     Alphabet,
@@ -286,10 +286,11 @@ def realize(b: Behavior) -> CombKernels:
     """Transcript-memory realization: memory i stores everything seen through
     round i, and round i emits with the conditional P(y_i | x..i, y..i-1).
 
-    A history of probability zero gets a point mass at codomain index 0
-    instead; no execution enters its column, so flatten(realize(b))
-    reproduces b exactly.  The result is memoised on `b` itself; everything
-    is immutable, so sharing is safe.
+    Memory i indexes only the histories through round i that have positive
+    probability, in increasing history code, so every column of every round
+    kernel is entered by some execution, and flatten(realize(b)) reproduces
+    b exactly.  The result is memoised on `b` itself; everything is
+    immutable, so sharing is safe.
     """
     if b._comb is None:
         object.__setattr__(b, "_comb", _realize(b))
@@ -314,17 +315,13 @@ def _realize(b: Behavior) -> CombKernels:
     y_code = [
         index_projection(b.kernel.cod, [pos for pos, p in enumerate(outs) if p.round == r]) for r in rounds
     ]
-    # a history through round r is coded row-major over x_1, y_1, ..., x_r,
-    # y_r; memory r holds that code
-    memories = [UNIT]
-    for r in range(1, k):
-        memories.append(Alphabet(f"mem{r}", memories[-1].size * n_x[r - 1] * n_y[r - 1]))
-    memories.append(UNIT)
 
-    # Round r's column c codes (history through r-1, x_r) and its cell h
-    # codes (c, y_r).  den[r][c] = P(y..r-1 | x..r) and num[r][h] =
+    # A history through round r is coded row-major over x_1, y_1, ..., x_r,
+    # y_r.  Round r's column c codes (history through r-1, x_r) and its cell
+    # h codes (c, y_r).  den[r][c] = P(y..r-1 | x..r) and num[r][h] =
     # P(y..r | x..r), both read from the column of b whose inputs after
-    # round r are 0 and summed in row order, as marginals of b would be.
+    # round r are 0 and summed in row order, as marginals of b would be; so
+    # num[r] holds exactly the histories of positive probability.
     den: list[dict[int, Scalar]] = [{} for _ in rounds]
     num: list[dict[int, Scalar]] = [{} for _ in rounds]
     y_codes: dict[int, list[int]] = {}
@@ -344,21 +341,28 @@ def _realize(b: Behavior) -> CombKernels:
                     d[c] = d[c] + v if c in d else v
                     n[h] = n[h] + v if h in n else v
 
-    point_mass = ((0, ONE),)
+    # memory r holds the index of a history through round r among num[r]'s
+    # in increasing code; by causality every (such history, x_r+1) has
+    # P(y..r | x..r+1) > 0, so every column of round r+1 is entered
+    memories = [UNIT]
+    memory_of = {0: 0}  # history code through round r-1 -> memory value
     kernels = []
     for r in rounds:
+        n_xr, n_yr = n_x[r - 1], n_y[r - 1]
+        histories = sorted(num[r - 1])
+        memories.append(Alphabet(f"mem{r}", len(histories)) if r < k else UNIT)
         n_mem = memories[r].size
-        cols: dict[int, list] = {}
-        for h, p in num[r - 1].items():
-            c, y = divmod(h, n_y[r - 1])
-            d = den[r - 1][c] if r > 1 else ONE
-            q = p / d if d else 0
-            if q:
-                cols.setdefault(c, []).append((y * n_mem + (h if r < k else 0), q))
+        cols: list[list] = [[] for _ in range(len(memory_of) * n_xr)]
+        for m, h in enumerate(histories):
+            c, y = divmod(h, n_yr)
+            prev, x = divmod(c, n_xr)
+            q = num[r - 1][h] / den[r - 1][c] if r > 1 else num[r - 1][h]
+            # increasing h gives increasing codomain index within a column
+            cols[memory_of[prev] * n_xr + x].append((y * n_mem + (m if r < k else 0), q))
         dom = (memories[r - 1],) + x_alphas[r - 1]
         cod = y_alphas[r - 1] + (memories[r],)
-        table = [tuple(sorted(cols[c])) if c in cols else point_mass for c in range(ports_size(dom))]
-        kernels.append(kernel_from_columns(dom, cod, table))
+        kernels.append(kernel_from_columns(dom, cod, [tuple(col) for col in cols]))
+        memory_of = {h: m for m, h in enumerate(histories)}
     return CombKernels(sig, tuple(memories), tuple(kernels))
 
 

@@ -27,27 +27,28 @@ from .comb import (
     IN,
     OUT,
     PortSpec,
-    behavior_from_table,
     make_behavior,
     make_signature,
     observationally_equal,
     tensor_behavior,
 )
-from .errors import InterfaceMismatch, NoIdentity, NotAssociative, NotLatinSquare
+from .errors import DimensionMismatch, InterfaceMismatch, NoIdentity, NotAssociative, NotLatinSquare
 from .resources import RES, Converter, Protocol, Resource, apply_protocol
-from .scalars import ONE, Scalar
+from .scalars import ONE, Scalar, as_scalar
 from .stoch import (
     UNIT,
     Alphabet,
     Kernel,
     channel_distance,
     compose,
+    compose_tensor,
     copy_map,
     delete,
     identity,
     kernel_equal,
     kernel_from_columns,
     make_kernel,
+    permute_axes,
     point,
     ports_size,
     tensor,
@@ -195,24 +196,22 @@ def hopf_axiom_suite(g: FiniteGroup) -> HopfReport:
         )
     )
     results.append(
-        ("H3 coassociativity", kernel_equal(compose(tensor(cpy, idk), cpy), compose(tensor(idk, cpy), cpy)))
+        ("H3 coassociativity", kernel_equal(compose_tensor(cpy, idk, cpy), compose_tensor(idk, cpy, cpy)))
     )
     results.append(
         (
             "H4 counit",
-            kernel_equal(compose(tensor(dele, idk), cpy), idk)
-            and kernel_equal(compose(tensor(idk, dele), cpy), idk),
+            kernel_equal(compose_tensor(dele, idk, cpy), idk)
+            and kernel_equal(compose_tensor(idk, dele, cpy), idk),
         )
     )
-    # the middle wire swap is applied as an axis permutation so the 4-wire
-    # identity-sized matrix never materializes
-    from .stoch import permute_axes
-
+    # the middle wire swap is applied as an axis permutation, and mult (x)
+    # mult (n^4 columns) is built only at the n^2 columns the copies reach
     shuffled = permute_axes(tensor(cpy, cpy), [0, 1], [0, 2, 1, 3])
-    rhs = compose(tensor(mult, mult), shuffled)
+    rhs = compose_tensor(mult, mult, shuffled)
     results.append(("H5 bialgebra", kernel_equal(compose(cpy, mult), rhs)))
     results.append(
-        ("H6 antipode", kernel_equal(compose(mult, compose(tensor(idk, inv), cpy)), compose(unit, dele)))
+        ("H6 antipode", kernel_equal(compose(mult, compose_tensor(idk, inv, cpy)), compose(unit, dele)))
     )
     results.append(
         ("H7 integral", kernel_equal(compose(mult, tensor(unif, idk)), compose(unif, dele)))
@@ -250,10 +249,16 @@ def key_resource(g: FiniteGroup, weights: Optional[Sequence[Scalar]] = None) -> 
     sig = make_signature(
         PARTIES, 1, [PortSpec("ka", ALICE, a, OUT, 1), PortSpec("kb", BOB, a, OUT, 1)]
     )
-    table = [[0] for _ in range(n * n)]
-    for i, w in enumerate(weights):
-        table[i * n + i][0] = w
-    return Resource(behavior_from_table(sig, table), name=f"key_{g.name}")
+    return Resource(make_behavior(sig, _shared_key(a, weights)), name=f"key_{g.name}")
+
+
+def _shared_key(a: Alphabet, weights: Sequence[Scalar]) -> Kernel:
+    """The state drawing k from `weights` and emitting (k, k), validated."""
+    n = a.size
+    if len(weights) > n:
+        raise DimensionMismatch(f"{len(weights)} key weights for alphabet {a.name} of size {n}")
+    col = tuple((i * n + i, w) for i, w in enumerate(map(as_scalar, weights)) if w)
+    return kernel_from_columns((), (a, a), (col,))
 
 
 def auth_channel(g: FiniteGroup) -> Resource:
@@ -270,10 +275,8 @@ def auth_channel(g: FiniteGroup) -> Resource:
             PortSpec("ce", EVE, a, OUT, 1),
         ],
     )
-    table = [[0] * n for _ in range(n * n)]
-    for x in range(n):
-        table[x * n + x][x] = 1
-    return Resource(behavior_from_table(sig, table), name=f"auth_{g.name}")
+    kernel = kernel_from_columns((a,), (a, a), [((x * n + x, ONE),) for x in range(n)])
+    return Resource(make_behavior(sig, kernel), name=f"auth_{g.name}")
 
 
 def secure_channel(g: FiniteGroup) -> Resource:
@@ -290,10 +293,8 @@ def secure_channel(g: FiniteGroup) -> Resource:
             PortSpec("m_out", BOB, a, OUT, 1),
         ],
     )
-    table = [[0] * n for _ in range(n)]
-    for x in range(n):
-        table[x][x] = 1
-    return Resource(behavior_from_table(sig, table), name=f"secure_{g.name}")
+    kernel = kernel_from_columns((a,), (UNIT, a), [((x, ONE),) for x in range(n)])
+    return Resource(make_behavior(sig, kernel), name=f"secure_{g.name}")
 
 
 def build_otp(g: FiniteGroup, key_weights: Optional[Sequence[Scalar]] = None) -> OtpInstance:
@@ -393,14 +394,10 @@ class StreamCipherReport:
 
 
 def short_key_resource(h: Alphabet, name: str = "short_key") -> Resource:
-    n = h.size
     sig = make_signature(
         PARTIES, 1, [PortSpec("ka_s", ALICE, h, OUT, 1), PortSpec("kb_s", BOB, h, OUT, 1)]
     )
-    table = [[0] for _ in range(n * n)]
-    for i in range(n):
-        table[i * n + i][0] = Fraction(1, n)
-    return Resource(behavior_from_table(sig, table), name=name)
+    return Resource(make_behavior(sig, _shared_key(h, [Fraction(1, h.size)] * h.size)), name=name)
 
 
 def key_expansion_protocol(g: FiniteGroup, expander: Kernel) -> tuple[Protocol, Resource]:

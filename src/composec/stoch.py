@@ -278,13 +278,28 @@ def scaled_column(acc: dict[int, int], den: int) -> Column:
 
 def compose(g: Kernel, f: Kernel) -> Kernel:
     """Sequential composition g after f (matrix product)."""
-    if g.dom != f.cod:
+    _check_middle(g.dom, f)
+    return Kernel(f.dom, g.cod, _compose_columns(g.cols, f.cols))
+
+
+def compose_tensor(g1: Kernel, g2: Kernel, f: Kernel) -> Kernel:
+    """compose(tensor(g1, g2), f), building only the columns of the tensor
+    that f's support reaches, each once."""
+    _check_middle(g1.dom + g2.dom, f)
+    return Kernel(f.dom, g1.cod + g2.cod, _compose_columns(_TensorColumns(g1, g2), f.cols))
+
+
+def _check_middle(g_dom: tuple[Alphabet, ...], f: Kernel) -> None:
+    if g_dom != f.cod:
         raise InterfaceMismatch(
-            f"cannot compose: middle interface {[a.name for a in f.cod]} vs {[a.name for a in g.dom]}"
+            f"cannot compose: middle interface {[a.name for a in f.cod]} vs {[a.name for a in g_dom]}"
         )
-    gcols = g.cols
+
+
+def _compose_columns(gcols, fcols: Sequence[Column]) -> tuple[Column, ...]:
+    """The columns of g after f, given g's columns by index in `gcols`."""
     cols = []
-    for fcol in f.cols:
+    for fcol in fcols:
         if len(fcol) == 1 and fcol[0][1] == 1:  # deterministic column: g's column
             cols.append(gcols[fcol[0][0]])
             continue
@@ -294,7 +309,7 @@ def compose(g: Kernel, f: Kernel) -> Kernel:
                 p = gik * fkj
                 acc[i] = acc[i] + p if i in acc else p
         cols.append(sparse_column(acc))
-    return Kernel(f.dom, g.cod, tuple(cols))
+    return tuple(cols)
 
 
 def tensor(f: Kernel, g: Kernel) -> Kernel:
@@ -302,21 +317,45 @@ def tensor(f: Kernel, g: Kernel) -> Kernel:
     n = g.n_cod
     cols = []
     for fcol in f.cols:
-        # structural kernels are mostly 1s, and a 1 copies g's column; each
-        # entry of f is tested once, not once per column of g
-        fentries = [(i1 * n, a, a == 1) for i1, a in fcol]
+        fentries = _tensor_entries(fcol, n)
         for gcol in g.cols:
-            col = []
-            for base, a, unit in fentries:
-                if unit:
-                    col.extend((base + i2, b) for i2, b in gcol)
-                    continue
-                for i2, b in gcol:
-                    p = a * b
-                    if p:
-                        col.append((base + i2, p))
-            cols.append(tuple(col))
+            cols.append(_tensor_column(fentries, gcol))
     return Kernel(f.dom + g.dom, f.cod + g.cod, tuple(cols))
+
+
+class _TensorColumns(dict):
+    """The columns of tensor(f, g) by index, each built on first use."""
+
+    def __init__(self, f: Kernel, g: Kernel) -> None:
+        super().__init__()
+        self.f, self.g = f, g
+        self.g_dom, self.g_cod = g.n_dom, g.n_cod
+
+    def __missing__(self, j: int) -> Column:
+        j1, j2 = divmod(j, self.g_dom)
+        col = self[j] = _tensor_column(_tensor_entries(self.f.cols[j1], self.g_cod), self.g.cols[j2])
+        return col
+
+
+def _tensor_entries(fcol: Column, n: int) -> list[tuple[int, Scalar, bool]]:
+    """(row offset, value, value is 1) per entry of a left column, against a
+    right factor with n rows.  Structural kernels are mostly 1s, and a 1
+    copies the right column; each entry is tested once, not once per right
+    column."""
+    return [(i1 * n, a, a == 1) for i1, a in fcol]
+
+
+def _tensor_column(fentries: list[tuple[int, Scalar, bool]], gcol: Column) -> Column:
+    col = []
+    for base, a, unit in fentries:
+        if unit:
+            col.extend((base + i2, b) for i2, b in gcol)
+            continue
+        for i2, b in gcol:
+            p = a * b
+            if p:
+                col.append((base + i2, p))
+    return tuple(col)
 
 
 # ---------------------------------------------------------------------------

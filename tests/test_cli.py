@@ -188,6 +188,8 @@ def test_main_resource_limit_emits_report(tmp_path, capsys):
         ("check otp g attacks", "expected an attack count"),
         ("check otp g attacks x", "expected an attack count"),
         ("check axioms g expect", "expected a value after 'expect'"),
+        ("check otp g key 1/2 x", "expected a number, got 'x'"),
+        ("check otp g key 1/2 1/4 1/4", "3 key weights for alphabet g of size 2"),
     ],
     ids=[
         "lift-unknown-group",
@@ -196,6 +198,8 @@ def test_main_resource_limit_emits_report(tmp_path, capsys):
         "otp-attacks-no-count",
         "otp-attacks-bad-count",
         "expect-no-value",
+        "otp-key-not-a-number",
+        "otp-key-longer-than-group",
     ],
 )
 def test_malformed_check_line_gives_an_error_entry(bad, message, tmp_path, capsys):
@@ -211,6 +215,41 @@ def test_malformed_check_line_gives_an_error_entry(bad, message, tmp_path, capsy
     assert axioms["kind"] == "axioms" and axioms["pass"]
     assert entry["line"] == 3 and not entry["pass"]
     assert message in entry["error"]
+
+
+# a truncated or malformed declaration is a parse error naming its line and
+# what was expected: exit 2, no report, no traceback
+TRUNCATED = [
+    ("alphabet", "an alphabet name"),
+    ("alphabet a size", "a size after 'size'"),
+    ("alphabet a size x", "a size after 'size'"),
+    ("alphabet a size 0", "a positive size after 'size'"),
+    ("group g", "'cyclic N', 'symmetric3' or 'table ...'"),
+    ("group g cyclic", "an order after 'cyclic'"),
+    ("group g cyclic x", "an order after 'cyclic'"),
+    ("group g table 0 1 ; 1 x", "an element index"),
+    ("kernel k gen", "a generator kind after 'gen'"),
+    ("kernel k gen mult", "a group name"),
+    ("resource r builtin", "a builtin resource after 'builtin'"),
+    ("resource r parties a rounds x ports", "a round count after 'rounds'"),
+    ("resource r parties a rounds 1 ports x:a:in", "a port 'id:party:dir:alpha@round'"),
+    ("resource r parties a rounds 1 ports x:a:in:unit@one", "a port 'id:party:dir:alpha@round'"),
+    ("resource r parties a rounds 1 ports y:a:out:unit@1 rows x", "a number, got 'x'"),
+    ("converter alice", "a converter name"),
+    ("converter alice c ports x:in kernel k", "a port 'id:dir:alpha@round'"),
+    ("protocol p from r", "'from R to S'"),
+]
+
+
+@pytest.mark.parametrize("bad, expected", TRUNCATED, ids=[bad.replace(" ", "-") for bad, _e in TRUNCATED])
+def test_truncated_declaration_is_a_parse_error(bad, expected, tmp_path, capsys):
+    spec = tmp_path / "bad.spec"
+    spec.write_text(f"{bad}\ncheck axioms g\n")
+    code = main(["verify", str(spec), "--no-meta"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == f"composec: line 1, col 1: expected {expected}\n"
+    assert captured.out == ""
 
 
 def test_bare_check_is_a_parse_error():

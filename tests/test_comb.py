@@ -140,24 +140,43 @@ def _entered_columns(comb):
     return entered
 
 
+def _reachable_histories(behavior, r):
+    """The histories x_1 y_1 ... x_r y_r of positive probability, as the
+    round-r truncations of the positive cells of the table."""
+    sig = behavior.signature
+    ins, outs = sig.ins(), sig.outs()
+    seen = set()
+    for j, col in enumerate(behavior.kernel.cols):
+        x = index_tuple(behavior.kernel.dom, j)
+        for i, _v in col:
+            y = index_tuple(behavior.kernel.cod, i)
+            seen.add(
+                tuple((v, p.round) for v, p in zip(x, ins) if p.round <= r)
+                + tuple((v, p.round) for v, p in zip(y, outs) if p.round <= r)
+            )
+    return seen
+
+
 @pytest.mark.parametrize(
-    "behavior,n_unreachable",
+    "behavior,memory_sizes,round_columns",
     [
-        # round 2 remembers both key copies: 9 of its 27 columns have ka = kb
-        (build_otp(group_make(("cyclic", 3))).source.behavior, 18),
-        (commitment_resource().behavior, 0),
+        # memory 1 holds the 3 key pairs with ka = kb, not all 9, so round
+        # 2 has 3 x 3 columns, not 9 x 3
+        (build_otp(group_make(("cyclic", 3))).source.behavior, (1, 3, 1), (1, 9)),
+        (commitment_resource().behavior, (1, 2, 1), (2, 2)),
     ],
     ids=["otp_source_z3", "commitment"],
 )
-def test_realize_point_mass_on_unreachable_histories(behavior, n_unreachable):
+def test_realize_memories_index_reachable_histories(behavior, memory_sizes, round_columns):
     comb = realize(behavior)
     assert flatten(comb) == behavior
-    unreachable = 0
     for f, entered in zip(comb.kernels, _entered_columns(comb)):
-        for col in set(range(f.n_dom)) - entered:
-            assert len(f.cols[col]) == 1
-            unreachable += 1
-    assert unreachable == n_unreachable
+        assert entered == set(range(f.n_dom))
+    k = behavior.signature.rounds
+    for r in range(1, k):
+        assert comb.memories[r].size == len(_reachable_histories(behavior, r))
+    assert tuple(m.size for m in comb.memories) == memory_sizes
+    assert tuple(f.n_dom for f in comb.kernels) == round_columns
 
 
 def test_realize_memo_belongs_to_each_behavior():

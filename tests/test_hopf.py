@@ -2,17 +2,21 @@ from fractions import Fraction
 
 import pytest
 
-from composec.errors import NoIdentity, NotAssociative, NotLatinSquare
+from composec.errors import ComposecError, NoIdentity, NotAssociative, NotLatinSquare
 from composec.hopf import (
     FiniteGroup,
+    auth_channel,
     build_otp,
     group_alphabet,
     group_kernels,
     group_make,
     hopf_axiom_suite,
+    key_resource,
     loop_make,
     otp_correctness,
     otp_security,
+    secure_channel,
+    short_key_resource,
     stream_cipher_demo,
 )
 from composec.stoch import Alphabet, compose, kernel_equal, make_kernel, point, tensor, uniform
@@ -80,6 +84,12 @@ def test_hopf_axioms_pass_for_groups():
     for n in range(2, 9):
         assert hopf_axiom_suite(group_make(("cyclic", n))).all_pass
     assert hopf_axiom_suite(group_make("symmetric3")).all_pass
+
+
+@pytest.mark.parametrize("n", [24, 32])
+def test_hopf_axioms_pass_for_large_cyclic_groups(n):
+    rep = hopf_axiom_suite(group_make(("cyclic", n)))
+    assert len(rep.axioms) == 7 and rep.all_pass
 
 
 def test_hopf_axioms_fail_for_loop():
@@ -231,3 +241,47 @@ def test_group_kernels_equal_dense_table_builds():
         assert ks["mult"] == make_kernel([a, a], [a], mult), g.name
         assert ks["inv"] == make_kernel([a], [a], inv), g.name
         assert {type(v) for name in ("mult", "inv") for col in ks[name].cols for _i, v in col} == {Fraction}
+
+
+def test_otp_resources_equal_dense_table_builds():
+    for g in [group_make(("cyclic", n)) for n in range(2, 9)] + [group_make("symmetric3")]:
+        a, n = group_alphabet(g), g.order
+        weights = [F(k + 1, n * (n + 1) // 2) for k in range(n)]
+        key = [[0] for _ in range(n * n)]
+        for i, w in enumerate(weights):
+            key[i * n + i][0] = w
+        auth = [[0] * n for _ in range(n * n)]
+        secure = [[0] * n for _ in range(n)]
+        for x in range(n):
+            auth[x * n + x][x] = 1
+            secure[x][x] = 1
+        uniform_key = [[F(1, n) if i % (n + 1) == 0 else 0] for i in range(n * n)]
+        assert key_resource(g, weights).behavior.kernel == make_kernel([], [a, a], key), g.name
+        assert key_resource(g).behavior.kernel == make_kernel([], [a, a], uniform_key), g.name
+        assert short_key_resource(a).behavior.kernel == make_kernel([], [a, a], uniform_key), g.name
+        assert auth_channel(g).behavior.kernel == make_kernel([a], [a, a], auth), g.name
+        assert secure_channel(g).behavior.kernel.cols == make_kernel([a], [a], secure).cols, g.name
+
+
+@pytest.mark.parametrize(
+    "weights",
+    [
+        [F(-1, 2), F(1, 2), 1],
+        [F(1, 2), F(1, 4), F(1, 8)],
+        [F(1, 4)] * 4,
+        [F(1, 2), F(1, 2), 0, 0],
+    ],
+    ids=["negative", "sum_not_one", "longer_than_group", "zeros_past_the_group"],
+)
+def test_key_resource_rejects_bad_weights(weights):
+    g = group_make(("cyclic", 3))
+    with pytest.raises(ComposecError):
+        key_resource(g, weights)
+    with pytest.raises(ComposecError):
+        build_otp(g, weights)
+
+
+def test_key_weights_are_exact():
+    g = group_make(("cyclic", 2))
+    key = key_resource(g, [0.25, "3/4"]).behavior.kernel
+    assert key.cols == (((0, F(1, 4)), (3, F(3, 4))),)

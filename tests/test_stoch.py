@@ -17,6 +17,7 @@ from composec.stoch import (
     Dist,
     channel_distance,
     compose,
+    compose_tensor,
     copy_map,
     delete,
     equal_within,
@@ -35,6 +36,7 @@ from composec.stoch import (
     uniform,
     validate_kernel,
 )
+from tests import helpers
 from tests.helpers import (
     dense_channel_distance,
     dense_compose,
@@ -374,3 +376,49 @@ def test_make_kernel_refuses_a_table_past_the_size_cap():
     dom, cod = (Alphabet("x", 1 << 11),), (Alphabet("y", 1 << 10),)
     with pytest.raises(DimensionMismatch, match="exceeds size cap"):
         make_kernel(dom, cod, Unread())
+
+
+def _random_deterministic(rng, dom, cod):
+    n_cod = stoch.ports_size(cod)
+    rows = [rng.randrange(n_cod) for _ in range(stoch.ports_size(dom))]
+    return stoch.kernel_from_columns(dom, cod, [((i, Fraction(1)),) for i in rows])
+
+
+def test_compose_tensor_equals_compose_of_tensor():
+    rng = random.Random(8080)
+    alphabets = [stoch.UNIT, BIT, TRIT]
+    for trial in range(80):
+        d1, c1, d2, c2 = ([rng.choice(alphabets) for _ in range(rng.randint(0, 2))] for _ in range(4))
+        e = [rng.choice(alphabets) for _ in range(rng.randint(0, 2))]
+        # deterministic factors take the copy paths of compose and tensor;
+        # random ones (from helpers) have zero and non-1 entries
+        g1 = _random_deterministic(rng, d1, c1) if trial % 3 == 0 else helpers.random_kernel(rng, d1, c1)
+        g2 = helpers.random_kernel(rng, d2, c2)
+        f = (_random_deterministic if trial % 2 == 0 else helpers.random_kernel)(rng, e, d1 + d2)
+        assert compose_tensor(g1, g2, f) == compose(tensor(g1, g2), f)
+
+
+def test_compose_tensor_builds_only_reached_columns(monkeypatch):
+    built = []
+    real = stoch._tensor_column
+    monkeypatch.setattr(stoch, "_tensor_column", lambda *args: built.append(args) or real(*args))
+    z6 = Alphabet("z6", 6)
+    add = make_kernel([z6, z6], [z6], [[int((i + j) % 6 == k) for i in range(6) for j in range(6)] for k in range(6)])
+    # a point on four wires reaches one of the 1,296 columns of add (x) add
+    state = compose(copy_map([z6, z6]), point([z6, z6], [2, 5]))
+    lazy = compose_tensor(add, add, state)
+    assert len(built) == 1
+    assert lazy == compose(tensor(add, add), state)
+    # a uniform state reaches every column: compose_tensor builds each
+    # once, as tensor does
+    built.clear()
+    state = uniform([z6] * 4)
+    assert compose_tensor(add, add, state) == compose(tensor(add, add), state)
+    assert len(built) == 2 * 6**4
+
+
+def test_compose_tensor_interface_mismatch():
+    with pytest.raises(InterfaceMismatch):
+        compose_tensor(identity([BIT]), identity([TRIT]), identity([BIT, BIT]))
+    with pytest.raises(InterfaceMismatch):
+        compose_tensor(identity([BIT]), identity([BIT]), identity([BIT]))
