@@ -89,7 +89,7 @@ from .nogo import (
 )
 from .resources import Converter, Protocol, Resource
 from .scalars import parse_number, scalar_str
-from .stoch import Alphabet, Kernel, make_kernel, structural
+from .stoch import STRUCTURAL, Alphabet, Kernel, make_kernel, structural
 
 BUILTIN_RESOURCES = {
     "commitment": commitment_resource,
@@ -233,6 +233,16 @@ def _name_and_round(text: str, sep: str, what: str, line: int) -> tuple[str, int
     return name, int(rnd)
 
 
+def _port(env: Env, pid: str, party: str, direction: str, rest: str, what: str, line: int) -> PortSpec:
+    """A port from its id, party, direction and 'alpha@round'."""
+    if direction not in (IN, OUT):
+        raise ParseError(line, 1, f"a port direction 'in' or 'out', got {direction!r}")
+    alpha_name, rnd = _name_and_round(rest, "@", what, line)
+    if rnd < 1:
+        raise ParseError(line, 1, "a port round of at least 1")
+    return PortSpec(pid, party, env.alphabet(alpha_name, line), direction, rnd)
+
+
 def _take_section(tokens: list[str], keyword: str, line: int) -> list[str]:
     if not tokens or tokens[0] != keyword:
         raise ParseError(line, 1, f"{keyword!r} section")
@@ -279,6 +289,8 @@ def elaborate(env: Env, stmt: Statement) -> None:
 
                 g = env.resolve_group(_operand(tokens, "a group name", line), line)
                 env.define(env.kernels, name, group_kernels(g)[kind], line)
+            elif kind not in STRUCTURAL:
+                raise ParseError(line, 1, f"a generator kind after 'gen', got {kind!r}")
             else:
                 alphas = [env.alphabet(t, line) for t in tokens if not t.isdigit()]
                 values = [int(t) for t in tokens if t.isdigit()]
@@ -303,16 +315,19 @@ def elaborate(env: Env, stmt: Statement) -> None:
             return
         parties = _operand(_take_section(tokens, "parties", line), "a party list", line).split(",")
         rounds = _integer(_take_section(tokens, "rounds", line), "a round count after 'rounds'", line)
+        if rounds < 1:
+            raise ParseError(line, 1, "a positive round count after 'rounds'")
         port_specs = []
         for spec in _take_section(tokens, "ports", line):
             fields = spec.split(":", 3)
             if len(fields) != 4:
                 raise ParseError(line, 1, "a port 'id:party:dir:alpha@round'")
-            pid, party, direction, rest = fields
-            alpha_name, rnd = _name_and_round(rest, "@", "a port 'id:party:dir:alpha@round'", line)
-            port_specs.append(
-                PortSpec(pid, party, env.alphabet(alpha_name, line), direction, rnd)
-            )
+            port = _port(env, *fields, "a port 'id:party:dir:alpha@round'", line)
+            if port.round > rounds:
+                raise ParseError(line, 1, f"a port round of at most {rounds}, got {port.round}")
+            if port.party not in parties:
+                raise UnresolvedName(f"line {line}: unknown party {port.party!r}")
+            port_specs.append(port)
         sig = make_signature(parties, rounds, port_specs)
         if tokens and tokens[0] == "kernel":
             kname = _operand(tokens[1:], "a kernel name after 'kernel'", line)
@@ -336,16 +351,13 @@ def elaborate(env: Env, stmt: Statement) -> None:
             parts = spec.split(":")
             if len(parts) < 3:
                 raise ParseError(line, 1, "a port 'id:dir:alpha@round'")
-            pid, direction, rest = parts[0], parts[1], parts[2]
-            alpha_name, rnd = _name_and_round(rest, "@", "a port 'id:dir:alpha@round'", line)
+            port = _port(env, parts[0], party, parts[1], parts[2], "a port 'id:dir:alpha@round'", line)
             if len(parts) > 3:
                 if not parts[3].startswith("wire="):
                     raise ParseError(line, 1, "'wire=RESPORT'")
-                wiring.append((pid, parts[3][5:]))
-            port_specs.append(
-                PortSpec(pid, party, env.alphabet(alpha_name, line), direction, rnd)
-            )
-            max_round = max(max_round, rnd)
+                wiring.append((port.id, parts[3][5:]))
+            port_specs.append(port)
+            max_round = max(max_round, port.round)
         sig = make_signature([party], max_round, port_specs)
         if tokens and tokens[0] == "kernel":
             kname = _operand(tokens[1:], "a kernel name after 'kernel'", line)

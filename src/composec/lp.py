@@ -10,10 +10,12 @@ the dense matrix `a` is a view built on first read.
 The solver is a two-phase tableau simplex with Bland's rule, which cannot
 cycle.  Each tableau row is held as integers: a dict of its
 nonzero numerators by column, the right-hand side under one extra key, and
-one positive denominator for the whole row, in lowest terms.  Zero cells are
-never stored, a pivot combines two rows over the union of their supports,
-and the ratio test compares rhs_i / N_i[enter] by cross-multiplication, since
-the row denominators cancel.  Every pivot is exact, so a Feasible/Optimal
+one positive denominator for the whole row, not necessarily in lowest terms.
+Zero cells are never stored, a pivot combines two rows over the union of
+their supports, and a gcd reduction runs only when a row's denominator
+grows.  The ratio test compares rhs_i / N_i[enter] by cross-multiplication,
+since the row denominators cancel, and its scan also finds the rows the
+pivot changes.  Every pivot is exact, so a Feasible/Optimal
 point satisfies the constraints exactly and an Infeasible outcome carries a
 Farkas certificate y with  yT A <= 0  and  yT b > 0, checkable without
 trusting the solver.
@@ -132,10 +134,10 @@ def _preprocess(rows, b):
             y = [ZERO] * len(rows)
             y[i] = ONE if bi > 0 else -ONE
             return "infeasible", tuple(y)
-        key = (pairs, bi)
-        if key in seen:
+        size = len(seen)
+        seen.add((pairs, bi))  # one hash per row
+        if len(seen) == size:
             continue
-        seen.add(key)
         kept.append(pairs)
         rhs.append(bi)
         keep.append(i)
@@ -151,8 +153,10 @@ class _ExactSimplex:
 
     Row i stands for rows[i] / dens[i]: a dict of the nonzero integer
     numerators (right-hand side under `_RHS`) over one positive integer
-    denominator, kept in lowest terms.  Every cell equals the `Fraction` a
-    dense tableau would hold, so Bland's rule makes the same pivots."""
+    denominator.  A row is reduced by its gcd only when a pivot grows its
+    denominator, so it need not be in lowest terms; nothing read from it
+    depends on that.  Every cell equals the `Fraction` a dense tableau would
+    hold, so Bland's rule makes the same pivots."""
 
     def __init__(self, pairs, rhs, n):
         self.n = n
@@ -191,7 +195,9 @@ class _ExactSimplex:
                     del obj[k]
         self.obj, self.obj_den = obj, _reduce(obj, den)
 
-    def _pivot(self, r, col):
+    def _pivot(self, r, col, hits):
+        """Pivot on row r, column col; `hits` lists (i, row, entry) for every
+        row with a nonzero entry in col, row r included."""
         prow = self.rows[r]
         p = prow[col]
         if p < 0:
@@ -203,11 +209,11 @@ class _ExactSimplex:
             for k in prow:
                 prow[k] //= g
             p //= g
-        self.dens[r] = p
-        for i, row in enumerate(self.rows):
-            f = row.get(col)
-            if f and i != r:
-                self.dens[i] = _eliminate(row, self.dens[i], f, prow, p)
+        dens = self.dens
+        dens[r] = p
+        for i, row, f in hits:
+            if i != r:
+                dens[i] = _eliminate(row, dens[i], f, prow, p)
         if self.obj is not None:
             f = self.obj.get(col)
             if f:
@@ -218,23 +224,27 @@ class _ExactSimplex:
         """Bland's rule: smallest entering column with a negative reduced
         cost, leaving row by the smallest ratio rhs_i / N_i[enter] (compared
         by cross-multiplication, the row denominators cancel), tie-broken by
-        smallest basis variable.  Returns None or the unbounded column."""
+        smallest basis variable.  The ratio test's scan also collects the
+        rows the pivot eliminates.  Returns None or the unbounded column."""
         rows, basis = self.rows, self.basis
         while True:
-            enter = min((k for k, v in self.obj.items() if v < 0 and k != _RHS), default=-1)
+            enter = min([k for k, v in self.obj.items() if v < 0 and k != _RHS], default=-1)
             if enter < 0:
                 return None
+            hits = []
             leave, best_rhs, best_piv = -1, 0, 1
             for i, row in enumerate(rows):
-                piv = row.get(enter, 0)
-                if piv > 0:
-                    lhs = row.get(_RHS, 0) * best_piv
-                    rhs = best_rhs * piv
-                    if leave < 0 or lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
-                        leave, best_rhs, best_piv = i, row.get(_RHS, 0), piv
+                piv = row.get(enter)
+                if piv:
+                    hits.append((i, row, piv))
+                    if piv > 0:
+                        b = row.get(_RHS, 0)
+                        lhs, rhs = b * best_piv, best_rhs * piv
+                        if leave < 0 or lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
+                            leave, best_rhs, best_piv = i, b, piv
             if leave < 0:
                 return enter
-            self._pivot(leave, enter)
+            self._pivot(leave, enter, hits)
 
     def phase1(self):
         """Returns ('feasible', None) or ('infeasible', y) for the scaled rows."""
@@ -252,7 +262,7 @@ class _ExactSimplex:
             if self.basis[r] >= n:
                 col = min((k for k in self.rows[r] if 0 <= k < n), default=-1)
                 if col >= 0:
-                    self._pivot(r, col)
+                    self._pivot(r, col, [(i, row, row[col]) for i, row in enumerate(self.rows) if col in row])
                     r += 1
                 else:
                     del self.rows[r], self.dens[r], self.basis[r]
@@ -283,7 +293,13 @@ class _ExactSimplex:
 def _eliminate(row, den, f, prow, p):
     """Replace `row` / den, whose cell in the pivot column is f / den, by
     (row * p - f * prow) / (den * p) in place, over the union of the two
-    supports; returns the new denominator."""
+    supports, with f and p first divided by their gcd; returns the new
+    denominator.  When p divides f the row is not scaled, its denominator
+    stays and no reduction runs."""
+    g = gcd(f, p)
+    if g > 1:
+        f //= g
+        p //= g
     if p != 1:
         for k in row:
             row[k] *= p
@@ -293,7 +309,7 @@ def _eliminate(row, den, f, prow, p):
             row[k] = nv
         else:
             del row[k]
-    return _reduce(row, den * p)
+    return den if p == 1 else _reduce(row, den * p)
 
 
 def _reduce(row, den):

@@ -405,7 +405,7 @@ def uniform(ports: Sequence[Alphabet]) -> Kernel:
     return Kernel((), tuple(ports), (tuple((i, w) for i in range(n)),))
 
 
-_STRUCTURAL = {
+STRUCTURAL = {
     "identity": lambda ports, **kw: identity(ports),
     "swap": lambda ports, **kw: permutation(ports, tuple(reversed(range(len(ports)))))
     if len(ports) == 2
@@ -425,7 +425,7 @@ def _bad_swap(ports):
 def structural(kind: str, ports: Sequence[Alphabet], **kwargs) -> Kernel:
     """Named generator dispatch; see the individual constructors."""
     try:
-        builder = _STRUCTURAL[kind]
+        builder = STRUCTURAL[kind]
     except KeyError:
         raise ValueError(f"unknown structural kernel kind {kind!r}") from None
     return builder(tuple(ports), **kwargs)

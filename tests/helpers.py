@@ -301,15 +301,18 @@ class DenseSimplex:
     def _pivot(self, obj, r, col):
         inv = 1 / self.tab[r][col]
         prow = self.tab[r] = [v * inv for v in self.tab[r]]
+        # subtracting factor * 0 leaves a cell as it is, so only the pivot
+        # row's nonzero cells are visited
+        support = [k for k, v in enumerate(prow) if v]
         for i in range(self.m):
             row = self.tab[i]
             factor = row[col]
             if i != r and factor:
-                for k in range(len(row)):
+                for k in support:
                     row[k] -= factor * prow[k]
         factor = obj[col]
         if factor:
-            for k in range(len(obj)):
+            for k in support:
                 obj[k] -= factor * prow[k]
         self.basis[r] = col
 

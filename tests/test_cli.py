@@ -238,6 +238,16 @@ TRUNCATED = [
     ("converter alice", "a converter name"),
     ("converter alice c ports x:in kernel k", "a port 'id:dir:alpha@round'"),
     ("protocol p from r", "'from R to S'"),
+    ("kernel k gen bogus unit", "a generator kind after 'gen', got 'bogus'"),
+    ("resource r parties a rounds 0 ports y:a:out:unit@1 rows 1", "a positive round count after 'rounds'"),
+    (
+        "resource r parties a rounds 1 ports y:a:sideways:unit@1 rows 1",
+        "a port direction 'in' or 'out', got 'sideways'",
+    ),
+    ("resource r parties a rounds 1 ports y:a:out:unit@0 rows 1", "a port round of at least 1"),
+    ("resource r parties a rounds 1 ports y:a:out:unit@2 rows 1", "a port round of at most 1, got 2"),
+    ("converter alice c ports x:sideways:unit@1 rows 1", "a port direction 'in' or 'out', got 'sideways'"),
+    ("converter alice c ports x:out:unit@0 rows 1", "a port round of at least 1"),
 ]
 
 
@@ -249,6 +259,16 @@ def test_truncated_declaration_is_a_parse_error(bad, expected, tmp_path, capsys)
     captured = capsys.readouterr()
     assert code == 2
     assert captured.err == f"composec: line 1, col 1: expected {expected}\n"
+    assert captured.out == ""
+
+
+def test_port_of_an_undeclared_party_is_an_unresolved_name(tmp_path, capsys):
+    spec = tmp_path / "bad.spec"
+    spec.write_text("resource r parties a rounds 1 ports y:b:out:unit@1 rows 1\n")
+    code = main(["verify", str(spec), "--no-meta"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == "composec: line 1: unknown party 'b'\n"
     assert captured.out == ""
 
 

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from composec import lp as lpmod
 from composec import nogo
 from composec.attacks import min_epsilon
 from composec.errors import DimensionMismatch
@@ -20,7 +21,7 @@ from composec.lp import (
     verify,
 )
 
-from tests.helpers import dense_minimize, dense_solve_feasible
+from tests.helpers import DenseSimplex, dense_minimize, dense_solve_feasible
 
 F = Fraction
 
@@ -236,6 +237,19 @@ def test_program_rows_and_dense_view():
         LinearProgram(3, prog.rows, (F(1),))
 
 
+def _adaptive_checks():
+    """Every LP check of one pass of the benchmark's `adaptive` workload."""
+    for r in (nogo.commitment_resource(), nogo.ot_resource(), nogo.identity_channel_resource()):
+        nogo.split_check(r)
+        nogo.min_split_advantage(r)
+    for r in (nogo.broadcast_resource(), nogo.product_uniform_resource()):
+        nogo.tripartite_split_check(r)
+        nogo.broadcast_contradiction_oracle(r)
+    for order, key in ((3, (F(1, 2), F(1, 2), 0)), (4, (F(1, 2), F(1, 4), F(1, 4), 0))):
+        inst = build_otp(group_make(("cyclic", order)), key)
+        min_epsilon(inst.protocol, inst.source, inst.target, ("eve",))
+
+
 def test_dense_view_equals_the_dense_build_on_an_adaptive_pass(monkeypatch):
     """`lp.a` holds what `LpBuilder.build` wrote when rows were dense, on
     every program of the benchmark's `adaptive` checks."""
@@ -248,15 +262,7 @@ def test_dense_view_equals_the_dense_build_on_an_adaptive_pass(monkeypatch):
         return built[-1][1]
 
     monkeypatch.setattr(LpBuilder, "build", recording)
-    for r in (nogo.commitment_resource(), nogo.ot_resource(), nogo.identity_channel_resource()):
-        nogo.split_check(r)
-        nogo.min_split_advantage(r)
-    for r in (nogo.broadcast_resource(), nogo.product_uniform_resource()):
-        nogo.tripartite_split_check(r)
-        nogo.broadcast_contradiction_oracle(r)
-    for order, key in ((3, (F(1, 2), F(1, 2), 0)), (4, (F(1, 2), F(1, 4), F(1, 4), 0))):
-        inst = build_otp(group_make(("cyclic", order)), key)
-        min_epsilon(inst.protocol, inst.source, inst.target, ("eve",))
+    _adaptive_checks()
     assert len(built) >= 10
     for dense, prog in built:
         assert prog.a == dense
@@ -328,3 +334,72 @@ def test_sparse_simplex_matches_dense_oracle():
         redundant_feasible += redundant and isinstance(out, Optimal)
     assert min(kinds[k] for k in ("Feasible", "Infeasible", "Optimal", "Unbounded")) >= 20, kinds
     assert redundant_feasible >= 10
+
+
+def _log_pivots(monkeypatch):
+    """Record the (leaving basic variable, entering column) pair of every
+    pivot of the integer-row solver and of the dense oracle, and count the
+    eliminations that ran no gcd reduction."""
+    log = {"exact": [], "dense": [], "eliminations": 0, "skipped": 0, "reductions": 0}
+    pivot, dense_pivot = lpmod._ExactSimplex._pivot, DenseSimplex._pivot
+    eliminate, reduce = lpmod._eliminate, lpmod._reduce
+
+    def exact(self, r, col, hits):
+        log["exact"].append((self.basis[r], col))
+        pivot(self, r, col, hits)
+
+    def dense(self, obj, r, col):
+        log["dense"].append((self.basis[r], col))
+        dense_pivot(self, obj, r, col)
+
+    def counted_reduce(row, den):
+        log["reductions"] += 1
+        return reduce(row, den)
+
+    def counted_eliminate(*args):
+        before = log["reductions"]
+        out = eliminate(*args)
+        log["eliminations"] += 1
+        log["skipped"] += log["reductions"] == before
+        return out
+
+    monkeypatch.setattr(lpmod._ExactSimplex, "_pivot", exact)
+    monkeypatch.setattr(DenseSimplex, "_pivot", dense)
+    monkeypatch.setattr(lpmod, "_eliminate", counted_eliminate)
+    monkeypatch.setattr(lpmod, "_reduce", counted_reduce)
+    return log
+
+
+def _assert_same_pivots(prog, log):
+    """Both solvers make the same pivots in the same order: phase 1, the
+    drive-out and, when there is an objective, phase 2.  Returns the count."""
+    solve, oracle = (minimize, dense_minimize) if prog.objective is not None else (solve_feasible, dense_solve_feasible)
+    log["exact"].clear()
+    log["dense"].clear()
+    out, ref = solve(prog), oracle(prog)
+    assert log["exact"] == log["dense"], prog
+    assert out == ref, prog
+    return len(log["exact"])
+
+
+def test_same_pivots_as_the_dense_oracle(monkeypatch):
+    """Each pivot of the integer-row solver leaves and enters where the
+    dense `Fraction` tableau does, on the oracle programs and on every
+    program of an `adaptive` pass, while most eliminations skip the gcd
+    reduction because their row's denominator does not grow."""
+    built = []
+    build = LpBuilder.build
+
+    def recording(self, with_objective):
+        built.append(build(self, with_objective))
+        return built[-1]
+
+    monkeypatch.setattr(LpBuilder, "build", recording)
+    _adaptive_checks()
+    assert len(built) >= 10
+    log = _log_pivots(monkeypatch)
+    rng = random.Random(2024)
+    oracle_pivots = sum(_assert_same_pivots(_oracle_program(rng)[0], log) for _ in range(200))
+    adaptive_pivots = sum(_assert_same_pivots(prog, log) for prog in built)
+    assert oracle_pivots >= 200 and adaptive_pivots >= 200, (oracle_pivots, adaptive_pivots)
+    assert 0 < log["skipped"] < log["eliminations"], log
