@@ -49,7 +49,6 @@ from .comb import (
     behavior_distance,
     behavior_equal,
     canonical,
-    check_causal,
     flatten,
     link,
     make_behavior,
@@ -100,8 +99,6 @@ from .hopf import (
 )
 from .nogo import (
     NogoVerdict,
-    SplitProblem,
-    TripartiteSplitProblem,
     broadcast_contradiction_oracle,
     broadcast_resource,
     commitment_resource,
@@ -110,9 +107,7 @@ from .nogo import (
     ot_resource,
     split,
     split_check,
-    split_problem,
     tripartite_completion,
-    tripartite_problem,
     tripartite_split_check,
 )
 
@@ -125,7 +120,7 @@ __all__ = [
     "FarkasCert", "Feasible", "Infeasible", "LinearProgram", "LpBuilder",
     "Optimal", "Unbounded", "minimize", "solve_feasible", "verify",
     "Behavior", "CombKernels", "Network", "PortSpec", "Signature",
-    "behavior_distance", "behavior_equal", "canonical", "check_causal",
+    "behavior_distance", "behavior_equal", "canonical",
     "flatten", "link", "make_behavior", "make_signature",
     "observationally_equal", "realize", "tensor_behavior",
     "Converter", "Protocol", "Resource", "apply_protocol", "identity_protocol",
@@ -137,10 +132,9 @@ __all__ = [
     "FiniteGroup", "OtpInstance", "build_otp", "group_kernels", "group_make",
     "hopf_axiom_suite", "loop_make", "otp_correctness", "otp_security",
     "stream_cipher_demo",
-    "NogoVerdict", "SplitProblem", "TripartiteSplitProblem",
-    "broadcast_contradiction_oracle", "broadcast_resource",
+    "NogoVerdict", "broadcast_contradiction_oracle", "broadcast_resource",
     "commitment_resource", "doubled_middle", "min_split_advantage",
-    "ot_resource", "split", "split_check", "split_problem",
-    "tripartite_completion", "tripartite_problem", "tripartite_split_check",
+    "ot_resource", "split", "split_check",
+    "tripartite_completion", "tripartite_split_check",
     "ComposecError",
 ]

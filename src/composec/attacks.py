@@ -32,6 +32,7 @@ from .comb import (
     make_behavior,
     make_signature,
     merge_asap,
+    moment_order,
     schedule_to_match,
 )
 from .distinguisher import (
@@ -261,11 +262,7 @@ def derive_simulator_shape(real_sig: Signature, s: Resource, j_parties: Sequence
             add_in(port, wire_to=port.id)
         pending.clear()
 
-    order = sorted(
-        range(len(real_sig.ports)),
-        key=lambda i: (real_sig.ports[i].round, 0 if real_sig.ports[i].direction == IN else 1, real_sig.ports[i].id),
-    )
-    for i in order:
+    for i in moment_order(real_sig.ports):
         m = real_sig.ports[i]
         if m.party not in j:
             try:

@@ -22,6 +22,7 @@ number in a report is an exact rational written `p/q`):
     check broadcast R [expect feasible|infeasible]
     check axioms GROUP [expect pass|fail]
     check otp GROUP [key w w ...] [attacks N seed S] [expect secure|insecure]
+    check otp_epsilon GROUP key w w ... [expect VALUE]
     check lift GROUP [expect pass]
     check stream GROUP expander KERNEL [expect_at_most VALUE]
 
@@ -293,8 +294,8 @@ def elaborate(env: Env, stmt: Statement) -> None:
                 raise ParseError(line, 1, f"a generator kind after 'gen', got {kind!r}")
             else:
                 alphas = [env.alphabet(t, line) for t in tokens if not t.isdigit()]
-                values = [int(t) for t in tokens if t.isdigit()]
-                kw = {"values": values} if kind == "point" else {}
+                digits = [int(t) for t in tokens if t.isdigit()]
+                kw = {"point": {"values": digits}, "permutation": {"perm": digits}}.get(kind, {})
                 env.define(env.kernels, name, structural(kind, alphas, **kw), line)
         else:
             dom = [env.alphabet(t, line) for t in _take_section(tokens, "dom", line)]
@@ -630,11 +631,13 @@ class RunResult:
 
 def run(ast: SpecFileAst, no_meta: bool = False) -> RunResult:
     env = Env()
-    try:
-        for stmt in ast.statements:
+    for stmt in ast.statements:
+        try:
             elaborate(env, stmt)
-    except ComposecError as exc:
-        return RunResult({"schema": 1, "error": str(exc)}, 2)
+        except (ParseError, UnresolvedName, DuplicateName) as exc:  # these carry their line
+            return RunResult({"schema": 1, "error": str(exc)}, 2)
+        except ComposecError as exc:
+            return RunResult({"schema": 1, "error": f"line {stmt.line}: {exc}"}, 2)
 
     limit_exceeded: list[str] = []
     entries = []

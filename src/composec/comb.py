@@ -13,6 +13,15 @@ causal by construction.  A network may contain one *symbolic* node, in which
 case evaluation returns, for every transcript, an exact linear form over the
 symbolic node's table entries; this is what turns simulator existence and
 splittability questions into linear programs.
+
+A transcript is coded as its table index while it is built: each port adds
+its value times its row-major stride, so `flatten` and `Network` evaluation
+never turn indices into value tuples and back.  A symbolic node's cell
+(column * rows + row) is the sum of its rounds' `decision_rounds` offsets,
+the numbering the advantage LP's decision-tree rows use.  This module alone
+knows the moment order of ports (`moment_order`); every other reordering
+goes through `axis_perms` and `stoch.permute_axes` or
+`stoch.index_projection`.
 """
 
 from __future__ import annotations
@@ -46,7 +55,6 @@ from .stoch import (
     permute_axes,
     ports_size,
     scaled_column,
-    tuple_index,
 )
 
 IN = "in"
@@ -211,10 +219,6 @@ def causality_report(b: Behavior) -> CausalityReport:
     return CausalityReport(not violations, tuple(violations))
 
 
-def check_causal(b: Behavior) -> CausalityReport:
-    return causality_report(b)
-
-
 # ---------------------------------------------------------------------------
 # comb kernels (memoryful round-by-round presentation)
 
@@ -247,12 +251,9 @@ def flatten(c: CombKernels) -> Behavior:
     ins, outs = sig.ins(), sig.outs()
     in_alphas = tuple(p.alphabet for p in ins)
     out_alphas = tuple(p.alphabet for p in outs)
-    # processing order of outputs: round by round, signature order inside
-    proc_outs = [k for r in range(1, sig.rounds + 1) for k, p in enumerate(outs) if p.round == r]
-    inv_out = {k: pos for pos, k in enumerate(proc_outs)}
-    round_in_pos = [
-        [k for k, p in enumerate(ins) if p.round == r] for r in range(1, sig.rounds + 1)
-    ]
+    rounds = range(1, sig.rounds + 1)
+    x_code = [index_projection(in_alphas, [k for k, p in enumerate(ins) if p.round == r]) for r in rounds]
+    y_offsets = [_round_offsets(outs, r) for r in rounds]
     # every weight is a numerator over den, the product of the round
     # kernels' scales
     scaled = [f.scaled for f in c.kernels]
@@ -260,25 +261,21 @@ def flatten(c: CombKernels) -> Behavior:
     for scale, _cols in scaled:
         den *= scale
     cols = []
-    for x in all_tuples(in_alphas):
-        states: dict[tuple[tuple[int, ...], int], Scalar] = {((), 0): 1}
-        for r in range(1, sig.rounds + 1):
-            f = c.kernels[r - 1]
-            f_cols = scaled[r - 1][1]
-            x_r = tuple(x[k] for k in round_in_pos[r - 1])
-            n_round_outs = len(f.cod) - 1
-            new_states: dict[tuple[tuple[int, ...], int], Scalar] = {}
-            for (ys, mem), w in states.items():
-                for i, p in f_cols[tuple_index(f.dom, (mem,) + x_r)]:
-                    cod_vals = index_tuple(f.cod, i)
-                    key = (ys + cod_vals[:n_round_outs], cod_vals[-1])
+    for j in range(ports_size(in_alphas)):
+        states: dict[tuple[int, int], Scalar] = {(0, 0): 1}  # (row so far, memory)
+        for r, f in enumerate(c.kernels):
+            f_cols = scaled[r][1]
+            n_x, n_mem = len(f_cols) // f.dom[0].size, f.cod[-1].size
+            x, offsets = x_code[r](j), y_offsets[r]
+            new_states: dict[tuple[int, int], Scalar] = {}
+            for (row, mem), w in states.items():
+                for i, p in f_cols[mem * n_x + x]:
+                    y, m = divmod(i, n_mem)
+                    key = (row + offsets[y], m)
                     new_states[key] = new_states[key] + w * p if key in new_states else w * p
             states = new_states
-        acc: dict[int, Scalar] = {}
-        for (ys, _m), w in states.items():
-            i = tuple_index(out_alphas, tuple(ys[inv_out[k]] for k in range(len(outs))))
-            acc[i] = acc[i] + w if i in acc else w
-        cols.append(scaled_column(acc, den))
+        # the last memory is trivial, so each row is one state
+        cols.append(scaled_column({row: w for (row, _m), w in states.items()}, den))
     return Behavior(sig, kernel_from_columns(in_alphas, out_alphas, cols))
 
 
@@ -370,18 +367,32 @@ def _realize(b: Behavior) -> CombKernels:
 # canonical round structure
 
 
+def moment_order(ports: Sequence[PortSpec]) -> list[int]:
+    """Positions of `ports` in moment order: by round, in-ports before
+    out-ports within a round, then by id."""
+    return sorted(range(len(ports)), key=lambda i: (ports[i].round, ports[i].direction == OUT, ports[i].id))
+
+
+def axis_perms(ports: Sequence[PortSpec], order: Sequence[int]) -> tuple[list[int], list[int]]:
+    """The `permute_axes` arguments that put the table of a behaviour over
+    `ports` into the port order `order` (positions in `ports`)."""
+    ins = [i for i, p in enumerate(ports) if p.direction == IN]
+    outs = [i for i, p in enumerate(ports) if p.direction == OUT]
+    axis = {i: k for k, i in enumerate(ins)} | {i: k for k, i in enumerate(outs)}
+    return (
+        [axis[i] for i in order if ports[i].direction == IN],
+        [axis[i] for i in order if ports[i].direction == OUT],
+    )
+
+
 def canonical_rounds(sig: Signature) -> tuple[Signature, tuple[int, ...]]:
     """Regroup rounds into maximal in*/out* runs of the moment order and sort
     ports by (new round, direction, id).  Returns the new signature plus the
     port order as indices into the old one.  The regrouping preserves exactly
     which outputs may depend on which inputs, so causality is untouched."""
-    moment_order = sorted(
-        range(len(sig.ports)),
-        key=lambda i: (sig.ports[i].round, 0 if sig.ports[i].direction == IN else 1, sig.ports[i].id),
-    )
     new_round = {}
     rnd, phase = 1, IN
-    for i in moment_order:
+    for i in moment_order(sig.ports):
         p = sig.ports[i]
         if p.direction == IN and phase == OUT:
             rnd += 1
@@ -389,24 +400,17 @@ def canonical_rounds(sig: Signature) -> tuple[Signature, tuple[int, ...]]:
         elif p.direction == OUT:
             phase = OUT
         new_round[i] = rnd
-    order = sorted(
-        range(len(sig.ports)),
-        key=lambda i: (new_round[i], 0 if sig.ports[i].direction == IN else 1, sig.ports[i].id),
-    )
-    new_ports = tuple(replace(sig.ports[i], round=new_round[i]) for i in order)
+    renumbered = [replace(p, round=new_round[i]) for i, p in enumerate(sig.ports)]
+    order = moment_order(renumbered)
+    new_ports = tuple(renumbered[i] for i in order)
     parties = tuple(sorted({p.party for p in new_ports}))
     return Signature(parties, max(rnd, 1), new_ports), tuple(order)
 
 
 def canonical(b: Behavior) -> Behavior:
     """Normal form for observational comparison; see canonical_rounds."""
-    sig = b.signature
-    new_sig, order = canonical_rounds(sig)
-    ins_old = [i for i in range(len(sig.ports)) if sig.ports[i].direction == IN]
-    outs_old = [i for i in range(len(sig.ports)) if sig.ports[i].direction == OUT]
-    dom_perm = [ins_old.index(i) for i in order if sig.ports[i].direction == IN]
-    cod_perm = [outs_old.index(i) for i in order if sig.ports[i].direction == OUT]
-    return Behavior(new_sig, permute_axes(b.kernel, dom_perm, cod_perm))
+    new_sig, order = canonical_rounds(b.signature)
+    return Behavior(new_sig, permute_axes(b.kernel, *axis_perms(b.signature.ports, order)))
 
 
 def rename_ports(b: Behavior, mapping: dict[str, str]) -> Behavior:
@@ -431,11 +435,7 @@ def align_to(b: Behavior, ref: Signature) -> Behavior:
         if (q.party, q.alphabet, q.direction) != (p.party, p.alphabet, p.direction):
             raise SignatureMismatch(f"port {p.id!r} differs between signatures")
         perm.append(i)
-    ins_old = [i for i in range(len(b.signature.ports)) if b.signature.ports[i].direction == IN]
-    outs_old = [i for i in range(len(b.signature.ports)) if b.signature.ports[i].direction == OUT]
-    dom_perm = [ins_old.index(i) for i in perm if b.signature.ports[i].direction == IN]
-    cod_perm = [outs_old.index(i) for i in perm if b.signature.ports[i].direction == OUT]
-    aligned = Behavior(ref, permute_axes(b.kernel, dom_perm, cod_perm))
+    aligned = Behavior(ref, permute_axes(b.kernel, *axis_perms(b.signature.ports, perm)))
     if not causality_report(aligned).ok:
         raise SignatureMismatch("round structures are not compatible")
     return aligned
@@ -462,16 +462,18 @@ def observationally_equal(a: Behavior, b: Behavior) -> bool:
     return behavior_equal(ca, cb)
 
 
+def _strides(ports: Sequence[PortSpec]) -> list[int]:
+    """Each port's weight in the row-major index of a table over `ports`."""
+    strides = [1] * len(ports)
+    for k in range(len(ports) - 1, 0, -1):
+        strides[k - 1] = strides[k] * ports[k].alphabet.size
+    return strides
+
+
 def _round_offsets(ports: Sequence[PortSpec], r: int) -> tuple[int, ...]:
     """Index offsets, within the table of all `ports`, of every value of the
     round-r ports (row-major, leftmost port most significant)."""
-    stride = 1
-    picked = []
-    for p in reversed(ports):
-        if p.round == r:
-            picked.append((p.alphabet, stride))
-        stride *= p.alphabet.size
-    picked.reverse()
+    picked = [(p.alphabet, s) for p, s in zip(ports, _strides(ports)) if p.round == r]
     return tuple(
         sum(v * s for v, (_a, s) in zip(vals, picked))
         for vals in all_tuples(tuple(a for a, _s in picked))
@@ -623,7 +625,9 @@ class Network:
 
     # -- evaluation -----------------------------------------------------------
 
-    def _prepare(self):
+    def _prepare(self) -> Signature:
+        """Realize the numeric nodes and plan every schedule item for `_run`;
+        returns the result signature."""
         self._combs = {
             lab: realize(b) for lab, b in self.behaviors.items() if b is not None
         }
@@ -633,128 +637,98 @@ class Network:
         for lab, r in self.schedule:
             if lab in self._combs:
                 self._den *= self._combs[lab].kernels[r - 1].scaled[0]
-        wire_index = {ref: k for k, ref in enumerate(self._wire_in)}
-        out_wire = {ref: k for k, ref in enumerate(self._wire_out)}
-        # per schedule item: the port plumbing needed to run that round
+        wire_in = {ref: k for k, ref in enumerate(self._wire_in)}
+        wire_out = {ref: k for k, ref in enumerate(self._wire_out)}
+        result = self.result_signature()
+        ext_in = {p.id: k for k, p in enumerate(result.ins())}
+        ext_outs = result.outs()
+        row_stride = {p.id: s for p, s in zip(ext_outs, _strides(ext_outs))}
+        if self.symbolic is not None:
+            sym = self.signatures[self.symbolic]
+            sym_steps = decision_rounds(sym)
+            n_rows = ports_size(tuple(p.alphabet for p in sym.outs()))
+        slot = {lab: k for k, lab in enumerate(self.labels)}
+        # per schedule item: the node's memory slot, the round's input count,
+        # each input's source (a wire, or an external input by position) and
+        # weight in the round's input index, and for every column (memory *
+        # input count + input index) its moves: (next memory, wire values
+        # set, result row offset, symbolic cell offset, weight)
         self._plan = []
         for lab, r in self.schedule:
             sig = self.signatures[lab]
-            ins = [
-                (p, ("wire", wire_index[(lab, p.id)]) if (lab, p.id) in wire_index else ("ext", p.id))
-                for p in sig.round_ins(r)
-            ]
-            outs = [
-                (p, ("wire", out_wire[(lab, p.id)]) if (lab, p.id) in out_wire else ("ext", p.id))
-                for p in sig.round_outs(r)
-            ]
-            self._plan.append((lab, r, ins, outs))
-        self._numeric_labels = [lab for lab in self.labels if self.behaviors[lab] is not None]
-        self._mem_pos = {lab: i for i, lab in enumerate(self._numeric_labels)}
-        if self.symbolic is not None:
-            # map consumption order (round by round) back to signature order
-            sym = self.signatures[self.symbolic]
-            ins, outs = sym.ins(), sym.outs()
-            in_cons = [k for r in range(1, sym.rounds + 1) for k, p in enumerate(ins) if p.round == r]
-            out_cons = [k for r in range(1, sym.rounds + 1) for k, p in enumerate(outs) if p.round == r]
-            self._sym_in_inv = [in_cons.index(k) for k in range(len(ins))]
-            self._sym_out_inv = [out_cons.index(k) for k in range(len(outs))]
-
-    def _run(self, x_ext: dict[str, int], symbolic: bool):
-        """Forward-simulate one external input assignment.
-
-        Returns {y_tuple: weight} for numeric evaluation, or
-        {y_tuple: {var_index: coeff}} when a symbolic node is present; every
-        weight and coefficient is a numerator over `self._den`.
-        """
-        n_wires = len(self.wires)
-        init_mems = tuple(0 for _ in self._numeric_labels)
-        # state: (mems, wire values, external outputs so far, symbolic history)
-        states: dict[tuple, Scalar] = {(init_mems, (None,) * n_wires, (), ()): 1}
-        for lab, r, ins, outs in self._plan:
-            new_states: dict[tuple, Scalar] = {}
-            consumed = [spec[1] for _p, spec in ins if spec[0] == "wire"]
-            if self.behaviors[lab] is not None:
-                f = self._combs[lab].kernels[r - 1]
-                f_cols = f.scaled[1]
-                n_round_outs = len(f.cod) - 1
-                mem_i = self._mem_pos[lab]
-                col_cache: dict[int, list] = {}
-                for (mems, wvals, ys, hist), w in states.items():
-                    x_vals = tuple(
-                        wvals[spec[1]] if spec[0] == "wire" else x_ext[spec[1]]
-                        for _p, spec in ins
-                    )
-                    col = tuple_index(f.dom, (mems[mem_i],) + x_vals)
-                    moves = col_cache.get(col)
-                    if moves is None:
-                        moves = col_cache[col] = [(index_tuple(f.cod, i), p) for i, p in f_cols[col]]
-                    for cod_vals, p in moves:
-                        y_r, mem_next = cod_vals[:n_round_outs], cod_vals[-1]
-                        wv = list(wvals)
-                        for k in consumed:
-                            wv[k] = None
-                        ys2 = ys
-                        for (pp, spec), v in zip(outs, y_r):
-                            if spec[0] == "wire":
-                                wv[spec[1]] = v
-                            else:
-                                ys2 = ys2 + (v,)
-                        mems2 = mems[:mem_i] + (mem_next,) + mems[mem_i + 1 :]
-                        key = (mems2, tuple(wv), ys2, hist)
-                        new_states[key] = new_states[key] + w * p if key in new_states else w * p
+            x_ports, y_ports = sig.round_ins(r), sig.round_outs(r)
+            wired, external = [], []
+            for p, s in zip(x_ports, _strides(x_ports)):
+                if (lab, p.id) in wire_in:
+                    wired.append((wire_in[(lab, p.id)], s))
+                else:
+                    external.append((ext_in[p.id], s))
+            outputs = []  # per output value index: (wire values set, result row offset)
+            for y in all_tuples(tuple(p.alphabet for p in y_ports)):
+                sets, d_row = [], 0
+                for p, v in zip(y_ports, y):
+                    if (lab, p.id) in wire_out:
+                        sets.append((wire_out[(lab, p.id)], v))
+                    else:
+                        d_row += v * row_stride[p.id]
+                outputs.append((tuple(sets), d_row))
+            if lab == self.symbolic:
+                # every output value at weight 1; the symbolic table's cell
+                # (column * n_rows + row) moves by the round's offsets
+                x_offsets, y_offsets = sym_steps[r - 1]
+                moves = [
+                    [(0, *outputs[y], dj * n_rows + di, 1) for y, di in enumerate(y_offsets)]
+                    for dj in x_offsets
+                ]
             else:
-                out_alphas = tuple(p.alphabet for p, _spec in outs)
-                for (mems, wvals, ys, hist), w in states.items():
-                    x_vals = tuple(
-                        wvals[spec[1]] if spec[0] == "wire" else x_ext[spec[1]]
-                        for _p, spec in ins
-                    )
-                    for y_r in all_tuples(out_alphas):
-                        wv = list(wvals)
-                        for k in consumed:
-                            wv[k] = None
-                        ys2 = ys
-                        for (pp, spec), v in zip(outs, y_r):
-                            if spec[0] == "wire":
-                                wv[spec[1]] = v
-                            else:
-                                ys2 = ys2 + (v,)
-                        key = (mems, tuple(wv), ys2, hist + ((x_vals, y_r),))
-                        new_states[key] = new_states[key] + w if key in new_states else w
+                f = self._combs[lab].kernels[r - 1]
+                n_mem = f.cod[-1].size
+                moves = [[(i % n_mem, *outputs[i // n_mem], 0, p) for i, p in col] for col in f.scaled[1]]
+            n_x = ports_size(tuple(p.alphabet for p in x_ports))
+            self._plan.append((slot[lab], n_x, wired, external, moves))
+        return result
+
+    def _run(self, x: Sequence[int]) -> dict[int, dict[int, Scalar]]:
+        """Forward-simulate one assignment `x` of the external inputs.
+
+        Returns {row: {cell: weight}}: the weight of each row of the result
+        table, split by the cell of the symbolic node's table that the run
+        went through (cell 0 when there is no symbolic node); every weight
+        is a numerator over `self._den`.
+        """
+        # state: (memories, wire values, result row so far, symbolic cell so far)
+        states: dict[tuple, Scalar] = {((0,) * len(self.labels), (None,) * len(self.wires), 0, 0): 1}
+        for slot, n_x, wired, external, moves in self._plan:
+            x_base = sum(x[k] * s for k, s in external)
+            new_states: dict[tuple, Scalar] = {}
+            for (mems, wvals, row, cell), w in states.items():
+                col, cleared = x_base, list(wvals)
+                for k, s in wired:
+                    col += wvals[k] * s
+                    cleared[k] = None  # consumed
+                for m, sets, d_row, d_cell, p in moves[mems[slot] * n_x + col]:
+                    wv = cleared.copy()
+                    for k, v in sets:
+                        wv[k] = v
+                    key = (mems[:slot] + (m,) + mems[slot + 1 :], tuple(wv), row + d_row, cell + d_cell)
+                    new_states[key] = new_states[key] + w * p if key in new_states else w * p
             states = new_states
-        if not symbolic:
-            result: dict[tuple, Scalar] = {}
-            for (_m, _w, ys, _h), w in states.items():
-                result[ys] = result[ys] + w if ys in result else w
-            return result
-        sym_sig = self.signatures[self.symbolic]
-        sym_ins = tuple(p.alphabet for p in sym_sig.ins())
-        sym_outs = tuple(p.alphabet for p in sym_sig.outs())
-        n_rows = ports_size(sym_outs)
-        lin: dict[tuple, dict[int, Scalar]] = {}
-        for (_m, _wv, ys, hist), w in states.items():
-            xs_cons = tuple(v for x_r, _y in hist for v in x_r)
-            yv_cons = tuple(v for _x, y_r in hist for v in y_r)
-            xs = tuple(xs_cons[self._sym_in_inv[k]] for k in range(len(sym_ins)))
-            yv = tuple(yv_cons[self._sym_out_inv[k]] for k in range(len(sym_outs)))
-            var = tuple_index(sym_ins, xs) * n_rows + tuple_index(sym_outs, yv)
-            forms = lin.setdefault(ys, {})
-            forms[var] = forms[var] + w if var in forms else w
-        return lin
+        result: dict[int, dict[int, Scalar]] = {}
+        for (_m, _wv, row, cell), w in states.items():
+            cells = result.setdefault(row, {})
+            cells[cell] = cells[cell] + w if cell in cells else w
+        return result
 
     def evaluate(self) -> Behavior:
         if self.symbolic is not None:
             raise WiringMismatch("network contains a symbolic node; use linear_evaluate")
-        self._prepare()
-        sig = self.result_signature()
-        ins, outs = sig.ins(), sig.outs()
-        in_alphas = tuple(p.alphabet for p in ins)
-        out_alphas = tuple(p.alphabet for p in outs)
-        cols = []
-        for x in all_tuples(in_alphas):
-            x_ext = {p.id: v for p, v in zip(ins, x)}
-            acc = {tuple_index(out_alphas, ys): w for ys, w in self._run(x_ext, symbolic=False).items()}
-            cols.append(scaled_column(acc, self._den))
+        sig = self._prepare()
+        in_alphas = tuple(p.alphabet for p in sig.ins())
+        out_alphas = tuple(p.alphabet for p in sig.outs())
+        cols = [
+            scaled_column({row: cells[0] for row, cells in self._run(x).items()}, self._den)
+            for x in all_tuples(in_alphas)
+        ]
         kernel = kernel_from_columns(in_alphas, out_alphas, cols)
         return make_behavior(sig, kernel, check=False)
 
@@ -769,19 +743,11 @@ class Network:
         """
         if self.symbolic is None:
             raise WiringMismatch("no symbolic node in this network")
-        self._prepare()
-        sig = self.result_signature()
-        ins, outs = sig.ins(), sig.outs()
-        in_alphas = tuple(p.alphabet for p in ins)
-        out_alphas = tuple(p.alphabet for p in outs)
-        columns = []
-        for x in all_tuples(in_alphas):
-            x_ext = {p.id: v for p, v in zip(ins, x)}
-            col: dict[int, dict[int, Scalar]] = {}
-            for ys, forms in self._run(x_ext, symbolic=True).items():
-                forms = {var: Fraction(v, self._den) for var, v in forms.items()}
-                col[tuple_index(out_alphas, ys)] = forms
-            columns.append(col)
+        sig = self._prepare()
+        columns = [
+            {row: {var: Fraction(v, self._den) for var, v in cells.items()} for row, cells in self._run(x).items()}
+            for x in all_tuples(tuple(p.alphabet for p in sig.ins()))
+        ]
         return sig, columns
 
 
@@ -844,11 +810,7 @@ def schedule_to_match(
         finally:
             in_progress.discard((lab, k))
 
-    order = sorted(
-        range(len(target.ports)),
-        key=lambda i: (target.ports[i].round, 0 if target.ports[i].direction == IN else 1, target.ports[i].id),
-    )
-    for i in order:
+    for i in moment_order(target.ports):
         pid = target.ports[i].id
         if pid not in locate:
             raise SignatureMismatch(f"target port {pid!r} is not an external port of the network")

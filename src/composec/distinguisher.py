@@ -28,51 +28,32 @@ from fractions import Fraction
 from typing import Callable
 
 from . import lp as lpmod
-from .comb import IN, OUT, Behavior, Network, Signature, canonical_rounds, decision_rounds, make_behavior
+from .comb import Behavior, Network, Signature, axis_perms, canonical_rounds, decision_rounds, make_behavior
 from .errors import CompositeVerificationFailed, ProblemTooLarge
 from .lp import Feasible, Infeasible, LinearProgram, LpBuilder, Optimal
 from .scalars import ONE, ZERO, Scalar
-from .stoch import all_tuples, make_kernel, ports_size, tuple_index
+from .stoch import index_projection, make_kernel, ports_size
 
 # aligned[j][i]: linear form {table variable: coefficient} of cell (j, i)
 LinearForms = list[list[dict[int, Scalar]]]
-
-
-def _index_maps(net_sig: Signature):
-    """Map canonical x/y indices to the raw network table's indices."""
-    can_sig, order = canonical_rounds(net_sig)
-    net_ins = [i for i in range(len(net_sig.ports)) if net_sig.ports[i].direction == IN]
-    net_outs = [i for i in range(len(net_sig.ports)) if net_sig.ports[i].direction == OUT]
-    dom_perm = [net_ins.index(i) for i in order if net_sig.ports[i].direction == IN]
-    cod_perm = [net_outs.index(i) for i in order if net_sig.ports[i].direction == OUT]
-    in_alphas = tuple(net_sig.ports[i].alphabet for i in net_ins)
-    out_alphas = tuple(net_sig.ports[i].alphabet for i in net_outs)
-    can_in_alphas = tuple(in_alphas[k] for k in dom_perm)
-    can_out_alphas = tuple(out_alphas[k] for k in cod_perm)
-    x_map = []
-    for x in all_tuples(can_in_alphas):
-        raw = [0] * len(in_alphas)
-        for pos, v in zip(dom_perm, x):
-            raw[pos] = v
-        x_map.append(tuple_index(in_alphas, tuple(raw)))
-    y_map = []
-    for y in all_tuples(can_out_alphas):
-        raw = [0] * len(out_alphas)
-        for pos, v in zip(cod_perm, y):
-            raw[pos] = v
-        y_map.append(tuple_index(out_alphas, tuple(raw)))
-    return can_sig, x_map, y_map
 
 
 def canonical_forms(net: Network) -> tuple[Signature, LinearForms]:
     """The network's transcript table as linear forms in its symbolic comb's
     table, indexed like the canonical form of the evaluated network."""
     net_sig, columns = net.linear_evaluate()
-    can_sig, x_map, y_map = _index_maps(net_sig)
-    aligned = []
-    for raw_j in x_map:
-        col = columns[raw_j]
-        aligned.append([col.get(raw_i, {}) for raw_i in y_map])
+    can_sig, order = canonical_rounds(net_sig)
+    dom_perm, cod_perm = axis_perms(net_sig.ports, order)
+    in_alphas = tuple(p.alphabet for p in net_sig.ins())
+    out_alphas = tuple(p.alphabet for p in net_sig.outs())
+    can_col = index_projection(in_alphas, dom_perm)
+    can_row = index_projection(out_alphas, cod_perm)
+    n_y = ports_size(out_alphas)
+    aligned: LinearForms = [[] for _ in columns]
+    for j, col in enumerate(columns):
+        forms = aligned[can_col(j)] = [{} for _ in range(n_y)]
+        for i, form in col.items():
+            forms[can_row(i)] = form
     return can_sig, aligned
 
 
@@ -82,29 +63,28 @@ def causality_rows(sig: Signature, var: Callable[[int, int], int]) -> list[dict[
     ins, outs = sig.ins(), sig.outs()
     in_alphas = tuple(p.alphabet for p in ins)
     out_alphas = tuple(p.alphabet for p in outs)
+    n_y = ports_size(out_alphas)
     rows = []
     for r in range(1, sig.rounds):
-        late = [k for k, p in enumerate(ins) if p.round > r]
-        if not late:
+        if all(p.round <= r for p in ins):
             continue
-        early = [k for k, p in enumerate(ins) if p.round <= r]
+        early = index_projection(in_alphas, [k for k, p in enumerate(ins) if p.round <= r])
         keep = [k for k, p in enumerate(outs) if p.round <= r]
-        groups: dict[tuple, int] = {}
-        for x in all_tuples(in_alphas):
-            j = tuple_index(in_alphas, x)
-            key = tuple(x[k] for k in early)
-            if key not in groups:
-                groups[key] = j
+        # the rows i of each value of the outputs through round r, increasing
+        prefixes: list[list[int]] = [[] for _ in range(ports_size(tuple(out_alphas[k] for k in keep)))]
+        prefix = index_projection(out_alphas, keep)
+        for i in range(n_y):
+            prefixes[prefix(i)].append(i)
+        first: dict[int, int] = {}  # early-input index -> its first column
+        for j in range(ports_size(in_alphas)):
+            j0 = first.setdefault(early(j), j)
+            if j0 == j:
                 continue
-            j0 = groups[key]
-            for y_pre in all_tuples(tuple(out_alphas[k] for k in keep)):
+            for same in prefixes:
                 coeffs: dict[int, Fraction] = {}
-                for y in all_tuples(out_alphas):
-                    if tuple(y[k] for k in keep) != y_pre:
-                        continue
-                    i = tuple_index(out_alphas, y)
-                    coeffs[var(j, i)] = coeffs.get(var(j, i), Fraction(0)) + 1
-                    coeffs[var(j0, i)] = coeffs.get(var(j0, i), Fraction(0)) - 1
+                for i in same:
+                    coeffs[var(j, i)] = ONE
+                    coeffs[var(j0, i)] = -ONE
                 rows.append(coeffs)
     return rows
 

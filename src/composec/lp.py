@@ -462,12 +462,10 @@ class LpBuilder:
         self.rows: list[dict[int, Scalar]] = []
         self.rhs: list[Scalar] = []
         self.objective: dict[int, Scalar] = {}
-        self.n_structural = 0
 
     def new_vars(self, count: int) -> range:
         start = self.n
         self.n += count
-        self.n_structural = self.n
         return range(start, start + count)
 
     def _slack(self) -> int:

@@ -56,9 +56,9 @@ from .scalars import Scalar
 from .stoch import (
     Alphabet,
     all_tuples,
-    index_tuple,
     make_kernel,
     marginalize,
+    permute_axes,
     ports_size,
     tuple_index,
 )
@@ -80,29 +80,6 @@ class NogoVerdict:
     advantage: Optional[Scalar] = None
     lp_size: tuple[int, int] = (0, 0)
     lp: Optional[lpmod.LinearProgram] = None  # for external certificate audits
-
-
-@dataclass(frozen=True)
-class SplitProblem:
-    """A two-party resource together with the mediator interface of its
-    two-copy gluing."""
-
-    resource: Resource
-    mediator_signature: Signature
-    wires: tuple[Wire, ...]
-    schedule: tuple[ScheduleItem, ...]
-
-
-@dataclass(frozen=True)
-class TripartiteSplitProblem:
-    """A three-party resource with the port structure of its doubled-middle
-    process: Alice's interface, Charlie's interface, and two copies of Bob's
-    input interface."""
-
-    resource: Resource
-    bob_inputs: tuple[Alphabet, ...]
-    alice_outputs: tuple[Alphabet, ...]
-    charlie_outputs: tuple[Alphabet, ...]
 
 
 # ---------------------------------------------------------------------------
@@ -263,21 +240,6 @@ def mediator_problem(r: Resource):
         schedule.append(("g", 1))
     g_sig = Signature((MEDIATOR,), g_round, tuple(ports))
     return g_sig, tuple(wires), tuple(schedule)
-
-
-def split_problem(r: Resource) -> SplitProblem:
-    g_sig, wires, schedule = mediator_problem(r)
-    return SplitProblem(r, g_sig, wires, schedule)
-
-
-def tripartite_problem(r: Resource) -> TripartiteSplitProblem:
-    b_in, a_out, c_out = _tripartite_shape(r)
-    return TripartiteSplitProblem(
-        r,
-        tuple(q.alphabet for q in b_in),
-        tuple(q.alphabet for q in a_out),
-        tuple(q.alphabet for q in c_out),
-    )
 
 
 def split(r: Resource, g: Behavior) -> Behavior:
@@ -469,24 +431,16 @@ def _r_entry_fn(r: Resource):
     """Probability of (alice index, charlie index) given Bob's input index,
     independent of how the signature happens to interleave the out-ports."""
     b_in, a_out, c_out = _tripartite_shape(r)
-    a_alphas = tuple(q.alphabet for q in a_out)
-    c_alphas = tuple(q.alphabet for q in c_out)
-    columns = [r.behavior.kernel.column(j) for j in range(r.behavior.kernel.n_dom)]
     out_ports = r.signature.outs()
-    a_pos = [k for k, q in enumerate(out_ports) if q.party == "alice"]
-    c_pos = [k for k, q in enumerate(out_ports) if q.party == "charlie"]
-    out_alphas = tuple(q.alphabet for q in out_ports)
+    alice_first = [k for party in ("alice", "charlie") for k, q in enumerate(out_ports) if q.party == party]
+    kernel = permute_axes(r.behavior.kernel, range(len(b_in)), alice_first)
+    columns = [kernel.column(j) for j in range(kernel.n_dom)]
+    nb, na, nc = (ports_size(tuple(q.alphabet for q in ports)) for ports in (b_in, a_out, c_out))
 
     def entry(a_idx: int, c_idx: int, b_idx: int):
-        y = [0] * len(out_ports)
-        for pos, v in zip(a_pos, index_tuple(a_alphas, a_idx)):
-            y[pos] = v
-        for pos, v in zip(c_pos, index_tuple(c_alphas, c_idx)):
-            y[pos] = v
-        return columns[b_idx][tuple_index(out_alphas, tuple(y))]
+        return columns[b_idx][a_idx * nc + c_idx]
 
-    nb = ports_size(tuple(q.alphabet for q in b_in))
-    return entry, nb, ports_size(a_alphas), ports_size(c_alphas)
+    return entry, nb, na, nc
 
 
 def doubled_middle(r: Resource, s_b: Sequence[Sequence[Scalar]]) -> list[list[Scalar]]:

@@ -389,35 +389,47 @@ class DenseSimplex:
 
 
 def _fraction_run(net, x_ext, symbolic):
-    """`Network._run` on `net` (prepared) with `Fraction` weights."""
+    """`Network._run` on `net` (prepared) with `Fraction` weights, on value
+    tuples: wire values by producing port, external outputs as a growing
+    tuple, and the symbolic node's history put back in signature order at
+    the end."""
     zero_ = Fraction(0)
-    states = {(tuple(0 for _ in net._numeric_labels), (None,) * len(net.wires), (), ()): Fraction(1)}
-    for lab, r, ins, outs in net._plan:
+    source = {}  # consuming port -> producing port, as (label, port id)
+    for a, b in net.wires:
+        src, dst = (a, b) if net.signatures[a[0]].port(a[1]).direction == OUT else (b, a)
+        source[dst] = src
+    produced = set(source.values())
+    labels = list(net.signatures)
+    # state: (memories by label, sorted (producing port, value) pairs not yet
+    # consumed, external outputs so far, symbolic node's (inputs, outputs) per round)
+    states = {((0,) * len(labels), (), (), ()): Fraction(1)}
+    for lab, r in net.schedule:
+        sig = net.signatures[lab]
+        slot = labels.index(lab)
         new_states = {}
-        consumed = [spec[1] for _p, spec in ins if spec[0] == "wire"]
-        for (mems, wvals, ys, hist), w in states.items():
-            x_vals = tuple(wvals[spec[1]] if spec[0] == "wire" else x_ext[spec[1]] for _p, spec in ins)
+        for (mems, wires, ys, hist), w in states.items():
+            pending = dict(wires)
+            x_vals = tuple(
+                pending.pop(source[(lab, q.id)]) if (lab, q.id) in source else x_ext[q.id] for q in sig.round_ins(r)
+            )
             if net.behaviors[lab] is not None:
                 f = net._combs[lab].kernels[r - 1]
-                mem_i = net._mem_pos[lab]
-                moves = [(index_tuple(f.cod, i), p) for i, p in f.cols[tuple_index(f.dom, (mems[mem_i],) + x_vals)]]
+                moves = [(index_tuple(f.cod, i), p) for i, p in f.cols[tuple_index(f.dom, (mems[slot],) + x_vals)]]
             else:
-                moves = [(y_r, None) for y_r in all_tuples(tuple(p.alphabet for p, _spec in outs))]
+                moves = [(y_r + (0,), None) for y_r in all_tuples(tuple(q.alphabet for q in sig.round_outs(r)))]
             for cod_vals, p in moves:
-                wv = list(wvals)
-                for k in consumed:
-                    wv[k] = None
+                wv = dict(pending)
                 ys2 = ys
-                for (_pp, spec), v in zip(outs, cod_vals):
-                    if spec[0] == "wire":
-                        wv[spec[1]] = v
+                for q, v in zip(sig.round_outs(r), cod_vals):
+                    if (lab, q.id) in produced:
+                        wv[(lab, q.id)] = v
                     else:
                         ys2 = ys2 + (v,)
+                mems2 = mems[:slot] + (cod_vals[-1],) + mems[slot + 1 :]
                 if p is None:
-                    key, add = (mems, tuple(wv), ys2, hist + ((x_vals, cod_vals),)), w
+                    key, add = (mems2, tuple(sorted(wv.items())), ys2, hist + ((x_vals, cod_vals[:-1]),)), w
                 else:
-                    mems2 = mems[:mem_i] + (cod_vals[-1],) + mems[mem_i + 1 :]
-                    key, add = (mems2, tuple(wv), ys2, hist), w * p
+                    key, add = (mems2, tuple(sorted(wv.items())), ys2, hist), w * p
                 new_states[key] = new_states.get(key, zero_) + add
         states = new_states
     if not symbolic:
@@ -426,14 +438,17 @@ def _fraction_run(net, x_ext, symbolic):
             result[ys] = result.get(ys, zero_) + w
         return result
     sym = net.signatures[net.symbolic]
-    sym_ins = tuple(p.alphabet for p in sym.ins())
-    sym_outs = tuple(p.alphabet for p in sym.outs())
+    rounds = range(1, sym.rounds + 1)
+    in_ids = [q.id for r in rounds for q in sym.round_ins(r)]  # consumption order
+    out_ids = [q.id for r in rounds for q in sym.round_outs(r)]
+    sym_ins = tuple(q.alphabet for q in sym.ins())
+    sym_outs = tuple(q.alphabet for q in sym.outs())
     lin = {}
     for (_m, _wv, ys, hist), w in states.items():
-        xs_cons = tuple(v for x_r, _y in hist for v in x_r)
-        yv_cons = tuple(v for _x, y_r in hist for v in y_r)
-        xs = tuple(xs_cons[net._sym_in_inv[k]] for k in range(len(sym_ins)))
-        yv = tuple(yv_cons[net._sym_out_inv[k]] for k in range(len(sym_outs)))
+        x_by_id = dict(zip(in_ids, (v for x_r, _y in hist for v in x_r)))
+        y_by_id = dict(zip(out_ids, (v for _x, y_r in hist for v in y_r)))
+        xs = tuple(x_by_id[q.id] for q in sym.ins())
+        yv = tuple(y_by_id[q.id] for q in sym.outs())
         var = tuple_index(sym_ins, xs) * ports_size(sym_outs) + tuple_index(sym_outs, yv)
         forms = lin.setdefault(ys, {})
         forms[var] = forms.get(var, zero_) + w

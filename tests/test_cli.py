@@ -284,3 +284,33 @@ def test_verify_help_lists_only_file_json_and_no_meta(capsys):
     out = capsys.readouterr().out
     assert "--json" in out and "--no-meta" in out
     assert "--mode" not in out and "--tol" not in out
+
+
+def test_permutation_generator_takes_its_digits():
+    env = Env()
+    text = "alphabet bit size 2\nkernel p gen permutation bit bit 1 0\nkernel s gen swap bit bit\n"
+    for stmt in parse_spec(text).statements:
+        elaborate(env, stmt)
+    assert env.kernels["p"] == env.kernels["s"]
+
+
+def test_permutation_generator_without_digits_gives_exit_2(tmp_path, capsys):
+    spec = tmp_path / "bad.spec"
+    spec.write_text("alphabet bit size 2\nkernel p gen permutation bit bit\n")
+    code = main(["verify", str(spec), "--no-meta"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("composec: line 2: ") and "not a permutation" in captured.err
+    assert "Traceback" not in captured.err and captured.out == ""
+
+
+def test_library_error_in_a_declaration_names_its_line(tmp_path, capsys):
+    text = (SPECS / "otp_z2.spec").read_text()
+    assert "schedule res.1," in text
+    spec = tmp_path / "bad.spec"
+    spec.write_text(text.replace("schedule res.1,", "schedule res.0,"))
+    code = main(["verify", str(spec), "--no-meta"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("composec: line 10: ")
+    assert "does not cover each node round exactly once" in captured.err

@@ -15,14 +15,16 @@ from composec.attacks import _symbolic_ideal, dummy_attack, min_epsilon, search_
 from composec.comb import (
     IN,
     OUT,
+    Behavior,
     CombKernels,
     PortSpec,
     behavior_distance,
+    causality_report,
     decision_rounds,
     flatten,
     make_signature,
 )
-from composec.distinguisher import add_cell_gaps, table_lp
+from composec.distinguisher import add_cell_gaps, causality_rows, table_lp
 from composec.errors import CompositeVerificationFailed, InterfaceMismatch
 from composec.lp import FarkasCert, Infeasible, Optimal, Unbounded
 from composec.nogo import (
@@ -35,7 +37,7 @@ from composec.nogo import (
     tripartite_split_check,
 )
 from composec.resources import Protocol, Resource
-from composec.stoch import UNIT, Alphabet
+from composec.stoch import UNIT, Alphabet, Kernel, index_projection
 from tests.helpers import (
     BIT,
     TRIT,
@@ -72,6 +74,40 @@ def test_backward_induction_matches_enumeration():
         assert behavior_distance(a, b) == enumerated_distance(a, b)
         assert behavior_distance(a, a) == 0
     assert wide_rounds and unit_ports
+
+
+def _satisfies_causality_rows(b: Behavior) -> bool:
+    n_y = b.kernel.n_cod
+    cols = [dict(col) for col in b.kernel.cols]
+
+    def var(j: int, i: int) -> int:
+        return j * n_y + i
+
+    rows = causality_rows(b.signature, var)
+    return all(sum(c * cols[v // n_y].get(v % n_y, 0) for v, c in row.items()) == 0 for row in rows)
+
+
+def test_causality_rows_hold_exactly_when_causal():
+    # random causal combs, and copies with two columns swapped: columns that
+    # share their round-1 inputs, and any two columns, which mostly breaks
+    # causality when some input comes after an output
+    rng = random.Random(4417)
+    seen = {True: 0, False: 0}
+    for _ in range(60):
+        b = flatten(random_comb(rng, rounds=rng.choice([2, 3])))
+        assert causality_report(b).ok and _satisfies_causality_rows(b)
+        ins = b.signature.ins()
+        early = index_projection(b.kernel.dom, [k for k, p in enumerate(ins) if p.round == 1])
+        pairs = [(j1, j2) for j1 in range(b.kernel.n_dom) for j2 in range(j1)]
+        sharing = [(j1, j2) for j1, j2 in pairs if early(j1) == early(j2)]
+        for j1, j2 in rng.sample(sharing, min(2, len(sharing))) + rng.sample(pairs, min(2, len(pairs))):
+            cols = list(b.kernel.cols)
+            cols[j1], cols[j2] = cols[j2], cols[j1]
+            swapped = Behavior(b.signature, Kernel(b.kernel.dom, b.kernel.cod, tuple(cols)))
+            ok = causality_report(swapped).ok
+            assert _satisfies_causality_rows(swapped) == ok
+            seen[ok] += 1
+    assert seen[True] >= 10 and seen[False] >= 10
 
 
 def _enumeration_value(bld, aligned, target) -> Fraction:

@@ -1,0 +1,86 @@
+"""Import hygiene of the package, read from its source with `ast`: every
+imported name is used by the module that imports it (a package's `__all__`
+counts as a use), and no module imports another module's private name."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "composec"
+MODULES = sorted(SRC.glob("*.py"))
+
+
+def _imports(tree: ast.Module):
+    """(bound name, imported name, module, line) for every import."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.asname or alias.name.split(".")[0], alias.name, alias.name, node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            module = "." * node.level + (node.module or "")
+            for alias in node.names:
+                yield alias.asname or alias.name, alias.name, module, node.lineno
+
+
+def _annotation_strings(tree: ast.Module):
+    """The quoted annotations (forward references), as expressions."""
+    annotations = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.arg):
+            annotations.append(node.annotation)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            annotations.append(node.returns)
+        elif isinstance(node, ast.AnnAssign):
+            annotations.append(node.annotation)
+    for annotation in filter(None, annotations):
+        for node in ast.walk(annotation):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                yield ast.parse(node.value, mode="eval")
+
+
+def _used_names(tree: ast.Module) -> set[str]:
+    used = set()
+    for root in [tree, *_annotation_strings(tree)]:
+        used.update(node.id for node in ast.walk(root) if isinstance(node, ast.Name))
+    for node in tree.body:  # names a package exports through __all__
+        if isinstance(node, ast.Assign) and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            used.update(ast.literal_eval(node.value))
+    return used
+
+
+def _unused(tree: ast.Module) -> list[str]:
+    used = _used_names(tree)
+    return [f"line {line}: {bound}" for bound, _name, _module, line in _imports(tree) if bound not in used]
+
+
+def _private(tree: ast.Module) -> list[str]:
+    return [
+        f"line {line}: {name} from {module}"
+        for _bound, name, module, line in _imports(tree)
+        if module.startswith((".", "composec")) and name.startswith("_")
+    ]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
+def test_every_import_is_used(path):
+    unused = _unused(ast.parse(path.read_text(), filename=str(path)))
+    assert not unused, f"{path.name} imports names it never uses: {unused}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
+def test_no_private_name_crosses_modules(path):
+    private = _private(ast.parse(path.read_text(), filename=str(path)))
+    assert not private, f"{path.name} imports private names: {private}"
+
+
+def test_the_checks_see_an_unused_and_a_private_import():
+    tree = ast.parse(
+        "from __future__ import annotations\n"
+        "from typing import Optional\n"
+        "from .stoch import index_tuple, _deterministic\n"
+        "from . import lp\n"
+        "x: 'Optional[int]' = lp.verify\n"
+    )
+    assert _unused(tree) == ["line 3: index_tuple", "line 3: _deterministic"]
+    assert _private(tree) == ["line 3: _deterministic from .stoch"]

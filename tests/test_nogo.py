@@ -1,8 +1,18 @@
+import random
 from fractions import Fraction
 
 import pytest
 
-from composec.comb import behavior_from_table, canonical, causality_report, make_behavior
+from composec.comb import (
+    IN,
+    OUT,
+    PortSpec,
+    behavior_from_table,
+    canonical,
+    causality_report,
+    make_behavior,
+    make_signature,
+)
 from composec.errors import NotCausal, ShapeMismatch
 from composec.nogo import (
     NogoVerdict,
@@ -20,9 +30,12 @@ from composec.nogo import (
     shared_bit_resource,
     split,
     split_check,
+    _r_entry_fn,
     tripartite_split_check,
 )
-from composec.stoch import index_tuple, make_kernel, marginalize, tuple_index
+from composec.resources import Resource
+from composec.stoch import Alphabet, index_tuple, make_kernel, marginalize, tuple_index
+from tests.helpers import BIT, TRIT, random_kernel
 
 F = Fraction
 
@@ -196,14 +209,6 @@ def test_commitment_realize_roundtrip():
     assert again.kernel.matrix == r.behavior.kernel.matrix
 
 
-def test_split_problem_type():
-    from composec.nogo import split_problem
-
-    prob = split_problem(commitment_resource())
-    assert prob.resource.name == "commitment"
-    assert prob.mediator_signature.rounds == 2
-
-
 def test_doubled_middle_constructive_on_controls():
     # Running Bob's attack across the middle wires builds a D that the other
     # two attacks can explain for the feasible controls, never for broadcast.
@@ -220,3 +225,30 @@ def test_doubled_middle_constructive_on_controls():
         assert verdict.feasible == expect, r.name
         if not verdict.feasible:
             assert verdict.cert is not None
+
+
+def test_r_entry_reads_interleaved_out_ports():
+    # Alice's and Charlie's out-ports interleave, with different alphabets,
+    # so a wrong stride or port order reads another cell
+    quad = Alphabet("quad", 4)
+    sig = make_signature(
+        ["alice", "bob", "charlie"],
+        1,
+        [
+            PortSpec("a1", "alice", TRIT, OUT, 1),
+            PortSpec("b", "bob", TRIT, IN, 1),
+            PortSpec("c1", "charlie", BIT, OUT, 1),
+            PortSpec("a2", "alice", BIT, OUT, 1),
+            PortSpec("c2", "charlie", quad, OUT, 1),
+        ],
+    )
+    kernel = random_kernel(random.Random(31), (TRIT,), (TRIT, BIT, BIT, quad))
+    r = Resource(make_behavior(sig, kernel), name="interleaved")
+    entry, nb, na, nc = _r_entry_fn(r)
+    assert (nb, na, nc) == (3, 6, 8)
+    for b in range(nb):
+        for a in range(na):
+            a1, a2 = index_tuple((TRIT, BIT), a)
+            for c in range(nc):
+                c1, c2 = index_tuple((BIT, quad), c)
+                assert entry(a, c, b) == kernel.entry((a1, c1, a2, c2), (b,))
