@@ -10,24 +10,27 @@ number in a report is an exact rational written `p/q`):
     group NAME cyclic N | symmetric3 | table R ; R ; ...
     quasigroup NAME table R ; R ; ...
     kernel NAME dom A B cod C rows p p ; p p
-    kernel NAME gen KIND args...
-    resource NAME parties P1,P2 rounds K ports id:party:dir:alpha@r ... rows ...
+    kernel NAME gen KIND ALPHA ... [DIGIT ...]
+    resource NAME parties P1,P2 rounds K ports id:party:dir:alpha@r ... rows ...|kernel K
     resource NAME builtin BUILTIN
-    converter PARTY NAME ports id:dir:alpha@r[:wire=RESPORT] ... rows ...
+    converter PARTY NAME ports id:dir:alpha@r[:wire=RESPORT] ... rows ...|kernel K
     protocol NAME from R to S converters C1,C2|none schedule res.1,PARTY.1,...
-    check secure PROTO from R to S dishonest P1,P2 [expect secure|insecure]
-    check epsilon PROTO from R to S dishonest P1,P2 [expect VALUE]
+    check secure PROTO [from R to S] dishonest P1,P2 [expect secure|insecure]
+    check epsilon PROTO [from R to S] dishonest P1,P2 [expect VALUE]
     check split R [expect feasible|infeasible]
     check advantage R [expect VALUE]
     check broadcast R [expect feasible|infeasible]
     check axioms GROUP [expect pass|fail]
-    check otp GROUP [key w w ...] [attacks N seed S] [expect secure|insecure]
+    check otp GROUP [key w w ...] [attacks N [seed S]] [expect secure|insecure]
     check otp_epsilon GROUP key w w ... [expect VALUE]
     check lift GROUP [expect pass]
     check stream GROUP expander KERNEL [expect_at_most VALUE]
 
-A malformed or unresolvable check line becomes a failed entry with an
-`error`; the other checks keep their entries.
+Digits after `gen KIND` are read only by `point` and `permutation`.
+`expect_at_most` belongs to `stream` only; every other check takes
+`expect`.  A token left over after a statement's operands is a parse
+error.  A malformed or unresolvable check line becomes a failed entry with
+an `error`, before its check runs; the other checks keep their entries.
 
 Exit codes: 0 all checks pass, 1 a check failed, 2 usage or parse error,
 3 resource limit exceeded.
@@ -90,7 +93,9 @@ from .nogo import (
 )
 from .resources import Converter, Protocol, Resource
 from .scalars import parse_number, scalar_str
-from .stoch import STRUCTURAL, Alphabet, Kernel, make_kernel, structural
+from .stoch import STRUCTURAL, Alphabet, Kernel, identity, make_kernel, structural
+
+DECLARATIONS = ("alphabet", "group", "quasigroup", "kernel", "resource", "converter", "protocol", "check")
 
 BUILTIN_RESOURCES = {
     "commitment": commitment_resource,
@@ -129,16 +134,7 @@ def parse_spec(text: str) -> SpecFileAst:
             continue
         tokens = tuple(line.split())
         head = tokens[0]
-        if head not in (
-            "alphabet",
-            "group",
-            "quasigroup",
-            "kernel",
-            "resource",
-            "converter",
-            "protocol",
-            "check",
-        ):
+        if head not in DECLARATIONS:
             raise ParseError(lineno, 1, f"a declaration keyword, got {head!r}")
         statements.append(Statement(lineno, tokens))
     return SpecFileAst(tuple(statements))
@@ -178,15 +174,17 @@ class Env:
             return UNIT
         raise UnresolvedName(f"line {line}: unknown alphabet {name!r}")
 
+    @staticmethod
+    def resolve(table: dict, what: str, name: str, line: int):
+        if name not in table:
+            raise UnresolvedName(f"line {line}: unknown {what} {name!r}")
+        return table[name]
+
     def resolve_group(self, name: str, line: int):
-        if name not in self.groups:
-            raise UnresolvedName(f"line {line}: unknown group {name!r}")
-        return self.groups[name][0]
+        return self.resolve(self.groups, "group", name, line)[0]
 
     def resolve_resource(self, name: str, line: int) -> Resource:
-        if name not in self.resources:
-            raise UnresolvedName(f"line {line}: unknown resource {name!r}")
-        return self.resources[name]
+        return self.resolve(self.resources, "resource", name, line)
 
 
 def _operand(tokens: list[str], what: str, line: int) -> str:
@@ -194,6 +192,34 @@ def _operand(tokens: list[str], what: str, line: int) -> str:
     if not tokens:
         raise ParseError(line, 1, what)
     return tokens.pop(0)
+
+
+def _accept(tokens: list[str], keyword: str) -> bool:
+    """Pop `keyword` if it comes next; whether it did."""
+    if tokens[:1] == [keyword]:
+        tokens.pop(0)
+        return True
+    return False
+
+
+def _keyword(tokens: list[str], keyword: str, what: str, line: int) -> None:
+    """Pop `keyword`, which must come next."""
+    if not _accept(tokens, keyword):
+        raise ParseError(line, 1, what)
+
+
+def _end(tokens: list[str], line: int) -> None:
+    """Every operand is read: nothing may be left on the line."""
+    if tokens:
+        raise ParseError(line, 1, f"end of line, got {tokens[0]!r}")
+
+
+def _take_while(tokens: list[str], pred) -> list[str]:
+    """Pop the leading tokens that satisfy `pred`."""
+    k = next((i for i, t in enumerate(tokens) if not pred(t)), len(tokens))
+    taken = tokens[:k]
+    del tokens[:k]
+    return taken
 
 
 def _integer(tokens: list[str], what: str, line: int) -> int:
@@ -211,15 +237,19 @@ def _number(token: str, line: int) -> Fraction:
         raise ParseError(line, 1, f"a number, got {token!r}") from None
 
 
-def _split_rows(tokens: Sequence[str], line: int, parse=_number) -> list[list]:
-    """Rows of numbers separated by ';', each number read by `parse`."""
+def _rows(tokens: list[str], line: int, parse=_number) -> list[list]:
+    """The rest of the line as rows of numbers separated by ';', each number
+    read by `parse`."""
     rows: list[list] = [[]]
     for tok in tokens:
         if tok == ";":
             rows.append([])
         else:
             rows[-1].append(parse(tok, line))
-    return [r for r in rows if r]
+    tokens.clear()
+    if not all(rows):
+        raise ParseError(line, 1, "rows of numbers separated by ';'")
+    return rows
 
 
 def _element(token: str, line: int) -> int:
@@ -245,169 +275,138 @@ def _port(env: Env, pid: str, party: str, direction: str, rest: str, what: str, 
 
 
 def _take_section(tokens: list[str], keyword: str, line: int) -> list[str]:
-    if not tokens or tokens[0] != keyword:
-        raise ParseError(line, 1, f"{keyword!r} section")
-    tokens.pop(0)
-    out = []
-    stops = {"dom", "cod", "rows", "ports", "parties", "rounds", "kernel", "gen", "table"}
-    while tokens and tokens[0] not in stops:
-        out.append(tokens.pop(0))
-    return out
+    """'KEYWORD' and the tokens up to the next section: 'cod', 'rows' or 'kernel'."""
+    _keyword(tokens, keyword, f"{keyword!r} section", line)
+    return _take_while(tokens, lambda t: t not in ("cod", "rows", "kernel"))
+
+
+def _from_to(env: Env, tokens: list[str], line: int) -> tuple[Resource, Resource]:
+    what = "'from R to S'"
+    _keyword(tokens, "from", what, line)
+    src = _operand(tokens, what, line)
+    _keyword(tokens, "to", what, line)
+    return env.resolve_resource(src, line), env.resolve_resource(_operand(tokens, what, line), line)
+
+
+def _kernel_of(env: Env, tokens: list[str], sig, line: int) -> Kernel:
+    """The kernel of a behavior with signature `sig`: 'rows ...' or 'kernel NAME'."""
+    if _accept(tokens, "rows"):
+        ins, outs = (tuple(p.alphabet for p in ports) for ports in (sig.ins(), sig.outs()))
+        return make_kernel(ins, outs, _rows(tokens, line))
+    _keyword(tokens, "kernel", "'kernel NAME' or 'rows ...'", line)
+    return env.resolve(env.kernels, "kernel", _operand(tokens, "a kernel name after 'kernel'", line), line)
 
 
 def elaborate(env: Env, stmt: Statement) -> None:
     line = stmt.line
     tokens = list(stmt.tokens)
     head = tokens.pop(0)
+    if head == "check":
+        if not tokens:
+            raise ParseError(line, 1, "a check kind")
+        env.checks.append((line, tuple(tokens)))  # read when the check runs
+        return
     if head == "alphabet":
-        name = _operand(tokens, "an alphabet name", line)
-        if _operand(tokens, "'size N'", line) != "size":
-            raise ParseError(line, 1, "'size N'")
+        name, table = _operand(tokens, "an alphabet name", line), env.alphabets
+        _keyword(tokens, "size", "'size N'", line)
         size = _integer(tokens, "a size after 'size'", line)
         if size < 1:
             raise ParseError(line, 1, "a positive size after 'size'")
-        env.define(env.alphabets, name, Alphabet(name, size), line)
+        value = Alphabet(name, size)
     elif head in ("group", "quasigroup"):
-        name = _operand(tokens, f"a {head} name", line)
+        name, table = _operand(tokens, f"a {head} name", line), env.groups
         kind = _operand(tokens, "'cyclic N', 'symmetric3' or 'table ...'", line)
         if head == "group" and kind == "cyclic":
             g = group_make(("cyclic", _integer(tokens, "an order after 'cyclic'", line)), name)
         elif head == "group" and kind == "symmetric3":
             g = group_make("symmetric3", name)
         elif kind == "table":
-            rows = _split_rows(tokens, line, _element)
+            rows = _rows(tokens, line, _element)
             g = group_make(rows, name) if head == "group" else loop_make(rows, name)
         else:
             raise ParseError(line, 1, "'cyclic N', 'symmetric3' or 'table ...'")
-        env.define(env.groups, name, (g, head == "group"), line)
+        value = (g, head == "group")
     elif head == "kernel":
-        name = _operand(tokens, "a kernel name", line)
-        if tokens and tokens[0] == "gen":
-            tokens.pop(0)
+        name, table = _operand(tokens, "a kernel name", line), env.kernels
+        if _accept(tokens, "gen"):
             kind = _operand(tokens, "a generator kind after 'gen'", line)
             if kind in ("mult", "inv", "unit"):
                 from .hopf import group_kernels
 
-                g = env.resolve_group(_operand(tokens, "a group name", line), line)
-                env.define(env.kernels, name, group_kernels(g)[kind], line)
+                value = group_kernels(env.resolve_group(_operand(tokens, "a group name", line), line))[kind]
             elif kind not in STRUCTURAL:
                 raise ParseError(line, 1, f"a generator kind after 'gen', got {kind!r}")
             else:
-                alphas = [env.alphabet(t, line) for t in tokens if not t.isdigit()]
-                digits = [int(t) for t in tokens if t.isdigit()]
-                kw = {"point": {"values": digits}, "permutation": {"perm": digits}}.get(kind, {})
-                env.define(env.kernels, name, structural(kind, alphas, **kw), line)
+                alphas = [env.alphabet(t, line) for t in _take_while(tokens, lambda t: not t.isdecimal())]
+                takes = {"point": "values", "permutation": "perm"}
+                kw = {takes[kind]: [int(t) for t in _take_while(tokens, str.isdecimal)]} if kind in takes else {}
+                value = structural(kind, alphas, **kw)
         else:
             dom = [env.alphabet(t, line) for t in _take_section(tokens, "dom", line)]
             cod = [env.alphabet(t, line) for t in _take_section(tokens, "cod", line)]
-            if not tokens or tokens[0] != "rows":
-                raise ParseError(line, 1, "'rows ...'")
-            rows = _split_rows(tokens[1:], line)
-            env.define(env.kernels, name, make_kernel(dom, cod, rows), line)
+            _keyword(tokens, "rows", "'rows ...'", line)
+            value = make_kernel(dom, cod, _rows(tokens, line))
     elif head == "resource":
-        name = _operand(tokens, "a resource name", line)
-        if tokens and tokens[0] == "builtin":
-            tokens.pop(0)
+        name, table = _operand(tokens, "a resource name", line), env.resources
+        if _accept(tokens, "builtin"):
             builtin = _operand(tokens, "a builtin resource after 'builtin'", line)
-            builder = BUILTIN_RESOURCES.get(builtin)
-            if builder is None:
-                raise UnresolvedName(f"line {line}: unknown builtin resource {builtin!r}")
-            env.define(env.resources, name, builder(), line)
-            return
-        parties = _operand(_take_section(tokens, "parties", line), "a party list", line).split(",")
-        rounds = _integer(_take_section(tokens, "rounds", line), "a round count after 'rounds'", line)
-        if rounds < 1:
-            raise ParseError(line, 1, "a positive round count after 'rounds'")
-        port_specs = []
-        for spec in _take_section(tokens, "ports", line):
-            fields = spec.split(":", 3)
-            if len(fields) != 4:
-                raise ParseError(line, 1, "a port 'id:party:dir:alpha@round'")
-            port = _port(env, *fields, "a port 'id:party:dir:alpha@round'", line)
-            if port.round > rounds:
-                raise ParseError(line, 1, f"a port round of at most {rounds}, got {port.round}")
-            if port.party not in parties:
-                raise UnresolvedName(f"line {line}: unknown party {port.party!r}")
-            port_specs.append(port)
-        sig = make_signature(parties, rounds, port_specs)
-        if tokens and tokens[0] == "kernel":
-            kname = _operand(tokens[1:], "a kernel name after 'kernel'", line)
-            kern = env.kernels.get(kname)
-            if kern is None:
-                raise UnresolvedName(f"line {line}: unknown kernel {kname!r}")
-        elif tokens and tokens[0] == "rows":
-            ins = tuple(p.alphabet for p in sig.ins())
-            outs = tuple(p.alphabet for p in sig.outs())
-            kern = make_kernel(ins, outs, _split_rows(tokens[1:], line))
+            value = env.resolve(BUILTIN_RESOURCES, "builtin resource", builtin, line)()
         else:
-            raise ParseError(line, 1, "'kernel NAME' or 'rows ...'")
-        env.define(env.resources, name, Resource(make_behavior(sig, kern), name=name), line)
+            _keyword(tokens, "parties", "'parties' section", line)
+            parties = _operand(tokens, "a party list", line).split(",")
+            _keyword(tokens, "rounds", "'rounds' section", line)
+            rounds = _integer(tokens, "a round count after 'rounds'", line)
+            if rounds < 1:
+                raise ParseError(line, 1, "a positive round count after 'rounds'")
+            port_specs = []
+            for spec in _take_section(tokens, "ports", line):
+                fields = spec.split(":", 3)
+                if len(fields) != 4:
+                    raise ParseError(line, 1, "a port 'id:party:dir:alpha@round'")
+                port = _port(env, *fields, "a port 'id:party:dir:alpha@round'", line)
+                if port.round > rounds:
+                    raise ParseError(line, 1, f"a port round of at most {rounds}, got {port.round}")
+                if port.party not in parties:
+                    raise UnresolvedName(f"line {line}: unknown party {port.party!r}")
+                port_specs.append(port)
+            sig = make_signature(parties, rounds, port_specs)
+            value = Resource(make_behavior(sig, _kernel_of(env, tokens, sig, line)), name=name)
     elif head == "converter":
         party = _operand(tokens, "a party", line)
-        name = _operand(tokens, "a converter name", line)
+        name, table = _operand(tokens, "a converter name", line), env.converters
         port_specs = []
         wiring = []
-        max_round = 1
         for spec in _take_section(tokens, "ports", line):
             parts = spec.split(":")
-            if len(parts) < 3:
+            if len(parts) not in (3, 4):
                 raise ParseError(line, 1, "a port 'id:dir:alpha@round'")
             port = _port(env, parts[0], party, parts[1], parts[2], "a port 'id:dir:alpha@round'", line)
-            if len(parts) > 3:
+            if len(parts) == 4:
                 if not parts[3].startswith("wire="):
                     raise ParseError(line, 1, "'wire=RESPORT'")
                 wiring.append((port.id, parts[3][5:]))
             port_specs.append(port)
-            max_round = max(max_round, port.round)
-        sig = make_signature([party], max_round, port_specs)
-        if tokens and tokens[0] == "kernel":
-            kname = _operand(tokens[1:], "a kernel name after 'kernel'", line)
-            kern = env.kernels.get(kname)
-            if kern is None:
-                raise UnresolvedName(f"line {line}: unknown kernel {kname!r}")
-        elif tokens and tokens[0] == "rows":
-            ins = tuple(p.alphabet for p in sig.ins())
-            outs = tuple(p.alphabet for p in sig.outs())
-            kern = make_kernel(ins, outs, _split_rows(tokens[1:], line))
-        else:
-            raise ParseError(line, 1, "'kernel NAME' or 'rows ...'")
-        env.define(
-            env.converters, name, Converter(party, make_behavior(sig, kern), tuple(wiring)), line
-        )
+        sig = make_signature([party], max((p.round for p in port_specs), default=1), port_specs)
+        value = Converter(party, make_behavior(sig, _kernel_of(env, tokens, sig, line)), tuple(wiring))
     elif head == "protocol":
-        name = _operand(tokens, "a protocol name", line)
-        if tokens[:1] != ["from"] or len(tokens) < 4:
-            raise ParseError(line, 1, "'from R to S'")
-        src = env.resolve_resource(tokens[1], line)
-        tgt = env.resolve_resource(tokens[3], line)
-        if tokens[4:5] != ["converters"] or len(tokens) < 6:
-            raise ParseError(line, 1, "'converters C1,C2' (or 'converters none')")
-        convs = []
-        if tokens[5] != "none":
-            for cname in tokens[5].split(","):
-                if cname not in env.converters:
-                    raise UnresolvedName(f"line {line}: unknown converter {cname!r}")
-                convs.append(env.converters[cname])
-        if tokens[6:7] != ["schedule"] or len(tokens) < 8:
-            raise ParseError(line, 1, "'schedule res.1,...'")
-        names = tokens[5].split(",") if convs else []
-        by_name = {names[i]: c.party for i, c in enumerate(convs)}
+        name, table = _operand(tokens, "a protocol name", line), env.protocols
+        src, tgt = _from_to(env, tokens, line)
+        what = "'converters C1,C2' (or 'converters none')"
+        _keyword(tokens, "converters", what, line)
+        names = _operand(tokens, what, line)
+        names = [] if names == "none" else names.split(",")
+        convs = [env.resolve(env.converters, "converter", c, line) for c in names]
+        _keyword(tokens, "schedule", "'schedule res.1,...'", line)
+        by_name = {c: conv.party for c, conv in zip(names, convs)}
         schedule = []
-        for item in tokens[7].split(","):
+        for item in _operand(tokens, "'schedule res.1,...'", line).split(","):
             lab, rnd = _name_and_round(item, ".", "a schedule item 'NAME.ROUND'", line)
             schedule.append((by_name.get(lab, lab), rnd))
-        env.define(
-            env.protocols,
-            name,
-            Protocol(src, tgt, tuple(convs), tuple(schedule), name=name),
-            line,
-        )
-    elif head == "check":
-        if not tokens:
-            raise ParseError(line, 1, "a check kind")
-        env.checks.append((line, tuple(tokens)))
+        value = Protocol(src, tgt, tuple(convs), tuple(schedule), name=name)
     else:
         raise ParseError(line, 1, f"unknown statement {head!r}")
+    _end(tokens, line)
+    env.define(table, name, value, line)
 
 
 # ---------------------------------------------------------------------------
@@ -432,43 +431,38 @@ def _cert_payload(report: SecurityReport):
     return {}
 
 
-def _expectation(tokens: list[str], line: int):
-    for key in ("expect", "expect_at_most"):
-        if key in tokens:
-            i = tokens.index(key)
-            if i + 1 == len(tokens):
-                raise ParseError(line, 1, f"a value after {key!r}")
-            value = tokens[i + 1]
-            del tokens[i : i + 2]
-            return key, value
-    return None, None
+def _expectation(tokens: list[str], key: str, line: int) -> Optional[str]:
+    """Pop 'KEY VALUE' from wherever it stands; None when absent."""
+    if key not in tokens:
+        return None
+    i = tokens.index(key)
+    if i + 1 == len(tokens):
+        raise ParseError(line, 1, f"a value after {key!r}")
+    value = tokens[i + 1]
+    del tokens[i : i + 2]
+    return value
 
 
 def run_check(env: Env, line: int, tokens: tuple[str, ...]) -> dict:
     toks = list(tokens)
     kind = toks.pop(0)
-    expect_kind, expected = _expectation(toks, line)
+    expected = _expectation(toks, "expect_at_most" if kind == "stream" else "expect", line)
     entry: dict = {"kind": kind, "line": line, "args": " ".join(tokens)}
 
     def operand(what: str) -> str:
         return _operand(toks, what, line)
 
+    def last(what: str) -> str:
+        """The final operand: nothing may follow it."""
+        token = operand(what)
+        _end(toks, line)
+        return token
+
     if kind in ("secure", "epsilon"):
-        pname = operand("a protocol name")
-        if pname not in env.protocols:
-            raise UnresolvedName(f"line {line}: unknown protocol {pname!r}")
-        proto = env.protocols[pname]
-        if toks[:1] == ["from"]:
-            if len(toks) < 4:
-                raise ParseError(line, 1, "'from R to S'")
-            src = env.resolve_resource(toks[1], line)
-            tgt = env.resolve_resource(toks[3], line)
-            del toks[:4]
-        else:
-            src, tgt = proto.source, proto.target
-        if toks[:1] != ["dishonest"] or len(toks) < 2:
-            raise ParseError(line, 1, "'dishonest P1,P2'")
-        j = tuple(toks[1].split(","))
+        proto = env.resolve(env.protocols, "protocol", operand("a protocol name"), line)
+        src, tgt = _from_to(env, toks, line) if toks[:1] == ["from"] else (proto.source, proto.target)
+        _keyword(toks, "dishonest", "'dishonest P1,P2'", line)
+        j = tuple(last("'dishonest P1,P2'").split(","))
         if kind == "secure":
             rep = search_simulator(proto, src, tgt, j)
             entry["verdict"] = rep.verdict
@@ -482,7 +476,7 @@ def run_check(env: Env, line: int, tokens: tuple[str, ...]) -> dict:
             entry["certificate"] = _digest(_cert_payload(rep))
             entry["pass"] = expected is None or rep.epsilon == _number(expected, line)
     elif kind == "split":
-        r = env.resolve_resource(operand("a resource name"), line)
+        r = env.resolve_resource(last("a resource name"), line)
         verdict = split_check(r)
         entry["verdict"] = "feasible" if verdict.feasible else "infeasible"
         entry["lp_size"] = list(verdict.lp_size)
@@ -490,12 +484,12 @@ def run_check(env: Env, line: int, tokens: tuple[str, ...]) -> dict:
             entry["certificate"] = _digest({"farkas": [scalar_str(v) for v in verdict.cert.y]})
         entry["pass"] = expected is None or entry["verdict"] == expected
     elif kind == "advantage":
-        r = env.resolve_resource(operand("a resource name"), line)
+        r = env.resolve_resource(last("a resource name"), line)
         adv = min_split_advantage(r)
         entry["advantage"] = scalar_str(adv)
         entry["pass"] = expected is None or adv == _number(expected, line)
     elif kind == "broadcast":
-        r = env.resolve_resource(operand("a resource name"), line)
+        r = env.resolve_resource(last("a resource name"), line)
         verdict = tripartite_split_check(r)
         oracle = broadcast_contradiction_oracle(r)
         entry["verdict"] = "feasible" if verdict.feasible else "infeasible"
@@ -507,25 +501,23 @@ def run_check(env: Env, line: int, tokens: tuple[str, ...]) -> dict:
             expected is None or entry["verdict"] == expected
         )
     elif kind == "axioms":
-        rep = hopf_axiom_suite(env.resolve_group(operand("a group name"), line))
+        rep = hopf_axiom_suite(env.resolve_group(last("a group name"), line))
         entry["verdict"] = "pass" if rep.all_pass else "fail"
         entry["failed_axioms"] = list(rep.failed())
         entry["pass"] = entry["verdict"] == (expected or "pass")
     elif kind == "otp":
         g = env.resolve_group(operand("a group name"), line)
         weights = None
-        if toks[:1] == ["key"]:
-            toks.pop(0)
-            weights = []
-            while toks and toks[0] not in ("attacks",):
-                weights.append(_number(toks.pop(0), line))
+        if _accept(toks, "key"):
+            weights = [_number(t, line) for t in _take_while(toks, lambda t: t != "attacks")]
         n_attacks, seed = None, 0
-        if toks[:1] == ["attacks"]:
-            toks.pop(0)
+        if _accept(toks, "attacks"):
             n_attacks = _integer(toks, "an attack count after 'attacks'", line)
-            if toks[:1] == ["seed"]:
-                toks.pop(0)
+            if n_attacks < 0:
+                raise ParseError(line, 1, f"an attack count of at least 0, got {n_attacks}")
+            if _accept(toks, "seed"):
                 seed = _integer(toks, "a seed after 'seed'", line)
+        _end(toks, line)
         inst = build_otp(g, weights)
         correct = otp_correctness(inst)
         rep = otp_security(inst)
@@ -539,9 +531,8 @@ def run_check(env: Env, line: int, tokens: tuple[str, ...]) -> dict:
         entry["pass"] = ok and rep.verdict == (expected or "secure")
     elif kind == "otp_epsilon":
         g = env.resolve_group(operand("a group name"), line)
-        if toks[:1] != ["key"]:
-            raise ParseError(line, 1, "'key w w ...'")
-        weights = [_number(t, line) for t in toks[1:]]
+        _keyword(toks, "key", "'key w w ...'", line)
+        weights = [_number(t, line) for t in toks]
         inst = build_otp(g, weights)
         rep = min_epsilon(inst.protocol, inst.source, inst.target, ("eve",))
         entry["epsilon"] = scalar_str(rep.epsilon)
@@ -551,33 +542,25 @@ def run_check(env: Env, line: int, tokens: tuple[str, ...]) -> dict:
         from .attacks import check_secure_with
         from .resources import lift_deterministic
 
-        inst = build_otp(env.resolve_group(operand("a group name"), line))
+        inst = build_otp(env.resolve_group(last("a group name"), line))
         lifted = lift_deterministic(inst.protocol)
         rep = check_secure_with(lifted, inst.source, inst.target, ("eve",), inst.sigma)
         entry["verdict"] = "pass" if rep.secure else "fail"
         entry["pass"] = entry["verdict"] == (expected or "pass")
     elif kind == "stream":
         g = env.resolve_group(operand("a group name"), line)
-        if toks[:1] != ["expander"] or len(toks) < 2:
-            raise ParseError(line, 1, "'expander KERNEL'")
-        kname = toks[1]
+        _keyword(toks, "expander", "'expander KERNEL'", line)
+        kname = last("'expander KERNEL'")
         if kname == "identity":
-            from .stoch import identity as idk
-
-            expander = idk([group_alphabet(g)])
-        elif kname in env.kernels:
-            expander = env.kernels[kname]
+            expander = identity([group_alphabet(g)])
         else:
-            raise UnresolvedName(f"line {line}: unknown kernel {kname!r}")
+            expander = env.resolve(env.kernels, "kernel", kname, line)
         rep = stream_cipher_demo(g, expander)
         entry["expansion_epsilon"] = scalar_str(rep.expansion_epsilon)
         entry["composite_epsilon"] = scalar_str(rep.composite.epsilon)
         bound_ok = rep.composite.epsilon <= rep.expansion_epsilon
         entry["bound_holds"] = bound_ok
-        if expect_kind == "expect_at_most":
-            entry["pass"] = bound_ok and rep.composite.epsilon <= _number(expected, line)
-        else:
-            entry["pass"] = bound_ok
+        entry["pass"] = bound_ok and (expected is None or rep.composite.epsilon <= _number(expected, line))
     else:
         raise ParseError(line, 1, f"unknown check kind {kind!r}")
     if expected is not None:

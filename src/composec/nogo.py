@@ -10,19 +10,24 @@ advantage between the functionality and its best split.
 Tripartite: a broadcast-like functionality realizable from pairwise
 channels admits a doubled-middle process that three single-cheater attacks
 explain simultaneously; infeasibility of that linear system rules out
-broadcast.  An independent combinatorial oracle cross-checks the LP verdict
-on broadcast-shaped resources.
+broadcast.  One generator, `_doubled_middle_forms`, writes that system's
+equations; the split check, its completion, the witness check and
+`doubled_middle` all read them.  An independent combinatorial oracle
+cross-checks the LP verdict on broadcast-shaped resources.
 
 Every program here is solved through `distinguisher.solve_checked`, which
 re-verifies each Farkas certificate; feasible witnesses are re-checked by
 substitution (`split`, `_verify_tripartite_witness`, or `lp.verify` of the
-completion's simulators), and the minimum advantage by `lp.verify`.
+completion's simulators), and the minimum advantage by `lp.verify`.  The
+tripartite witness check reads the same forms as the program, so it guards
+the solver; the oracle is what guards the encoding.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from typing import Optional, Sequence
 
 from . import lp as lpmod
@@ -52,7 +57,7 @@ from .distinguisher import (
 from .errors import CompositeVerificationFailed, InterfaceMismatch, ShapeMismatch
 from .lp import FarkasCert, Infeasible, LpBuilder
 from .resources import Resource
-from .scalars import Scalar
+from .scalars import ONE, ZERO, Scalar
 from .stoch import (
     Alphabet,
     all_tuples,
@@ -346,87 +351,6 @@ def _tripartite_shape(r: Resource):
     return b_in, a_out, c_out
 
 
-def tripartite_split_check(r: Resource) -> NogoVerdict:
-    """Feasibility of the doubled-middle system: one joint process D with two
-    copies of Bob's input that three single-cheater simulators explain at
-    once.  Infeasible for genuine broadcast."""
-    r_entry, nb, na, nc = _r_entry_fn(r)
-    bld = LpBuilder()
-    n_d = (nb * nb) * (na * nc)
-    d_vars = list(bld.new_vars(n_d))
-
-    def d(bl, br, a, c):
-        return d_vars[(bl * nb + br) * (na * nc) + a * nc + c]
-
-    n_sa = (na * nb) * na
-    sa_vars = list(bld.new_vars(n_sa))
-
-    def sa(ar, bl, a):
-        return sa_vars[(ar * nb + bl) * na + a]
-
-    n_sb = (nb * nb) * nb
-    sb_vars = list(bld.new_vars(n_sb))
-
-    def sb(bl, br, b):
-        return sb_vars[(bl * nb + br) * nb + b]
-
-    n_sc = (nc * nb) * nc
-    sc_vars = list(bld.new_vars(n_sc))
-
-    def sc(cr, br, c):
-        return sc_vars[(cr * nb + br) * nc + c]
-
-    one_ = Fraction(1)
-    for bl in range(nb):
-        for br in range(nb):
-            bld.add_eq({d(bl, br, a, c): one_ for a in range(na) for c in range(nc)}, one_)
-            bld.add_eq({sb(bl, br, b): one_ for b in range(nb)}, one_)
-    for ar in range(na):
-        for bl in range(nb):
-            bld.add_eq({sa(ar, bl, a): one_ for a in range(na)}, one_)
-    for cr in range(nc):
-        for br in range(nb):
-            bld.add_eq({sc(cr, br, c): one_ for c in range(nc)}, one_)
-
-    for bl in range(nb):
-        for br in range(nb):
-            for a in range(na):
-                for c in range(nc):
-                    # Alice cheats: honest side drives r with the right input
-                    row = {d(bl, br, a, c): one_}
-                    for ar in range(na):
-                        w = r_entry(ar, c, br)
-                        if w:
-                            row[sa(ar, bl, a)] = row.get(sa(ar, bl, a), Fraction(0)) - w
-                    bld.add_eq(row, Fraction(0))
-                    # Bob cheats: both middle inputs feed his simulator
-                    row = {d(bl, br, a, c): one_}
-                    for b in range(nb):
-                        w = r_entry(a, c, b)
-                        if w:
-                            row[sb(bl, br, b)] = row.get(sb(bl, br, b), Fraction(0)) - w
-                    bld.add_eq(row, Fraction(0))
-                    # Charlie cheats: mirror of Alice
-                    row = {d(bl, br, a, c): one_}
-                    for cr in range(nc):
-                        w = r_entry(a, cr, bl)
-                        if w:
-                            row[sc(cr, br, c)] = row.get(sc(cr, br, c), Fraction(0)) - w
-                    bld.add_eq(row, Fraction(0))
-
-    prog, out = solve_checked(bld, "tripartite", NOGO_LP_CAP)
-    if isinstance(out, Infeasible):
-        return NogoVerdict(False, cert=out.cert, lp_size=(prog.n, prog.m), lp=prog)
-    witness = {
-        "D": out.point[: n_d],
-        "s_A": out.point[n_d : n_d + n_sa],
-        "s_B": out.point[n_d + n_sa : n_d + n_sa + n_sb],
-        "s_C": out.point[n_d + n_sa + n_sb : n_d + n_sa + n_sb + n_sc],
-    }
-    _verify_tripartite_witness(r, witness)
-    return NogoVerdict(True, witness=witness, lp_size=(prog.n, prog.m))
-
-
 def _r_entry_fn(r: Resource):
     """Probability of (alice index, charlie index) given Bob's input index,
     independent of how the signature happens to interleave the out-ports."""
@@ -443,89 +367,107 @@ def _r_entry_fn(r: Resource):
     return entry, nb, na, nc
 
 
+def _doubled_middle_forms(r: Resource):
+    """The doubled-middle system, written once for all its readers.
+
+    Returns the shapes {name: (columns, outputs)} of the four conditional
+    tables, whose cell (column, output) is column * outputs + output: D
+    maps the middle pair (b_l, b_r) to (a, c), s_A maps (a', b_l) to a, s_B
+    maps (b_l, b_r) to b, and s_C maps (c', b_r) to c.  Then, for each
+    (b_l, b_r, a, c) in lexicographic order, D's cell and each cheater's
+    linear form {cell: r's probability}, which must equal D's cell: when
+    Alice cheats the honest side drives r with b_r, when Bob cheats both
+    middle inputs feed his simulator, and Charlie mirrors Alice."""
+    r_entry, nb, na, nc = _r_entry_fn(r)
+    shapes = {"D": (nb * nb, na * nc), "s_A": (na * nb, na), "s_B": (nb * nb, nb), "s_C": (nc * nb, nc)}
+    equations = []
+    for d_cell, (bl, br, a, c) in enumerate(product(range(nb), range(nb), range(na), range(nc))):
+        forms = {
+            "s_A": {(ar * nb + bl) * na + a: w for ar in range(na) if (w := r_entry(ar, c, br))},
+            "s_B": {(bl * nb + br) * nb + b: w for b in range(nb) if (w := r_entry(a, c, b))},
+            "s_C": {(cr * nb + br) * nc + c: w for cr in range(nc) if (w := r_entry(a, cr, bl))},
+        }
+        equations.append((d_cell, forms))
+    return shapes, equations
+
+
+def _table_vars(bld: LpBuilder, shapes, names, groups) -> dict[str, int]:
+    """Allocate the named tables' cells in order and return each table's
+    first variable; then add, group by group, one row per column saying it
+    sums to 1.  The tables of one group share their columns and take turns."""
+    first = {name: bld.new_vars(shapes[name][0] * shapes[name][1]).start for name in names}
+    for group in groups:
+        for col in range(shapes[group[0]][0]):
+            for name in group:
+                outs = shapes[name][1]
+                bld.add_eq({first[name] + col * outs + o: ONE for o in range(outs)}, ONE)
+    return first
+
+
+def _tables(point, shapes, first) -> dict[str, tuple]:
+    """Each table's cells, cut out of a feasible point."""
+    return {name: point[s : s + shapes[name][0] * shapes[name][1]] for name, s in first.items()}
+
+
+def tripartite_split_check(r: Resource) -> NogoVerdict:
+    """Feasibility of the doubled-middle system: one joint process D with two
+    copies of Bob's input that three single-cheater simulators explain at
+    once.  Infeasible for genuine broadcast."""
+    shapes, equations = _doubled_middle_forms(r)
+    bld = LpBuilder()
+    first = _table_vars(bld, shapes, shapes, (("D", "s_B"), ("s_A",), ("s_C",)))
+    for d_cell, forms in equations:
+        for name, form in forms.items():
+            bld.add_eq({first["D"] + d_cell: ONE, **{first[name] + k: -w for k, w in form.items()}}, ZERO)
+    prog, out = solve_checked(bld, "tripartite", NOGO_LP_CAP)
+    if isinstance(out, Infeasible):
+        return NogoVerdict(False, cert=out.cert, lp_size=(prog.n, prog.m), lp=prog)
+    witness = _tables(out.point, shapes, first)
+    _verify_tripartite_witness(r, witness)
+    return NogoVerdict(True, witness=witness, lp_size=(prog.n, prog.m))
+
+
 def doubled_middle(r: Resource, s_b: Sequence[Sequence[Scalar]]) -> list[list[Scalar]]:
     """Constructive direction: when Bob cheats by answering both middle wires
     with one input to r, the result IS a doubled-middle process.  `s_b` maps
     the middle pair (columns, left input most significant) to Bob's input
     (rows).  Returns D's table indexed [a * nc + c][bl * nb + br]."""
-    r_entry, nb, na, nc = _r_entry_fn(r)
-    d = [[Fraction(0)] * (nb * nb) for _ in range(na * nc)]
-    for bl in range(nb):
-        for br in range(nb):
-            for b in range(nb):
-                w = s_b[b][bl * nb + br]
-                if not w:
-                    continue
-                for a in range(na):
-                    for c in range(nc):
-                        d[a * nc + c][bl * nb + br] += w * r_entry(a, c, b)
+    shapes, equations = _doubled_middle_forms(r)
+    (n_col, n_out), nb = shapes["D"], shapes["s_B"][1]
+    d = [[ZERO] * n_col for _ in range(n_out)]
+    for d_cell, forms in equations:
+        col, row = divmod(d_cell, n_out)
+        d[row][col] = sum((w * s_b[k % nb][k // nb] for k, w in forms["s_B"].items()), ZERO)
     return d
 
 
 def tripartite_completion(r: Resource, d_table: Sequence[Sequence[Scalar]]) -> NogoVerdict:
-    """Given a fixed doubled-middle process D, do the Alice- and
-    Charlie-cheating simulators explaining D exist?"""
-    r_entry, nb, na, nc = _r_entry_fn(r)
+    """Given a fixed doubled-middle process D (indexed as `doubled_middle`
+    returns it), do the Alice- and Charlie-cheating simulators explaining D
+    exist?"""
+    shapes, equations = _doubled_middle_forms(r)
     bld = LpBuilder()
-    sa_vars = list(bld.new_vars((na * nb) * na))
-    sc_vars = list(bld.new_vars((nc * nb) * nc))
-
-    def sa(ar, bl, a):
-        return sa_vars[(ar * nb + bl) * na + a]
-
-    def sc(cr, br, c):
-        return sc_vars[(cr * nb + br) * nc + c]
-
-    one_ = Fraction(1)
-    for ar in range(na):
-        for bl in range(nb):
-            bld.add_eq({sa(ar, bl, a): one_ for a in range(na)}, one_)
-    for cr in range(nc):
-        for br in range(nb):
-            bld.add_eq({sc(cr, br, c): one_ for c in range(nc)}, one_)
-    for bl in range(nb):
-        for br in range(nb):
-            for a in range(na):
-                for c in range(nc):
-                    dv = d_table[a * nc + c][bl * nb + br]
-                    row = {}
-                    for ar in range(na):
-                        w = r_entry(ar, c, br)
-                        if w:
-                            row[sa(ar, bl, a)] = row.get(sa(ar, bl, a), Fraction(0)) + w
-                    bld.add_eq(row, dv)
-                    row = {}
-                    for cr in range(nc):
-                        w = r_entry(a, cr, bl)
-                        if w:
-                            row[sc(cr, br, c)] = row.get(sc(cr, br, c), Fraction(0)) + w
-                    bld.add_eq(row, dv)
+    first = _table_vars(bld, shapes, ("s_A", "s_C"), (("s_A",), ("s_C",)))
+    n_out = shapes["D"][1]
+    for d_cell, forms in equations:
+        col, row = divmod(d_cell, n_out)
+        for name in first:
+            bld.add_eq({first[name] + k: w for k, w in forms[name].items()}, d_table[row][col])
     prog, out = solve_checked(bld, "completion", NOGO_LP_CAP)
     if isinstance(out, Infeasible):
         return NogoVerdict(False, cert=out.cert, lp_size=(prog.n, prog.m), lp=prog)
     verify_or_raise(out, prog, "completion")
-    n_sa = len(sa_vars)
-    return NogoVerdict(
-        True,
-        witness={"s_A": out.point[:n_sa], "s_C": out.point[n_sa:]},
-        lp_size=(prog.n, prog.m),
-    )
+    return NogoVerdict(True, witness=_tables(out.point, shapes, first), lp_size=(prog.n, prog.m))
 
 
 def _verify_tripartite_witness(r: Resource, witness) -> None:
-    """Substitute the witness back into all three equation blocks."""
-    r_entry, nb, na, nc = _r_entry_fn(r)
-    D, SA, SB, SC = witness["D"], witness["s_A"], witness["s_B"], witness["s_C"]
-    for bl in range(nb):
-        for br in range(nb):
-            for a in range(na):
-                for c in range(nc):
-                    dv = D[(bl * nb + br) * (na * nc) + a * nc + c]
-                    ea = sum(r_entry(ar, c, br) * SA[(ar * nb + bl) * na + a] for ar in range(na))
-                    eb = sum(r_entry(a, c, b) * SB[(bl * nb + br) * nb + b] for b in range(nb))
-                    ec = sum(r_entry(a, cr, bl) * SC[(cr * nb + br) * nc + c] for cr in range(nc))
-                    if not dv == ea == eb == ec:
-                        raise CompositeVerificationFailed("tripartite witness failed re-verification")
+    """Substitute the witness into every form of the doubled-middle system.
+    This guards the solver; `broadcast_contradiction_oracle` guards the
+    encoding."""
+    for d_cell, forms in _doubled_middle_forms(r)[1]:
+        for name, form in forms.items():
+            if sum((w * witness[name][k] for k, w in form.items()), ZERO) != witness["D"][d_cell]:
+                raise CompositeVerificationFailed("tripartite witness failed re-verification")
 
 
 @dataclass(frozen=True)
@@ -565,8 +507,6 @@ def broadcast_contradiction_oracle(r: Resource) -> OracleReport:
     out_ports = r.signature.outs()
     a_k = [k for k, q in enumerate(out_ports) if q.party == "alice"][0]
     c_k = [k for k, q in enumerate(out_ports) if q.party == "charlie"][0]
-    na = a_out[0].alphabet.size
-    nc = c_out[0].alphabet.size
     charlie_marg = marginalize(rk, [c_k])
     alice_marg = marginalize(rk, [a_k])
     charlie_forced = charlie_marg.column(1)  # driven by input 1

@@ -1,7 +1,8 @@
 """Shared randomized generators for the test suite (seeded, deterministic),
 and the slow, plain implementations that serve as test oracles: exhaustive
 strategy enumeration for the adaptive distinguisher, dense kernel algebra,
-a dense simplex, and network simulation on scalar weights."""
+a dense simplex, network simulation on scalar weights, and the tripartite
+no-go program written out row by row."""
 
 import itertools
 from fractions import Fraction
@@ -534,3 +535,74 @@ def random_network(rng, symbolic=False):
         lab = rng.choice(labels)
         nodes[lab] = nodes[lab].signature
     return Network(list(nodes.items()), wires, schedule)
+
+
+def tripartite_program(r):
+    """The tripartite split check's program written out by hand, cell by
+    cell, from r's kernel: the variables of D, s_A, s_B and s_C in that
+    order; the stochastic rows of D and s_B interleaved per middle pair,
+    then s_A's, then s_C's; then, per (b_l, b_r, a, c), the rows where Alice,
+    Bob and Charlie cheat.  Returns the built program."""
+    from composec.lp import LpBuilder
+
+    sig = r.signature
+    outs = sig.outs()
+    a_alphas = tuple(q.alphabet for q in outs if q.party == "alice")
+    c_alphas = tuple(q.alphabet for q in outs if q.party == "charlie")
+    b_alphas = tuple(q.alphabet for q in sig.ins())
+    nb, na, nc = ports_size(b_alphas), ports_size(a_alphas), ports_size(c_alphas)
+
+    def r_entry(a_idx, c_idx, b_idx):
+        a_vals, c_vals = iter(index_tuple(a_alphas, a_idx)), iter(index_tuple(c_alphas, c_idx))
+        y = tuple(next(a_vals) if q.party == "alice" else next(c_vals) for q in outs)
+        return r.behavior.kernel.entry(y, index_tuple(b_alphas, b_idx))
+
+    bld = LpBuilder()
+    d_vars = list(bld.new_vars((nb * nb) * (na * nc)))
+    sa_vars = list(bld.new_vars((na * nb) * na))
+    sb_vars = list(bld.new_vars((nb * nb) * nb))
+    sc_vars = list(bld.new_vars((nc * nb) * nc))
+
+    def d(bl, br, a, c):
+        return d_vars[(bl * nb + br) * (na * nc) + a * nc + c]
+
+    def sa(ar, bl, a):
+        return sa_vars[(ar * nb + bl) * na + a]
+
+    def sb(bl, br, b):
+        return sb_vars[(bl * nb + br) * nb + b]
+
+    def sc(cr, br, c):
+        return sc_vars[(cr * nb + br) * nc + c]
+
+    one_ = Fraction(1)
+    for bl in range(nb):
+        for br in range(nb):
+            bld.add_eq({d(bl, br, a, c): one_ for a in range(na) for c in range(nc)}, one_)
+            bld.add_eq({sb(bl, br, b): one_ for b in range(nb)}, one_)
+    for ar in range(na):
+        for bl in range(nb):
+            bld.add_eq({sa(ar, bl, a): one_ for a in range(na)}, one_)
+    for cr in range(nc):
+        for br in range(nb):
+            bld.add_eq({sc(cr, br, c): one_ for c in range(nc)}, one_)
+    for bl in range(nb):
+        for br in range(nb):
+            for a in range(na):
+                for c in range(nc):
+                    # Alice cheats: the honest side drives r with the right input
+                    row = {d(bl, br, a, c): one_}
+                    for ar in range(na):
+                        row[sa(ar, bl, a)] = -r_entry(ar, c, br)
+                    bld.add_eq(row, Fraction(0))
+                    # Bob cheats: both middle inputs feed his simulator
+                    row = {d(bl, br, a, c): one_}
+                    for b in range(nb):
+                        row[sb(bl, br, b)] = -r_entry(a, c, b)
+                    bld.add_eq(row, Fraction(0))
+                    # Charlie cheats: mirror of Alice
+                    row = {d(bl, br, a, c): one_}
+                    for cr in range(nc):
+                        row[sc(cr, br, c)] = -r_entry(a, cr, bl)
+                    bld.add_eq(row, Fraction(0))
+    return bld.build(with_objective=False)

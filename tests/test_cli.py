@@ -5,8 +5,9 @@ from pathlib import Path
 
 import pytest
 
-from composec.cli import Env, elaborate, format_ast, main, parse_spec, run
-from composec.errors import DuplicateName, ParseError, UnresolvedName
+import composec.cli
+from composec.cli import DECLARATIONS, Env, elaborate, format_ast, main, parse_spec, run, run_check
+from composec.errors import ComposecError, DuplicateName, ParseError, UnresolvedName
 
 SPECS = Path(__file__).resolve().parent.parent / "specs"
 
@@ -190,6 +191,12 @@ def test_main_resource_limit_emits_report(tmp_path, capsys):
         ("check axioms g expect", "expected a value after 'expect'"),
         ("check otp g key 1/2 x", "expected a number, got 'x'"),
         ("check otp g key 1/2 1/4 1/4", "3 key weights for alphabet g of size 2"),
+        ("check split coin expect feasible junk", "expected end of line, got 'junk'"),
+        ("check axioms g expect fail 7", "expected end of line, got '7'"),
+        ("check otp g seed 3", "expected end of line, got 'seed'"),
+        ("check stream g expander identity expect 1/2", "expected end of line, got 'expect'"),
+        ("check axioms g expect_at_most pass", "expected end of line, got 'expect_at_most'"),
+        ("check otp g attacks -1", "expected an attack count of at least 0, got -1"),
     ],
     ids=[
         "lift-unknown-group",
@@ -200,6 +207,12 @@ def test_main_resource_limit_emits_report(tmp_path, capsys):
         "expect-no-value",
         "otp-key-not-a-number",
         "otp-key-longer-than-group",
+        "split-stray-token",
+        "axioms-stray-number",
+        "otp-seed-without-attacks",
+        "stream-takes-only-expect_at_most",
+        "axioms-takes-only-expect",
+        "otp-negative-attack-count",
     ],
 )
 def test_malformed_check_line_gives_an_error_entry(bad, message, tmp_path, capsys):
@@ -217,8 +230,9 @@ def test_malformed_check_line_gives_an_error_entry(bad, message, tmp_path, capsy
     assert message in entry["error"]
 
 
-# a truncated or malformed declaration is a parse error naming its line and
-# what was expected: exit 2, no report, no traceback
+# a truncated or malformed declaration, or one with a token left over, is a
+# parse error naming its line (the last one given) and what was expected:
+# exit 2, no report, no traceback
 TRUNCATED = [
     ("alphabet", "an alphabet name"),
     ("alphabet a size", "a size after 'size'"),
@@ -248,17 +262,34 @@ TRUNCATED = [
     ("resource r parties a rounds 1 ports y:a:out:unit@2 rows 1", "a port round of at most 1, got 2"),
     ("converter alice c ports x:sideways:unit@1 rows 1", "a port direction 'in' or 'out', got 'sideways'"),
     ("converter alice c ports x:out:unit@0 rows 1", "a port round of at least 1"),
+    ("alphabet a size 2 junk", "end of line, got 'junk'"),
+    ("group g cyclic 2 junk", "end of line, got 'junk'"),
+    ("group s3 symmetric3 7", "end of line, got '7'"),
+    ("kernel k gen identity unit 7 3", "end of line, got '7'"),
+    ("group z2 cyclic 2\nkernel xor gen mult z2 junk", "end of line, got 'junk'"),
+    ("resource r builtin commitment junk", "end of line, got 'junk'"),
+    (
+        "group z2 cyclic 2\nkernel xor gen mult z2\n"
+        "converter alice fA ports msg:in:z2@1 ka_c:in:z2@1 c_out:out:z2@1 kernel xor junk",
+        "end of line, got 'junk'",
+    ),
+    ("resource r builtin channel\nprotocol p from r to r converters none schedule res.1 junk", "end of line, got 'junk'"),
+    ("converter alice c ports x:in:unit@1:wire=y:z rows 1", "a port 'id:dir:alpha@round'"),
+    ("group g table 0 1 ; 1 0 ;", "rows of numbers separated by ';'"),
 ]
 
 
-@pytest.mark.parametrize("bad, expected", TRUNCATED, ids=[bad.replace(" ", "-") for bad, _e in TRUNCATED])
+@pytest.mark.parametrize(
+    "bad, expected", TRUNCATED, ids=[bad.splitlines()[-1].replace(" ", "-") for bad, _e in TRUNCATED]
+)
 def test_truncated_declaration_is_a_parse_error(bad, expected, tmp_path, capsys):
     spec = tmp_path / "bad.spec"
     spec.write_text(f"{bad}\ncheck axioms g\n")
     code = main(["verify", str(spec), "--no-meta"])
     captured = capsys.readouterr()
     assert code == 2
-    assert captured.err == f"composec: line 1, col 1: expected {expected}\n"
+    line = bad.count("\n") + 1
+    assert captured.err == f"composec: line {line}, col 1: expected {expected}\n"
     assert captured.out == ""
 
 
@@ -270,6 +301,16 @@ def test_port_of_an_undeclared_party_is_an_unresolved_name(tmp_path, capsys):
     assert code == 2
     assert captured.err == "composec: line 1: unknown party 'b'\n"
     assert captured.out == ""
+
+
+def test_a_unicode_digit_is_not_a_generator_digit(tmp_path, capsys):
+    # str.isdigit accepts '²' but int() does not
+    spec = tmp_path / "bad.spec"
+    spec.write_text("kernel k gen point unit ²\n")
+    code = main(["verify", str(spec), "--no-meta"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == "composec: line 1: unknown alphabet '²'\n"
 
 
 def test_bare_check_is_a_parse_error():
@@ -314,3 +355,23 @@ def test_library_error_in_a_declaration_names_its_line(tmp_path, capsys):
     assert code == 2
     assert captured.err.startswith("composec: line 10: ")
     assert "does not cover each node round exactly once" in captured.err
+
+
+def test_docstring_grammar_matches_what_the_parser_accepts():
+    grammar = [line.split() for line in composec.cli.__doc__.splitlines() if line.startswith("    ")]
+    heads = [tokens[0] for tokens in grammar]
+    assert set(heads) == set(DECLARATIONS)
+    for head in DECLARATIONS:
+        parse_spec(f"{head} x\n")
+    with pytest.raises(ParseError, match="a declaration keyword, got 'bogus'"):
+        parse_spec("bogus x\n")
+    kinds = [tokens[1] for tokens in grammar if tokens[0] == "check"]
+    assert len(kinds) == len(set(kinds)) == 10
+    for kind in kinds:
+        with pytest.raises(ComposecError) as exc:
+            run_check(Env(), 1, (kind,))
+        assert "unknown check kind" not in str(exc.value), kind
+    for kind in ("bogus", "otp-epsilon", "expect_at_most"):
+        with pytest.raises(ParseError, match=f"unknown check kind {kind!r}"):
+            run_check(Env(), 1, (kind,))
+

@@ -13,7 +13,8 @@ from composec.comb import (
     make_behavior,
     make_signature,
 )
-from composec.errors import NotCausal, ShapeMismatch
+import composec.nogo
+from composec.errors import CompositeVerificationFailed, NotCausal, ShapeMismatch
 from composec.nogo import (
     NogoVerdict,
     broadcast_contradiction_oracle,
@@ -31,11 +32,13 @@ from composec.nogo import (
     split,
     split_check,
     _r_entry_fn,
+    _verify_tripartite_witness,
+    doubled_middle,
     tripartite_split_check,
 )
 from composec.resources import Resource
 from composec.stoch import Alphabet, index_tuple, make_kernel, marginalize, tuple_index
-from tests.helpers import BIT, TRIT, random_kernel
+from tests.helpers import BIT, TRIT, random_kernel, tripartite_program
 
 F = Fraction
 
@@ -227,10 +230,12 @@ def test_doubled_middle_constructive_on_controls():
             assert verdict.cert is not None
 
 
-def test_r_entry_reads_interleaved_out_ports():
-    # Alice's and Charlie's out-ports interleave, with different alphabets,
-    # so a wrong stride or port order reads another cell
-    quad = Alphabet("quad", 4)
+QUAD = Alphabet("quad", 4)
+
+
+def _interleaved_resource(seed):
+    """Alice's and Charlie's out-ports interleave, with different alphabets,
+    so a wrong stride or port order reads another cell."""
     sig = make_signature(
         ["alice", "bob", "charlie"],
         1,
@@ -239,16 +244,90 @@ def test_r_entry_reads_interleaved_out_ports():
             PortSpec("b", "bob", TRIT, IN, 1),
             PortSpec("c1", "charlie", BIT, OUT, 1),
             PortSpec("a2", "alice", BIT, OUT, 1),
-            PortSpec("c2", "charlie", quad, OUT, 1),
+            PortSpec("c2", "charlie", QUAD, OUT, 1),
         ],
     )
-    kernel = random_kernel(random.Random(31), (TRIT,), (TRIT, BIT, BIT, quad))
-    r = Resource(make_behavior(sig, kernel), name="interleaved")
+    kernel = random_kernel(random.Random(seed), (TRIT,), (TRIT, BIT, BIT, QUAD))
+    return Resource(make_behavior(sig, kernel), name=f"interleaved_{seed}")
+
+
+def test_r_entry_reads_interleaved_out_ports():
+    r = _interleaved_resource(31)
+    kernel = r.behavior.kernel
     entry, nb, na, nc = _r_entry_fn(r)
     assert (nb, na, nc) == (3, 6, 8)
     for b in range(nb):
         for a in range(na):
             a1, a2 = index_tuple((TRIT, BIT), a)
             for c in range(nc):
-                c1, c2 = index_tuple((BIT, quad), c)
+                c1, c2 = index_tuple((BIT, QUAD), c)
                 assert entry(a, c, b) == kernel.entry((a1, c1, a2, c2), (b,))
+
+
+class _Built(Exception):
+    pass
+
+
+def _split_check_program(monkeypatch, r):
+    """The program `tripartite_split_check` builds for r, caught before it
+    is solved."""
+    built = []
+
+    def capture(bld, what, cap):
+        built.append(bld.build(with_objective=False))
+        raise _Built
+
+    monkeypatch.setattr(composec.nogo, "solve_checked", capture)
+    with pytest.raises(_Built):
+        tripartite_split_check(r)
+    return built[0]
+
+
+def _typed(prog):
+    rows = [[(j, type(v), v) for j, v in row] for row in prog.rows]
+    return prog.n, rows, [(type(v), v) for v in prog.b]
+
+
+@pytest.mark.parametrize(
+    "make",
+    [broadcast_resource, constant_output_resource, product_uniform_resource]
+    + [lambda seed=seed: _interleaved_resource(seed) for seed in (31, 32, 33)],
+    ids=["broadcast", "constant", "product_uniform", "interleaved_31", "interleaved_32", "interleaved_33"],
+)
+def test_split_check_builds_the_hand_written_program(monkeypatch, make):
+    r = make()
+    assert _typed(_split_check_program(monkeypatch, r)) == _typed(tripartite_program(r))
+
+
+def _alice_only_resource():
+    # Alice receives Bob's bit and Charlie a constant 0: Bob's simulator must
+    # pass the left middle input on, so moving mass within one of its
+    # columns changes what his attack produces
+    table = [[0] * 2 for _ in range(4)]
+    for b in range(2):
+        table[b * 2][b] = 1
+    sig = broadcast_resource().signature
+    return Resource(make_behavior(sig, make_kernel((BIT,), (BIT, BIT), table)), name="alice_only")
+
+
+def test_witness_check_rejects_mass_moved_within_an_s_b_column():
+    r = _alice_only_resource()
+    verdict = tripartite_split_check(r)
+    assert verdict.feasible and broadcast_contradiction_oracle(r).contradiction is False
+    _verify_tripartite_witness(r, verdict.witness)
+    s_b = list(verdict.witness["s_B"])  # column (b_l, b_r) holds cells 2 * column + b
+    full = next(k for k in range(2) if s_b[k] > 0)
+    s_b[1 - full] += s_b[full]
+    s_b[full] = F(0)
+    assert sum(s_b[:2]) == 1
+    with pytest.raises(CompositeVerificationFailed, match="tripartite witness"):
+        _verify_tripartite_witness(r, {**verdict.witness, "s_B": tuple(s_b)})
+
+
+def test_doubled_middle_entries_are_fractions():
+    for r in [broadcast_resource(), constant_output_resource(), product_uniform_resource(), _interleaved_resource(31)]:
+        nb = _r_entry_fn(r)[1]
+        s_b = [[int(col // nb == b) for col in range(nb * nb)] for b in range(nb)]  # b = left middle input
+        d = doubled_middle(r, s_b)
+        assert {type(v) for row in d for v in row} == {Fraction}, r.name
+        assert all(sum(d[row][col] for row in range(len(d))) == 1 for col in range(nb * nb))
