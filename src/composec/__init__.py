@@ -17,7 +17,6 @@ from .stoch import (
     compose,
     copy_map,
     delete,
-    equal_within,
     identity,
     make_kernel,
     marginalize,
@@ -115,7 +114,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Alphabet", "Dist", "Kernel", "channel_distance", "compose", "copy_map",
-    "delete", "equal_within", "identity", "make_kernel", "marginalize",
+    "delete", "identity", "make_kernel", "marginalize",
     "permutation", "point", "structural", "swap", "tensor", "uniform",
     "FarkasCert", "Feasible", "Infeasible", "LinearProgram", "LpBuilder",
     "Optimal", "Unbounded", "minimize", "solve_feasible", "verify",

@@ -5,10 +5,13 @@ initial (dummy) attack only: the J parties' converters are removed, exposing
 their raw resource ports.  A simulator is a process wrapped around the ideal
 resource's J interface that reproduces that view exactly; searching for one
 is a linear feasibility problem because the attacked ideal execution is
-linear in the simulator's table.  Both searches solve through
-`distinguisher.solve_checked`: infeasibility comes back as a re-verified
-exact Farkas certificate, feasibility as a simulator re-checked against the
-real view, an optimum as a simulator whose distance achieves the value.
+linear in the simulator's table.  Simulator search and the minimum ε solve
+on the derived simulator shape through `distinguisher.solve_comb`:
+infeasibility comes back as a re-verified exact Farkas certificate, and a
+simulator is substituted back and must reach the program's value exactly.
+A certificate's residual is always the distinguisher advantage between the
+real and the simulated view (`simulator_distance`), so `compose_certs` adds
+like with like.
 """
 
 from __future__ import annotations
@@ -35,14 +38,7 @@ from .comb import (
     moment_order,
     schedule_to_match,
 )
-from .distinguisher import (
-    add_advantage_objective,
-    add_match_rows,
-    canonical_forms,
-    solve_checked,
-    table_behavior,
-    table_lp,
-)
+from .distinguisher import solve_comb
 from .errors import (
     ColumnNotStochastic,
     CompositeVerificationFailed,
@@ -52,12 +48,11 @@ from .errors import (
     ShapeMismatch,
     WiringMismatch,
 )
-from .lp import FarkasCert, Infeasible
+from .lp import FarkasCert
 from .resources import RES, Protocol, Resource
 from .scalars import ZERO, Scalar
 from .stoch import (
     Kernel,
-    column_pairs,
     compose as k_compose,
     identity as k_identity,
     kernel_equal,
@@ -123,7 +118,7 @@ class Simulator:
 class SimulatorCert:
     j_parties: tuple[str, ...]
     simulator: Simulator
-    residual: Scalar
+    residual: Scalar  # distinguisher advantage between the real and simulated views
     protocol_name: str = ""
 
 
@@ -297,14 +292,24 @@ def derive_simulator_shape(real_sig: Signature, s: Resource, j_parties: Sequence
 # security checks
 
 
-def ideal_view(s: Resource, sim: Simulator, match: Optional[Signature] = None) -> Behavior:
-    """The simulator wrapped around the ideal resource, canonicalized."""
+def ideal_view(s: Resource, sim: Simulator, match: Signature) -> Behavior:
+    """The simulator wrapped around the ideal resource, scheduled so that its
+    moments follow `match` (the real view's signature), canonicalized."""
     nodes = [(RES, s.behavior)] + list(sim.nodes)
-    if match is not None:
-        schedule = schedule_to_match(nodes, sim.wires, match)
-    else:
-        schedule = merge_asap(nodes, sim.wires, view_label=RES)
+    schedule = schedule_to_match(nodes, sim.wires, match)
     return canonical(Network(nodes, list(sim.wires), schedule).evaluate())
+
+
+def simulator_distance(real: Behavior, s: Resource, sim: Simulator) -> Scalar:
+    """The distinguisher advantage between the real view and the
+    simulator-wrapped ideal view: a simulator certificate's residual."""
+    ideal = ideal_view(s, sim, real.signature)
+    if ideal.signature != real.signature:
+        raise InterfaceMismatch(
+            f"ideal view interface {[q.id for q in ideal.signature.ports]} does not match "
+            f"real view {[q.id for q in real.signature.ports]}"
+        )
+    return behavior_distance(real, ideal)
 
 
 def check_secure_with(
@@ -317,8 +322,7 @@ def check_secure_with(
     """Verify the security equation: the dummy-attacked real view equals the
     simulator-wrapped ideal view."""
     t0 = time.perf_counter()
-    real = dummy_attack(p, r, j_parties)
-    residual = _residual(real, s, sim)
+    residual = simulator_distance(dummy_attack(p, r, j_parties), s, sim)
     ms = (time.perf_counter() - t0) * 1000
     cert = SimulatorCert(tuple(j_parties), sim, residual, p.name)
     if residual == 0:
@@ -326,35 +330,28 @@ def check_secure_with(
     return SecurityReport("insecure", epsilon=None, cert=cert, wall_ms=ms)
 
 
-def _residual(real: Behavior, s: Resource, sim: Simulator) -> Scalar:
-    """Largest entrywise gap between the real view and the simulator-wrapped
-    ideal view, scheduled to match the real view's moments."""
-    ideal = ideal_view(s, sim, match=real.signature)
-    if ideal.signature != real.signature:
-        raise InterfaceMismatch(
-            f"ideal view interface {[q.id for q in ideal.signature.ports]} does not match "
-            f"real view {[q.id for q in real.signature.ports]}"
-        )
-    residual = ZERO
-    for ca, cb in zip(real.kernel.cols, ideal.kernel.cols):
-        for a, b in column_pairs(ca, cb):
-            d = abs(a - b)
-            if d > residual:
-                residual = d
-    return residual
-
-
-def _symbolic_ideal(real: Behavior, s: Resource, j_parties: Sequence[str]):
-    """Linear forms of the simulator-wrapped ideal view, aligned to the
-    canonical real view's indexing."""
+def _search(p: Protocol, r: Resource, s: Resource, j_parties: Sequence[str], minimize: bool) -> SecurityReport:
+    """Solve for the simulator's table on the derived simulator shape: a
+    perfect simulator, or one of least advantage when `minimize`."""
+    t0 = time.perf_counter()
+    real = dummy_attack(p, r, j_parties)
     shape = derive_simulator_shape(real.signature, s, j_parties)
     nodes = [(RES, s.behavior), ("sim", shape.signature)]
-    can_sig, aligned = canonical_forms(Network(nodes, list(shape.wires), list(shape.schedule)))
-    if can_sig != real.signature:
-        raise InterfaceMismatch(
-            "derived simulator interface cannot reproduce the real view's moment structure"
-        )
-    return shape, aligned
+    what = "epsilon" if minimize else "simulator"
+    prog, out, comb = solve_comb(nodes, shape.wires, shape.schedule, real, what, LP_CAP, minimize)
+    ms = (time.perf_counter() - t0) * 1000
+    size = (prog.n, prog.m)
+    if comb is None:
+        return SecurityReport("insecure", farkas=out.cert, lp_size=size, wall_ms=ms, lp=prog)
+    eps = out.value if minimize else ZERO
+    sim = Simulator(tuple(j_parties), (("sim", comb),), shape.wires)
+    return SecurityReport(
+        "secure" if eps == 0 else "epsilon",
+        epsilon=eps,
+        cert=SimulatorCert(tuple(j_parties), sim, eps, p.name),
+        lp_size=size,
+        wall_ms=ms,
+    )
 
 
 def search_simulator(
@@ -366,27 +363,7 @@ def search_simulator(
     """Decide security against the dummy attack by linear feasibility over
     the simulator's table entries; the dummy attack is initial (every attack
     factors through it), so this verdict covers all attacks."""
-    t0 = time.perf_counter()
-    real = dummy_attack(p, r, j_parties)
-    shape, aligned = _symbolic_ideal(real, s, j_parties)
-    bld = table_lp(shape.signature)
-    add_match_rows(bld, aligned, real)
-    prog, out = solve_checked(bld, "simulator", LP_CAP)
-    ms = (time.perf_counter() - t0) * 1000
-    size = (prog.n, prog.m)
-    if isinstance(out, Infeasible):
-        return SecurityReport("insecure", farkas=out.cert, lp_size=size, wall_ms=ms, lp=prog)
-    sigma_b = table_behavior(shape.signature, out.point)
-    sim = Simulator(tuple(j_parties), (("sim", sigma_b),), shape.wires)
-    if _residual(real, s, sim) != 0:
-        raise CompositeVerificationFailed("LP simulator failed re-verification")
-    return SecurityReport(
-        "secure",
-        epsilon=ZERO,
-        cert=SimulatorCert(tuple(j_parties), sim, ZERO, p.name),
-        lp_size=size,
-        wall_ms=ms,
-    )
+    return _search(p, r, s, j_parties, minimize=False)
 
 
 def min_epsilon(
@@ -398,30 +375,7 @@ def min_epsilon(
     """Best achievable distinguisher advantage: minimize over simulators the
     adaptive distinguisher's advantage between real and ideal views, as one
     linear program (see `distinguisher`)."""
-    t0 = time.perf_counter()
-    real = dummy_attack(p, r, j_parties)
-    shape, aligned = _symbolic_ideal(real, s, j_parties)
-    bld = table_lp(shape.signature)
-    add_advantage_objective(bld, aligned, real)
-    prog, out = solve_checked(bld, "epsilon", LP_CAP, with_objective=True)
-    ms = (time.perf_counter() - t0) * 1000
-    size = (prog.n, prog.m)
-    if isinstance(out, Infeasible):
-        return SecurityReport("insecure", farkas=out.cert, lp_size=size, wall_ms=ms, lp=prog)
-    sigma_b = table_behavior(shape.signature, out.point)
-    sim = Simulator(tuple(j_parties), (("sim", sigma_b),), shape.wires)
-    eps = out.value
-    ideal = ideal_view(s, sim, match=real.signature)
-    if ideal.signature != real.signature or behavior_distance(real, ideal) != eps:
-        raise CompositeVerificationFailed("epsilon LP's simulator does not achieve its value")
-    verdict = "secure" if eps == 0 else "epsilon"
-    return SecurityReport(
-        verdict,
-        epsilon=eps,
-        cert=SimulatorCert(tuple(j_parties), sim, eps, p.name),
-        lp_size=size,
-        wall_ms=ms,
-    )
+    return _search(p, r, s, j_parties, minimize=True)
 
 
 # ---------------------------------------------------------------------------
@@ -523,71 +477,32 @@ def compose_certs(
     if set(cert_p.j_parties) != set(cert_q.j_parties):
         raise InterfaceMismatch("certificates are for different dishonest sets")
     j = cert_p.j_parties
+    p_sim, q_sim = cert_p.simulator, cert_q.simulator
     if mode == "sequential":
         comp = seq_compose(q, p)
-        outer_ids = {
-            port.id
-            for _lab, node in cert_q.simulator.nodes
-            for port in node.signature.ports
+        q_nodes, q_wires = _prefixed(q_sim, "q__")
+        # σ_p's wires into the middle resource now reach the σ_q node that
+        # leaves that middle port unwired
+        wired = {ref for w in q_wires for ref in w}
+        owner = {
+            port.id: lab for lab, node in q_nodes for port in node.signature.ports if (lab, port.id) not in wired
         }
-        wired_sim_refs = {ref for w in cert_q.simulator.wires for ref in w}
-        # σ_p's wires into the middle resource now reach σ_q's outer ports
-        relabel_q = {lab: f"q__{lab}" for lab, _n in cert_q.simulator.nodes}
-        relabel_p = {lab: f"p__{lab}" for lab, _n in cert_p.simulator.nodes}
-        nodes = tuple(
-            (relabel_q[lab], node) for lab, node in cert_q.simulator.nodes
-        ) + tuple((relabel_p[lab], node) for lab, node in cert_p.simulator.nodes)
-        wires = []
-        for a, b in cert_q.simulator.wires:
-            wires.append(
-                (
-                    (relabel_q.get(a[0], a[0]), a[1]) if a[0] != RES else a,
-                    (relabel_q.get(b[0], b[0]), b[1]) if b[0] != RES else b,
-                )
-            )
-        # locate σ_q node exposing each middle port id
-        owner: dict[str, str] = {}
-        for lab, node in cert_q.simulator.nodes:
-            for port in node.signature.ports:
-                if (lab, port.id) not in wired_sim_refs:
-                    owner[port.id] = relabel_q[lab]
-        for a, b in cert_p.simulator.wires:
-            def remap(ref):
-                if ref[0] == RES:
-                    if ref[1] not in owner:
-                        raise InterfaceMismatch(f"middle port {ref[1]!r} not exposed by the q-simulator")
-                    return (owner[ref[1]], ref[1])
-                return (relabel_p[ref[0]], ref[1])
-            wires.append((remap(a), remap(b)))
-        sim = Simulator(j, nodes, tuple(wires))
+
+        def middle(ref):
+            if ref[1] not in owner:
+                raise InterfaceMismatch(f"middle port {ref[1]!r} not exposed by the q-simulator")
+            return (owner[ref[1]], ref[1])
+
+        p_nodes, p_wires = _prefixed(p_sim, "p__", middle)
+        sim = Simulator(j, q_nodes + p_nodes, q_wires + p_wires)
     elif mode == "parallel":
         comp = par_compose(p, q)
-        relabel_p = {lab: f"p__{lab}" for lab, _n in cert_p.simulator.nodes}
-        relabel_q = {lab: f"q__{lab}" for lab, _n in cert_q.simulator.nodes}
-        nodes = tuple((relabel_p[lab], node) for lab, node in cert_p.simulator.nodes) + tuple(
-            (relabel_q[lab], node) for lab, node in cert_q.simulator.nodes
-        )
-        wires = tuple(
-            (
-                (relabel_p.get(a[0], a[0]), a[1]) if a[0] != RES else a,
-                (relabel_p.get(b[0], b[0]), b[1]) if b[0] != RES else b,
-            )
-            for a, b in cert_p.simulator.wires
-        ) + tuple(
-            (
-                (relabel_q.get(a[0], a[0]), a[1]) if a[0] != RES else a,
-                (relabel_q.get(b[0], b[0]), b[1]) if b[0] != RES else b,
-            )
-            for a, b in cert_q.simulator.wires
-        )
-        sim = Simulator(j, nodes, wires)
+        p_nodes, p_wires = _prefixed(p_sim, "p__")
+        q_nodes, q_wires = _prefixed(q_sim, "q__")
+        sim = Simulator(j, p_nodes + q_nodes, p_wires + q_wires)
     else:
         raise ValueError(f"unknown composition mode {mode!r}")
-    real = dummy_attack(comp, r, j)
-    ideal = ideal_view(s, sim, match=real.signature)
-    if ideal.signature != real.signature:
-        raise CompositeVerificationFailed("composite simulator has the wrong interface")
-    eps = behavior_distance(real, ideal)
+    eps = simulator_distance(dummy_attack(comp, r, j), s, sim)
     budget = cert_p.residual + cert_q.residual
     if eps > budget:
         raise CompositeVerificationFailed(
@@ -597,6 +512,17 @@ def compose_certs(
     verdict = "secure" if eps == 0 else "epsilon"
     report = SecurityReport(verdict, epsilon=eps, cert=cert)
     return cert, report
+
+
+def _prefixed(sim: Simulator, prefix: str, res_ref=lambda end: end) -> tuple[tuple, tuple]:
+    """sim's nodes and wires with `prefix` on every node label; a wire end
+    on the ideal resource goes through `res_ref` instead."""
+    nodes = tuple((prefix + lab, node) for lab, node in sim.nodes)
+
+    def ref(end):
+        return res_ref(end) if end[0] == RES else (prefix + end[0], end[1])
+
+    return nodes, tuple((ref(a), ref(b)) for a, b in sim.wires)
 
 
 # ---------------------------------------------------------------------------

@@ -431,8 +431,27 @@ def _cert_payload(report: SecurityReport):
     return {}
 
 
-def _expectation(tokens: list[str], key: str, line: int) -> Optional[str]:
-    """Pop 'KEY VALUE' from wherever it stands; None when absent."""
+# each check kind's accepted `expect` values: its verdict words, or None
+# for a number
+EXPECTS: dict[str, Optional[tuple[str, ...]]] = {
+    "secure": ("secure", "insecure"),
+    "epsilon": None,
+    "split": ("feasible", "infeasible"),
+    "advantage": None,
+    "broadcast": ("feasible", "infeasible"),
+    "axioms": ("pass", "fail"),
+    "otp": ("secure", "insecure"),
+    "otp_epsilon": None,
+    "lift": ("pass",),
+    "stream": None,
+}
+
+
+def _expectation(tokens: list[str], kind: str, line: int) -> Optional[str]:
+    """Pop 'expect VALUE' ('expect_at_most VALUE' for stream) from wherever
+    it stands, checked against the kind's accepted values; None when
+    absent."""
+    key = "expect_at_most" if kind == "stream" else "expect"
     if key not in tokens:
         return None
     i = tokens.index(key)
@@ -440,13 +459,20 @@ def _expectation(tokens: list[str], key: str, line: int) -> Optional[str]:
         raise ParseError(line, 1, f"a value after {key!r}")
     value = tokens[i + 1]
     del tokens[i : i + 2]
+    words = EXPECTS[kind]
+    if words is None:
+        _number(value, line)
+    elif value not in words:
+        raise ParseError(line, 1, f"{' or '.join(map(repr, words))} after {key!r}, got {value!r}")
     return value
 
 
 def run_check(env: Env, line: int, tokens: tuple[str, ...]) -> dict:
     toks = list(tokens)
     kind = toks.pop(0)
-    expected = _expectation(toks, "expect_at_most" if kind == "stream" else "expect", line)
+    if kind not in EXPECTS:
+        raise ParseError(line, 1, f"unknown check kind {kind!r}")
+    expected = _expectation(toks, kind, line)
     entry: dict = {"kind": kind, "line": line, "args": " ".join(tokens)}
 
     def operand(what: str) -> str:
@@ -561,8 +587,6 @@ def run_check(env: Env, line: int, tokens: tuple[str, ...]) -> dict:
         bound_ok = rep.composite.epsilon <= rep.expansion_epsilon
         entry["bound_holds"] = bound_ok
         entry["pass"] = bound_ok and (expected is None or rep.composite.epsilon <= _number(expected, line))
-    else:
-        raise ParseError(line, 1, f"unknown check kind {kind!r}")
     if expected is not None:
         entry["expected"] = expected
     return entry

@@ -498,9 +498,11 @@ def behavior_distance(a: Behavior, b: Behavior) -> Scalar:
     Backward induction over the decision tree: a node's value is the best
     input choice's sum of its children's values, a leaf's value is
     |a[y|x] - b[y|x]|, and the advantage is half the root's value.  This is
-    linear in the table size."""
+    linear in the table size; equal tables are at distance 0 at once."""
     if a.signature != b.signature:
         raise SignatureMismatch("behaviors have different signatures")
+    if a.kernel.cols == b.kernel.cols:
+        return ZERO
     steps = decision_rounds(a.signature)
     ca = [dict(col) for col in a.kernel.cols]
     cb = [dict(col) for col in b.kernel.cols]
@@ -754,7 +756,6 @@ class Network:
 def _wire_deps(signatures: dict[str, Signature], wires: Sequence[Wire]):
     """For each (label, round), the (label, round) items that must fire first
     because they produce a wired input."""
-    producer_of: dict[PortRef, tuple[str, int]] = {}
     consumer_deps: dict[tuple[str, int], list[tuple[str, int]]] = {}
     for a, b in wires:
         pa = signatures[a[0]].port(a[1])
@@ -763,7 +764,6 @@ def _wire_deps(signatures: dict[str, Signature], wires: Sequence[Wire]):
             src, dst, ps, pd = a, b, pa, pb
         else:
             src, dst, ps, pd = b, a, pb, pa
-        producer_of[dst] = (src[0], ps.round)
         consumer_deps.setdefault((dst[0], pd.round), []).append((src[0], ps.round))
     return consumer_deps
 

@@ -5,7 +5,9 @@ network with one symbolic comb: `Network.linear_evaluate` gives every
 transcript probability as a linear form in the comb's table, and the comb's
 table must be stochastic and causal.  Equating the forms with a target
 behaviour is a feasibility problem; minimizing the adaptive distinguisher's
-advantage against the target is a minimization.
+advantage against the target is a minimization.  `solve_comb` is the one
+path for both: it builds the program, solves it, reads the table back and
+substitutes it into the network.
 
 The advantage is encoded by backward induction over the distinguisher's
 decision tree (`comb.decision_rounds`): one variable u per table cell bounds
@@ -16,21 +18,37 @@ the classical case of the linear description of strategies (Gutoski and
 Watrous, STOC 2007; Chiribella, D'Ariano and Perinotti, PRA 80, 022339,
 2009), with one row per (node, choice) instead of one per strategy.
 
-Every check in `attacks` and `nogo` solves its program through
-`solve_checked`: one size guard, one solver call, and a re-check of every
-Farkas certificate against the raw program, so a verdict of infeasibility
-never rests on the solver alone.
+Every program is solved through `solve_checked`: one size guard, one solver
+call, and a re-check of every Farkas certificate against the raw program, so
+a verdict of infeasibility never rests on the solver alone.  That re-check
+guards the solver only; the program's own rows are taken as written.  A
+table found by `solve_comb` is re-checked by substitution: the network
+evaluated with the table in place must be at `behavior_distance` from the
+target exactly the program's value (0 for feasibility), which guards the
+match rows, the tree rows and the solver together.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, Optional, Sequence, Union
 
 from . import lp as lpmod
-from .comb import Behavior, Network, Signature, axis_perms, canonical_rounds, decision_rounds, make_behavior
-from .errors import CompositeVerificationFailed, ProblemTooLarge
-from .lp import Feasible, Infeasible, LinearProgram, LpBuilder, Optimal
+from .comb import (
+    Behavior,
+    Network,
+    ScheduleItem,
+    Signature,
+    Wire,
+    axis_perms,
+    behavior_distance,
+    canonical,
+    canonical_rounds,
+    decision_rounds,
+    make_behavior,
+)
+from .errors import CompositeVerificationFailed, InterfaceMismatch, ProblemTooLarge
+from .lp import Feasible, Infeasible, LinearProgram, LpBuilder, LpOutcome, Optimal
 from .scalars import ONE, ZERO, Scalar
 from .stoch import index_projection, make_kernel, ports_size
 
@@ -205,3 +223,42 @@ def solve_checked(bld: LpBuilder, what: str, cap: int, with_objective: bool = Fa
     elif not isinstance(out, kind):
         raise CompositeVerificationFailed(f"{what} LP returned {type(out).__name__}")
     return prog, out
+
+
+def solve_comb(
+    nodes: Sequence[tuple[str, Union[Behavior, Signature]]],
+    wires: Sequence[Wire],
+    schedule: Sequence[ScheduleItem],
+    target: Behavior,
+    what: str,
+    cap: int,
+    minimize: bool = False,
+) -> tuple[LinearProgram, LpOutcome, Optional[Behavior]]:
+    """Find a table for the one symbolic node among `nodes` with which the
+    network reproduces the canonical behaviour `target` or, `minimize`, is
+    the least distinguishable from it.
+
+    Returns (program, outcome, comb).  An Infeasible outcome carries a
+    re-verified Farkas certificate and comb is None; otherwise comb is the
+    table read back from the solver's point, and the network with comb in
+    place has been checked to lie at `behavior_distance` exactly the
+    outcome's value (0 for feasibility) from `target`."""
+    net = Network(nodes, wires, schedule)
+    can_sig, aligned = canonical_forms(net)
+    if can_sig != target.signature:
+        raise InterfaceMismatch(f"the {what} network cannot reproduce the target's moment structure")
+    sig = net.signatures[net.symbolic]
+    bld = table_lp(sig)
+    if minimize:
+        add_advantage_objective(bld, aligned, target)
+    else:
+        add_match_rows(bld, aligned, target)
+    prog, out = solve_checked(bld, what, cap, with_objective=minimize)
+    if isinstance(out, Infeasible):
+        return prog, out, None
+    comb = table_behavior(sig, out.point)
+    filled = [(lab, comb if lab == net.symbolic else item) for lab, item in nodes]
+    reached = canonical(Network(filled, wires, schedule).evaluate())
+    if behavior_distance(reached, target) != (out.value if minimize else ZERO):
+        raise CompositeVerificationFailed(f"{what} LP's table does not achieve its value")
+    return prog, out, comb

@@ -16,11 +16,14 @@ equations; the split check, its completion, the witness check and
 cross-checks the LP verdict on broadcast-shaped resources.
 
 Every program here is solved through `distinguisher.solve_checked`, which
-re-verifies each Farkas certificate; feasible witnesses are re-checked by
-substitution (`split`, `_verify_tripartite_witness`, or `lp.verify` of the
-completion's simulators), and the minimum advantage by `lp.verify`.  The
-tripartite witness check reads the same forms as the program, so it guards
-the solver; the oracle is what guards the encoding.
+re-verifies each Farkas certificate.  The split check and the split
+advantage go through `distinguisher.solve_comb` on the `mediator_problem`
+network, which substitutes the mediator back and requires the split to be
+at exactly the program's value from r (0 for feasibility); that guards the
+encoding and the solver.  The tripartite witness check
+(`_verify_tripartite_witness`) and `lp.verify` of the completion's
+simulators read the same forms as their programs, so they guard the solver;
+the oracle is what guards the tripartite encoding.
 """
 
 from __future__ import annotations
@@ -40,20 +43,11 @@ from .comb import (
     ScheduleItem,
     Signature,
     Wire,
-    behavior_equal,
     canonical,
     make_behavior,
     make_signature,
 )
-from .distinguisher import (
-    add_advantage_objective,
-    add_match_rows,
-    canonical_forms,
-    solve_checked,
-    table_behavior,
-    table_lp,
-    verify_or_raise,
-)
+from .distinguisher import solve_checked, solve_comb, verify_or_raise
 from .errors import CompositeVerificationFailed, InterfaceMismatch, ShapeMismatch
 from .lp import FarkasCert, Infeasible, LpBuilder
 from .resources import Resource
@@ -258,45 +252,30 @@ def split(r: Resource, g: Behavior) -> Behavior:
     return canonical(net.evaluate())
 
 
-def _split_linear(r: Resource):
-    """Linear forms of split(r, g) in g's table entries, aligned to the
-    canonical indexing of r itself."""
+def _split_search(r: Resource, minimize: bool):
+    """Solve for the mediator's table on the two-copy gluing network, with r
+    itself as the target: (program, outcome, mediator or None)."""
     g_sig, wires, schedule = mediator_problem(r)
-    net = Network([("c1", r.behavior), ("g", g_sig), ("c2", r.behavior)], list(wires), list(schedule))
-    can_sig, aligned = canonical_forms(net)
-    target = canonical(r.behavior)
-    if can_sig != target.signature:
-        raise ShapeMismatch(
-            "the two-copy gluing cannot reproduce this resource's moment structure"
-        )
-    return g_sig, aligned, target
+    nodes = [("c1", r.behavior), ("g", g_sig), ("c2", r.behavior)]
+    what = "advantage" if minimize else "split"
+    return solve_comb(nodes, wires, schedule, canonical(r.behavior), what, NOGO_LP_CAP, minimize)
 
 
 def split_check(r: Resource) -> NogoVerdict:
     """Does any stochastic causal mediator make two copies of r equal r?"""
-    g_sig, aligned, target = _split_linear(r)
-    bld = table_lp(g_sig)
-    add_match_rows(bld, aligned, target)
-    prog, out = solve_checked(bld, "split", NOGO_LP_CAP)
-    if isinstance(out, Infeasible):
+    prog, out, g = _split_search(r, minimize=False)
+    if g is None:
         return NogoVerdict(False, cert=out.cert, lp_size=(prog.n, prog.m), lp=prog)
-    g = table_behavior(g_sig, out.point)
-    if not behavior_equal(split(r, g), target):
-        raise CompositeVerificationFailed("witness mediator failed re-verification")
     return NogoVerdict(True, witness={"g": g}, lp_size=(prog.n, prog.m))
 
 
 def min_split_advantage(r: Resource) -> Scalar:
     """Exact minimum, over mediators, of the distinguisher advantage between
     r and its split; 0 iff r is splittable."""
-    g_sig, aligned, target = _split_linear(r)
-    bld = table_lp(g_sig)
-    add_advantage_objective(bld, aligned, target)
-    prog, out = solve_checked(bld, "advantage", NOGO_LP_CAP, with_objective=True)
-    if isinstance(out, Infeasible):
+    _prog, out, g = _split_search(r, minimize=True)
+    if g is None:
         # every stochastic causal mediator is a feasible point
         raise CompositeVerificationFailed("advantage LP returned Infeasible")
-    verify_or_raise(out, prog, "advantage")
     return out.value
 
 

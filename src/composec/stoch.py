@@ -454,9 +454,6 @@ def kernel_equal(f: Kernel, g: Kernel) -> bool:
     return f.cols == g.cols
 
 
-equal_within = kernel_equal
-
-
 def channel_distance(f: Kernel, g: Kernel) -> Scalar:
     """Worst-case total variation distance over inputs (distinguisher advantage)."""
     _require_same_interface(f, g)

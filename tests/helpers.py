@@ -7,6 +7,7 @@ no-go program written out row by row."""
 import itertools
 from fractions import Fraction
 
+from composec.attacks import derive_simulator_shape
 from composec.comb import (
     IN,
     OUT,
@@ -14,9 +15,13 @@ from composec.comb import (
     Network,
     PortSpec,
     Signature,
+    canonical,
     flatten,
     make_signature,
 )
+from composec.distinguisher import canonical_forms
+from composec.errors import InterfaceMismatch
+from composec.nogo import mediator_problem
 from composec.stoch import UNIT, Alphabet, all_tuples, index_tuple, make_kernel, ports_size, tuple_index
 
 BIT = Alphabet("bit", 2)
@@ -130,6 +135,37 @@ def enumerated_distance(a, b):
     """max over deterministic strategies of the total variation distance."""
     ma, mb = a.kernel.matrix, b.kernel.matrix
     return max(sum(abs(ma[i][j] - mb[i][j]) for j, i in cells) for cells in strategy_cells(a.signature)) / 2
+
+
+# ---------------------------------------------------------------------------
+# the linear forms that the split and simulator programs equate with their
+# targets, built from the public network constructors
+
+
+def _forms_against(nodes, wires, schedule, target):
+    """The network's canonical transcript as linear forms in its symbolic
+    node's table; InterfaceMismatch unless its signature is the target's."""
+    sig, forms = canonical_forms(Network(nodes, wires, schedule))
+    if sig != target.signature:
+        raise InterfaceMismatch("the network cannot reproduce the target's moment structure")
+    return forms
+
+
+def split_forms(r):
+    """(mediator signature, forms of the split in the mediator's table, the
+    canonical r they must match)."""
+    g_sig, wires, schedule = mediator_problem(r)
+    target = canonical(r.behavior)
+    nodes = [("c1", r.behavior), ("g", g_sig), ("c2", r.behavior)]
+    return g_sig, _forms_against(nodes, wires, schedule, target), target
+
+
+def simulator_forms(real, s, j_parties):
+    """(simulator signature, forms of the simulator-wrapped ideal view in the
+    simulator's table), aligned to the real view."""
+    shape = derive_simulator_shape(real.signature, s, j_parties)
+    nodes = [("res", s.behavior), ("sim", shape.signature)]
+    return shape.signature, _forms_against(nodes, shape.wires, shape.schedule, real)
 
 
 # ---------------------------------------------------------------------------

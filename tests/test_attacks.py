@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from composec import attacks
+from composec import attacks, distinguisher
 from composec.attacks import (
     Attack,
     Colluding,
@@ -28,6 +28,7 @@ from composec.comb import (
     OUT,
     Network,
     PortSpec,
+    behavior_distance,
     behavior_equal,
     behavior_from_table,
     canonical,
@@ -315,6 +316,19 @@ def test_compose_certs_requires_same_j():
         compose_certs(c1, c2, "sequential", (p1, p1), src, p1.target)
 
 
+def test_residual_is_the_distinguisher_advantage():
+    # the uniform simulator against a key that is uniform on half of Z4: the
+    # largest entrywise gap is 1/4, but a distinguisher tells them apart with
+    # advantage 1/2, which is what composition budgets a residual against
+    half = Fraction(1, 2)
+    inst = build_otp(group_make(("cyclic", 4)), (half, half, Fraction(0), Fraction(0)))
+    rep = check_secure_with(inst.protocol, inst.source, inst.target, ("eve",), inst.sigma)
+    real = dummy_attack(inst.protocol, inst.source, ("eve",))
+    ideal = ideal_view(inst.target, inst.sigma, real.signature)
+    assert rep.verdict == "insecure"
+    assert rep.cert.residual == half == behavior_distance(real, ideal)
+
+
 def test_lifting_deterministic_simulator_transfers():
     from composec.resources import lift_deterministic
 
@@ -375,14 +389,14 @@ def test_search_simulator_evaluates_real_view_once(monkeypatch):
 
 def test_search_simulator_rechecks_lp_simulator(monkeypatch):
     inst = build_otp(group_make(("cyclic", 2)))
-    table_behavior = attacks.table_behavior
+    table_behavior = distinguisher.table_behavior
 
     def constant_simulator(sig, point):
         n_y = ports_size(tuple(p.alphabet for p in sig.outs()))
         return table_behavior(sig, [1 if k % n_y == 0 else 0 for k in range(len(point))])
 
-    monkeypatch.setattr(attacks, "table_behavior", constant_simulator)
-    with pytest.raises(CompositeVerificationFailed):
+    monkeypatch.setattr(distinguisher, "table_behavior", constant_simulator)
+    with pytest.raises(CompositeVerificationFailed, match="^simulator LP's table does not achieve its value"):
         search_simulator(inst.protocol, inst.source, inst.target, ("eve",))
 
 

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 import composec.cli
-from composec.cli import DECLARATIONS, Env, elaborate, format_ast, main, parse_spec, run, run_check
+from composec.cli import DECLARATIONS, EXPECTS, Env, elaborate, format_ast, main, parse_spec, run, run_check
 from composec.errors import ComposecError, DuplicateName, ParseError, UnresolvedName
 
 SPECS = Path(__file__).resolve().parent.parent / "specs"
@@ -178,8 +178,10 @@ def test_main_resource_limit_emits_report(tmp_path, capsys):
     assert [e["kind"] for e in json.loads(captured.out)["checks"]] == ["axioms", "epsilon"]
 
 
-# a check line that names an unknown group or misses an operand becomes an
-# error entry after a passing check, instead of a traceback
+# a check line that names an unknown group, misses an operand or expects a
+# value its kind cannot give becomes an error entry after a passing check,
+# instead of a traceback; an expectation is checked before the operands are
+# resolved, so before the check runs
 @pytest.mark.parametrize(
     "bad, message",
     [
@@ -197,6 +199,10 @@ def test_main_resource_limit_emits_report(tmp_path, capsys):
         ("check stream g expander identity expect 1/2", "expected end of line, got 'expect'"),
         ("check axioms g expect_at_most pass", "expected end of line, got 'expect_at_most'"),
         ("check otp g attacks -1", "expected an attack count of at least 0, got -1"),
+        ("check split coin expect feasibel", "expected 'feasible' or 'infeasible' after 'expect', got 'feasibel'"),
+        ("check advantage coin expect x", "expected a number, got 'x'"),
+        ("check axioms g expect maybe", "expected 'pass' or 'fail' after 'expect', got 'maybe'"),
+        ("check lift g expect fail", "expected 'pass' after 'expect', got 'fail'"),
     ],
     ids=[
         "lift-unknown-group",
@@ -213,6 +219,10 @@ def test_main_resource_limit_emits_report(tmp_path, capsys):
         "stream-takes-only-expect_at_most",
         "axioms-takes-only-expect",
         "otp-negative-attack-count",
+        "split-misspelt-verdict",
+        "advantage-not-a-number",
+        "axioms-unknown-verdict",
+        "lift-takes-only-pass",
     ],
 )
 def test_malformed_check_line_gives_an_error_entry(bad, message, tmp_path, capsys):
@@ -367,6 +377,12 @@ def test_docstring_grammar_matches_what_the_parser_accepts():
         parse_spec("bogus x\n")
     kinds = [tokens[1] for tokens in grammar if tokens[0] == "check"]
     assert len(kinds) == len(set(kinds)) == 10
+    assert set(EXPECTS) == set(kinds)
+    for tokens in grammar:
+        if tokens[0] == "check":
+            assert tokens[-2] in ("[expect", "[expect_at_most"), tokens
+            words = tokens[-1].rstrip("]")
+            assert EXPECTS[tokens[1]] == (None if words == "VALUE" else tuple(words.split("|"))), tokens
     for kind in kinds:
         with pytest.raises(ComposecError) as exc:
             run_check(Env(), 1, (kind,))

@@ -10,8 +10,8 @@ from pathlib import Path
 
 import pytest
 
-from composec import lp as lpmod
-from composec.attacks import _symbolic_ideal, dummy_attack, min_epsilon, search_simulator
+from composec import distinguisher, lp as lpmod
+from composec.attacks import dummy_attack, min_epsilon, search_simulator
 from composec.comb import (
     IN,
     OUT,
@@ -28,7 +28,6 @@ from composec.distinguisher import add_cell_gaps, causality_rows, table_lp
 from composec.errors import CompositeVerificationFailed, InterfaceMismatch
 from composec.lp import FarkasCert, Infeasible, Optimal, Unbounded
 from composec.nogo import (
-    _split_linear,
     broadcast_resource,
     commitment_resource,
     min_split_advantage,
@@ -44,6 +43,8 @@ from tests.helpers import (
     enumerated_distance,
     random_comb,
     random_kernel,
+    simulator_forms,
+    split_forms,
     strategy_cells,
     strategy_count,
 )
@@ -127,14 +128,14 @@ def _enumeration_value(bld, aligned, target) -> Fraction:
 
 
 def _enumerated_split_advantage(r: Resource) -> Fraction:
-    g_sig, aligned, target = _split_linear(r)
+    g_sig, aligned, target = split_forms(r)
     return _enumeration_value(table_lp(g_sig), aligned, target)
 
 
 def _enumerated_epsilon(p: Protocol, j) -> Fraction:
     real = dummy_attack(p, p.source, j)
-    shape, aligned = _symbolic_ideal(real, p.target, j)
-    return _enumeration_value(table_lp(shape.signature), aligned, real)
+    sim_sig, aligned = simulator_forms(real, p.target, j)
+    return _enumeration_value(table_lp(sim_sig), aligned, real)
 
 
 def _adaptive(sig) -> bool:
@@ -173,7 +174,7 @@ def test_split_advantage_matches_enumeration_rows():
     rng = random.Random(2007)
     for shape in SPLIT_SHAPES:
         r = _random_on(rng, shape)
-        assert _adaptive(_split_linear(r)[2].signature)
+        assert _adaptive(split_forms(r)[2].signature)
         want = _enumerated_split_advantage(r)
         assert want > 0
         assert min_split_advantage(r) == want
@@ -230,6 +231,15 @@ def test_min_epsilon_checks_simulator_achieves_value(monkeypatch):
     monkeypatch.setattr(lpmod, "minimize", understated)
     with pytest.raises(CompositeVerificationFailed):
         min_epsilon(inst.protocol, inst.source, inst.target, ("eve",))
+
+
+def test_split_advantage_is_rechecked_by_substitution(monkeypatch):
+    # without the tree rows nothing bounds t from below, so the LP reports
+    # advantage 0; the mediator it returns still leaves the split at 1/2
+    assert min_split_advantage(commitment_resource()) == Fraction(1, 2)
+    monkeypatch.setattr(distinguisher, "add_tree_rows", lambda bld, t, u, sig: None)
+    with pytest.raises(CompositeVerificationFailed, match="^advantage LP's table does not achieve its value"):
+        min_split_advantage(commitment_resource())
 
 
 def test_reverification_survives_optimized_python():

@@ -1,6 +1,7 @@
 """Import hygiene of the package, read from its source with `ast`: every
 imported name is used by the module that imports it (a package's `__all__`
-counts as a use), and no module imports another module's private name."""
+counts as a use), no module imports another module's private name, and the
+program over an unknown comb's table is built in `distinguisher` only."""
 
 import ast
 from pathlib import Path
@@ -62,6 +63,16 @@ def _private(tree: ast.Module) -> list[str]:
     ]
 
 
+# the builders of the unknown-comb program, which `distinguisher.solve_comb`
+# alone puts together
+COMB_LP = ("table_lp", "table_behavior", "add_match_rows", "add_advantage_objective", "canonical_forms")
+OUTSIDE = [p for p in MODULES if p.stem != "distinguisher"]
+
+
+def _comb_lp(tree: ast.Module) -> list[str]:
+    return [f"line {line}: {name}" for _bound, name, _module, line in _imports(tree) if name in COMB_LP]
+
+
 @pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
 def test_every_import_is_used(path):
     unused = _unused(ast.parse(path.read_text(), filename=str(path)))
@@ -74,6 +85,12 @@ def test_no_private_name_crosses_modules(path):
     assert not private, f"{path.name} imports private names: {private}"
 
 
+@pytest.mark.parametrize("path", OUTSIDE, ids=[p.stem for p in OUTSIDE])
+def test_only_distinguisher_builds_the_comb_program(path):
+    found = _comb_lp(ast.parse(path.read_text(), filename=str(path)))
+    assert not found, f"{path.name} builds an unknown comb's program itself: {found}"
+
+
 def test_the_checks_see_an_unused_and_a_private_import():
     tree = ast.parse(
         "from __future__ import annotations\n"
@@ -84,3 +101,4 @@ def test_the_checks_see_an_unused_and_a_private_import():
     )
     assert _unused(tree) == ["line 3: index_tuple", "line 3: _deterministic"]
     assert _private(tree) == ["line 3: _deterministic from .stoch"]
+    assert _comb_lp(ast.parse("from .distinguisher import solve_comb, table_lp\n")) == ["line 1: table_lp"]

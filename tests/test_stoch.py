@@ -20,7 +20,6 @@ from composec.stoch import (
     compose_tensor,
     copy_map,
     delete,
-    equal_within,
     identity,
     index_tuple,
     kernel_equal,
@@ -158,7 +157,7 @@ def test_structural_dispatch_and_errors():
 
 
 def test_equal_within():
-    assert equal_within(identity([BIT]), identity([BIT]))
+    assert kernel_equal(identity([BIT]), identity([BIT]))
     assert not kernel_equal(point([BIT], [0]), point([BIT], [1]))
 
 
