@@ -5,8 +5,10 @@ initial (dummy) attack only: the J parties' converters are removed, exposing
 their raw resource ports.  A simulator is a process wrapped around the ideal
 resource's J interface that reproduces that view exactly; searching for one
 is a linear feasibility problem because the attacked ideal execution is
-linear in the simulator's table.  Simulator search and the minimum ε solve
-on the derived simulator shape through `distinguisher.solve_comb`:
+linear in the simulator's table.  `derive_simulator_shape` says which ideal
+rounds fire when and which real ports the simulator plays, and
+`distinguisher.ShapeBuilder` opens its rounds.  Simulator search and the
+minimum ε solve on that shape through `distinguisher.solve_comb`:
 infeasibility comes back as a re-verified exact Farkas certificate, and a
 simulator is substituted back and must reach the program's value exactly.
 A certificate's residual is always the distinguisher advantage between the
@@ -27,7 +29,6 @@ from .comb import (
     Behavior,
     Network,
     PortSpec,
-    ScheduleItem,
     Signature,
     Wire,
     behavior_distance,
@@ -38,7 +39,7 @@ from .comb import (
     moment_order,
     schedule_to_match,
 )
-from .distinguisher import solve_comb
+from .distinguisher import CombShape, ShapeBuilder, solve_comb
 from .errors import (
     ColumnNotStochastic,
     CompositeVerificationFailed,
@@ -156,14 +157,9 @@ def dummy_attack(p: Protocol, r: Resource, j_parties: Sequence[str]) -> Behavior
     key = tuple(sorted(j))
     if r is p.source and key in p._views:
         return p._views[key]
-    nodes = [(RES, r.behavior)]
-    wires = []
-    for c in p.converters:
-        if c.party in j:
-            continue
-        nodes.append((c.party, c.comb))
-        for cp, rp in c.wiring:
-            wires.append(((c.party, cp), (RES, rp)))
+    honest = [c for c in p.converters if c.party not in j]
+    nodes = [(RES, r.behavior)] + [(c.party, c.comb) for c in honest]
+    wires = [((c.party, cp), (RES, rp)) for c in honest for cp, rp in c.wiring]
     schedule = [item for item in p.schedule if item[0] == RES or item[0] not in j]
     view = canonical(Network(nodes, wires, schedule).evaluate())
     if r is p.source:
@@ -173,89 +169,40 @@ def dummy_attack(p: Protocol, r: Resource, j_parties: Sequence[str]) -> Behavior
 
 def apply_attack(p: Protocol, r: Resource, a: Attack) -> Behavior:
     """Generic attacked execution: the attack comb linked onto the dummy view."""
-    view = dummy_attack(p, r, a.j_parties)
-    wires = [(("atk", ap), ("view", vp)) for ap, vp in a.wiring]
-    nodes = [("view", view), ("atk", a.comb)]
-    schedule = merge_asap(nodes, wires, view_label="view")
-    return Network(nodes, wires, schedule).evaluate()
+    return link_attack(dummy_attack(p, r, a.j_parties), a)
+
+
+def link_attack(view: Behavior, a: Attack) -> Behavior:
+    """The attack comb linked onto `view`, a behaviour with the dummy view's
+    J interface (the real view, or a simulator-wrapped ideal one)."""
+    return _onto_view(view, [("atk", a.comb)], [(("atk", ap), ("view", vp)) for ap, vp in a.wiring])
+
+
+def _onto_view(view: Behavior, nodes: list[tuple[str, Behavior]], wires: list[Wire]) -> Behavior:
+    """`nodes` wired onto `view` ("view"), each round firing as soon as its
+    wired inputs are available."""
+    nodes = [("view", view), *nodes]
+    return Network(nodes, wires, merge_asap(nodes, wires, view_label="view")).evaluate()
 
 
 # ---------------------------------------------------------------------------
 # simulator shape derivation
 
 
-@dataclass(frozen=True)
-class SimulatorShape:
-    signature: Signature  # the simulator comb's interface
-    wires: tuple[Wire, ...]  # ("sim", port) <-> ("res", ideal port)
-    schedule: tuple[ScheduleItem, ...]  # over ("res", t) and ("sim", k)
-
-
-def derive_simulator_shape(real_sig: Signature, s: Resource, j_parties: Sequence[str]) -> SimulatorShape:
-    """Interface of the canonical simulator: it consumes the ideal resource's
-    J ports (ideal outputs as early as possible, ideal inputs fed as late as
-    possible) and carries the real dishonest interface port for port."""
+def derive_simulator_shape(real_sig: Signature, s: Resource, j_parties: Sequence[str]) -> CombShape:
+    """Shape of the canonical simulator ("sim"): it consumes the ideal
+    resource's J ports (ideal outputs as early as possible, ideal inputs fed
+    as late as possible) and carries the real dishonest interface port for
+    port, in the real view's moment order."""
     j = set(j_parties)
     s_sig = s.signature
-    sched: list[ScheduleItem] = []
-    wires: list[Wire] = []
-    sim_ports: list[PortSpec] = []
-    rounds = 0
-    cur_open = False
-    phase = IN
-    s_ptr = 0
-    pending: list[PortSpec] = []
+    ideal_rounds = [[q for q in s_sig.ports if q.round == t] for t in range(1, s_sig.rounds + 1)]
+    sim = ShapeBuilder("sim", lambda _lab, q: (f"sim__{q.id}", q.party))
 
-    def open_round():
-        nonlocal rounds, cur_open, phase
-        rounds += 1
-        cur_open = True
-        phase = IN
-        sched.append(("sim", rounds))
-
-    def add_in(port: PortSpec, wire_to: Optional[str]) -> None:
-        nonlocal cur_open, phase
-        if not cur_open or phase == OUT:
-            open_round()
-        sim_ports.append(PortSpec(port.id if wire_to is None else f"sim__{port.id}", port.party, port.alphabet, IN, rounds))
-        if wire_to is not None:
-            wires.append((("sim", f"sim__{port.id}"), (RES, wire_to)))
-
-    def add_out(port: PortSpec, wire_to: Optional[str]) -> None:
-        nonlocal cur_open, phase
-        if not cur_open:
-            open_round()
-        phase = OUT
-        sim_ports.append(PortSpec(port.id if wire_to is None else f"sim__{port.id}", port.party, port.alphabet, OUT, rounds))
-        if wire_to is not None:
-            wires.append((("sim", f"sim__{port.id}"), (RES, wire_to)))
-
-    def fire_s(t: int) -> None:
-        nonlocal cur_open, s_ptr
-        for port in s_sig.ports:
-            if port.round == t and port.party in j and port.direction == IN:
-                add_out(port, wire_to=port.id)
-        sched.append((RES, t))
-        cur_open = False
-        for port in s_sig.ports:
-            if port.round == t and port.party in j and port.direction == OUT:
-                pending.append(port)
-        s_ptr = t
-
-    def eager_fire() -> None:
-        while s_ptr + 1 <= s_sig.rounds:
-            t = s_ptr + 1
-            ports_t = [p for p in s_sig.ports if p.round == t]
-            if any(p.party not in j for p in ports_t):
-                break
-            if any(p.party in j and p.direction == IN for p in ports_t):
-                break
-            fire_s(t)
-
-    def drain() -> None:
-        for port in pending:
-            add_in(port, wire_to=port.id)
-        pending.clear()
+    def fire_while(ready) -> None:
+        """Fire the ideal rounds in turn while `ready(the round's ports)`."""
+        while sim.fired[RES] < s_sig.rounds and ready(ports := ideal_rounds[sim.fired[RES]]):
+            sim.fire(RES, [q for q in ports if q.party in j])
 
     for i in moment_order(real_sig.ports):
         m = real_sig.ports[i]
@@ -268,24 +215,14 @@ def derive_simulator_shape(real_sig: Signature, s: Resource, j_parties: Sequence
                 raise InterfaceMismatch(f"honest port {m.id!r} differs between real and ideal")
             # already-fired rounds are fine; the final canonical comparison
             # arbitrates whether the moment orders genuinely agree
-            for t in range(s_ptr + 1, sp.round + 1):
-                fire_s(t)
+            fire_while(lambda _ports: sim.fired[RES] < sp.round)
         else:
-            eager_fire()
-            drain()
-            if m.direction == IN:
-                add_in(m, wire_to=None)
-            else:
-                add_out(m, wire_to=None)
-    for t in range(s_ptr + 1, s_sig.rounds + 1):
-        fire_s(t)
-    drain()
-    if rounds == 0:
-        rounds = 1
-        sched.append(("sim", 1))
-    parties = tuple(sorted({p.party for p in sim_ports})) or tuple(sorted(j)) or ("sim",)
-    sig = Signature(parties, rounds, tuple(sim_ports))
-    return SimulatorShape(sig, tuple(wires), tuple(sched))
+            # ideal rounds that only hand the simulator outputs fire eagerly
+            fire_while(lambda ports: all(q.party in j and q.direction == OUT for q in ports))
+            sim.play(m)
+    fire_while(lambda _ports: True)
+    sim.take_pending()
+    return sim.shape(tuple(sorted(j)) or ("sim",))
 
 
 # ---------------------------------------------------------------------------
@@ -336,15 +273,14 @@ def _search(p: Protocol, r: Resource, s: Resource, j_parties: Sequence[str], min
     t0 = time.perf_counter()
     real = dummy_attack(p, r, j_parties)
     shape = derive_simulator_shape(real.signature, s, j_parties)
-    nodes = [(RES, s.behavior), ("sim", shape.signature)]
     what = "epsilon" if minimize else "simulator"
-    prog, out, comb = solve_comb(nodes, shape.wires, shape.schedule, real, what, LP_CAP, minimize)
+    prog, out, comb = solve_comb([(RES, s.behavior)], shape, real, what, LP_CAP, minimize)
     ms = (time.perf_counter() - t0) * 1000
     size = (prog.n, prog.m)
     if comb is None:
         return SecurityReport("insecure", farkas=out.cert, lp_size=size, wall_ms=ms, lp=prog)
     eps = out.value if minimize else ZERO
-    sim = Simulator(tuple(j_parties), (("sim", comb),), shape.wires)
+    sim = Simulator(tuple(j_parties), ((shape.label, comb),), shape.wires)
     return SecurityReport(
         "secure" if eps == 0 else "epsilon",
         epsilon=eps,
@@ -642,15 +578,6 @@ def _exposes_j(view: Behavior, resource: Resource, j) -> bool:
 def apply_protocol_via_dummy(p: Protocol, r: Resource, j_parties) -> Behavior:
     """Link the J parties' honest converters back onto the dummy view; by
     initiality this reproduces the honest execution."""
-    view = dummy_attack(p, r, j_parties)
-    nodes: list[tuple[str, Behavior]] = [("view", view)]
-    wires: list[Wire] = []
-    for party in j_parties:
-        conv = p.converter_for(party)
-        if conv is None:
-            continue
-        nodes.append((party, conv.comb))
-        for cp, rp in conv.wiring:
-            wires.append(((party, cp), ("view", rp)))
-    schedule = merge_asap(nodes, wires, view_label="view")
-    return Network(nodes, wires, schedule).evaluate()
+    convs = [c for c in map(p.converter_for, j_parties) if c is not None]
+    wires = [((c.party, cp), ("view", rp)) for c in convs for cp, rp in c.wiring]
+    return _onto_view(dummy_attack(p, r, j_parties), [(c.party, c.comb) for c in convs], wires)

@@ -48,17 +48,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .attacks import SecurityReport, min_epsilon, search_simulator
+from .attacks import Attack, SecurityReport, dummy_attack, ideal_view, link_attack, min_epsilon, search_simulator
 from .comb import (
     IN,
     OUT,
-    Network,
     PortSpec,
     behavior_equal,
     canonical,
     make_behavior,
     make_signature,
-    merge_asap,
 )
 from .errors import (
     ComposecError,
@@ -595,37 +593,23 @@ def run_check(env: Env, line: int, tokens: tuple[str, ...]) -> dict:
 def _attack_transfer(inst, n: int, seed: int) -> bool:
     """Random-attack transfer probe: any attack on the real view is matched
     by the same attack on the simulated ideal view."""
-    from .attacks import dummy_attack, ideal_view
-
     rng = random.Random(seed)
     real = dummy_attack(inst.protocol, inst.source, ("eve",))
     ideal = ideal_view(inst.target, inst.sigma, match=real.signature)
     pe = [q for q in real.signature.ports if q.party == "eve"][0]
     leak = Alphabet("leak", 3)
+    ports = [PortSpec("a_in", "eve", pe.alphabet, IN, 1), PortSpec("a_out", "eve", leak, OUT, 1)]
+    csig = make_signature(["eve"], 1, ports)
     for _ in range(n):
-        n_cod = leak.size
         cols = []
         for _c in range(pe.alphabet.size):
-            raw = [rng.randint(0, 5) for _ in range(n_cod)]
+            raw = [rng.randint(0, 5) for _ in range(leak.size)]
             if sum(raw) == 0:
                 raw[0] = 1
-            total = sum(raw)
-            cols.append([Fraction(v, total) for v in raw])
-        table = [[cols[j][i] for j in range(pe.alphabet.size)] for i in range(n_cod)]
-        csig = make_signature(
-            ["eve"],
-            1,
-            [PortSpec("a_in", "eve", pe.alphabet, IN, 1), PortSpec("a_out", "eve", leak, OUT, 1)],
-        )
-        comb = make_behavior(csig, make_kernel([pe.alphabet], [leak], table))
-        wires = [(("atk", "a_in"), ("view", pe.id))]
-        outs = []
-        for view in (real, ideal):
-            nodes = [("view", view), ("atk", comb)]
-            outs.append(
-                canonical(Network(nodes, wires, merge_asap(nodes, wires, "view")).evaluate())
-            )
-        if not behavior_equal(outs[0], outs[1]):
+            cols.append([Fraction(v, sum(raw)) for v in raw])
+        comb = make_behavior(csig, make_kernel([pe.alphabet], [leak], list(zip(*cols))))
+        atk = Attack(("eve",), comb, (("a_in", pe.id),))
+        if not behavior_equal(*(canonical(link_attack(view, atk)) for view in (real, ideal))):
             return False
     return True
 

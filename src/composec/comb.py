@@ -525,6 +525,19 @@ Wire = tuple[PortRef, PortRef]
 ScheduleItem = tuple[str, int]  # (node label, round)
 
 
+def _check_schedule(schedule: Sequence[ScheduleItem], rounds: dict[str, int]) -> None:
+    """Raise AcausalSchedule unless `schedule` lists every round of every
+    node (label -> round count) exactly once, each node's in order."""
+    expected = {(lab, r) for lab, n in rounds.items() for r in range(1, n + 1)}
+    if set(schedule) != expected or len(schedule) != len(expected):
+        raise AcausalSchedule(f"schedule {list(schedule)} does not cover each node round exactly once")
+    last: dict[str, int] = {}
+    for lab, r in schedule:
+        if r <= last.get(lab, 0):
+            raise AcausalSchedule(f"schedule violates round order of node {lab!r}")
+        last[lab] = r
+
+
 class Network:
     """Behaviors wired together under an explicit global round order.
 
@@ -564,16 +577,7 @@ class Network:
     # -- validation ---------------------------------------------------------
 
     def _validate(self) -> None:
-        expected = {(lab, r) for lab in self.labels for r in range(1, self.signatures[lab].rounds + 1)}
-        if set(self.schedule) != expected or len(self.schedule) != len(expected):
-            raise AcausalSchedule(
-                f"schedule {self.schedule} does not cover each node round exactly once"
-            )
-        last: dict[str, int] = {}
-        for lab, r in self.schedule:
-            if r <= last.get(lab, 0):
-                raise AcausalSchedule(f"schedule violates round order of node {lab!r}")
-            last[lab] = r
+        _check_schedule(self.schedule, {lab: self.signatures[lab].rounds for lab in self.labels})
         pos = {item: t for t, item in enumerate(self.schedule)}
         self._wire_out: list[PortRef] = []
         self._wire_in: list[PortRef] = []
@@ -879,16 +883,7 @@ def tensor_behavior(a: Behavior, b: Behavior, schedule: Optional[Sequence[Schedu
         schedule = [("a", r) for r in range(1, a.signature.rounds + 1)] + [
             ("b", r) for r in range(1, b.signature.rounds + 1)
         ]
-    expected = {("a", r) for r in range(1, a.signature.rounds + 1)} | {
-        ("b", r) for r in range(1, b.signature.rounds + 1)
-    }
-    if set(schedule) != expected or len(schedule) != len(expected):
-        raise AcausalSchedule("tensor schedule must cover each round exactly once")
-    last = {}
-    for lab, r in schedule:
-        if r <= last.get(lab, 0):
-            raise AcausalSchedule("tensor schedule violates a node's round order")
-        last[lab] = r
+    _check_schedule(schedule, {"a": a.signature.rounds, "b": b.signature.rounds})
     pos = {item: t + 1 for t, item in enumerate(schedule)}
     ports = [replace(p, round=pos[("a", p.round)]) for p in a.signature.ports] + [
         replace(p, round=pos[("b", p.round)]) for p in b.signature.ports

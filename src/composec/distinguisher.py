@@ -7,7 +7,10 @@ table must be stochastic and causal.  Equating the forms with a target
 behaviour is a feasibility problem; minimizing the adaptive distinguisher's
 advantage against the target is a minimization.  `solve_comb` is the one
 path for both: it builds the program, solves it, reads the table back and
-substitutes it into the network.
+substitutes it into the network (`fill`).  The comb's `CombShape` (its
+signature, wires and schedule) comes from one `ShapeBuilder`, for the
+simulator (`attacks.derive_simulator_shape`) and the mediator
+(`nogo.mediator_problem`) alike.
 
 The advantage is encoded by backward induction over the distinguisher's
 decision tree (`comb.decision_rounds`): one variable u per table cell bounds
@@ -30,13 +33,19 @@ match rows, the tree rows and the solver together.
 
 from __future__ import annotations
 
+from collections import Counter
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence
 
 from . import lp as lpmod
 from .comb import (
+    IN,
+    OUT,
     Behavior,
     Network,
+    PortRef,
+    PortSpec,
     ScheduleItem,
     Signature,
     Wire,
@@ -206,15 +215,15 @@ def verify_or_raise(out, prog: LinearProgram, what: str) -> None:
         raise CompositeVerificationFailed(f"{what} LP's {thing} failed re-verification")
 
 
-def solve_checked(bld: LpBuilder, what: str, cap: int, with_objective: bool = False):
+def solve_checked(bld: LpBuilder, what: str, cap: int):
     """Build the program, refuse it past `cap` variables x rows, and solve
-    it: feasibility, or minimization `with_objective`.  Returns
-    (program, outcome); the outcome is Infeasible with a re-verified Farkas
-    certificate, or else Feasible (Optimal when minimizing)."""
-    prog = bld.build(with_objective=with_objective)
+    it: minimization when the builder has an objective, else feasibility.
+    Returns (program, outcome); the outcome is Infeasible with a re-verified
+    Farkas certificate, or else Feasible (Optimal when minimizing)."""
+    prog = bld.build()
     if prog.n * prog.m > cap:
         raise ProblemTooLarge(f"{what} LP has {prog.n} vars x {prog.m} rows")
-    if with_objective:
+    if prog.objective is not None:
         out, kind = lpmod.minimize(prog), Optimal
     else:
         out, kind = lpmod.solve_feasible(prog), Feasible
@@ -225,40 +234,126 @@ def solve_checked(bld: LpBuilder, what: str, cap: int, with_objective: bool = Fa
     return prog, out
 
 
+# ---------------------------------------------------------------------------
+# the unknown comb's shape
+
+
+@dataclass(frozen=True)
+class CombShape:
+    """An unknown comb's place in a network of known nodes: its node label,
+    its signature, its wires to the known nodes and the network's schedule."""
+
+    label: str
+    signature: Signature
+    wires: tuple[Wire, ...]
+    schedule: tuple[ScheduleItem, ...]
+
+
+class ShapeBuilder:
+    """Opens an unknown comb's rounds while the caller, in network order,
+    fires the known rounds around it and plays the comb's own ports.
+
+    The comb takes every waiting input before it plays a port of its own;
+    an input after an emit opens a new round; each known round that fires
+    closes the comb's current round, after the comb has emitted that
+    round's inputs; and the known round's outputs wait as pending inputs.
+    `mirror(label, port)` names the comb's (port id, party) wired to a known
+    node's port."""
+
+    def __init__(self, label: str, mirror: Callable[[str, PortSpec], tuple[str, str]]) -> None:
+        self.label = label
+        self.mirror = mirror
+        self.ports: list[PortSpec] = []
+        self.wires: list[Wire] = []
+        self.schedule: list[ScheduleItem] = []
+        self.fired: Counter[str] = Counter()  # known label -> its last fired round
+        self.pending: list[tuple[str, PortSpec]] = []
+        self.rounds = 0
+        self.phase: Optional[str] = None  # the open round's last direction; None when closed
+
+    def _add(self, pid: str, party: str, alphabet, direction: str, end: Optional[PortRef] = None) -> None:
+        if self.phase is None or (direction == IN and self.phase == OUT):
+            self.rounds += 1
+            self.schedule.append((self.label, self.rounds))
+        self.phase = direction
+        self.ports.append(PortSpec(pid, party, alphabet, direction, self.rounds))
+        if end is not None:
+            self.wires.append(((self.label, pid), end))
+
+    def _wired(self, lab: str, q: PortSpec) -> None:
+        pid, party = self.mirror(lab, q)
+        self._add(pid, party, q.alphabet, OUT if q.direction == IN else IN, (lab, q.id))
+
+    def take_pending(self) -> None:
+        """The comb takes every waiting known output."""
+        for lab, q in self.pending:
+            self._wired(lab, q)
+        self.pending.clear()
+
+    def play(self, port: PortSpec) -> None:
+        """One of the comb's own (unwired) ports, after what is waiting."""
+        self.take_pending()
+        self._add(port.id, port.party, port.alphabet, port.direction)
+
+    def fire(self, lab: str, ports: Sequence[PortSpec]) -> None:
+        """Fire the next round of known node `lab`, whose `ports` the comb
+        is wired to: the comb emits into its inputs, then its outputs wait."""
+        for q in ports:
+            if q.direction == IN:
+                self._wired(lab, q)
+        self.fired[lab] += 1
+        self.schedule.append((lab, self.fired[lab]))
+        self.phase = None
+        self.pending += [(lab, q) for q in ports if q.direction == OUT]
+
+    def shape(self, parties: Sequence[str]) -> CombShape:
+        """The comb's shape, its parties those of its ports (`parties` when
+        it has none); a comb with no ports still has one round."""
+        if not self.rounds:
+            self.rounds = 1
+            self.schedule.append((self.label, 1))
+        parties = tuple(sorted({p.party for p in self.ports})) or tuple(parties)
+        sig = Signature(parties, self.rounds, tuple(self.ports))
+        return CombShape(self.label, sig, tuple(self.wires), tuple(self.schedule))
+
+
+def fill(known: Sequence[tuple[str, Behavior]], shape: CombShape, comb: Behavior) -> Behavior:
+    """The network of the `known` nodes with `comb` in the shape's place,
+    evaluated and canonicalized."""
+    nodes = [*known, (shape.label, comb)]
+    return canonical(Network(nodes, shape.wires, shape.schedule).evaluate())
+
+
 def solve_comb(
-    nodes: Sequence[tuple[str, Union[Behavior, Signature]]],
-    wires: Sequence[Wire],
-    schedule: Sequence[ScheduleItem],
+    known: Sequence[tuple[str, Behavior]],
+    shape: CombShape,
     target: Behavior,
     what: str,
     cap: int,
     minimize: bool = False,
 ) -> tuple[LinearProgram, LpOutcome, Optional[Behavior]]:
-    """Find a table for the one symbolic node among `nodes` with which the
-    network reproduces the canonical behaviour `target` or, `minimize`, is
-    the least distinguishable from it.
+    """Find a table for the comb of `shape` with which the network of the
+    `known` nodes reproduces the canonical behaviour `target` or,
+    `minimize`, is the least distinguishable from it.
 
     Returns (program, outcome, comb).  An Infeasible outcome carries a
     re-verified Farkas certificate and comb is None; otherwise comb is the
     table read back from the solver's point, and the network with comb in
-    place has been checked to lie at `behavior_distance` exactly the
-    outcome's value (0 for feasibility) from `target`."""
-    net = Network(nodes, wires, schedule)
+    place (`fill`) has been checked to lie at `behavior_distance` exactly
+    the outcome's value (0 for feasibility) from `target`."""
+    net = Network([*known, (shape.label, shape.signature)], shape.wires, shape.schedule)
     can_sig, aligned = canonical_forms(net)
     if can_sig != target.signature:
         raise InterfaceMismatch(f"the {what} network cannot reproduce the target's moment structure")
-    sig = net.signatures[net.symbolic]
-    bld = table_lp(sig)
+    bld = table_lp(shape.signature)
     if minimize:
         add_advantage_objective(bld, aligned, target)
     else:
         add_match_rows(bld, aligned, target)
-    prog, out = solve_checked(bld, what, cap, with_objective=minimize)
+    prog, out = solve_checked(bld, what, cap)
     if isinstance(out, Infeasible):
         return prog, out, None
-    comb = table_behavior(sig, out.point)
-    filled = [(lab, comb if lab == net.symbolic else item) for lab, item in nodes]
-    reached = canonical(Network(filled, wires, schedule).evaluate())
-    if behavior_distance(reached, target) != (out.value if minimize else ZERO):
+    comb = table_behavior(shape.signature, out.point)
+    if behavior_distance(fill(known, shape, comb), target) != (out.value if minimize else ZERO):
         raise CompositeVerificationFailed(f"{what} LP's table does not achieve its value")
     return prog, out, comb

@@ -17,16 +17,18 @@ from typing import Optional, Sequence
 from .attacks import (
     SecurityReport,
     Simulator,
-    check_secure_with,
+    SimulatorCert,
     compose_certs,
     derive_simulator_shape,
     dummy_attack,
+    ideal_view,
     search_simulator,
 )
 from .comb import (
     IN,
     OUT,
     PortSpec,
+    behavior_equal,
     make_behavior,
     make_signature,
     observationally_equal,
@@ -363,7 +365,7 @@ def uniform_simulator(protocol: Protocol, source: Resource, target: Resource) ->
     n_out = ports_size(outs)
     table = [[Fraction(1, n_out)] * ports_size(ins) for _ in range(n_out)]
     comb = make_behavior(shape.signature, make_kernel(ins, outs, table))
-    return Simulator((EVE,), (("sim", comb),), shape.wires)
+    return Simulator((EVE,), ((shape.label, comb),), shape.wires)
 
 
 def otp_correctness(inst: OtpInstance) -> bool:
@@ -374,11 +376,13 @@ def otp_correctness(inst: OtpInstance) -> bool:
 
 
 def otp_security(inst: OtpInstance) -> SecurityReport:
-    """Check the canonical simulator AND search for one by LP; both verdicts
-    must agree.  Returns the search report (it carries the certificate)."""
-    supplied = check_secure_with(inst.protocol, inst.source, inst.target, (EVE,), inst.sigma)
+    """Check the canonical simulator (its ideal view equals the real one
+    exactly) AND search for one by LP; both verdicts must agree.  Returns
+    the search report (it carries the certificate)."""
+    real = dummy_attack(inst.protocol, inst.source, (EVE,))
+    supplied = behavior_equal(ideal_view(inst.target, inst.sigma, real.signature), real)
     searched = search_simulator(inst.protocol, inst.source, inst.target, (EVE,))
-    if supplied.secure and not searched.secure:
+    if supplied and not searched.secure:
         raise InterfaceMismatch("supplied simulator verified but LP search found none")
     return searched
 
@@ -446,9 +450,6 @@ def stream_cipher_demo(g: FiniteGroup, expander: Kernel) -> StreamCipherReport:
     that distance bounds the whole view); the composite's true advantage is
     then re-measured and checked against the budget by compose_certs.
     """
-    from .attacks import SimulatorCert
-    from .stoch import identity as idk
-
     a = group_alphabet(g)
     h = expander.dom[0]
     eps1 = channel_distance(compose(expander, uniform([h])), uniform([a]))
@@ -456,8 +457,8 @@ def stream_cipher_demo(g: FiniteGroup, expander: Kernel) -> StreamCipherReport:
     otp = build_otp(g)
     real1 = dummy_attack(expansion, source1, (EVE,))
     shape = derive_simulator_shape(real1.signature, expansion.target, (EVE,))
-    sigma_p = make_behavior(shape.signature, idk([a]))
-    sim_p = Simulator((EVE,), (("sim", sigma_p),), shape.wires)
+    sigma_p = make_behavior(shape.signature, identity([a]))
+    sim_p = Simulator((EVE,), ((shape.label, sigma_p),), shape.wires)
     cert_p = SimulatorCert((EVE,), sim_p, eps1, expansion.name)
     cert_q = otp_security(otp).cert
     _cert, report = compose_certs(

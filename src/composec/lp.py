@@ -461,7 +461,7 @@ class LpBuilder:
         self.n = 0
         self.rows: list[dict[int, Scalar]] = []
         self.rhs: list[Scalar] = []
-        self.objective: dict[int, Scalar] = {}
+        self.objective: Optional[dict[int, Scalar]] = None
 
     def new_vars(self, count: int) -> range:
         start = self.n
@@ -492,9 +492,10 @@ class LpBuilder:
     def set_objective(self, coeffs: dict[int, Scalar]) -> None:
         self.objective = dict(coeffs)
 
-    def build(self, with_objective: bool) -> LinearProgram:
+    def build(self) -> LinearProgram:
+        """The program, with an objective exactly when one was set."""
         rows = tuple(tuple(sorted((j, v) for j, v in row.items() if v)) for row in self.rows)
         obj = None
-        if with_objective:
+        if self.objective is not None:
             obj = tuple(self.objective.get(j, ZERO) for j in range(self.n))
         return LinearProgram(self.n, rows, tuple(self.rhs), obj, None)

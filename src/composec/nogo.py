@@ -16,9 +16,12 @@ equations; the split check, its completion, the witness check and
 cross-checks the LP verdict on broadcast-shaped resources.
 
 Every program here is solved through `distinguisher.solve_checked`, which
-re-verifies each Farkas certificate.  The split check and the split
-advantage go through `distinguisher.solve_comb` on the `mediator_problem`
-network, which substitutes the mediator back and requires the split to be
+re-verifies each Farkas certificate.  `mediator_problem` says which copy's
+rounds fire when and which ports the mediator plays, and
+`distinguisher.ShapeBuilder` opens the mediator's rounds; `split` evaluates
+a given mediator there through `distinguisher.fill`.  The split check and
+the split advantage go through `distinguisher.solve_comb` on that shape,
+which substitutes the mediator back and requires the split to be
 at exactly the program's value from r (0 for feasibility); that guards the
 encoding and the solver.  The tripartite witness check
 (`_verify_tripartite_witness`) and `lp.verify` of the completion's
@@ -38,16 +41,12 @@ from .comb import (
     IN,
     OUT,
     Behavior,
-    Network,
     PortSpec,
-    ScheduleItem,
-    Signature,
-    Wire,
     canonical,
     make_behavior,
     make_signature,
 )
-from .distinguisher import solve_checked, solve_comb, verify_or_raise
+from .distinguisher import CombShape, ShapeBuilder, fill, solve_checked, solve_comb, verify_or_raise
 from .errors import CompositeVerificationFailed, InterfaceMismatch, ShapeMismatch
 from .lp import FarkasCert, Infeasible, LpBuilder
 from .resources import Resource
@@ -183,82 +182,41 @@ def _two_parties(r: Resource) -> tuple[str, str]:
     return with_ports[0], with_ports[1]
 
 
-def mediator_problem(r: Resource):
-    """The two-copy gluing network: copy 1 keeps its A interface, copy 2 its
-    B interface, and the mediator g plays B to copy 1 and A to copy 2 with
-    the most permissive causal schedule.
-
-    Returns (mediator signature, wires, schedule) with node labels
-    "c1", "g" ("mediator" party), "c2".
-    """
+def mediator_problem(r: Resource) -> CombShape:
+    """Shape of the mediator g ("mediator" party) in the two-copy gluing
+    network: copy "c1" keeps its A interface, copy "c2" its B interface,
+    and g plays B to copy 1 and A to copy 2.  Each round of r fires in copy
+    1, then in copy 2, and g takes what waits before each of them."""
     party_a, party_b = _two_parties(r)
     sig = r.signature
-    ports: list[PortSpec] = []
-    wires: list[Wire] = []
-    schedule: list[ScheduleItem] = []
-    g_round = 0
-    pending_ins: list[tuple[str, Alphabet]] = []  # (wire target id on g, alphabet)
+    g = ShapeBuilder("g", lambda lab, q: (f"m1_{q.id}" if lab == "c1" else f"m2_{q.id}", MEDIATOR))
+    for t in range(1, sig.rounds + 1):
+        for lab, party in (("c1", party_b), ("c2", party_a)):
+            g.take_pending()
+            g.fire(lab, [q for q in sig.ports if q.round == t and q.party == party])
+    g.take_pending()
+    return g.shape((MEDIATOR,))
 
-    def flush(outs: list[tuple[str, Alphabet]]) -> None:
-        """Open one mediator round consuming what is pending and emitting outs."""
-        nonlocal g_round
-        if not pending_ins and not outs:
-            return
-        g_round += 1
-        for pid, alpha in pending_ins:
-            ports.append(PortSpec(pid, MEDIATOR, alpha, IN, g_round))
-        pending_ins.clear()
-        for pid, alpha in outs:
-            ports.append(PortSpec(pid, MEDIATOR, alpha, OUT, g_round))
-        schedule.append(("g", g_round))
 
-    for i in range(1, sig.rounds + 1):
-        feed1 = [q for q in sig.ports if q.round == i and q.party == party_b and q.direction == IN]
-        if feed1 or pending_ins:
-            flush([(f"m1_{q.id}", q.alphabet) for q in feed1])
-            for q in feed1:
-                wires.append((("g", f"m1_{q.id}"), ("c1", q.id)))
-        schedule.append(("c1", i))
-        take1 = [q for q in sig.ports if q.round == i and q.party == party_b and q.direction == OUT]
-        feed2 = [q for q in sig.ports if q.round == i and q.party == party_a and q.direction == IN]
-        for q in take1:
-            pending_ins.append((f"m1_{q.id}", q.alphabet))
-            wires.append((("g", f"m1_{q.id}"), ("c1", q.id)))
-        if pending_ins or feed2:
-            flush([(f"m2_{q.id}", q.alphabet) for q in feed2])
-            for q in feed2:
-                wires.append((("g", f"m2_{q.id}"), ("c2", q.id)))
-        schedule.append(("c2", i))
-        for q in sig.ports:
-            if q.round == i and q.party == party_a and q.direction == OUT:
-                pending_ins.append((f"m2_{q.id}", q.alphabet))
-                wires.append((("g", f"m2_{q.id}"), ("c2", q.id)))
-    flush([])
-    if g_round == 0:
-        g_round = 1
-        schedule.append(("g", 1))
-    g_sig = Signature((MEDIATOR,), g_round, tuple(ports))
-    return g_sig, tuple(wires), tuple(schedule)
+def _copies(r: Resource) -> list[tuple[str, Behavior]]:
+    return [("c1", r.behavior), ("c2", r.behavior)]
 
 
 def split(r: Resource, g: Behavior) -> Behavior:
     """Two copies of r glued by the mediator g, canonicalized."""
-    g_sig, wires, schedule = mediator_problem(r)
+    shape = mediator_problem(r)
     if [
         (q.id, q.alphabet, q.direction, q.round) for q in g.signature.ports
-    ] != [(q.id, q.alphabet, q.direction, q.round) for q in g_sig.ports]:
+    ] != [(q.id, q.alphabet, q.direction, q.round) for q in shape.signature.ports]:
         raise InterfaceMismatch("mediator does not fit the split interface")
-    net = Network([("c1", r.behavior), ("g", g), ("c2", r.behavior)], list(wires), list(schedule))
-    return canonical(net.evaluate())
+    return fill(_copies(r), shape, g)
 
 
 def _split_search(r: Resource, minimize: bool):
     """Solve for the mediator's table on the two-copy gluing network, with r
     itself as the target: (program, outcome, mediator or None)."""
-    g_sig, wires, schedule = mediator_problem(r)
-    nodes = [("c1", r.behavior), ("g", g_sig), ("c2", r.behavior)]
     what = "advantage" if minimize else "split"
-    return solve_comb(nodes, wires, schedule, canonical(r.behavior), what, NOGO_LP_CAP, minimize)
+    return solve_comb(_copies(r), mediator_problem(r), canonical(r.behavior), what, NOGO_LP_CAP, minimize)
 
 
 def split_check(r: Resource) -> NogoVerdict:

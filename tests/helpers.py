@@ -154,17 +154,17 @@ def _forms_against(nodes, wires, schedule, target):
 def split_forms(r):
     """(mediator signature, forms of the split in the mediator's table, the
     canonical r they must match)."""
-    g_sig, wires, schedule = mediator_problem(r)
+    shape = mediator_problem(r)
     target = canonical(r.behavior)
-    nodes = [("c1", r.behavior), ("g", g_sig), ("c2", r.behavior)]
-    return g_sig, _forms_against(nodes, wires, schedule, target), target
+    nodes = [("c1", r.behavior), (shape.label, shape.signature), ("c2", r.behavior)]
+    return shape.signature, _forms_against(nodes, shape.wires, shape.schedule, target), target
 
 
 def simulator_forms(real, s, j_parties):
     """(simulator signature, forms of the simulator-wrapped ideal view in the
     simulator's table), aligned to the real view."""
     shape = derive_simulator_shape(real.signature, s, j_parties)
-    nodes = [("res", s.behavior), ("sim", shape.signature)]
+    nodes = [("res", s.behavior), (shape.label, shape.signature)]
     return shape.signature, _forms_against(nodes, shape.wires, shape.schedule, real)
 
 
@@ -641,4 +641,4 @@ def tripartite_program(r):
                     for cr in range(nc):
                         row[sc(cr, br, c)] = -r_entry(a, cr, bl)
                     bld.add_eq(row, Fraction(0))
-    return bld.build(with_objective=False)
+    return bld.build()

@@ -32,6 +32,7 @@ from composec.comb import (
     behavior_equal,
     behavior_from_table,
     canonical,
+    canonical_rounds,
     make_behavior,
     make_signature,
     merge_asap,
@@ -522,3 +523,70 @@ def test_semi_honest_rejects_a_multi_round_converter():
     p = Protocol(src, Resource(net.evaluate(), name="coin_late"), (conv,), schedule, name="delay")
     with pytest.raises(ShapeMismatch, match="single-round"):
         semi_honest_attack(p, ("eve",))
+
+
+def _shape_rows(shape):
+    return (
+        [(p.id, p.party, p.direction, p.round) for p in shape.signature.ports],
+        shape.signature.rounds,
+        list(shape.wires),
+        list(shape.schedule),
+    )
+
+
+def test_simulator_shape_for_otp_z2():
+    # Eve's real interface is the ciphertext; the ideal channel's round
+    # fires for Alice's message, so its flag waits until the simulator
+    # emits the ciphertext, in the same round
+    inst = build_otp(group_make(("cyclic", 2)))
+    real = dummy_attack(inst.protocol, inst.source, ("eve",))
+    shape = derive_simulator_shape(real.signature, inst.target, ("eve",))
+    assert shape.label == "sim"
+    assert _shape_rows(shape) == (
+        [("sim__eve_flag", "eve", IN, 1), ("ce", "eve", OUT, 1)],
+        1,
+        [(("sim", "sim__eve_flag"), ("res", "eve_flag"))],
+        [("res", 1), ("sim", 1)],
+    )
+
+
+def test_simulator_shape_fires_a_round_of_dishonest_outputs_eagerly():
+    # ideal round 1 only hands Eve a leak, so it fires before her first
+    # real moment and the simulator takes the leak before it emits e; ideal
+    # round 2 fires for Alice's x, after the simulator has taken g, and the
+    # simulator feeds it f in that same round
+    s_sig = make_signature(
+        ["alice", "eve"],
+        2,
+        [
+            PortSpec("leak", "eve", BIT, OUT, 1),
+            PortSpec("x", "alice", BIT, IN, 2),
+            PortSpec("f", "eve", BIT, IN, 2),
+            PortSpec("y", "alice", BIT, OUT, 2),
+        ],
+    )
+    table = [[0] * 4 for _ in range(4)]
+    for x in range(2):
+        for f in range(2):
+            table[x ^ f][x * 2 + f] = 1  # leak 0, y = x xor f
+    s = Resource(make_behavior(s_sig, make_kernel((BIT, BIT), (BIT, BIT), table)), "leaky")
+    real_sig = make_signature(
+        ["alice", "eve"],
+        2,
+        [
+            PortSpec("e", "eve", BIT, OUT, 1),
+            PortSpec("g", "eve", BIT, IN, 2),
+            PortSpec("x", "alice", BIT, IN, 2),
+            PortSpec("y", "alice", BIT, OUT, 2),
+        ],
+    )
+    shape = derive_simulator_shape(real_sig, s, ("eve",))
+    assert _shape_rows(shape) == (
+        [("sim__leak", "eve", IN, 1), ("e", "eve", OUT, 1), ("g", "eve", IN, 2), ("sim__f", "eve", OUT, 2)],
+        2,
+        [(("sim", "sim__leak"), ("res", "leak")), (("sim", "sim__f"), ("res", "f"))],
+        [("res", 1), ("sim", 1), ("sim", 2), ("res", 2)],
+    )
+    # the shape is a causal network whose interface is the real view's
+    net = Network([("res", s.behavior), (shape.label, shape.signature)], shape.wires, shape.schedule)
+    assert canonical_rounds(net.result_signature())[0] == canonical_rounds(real_sig)[0]

@@ -217,6 +217,18 @@ def test_tensor_unit_law_and_ports():
     assert causality_report(t).ok
 
 
+def test_tensor_schedule_is_checked_like_a_network_schedule():
+    u = make_behavior(make_signature(["p"], 1, [port("u", "p", BIT, OUT, 1)]), uniform([BIT]))
+    v = make_behavior(make_signature(["q"], 1, [port("v", "q", BIT, OUT, 1)]), uniform([BIT]))
+    w = make_behavior(make_signature(["q"], 1, [port("w", "q", BIT, OUT, 1)]), uniform([BIT]))
+    with pytest.raises(AcausalSchedule, match="does not cover each node round exactly once"):
+        tensor_behavior(u, v, schedule=[("a", 1)])
+    with pytest.raises(AcausalSchedule, match="does not cover each node round exactly once"):
+        tensor_behavior(u, v, schedule=[("a", 1), ("b", 1), ("b", 1)])
+    with pytest.raises(AcausalSchedule, match="violates round order of node 'a'"):
+        tensor_behavior(tensor_behavior(u, v), w, schedule=[("a", 2), ("a", 1), ("b", 1)])
+
+
 def test_tensor_marginal_recovers_factor():
     u = one_round_behavior(uniform([BIT]))
     v = one_round_behavior(make_kernel([], [TRIT], [[F(1, 2)], [F(1, 4)], [F(1, 4)]]), party="q")

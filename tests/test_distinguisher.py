@@ -121,7 +121,7 @@ def _enumeration_value(bld, aligned, target) -> Fraction:
         row[t] = Fraction(1)
         bld.add_ge(row, Fraction(0))
     bld.set_objective({t: Fraction(1)})
-    prog = bld.build(with_objective=True)
+    prog = bld.build()
     out = lpmod.minimize(prog)
     assert isinstance(out, Optimal) and lpmod.verify(out, prog)
     return out.value

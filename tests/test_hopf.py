@@ -169,6 +169,29 @@ def test_otp_security_z2_and_s3():
     assert rep3.secure
 
 
+
+def test_otp_security_compares_the_supplied_views_without_a_distance(monkeypatch):
+    # the supplied simulator is checked by exact equality of the views, so
+    # an insecure key costs no distinguisher advantage
+    from composec import attacks
+
+    def no_distance(*_args):
+        raise AssertionError("otp_security computed a distinguisher advantage")
+
+    monkeypatch.setattr(attacks, "behavior_distance", no_distance)
+    rep = otp_security(build_otp(group_make(("cyclic", 4)), [F(1, 2), F(1, 2), 0, 0]))
+    assert rep.verdict == "insecure" and rep.farkas is not None
+
+
+def test_otp_security_refuses_a_search_that_misses_the_supplied_simulator(monkeypatch):
+    from composec import hopf
+    from composec.attacks import SecurityReport
+    from composec.errors import InterfaceMismatch
+
+    monkeypatch.setattr(hopf, "search_simulator", lambda *_args: SecurityReport("insecure"))
+    with pytest.raises(InterfaceMismatch, match="supplied simulator verified but LP search found none"):
+        otp_security(build_otp(group_make(("cyclic", 2))))
+
 def test_otp_zero_entropy_key_insecure():
     from composec import lp as lpmod
     from composec.attacks import min_epsilon, search_simulator

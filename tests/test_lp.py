@@ -205,7 +205,7 @@ def test_builder_inequalities():
     bld.add_le({x[0]: F(1), x[1]: F(1)}, F(5))
     bld.add_eq({x[1]: F(1)}, F(1))
     bld.set_objective({x[0]: F(1)})
-    prog = bld.build(with_objective=True)
+    prog = bld.build()
     out = minimize(prog)
     assert isinstance(out, Optimal)
     assert out.point[x[0]] == 2 and out.value == 2
@@ -256,9 +256,9 @@ def test_dense_view_equals_the_dense_build_on_an_adaptive_pass(monkeypatch):
     built = []
     build = LpBuilder.build
 
-    def recording(self, with_objective):
+    def recording(self):
         dense = tuple(tuple(row.get(j, F(0)) for j in range(self.n)) for row in self.rows)
-        built.append((dense, build(self, with_objective)))
+        built.append((dense, build(self)))
         return built[-1][1]
 
     monkeypatch.setattr(LpBuilder, "build", recording)
@@ -390,8 +390,8 @@ def test_same_pivots_as_the_dense_oracle(monkeypatch):
     built = []
     build = LpBuilder.build
 
-    def recording(self, with_objective):
-        built.append(build(self, with_objective))
+    def recording(self):
+        built.append(build(self))
         return built[-1]
 
     monkeypatch.setattr(LpBuilder, "build", recording)

@@ -6,6 +6,7 @@ import pytest
 from composec.comb import (
     IN,
     OUT,
+    Network,
     PortSpec,
     behavior_from_table,
     canonical,
@@ -66,7 +67,7 @@ def test_ot_resource_table():
 
 
 def test_mediator_signature_for_commitment():
-    g_sig, wires, schedule = mediator_problem(commitment_resource())
+    g_sig = mediator_problem(commitment_resource()).signature
     assert [(p.id, p.direction, p.round) for p in g_sig.ports] == [
         ("m1_receipt", "in", 1),
         ("m2_bit_in", "out", 1),
@@ -75,9 +76,49 @@ def test_mediator_signature_for_commitment():
     ]
 
 
+
+def test_mediator_shape_for_a_two_round_exchange():
+    # both parties have ports in both rounds: Alice's a1 reaches Bob as b1,
+    # Bob's b2 reaches Alice as a2.  The mediator takes copy 1's b1 before
+    # it feeds copy 2's a1, feeds copy 1's b2 in a round of its own, and
+    # takes copy 2's a2 last
+    sig = make_signature(
+        ["alice", "bob"],
+        2,
+        [
+            PortSpec("a1", "alice", BIT, IN, 1),
+            PortSpec("b1", "bob", BIT, OUT, 1),
+            PortSpec("b2", "bob", BIT, IN, 2),
+            PortSpec("a2", "alice", BIT, OUT, 2),
+        ],
+    )
+    table = [[0] * 4 for _ in range(4)]
+    for a1 in range(2):
+        for b2 in range(2):
+            table[a1 * 2 + b2][a1 * 2 + b2] = 1  # b1 = a1, a2 = b2
+    r = Resource(make_behavior(sig, make_kernel((BIT, BIT), (BIT, BIT), table)), "exchange")
+    shape = mediator_problem(r)
+    assert shape.label == "g"
+    assert [(p.id, p.party, p.direction, p.round) for p in shape.signature.ports] == [
+        ("m1_b1", "mediator", "in", 1),
+        ("m2_a1", "mediator", "out", 1),
+        ("m1_b2", "mediator", "out", 2),
+        ("m2_a2", "mediator", "in", 3),
+    ]
+    assert shape.signature.rounds == 3
+    assert list(shape.wires) == [
+        (("g", "m1_b1"), ("c1", "b1")),
+        (("g", "m2_a1"), ("c2", "a1")),
+        (("g", "m1_b2"), ("c1", "b2")),
+        (("g", "m2_a2"), ("c2", "a2")),
+    ]
+    assert list(shape.schedule) == [("c1", 1), ("g", 1), ("c2", 1), ("g", 2), ("c1", 2), ("c2", 2), ("g", 3)]
+    # a causal network: every wire's producer fires before its consumer
+    Network([("c1", r.behavior), ("c2", r.behavior), (shape.label, shape.signature)], shape.wires, shape.schedule)
+
 def test_split_identity_channel_with_identity_mediator():
     r = identity_channel_resource()
-    g_sig, _w, _s = mediator_problem(r)
+    g_sig = mediator_problem(r).signature
     g = make_behavior(g_sig, make_kernel([p.alphabet for p in g_sig.ins()], [p.alphabet for p in g_sig.outs()], [[1, 0], [0, 1]]))
     glued = split(r, g)
     assert glued.kernel.matrix == canonical(r.behavior).kernel.matrix
@@ -114,7 +155,7 @@ def test_split_check_ot_infeasible():
 
 def test_acausal_mediator_rejected():
     # a mediator whose round-1 guess depends on the round-2 input is not causal
-    g_sig, _w, _s = mediator_problem(commitment_resource())
+    g_sig = mediator_problem(commitment_resource()).signature
     table = [[0] * 2 for _ in range(2)]
     # outs (m2_bit_in, m2_open) given ins (m1_receipt, m1_bit_out): copy the
     # future bit into the round-1 guess
@@ -274,7 +315,7 @@ def _split_check_program(monkeypatch, r):
     built = []
 
     def capture(bld, what, cap):
-        built.append(bld.build(with_objective=False))
+        built.append(bld.build())
         raise _Built
 
     monkeypatch.setattr(composec.nogo, "solve_checked", capture)
