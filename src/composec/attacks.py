@@ -18,7 +18,6 @@ like with like.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
@@ -130,7 +129,6 @@ class SecurityReport:
     cert: Optional[SimulatorCert] = None
     farkas: Optional[FarkasCert] = None
     lp_size: tuple[int, int] = (0, 0)  # (variables, rows)
-    wall_ms: float = 0.0
     lp: Optional[lpmod.LinearProgram] = None  # for external certificate audits
 
     @property
@@ -221,7 +219,6 @@ def derive_simulator_shape(real_sig: Signature, s: Resource, j_parties: Sequence
             fire_while(lambda ports: all(q.party in j and q.direction == OUT for q in ports))
             sim.play(m)
     fire_while(lambda _ports: True)
-    sim.take_pending()
     return sim.shape(tuple(sorted(j)) or ("sim",))
 
 
@@ -258,27 +255,23 @@ def check_secure_with(
 ) -> SecurityReport:
     """Verify the security equation: the dummy-attacked real view equals the
     simulator-wrapped ideal view."""
-    t0 = time.perf_counter()
     residual = simulator_distance(dummy_attack(p, r, j_parties), s, sim)
-    ms = (time.perf_counter() - t0) * 1000
     cert = SimulatorCert(tuple(j_parties), sim, residual, p.name)
     if residual == 0:
-        return SecurityReport("secure", epsilon=ZERO, cert=cert, wall_ms=ms)
-    return SecurityReport("insecure", epsilon=None, cert=cert, wall_ms=ms)
+        return SecurityReport("secure", epsilon=ZERO, cert=cert)
+    return SecurityReport("insecure", epsilon=None, cert=cert)
 
 
 def _search(p: Protocol, r: Resource, s: Resource, j_parties: Sequence[str], minimize: bool) -> SecurityReport:
     """Solve for the simulator's table on the derived simulator shape: a
     perfect simulator, or one of least advantage when `minimize`."""
-    t0 = time.perf_counter()
     real = dummy_attack(p, r, j_parties)
     shape = derive_simulator_shape(real.signature, s, j_parties)
     what = "epsilon" if minimize else "simulator"
     prog, out, comb = solve_comb([(RES, s.behavior)], shape, real, what, LP_CAP, minimize)
-    ms = (time.perf_counter() - t0) * 1000
     size = (prog.n, prog.m)
     if comb is None:
-        return SecurityReport("insecure", farkas=out.cert, lp_size=size, wall_ms=ms, lp=prog)
+        return SecurityReport("insecure", farkas=out.cert, lp_size=size, lp=prog)
     eps = out.value if minimize else ZERO
     sim = Simulator(tuple(j_parties), ((shape.label, comb),), shape.wires)
     return SecurityReport(
@@ -286,7 +279,6 @@ def _search(p: Protocol, r: Resource, s: Resource, j_parties: Sequence[str], min
         epsilon=eps,
         cert=SimulatorCert(tuple(j_parties), sim, eps, p.name),
         lp_size=size,
-        wall_ms=ms,
     )
 
 

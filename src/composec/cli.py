@@ -66,6 +66,7 @@ from .errors import (
     UnresolvedName,
 )
 from .hopf import (
+    FiniteGroup,
     build_otp,
     group_alphabet,
     group_make,
@@ -149,7 +150,7 @@ def format_ast(ast: SpecFileAst) -> str:
 class Env:
     def __init__(self) -> None:
         self.alphabets: dict[str, Alphabet] = {}
-        self.groups: dict[str, tuple] = {}  # name -> (group, is_group)
+        self.groups: dict[str, FiniteGroup] = {}  # groups and loops
         self.kernels: dict[str, Kernel] = {}
         self.resources: dict[str, Resource] = {}
         self.converters: dict[str, Converter] = {}
@@ -165,7 +166,7 @@ class Env:
         if name in self.alphabets:
             return self.alphabets[name]
         if name in self.groups:
-            return group_alphabet(self.groups[name][0])
+            return group_alphabet(self.groups[name])
         if name == "unit":
             from .stoch import UNIT
 
@@ -179,7 +180,7 @@ class Env:
         return table[name]
 
     def resolve_group(self, name: str, line: int):
-        return self.resolve(self.groups, "group", name, line)[0]
+        return self.resolve(self.groups, "group", name, line)
 
     def resolve_resource(self, name: str, line: int) -> Resource:
         return self.resolve(self.resources, "resource", name, line)
@@ -323,7 +324,7 @@ def elaborate(env: Env, stmt: Statement) -> None:
             g = group_make(rows, name) if head == "group" else loop_make(rows, name)
         else:
             raise ParseError(line, 1, "'cyclic N', 'symmetric3' or 'table ...'")
-        value = (g, head == "group")
+        value = g
     elif head == "kernel":
         name, table = _operand(tokens, "a kernel name", line), env.kernels
         if _accept(tokens, "gen"):

@@ -253,10 +253,11 @@ class ShapeBuilder:
     """Opens an unknown comb's rounds while the caller, in network order,
     fires the known rounds around it and plays the comb's own ports.
 
-    The comb takes every waiting input before it plays a port of its own;
-    an input after an emit opens a new round; each known round that fires
-    closes the comb's current round, after the comb has emitted that
-    round's inputs; and the known round's outputs wait as pending inputs.
+    The comb takes every waiting input before it plays a port of its own,
+    before it emits into a known round and at the end; an input after an
+    emit opens a new round; each known round that fires closes the comb's
+    current round, after the comb has emitted that round's inputs; and the
+    known round's outputs wait as pending inputs.
     `mirror(label, port)` names the comb's (port id, party) wired to a known
     node's port."""
 
@@ -284,7 +285,7 @@ class ShapeBuilder:
         pid, party = self.mirror(lab, q)
         self._add(pid, party, q.alphabet, OUT if q.direction == IN else IN, (lab, q.id))
 
-    def take_pending(self) -> None:
+    def _take_pending(self) -> None:
         """The comb takes every waiting known output."""
         for lab, q in self.pending:
             self._wired(lab, q)
@@ -292,12 +293,14 @@ class ShapeBuilder:
 
     def play(self, port: PortSpec) -> None:
         """One of the comb's own (unwired) ports, after what is waiting."""
-        self.take_pending()
+        self._take_pending()
         self._add(port.id, port.party, port.alphabet, port.direction)
 
     def fire(self, lab: str, ports: Sequence[PortSpec]) -> None:
         """Fire the next round of known node `lab`, whose `ports` the comb
-        is wired to: the comb emits into its inputs, then its outputs wait."""
+        is wired to: the comb takes what waits and emits into its inputs,
+        then its outputs wait."""
+        self._take_pending()
         for q in ports:
             if q.direction == IN:
                 self._wired(lab, q)
@@ -309,6 +312,7 @@ class ShapeBuilder:
     def shape(self, parties: Sequence[str]) -> CombShape:
         """The comb's shape, its parties those of its ports (`parties` when
         it has none); a comb with no ports still has one round."""
+        self._take_pending()
         if not self.rounds:
             self.rounds = 1
             self.schedule.append((self.label, 1))

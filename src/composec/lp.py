@@ -7,6 +7,11 @@ row of A sparsely, as its nonzero (column, value) pairs in increasing column
 order; bound shifting, preprocessing and `verify` read only those pairs, and
 the dense matrix `a` is a view built on first read.
 
+`solve_feasible` and `minimize` share one path, `_solve`: shift the lower
+bounds to 0, drop empty and duplicate rows, run phase 1 and, given an
+objective, phase 2, then shift the point back.  With no row left, phase 1
+is feasible at once and phase 2 stops at 0 or on a negative cost's ray.
+
 The solver is a two-phase tableau simplex with Bland's rule, which cannot
 cycle.  Each tableau row is held as integers: a dict of its
 nonzero numerators by column, the right-hand side under one extra key, and
@@ -123,8 +128,8 @@ def _shift_bounds(lp: LinearProgram):
 
 
 def _preprocess(rows, b):
-    """Drop empty and duplicate rows; returns ("ok", (pairs, rhs, keep)) or
-    an immediate Farkas certificate as ("infeasible", y)."""
+    """Drop empty and duplicate rows; returns (pairs, rhs, keep), or
+    Infeasible when an empty row has a nonzero right-hand side."""
     seen = set()
     kept, rhs, keep = [], [], []
     for i, (pairs, bi) in enumerate(zip(rows, b)):
@@ -133,7 +138,7 @@ def _preprocess(rows, b):
                 continue
             y = [ZERO] * len(rows)
             y[i] = ONE if bi > 0 else -ONE
-            return "infeasible", tuple(y)
+            return Infeasible(FarkasCert(tuple(y)))
         size = len(seen)
         seen.add((pairs, bi))  # one hash per row
         if len(seen) == size:
@@ -141,7 +146,7 @@ def _preprocess(rows, b):
         kept.append(pairs)
         rhs.append(bi)
         keep.append(i)
-    return "ok", (kept, rhs, keep)
+    return kept, rhs, keep
 
 
 # Key of the right-hand side in a sparse row; columns are 0..n+m-1.
@@ -247,14 +252,14 @@ class _ExactSimplex:
             self._pivot(leave, enter, hits)
 
     def phase1(self):
-        """Returns ('feasible', None) or ('infeasible', y) for the scaled rows."""
+        """None when the rows are feasible, else a Farkas vector y for them."""
         n, m = self.n, len(self.rows)
         self._set_objective({n + i: 1 for i in range(m)})
         self._iterate()
         # the phase-1 value is minus the objective row's right-hand side
         if self.obj.get(_RHS):
             obj, den = self.obj, self.obj_den
-            return "infeasible", [Fraction(s * (den - obj.get(n + i, 0)), den) for i, s in enumerate(self.signs)]
+            return [Fraction(s * (den - obj.get(n + i, 0)), den) for i, s in enumerate(self.signs)]
         # Drive artificial variables out of the basis; drop redundant rows.
         self.obj = None
         r = 0
@@ -270,13 +275,13 @@ class _ExactSimplex:
                 r += 1
         # Drop artificial columns.
         self.rows = [{k: v for k, v in row.items() if k < n} for row in self.rows]
-        return "feasible", None
+        return None
 
     def point(self):
         x = [Fraction(0)] * self.n
         for j, row, den in zip(self.basis, self.rows, self.dens):
             x[j] = Fraction(row.get(_RHS, 0), den)
-        return x
+        return tuple(x)
 
     def phase2(self, c):
         self._set_objective({j: v for j, v in enumerate(c) if v})
@@ -286,8 +291,8 @@ class _ExactSimplex:
             ray[unb] = Fraction(1)
             for j, row, den in zip(self.basis, self.rows, self.dens):
                 ray[j] = Fraction(-row.get(unb, 0), den)
-            return "unbounded", ray, None
-        return "optimal", self.point(), Fraction(-self.obj.get(_RHS, 0), self.obj_den)
+            return Unbounded(tuple(ray))
+        return Optimal(self.point(), Fraction(-self.obj.get(_RHS, 0), self.obj_den))
 
 
 def _eliminate(row, den, f, prow, p):
@@ -323,64 +328,39 @@ def _reduce(row, den):
     return den
 
 
-def _lift_cert(y_red, keep, m_full):
-    y = [ZERO] * m_full
-    for v, i in zip(y_red, keep):
-        y[i] = v
-    return tuple(y)
+def _solve(lp: LinearProgram, objective: Optional[tuple[Scalar, ...]]) -> LpOutcome:
+    """Phase 1 on the shifted, preprocessed rows, then phase 2 when an
+    objective is given; the point is shifted back to the lower bounds."""
+    b, lb = _shift_bounds(lp)
+    pre = _preprocess(lp.rows, b)
+    if isinstance(pre, Infeasible):
+        return pre
+    rows, rhs, keep = pre
+    sx = _ExactSimplex(rows, rhs, lp.n)
+    y = sx.phase1()
+    if y is not None:
+        # a multiplier for every original row, 0 on the dropped ones
+        full = [ZERO] * lp.m
+        for v, i in zip(y, keep):
+            full[i] = v
+        return Infeasible(FarkasCert(tuple(full)))
+    out = Feasible(sx.point()) if objective is None else sx.phase2(objective)
+    if lb is None or isinstance(out, Unbounded):
+        return out
+    x = tuple(v + l for v, l in zip(out.point, lb))
+    return Feasible(x) if objective is None else Optimal(x, sum(c * v for c, v in zip(objective, x)))
 
 
 def solve_feasible(lp: LinearProgram) -> LpOutcome:
     """Find any feasible point or prove there is none."""
-    b, lb = _shift_bounds(lp)
-    status, data = _preprocess(lp.rows, b)
-    if status == "infeasible":
-        return Infeasible(FarkasCert(data))
-    rows, rhs, keep = data
-    if not rows:
-        x = list(lb) if lb else [ZERO] * lp.n
-        return Feasible(tuple(x))
-    sx = _ExactSimplex(rows, rhs, lp.n)
-    status, y = sx.phase1()
-    if status == "infeasible":
-        return Infeasible(FarkasCert(_lift_cert(y, keep, lp.m)))
-    x = sx.point()
-    if lb:
-        x = [v + l for v, l in zip(x, lb)]
-    return Feasible(tuple(x))
+    return _solve(lp, None)
 
 
 def minimize(lp: LinearProgram) -> LpOutcome:
     """Minimize the objective over the feasible region."""
     if lp.objective is None:
         raise ValueError("minimize requires an objective")
-    b, lb = _shift_bounds(lp)
-    status, data = _preprocess(lp.rows, b)
-    if status == "infeasible":
-        return Infeasible(FarkasCert(data))
-    rows, rhs, keep = data
-    c = list(lp.objective)
-    if not rows:
-        # x >= 0 free of constraints: bounded iff no negative cost.
-        if any(v < 0 for v in c):
-            j = next(i for i, v in enumerate(c) if v < 0)
-            ray = [ZERO] * lp.n
-            ray[j] = ONE
-            return Unbounded(tuple(ray))
-        x = list(lb) if lb else [ZERO] * lp.n
-        return Optimal(tuple(x), sum(ci * xi for ci, xi in zip(c, x)) if lb else ZERO)
-    sx = _ExactSimplex(rows, rhs, lp.n)
-    status, y = sx.phase1()
-    if status == "infeasible":
-        return Infeasible(FarkasCert(_lift_cert(y, keep, lp.m)))
-    status, vec, value = sx.phase2(c)
-    if status == "unbounded":
-        return Unbounded(tuple(vec))
-    x = vec
-    if lb:
-        x = [v + l for v, l in zip(x, lb)]
-        value = sum(ci * xi for ci, xi in zip(c, x))
-    return Optimal(tuple(x), value)
+    return _solve(lp, lp.objective)
 
 
 def _entries(outcome: LpOutcome) -> tuple:

@@ -75,7 +75,6 @@ class NogoVerdict:
     feasible: bool
     witness: Optional[dict] = None
     cert: Optional[FarkasCert] = None
-    advantage: Optional[Scalar] = None
     lp_size: tuple[int, int] = (0, 0)
     lp: Optional[lpmod.LinearProgram] = None  # for external certificate audits
 
@@ -186,15 +185,19 @@ def mediator_problem(r: Resource) -> CombShape:
     """Shape of the mediator g ("mediator" party) in the two-copy gluing
     network: copy "c1" keeps its A interface, copy "c2" its B interface,
     and g plays B to copy 1 and A to copy 2.  Each round of r fires in copy
-    1, then in copy 2, and g takes what waits before each of them."""
+    1, then in copy 2, except that a round where B has inputs and A has
+    none fires in copy 2 first: B's input enters there, and g carries it on
+    to copy 1."""
     party_a, party_b = _two_parties(r)
     sig = r.signature
     g = ShapeBuilder("g", lambda lab, q: (f"m1_{q.id}" if lab == "c1" else f"m2_{q.id}", MEDIATOR))
     for t in range(1, sig.rounds + 1):
-        for lab, party in (("c1", party_b), ("c2", party_a)):
-            g.take_pending()
-            g.fire(lab, [q for q in sig.ports if q.round == t and q.party == party])
-    g.take_pending()
+        ports = [q for q in sig.ports if q.round == t]
+        copies = [("c1", party_b), ("c2", party_a)]
+        if {q.party for q in ports if q.direction == IN} == {party_b}:
+            copies.reverse()
+        for lab, party in copies:
+            g.fire(lab, [q for q in ports if q.party == party])
     return g.shape((MEDIATOR,))
 
 

@@ -590,3 +590,36 @@ def test_simulator_shape_fires_a_round_of_dishonest_outputs_eagerly():
     # the shape is a causal network whose interface is the real view's
     net = Network([("res", s.behavior), (shape.label, shape.signature)], shape.wires, shape.schedule)
     assert canonical_rounds(net.result_signature())[0] == canonical_rounds(real_sig)[0]
+
+
+def test_simulator_echoes_an_ideal_output_back():
+    # r is a bare channel x -> y and Eve has no port; the ideal s hands Eve
+    # leak = x in round 1 and takes back, with y = back, in round 2.  The
+    # simulator takes leak before it feeds back, so echoing it is perfect
+    from composec.resources import identity_protocol
+
+    r_sig = make_signature(["alice", "bob", "eve"], 1, [PortSpec("x", "alice", BIT, IN, 1), PortSpec("y", "bob", BIT, OUT, 1)])
+    r = Resource(make_behavior(r_sig, make_kernel((BIT,), (BIT,), [[1, 0], [0, 1]])), "channel")
+    s_sig = make_signature(
+        ["alice", "bob", "eve"],
+        2,
+        [
+            PortSpec("x", "alice", BIT, IN, 1),
+            PortSpec("leak", "eve", BIT, OUT, 1),
+            PortSpec("back", "eve", BIT, IN, 2),
+            PortSpec("y", "bob", BIT, OUT, 2),
+        ],
+    )
+    table = [[0] * 4 for _ in range(4)]
+    for x in range(2):
+        for back in range(2):
+            table[x * 2 + back][x * 2 + back] = 1  # leak = x, y = back
+    s = Resource(make_behavior(s_sig, make_kernel((BIT, BIT), (BIT, BIT), table)), "echo")
+    assert _shape_rows(derive_simulator_shape(r_sig, s, ("eve",))) == (
+        [("sim__leak", "eve", IN, 1), ("sim__back", "eve", OUT, 1)],
+        1,
+        [(("sim", "sim__leak"), ("res", "leak")), (("sim", "sim__back"), ("res", "back"))],
+        [("res", 1), ("sim", 1), ("res", 2)],
+    )
+    rep = search_simulator(identity_protocol(r), r, s, ("eve",))
+    assert rep.verdict == "secure"

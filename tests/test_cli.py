@@ -39,7 +39,7 @@ def test_two_line_file():
     for stmt in ast.statements:
         elaborate(env, stmt)
     assert env.alphabets["bit"].size == 2
-    assert env.groups["g2"][0].order == 2
+    assert env.groups["g2"].order == 2
 
 
 def test_unresolved_name():

@@ -1,7 +1,8 @@
 """Import hygiene of the package, read from its source with `ast`: every
 imported name is used by the module that imports it (a package's `__all__`
-counts as a use), no module imports another module's private name, and the
-program over an unknown comb's table is built in `distinguisher` only."""
+counts as a use), no module imports another module's private name, the
+program over an unknown comb's table is built in `distinguisher` only, and
+no module checks anything with `assert`, which `python -O` strips."""
 
 import ast
 from pathlib import Path
@@ -91,6 +92,16 @@ def test_only_distinguisher_builds_the_comb_program(path):
     assert not found, f"{path.name} builds an unknown comb's program itself: {found}"
 
 
+def _asserts(tree: ast.Module) -> list[str]:
+    return [f"line {node.lineno}" for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
+def test_no_assert_statement(path):
+    found = _asserts(ast.parse(path.read_text(), filename=str(path)))
+    assert not found, f"{path.name} checks with assert, which python -O drops: {found}"
+
+
 def test_the_checks_see_an_unused_and_a_private_import():
     tree = ast.parse(
         "from __future__ import annotations\n"
@@ -102,3 +113,4 @@ def test_the_checks_see_an_unused_and_a_private_import():
     assert _unused(tree) == ["line 3: index_tuple", "line 3: _deterministic"]
     assert _private(tree) == ["line 3: _deterministic from .stoch"]
     assert _comb_lp(ast.parse("from .distinguisher import solve_comb, table_lp\n")) == ["line 1: table_lp"]
+    assert _asserts(ast.parse("def f(x):\n    assert x > 0\n    return x\n")) == ["line 2"]

@@ -59,6 +59,24 @@ def test_zero_system_feasible():
     assert verify(out, prog)
 
 
+@pytest.mark.parametrize("rows", [[], [[0, 0, 0]]], ids=["no_rows", "zero_row"])
+@pytest.mark.parametrize("lb", [None, [F(1, 2), 0, 2]], ids=["at_0", "at_lb"])
+@pytest.mark.parametrize("c", [[1, 2, 3], [0, 0, 0], [2, -1, -3], [-1, -1, -1]], ids=["positive", "zero", "mixed", "negative"])
+def test_program_with_only_empty_rows(rows, lb, c):
+    """x >= lb free of constraints: feasible at lb, optimal there for
+    nonnegative costs, else unbounded along the first negative cost."""
+    prog = lp(3, rows, [0] * len(rows), c=c, lb=lb)
+    corner = tuple(F(v) for v in lb or [0, 0, 0])
+    assert solve_feasible(prog) == Feasible(corner)
+    out = minimize(prog)
+    k = next((j for j, v in enumerate(c) if v < 0), None)
+    if k is None:
+        assert out == Optimal(corner, sum(F(cj) * v for cj, v in zip(c, corner)))
+    else:
+        assert out == Unbounded(tuple(F(j == k) for j in range(3)))
+    assert verify(out, prog)
+
+
 def test_minimize_corner():
     prog = lp(2, [[1, 1]], [1], c=[1, 0])
     out = minimize(prog)

@@ -76,12 +76,9 @@ def test_mediator_signature_for_commitment():
     ]
 
 
-
-def test_mediator_shape_for_a_two_round_exchange():
-    # both parties have ports in both rounds: Alice's a1 reaches Bob as b1,
-    # Bob's b2 reaches Alice as a2.  The mediator takes copy 1's b1 before
-    # it feeds copy 2's a1, feeds copy 1's b2 in a round of its own, and
-    # takes copy 2's a2 last
+def _exchange() -> Resource:
+    """Both parties have ports in both rounds: Alice's a1 reaches Bob as b1,
+    Bob's b2 reaches Alice as a2."""
     sig = make_signature(
         ["alice", "bob"],
         2,
@@ -96,25 +93,40 @@ def test_mediator_shape_for_a_two_round_exchange():
     for a1 in range(2):
         for b2 in range(2):
             table[a1 * 2 + b2][a1 * 2 + b2] = 1  # b1 = a1, a2 = b2
-    r = Resource(make_behavior(sig, make_kernel((BIT, BIT), (BIT, BIT), table)), "exchange")
+    return Resource(make_behavior(sig, make_kernel((BIT, BIT), (BIT, BIT), table)), "exchange")
+
+
+def test_mediator_shape_for_a_two_round_exchange():
+    # the mediator takes copy 1's b1 before it feeds copy 2's a1; round 2
+    # fires in copy 2 first, where Bob's b2 enters, and the mediator takes
+    # copy 2's a2 before it feeds copy 1's b2
+    r = _exchange()
     shape = mediator_problem(r)
     assert shape.label == "g"
     assert [(p.id, p.party, p.direction, p.round) for p in shape.signature.ports] == [
         ("m1_b1", "mediator", "in", 1),
         ("m2_a1", "mediator", "out", 1),
+        ("m2_a2", "mediator", "in", 2),
         ("m1_b2", "mediator", "out", 2),
-        ("m2_a2", "mediator", "in", 3),
     ]
-    assert shape.signature.rounds == 3
+    assert shape.signature.rounds == 2
     assert list(shape.wires) == [
         (("g", "m1_b1"), ("c1", "b1")),
         (("g", "m2_a1"), ("c2", "a1")),
-        (("g", "m1_b2"), ("c1", "b2")),
         (("g", "m2_a2"), ("c2", "a2")),
+        (("g", "m1_b2"), ("c1", "b2")),
     ]
-    assert list(shape.schedule) == [("c1", 1), ("g", 1), ("c2", 1), ("g", 2), ("c1", 2), ("c2", 2), ("g", 3)]
+    assert list(shape.schedule) == [("c1", 1), ("g", 1), ("c2", 1), ("c2", 2), ("g", 2), ("c1", 2)]
     # a causal network: every wire's producer fires before its consumer
     Network([("c1", r.behavior), ("c2", r.behavior), (shape.label, shape.signature)], shape.wires, shape.schedule)
+
+
+def test_split_check_forwards_a_two_round_exchange():
+    # a mediator forwarding b1 to a1 and a2 to b2 splits the exchange exactly
+    verdict = split_check(_exchange())
+    assert verdict.feasible
+    assert min_split_advantage(_exchange()) == 0
+
 
 def test_split_identity_channel_with_identity_mediator():
     r = identity_channel_resource()
