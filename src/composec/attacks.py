@@ -61,8 +61,6 @@ from .stoch import (
     validate_kernel,
 )
 
-LP_CAP = 200_000  # variables x rows guard for simulator searches
-
 
 # ---------------------------------------------------------------------------
 # attack model specifications
@@ -268,7 +266,7 @@ def _search(p: Protocol, r: Resource, s: Resource, j_parties: Sequence[str], min
     real = dummy_attack(p, r, j_parties)
     shape = derive_simulator_shape(real.signature, s, j_parties)
     what = "epsilon" if minimize else "simulator"
-    prog, out, comb = solve_comb([(RES, s.behavior)], shape, real, what, LP_CAP, minimize)
+    prog, out, comb = solve_comb([(RES, s.behavior)], shape, real, what, minimize)
     size = (prog.n, prog.m)
     if comb is None:
         return SecurityReport("insecure", farkas=out.cert, lp_size=size, lp=prog)

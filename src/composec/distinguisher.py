@@ -21,14 +21,16 @@ the classical case of the linear description of strategies (Gutoski and
 Watrous, STOC 2007; Chiribella, D'Ariano and Perinotti, PRA 80, 022339,
 2009), with one row per (node, choice) instead of one per strategy.
 
-Every program is solved through `solve_checked`: one size guard, one solver
-call, and a re-check of every Farkas certificate against the raw program, so
-a verdict of infeasibility never rests on the solver alone.  That re-check
-guards the solver only; the program's own rows are taken as written.  A
-table found by `solve_comb` is re-checked by substitution: the network
-evaluated with the table in place must be at `behavior_distance` from the
-target exactly the program's value (0 for feasibility), which guards the
-match rows, the tree rows and the solver together.
+Every program is solved through `solve_checked`: one solver call and a
+re-check of every Farkas certificate against the raw program, so a verdict
+of infeasibility never rests on the solver alone.  That re-check guards the
+solver only; the program's own rows are taken as written.  The size guard
+is the solver's own: `lp.CAP` bounds variables x the rows left after
+preprocessing, so empty and duplicate rows do not count.  A table found by
+`solve_comb` is re-checked by substitution: the network evaluated with the
+table in place must be at `behavior_distance` from the target exactly the
+program's value (0 for feasibility), which guards the match rows, the tree
+rows and the solver together.
 """
 
 from __future__ import annotations
@@ -56,7 +58,7 @@ from .comb import (
     decision_rounds,
     make_behavior,
 )
-from .errors import CompositeVerificationFailed, InterfaceMismatch, ProblemTooLarge
+from .errors import CompositeVerificationFailed, InterfaceMismatch
 from .lp import Feasible, Infeasible, LinearProgram, LpBuilder, LpOutcome, Optimal
 from .scalars import ONE, ZERO, Scalar
 from .stoch import index_projection, make_kernel, ports_size
@@ -215,14 +217,12 @@ def verify_or_raise(out, prog: LinearProgram, what: str) -> None:
         raise CompositeVerificationFailed(f"{what} LP's {thing} failed re-verification")
 
 
-def solve_checked(bld: LpBuilder, what: str, cap: int):
-    """Build the program, refuse it past `cap` variables x rows, and solve
-    it: minimization when the builder has an objective, else feasibility.
-    Returns (program, outcome); the outcome is Infeasible with a re-verified
-    Farkas certificate, or else Feasible (Optimal when minimizing)."""
+def solve_checked(bld: LpBuilder, what: str):
+    """Build the program and solve it: minimization when the builder has an
+    objective, else feasibility.  Returns (program, outcome); the outcome is
+    Infeasible with a re-verified Farkas certificate, or else Feasible
+    (Optimal when minimizing)."""
     prog = bld.build()
-    if prog.n * prog.m > cap:
-        raise ProblemTooLarge(f"{what} LP has {prog.n} vars x {prog.m} rows")
     if prog.objective is not None:
         out, kind = lpmod.minimize(prog), Optimal
     else:
@@ -333,7 +333,6 @@ def solve_comb(
     shape: CombShape,
     target: Behavior,
     what: str,
-    cap: int,
     minimize: bool = False,
 ) -> tuple[LinearProgram, LpOutcome, Optional[Behavior]]:
     """Find a table for the comb of `shape` with which the network of the
@@ -354,7 +353,7 @@ def solve_comb(
         add_advantage_objective(bld, aligned, target)
     else:
         add_match_rows(bld, aligned, target)
-    prog, out = solve_checked(bld, what, cap)
+    prog, out = solve_checked(bld, what)
     if isinstance(out, Infeasible):
         return prog, out, None
     comb = table_behavior(shape.signature, out.point)

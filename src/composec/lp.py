@@ -12,6 +12,11 @@ bounds to 0, drop empty and duplicate rows, run phase 1 and, given an
 objective, phase 2, then shift the point back.  With no row left, phase 1
 is feasible at once and phase 2 stops at 0 or on a negative cost's ray.
 
+`_solve` is also where the one size guard lives: a program whose variables
+times the rows left after preprocessing exceed `CAP` raises
+`ProblemTooLarge`, since the tableau holds those rows over those columns.
+Empty and duplicate rows never reach the simplex, so they do not count.
+
 The solver is a two-phase tableau simplex with Bland's rule, which cannot
 cycle.  Each tableau row is held as integers: a dict of its
 nonzero numerators by column, the right-hand side under one extra key, and
@@ -35,8 +40,11 @@ from math import gcd, lcm
 from numbers import Rational
 from typing import Optional, Union
 
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, ProblemTooLarge
 from .scalars import ONE, ZERO, Scalar
+
+# Largest variables x kept rows `_solve` hands to the simplex.
+CAP = 2_000_000
 
 
 # The nonzero entries (column, value) of one constraint row, by column.
@@ -330,12 +338,15 @@ def _reduce(row, den):
 
 def _solve(lp: LinearProgram, objective: Optional[tuple[Scalar, ...]]) -> LpOutcome:
     """Phase 1 on the shifted, preprocessed rows, then phase 2 when an
-    objective is given; the point is shifted back to the lower bounds."""
+    objective is given; the point is shifted back to the lower bounds.
+    Refuses a program past `CAP` variables x kept rows."""
     b, lb = _shift_bounds(lp)
     pre = _preprocess(lp.rows, b)
     if isinstance(pre, Infeasible):
         return pre
     rows, rhs, keep = pre
+    if lp.n * len(rows) > CAP:
+        raise ProblemTooLarge(f"LP has {lp.n} vars x {len(rows)} rows after presolve")
     sx = _ExactSimplex(rows, rhs, lp.n)
     y = sx.phase1()
     if y is not None:

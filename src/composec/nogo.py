@@ -11,9 +11,9 @@ Tripartite: a broadcast-like functionality realizable from pairwise
 channels admits a doubled-middle process that three single-cheater attacks
 explain simultaneously; infeasibility of that linear system rules out
 broadcast.  One generator, `_doubled_middle_forms`, writes that system's
-equations; the split check, its completion, the witness check and
-`doubled_middle` all read them.  An independent combinatorial oracle
-cross-checks the LP verdict on broadcast-shaped resources.
+equations; the split check, its completion and `doubled_middle` all read
+them.  An independent combinatorial oracle cross-checks the LP verdict on
+broadcast-shaped resources.
 
 Every program here is solved through `distinguisher.solve_checked`, which
 re-verifies each Farkas certificate.  `mediator_problem` says which copy's
@@ -23,10 +23,9 @@ a given mediator there through `distinguisher.fill`.  The split check and
 the split advantage go through `distinguisher.solve_comb` on that shape,
 which substitutes the mediator back and requires the split to be
 at exactly the program's value from r (0 for feasibility); that guards the
-encoding and the solver.  The tripartite witness check
-(`_verify_tripartite_witness`) and `lp.verify` of the completion's
-simulators read the same forms as their programs, so they guard the solver;
-the oracle is what guards the tripartite encoding.
+encoding and the solver.  The tripartite split check and its completion
+re-check their points with `lp.verify` against the program they solved, so
+they guard the solver; the oracle is what guards the tripartite encoding.
 """
 
 from __future__ import annotations
@@ -66,8 +65,6 @@ GO = Alphabet("go", 1)
 RECEIPT = Alphabet("receipt", 1)
 
 MEDIATOR = "mediator"
-
-NOGO_LP_CAP = 400_000  # variables x rows guard for mediator and broadcast programs
 
 
 @dataclass(frozen=True)
@@ -219,7 +216,7 @@ def _split_search(r: Resource, minimize: bool):
     """Solve for the mediator's table on the two-copy gluing network, with r
     itself as the target: (program, outcome, mediator or None)."""
     what = "advantage" if minimize else "split"
-    return solve_comb(_copies(r), mediator_problem(r), canonical(r.behavior), what, NOGO_LP_CAP, minimize)
+    return solve_comb(_copies(r), mediator_problem(r), canonical(r.behavior), what, minimize)
 
 
 def split_check(r: Resource) -> NogoVerdict:
@@ -359,12 +356,11 @@ def tripartite_split_check(r: Resource) -> NogoVerdict:
     for d_cell, forms in equations:
         for name, form in forms.items():
             bld.add_eq({first["D"] + d_cell: ONE, **{first[name] + k: -w for k, w in form.items()}}, ZERO)
-    prog, out = solve_checked(bld, "tripartite", NOGO_LP_CAP)
+    prog, out = solve_checked(bld, "tripartite")
     if isinstance(out, Infeasible):
         return NogoVerdict(False, cert=out.cert, lp_size=(prog.n, prog.m), lp=prog)
-    witness = _tables(out.point, shapes, first)
-    _verify_tripartite_witness(r, witness)
-    return NogoVerdict(True, witness=witness, lp_size=(prog.n, prog.m))
+    verify_or_raise(out, prog, "tripartite")
+    return NogoVerdict(True, witness=_tables(out.point, shapes, first), lp_size=(prog.n, prog.m))
 
 
 def doubled_middle(r: Resource, s_b: Sequence[Sequence[Scalar]]) -> list[list[Scalar]]:
@@ -393,21 +389,11 @@ def tripartite_completion(r: Resource, d_table: Sequence[Sequence[Scalar]]) -> N
         col, row = divmod(d_cell, n_out)
         for name in first:
             bld.add_eq({first[name] + k: w for k, w in forms[name].items()}, d_table[row][col])
-    prog, out = solve_checked(bld, "completion", NOGO_LP_CAP)
+    prog, out = solve_checked(bld, "completion")
     if isinstance(out, Infeasible):
         return NogoVerdict(False, cert=out.cert, lp_size=(prog.n, prog.m), lp=prog)
     verify_or_raise(out, prog, "completion")
     return NogoVerdict(True, witness=_tables(out.point, shapes, first), lp_size=(prog.n, prog.m))
-
-
-def _verify_tripartite_witness(r: Resource, witness) -> None:
-    """Substitute the witness into every form of the doubled-middle system.
-    This guards the solver; `broadcast_contradiction_oracle` guards the
-    encoding."""
-    for d_cell, forms in _doubled_middle_forms(r)[1]:
-        for name, form in forms.items():
-            if sum((w * witness[name][k] for k, w in form.items()), ZERO) != witness["D"][d_cell]:
-                raise CompositeVerificationFailed("tripartite witness failed re-verification")
 
 
 @dataclass(frozen=True)

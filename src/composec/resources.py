@@ -191,31 +191,23 @@ def seq_compose(q: Protocol, p: Protocol, name: str = "") -> Protocol:
     renumbered: list[tuple[str, int]] = []
     party_pair_schedules: dict[str, list[tuple[str, int]]] = {pt: [] for pt in parties}
     for origin, (lab, idx) in combined:
-        if lab == RES and origin == "p":
+        if lab == RES:  # q's middle rounds were expanded into p's
             renumbered.append((RES, idx))
-        elif lab == RES:
-            raise AssertionError("unexpanded middle round")
         else:
-            party_pair_schedules.setdefault(lab, []).append((origin, idx))
+            party_pair_schedules[lab].append((origin, idx))
             n = party_counts.get(lab, 0) + 1
             party_counts[lab] = n
             renumbered.append((lab, n))
 
-    mid_passthrough = _passthrough_map(p)
     for party in sorted(parties):
         pc = p.converter_for(party)
         qc = q.converter_for(party)
-        if pc is None and qc is None:
+        if pc is None or qc is None:
+            new_converters.append(qc if pc is None else pc)
             continue
-        if qc is None:
-            new_converters.append(pc)
-            continue
-        # remap q's wires: unchanged if they hit a port p passed through,
-        # internal if they hit an outer port of p's converter
-        if pc is None:
-            remapped = tuple((cp, mid_passthrough.get(rp, rp)) for cp, rp in qc.wiring)
-            new_converters.append(Converter(party, qc.comb, remapped))
-            continue
+        # q's wires are internal if they hit an outer port of p's converter;
+        # any other port of the party's is one p passed through, under the
+        # same id
         outer = set(pc.outer_ids())
         internal = []
         external = list(pc.wiring)
@@ -223,7 +215,7 @@ def seq_compose(q: Protocol, p: Protocol, name: str = "") -> Protocol:
             if rp in outer:
                 internal.append((("q", cp), ("p", rp)))
             else:
-                external.append((cp, mid_passthrough[rp]))
+                external.append((cp, rp))
         pair_sched = party_pair_schedules[party]
         comb = Network([("p", pc.comb), ("q", qc.comb)], internal, pair_sched).evaluate()
         new_converters.append(Converter(party, comb, tuple(external)))
@@ -234,17 +226,6 @@ def seq_compose(q: Protocol, p: Protocol, name: str = "") -> Protocol:
         tuple(renumbered),
         name or f"{q.name}.{p.name}",
     )
-
-
-def _passthrough_map(p: Protocol) -> dict[str, str]:
-    """Target port id -> source port id for ports p leaves untouched."""
-    wired = {rp for c in p.converters for _cp, rp in c.wiring}
-    src_ids = {q.id for q in p.source.signature.ports}
-    out = {}
-    for port in p.target.signature.ports:
-        if port.id in src_ids and port.id not in wired:
-            out[port.id] = port.id
-    return out
 
 
 # ---------------------------------------------------------------------------

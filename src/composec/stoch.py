@@ -50,23 +50,14 @@ Column = tuple[tuple[int, Scalar], ...]
 
 @dataclass(frozen=True)
 class Alphabet:
-    """A named finite set; labels are optional display names for elements."""
+    """A named finite set {0, ..., size - 1}."""
 
     name: str
     size: int
-    labels: tuple[str, ...] | None = None
 
     def __post_init__(self) -> None:
         if self.size < 1:
             raise ValueError(f"alphabet {self.name!r} must have size >= 1")
-        if self.labels is not None:
-            if len(self.labels) != self.size:
-                raise ValueError(f"alphabet {self.name!r}: {len(self.labels)} labels for size {self.size}")
-            if len(set(self.labels)) != self.size:
-                raise ValueError(f"alphabet {self.name!r}: labels not distinct")
-
-    def label(self, i: int) -> str:
-        return self.labels[i] if self.labels else str(i)
 
 
 UNIT = Alphabet("unit", 1)

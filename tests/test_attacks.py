@@ -415,6 +415,14 @@ def test_min_epsilon_perfect_otp_is_zero():
     assert rep.epsilon == 0 and rep.verdict == "secure"
 
 
+def test_min_epsilon_z6_is_the_keys_distance_from_uniform():
+    # key (1/2, then uniform): epsilon = 1/2 sum |w_k - 1/6| = (6 - 2) / 12
+    weights = [F(1, 2)] + [F(1, 10)] * 5
+    inst = build_otp(group_make(("cyclic", 6)), weights)
+    rep = min_epsilon(inst.protocol, inst.source, inst.target, ("eve",))
+    assert rep.verdict == "epsilon" and rep.epsilon == F(1, 3)
+
+
 def test_search_simulator_colluding_pair():
     # two dishonest parties at once: the simulator undoes both bijections
     rng = random.Random(62)

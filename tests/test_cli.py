@@ -135,27 +135,34 @@ def test_quasigroup_axioms_check_fails_with_exit_1():
     assert result.report["checks"][0]["verdict"] == "fail"
 
 
-# an epsilon check over a 2-round view with a 16-value first-round output
-# builds an LP of 1106 variables x 641 rows, past the 2x10^5 LP cap; the small
-# axioms check before it keeps its entry in the report
-LIMIT_SPEC = (
-    "group z2 cyclic 2\n"
-    "check axioms z2\n"
-    "group z4 cyclic 4\n"
-    "resource wide parties alice,bob rounds 2 ports ka:alice:out:z4@1 kb:bob:out:z4@1"
-    " cin:alice:in:z4@2 cout:bob:out:z4@2 rows "
-    + " ; ".join(
-        " ".join(
-            ("1/4" if (ka == kb and co == ci) else "0") for ci in range(4)
+def _wide_spec(n: int) -> str:
+    """An axioms check, then an epsilon check on a 2-round resource over Z_n:
+    round 1 hands Alice and Bob the same uniform key (n^2 joint outputs),
+    round 2 passes Alice's input to Bob."""
+    return (
+        "group z2 cyclic 2\n"
+        "check axioms z2\n"
+        f"group zn cyclic {n}\n"
+        "resource wide parties alice,bob rounds 2 ports ka:alice:out:zn@1 kb:bob:out:zn@1"
+        " cin:alice:in:zn@2 cout:bob:out:zn@2 rows "
+        + " ; ".join(
+            " ".join(
+                (f"1/{n}" if (ka == kb and co == ci) else "0") for ci in range(n)
+            )
+            for ka in range(n)
+            for kb in range(n)
+            for co in range(n)
         )
-        for ka in range(4)
-        for kb in range(4)
-        for co in range(4)
+        + "\n"
+        "protocol pid from wide to wide converters none schedule res.1,res.2\n"
+        "check epsilon pid dishonest bob\n"
     )
-    + "\n"
-    "protocol pid from wide to wide converters none schedule res.1,res.2\n"
-    "check epsilon pid dishonest bob\n"
-)
+
+
+# over Z5 the epsilon check's LP keeps 2652 variables x 1501 rows after
+# presolve, past the 2x10^6 LP cap; the small axioms check before it keeps its
+# entry in the report
+LIMIT_SPEC = _wide_spec(5)
 
 
 def test_resource_limit_gives_exit_3():
@@ -174,8 +181,16 @@ def test_main_resource_limit_emits_report(tmp_path, capsys):
     code = main(["verify", str(spec), "--no-meta"])
     captured = capsys.readouterr()
     assert code == 3
-    assert "LP has 1106 vars x 641 rows" in captured.err
+    assert "LP has 2652 vars x 1501 rows after presolve" in captured.err
     assert [e["kind"] for e in json.loads(captured.out)["checks"]] == ["axioms", "epsilon"]
+
+
+def test_the_limit_spec_over_z4_solves_with_epsilon_0():
+    # 1106 variables x 641 rows: within the cap once it counts kept rows
+    result = run(parse_spec(_wide_spec(4)), no_meta=True)
+    assert result.exit_code == 0
+    epsilon = result.report["checks"][1]
+    assert epsilon["verdict"] == "secure" and epsilon["epsilon"] == "0"
 
 
 # a check line that names an unknown group, misses an operand or expects a

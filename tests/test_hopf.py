@@ -169,6 +169,12 @@ def test_otp_security_z2_and_s3():
     assert rep3.secure
 
 
+def test_otp_security_z24_is_secure():
+    # 24 x 13,825 dense cells, of which 25 rows survive presolve
+    rep = otp_security(build_otp(group_make(("cyclic", 24))))
+    assert rep.verdict == "secure" and rep.epsilon == 0
+
+
 
 def test_otp_security_compares_the_supplied_views_without_a_distance(monkeypatch):
     # the supplied simulator is checked by exact equality of the views, so

@@ -1,8 +1,9 @@
 """Import hygiene of the package, read from its source with `ast`: every
 imported name is used by the module that imports it (a package's `__all__`
 counts as a use), no module imports another module's private name, the
-program over an unknown comb's table is built in `distinguisher` only, and
-no module checks anything with `assert`, which `python -O` strips."""
+program over an unknown comb's table is built in `distinguisher` only, only
+`lp` refuses a program as too large, and no module checks anything with
+`assert`, which `python -O` strips."""
 
 import ast
 from pathlib import Path
@@ -92,6 +93,27 @@ def test_only_distinguisher_builds_the_comb_program(path):
     assert not found, f"{path.name} builds an unknown comb's program itself: {found}"
 
 
+# the one LP size guard, `lp.CAP`, counted on the rows the simplex keeps
+NOT_LP = [p for p in MODULES if p.stem != "lp"]
+
+
+def _too_large(tree: ast.Module) -> list[str]:
+    """Lines raising `ProblemTooLarge`, by name or as an attribute."""
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if getattr(exc, "id", getattr(exc, "attr", None)) == "ProblemTooLarge":
+                lines.append(node.lineno)
+    return [f"line {line}" for line in sorted(lines)]
+
+
+@pytest.mark.parametrize("path", NOT_LP, ids=[p.stem for p in NOT_LP])
+def test_only_lp_refuses_a_program_as_too_large(path):
+    found = _too_large(ast.parse(path.read_text(), filename=str(path)))
+    assert not found, f"{path.name} raises ProblemTooLarge; the size guard is lp.CAP: {found}"
+
+
 def _asserts(tree: ast.Module) -> list[str]:
     return [f"line {node.lineno}" for node in ast.walk(tree) if isinstance(node, ast.Assert)]
 
@@ -114,3 +136,6 @@ def test_the_checks_see_an_unused_and_a_private_import():
     assert _private(tree) == ["line 3: _deterministic from .stoch"]
     assert _comb_lp(ast.parse("from .distinguisher import solve_comb, table_lp\n")) == ["line 1: table_lp"]
     assert _asserts(ast.parse("def f(x):\n    assert x > 0\n    return x\n")) == ["line 2"]
+    assert _too_large(
+        ast.parse("if n * m > cap:\n    raise ProblemTooLarge('big')\nraise errors.ProblemTooLarge\nraise ValueError\n")
+    ) == ["line 2", "line 3"]

@@ -6,7 +6,7 @@ import pytest
 from composec import lp as lpmod
 from composec import nogo
 from composec.attacks import min_epsilon
-from composec.errors import DimensionMismatch
+from composec.errors import DimensionMismatch, ProblemTooLarge
 from composec.hopf import build_otp, group_make
 from composec.lp import (
     FarkasCert,
@@ -75,6 +75,21 @@ def test_program_with_only_empty_rows(rows, lb, c):
     else:
         assert out == Unbounded(tuple(F(j == k) for j in range(3)))
     assert verify(out, prog)
+
+
+def test_cap_counts_the_rows_presolve_keeps(monkeypatch):
+    """The size guard reads variables x rows left after empty and duplicate
+    rows go: 4 variables x 6 rows is past a cap of 10, but 2 rows are kept."""
+    monkeypatch.setattr(lpmod, "CAP", 10)
+    rows = [[1, 1, 0, 0], [0, 0, 0, 0], [1, 1, 0, 0], [0, 0, 1, 1], [0, 0, 0, 0], [0, 0, 1, 1]]
+    prog = lp(4, rows, [1, 0, 1, 1, 0, 1], c=[1, 2, 3, 4])
+    assert prog.n * prog.m > lpmod.CAP
+    assert verify(solve_feasible(prog), prog)
+    assert minimize(prog) == Optimal((F(1), F(0), F(1), F(0)), F(4))
+    wide = lp(4, [[1, 1, 0, 0], [0, 0, 1, 1], [1, 0, 1, 0]], [1, 1, 1], c=[1, 2, 3, 4])
+    for solve in (solve_feasible, minimize):
+        with pytest.raises(ProblemTooLarge, match="^LP has 4 vars x 3 rows after presolve$"):
+            solve(wide)
 
 
 def test_minimize_corner():

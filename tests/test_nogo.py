@@ -14,8 +14,10 @@ from composec.comb import (
     make_behavior,
     make_signature,
 )
+import composec.lp
 import composec.nogo
 from composec.errors import CompositeVerificationFailed, NotCausal, ShapeMismatch
+from composec.lp import Feasible
 from composec.nogo import (
     NogoVerdict,
     broadcast_contradiction_oracle,
@@ -33,7 +35,6 @@ from composec.nogo import (
     split,
     split_check,
     _r_entry_fn,
-    _verify_tripartite_witness,
     doubled_middle,
     tripartite_split_check,
 )
@@ -326,7 +327,7 @@ def _split_check_program(monkeypatch, r):
     is solved."""
     built = []
 
-    def capture(bld, what, cap):
+    def capture(bld, what):
         built.append(bld.build())
         raise _Built
 
@@ -363,18 +364,26 @@ def _alice_only_resource():
     return Resource(make_behavior(sig, make_kernel((BIT,), (BIT, BIT), table)), name="alice_only")
 
 
-def test_witness_check_rejects_mass_moved_within_an_s_b_column():
+def test_witness_check_rejects_mass_moved_within_an_s_b_column(monkeypatch):
     r = _alice_only_resource()
     verdict = tripartite_split_check(r)
     assert verdict.feasible and broadcast_contradiction_oracle(r).contradiction is False
-    _verify_tripartite_witness(r, verdict.witness)
-    s_b = list(verdict.witness["s_B"])  # column (b_l, b_r) holds cells 2 * column + b
+    witness = verdict.witness
+    assert list(witness) == ["D", "s_A", "s_B", "s_C"]  # the program's variable order
+
+    def check_with(s_b):
+        point = (*witness["D"], *witness["s_A"], *s_b, *witness["s_C"])
+        monkeypatch.setattr(composec.lp, "solve_feasible", lambda prog: Feasible(point))
+        return tripartite_split_check(r)
+
+    assert check_with(witness["s_B"]).feasible
+    s_b = list(witness["s_B"])  # column (b_l, b_r) holds cells 2 * column + b
     full = next(k for k in range(2) if s_b[k] > 0)
     s_b[1 - full] += s_b[full]
     s_b[full] = F(0)
     assert sum(s_b[:2]) == 1
-    with pytest.raises(CompositeVerificationFailed, match="tripartite witness"):
-        _verify_tripartite_witness(r, {**verdict.witness, "s_B": tuple(s_b)})
+    with pytest.raises(CompositeVerificationFailed, match="tripartite LP's feasible point"):
+        check_with(s_b)
 
 
 def test_doubled_middle_entries_are_fractions():
