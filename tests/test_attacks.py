@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -19,6 +20,7 @@ from composec.attacks import (
     derive_simulator_shape,
     dummy_attack,
     ideal_view,
+    link_attack,
     min_epsilon,
     search_simulator,
     semi_honest_attack,
@@ -38,6 +40,7 @@ from composec.comb import (
     merge_asap,
     observationally_equal,
 )
+from composec.cli import _attack_transfer
 from composec.errors import CompositeVerificationFailed, ShapeMismatch, WiringMismatch
 from composec.hopf import build_otp, group_make
 from composec.resources import Converter, Protocol, Resource, apply_protocol
@@ -631,3 +634,81 @@ def test_simulator_echoes_an_ideal_output_back():
     )
     rep = search_simulator(identity_protocol(r), r, s, ("eve",))
     assert rep.verdict == "secure"
+
+
+# ---------------------------------------------------------------------------
+# the random-attack transfer probe (`cli.attacks N`)
+
+
+def _linked_transfer(inst, n, seed):
+    """The probe's numeric reference: the same seeded attacks, each linked
+    onto the real view and onto the simulated ideal view, the canonical
+    tables compared exactly."""
+    rng = random.Random(seed)
+    real = dummy_attack(inst.protocol, inst.source, ("eve",))
+    ideal = ideal_view(inst.target, inst.sigma, match=real.signature)
+    pe = [q for q in real.signature.ports if q.party == "eve"][0]
+    leak = Alphabet("leak", 3)
+    csig = make_signature(
+        ["eve"], 1, [PortSpec("a_in", "eve", pe.alphabet, IN, 1), PortSpec("a_out", "eve", leak, OUT, 1)]
+    )
+    for _ in range(n):
+        cols = []
+        for _c in range(pe.alphabet.size):
+            raw = [rng.randint(0, 5) for _ in range(leak.size)]
+            if sum(raw) == 0:
+                raw[0] = 1
+            cols.append([Fraction(v, sum(raw)) for v in raw])
+        comb = make_behavior(csig, make_kernel([pe.alphabet], [leak], list(zip(*cols))))
+        atk = Attack(("eve",), comb, (("a_in", pe.id),))
+        if not behavior_equal(*(canonical(link_attack(view, atk)) for view in (real, ideal))):
+            return False
+    return True
+
+
+def _point_mass_simulator(inst):
+    """A wrong simulator for Eve: it always emits ciphertext 0."""
+    real = dummy_attack(inst.protocol, inst.source, ("eve",))
+    shape = derive_simulator_shape(real.signature, inst.target, ("eve",))
+    ins = tuple(p.alphabet for p in shape.signature.ins())
+    outs = tuple(p.alphabet for p in shape.signature.outs())
+    table = [[int(i == 0)] * ports_size(ins) for i in range(ports_size(outs))]
+    comb = make_behavior(shape.signature, make_kernel(ins, outs, table))
+    return Simulator(("eve",), ((shape.label, comb),), shape.wires)
+
+
+@pytest.mark.parametrize("order", [2, 3])
+@pytest.mark.parametrize("seed", [0, 7, 58])
+def test_transfer_probe_agrees_with_linking_each_attack(order, seed):
+    inst = build_otp(group_make(("cyclic", order)))
+    assert _attack_transfer(inst, 12, seed) is _linked_transfer(inst, 12, seed) is True
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+@pytest.mark.parametrize("wrong", ["point-mass simulator", "degraded key"])
+def test_transfer_probe_fails_where_linking_each_attack_fails(wrong, seed):
+    if wrong == "degraded key":
+        inst = build_otp(group_make(("cyclic", 3)), [Fraction(1, 2), Fraction(1, 2), Fraction(0)])
+    else:
+        inst = build_otp(group_make(("cyclic", 3)))
+        inst = dataclasses.replace(inst, sigma=_point_mass_simulator(inst))
+    assert _attack_transfer(inst, 5, seed) is _linked_transfer(inst, 5, seed) is False
+
+
+def test_transfer_probe_evaluates_two_networks_however_many_attacks(monkeypatch):
+    prepared = []
+    prepare = Network._prepare
+
+    def counted(net):
+        prepared.append(net.symbolic)
+        return prepare(net)
+
+    monkeypatch.setattr(Network, "_prepare", counted)
+    counts = []
+    for n in (1, 50):
+        inst = build_otp(group_make(("cyclic", 2)))
+        prepared.clear()
+        assert _attack_transfer(inst, n, 7)
+        counts.append((len(prepared), prepared.count("atk")))
+    assert counts[0] == counts[1]
+    assert counts[0][1] == 2  # one symbolic attack per view

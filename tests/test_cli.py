@@ -182,7 +182,24 @@ def test_main_resource_limit_emits_report(tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 3
     assert "LP has 2652 vars x 1501 rows after presolve" in captured.err
+    assert "composec: line 6: epsilon check: LP has" in captured.err
     assert [e["kind"] for e in json.loads(captured.out)["checks"]] == ["axioms", "epsilon"]
+
+
+def test_otp_attacks_are_transferred_on_a_secure_verdict():
+    result = run(parse_spec("group z2 cyclic 2\ncheck otp z2 attacks 50 seed 7 expect secure\n"), no_meta=True)
+    assert result.exit_code == 0
+    entry = result.report["checks"][0]
+    assert entry["verdict"] == "secure" and entry["attacks_checked"] == 50 and entry["pass"]
+
+
+def test_otp_attacks_on_an_insecure_key_leave_the_expected_verdict_passing():
+    # an insecure verdict has no simulator to transfer: no attack is checked
+    spec = "group z3 cyclic 3\ncheck otp z3 key 1/2 1/2 0 attacks 5 expect insecure\n"
+    result = run(parse_spec(spec), no_meta=True)
+    assert result.exit_code == 0
+    entry = result.report["checks"][0]
+    assert entry["verdict"] == "insecure" and entry["attacks_checked"] == 0 and entry["pass"]
 
 
 def test_the_limit_spec_over_z4_solves_with_epsilon_0():
