@@ -11,9 +11,12 @@ rounds fire when and which real ports the simulator plays, and
 minimum ε solve on that shape through `distinguisher.solve_comb`:
 infeasibility comes back as a re-verified exact Farkas certificate, and a
 simulator is substituted back and must reach the program's value exactly.
+A search's report keeps the program it solved (`SecurityReport.lp`), whatever
+the verdict, so its size and its certificate are read from one record.
 A certificate's residual is always the distinguisher advantage between the
 real and the simulated view (`simulator_distance`), so `compose_certs` adds
-like with like.
+like with like.  Nodes are linked onto a view here only: an attack, numeric
+(`link_attack`) or symbolic (`attack_gaps`), or the J parties' converters.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ from .comb import (
     moment_order,
     schedule_to_match,
 )
-from .distinguisher import CombShape, ShapeBuilder, solve_comb
+from .distinguisher import CombShape, ShapeBuilder, form_gaps, solve_comb
 from .errors import (
     ColumnNotStochastic,
     CompositeVerificationFailed,
@@ -107,7 +110,6 @@ class Simulator:
     """Ideal-side wrapper: nodes wired onto the ideal resource ("res") and
     each other, exposing the real dishonest interface."""
 
-    j_parties: tuple[str, ...]
     nodes: tuple[tuple[str, Behavior], ...]
     wires: tuple[Wire, ...]
 
@@ -117,7 +119,6 @@ class SimulatorCert:
     j_parties: tuple[str, ...]
     simulator: Simulator
     residual: Scalar  # distinguisher advantage between the real and simulated views
-    protocol_name: str = ""
 
 
 @dataclass(frozen=True)
@@ -126,8 +127,9 @@ class SecurityReport:
     epsilon: Optional[Scalar] = None
     cert: Optional[SimulatorCert] = None
     farkas: Optional[FarkasCert] = None
-    lp_size: tuple[int, int] = (0, 0)  # (variables, rows)
-    lp: Optional[lpmod.LinearProgram] = None  # for external certificate audits
+    # the program a search solved, on every verdict; None when no program
+    # was solved (a supplied or composed simulator checked directly)
+    lp: Optional[lpmod.LinearProgram] = None
 
     @property
     def secure(self) -> bool:
@@ -171,14 +173,29 @@ def apply_attack(p: Protocol, r: Resource, a: Attack) -> Behavior:
 def link_attack(view: Behavior, a: Attack) -> Behavior:
     """The attack comb linked onto `view`, a behaviour with the dummy view's
     J interface (the real view, or a simulator-wrapped ideal one)."""
-    return _onto_view(view, [("atk", a.comb)], [(("atk", ap), ("view", vp)) for ap, vp in a.wiring])
+    return _attacked(view, a.comb, a.wiring).evaluate()
 
 
-def _onto_view(view: Behavior, nodes: list[tuple[str, Behavior]], wires: list[Wire]) -> Behavior:
+def attack_gaps(
+    real: Behavior, ideal: Behavior, attack: Signature, wiring: Sequence[tuple[str, str]]
+) -> list[dict[int, Scalar]]:
+    """The cells where an attack of signature `attack`, linked by `wiring`
+    onto `real` and onto `ideal`, gives different tables, as linear forms in
+    the attack's table (`distinguisher.form_gaps`): a given attack tells the
+    views apart exactly when some form is nonzero at its table."""
+    return form_gaps(*(_attacked(view, attack, wiring) for view in (real, ideal)))
+
+
+def _attacked(view: Behavior, attack: Union[Behavior, Signature], wiring: Sequence[tuple[str, str]]) -> Network:
+    """The attack ("atk"), numeric or symbolic, wired onto `view` by `wiring`."""
+    return _onto_view(view, [("atk", attack)], [(("atk", ap), ("view", vp)) for ap, vp in wiring])
+
+
+def _onto_view(view: Behavior, nodes: list[tuple[str, Union[Behavior, Signature]]], wires: list[Wire]) -> Network:
     """`nodes` wired onto `view` ("view"), each round firing as soon as its
     wired inputs are available."""
     nodes = [("view", view), *nodes]
-    return Network(nodes, wires, merge_asap(nodes, wires, view_label="view")).evaluate()
+    return Network(nodes, wires, merge_asap(nodes, wires, view_label="view"))
 
 
 # ---------------------------------------------------------------------------
@@ -254,7 +271,7 @@ def check_secure_with(
     """Verify the security equation: the dummy-attacked real view equals the
     simulator-wrapped ideal view."""
     residual = simulator_distance(dummy_attack(p, r, j_parties), s, sim)
-    cert = SimulatorCert(tuple(j_parties), sim, residual, p.name)
+    cert = SimulatorCert(tuple(j_parties), sim, residual)
     if residual == 0:
         return SecurityReport("secure", epsilon=ZERO, cert=cert)
     return SecurityReport("insecure", epsilon=None, cert=cert)
@@ -267,17 +284,11 @@ def _search(p: Protocol, r: Resource, s: Resource, j_parties: Sequence[str], min
     shape = derive_simulator_shape(real.signature, s, j_parties)
     what = "epsilon" if minimize else "simulator"
     prog, out, comb = solve_comb([(RES, s.behavior)], shape, real, what, minimize)
-    size = (prog.n, prog.m)
     if comb is None:
-        return SecurityReport("insecure", farkas=out.cert, lp_size=size, lp=prog)
+        return SecurityReport("insecure", farkas=out.cert, lp=prog)
     eps = out.value if minimize else ZERO
-    sim = Simulator(tuple(j_parties), ((shape.label, comb),), shape.wires)
-    return SecurityReport(
-        "secure" if eps == 0 else "epsilon",
-        epsilon=eps,
-        cert=SimulatorCert(tuple(j_parties), sim, eps, p.name),
-        lp_size=size,
-    )
+    cert = SimulatorCert(tuple(j_parties), Simulator(((shape.label, comb),), shape.wires), eps)
+    return SecurityReport("secure" if eps == 0 else "epsilon", epsilon=eps, cert=cert, lp=prog)
 
 
 def search_simulator(
@@ -420,12 +431,12 @@ def compose_certs(
             return (owner[ref[1]], ref[1])
 
         p_nodes, p_wires = _prefixed(p_sim, "p__", middle)
-        sim = Simulator(j, q_nodes + p_nodes, q_wires + p_wires)
+        sim = Simulator(q_nodes + p_nodes, q_wires + p_wires)
     elif mode == "parallel":
         comp = par_compose(p, q)
         p_nodes, p_wires = _prefixed(p_sim, "p__")
         q_nodes, q_wires = _prefixed(q_sim, "q__")
-        sim = Simulator(j, p_nodes + q_nodes, p_wires + q_wires)
+        sim = Simulator(p_nodes + q_nodes, p_wires + q_wires)
     else:
         raise ValueError(f"unknown composition mode {mode!r}")
     eps = simulator_distance(dummy_attack(comp, r, j), s, sim)
@@ -434,7 +445,7 @@ def compose_certs(
         raise CompositeVerificationFailed(
             f"composite residual {eps} exceeds component budget {budget}"
         )
-    cert = SimulatorCert(j, sim, eps, comp.name)
+    cert = SimulatorCert(j, sim, eps)
     verdict = "secure" if eps == 0 else "epsilon"
     report = SecurityReport(verdict, epsilon=eps, cert=cert)
     return cert, report
@@ -570,4 +581,4 @@ def apply_protocol_via_dummy(p: Protocol, r: Resource, j_parties) -> Behavior:
     initiality this reproduces the honest execution."""
     convs = [c for c in map(p.converter_for, j_parties) if c is not None]
     wires = [((c.party, cp), ("view", rp)) for c in convs for cp, rp in c.wiring]
-    return _onto_view(dummy_attack(p, r, j_parties), [(c.party, c.comb) for c in convs], wires)
+    return _onto_view(dummy_attack(p, r, j_parties), [(c.party, c.comb) for c in convs], wires).evaluate()

@@ -28,10 +28,10 @@ number in a report is an exact rational written `p/q`):
 
 `attacks N` runs the random-attack transfer probe (`_attack_transfer`) on N
 seeded random attacks on Eve.  One symbolic attack is linked onto the real
-view and onto the simulated ideal view, and each drawn attack is checked by
-exact substitution into the two results.  The probe runs only on a `secure`
-verdict; an insecure one has no simulator to transfer, and its entry
-records `attacks_checked` 0.
+view and onto the simulated ideal view (`attacks.attack_gaps`), and each
+drawn attack is checked by exact substitution into the two results.  The
+probe runs only on a `secure` verdict; an insecure one has no simulator to
+transfer, and its entry records `attacks_checked` 0.
 
 Digits after `gen KIND` are read only by `point` and `permutation`.
 `expect_at_most` belongs to `stream` only; every other check takes
@@ -55,9 +55,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .attacks import SecurityReport, dummy_attack, ideal_view, min_epsilon, search_simulator
-from .comb import IN, OUT, Network, PortSpec, make_behavior, make_signature, merge_asap
-from .distinguisher import form_gaps
+from .attacks import SimulatorCert, attack_gaps, dummy_attack, ideal_view, min_epsilon, search_simulator
+from .comb import IN, OUT, PortSpec, make_behavior, make_signature
 from .errors import (
     ComposecError,
     DuplicateName,
@@ -76,6 +75,7 @@ from .hopf import (
     otp_security,
     stream_cipher_demo,
 )
+from .lp import FarkasCert
 from .nogo import (
     broadcast_contradiction_oracle,
     broadcast_resource,
@@ -137,10 +137,6 @@ def parse_spec(text: str) -> SpecFileAst:
             raise ParseError(lineno, 1, f"a declaration keyword, got {head!r}")
         statements.append(Statement(lineno, tokens))
     return SpecFileAst(tuple(statements))
-
-
-def format_ast(ast: SpecFileAst) -> str:
-    return "\n".join(" ".join(s.tokens) for s in ast.statements) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -412,17 +408,17 @@ def elaborate(env: Env, stmt: Statement) -> None:
 # running checks
 
 
-def _digest(payload) -> str:
+def _certify(entry: dict, farkas: Optional[FarkasCert], cert: Optional[SimulatorCert] = None) -> None:
+    """Write the entry's "certificate": a digest of the Farkas vector, else of
+    the simulator's tables; nothing when there is neither."""
+    if farkas is not None:
+        payload = {"farkas": [scalar_str(v) for v in farkas.y]}
+    elif cert is not None:
+        payload = {"simulator": [_table_strings(node.kernel) for _lab, node in cert.simulator.nodes]}
+    else:
+        return
     canon = json.dumps(payload, sort_keys=True, default=scalar_str)
-    return "sha256:" + hashlib.sha256(canon.encode()).hexdigest()[:16]
-
-
-def _cert_payload(report: SecurityReport):
-    if report.farkas is not None:
-        return {"farkas": [scalar_str(v) for v in report.farkas.y]}
-    if report.cert is not None:
-        return {"simulator": [_table_strings(node.kernel) for _lab, node in report.cert.simulator.nodes]}
-    return {}
+    entry["certificate"] = "sha256:" + hashlib.sha256(canon.encode()).hexdigest()[:16]
 
 
 def _table_strings(kernel: Kernel) -> list[list[str]]:
@@ -496,22 +492,21 @@ def run_check(env: Env, line: int, tokens: tuple[str, ...]) -> dict:
         if kind == "secure":
             rep = search_simulator(proto, src, tgt, j)
             entry["verdict"] = rep.verdict
-            entry["lp_size"] = list(rep.lp_size)
-            entry["certificate"] = _digest(_cert_payload(rep))
+            entry["lp_size"] = [rep.lp.n, rep.lp.m]
+            _certify(entry, rep.farkas, rep.cert)
             entry["pass"] = rep.verdict == (expected or "secure")
         else:
             rep = min_epsilon(proto, src, tgt, j)
             entry["verdict"] = rep.verdict
             entry["epsilon"] = scalar_str(rep.epsilon)
-            entry["certificate"] = _digest(_cert_payload(rep))
+            _certify(entry, rep.farkas, rep.cert)
             entry["pass"] = expected is None or rep.epsilon == _number(expected, line)
     elif kind == "split":
         r = env.resolve_resource(last("a resource name"), line)
         verdict = split_check(r)
         entry["verdict"] = "feasible" if verdict.feasible else "infeasible"
-        entry["lp_size"] = list(verdict.lp_size)
-        if verdict.cert is not None:
-            entry["certificate"] = _digest({"farkas": [scalar_str(v) for v in verdict.cert.y]})
+        entry["lp_size"] = [verdict.lp.n, verdict.lp.m]
+        _certify(entry, verdict.cert)
         entry["pass"] = expected is None or entry["verdict"] == expected
     elif kind == "advantage":
         r = env.resolve_resource(last("a resource name"), line)
@@ -525,8 +520,7 @@ def run_check(env: Env, line: int, tokens: tuple[str, ...]) -> dict:
         entry["verdict"] = "feasible" if verdict.feasible else "infeasible"
         entry["oracle_contradiction"] = oracle.contradiction
         entry["methods_agree"] = (not verdict.feasible) == oracle.contradiction
-        if verdict.cert is not None:
-            entry["certificate"] = _digest({"farkas": [scalar_str(v) for v in verdict.cert.y]})
+        _certify(entry, verdict.cert)
         entry["pass"] = bool(entry["methods_agree"]) and (
             expected is None or entry["verdict"] == expected
         )
@@ -553,7 +547,7 @@ def run_check(env: Env, line: int, tokens: tuple[str, ...]) -> dict:
         rep = otp_security(inst)
         entry["correct"] = correct
         entry["verdict"] = rep.verdict
-        entry["certificate"] = _digest(_cert_payload(rep))
+        _certify(entry, rep.farkas, rep.cert)
         ok = correct if weights is None else True
         if n_attacks is not None:
             # only a secure verdict has a simulator to transfer
@@ -605,7 +599,7 @@ def _attack_transfer(inst, n: int, seed: int) -> bool:
 
     Linking is linear in the attack's table, so one symbolic attack is
     linked onto each view, once, and the cells where the two views differ
-    are kept as linear forms in its table (`distinguisher.form_gaps`); each
+    are kept as linear forms in its table (`attacks.attack_gaps`); each
     drawn attack is then checked by exact substitution into those forms.
     The verdict is the one of linking every attack numerically onto both
     views (`attacks.link_attack`) and comparing the canonical tables."""
@@ -615,13 +609,7 @@ def _attack_transfer(inst, n: int, seed: int) -> bool:
     pe = [q for q in real.signature.ports if q.party == "eve"][0]
     leak = Alphabet("leak", 3)
     ports = [PortSpec("a_in", "eve", pe.alphabet, IN, 1), PortSpec("a_out", "eve", leak, OUT, 1)]
-    csig = make_signature(["eve"], 1, ports)
-    wires = [(("atk", "a_in"), ("view", pe.id))]
-    nets = []
-    for view in (real, ideal):
-        nodes = [("view", view), ("atk", csig)]
-        nets.append(Network(nodes, wires, merge_asap(nodes, wires, view_label="view")))
-    gaps = form_gaps(*nets)
+    gaps = attack_gaps(real, ideal, make_signature(["eve"], 1, ports), (("a_in", pe.id),))
     for _ in range(n):
         table = []  # variable x * leak.size + y: the attack's P(y | x)
         for _c in range(pe.alphabet.size):

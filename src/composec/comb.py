@@ -50,7 +50,6 @@ from .stoch import (
     index_projection,
     index_tuple,
     kernel_from_columns,
-    make_kernel,
     marginalize,
     permute_axes,
     ports_size,
@@ -144,17 +143,6 @@ def make_behavior(signature: Signature, kernel: Kernel, check: bool = True) -> B
         if not report.ok:
             raise NotCausal(str(report.violations[0]))
     return b
-
-
-def behavior_from_table(signature: Signature, table, check: bool = True) -> Behavior:
-    ins = tuple(p.alphabet for p in signature.ins())
-    outs = tuple(p.alphabet for p in signature.outs())
-    return make_behavior(signature, make_kernel(ins, outs, table), check)
-
-
-def trivial_behavior() -> Behavior:
-    sig = Signature((), 1, ())
-    return Behavior(sig, make_kernel((), (), [[1]]))
 
 
 # ---------------------------------------------------------------------------
@@ -411,11 +399,6 @@ def canonical(b: Behavior) -> Behavior:
     """Normal form for observational comparison; see canonical_rounds."""
     new_sig, order = canonical_rounds(b.signature)
     return Behavior(new_sig, permute_axes(b.kernel, *axis_perms(b.signature.ports, order)))
-
-
-def rename_ports(b: Behavior, mapping: dict[str, str]) -> Behavior:
-    ports = tuple(replace(p, id=mapping.get(p.id, p.id)) for p in b.signature.ports)
-    return Behavior(replace(b.signature, ports=ports), b.kernel)
 
 
 def align_to(b: Behavior, ref: Signature) -> Behavior:

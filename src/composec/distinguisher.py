@@ -11,9 +11,10 @@ substitutes it into the network (`fill`).  The comb's `CombShape` (its
 signature, wires and schedule) comes from one `ShapeBuilder`, for the
 simulator (`attacks.derive_simulator_shape`) and the mediator
 (`nogo.mediator_problem`) alike.  The same linearity serves the random-attack
-transfer probe (`cli`), which links one symbolic attack onto two views:
-`form_gaps` keeps the cells where they differ as linear forms in the
-attack's table, so each drawn attack is checked by substitution alone.
+transfer probe, which links one symbolic attack onto two views
+(`attacks.attack_gaps`): `form_gaps` keeps the cells where they differ as
+linear forms in the attack's table, so each drawn attack is checked by
+substitution alone.
 
 The advantage is encoded by backward induction over the distinguisher's
 decision tree (`comb.decision_rounds`): one variable u per table cell bounds

@@ -365,7 +365,7 @@ def uniform_simulator(protocol: Protocol, source: Resource, target: Resource) ->
     n_out = ports_size(outs)
     table = [[Fraction(1, n_out)] * ports_size(ins) for _ in range(n_out)]
     comb = make_behavior(shape.signature, make_kernel(ins, outs, table))
-    return Simulator((EVE,), ((shape.label, comb),), shape.wires)
+    return Simulator(((shape.label, comb),), shape.wires)
 
 
 def otp_correctness(inst: OtpInstance) -> bool:
@@ -458,8 +458,8 @@ def stream_cipher_demo(g: FiniteGroup, expander: Kernel) -> StreamCipherReport:
     real1 = dummy_attack(expansion, source1, (EVE,))
     shape = derive_simulator_shape(real1.signature, expansion.target, (EVE,))
     sigma_p = make_behavior(shape.signature, identity([a]))
-    sim_p = Simulator((EVE,), ((shape.label, sigma_p),), shape.wires)
-    cert_p = SimulatorCert((EVE,), sim_p, eps1, expansion.name)
+    sim_p = Simulator(((shape.label, sigma_p),), shape.wires)
+    cert_p = SimulatorCert((EVE,), sim_p, eps1)
     cert_q = otp_security(otp).cert
     _cert, report = compose_certs(
         cert_p,

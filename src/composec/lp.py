@@ -459,25 +459,13 @@ class LpBuilder:
         self.n += count
         return range(start, start + count)
 
-    def _slack(self) -> int:
-        idx = self.n
-        self.n += 1
-        return idx
-
     def add_eq(self, coeffs: dict[int, Scalar], rhs: Scalar) -> None:
         self.rows.append(dict(coeffs))
         self.rhs.append(rhs)
 
     def add_ge(self, coeffs: dict[int, Scalar], rhs: Scalar) -> None:
-        row = dict(coeffs)
-        row[self._slack()] = -ONE
-        self.rows.append(row)
-        self.rhs.append(rhs)
-
-    def add_le(self, coeffs: dict[int, Scalar], rhs: Scalar) -> None:
-        row = dict(coeffs)
-        row[self._slack()] = ONE
-        self.rows.append(row)
+        """coeffs . x - s = rhs, with a new slack variable s."""
+        self.rows.append({**coeffs, self.new_vars(1)[0]: -ONE})
         self.rhs.append(rhs)
 
     def set_objective(self, coeffs: dict[int, Scalar]) -> None:

@@ -26,6 +26,7 @@ at exactly the program's value from r (0 for feasibility); that guards the
 encoding and the solver.  The tripartite split check and its completion
 re-check their points with `lp.verify` against the program they solved, so
 they guard the solver; the oracle is what guards the tripartite encoding.
+Every `NogoVerdict` keeps the program it was decided on, feasible or not.
 """
 
 from __future__ import annotations
@@ -70,10 +71,9 @@ MEDIATOR = "mediator"
 @dataclass(frozen=True)
 class NogoVerdict:
     feasible: bool
-    witness: Optional[dict] = None
-    cert: Optional[FarkasCert] = None
-    lp_size: tuple[int, int] = (0, 0)
-    lp: Optional[lpmod.LinearProgram] = None  # for external certificate audits
+    witness: Optional[dict] = None  # a feasible verdict: {"g": mediator}, or the tables by name
+    cert: Optional[FarkasCert] = None  # the Farkas certificate of an infeasible verdict
+    lp: Optional[lpmod.LinearProgram] = None  # the program solved, on every verdict
 
 
 # ---------------------------------------------------------------------------
@@ -110,19 +110,6 @@ def coin_commitment_resource() -> Resource:
     return Resource(
         make_behavior(sig, make_kernel((BIT, GO), (RECEIPT, BIT), table)), name="coin_commitment"
     )
-
-
-def mix_resources(r1: Resource, r2: Resource, weight: Scalar, name: str = "") -> Resource:
-    """Convex mixture of two same-signature resources (weight on r1)."""
-    if r1.signature != r2.signature:
-        raise InterfaceMismatch("mixture needs identical signatures")
-    w = weight
-    k1, k2 = r1.behavior.kernel, r2.behavior.kernel
-    columns = [
-        [w * a + (1 - w) * b for a, b in zip(k1.column(j), k2.column(j))] for j in range(k1.n_dom)
-    ]
-    kern = make_kernel(k1.dom, k1.cod, list(zip(*columns)))
-    return Resource(make_behavior(r1.signature, kern), name=name or f"mix_{w}")
 
 
 def ot_resource() -> Resource:
@@ -222,9 +209,8 @@ def _split_search(r: Resource, minimize: bool):
 def split_check(r: Resource) -> NogoVerdict:
     """Does any stochastic causal mediator make two copies of r equal r?"""
     prog, out, g = _split_search(r, minimize=False)
-    if g is None:
-        return NogoVerdict(False, cert=out.cert, lp_size=(prog.n, prog.m), lp=prog)
-    return NogoVerdict(True, witness={"g": g}, lp_size=(prog.n, prog.m))
+    witness, cert = (None, out.cert) if g is None else ({"g": g}, None)
+    return NogoVerdict(g is not None, witness, cert, prog)
 
 
 def min_split_advantage(r: Resource) -> Scalar:
@@ -341,9 +327,16 @@ def _table_vars(bld: LpBuilder, shapes, names, groups) -> dict[str, int]:
     return first
 
 
-def _tables(point, shapes, first) -> dict[str, tuple]:
-    """Each table's cells, cut out of a feasible point."""
-    return {name: point[s : s + shapes[name][0] * shapes[name][1]] for name, s in first.items()}
+def _tripartite_verdict(bld: LpBuilder, shapes, first, what: str) -> NogoVerdict:
+    """Solve the built program: infeasible with its re-verified Farkas
+    certificate, or feasible with each allocated table's cells, cut out of a
+    point that `lp.verify` re-checks."""
+    prog, out = solve_checked(bld, what)
+    if isinstance(out, Infeasible):
+        return NogoVerdict(False, cert=out.cert, lp=prog)
+    verify_or_raise(out, prog, what)
+    tables = {name: out.point[s : s + shapes[name][0] * shapes[name][1]] for name, s in first.items()}
+    return NogoVerdict(True, witness=tables, lp=prog)
 
 
 def tripartite_split_check(r: Resource) -> NogoVerdict:
@@ -356,11 +349,7 @@ def tripartite_split_check(r: Resource) -> NogoVerdict:
     for d_cell, forms in equations:
         for name, form in forms.items():
             bld.add_eq({first["D"] + d_cell: ONE, **{first[name] + k: -w for k, w in form.items()}}, ZERO)
-    prog, out = solve_checked(bld, "tripartite")
-    if isinstance(out, Infeasible):
-        return NogoVerdict(False, cert=out.cert, lp_size=(prog.n, prog.m), lp=prog)
-    verify_or_raise(out, prog, "tripartite")
-    return NogoVerdict(True, witness=_tables(out.point, shapes, first), lp_size=(prog.n, prog.m))
+    return _tripartite_verdict(bld, shapes, first, "tripartite")
 
 
 def doubled_middle(r: Resource, s_b: Sequence[Sequence[Scalar]]) -> list[list[Scalar]]:
@@ -389,11 +378,7 @@ def tripartite_completion(r: Resource, d_table: Sequence[Sequence[Scalar]]) -> N
         col, row = divmod(d_cell, n_out)
         for name in first:
             bld.add_eq({first[name] + k: w for k, w in forms[name].items()}, d_table[row][col])
-    prog, out = solve_checked(bld, "completion")
-    if isinstance(out, Infeasible):
-        return NogoVerdict(False, cert=out.cert, lp_size=(prog.n, prog.m), lp=prog)
-    verify_or_raise(out, prog, "completion")
-    return NogoVerdict(True, witness=_tables(out.point, shapes, first), lp_size=(prog.n, prog.m))
+    return _tripartite_verdict(bld, shapes, first, "completion")
 
 
 @dataclass(frozen=True)

@@ -1,27 +1,32 @@
 """Shared randomized generators for the test suite (seeded, deterministic),
-and the slow, plain implementations that serve as test oracles: exhaustive
+small constructors that only tests use, and the slow, plain implementations
+that serve as test oracles: exhaustive
 strategy enumeration for the adaptive distinguisher, dense kernel algebra,
 a dense simplex, network simulation on scalar weights, and the tripartite
 no-go program written out row by row."""
 
 import itertools
+from dataclasses import replace
 from fractions import Fraction
 
 from composec.attacks import derive_simulator_shape
 from composec.comb import (
     IN,
     OUT,
+    Behavior,
     CombKernels,
     Network,
     PortSpec,
     Signature,
     canonical,
     flatten,
+    make_behavior,
     make_signature,
 )
 from composec.distinguisher import canonical_forms
 from composec.errors import InterfaceMismatch
 from composec.nogo import mediator_problem
+from composec.resources import Resource
 from composec.stoch import UNIT, Alphabet, all_tuples, index_tuple, make_kernel, ports_size, tuple_index
 
 BIT = Alphabet("bit", 2)
@@ -72,6 +77,44 @@ def random_comb(rng, parties=("p",), rounds=2, max_size=2, prefix="p", alphabets
 
 def random_behavior(rng, parties=("p",), rounds=2, max_size=2, prefix="p"):
     return flatten(random_comb(rng, parties, rounds, max_size, prefix))
+
+
+# ---------------------------------------------------------------------------
+# small constructors
+
+
+def behavior_from_table(signature: Signature, table, check: bool = True) -> Behavior:
+    ins = tuple(p.alphabet for p in signature.ins())
+    outs = tuple(p.alphabet for p in signature.outs())
+    return make_behavior(signature, make_kernel(ins, outs, table), check)
+
+
+def trivial_behavior() -> Behavior:
+    sig = Signature((), 1, ())
+    return Behavior(sig, make_kernel((), (), [[1]]))
+
+
+def rename_ports(b: Behavior, mapping: dict[str, str]) -> Behavior:
+    ports = tuple(replace(p, id=mapping.get(p.id, p.id)) for p in b.signature.ports)
+    return Behavior(replace(b.signature, ports=ports), b.kernel)
+
+
+def mix_resources(r1: Resource, r2: Resource, weight, name: str = "") -> Resource:
+    """Convex mixture of two same-signature resources (weight on r1)."""
+    if r1.signature != r2.signature:
+        raise InterfaceMismatch("mixture needs identical signatures")
+    w = weight
+    k1, k2 = r1.behavior.kernel, r2.behavior.kernel
+    columns = [
+        [w * a + (1 - w) * b for a, b in zip(k1.column(j), k2.column(j))] for j in range(k1.n_dom)
+    ]
+    kern = make_kernel(k1.dom, k1.cod, list(zip(*columns)))
+    return Resource(make_behavior(r1.signature, kern), name=name or f"mix_{w}")
+
+
+def format_ast(ast) -> str:
+    """A parsed spec file written back, one statement per line."""
+    return "\n".join(" ".join(s.tokens) for s in ast.statements) + "\n"
 
 
 # ---------------------------------------------------------------------------

@@ -376,7 +376,9 @@ def test_criterion_10_framework_laws(scorecard):
 
 
 def test_criterion_11_cli_corpus(scorecard):
-    from composec.cli import format_ast, parse_spec, run
+    from composec.cli import parse_spec, run
+
+    from tests.helpers import format_ast
 
     specs = sorted((Path(__file__).resolve().parent.parent / "specs").glob("*.spec"))
     assert len(specs) >= 6

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from composec import attacks, distinguisher
+from composec import lp as lpmod
 from composec.attacks import (
     Attack,
     Colluding,
@@ -32,7 +33,6 @@ from composec.comb import (
     PortSpec,
     behavior_distance,
     behavior_equal,
-    behavior_from_table,
     canonical,
     canonical_rounds,
     make_behavior,
@@ -46,7 +46,7 @@ from composec.hopf import build_otp, group_make
 from composec.resources import Converter, Protocol, Resource, apply_protocol
 from composec.stoch import Alphabet, Kernel, index_tuple, make_kernel, marginalize, ports_size
 
-from tests.helpers import BIT, random_kernel
+from tests.helpers import BIT, random_kernel, rename_ports
 
 F = Fraction
 
@@ -182,8 +182,6 @@ def test_apply_attack_identity_is_dummy():
     idt = [[1 if i == j else 0 for j in range(pe.alphabet.size)] for i in range(pe.alphabet.size)]
     atk = Attack(("eve",), make_behavior(csig, make_kernel([pe.alphabet], [pe.alphabet], idt)), (("in0", pe.id),))
     out = apply_attack(p, src, atk)
-    from composec.comb import rename_ports
-
     assert observationally_equal(out, rename_ports(view, {pe.id: "out0"}))
 
 
@@ -416,6 +414,17 @@ def test_min_epsilon_perfect_otp_is_zero():
     inst = build_otp(group_make(("cyclic", 2)))
     rep = min_epsilon(inst.protocol, inst.source, inst.target, ("eve",))
     assert rep.epsilon == 0 and rep.verdict == "secure"
+
+
+def test_a_found_simulator_keeps_the_program_it_solved():
+    inst = build_otp(group_make(("cyclic", 3)))
+    found = search_simulator(inst.protocol, inst.source, inst.target, ("eve",))
+    ((_label, comb),) = found.cert.simulator.nodes
+    table = tuple(v for j in range(comb.kernel.n_dom) for v in comb.kernel.column(j))
+    assert found.secure and lpmod.verify(lpmod.Feasible(table), found.lp)
+    # the least-advantage program: the same table, then its tree's variables
+    least = min_epsilon(inst.protocol, inst.source, inst.target, ("eve",))
+    assert least.secure and least.lp.objective is not None and least.lp.n > len(table)
 
 
 def test_min_epsilon_z6_is_the_keys_distance_from_uniform():
@@ -674,7 +683,7 @@ def _point_mass_simulator(inst):
     outs = tuple(p.alphabet for p in shape.signature.outs())
     table = [[int(i == 0)] * ports_size(ins) for i in range(ports_size(outs))]
     comb = make_behavior(shape.signature, make_kernel(ins, outs, table))
-    return Simulator(("eve",), ((shape.label, comb),), shape.wires)
+    return Simulator(((shape.label, comb),), shape.wires)
 
 
 @pytest.mark.parametrize("order", [2, 3])

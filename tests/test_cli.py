@@ -6,8 +6,10 @@ from pathlib import Path
 import pytest
 
 import composec.cli
-from composec.cli import DECLARATIONS, EXPECTS, Env, elaborate, format_ast, main, parse_spec, run, run_check
+from composec.cli import DECLARATIONS, EXPECTS, Env, elaborate, main, parse_spec, run, run_check
 from composec.errors import ComposecError, DuplicateName, ParseError, UnresolvedName
+
+from tests.helpers import format_ast
 
 SPECS = Path(__file__).resolve().parent.parent / "specs"
 
@@ -87,6 +89,17 @@ def test_cli_matches_library_verdicts():
     entry = result.report["checks"][0]
     assert entry["verdict"] == ("infeasible" if not split_check(commitment_resource()).feasible else "feasible")
     assert result.exit_code == 0
+
+
+def test_lp_size_is_the_size_of_the_program_solved(monkeypatch):
+    reports = []
+    for name in ("search_simulator", "split_check"):
+        check = getattr(composec.cli, name)
+        monkeypatch.setattr(composec.cli, name, lambda *args, check=check: reports.append(check(*args)) or reports[-1])
+    text = "".join((SPECS / name).read_text() for name in ("otp_z2.spec", "commitment_nogo.spec"))
+    checks = run(parse_spec(text), no_meta=True).report["checks"]
+    sizes = [entry["lp_size"] for entry in checks if "lp_size" in entry]
+    assert len(sizes) == 7 and sizes == [[rep.lp.n, rep.lp.m] for rep in reports]
 
 
 def test_main_subcommand_axioms(capsys):

@@ -14,7 +14,6 @@ from composec.comb import (
     Signature,
     behavior_distance,
     behavior_equal,
-    behavior_from_table,
     canonical,
     causality_report,
     flatten,
@@ -24,7 +23,6 @@ from composec.comb import (
     observationally_equal,
     realize,
     tensor_behavior,
-    trivial_behavior,
 )
 from composec.errors import (
     AcausalSchedule,
@@ -57,13 +55,16 @@ def port(pid, party, alphabet, direction, rnd):
 
 
 from tests.helpers import (
+    behavior_from_table,
     fraction_evaluate,
     fraction_flatten,
     fraction_linear_evaluate,
     random_comb,
     random_kernel,
     random_network,
+    rename_ports,
     strategy_count,
+    trivial_behavior,
 )
 
 
@@ -263,8 +264,6 @@ def test_link_identity_converter_noop():
     can_out = canonical(out)
     renamed = canonical(inner)
     # identity wrapping only renames the port
-    from composec.comb import rename_ports
-
     assert observationally_equal(out, rename_ports(inner, {p0.id: p0.id + "_out"}))
 
 

@@ -1,9 +1,10 @@
 """Import hygiene of the package, read from its source with `ast`: every
 imported name is used by the module that imports it (a package's `__all__`
 counts as a use), no module imports another module's private name, the
-program over an unknown comb's table is built in `distinguisher` only, only
-`lp` refuses a program as too large, and no module checks anything with
-`assert`, which `python -O` strips."""
+program over an unknown comb's table is built in `distinguisher` only, nodes
+are linked onto a view in `attacks` only, only `lp` refuses a program as too
+large, and no module checks anything with `assert`, which `python -O`
+strips."""
 
 import ast
 from pathlib import Path
@@ -71,8 +72,8 @@ COMB_LP = ("table_lp", "table_behavior", "add_match_rows", "add_advantage_object
 OUTSIDE = [p for p in MODULES if p.stem != "distinguisher"]
 
 
-def _comb_lp(tree: ast.Module) -> list[str]:
-    return [f"line {line}: {name}" for _bound, name, _module, line in _imports(tree) if name in COMB_LP]
+def _imported(tree: ast.Module, names) -> list[str]:
+    return [f"line {line}: {name}" for _bound, name, _module, line in _imports(tree) if name in names]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
@@ -89,8 +90,18 @@ def test_no_private_name_crosses_modules(path):
 
 @pytest.mark.parametrize("path", OUTSIDE, ids=[p.stem for p in OUTSIDE])
 def test_only_distinguisher_builds_the_comb_program(path):
-    found = _comb_lp(ast.parse(path.read_text(), filename=str(path)))
+    found = _imported(ast.parse(path.read_text(), filename=str(path)), COMB_LP)
     assert not found, f"{path.name} builds an unknown comb's program itself: {found}"
+
+
+# the schedule of nodes linked onto a view, which `attacks` alone builds
+NOT_ATTACKS = [p for p in MODULES if p.stem != "attacks"]
+
+
+@pytest.mark.parametrize("path", NOT_ATTACKS, ids=[p.stem for p in NOT_ATTACKS])
+def test_only_attacks_links_onto_a_view(path):
+    found = _imported(ast.parse(path.read_text(), filename=str(path)), ("merge_asap",))
+    assert not found, f"{path.name} links nodes onto a view itself; use attacks: {found}"
 
 
 # the one LP size guard, `lp.CAP`, counted on the rows the simplex keeps
@@ -134,7 +145,8 @@ def test_the_checks_see_an_unused_and_a_private_import():
     )
     assert _unused(tree) == ["line 3: index_tuple", "line 3: _deterministic"]
     assert _private(tree) == ["line 3: _deterministic from .stoch"]
-    assert _comb_lp(ast.parse("from .distinguisher import solve_comb, table_lp\n")) == ["line 1: table_lp"]
+    assert _imported(ast.parse("from .distinguisher import solve_comb, table_lp\n"), COMB_LP) == ["line 1: table_lp"]
+    assert _imported(ast.parse("from .comb import Network, merge_asap\n"), ("merge_asap",)) == ["line 1: merge_asap"]
     assert _asserts(ast.parse("def f(x):\n    assert x > 0\n    return x\n")) == ["line 2"]
     assert _too_large(
         ast.parse("if n * m > cap:\n    raise ProblemTooLarge('big')\nraise errors.ProblemTooLarge\nraise ValueError\n")

@@ -235,7 +235,7 @@ def test_builder_inequalities():
     bld = LpBuilder()
     x = list(bld.new_vars(2))
     bld.add_ge({x[0]: F(1)}, F(2))
-    bld.add_le({x[0]: F(1), x[1]: F(1)}, F(5))
+    bld.add_ge({x[0]: F(-1), x[1]: F(-1)}, F(-5))  # x0 + x1 <= 5
     bld.add_eq({x[1]: F(1)}, F(1))
     bld.set_objective({x[0]: F(1)})
     prog = bld.build()

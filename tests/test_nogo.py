@@ -8,7 +8,6 @@ from composec.comb import (
     OUT,
     Network,
     PortSpec,
-    behavior_from_table,
     canonical,
     causality_report,
     make_behavior,
@@ -17,7 +16,7 @@ from composec.comb import (
 import composec.lp
 import composec.nogo
 from composec.errors import CompositeVerificationFailed, NotCausal, ShapeMismatch
-from composec.lp import Feasible
+from composec.lp import Feasible, Infeasible
 from composec.nogo import (
     NogoVerdict,
     broadcast_contradiction_oracle,
@@ -28,7 +27,6 @@ from composec.nogo import (
     identity_channel_resource,
     mediator_problem,
     min_split_advantage,
-    mix_resources,
     ot_resource,
     product_uniform_resource,
     shared_bit_resource,
@@ -40,7 +38,7 @@ from composec.nogo import (
 )
 from composec.resources import Resource
 from composec.stoch import Alphabet, index_tuple, make_kernel, marginalize, tuple_index
-from tests.helpers import BIT, TRIT, random_kernel, tripartite_program
+from tests.helpers import BIT, TRIT, behavior_from_table, mix_resources, random_kernel, tripartite_program
 
 F = Fraction
 
@@ -240,6 +238,27 @@ def test_oracle_broadcast_contradiction():
 def test_oracle_controls_no_contradiction():
     for r in [constant_output_resource(), product_uniform_resource()]:
         assert not broadcast_contradiction_oracle(r).contradiction
+
+
+@pytest.mark.parametrize(
+    "check, make",
+    [
+        (split_check, identity_channel_resource),
+        (split_check, commitment_resource),
+        (tripartite_split_check, constant_output_resource),
+        (tripartite_split_check, broadcast_resource),
+    ],
+)
+def test_a_verdict_keeps_the_program_it_was_decided_on(check, make):
+    verdict = check(make())
+    if not verdict.feasible:
+        out = Infeasible(verdict.cert)
+    elif check is split_check:  # the mediator's cell (j, i) is variable j * n_y + i
+        g = verdict.witness["g"].kernel
+        out = Feasible(tuple(v for j in range(g.n_dom) for v in g.column(j)))
+    else:  # the tables D, s_A, s_B, s_C, allocated in that order
+        out = Feasible(tuple(v for table in verdict.witness.values() for v in table))
+    assert composec.lp.verify(out, verdict.lp)
 
 
 def test_oracle_and_lp_agree_on_shipped_resources():

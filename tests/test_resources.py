@@ -8,7 +8,6 @@ from composec.comb import (
     OUT,
     Behavior,
     PortSpec,
-    behavior_from_table,
     make_behavior,
     make_signature,
     observationally_equal,
@@ -28,7 +27,7 @@ from composec.resources import (
 )
 from composec.stoch import Alphabet, make_kernel
 
-from tests.helpers import BIT, random_kernel
+from tests.helpers import BIT, behavior_from_table, random_kernel
 
 F = Fraction
 
