@@ -15,8 +15,8 @@ A search's report keeps the program it solved (`SecurityReport.lp`), whatever
 the verdict, so its size and its certificate are read from one record.
 A certificate's residual is always the distinguisher advantage between the
 real and the simulated view (`simulator_distance`), so `compose_certs` adds
-like with like.  Nodes are linked onto a view here only: an attack, numeric
-(`link_attack`) or symbolic (`attack_gaps`), or the J parties' converters.
+like with like.  Nodes are linked onto a view here only: an attack
+(`link_attack`) or the J parties' converters.
 """
 
 from __future__ import annotations
@@ -39,9 +39,10 @@ from .comb import (
     make_signature,
     merge_asap,
     moment_order,
+    observationally_equal,
     schedule_to_match,
 )
-from .distinguisher import CombShape, ShapeBuilder, form_gaps, solve_comb
+from .distinguisher import CombShape, ShapeBuilder, solve_comb
 from .errors import (
     ColumnNotStochastic,
     CompositeVerificationFailed,
@@ -52,11 +53,12 @@ from .errors import (
     WiringMismatch,
 )
 from .lp import FarkasCert
-from .resources import RES, Protocol, Resource
+from .resources import RES, Protocol, Resource, apply_protocol, par_compose, seq_compose
 from .scalars import ZERO, Scalar
 from .stoch import (
     Kernel,
     compose as k_compose,
+    copy_map,
     identity as k_identity,
     kernel_equal,
     make_kernel,
@@ -173,25 +175,11 @@ def apply_attack(p: Protocol, r: Resource, a: Attack) -> Behavior:
 def link_attack(view: Behavior, a: Attack) -> Behavior:
     """The attack comb linked onto `view`, a behaviour with the dummy view's
     J interface (the real view, or a simulator-wrapped ideal one)."""
-    return _attacked(view, a.comb, a.wiring).evaluate()
+    wires = [(("atk", ap), ("view", vp)) for ap, vp in a.wiring]
+    return _onto_view(view, [("atk", a.comb)], wires).evaluate()
 
 
-def attack_gaps(
-    real: Behavior, ideal: Behavior, attack: Signature, wiring: Sequence[tuple[str, str]]
-) -> list[dict[int, Scalar]]:
-    """The cells where an attack of signature `attack`, linked by `wiring`
-    onto `real` and onto `ideal`, gives different tables, as linear forms in
-    the attack's table (`distinguisher.form_gaps`): a given attack tells the
-    views apart exactly when some form is nonzero at its table."""
-    return form_gaps(*(_attacked(view, attack, wiring) for view in (real, ideal)))
-
-
-def _attacked(view: Behavior, attack: Union[Behavior, Signature], wiring: Sequence[tuple[str, str]]) -> Network:
-    """The attack ("atk"), numeric or symbolic, wired onto `view` by `wiring`."""
-    return _onto_view(view, [("atk", attack)], [(("atk", ap), ("view", vp)) for ap, vp in wiring])
-
-
-def _onto_view(view: Behavior, nodes: list[tuple[str, Union[Behavior, Signature]]], wires: list[Wire]) -> Network:
+def _onto_view(view: Behavior, nodes: list[tuple[str, Behavior]], wires: list[Wire]) -> Network:
     """`nodes` wired onto `view` ("view"), each round firing as soon as its
     wired inputs are available."""
     nodes = [("view", view), *nodes]
@@ -344,11 +332,7 @@ def semi_honest_attack(p: Protocol, j_parties: Sequence[str]) -> Attack:
                 PortSpec(leak_id, party, alphabet, OUT, 1),
             ],
         )
-        n = alphabet.size
-        table = [[0] * n for _ in range(n * n)]
-        for v in range(n):
-            table[v * n + v][v] = 1
-        nodes.append((label, make_behavior(sig, make_kernel((alphabet,), (alphabet, alphabet), table))))
+        nodes.append((label, make_behavior(sig, copy_map((alphabet,)))))
         order.append(label)
 
     for party in j:
@@ -408,8 +392,6 @@ def compose_certs(
     CompositeVerificationFailed if the composite residual exceeds the sum of
     the component residuals.
     """
-    from .resources import par_compose, seq_compose
-
     q, p = q_after_p
     if set(cert_p.j_parties) != set(cert_q.j_parties):
         raise InterfaceMismatch("certificates are for different dishonest sets")
@@ -554,9 +536,6 @@ def attack_model_axiom_suite(
         # honest inclusion: replaying the J converters on the dummy view
         # reproduces the honest execution
         honest = apply_protocol_via_dummy(protocol, resource, j)
-        from .comb import observationally_equal
-        from .resources import apply_protocol
-
         full = apply_protocol(protocol, resource)
         checks.append(
             AxiomCheck(

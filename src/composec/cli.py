@@ -26,12 +26,11 @@ number in a report is an exact rational written `p/q`):
     check lift GROUP [expect pass]
     check stream GROUP expander KERNEL [expect_at_most VALUE]
 
-`attacks N` runs the random-attack transfer probe (`_attack_transfer`) on N
-seeded random attacks on Eve.  One symbolic attack is linked onto the real
-view and onto the simulated ideal view (`attacks.attack_gaps`), and each
-drawn attack is checked by exact substitution into the two results.  The
-probe runs only on a `secure` verdict; an insecure one has no simulator to
-transfer, and its entry records `attacks_checked` 0.
+`attacks N` records `attacks_checked` N on a `secure` verdict and 0 on an
+insecure one.  The dummy attack is initial, and `hopf.otp_security` says
+`secure` only when the supplied simulator's ideal view equals the real view
+exactly, so every attack on Eve transfers; no attack is drawn, and `seed S`
+is read but changes nothing.
 
 Digits after `gen KIND` are read only by `point` and `permutation`.
 `expect_at_most` belongs to `stream` only; every other check takes
@@ -48,14 +47,13 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import random
 import sys
 import time
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .attacks import SimulatorCert, attack_gaps, dummy_attack, ideal_view, min_epsilon, search_simulator
+from .attacks import SimulatorCert, check_secure_with, min_epsilon, search_simulator
 from .comb import IN, OUT, PortSpec, make_behavior, make_signature
 from .errors import (
     ComposecError,
@@ -68,6 +66,7 @@ from .hopf import (
     FiniteGroup,
     build_otp,
     group_alphabet,
+    group_kernels,
     group_make,
     hopf_axiom_suite,
     loop_make,
@@ -90,9 +89,9 @@ from .nogo import (
     split_check,
     tripartite_split_check,
 )
-from .resources import Converter, Protocol, Resource
+from .resources import Converter, Protocol, Resource, lift_deterministic
 from .scalars import ZERO, parse_number, scalar_str
-from .stoch import STRUCTURAL, Alphabet, Kernel, identity, make_kernel, structural
+from .stoch import STRUCTURAL, UNIT, Alphabet, Kernel, identity, make_kernel, structural
 
 DECLARATIONS = ("alphabet", "group", "quasigroup", "kernel", "resource", "converter", "protocol", "check")
 
@@ -164,8 +163,6 @@ class Env:
         if name in self.groups:
             return group_alphabet(self.groups[name])
         if name == "unit":
-            from .stoch import UNIT
-
             return UNIT
         raise UnresolvedName(f"line {line}: unknown alphabet {name!r}")
 
@@ -326,8 +323,6 @@ def elaborate(env: Env, stmt: Statement) -> None:
         if _accept(tokens, "gen"):
             kind = _operand(tokens, "a generator kind after 'gen'", line)
             if kind in ("mult", "inv", "unit"):
-                from .hopf import group_kernels
-
                 value = group_kernels(env.resolve_group(_operand(tokens, "a group name", line), line))[kind]
             elif kind not in STRUCTURAL:
                 raise ParseError(line, 1, f"a generator kind after 'gen', got {kind!r}")
@@ -534,13 +529,13 @@ def run_check(env: Env, line: int, tokens: tuple[str, ...]) -> dict:
         weights = None
         if _accept(toks, "key"):
             weights = [_number(t, line) for t in _take_while(toks, lambda t: t != "attacks")]
-        n_attacks, seed = None, 0
+        n_attacks = None
         if _accept(toks, "attacks"):
             n_attacks = _integer(toks, "an attack count after 'attacks'", line)
             if n_attacks < 0:
                 raise ParseError(line, 1, f"an attack count of at least 0, got {n_attacks}")
             if _accept(toks, "seed"):
-                seed = _integer(toks, "a seed after 'seed'", line)
+                _integer(toks, "a seed after 'seed'", line)
         _end(toks, line)
         inst = build_otp(g, weights)
         correct = otp_correctness(inst)
@@ -550,10 +545,9 @@ def run_check(env: Env, line: int, tokens: tuple[str, ...]) -> dict:
         _certify(entry, rep.farkas, rep.cert)
         ok = correct if weights is None else True
         if n_attacks is not None:
-            # only a secure verdict has a simulator to transfer
-            transfer = rep.verdict == "secure"
-            entry["attacks_checked"] = n_attacks if transfer else 0
-            ok = ok and (not transfer or _attack_transfer(inst, n_attacks, seed))
+            # a secure verdict means the supplied simulator's view is the
+            # real view (`otp_security`), so every attack transfers
+            entry["attacks_checked"] = n_attacks if rep.verdict == "secure" else 0
         entry["pass"] = ok and rep.verdict == (expected or "secure")
     elif kind == "otp_epsilon":
         g = env.resolve_group(operand("a group name"), line)
@@ -565,9 +559,6 @@ def run_check(env: Env, line: int, tokens: tuple[str, ...]) -> dict:
         entry["verdict"] = rep.verdict
         entry["pass"] = expected is None or rep.epsilon == _number(expected, line)
     elif kind == "lift":
-        from .attacks import check_secure_with
-        from .resources import lift_deterministic
-
         inst = build_otp(env.resolve_group(last("a group name"), line))
         lifted = lift_deterministic(inst.protocol)
         rep = check_secure_with(lifted, inst.source, inst.target, ("eve",), inst.sigma)
@@ -590,36 +581,6 @@ def run_check(env: Env, line: int, tokens: tuple[str, ...]) -> dict:
     if expected is not None:
         entry["expected"] = expected
     return entry
-
-
-def _attack_transfer(inst, n: int, seed: int) -> bool:
-    """Random-attack transfer probe: each of `n` seeded random attacks on
-    Eve's ciphertext, linked onto the real view, gives exactly the table it
-    gives linked onto the ideal view wrapped in the simulator `inst.sigma`.
-
-    Linking is linear in the attack's table, so one symbolic attack is
-    linked onto each view, once, and the cells where the two views differ
-    are kept as linear forms in its table (`attacks.attack_gaps`); each
-    drawn attack is then checked by exact substitution into those forms.
-    The verdict is the one of linking every attack numerically onto both
-    views (`attacks.link_attack`) and comparing the canonical tables."""
-    rng = random.Random(seed)
-    real = dummy_attack(inst.protocol, inst.source, ("eve",))
-    ideal = ideal_view(inst.target, inst.sigma, match=real.signature)
-    pe = [q for q in real.signature.ports if q.party == "eve"][0]
-    leak = Alphabet("leak", 3)
-    ports = [PortSpec("a_in", "eve", pe.alphabet, IN, 1), PortSpec("a_out", "eve", leak, OUT, 1)]
-    gaps = attack_gaps(real, ideal, make_signature(["eve"], 1, ports), (("a_in", pe.id),))
-    for _ in range(n):
-        table = []  # variable x * leak.size + y: the attack's P(y | x)
-        for _c in range(pe.alphabet.size):
-            raw = [rng.randint(0, 5) for _ in range(leak.size)]
-            if sum(raw) == 0:
-                raw[0] = 1
-            table += [Fraction(v, sum(raw)) for v in raw]
-        if any(sum(c * table[k] for k, c in gap.items()) for gap in gaps):
-            return False
-    return True
 
 
 @dataclass

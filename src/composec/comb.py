@@ -54,6 +54,7 @@ from .stoch import (
     permute_axes,
     ports_size,
     scaled_column,
+    tensor as kernel_tensor,
 )
 
 IN = "in"
@@ -856,12 +857,6 @@ def link(
 
 def tensor_behavior(a: Behavior, b: Behavior, schedule: Optional[Sequence[ScheduleItem]] = None) -> Behavior:
     """Parallel composition; by default a's rounds come first."""
-    from .stoch import tensor as kernel_tensor
-
-    if not b.signature.ports and schedule is None:
-        return a
-    if not a.signature.ports and schedule is None:
-        return b
     if schedule is None:
         schedule = [("a", r) for r in range(1, a.signature.rounds + 1)] + [
             ("b", r) for r in range(1, b.signature.rounds + 1)

@@ -10,11 +10,7 @@ path for both: it builds the program, solves it, reads the table back and
 substitutes it into the network (`fill`).  The comb's `CombShape` (its
 signature, wires and schedule) comes from one `ShapeBuilder`, for the
 simulator (`attacks.derive_simulator_shape`) and the mediator
-(`nogo.mediator_problem`) alike.  The same linearity serves the random-attack
-transfer probe, which links one symbolic attack onto two views
-(`attacks.attack_gaps`): `form_gaps` keeps the cells where they differ as
-linear forms in the attack's table, so each drawn attack is checked by
-substitution alone.
+(`nogo.mediator_problem`) alike.
 
 The advantage is encoded by backward induction over the distinguisher's
 decision tree (`comb.decision_rounds`): one variable u per table cell bounds
@@ -62,7 +58,7 @@ from .comb import (
     decision_rounds,
     make_behavior,
 )
-from .errors import CompositeVerificationFailed, InterfaceMismatch, SignatureMismatch
+from .errors import CompositeVerificationFailed, InterfaceMismatch
 from .lp import Feasible, Infeasible, LinearProgram, LpBuilder, LpOutcome, Optimal
 from .scalars import ONE, ZERO, Scalar
 from .stoch import index_projection, make_kernel, ports_size
@@ -88,27 +84,6 @@ def canonical_forms(net: Network) -> tuple[Signature, LinearForms]:
         for i, form in col.items():
             forms[can_row(i)] = form
     return can_sig, aligned
-
-
-def form_gaps(a: Network, b: Network) -> list[dict[int, Scalar]]:
-    """The cells where two networks' canonical transcript tables differ, as
-    nonzero linear forms (a minus b) in the table of the symbolic comb they
-    share: with a given table in that comb's place, the two networks
-    evaluate to equal behaviours exactly when every form is 0 there.
-    Raises SignatureMismatch when the canonical signatures differ."""
-    (a_sig, a_forms), (b_sig, b_forms) = canonical_forms(a), canonical_forms(b)
-    if a_sig != b_sig:
-        raise SignatureMismatch("behaviors have different signatures")
-    gaps = []
-    for a_col, b_col in zip(a_forms, b_forms):
-        for fa, fb in zip(a_col, b_col):
-            gap = dict(fa)
-            for k, v in fb.items():
-                gap[k] = gap.get(k, ZERO) - v
-            gap = {k: v for k, v in gap.items() if v}
-            if gap:
-                gaps.append(gap)
-    return gaps
 
 
 def causality_rows(sig: Signature, var: Callable[[int, int], int]) -> list[dict[int, Fraction]]:

@@ -376,14 +376,19 @@ def otp_correctness(inst: OtpInstance) -> bool:
 
 
 def otp_security(inst: OtpInstance) -> SecurityReport:
-    """Check the canonical simulator (its ideal view equals the real one
-    exactly) AND search for one by LP; both verdicts must agree.  Returns
-    the search report (it carries the certificate)."""
+    """Check the supplied simulator `inst.sigma` (its ideal view equals the
+    real one exactly) AND search for one by LP; both verdicts must agree,
+    either way round.  A `secure` verdict therefore means the supplied
+    simulator's view is the real view, so every attack linked onto the two
+    gives the same table.  Returns the search report (it carries the
+    certificate)."""
     real = dummy_attack(inst.protocol, inst.source, (EVE,))
     supplied = behavior_equal(ideal_view(inst.target, inst.sigma, real.signature), real)
     searched = search_simulator(inst.protocol, inst.source, inst.target, (EVE,))
     if supplied and not searched.secure:
         raise InterfaceMismatch("supplied simulator verified but LP search found none")
+    if searched.secure and not supplied:
+        raise InterfaceMismatch("LP search found a simulator but the supplied one fails")
     return searched
 
 

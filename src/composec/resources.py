@@ -24,6 +24,7 @@ from .comb import (
     ScheduleItem,
     Signature,
     align_to,
+    canonical_rounds,
     tensor_behavior,
 )
 from .errors import (
@@ -95,8 +96,8 @@ class Protocol:
             raise WiringMismatch("a resource port is wired twice")
         net = self._network(self.source.behavior)
         derived = net.result_signature()
-        want = _canonical_signature(self.target.signature)
-        got = _canonical_signature(derived)
+        want = canonical_rounds(self.target.signature)[0]
+        got = canonical_rounds(derived)[0]
         if want != got:
             raise WiringMismatch(
                 f"protocol produces interface {_sig_brief(got)}, target declares {_sig_brief(want)}"
@@ -116,12 +117,6 @@ class Protocol:
             if c.party == party:
                 return c
         return None
-
-
-def _canonical_signature(sig: Signature) -> Signature:
-    from .comb import canonical_rounds
-
-    return canonical_rounds(sig)[0]
 
 
 def _sig_brief(sig: Signature) -> str:
@@ -235,27 +230,8 @@ def seq_compose(q: Protocol, p: Protocol, name: str = "") -> Protocol:
 def par_compose(p: Protocol, q: Protocol, name: str = "") -> Protocol:
     """Tensor of protocols; parties missing a converter on one side are
     implicitly padded with the identity."""
-    def concat_schedule(a: Behavior, b: Behavior):
-        return [("a", r) for r in range(1, a.signature.rounds + 1)] + [
-            ("b", r) for r in range(1, b.signature.rounds + 1)
-        ]
-
-    src = Resource(
-        tensor_behavior(
-            p.source.behavior,
-            q.source.behavior,
-            schedule=concat_schedule(p.source.behavior, q.source.behavior),
-        ),
-        name=f"{p.source.name}*{q.source.name}",
-    )
-    tgt = Resource(
-        tensor_behavior(
-            p.target.behavior,
-            q.target.behavior,
-            schedule=concat_schedule(p.target.behavior, q.target.behavior),
-        ),
-        name=f"{p.target.name}*{q.target.name}",
-    )
+    src = Resource(tensor_behavior(p.source.behavior, q.source.behavior), name=f"{p.source.name}*{q.source.name}")
+    tgt = Resource(tensor_behavior(p.target.behavior, q.target.behavior), name=f"{p.target.name}*{q.target.name}")
     parties = {c.party for c in p.converters} | {c.party for c in q.converters}
     converters = []
     p_rounds: dict[str, int] = {}

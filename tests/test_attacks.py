@@ -40,9 +40,8 @@ from composec.comb import (
     merge_asap,
     observationally_equal,
 )
-from composec.cli import _attack_transfer
-from composec.errors import CompositeVerificationFailed, ShapeMismatch, WiringMismatch
-from composec.hopf import build_otp, group_make
+from composec.errors import CompositeVerificationFailed, InterfaceMismatch, ShapeMismatch, WiringMismatch
+from composec.hopf import build_otp, group_make, otp_security
 from composec.resources import Converter, Protocol, Resource, apply_protocol
 from composec.stoch import Alphabet, Kernel, index_tuple, make_kernel, marginalize, ports_size
 
@@ -312,8 +311,6 @@ def test_compose_certs_requires_same_j():
     p1 = bijection_protocol(rng, src)
     c1 = search_simulator(p1, src, p1.target, ("eve",)).cert
     c2 = search_simulator(p1, src, p1.target, ("bob",)).cert
-    from composec.errors import InterfaceMismatch
-
     with pytest.raises(InterfaceMismatch):
         compose_certs(c1, c2, "sequential", (p1, p1), src, p1.target)
 
@@ -646,13 +643,14 @@ def test_simulator_echoes_an_ideal_output_back():
 
 
 # ---------------------------------------------------------------------------
-# the random-attack transfer probe (`cli.attacks N`)
+# the transfer claim of `check otp GROUP attacks N`: N attacks transfer
+# exactly when `otp_security` says secure
 
 
 def _linked_transfer(inst, n, seed):
-    """The probe's numeric reference: the same seeded attacks, each linked
-    onto the real view and onto the simulated ideal view, the canonical
-    tables compared exactly."""
+    """The numeric reference: `n` seeded random attacks on Eve's ciphertext,
+    each linked onto the real view and onto the ideal view wrapped in
+    `inst.sigma`, the canonical tables compared exactly."""
     rng = random.Random(seed)
     real = dummy_attack(inst.protocol, inst.source, ("eve",))
     ideal = ideal_view(inst.target, inst.sigma, match=real.signature)
@@ -690,7 +688,8 @@ def _point_mass_simulator(inst):
 @pytest.mark.parametrize("seed", [0, 7, 58])
 def test_transfer_probe_agrees_with_linking_each_attack(order, seed):
     inst = build_otp(group_make(("cyclic", order)))
-    assert _attack_transfer(inst, 12, seed) is _linked_transfer(inst, 12, seed) is True
+    assert otp_security(inst).verdict == "secure"
+    assert _linked_transfer(inst, 12, seed)
 
 
 @pytest.mark.parametrize("seed", [0, 7])
@@ -698,26 +697,12 @@ def test_transfer_probe_agrees_with_linking_each_attack(order, seed):
 def test_transfer_probe_fails_where_linking_each_attack_fails(wrong, seed):
     if wrong == "degraded key":
         inst = build_otp(group_make(("cyclic", 3)), [Fraction(1, 2), Fraction(1, 2), Fraction(0)])
+        assert not _linked_transfer(inst, 5, seed)
+        assert otp_security(inst).verdict == "insecure"
     else:
+        # a secure search with a wrong supplied simulator is refused
         inst = build_otp(group_make(("cyclic", 3)))
         inst = dataclasses.replace(inst, sigma=_point_mass_simulator(inst))
-    assert _attack_transfer(inst, 5, seed) is _linked_transfer(inst, 5, seed) is False
-
-
-def test_transfer_probe_evaluates_two_networks_however_many_attacks(monkeypatch):
-    prepared = []
-    prepare = Network._prepare
-
-    def counted(net):
-        prepared.append(net.symbolic)
-        return prepare(net)
-
-    monkeypatch.setattr(Network, "_prepare", counted)
-    counts = []
-    for n in (1, 50):
-        inst = build_otp(group_make(("cyclic", 2)))
-        prepared.clear()
-        assert _attack_transfer(inst, n, 7)
-        counts.append((len(prepared), prepared.count("atk")))
-    assert counts[0] == counts[1]
-    assert counts[0][1] == 2  # one symbolic attack per view
+        assert not _linked_transfer(inst, 5, seed)
+        with pytest.raises(InterfaceMismatch, match="LP search found a simulator but the supplied one fails"):
+            otp_security(inst)

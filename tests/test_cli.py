@@ -7,6 +7,7 @@ import pytest
 
 import composec.cli
 from composec.cli import DECLARATIONS, EXPECTS, Env, elaborate, main, parse_spec, run, run_check
+from composec.comb import Network
 from composec.errors import ComposecError, DuplicateName, ParseError, UnresolvedName
 
 from tests.helpers import format_ast
@@ -204,6 +205,22 @@ def test_otp_attacks_are_transferred_on_a_secure_verdict():
     assert result.exit_code == 0
     entry = result.report["checks"][0]
     assert entry["verdict"] == "secure" and entry["attacks_checked"] == 50 and entry["pass"]
+
+
+def test_otp_attacks_evaluate_no_more_networks_than_the_check_alone(monkeypatch):
+    # the transfer claim rests on the secure verdict: no attack is linked
+    counts = []
+    prepare = Network._prepare
+
+    def counted(net):
+        counts[-1] += 1
+        return prepare(net)
+
+    monkeypatch.setattr(Network, "_prepare", counted)
+    for check in ("check otp z2 attacks 50 seed 7", "check otp z2"):
+        counts.append(0)
+        assert run(parse_spec(f"group z2 cyclic 2\n{check}\n"), no_meta=True).exit_code == 0
+    assert counts[0] == counts[1]
 
 
 def test_otp_attacks_on_an_insecure_key_leave_the_expected_verdict_passing():

@@ -3,8 +3,8 @@ imported name is used by the module that imports it (a package's `__all__`
 counts as a use), no module imports another module's private name, the
 program over an unknown comb's table is built in `distinguisher` only, nodes
 are linked onto a view in `attacks` only, only `lp` refuses a program as too
-large, and no module checks anything with `assert`, which `python -O`
-strips."""
+large, no function body imports anything, and no module checks anything
+with `assert`, which `python -O` strips."""
 
 import ast
 from pathlib import Path
@@ -125,6 +125,24 @@ def test_only_lp_refuses_a_program_as_too_large(path):
     assert not found, f"{path.name} raises ProblemTooLarge; the size guard is lp.CAP: {found}"
 
 
+def _local_imports(tree: ast.Module) -> list[str]:
+    """Imports inside a function body: each module's imports sit at its top."""
+    lines = {
+        node.lineno
+        for fn in ast.walk(tree)
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for node in ast.walk(fn)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+    }
+    return [f"line {line}" for line in sorted(lines)]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
+def test_no_import_inside_a_function(path):
+    found = _local_imports(ast.parse(path.read_text(), filename=str(path)))
+    assert not found, f"{path.name} imports inside a function; import at the top: {found}"
+
+
 def _asserts(tree: ast.Module) -> list[str]:
     return [f"line {node.lineno}" for node in ast.walk(tree) if isinstance(node, ast.Assert)]
 
@@ -148,6 +166,7 @@ def test_the_checks_see_an_unused_and_a_private_import():
     assert _imported(ast.parse("from .distinguisher import solve_comb, table_lp\n"), COMB_LP) == ["line 1: table_lp"]
     assert _imported(ast.parse("from .comb import Network, merge_asap\n"), ("merge_asap",)) == ["line 1: merge_asap"]
     assert _asserts(ast.parse("def f(x):\n    assert x > 0\n    return x\n")) == ["line 2"]
+    assert _local_imports(ast.parse("import math\ndef f():\n    from .stoch import UNIT\n    return UNIT\n")) == ["line 3"]
     assert _too_large(
         ast.parse("if n * m > cap:\n    raise ProblemTooLarge('big')\nraise errors.ProblemTooLarge\nraise ValueError\n")
     ) == ["line 2", "line 3"]
