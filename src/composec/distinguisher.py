@@ -31,6 +31,14 @@ preprocessing, so empty and duplicate rows do not count.  A table found by
 table in place must be at `behavior_distance` from the target exactly the
 program's value (0 for feasibility), which guards the match rows, the tree
 rows and the solver together.
+
+Match rows cost what the reachable cells cost.  `canonical_forms` keeps a
+form only for a cell some execution reaches, and `add_match_rows` visits
+only those cells and the target's nonzero entries; the cells in between go
+in as runs of empty rows (`LpBuilder.add_empty`), so every row keeps the
+index of its cell (j, i).  A reached cell with a zero target entry is a row
+`form = 0`; an unreached cell with a nonzero one is an empty row `0 = b`,
+which preprocessing turns into an immediate Farkas certificate.
 """
 
 from __future__ import annotations
@@ -63,26 +71,23 @@ from .lp import Feasible, Infeasible, LinearProgram, LpBuilder, LpOutcome, Optim
 from .scalars import ONE, ZERO, Scalar
 from .stoch import index_projection, make_kernel, ports_size
 
-# aligned[j][i]: linear form {table variable: coefficient} of cell (j, i)
-LinearForms = list[list[dict[int, Scalar]]]
+# aligned[j][i]: linear form {table variable: coefficient} of cell (j, i),
+# present only for the cells whose form is not zero
+LinearForms = list[dict[int, dict[int, Scalar]]]
 
 
 def canonical_forms(net: Network) -> tuple[Signature, LinearForms]:
     """The network's transcript table as linear forms in its symbolic comb's
-    table, indexed like the canonical form of the evaluated network."""
+    table, indexed like the canonical form of the evaluated network; a cell
+    that no execution reaches has no form."""
     net_sig, columns = net.linear_evaluate()
     can_sig, order = canonical_rounds(net_sig)
     dom_perm, cod_perm = axis_perms(net_sig.ports, order)
-    in_alphas = tuple(p.alphabet for p in net_sig.ins())
-    out_alphas = tuple(p.alphabet for p in net_sig.outs())
-    can_col = index_projection(in_alphas, dom_perm)
-    can_row = index_projection(out_alphas, cod_perm)
-    n_y = ports_size(out_alphas)
-    aligned: LinearForms = [[] for _ in columns]
+    can_col = index_projection(tuple(p.alphabet for p in net_sig.ins()), dom_perm)
+    can_row = index_projection(tuple(p.alphabet for p in net_sig.outs()), cod_perm)
+    aligned: LinearForms = [{} for _ in columns]
     for j, col in enumerate(columns):
-        forms = aligned[can_col(j)] = [{} for _ in range(n_y)]
-        for i, form in col.items():
-            forms[can_row(i)] = form
+        aligned[can_col(j)] = {can_row(i): form for i, form in col.items()}
     return can_sig, aligned
 
 
@@ -147,11 +152,18 @@ def table_behavior(sig: Signature, point) -> Behavior:
 
 
 def add_match_rows(bld: LpBuilder, aligned: LinearForms, target: Behavior) -> None:
-    """Every linear form equals the target's table entry."""
-    for j, col in enumerate(aligned):
-        values = target.kernel.column(j)
-        for i, form in enumerate(col):
-            bld.add_eq(form, values[i])
+    """Every linear form equals the target's table entry: one row per cell
+    (j, i), in that order.  Only the cells with a form or a nonzero target
+    entry are visited; the runs of cells between them are empty rows 0 = 0."""
+    n_y = target.kernel.n_cod
+    for forms, entries in zip(aligned, target.kernel.cols):
+        values = dict(entries)
+        start = 0
+        for i in sorted(forms.keys() | values.keys()):
+            bld.add_empty(i - start)
+            bld.add_eq(forms.get(i, {}), values.get(i, ZERO))
+            start = i + 1
+        bld.add_empty(n_y - start)
 
 
 def add_cell_gaps(bld: LpBuilder, aligned: LinearForms, target: Behavior) -> tuple[int, list[list[int]]]:
@@ -160,11 +172,10 @@ def add_cell_gaps(bld: LpBuilder, aligned: LinearForms, target: Behavior) -> tup
     t = bld.new_vars(1)[0]
     u = []
     for j, col in enumerate(aligned):
-        values = target.kernel.column(j)
         u_col = []
-        for i, form in enumerate(col):
+        for i, rv in enumerate(target.kernel.column(j)):
+            form = col.get(i, {})
             cell = bld.new_vars(1)[0]
-            rv = values[i]
             below = {k: -v for k, v in form.items()}
             below[cell] = ONE
             bld.add_ge(below, -rv)

@@ -7,6 +7,14 @@ row of A sparsely, as its nonzero (column, value) pairs in increasing column
 order; bound shifting, preprocessing and `verify` read only those pairs, and
 the dense matrix `a` is a view built on first read.
 
+A row with no pair is empty, `()`: it says 0 = b_i.  Such rows keep their
+place, so row indexes and Farkas vectors count them, but no pass walks
+them: `LpBuilder.add_empty` appends a run of them at once, and validation,
+preprocessing and `verify` step only through the nonempty rows (`_nonempty`),
+reading each right-hand side once to find an empty row whose b_i is not 0.
+A program that is mostly empty rows, as a simulator search's match rows
+are, costs what its nonempty rows cost.
+
 `solve_feasible` and `minimize` share one path, `_solve`: shift the lower
 bounds to 0, drop empty and duplicate rows, run phase 1 and, given an
 objective, phase 2, then shift the point back.  With no row left, phase 1
@@ -14,8 +22,11 @@ is feasible at once and phase 2 stops at 0 or on a negative cost's ray.
 
 `_solve` is also where the one size guard lives: a program whose variables
 times the rows left after preprocessing exceed `CAP` raises
-`ProblemTooLarge`, since the tableau holds those rows over those columns.
-Empty and duplicate rows never reach the simplex, so they do not count.
+`ProblemTooLarge`.  That product is the cell count of a dense tableau, a
+bound on the simplex's work per pivot, not what it holds: the tableau is
+sparse and keeps far fewer cells.  Empty and duplicate rows never reach the
+simplex, so they do not count.  Building a program is not guarded; the
+builder holds every row before `_solve` counts.
 
 The solver is a two-phase tableau simplex with Bland's rule, which cannot
 cycle.  Each tableau row is held as integers: a dict of its
@@ -36,6 +47,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import compress
 from math import gcd, lcm
 from numbers import Rational
 from typing import Optional, Union
@@ -65,9 +77,9 @@ class LinearProgram:
     def __post_init__(self) -> None:
         if len(self.rows) != len(self.b):
             raise DimensionMismatch(f"{len(self.rows)} rows vs {len(self.b)} right-hand sides")
-        for i, row in enumerate(self.rows):
+        for i in _nonempty(self.rows):
             last = -1
-            for j, v in row:
+            for j, v in self.rows[i]:
                 if not last < j < self.n:
                     raise DimensionMismatch(f"row {i}: column {j} out of order or out of range")
                 if not v:
@@ -127,6 +139,17 @@ def _dot(row: Row, x) -> Scalar:
     return sum(c * x[j] for j, c in row)
 
 
+def _nonempty(rows):
+    """Indices of the rows with a coefficient, in increasing order; the empty
+    rows are passed over inside `compress`, without a Python step each."""
+    return compress(range(len(rows)), rows)
+
+
+def _empty_with_rhs(rows, b) -> int:
+    """The first empty row with a nonzero right-hand side, or -1."""
+    return next((i for i in compress(range(len(b)), b) if not rows[i]), -1)
+
+
 def _shift_bounds(lp: LinearProgram):
     """Substitute x = x' + lb so the solver only sees x' >= 0."""
     if lp.lower_bounds is None or all(v == 0 for v in lp.lower_bounds):
@@ -138,15 +161,15 @@ def _shift_bounds(lp: LinearProgram):
 def _preprocess(rows, b):
     """Drop empty and duplicate rows; returns (pairs, rhs, keep), or
     Infeasible when an empty row has a nonzero right-hand side."""
+    i = _empty_with_rhs(rows, b)
+    if i >= 0:
+        y = [ZERO] * len(rows)
+        y[i] = ONE if b[i] > 0 else -ONE
+        return Infeasible(FarkasCert(tuple(y)))
     seen = set()
     kept, rhs, keep = [], [], []
-    for i, (pairs, bi) in enumerate(zip(rows, b)):
-        if not pairs:
-            if bi == 0:
-                continue
-            y = [ZERO] * len(rows)
-            y[i] = ONE if bi > 0 else -ONE
-            return Infeasible(FarkasCert(tuple(y)))
+    for i in _nonempty(rows):
+        pairs, bi = rows[i], b[i]
         size = len(seen)
         seen.add((pairs, bi))  # one hash per row
         if len(seen) == size:
@@ -395,7 +418,8 @@ def verify(outcome: LpOutcome, lp: LinearProgram) -> bool:
     lb = lp.lower_bounds or (ZERO,) * lp.n
 
     def residual(x):
-        return all(_dot(row, x) == bi for row, bi in zip(lp.rows, lp.b))
+        rows, b = lp.rows, lp.b
+        return _empty_with_rhs(rows, b) < 0 and all(_dot(rows[i], x) == b[i] for i in _nonempty(rows))
 
     def objective(x):
         return sum(c * x[j] for j, c in enumerate(lp.objective) if c)
@@ -419,9 +443,8 @@ def verify(outcome: LpOutcome, lp: LinearProgram) -> bool:
         # in increasing row order, over the rows with a nonzero multiplier
         cols = [0] * lp.n
         shift = 0
-        for yi, row, bi in zip(y, lp.rows, lp.b):
-            if not yi:
-                continue
+        for i in compress(range(lp.m), y):
+            yi, row, bi = y[i], lp.rows[i], lp.b[i]
             for j, c in row:
                 cols[j] += yi * c
             shift += yi * (bi - _dot(row, lb) if lp.lower_bounds else bi)
@@ -434,7 +457,7 @@ def verify(outcome: LpOutcome, lp: LinearProgram) -> bool:
         d = outcome.ray
         if any(v < 0 for v in d):
             return False
-        if any(_dot(row, d) != 0 for row in lp.rows):
+        if any(_dot(lp.rows[i], d) != 0 for i in _nonempty(lp.rows)):
             return False
         return objective(d) < 0
     return False
@@ -450,7 +473,7 @@ class LpBuilder:
 
     def __init__(self) -> None:
         self.n = 0
-        self.rows: list[dict[int, Scalar]] = []
+        self.rows: list[Row] = []
         self.rhs: list[Scalar] = []
         self.objective: Optional[dict[int, Scalar]] = None
 
@@ -460,21 +483,24 @@ class LpBuilder:
         return range(start, start + count)
 
     def add_eq(self, coeffs: dict[int, Scalar], rhs: Scalar) -> None:
-        self.rows.append(dict(coeffs))
+        self.rows.append(tuple(sorted((j, v) for j, v in coeffs.items() if v)))
         self.rhs.append(rhs)
 
     def add_ge(self, coeffs: dict[int, Scalar], rhs: Scalar) -> None:
         """coeffs . x - s = rhs, with a new slack variable s."""
-        self.rows.append({**coeffs, self.new_vars(1)[0]: -ONE})
-        self.rhs.append(rhs)
+        self.add_eq({**coeffs, self.new_vars(1)[0]: -ONE}, rhs)
+
+    def add_empty(self, count: int) -> None:
+        """`count` rows 0 = 0, added without a step each."""
+        self.rows += [()] * count
+        self.rhs += [ZERO] * count
 
     def set_objective(self, coeffs: dict[int, Scalar]) -> None:
         self.objective = dict(coeffs)
 
     def build(self) -> LinearProgram:
         """The program, with an objective exactly when one was set."""
-        rows = tuple(tuple(sorted((j, v) for j, v in row.items() if v)) for row in self.rows)
         obj = None
         if self.objective is not None:
             obj = tuple(self.objective.get(j, ZERO) for j in range(self.n))
-        return LinearProgram(self.n, rows, tuple(self.rhs), obj, None)
+        return LinearProgram(self.n, tuple(self.rows), tuple(self.rhs), obj, None)

@@ -2,8 +2,9 @@
 small constructors that only tests use, and the slow, plain implementations
 that serve as test oracles: exhaustive
 strategy enumeration for the adaptive distinguisher, dense kernel algebra,
-a dense simplex, network simulation on scalar weights, and the tripartite
-no-go program written out row by row."""
+a dense simplex, network simulation on scalar weights, the match rows
+written cell by cell over dense forms, and the tripartite no-go program
+written out row by row."""
 
 import itertools
 from dataclasses import replace
@@ -209,6 +210,21 @@ def simulator_forms(real, s, j_parties):
     shape = derive_simulator_shape(real.signature, s, j_parties)
     nodes = [("res", s.behavior), (shape.label, shape.signature)]
     return shape.signature, _forms_against(nodes, shape.wires, shape.schedule, real)
+
+
+def dense_forms(aligned, target):
+    """The forms as a dense `canonical_forms` gives them: every cell of every
+    column present, with an empty form where no execution reaches it."""
+    return [{i: col.get(i, {}) for i in range(target.kernel.n_cod)} for col in aligned]
+
+
+def dense_match_rows(bld, aligned, target):
+    """`distinguisher.add_match_rows` over the dense forms: one `add_eq` per
+    cell, in (column, row) order, empty forms included."""
+    for j, col in enumerate(dense_forms(aligned, target)):
+        values = target.kernel.column(j)
+        for i, form in col.items():
+            bld.add_eq(form, values[i])
 
 
 # ---------------------------------------------------------------------------

@@ -123,6 +123,13 @@ def test_realize_flatten_roundtrip():
         assert behavior_equal(b, again)
 
 
+def test_realize_one_round_is_its_own_round_kernel():
+    rng = random.Random(9)
+    for _ in range(10):
+        b = flatten(random_comb(rng, rounds=1))
+        assert realize(b).kernels[0].cols is b.kernel.cols
+
+
 def _entered_columns(comb):
     """Per round, the kernel columns some input sequence reaches with
     positive probability, found by running the comb forward."""

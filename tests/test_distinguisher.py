@@ -1,6 +1,8 @@
 """The adaptive distinguisher by backward induction, checked against the
-exhaustive strategy enumeration kept in tests/helpers.py."""
+exhaustive strategy enumeration kept in tests/helpers.py, and the sparse
+match rows checked against their dense build."""
 
+import copy
 import os
 import random
 import subprocess
@@ -24,9 +26,11 @@ from composec.comb import (
     flatten,
     make_signature,
 )
-from composec.distinguisher import add_cell_gaps, causality_rows, table_lp
+from composec.cli import parse_spec, run
+from composec.distinguisher import add_advantage_objective, add_cell_gaps, add_match_rows, causality_rows, table_lp
 from composec.errors import CompositeVerificationFailed, InterfaceMismatch
-from composec.lp import FarkasCert, Infeasible, Optimal, Unbounded
+from composec.hopf import build_otp, group_make
+from composec.lp import FarkasCert, Infeasible, LpBuilder, Optimal, Unbounded
 from composec.nogo import (
     broadcast_resource,
     commitment_resource,
@@ -40,6 +44,9 @@ from composec.stoch import UNIT, Alphabet, Kernel, index_projection
 from tests.helpers import (
     BIT,
     TRIT,
+    behavior_from_table,
+    dense_forms,
+    dense_match_rows,
     enumerated_distance,
     random_comb,
     random_kernel,
@@ -51,6 +58,7 @@ from tests.helpers import (
 
 ONE = Alphabet("one", 1)
 SRC = Path(__file__).resolve().parent.parent / "src"
+SPECS = sorted((SRC.parent / "specs").glob("*.spec"))
 
 
 def _pair(rng, parties, rounds, alphabets):
@@ -307,3 +315,104 @@ def test_completion_rechecks_its_feasible_point(monkeypatch):
     monkeypatch.setattr(lpmod, "verify", lambda out, prog: False)
     with pytest.raises(CompositeVerificationFailed, match="completion LP's feasible point"):
         tripartite_completion(r, d)
+
+
+# ---------------------------------------------------------------------------
+# match rows over the reached cells only, against the dense build
+
+
+def _program(prog):
+    return prog.n, prog.rows, prog.b, prog.objective
+
+
+def _dense_objective(bld, aligned, target):
+    add_advantage_objective(bld, dense_forms(aligned, target), target)
+
+
+def _otp_keys(n):
+    """Uniform, (1/2, then uniform) and half-support keys over Z_n."""
+    half = n // 2
+    return (
+        None,
+        (Fraction(1, 2),) + (Fraction(1, 2 * (n - 1)),) * (n - 1),
+        (Fraction(1, half),) * half + (Fraction(0),) * (n - half),
+    )
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_sparse_match_rows_equal_the_dense_build_on_otp(n):
+    for key in _otp_keys(n):
+        inst = build_otp(group_make(("cyclic", n)), key)
+        real = dummy_attack(inst.protocol, inst.source, ("eve",))
+        sig, aligned = simulator_forms(real, inst.target, ("eve",))
+        for add, dense in ((add_match_rows, dense_match_rows), (add_advantage_objective, _dense_objective)):
+            bld, ref = table_lp(sig), table_lp(sig)
+            add(bld, aligned, real)
+            dense(ref, aligned, real)
+            assert _program(bld.build()) == _program(ref.build())
+
+
+def test_sparse_match_rows_equal_the_dense_build_on_every_spec(monkeypatch):
+    """Every simulator, split and epsilon program that verifying specs/
+    builds equals its build from the dense forms."""
+    pairs = {"match": [], "objective": []}
+
+    def both(kind, add, dense):
+        def build(bld, aligned, target):
+            ref = copy.deepcopy(bld)
+            add(bld, aligned, target)
+            dense(ref, aligned, target)
+            pairs[kind].append((bld.build(), ref.build()))
+
+        return build
+
+    monkeypatch.setattr(distinguisher, "add_match_rows", both("match", add_match_rows, dense_match_rows))
+    monkeypatch.setattr(
+        distinguisher, "add_advantage_objective", both("objective", add_advantage_objective, _dense_objective)
+    )
+    for path in SPECS:
+        run(parse_spec(path.read_text()), no_meta=True)
+    assert len(pairs["match"]) >= 10 and len(pairs["objective"]) >= 5
+    for sparse, dense in pairs["match"] + pairs["objective"]:
+        assert _program(sparse) == _program(dense)
+
+
+def test_an_unreached_cell_with_a_target_entry_is_an_immediate_certificate():
+    """A cell no execution reaches but the target weighs is the empty row
+    0 = 1/2; both builds give it the same index and the same e_i."""
+    sig = make_signature(("p",), 1, (PortSpec("y", "p", BIT, OUT, 1),))
+    target = behavior_from_table(sig, [[Fraction(1, 2)], [Fraction(1, 2)]])
+    aligned = [{0: {0: Fraction(1)}}]  # cell (0, 1) is never reached
+    outs = []
+    for add in (add_match_rows, dense_match_rows):
+        bld = table_lp(sig)
+        add(bld, aligned, target)
+        prog = bld.build()
+        assert prog.rows[2] == ()
+        out = lpmod.solve_feasible(prog)
+        assert lpmod.verify(out, prog)
+        outs.append((_program(prog), out))
+    assert outs[0] == outs[1]
+    assert outs[0][1] == Infeasible(FarkasCert((0, 0, 1)))
+
+
+def test_otp_z8_search_builds_only_the_reached_match_rows(monkeypatch):
+    """The Z8 simulator program has 513 rows, but only the stochastic row and
+    the 64 reached cells are built from a coefficient map; the rest are runs
+    of empty rows."""
+    inst = build_otp(group_make(("cyclic", 8)))
+    real = dummy_attack(inst.protocol, inst.source, ("eve",))
+    _sig, aligned = simulator_forms(real, inst.target, ("eve",))
+    forms = [form for col in aligned for form in col.values()]
+    assert len(forms) == 64 and all(forms)
+    maps = []
+    add_eq = LpBuilder.add_eq
+
+    def counted(self, coeffs, rhs):
+        maps.append(coeffs)
+        add_eq(self, coeffs, rhs)
+
+    monkeypatch.setattr(LpBuilder, "add_eq", counted)
+    rep = search_simulator(inst.protocol, inst.source, inst.target, ("eve",))
+    assert rep.lp.m == 513
+    assert len(maps) <= 1 + 64

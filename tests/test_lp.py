@@ -119,6 +119,8 @@ def test_verify_rejects_wrong_point():
     prog = lp(2, [[1, -1]], [1])
     assert not verify(Feasible((F(0), F(1))), prog)
     assert verify(Feasible((F(1), F(0))), prog)
+    # no point satisfies an empty row 0 = 1
+    assert not verify(Feasible((F(1), F(0))), lp(2, [[1, -1], [0, 0]], [1, 1]))
 
 
 def test_verify_rejects_inexact_entries_in_rational_mode():
@@ -290,7 +292,7 @@ def test_dense_view_equals_the_dense_build_on_an_adaptive_pass(monkeypatch):
     build = LpBuilder.build
 
     def recording(self):
-        dense = tuple(tuple(row.get(j, F(0)) for j in range(self.n)) for row in self.rows)
+        dense = tuple(tuple(dict(row).get(j, F(0)) for j in range(self.n)) for row in self.rows)
         built.append((dense, build(self)))
         return built[-1][1]
 

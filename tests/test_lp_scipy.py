@@ -43,6 +43,11 @@ def test_exact_simplex_agrees_with_highs():
         n = draw(st.integers(min_value=1, max_value=8))
         a = [[draw(small) for _ in range(n)] for _ in range(m)]
         b = [draw(rationals(-5, 5)) for _ in range(m)]
+        # all-zero rows, which the program holds as (): 0 = 0 or 0 = b_i
+        for i in range(m):
+            if draw(st.booleans()):
+                a[i] = [Fraction(0)] * n
+                b[i] = draw(st.sampled_from([Fraction(0), b[i] or Fraction(1)]))
         c = [draw(small) for _ in range(n)]
         lb = draw(st.one_of(st.none(), st.lists(rationals(-2, 2), min_size=n, max_size=n)))
         return a, b, c, lb
