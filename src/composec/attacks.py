@@ -21,7 +21,6 @@ like with like.  Nodes are linked onto a view here only: an attack
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 from . import lp as lpmod
@@ -53,6 +52,7 @@ from .errors import (
     WiringMismatch,
 )
 from .lp import FarkasCert
+from .record import Record
 from .resources import RES, Protocol, Resource, apply_protocol, par_compose, seq_compose
 from .scalars import ZERO, Scalar
 from .stoch import (
@@ -71,67 +71,91 @@ from .stoch import (
 # attack model specifications
 
 
-@dataclass(frozen=True)
-class Minimal:
+class Minimal(Record):
     pass
 
 
-@dataclass(frozen=True)
-class Maximal:
+class Maximal(Record):
     pass
 
 
-@dataclass(frozen=True)
-class PerParty:
+class PerParty(Record):
     models: tuple[Union[Minimal, Maximal], ...]
 
+    def __init__(self, models: tuple[Union[Minimal, Maximal], ...]) -> None:
+        object.__setattr__(self, "models", models)
 
-@dataclass(frozen=True)
-class Colluding:
+
+class Colluding(Record):
     parties: frozenset[str]
 
-    def __post_init__(self) -> None:
-        if not self.parties:
+    def __init__(self, parties: frozenset[str]) -> None:
+        if not parties:
             raise ValueError("a colluding set must be nonempty")
+        object.__setattr__(self, "parties", parties)
 
 
 AttackModelSpec = Union[Minimal, Maximal, PerParty, Colluding]
 
 
-@dataclass(frozen=True)
-class Attack:
+class Attack(Record):
     """A process linked onto the dummy-exposed interface."""
 
     j_parties: tuple[str, ...]
     comb: Behavior
     wiring: tuple[tuple[str, str], ...]  # (attack port id, exposed view port id)
 
+    def __init__(self, j_parties: tuple[str, ...], comb: Behavior, wiring: tuple[tuple[str, str], ...]) -> None:
+        object.__setattr__(self, "j_parties", j_parties)
+        object.__setattr__(self, "comb", comb)
+        object.__setattr__(self, "wiring", wiring)
 
-@dataclass(frozen=True)
-class Simulator:
+
+class Simulator(Record):
     """Ideal-side wrapper: nodes wired onto the ideal resource ("res") and
     each other, exposing the real dishonest interface."""
 
     nodes: tuple[tuple[str, Behavior], ...]
     wires: tuple[Wire, ...]
 
+    def __init__(self, nodes: tuple[tuple[str, Behavior], ...], wires: tuple[Wire, ...]) -> None:
+        object.__setattr__(self, "nodes", nodes)
+        object.__setattr__(self, "wires", wires)
 
-@dataclass(frozen=True)
-class SimulatorCert:
+
+class SimulatorCert(Record):
     j_parties: tuple[str, ...]
     simulator: Simulator
     residual: Scalar  # distinguisher advantage between the real and simulated views
 
+    def __init__(self, j_parties: tuple[str, ...], simulator: Simulator, residual: Scalar) -> None:
+        object.__setattr__(self, "j_parties", j_parties)
+        object.__setattr__(self, "simulator", simulator)
+        object.__setattr__(self, "residual", residual)
 
-@dataclass(frozen=True)
-class SecurityReport:
+
+class SecurityReport(Record):
     verdict: str  # "secure" | "insecure" | "epsilon"
-    epsilon: Optional[Scalar] = None
-    cert: Optional[SimulatorCert] = None
-    farkas: Optional[FarkasCert] = None
+    epsilon: Optional[Scalar]
+    cert: Optional[SimulatorCert]
+    farkas: Optional[FarkasCert]
     # the program a search solved, on every verdict; None when no program
     # was solved (a supplied or composed simulator checked directly)
-    lp: Optional[lpmod.LinearProgram] = None
+    lp: Optional[lpmod.LinearProgram]
+
+    def __init__(
+        self,
+        verdict: str,
+        epsilon: Optional[Scalar] = None,
+        cert: Optional[SimulatorCert] = None,
+        farkas: Optional[FarkasCert] = None,
+        lp: Optional[lpmod.LinearProgram] = None,
+    ) -> None:
+        object.__setattr__(self, "verdict", verdict)
+        object.__setattr__(self, "epsilon", epsilon)
+        object.__setattr__(self, "cert", cert)
+        object.__setattr__(self, "farkas", farkas)
+        object.__setattr__(self, "lp", lp)
 
     @property
     def secure(self) -> bool:
@@ -448,16 +472,22 @@ def _prefixed(sim: Simulator, prefix: str, res_ref=lambda end: end) -> tuple[tup
 # attack model axiom suite
 
 
-@dataclass(frozen=True)
-class AxiomCheck:
+class AxiomCheck(Record):
     name: str
     passed: bool
-    detail: str = ""
+    detail: str
+
+    def __init__(self, name: str, passed: bool, detail: str = "") -> None:
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "passed", passed)
+        object.__setattr__(self, "detail", detail)
 
 
-@dataclass(frozen=True)
-class AxiomSuiteReport:
+class AxiomSuiteReport(Record):
     checks: tuple[AxiomCheck, ...]
+
+    def __init__(self, checks: tuple[AxiomCheck, ...]) -> None:
+        object.__setattr__(self, "checks", checks)
 
     @property
     def ok(self) -> bool:

@@ -49,7 +49,6 @@ import hashlib
 import json
 import sys
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -89,6 +88,7 @@ from .nogo import (
     split_check,
     tripartite_split_check,
 )
+from .record import Record
 from .resources import Converter, Protocol, Resource, lift_deterministic
 from .scalars import ZERO, parse_number, scalar_str
 from .stoch import STRUCTURAL, UNIT, Alphabet, Kernel, identity, make_kernel, structural
@@ -111,15 +111,20 @@ BUILTIN_RESOURCES = {
 # AST
 
 
-@dataclass(frozen=True)
-class Statement:
+class Statement(Record):
     line: int
     tokens: tuple[str, ...]
 
+    def __init__(self, line: int, tokens: tuple[str, ...]) -> None:
+        object.__setattr__(self, "line", line)
+        object.__setattr__(self, "tokens", tokens)
 
-@dataclass(frozen=True)
-class SpecFileAst:
+
+class SpecFileAst(Record):
     statements: tuple[Statement, ...]
+
+    def __init__(self, statements: tuple[Statement, ...]) -> None:
+        object.__setattr__(self, "statements", statements)
 
 
 def parse_spec(text: str) -> SpecFileAst:
@@ -583,10 +588,13 @@ def run_check(env: Env, line: int, tokens: tuple[str, ...]) -> dict:
     return entry
 
 
-@dataclass
-class RunResult:
+class RunResult(Record):
     report: dict
     exit_code: int
+
+    def __init__(self, report: dict, exit_code: int) -> None:
+        object.__setattr__(self, "report", report)
+        object.__setattr__(self, "exit_code", exit_code)
 
 
 def run(ast: SpecFileAst, no_meta: bool = False) -> RunResult:

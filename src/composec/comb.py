@@ -26,7 +26,6 @@ goes through `axis_perms` and `stoch.permute_axes` or
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
@@ -41,6 +40,7 @@ from .errors import (
     SignatureMismatch,
     WiringMismatch,
 )
+from .record import Record
 from .scalars import ZERO, Scalar
 from .stoch import (
     UNIT,
@@ -61,38 +61,48 @@ IN = "in"
 OUT = "out"
 
 
-@dataclass(frozen=True)
-class PortSpec:
+class PortSpec(Record):
     id: str
     party: str
     alphabet: Alphabet
     direction: str
     round: int
 
-    def __post_init__(self) -> None:
-        if self.direction not in (IN, OUT):
-            raise ValueError(f"port {self.id!r}: direction must be 'in' or 'out'")
-        if self.round < 1:
-            raise ValueError(f"port {self.id!r}: round must be >= 1")
+    def __init__(self, id: str, party: str, alphabet: Alphabet, direction: str, round: int) -> None:
+        if direction not in (IN, OUT):
+            raise ValueError(f"port {id!r}: direction must be 'in' or 'out'")
+        if round < 1:
+            raise ValueError(f"port {id!r}: round must be >= 1")
+        object.__setattr__(self, "id", id)
+        object.__setattr__(self, "party", party)
+        object.__setattr__(self, "alphabet", alphabet)
+        object.__setattr__(self, "direction", direction)
+        object.__setattr__(self, "round", round)
+
+    def in_round(self, round: int) -> PortSpec:
+        """The same port moved to another round."""
+        return PortSpec(self.id, self.party, self.alphabet, self.direction, round)
 
 
-@dataclass(frozen=True)
-class Signature:
+class Signature(Record):
     parties: tuple[str, ...]
     rounds: int
     ports: tuple[PortSpec, ...]
 
-    def __post_init__(self) -> None:
-        if self.rounds < 1:
+    def __init__(self, parties: tuple[str, ...], rounds: int, ports: tuple[PortSpec, ...]) -> None:
+        if rounds < 1:
             raise ValueError("a signature has at least one round")
-        ids = [p.id for p in self.ports]
+        ids = [p.id for p in ports]
         if len(set(ids)) != len(ids):
             raise DuplicatePortId(f"duplicate port ids in signature: {sorted(ids)}")
-        for p in self.ports:
-            if p.round > self.rounds:
-                raise ValueError(f"port {p.id!r} in round {p.round} > {self.rounds}")
-            if p.party not in self.parties:
+        for p in ports:
+            if p.round > rounds:
+                raise ValueError(f"port {p.id!r} in round {p.round} > {rounds}")
+            if p.party not in parties:
                 raise ValueError(f"port {p.id!r} names unknown party {p.party!r}")
+        object.__setattr__(self, "parties", parties)
+        object.__setattr__(self, "rounds", rounds)
+        object.__setattr__(self, "ports", ports)
 
     def ins(self) -> tuple[PortSpec, ...]:
         return tuple(p for p in self.ports if p.direction == IN)
@@ -117,8 +127,7 @@ def make_signature(parties: Sequence[str], rounds: int, ports: Sequence[PortSpec
     return Signature(tuple(parties), rounds, tuple(ports))
 
 
-@dataclass(frozen=True)
-class Behavior:
+class Behavior(Record):
     """Conditional transcript table P(all outputs | all inputs).
 
     The kernel's domain lists the in-ports and its codomain the out-ports,
@@ -127,7 +136,11 @@ class Behavior:
 
     signature: Signature
     kernel: Kernel
-    _comb: Optional["CombKernels"] = field(default=None, init=False, repr=False, compare=False)
+    _comb = None  # the memo, set on the object by `realize`
+
+    def __init__(self, signature: Signature, kernel: Kernel) -> None:
+        object.__setattr__(self, "signature", signature)
+        object.__setattr__(self, "kernel", kernel)
 
 
 def make_behavior(signature: Signature, kernel: Kernel, check: bool = True) -> Behavior:
@@ -150,11 +163,17 @@ def make_behavior(signature: Signature, kernel: Kernel, check: bool = True) -> B
 # causality
 
 
-@dataclass(frozen=True)
-class CausalityViolation:
+class CausalityViolation(Record):
     round: int
     x_prefix: tuple[tuple[str, int], ...]
     x_pair: tuple[tuple[int, ...], tuple[int, ...]]
+
+    def __init__(
+        self, round: int, x_prefix: tuple[tuple[str, int], ...], x_pair: tuple[tuple[int, ...], tuple[int, ...]]
+    ) -> None:
+        object.__setattr__(self, "round", round)
+        object.__setattr__(self, "x_prefix", x_prefix)
+        object.__setattr__(self, "x_pair", x_pair)
 
     def __str__(self) -> str:
         pre = ", ".join(f"{pid}={v}" for pid, v in self.x_prefix)
@@ -164,10 +183,13 @@ class CausalityViolation:
         )
 
 
-@dataclass(frozen=True)
-class CausalityReport:
+class CausalityReport(Record):
     ok: bool
     violations: tuple[CausalityViolation, ...]
+
+    def __init__(self, ok: bool, violations: tuple[CausalityViolation, ...]) -> None:
+        object.__setattr__(self, "ok", ok)
+        object.__setattr__(self, "violations", violations)
 
 
 def causality_report(b: Behavior) -> CausalityReport:
@@ -212,8 +234,7 @@ def causality_report(b: Behavior) -> CausalityReport:
 # comb kernels (memoryful round-by-round presentation)
 
 
-@dataclass(frozen=True)
-class CombKernels:
+class CombKernels(Record):
     """Per-round kernels f_i: M_(i-1) (x) X_i -> Y_i (x) M_i with trivial
     first and last memories."""
 
@@ -221,7 +242,10 @@ class CombKernels:
     memories: tuple[Alphabet, ...]
     kernels: tuple[Kernel, ...]
 
-    def __post_init__(self) -> None:
+    def __init__(self, signature: Signature, memories: tuple[Alphabet, ...], kernels: tuple[Kernel, ...]) -> None:
+        object.__setattr__(self, "signature", signature)
+        object.__setattr__(self, "memories", memories)
+        object.__setattr__(self, "kernels", kernels)
         k = self.signature.rounds
         if len(self.memories) != k + 1 or len(self.kernels) != k:
             raise ChainMismatch("need k kernels and k+1 memories")
@@ -394,7 +418,7 @@ def canonical_rounds(sig: Signature) -> tuple[Signature, tuple[int, ...]]:
         elif p.direction == OUT:
             phase = OUT
         new_round[i] = rnd
-    renumbered = [replace(p, round=new_round[i]) for i, p in enumerate(sig.ports)]
+    renumbered = [p.in_round(new_round[i]) for i, p in enumerate(sig.ports)]
     order = moment_order(renumbered)
     new_ports = tuple(renumbered[i] for i in order)
     parties = tuple(sorted({p.party for p in new_ports}))
@@ -610,7 +634,7 @@ class Network:
         for t, (lab, r) in enumerate(self.schedule, start=1):
             for p in self.signatures[lab].ports:
                 if p.round == r and (lab, p.id) not in self._wired:
-                    ports.append(replace(p, round=t))
+                    ports.append(p.in_round(t))
         parties: list[str] = []
         for lab in self.labels:
             for pty in self.signatures[lab].parties:
@@ -868,8 +892,8 @@ def tensor_behavior(a: Behavior, b: Behavior, schedule: Optional[Sequence[Schedu
         ]
     _check_schedule(schedule, {"a": a.signature.rounds, "b": b.signature.rounds})
     pos = {item: t + 1 for t, item in enumerate(schedule)}
-    ports = [replace(p, round=pos[("a", p.round)]) for p in a.signature.ports] + [
-        replace(p, round=pos[("b", p.round)]) for p in b.signature.ports
+    ports = [p.in_round(pos[("a", p.round)]) for p in a.signature.ports] + [
+        p.in_round(pos[("b", p.round)]) for p in b.signature.ports
     ]
     parties = list(a.signature.parties) + [
         p for p in b.signature.parties if p not in a.signature.parties

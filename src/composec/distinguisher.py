@@ -44,7 +44,6 @@ which preprocessing turns into an immediate Farkas certificate.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
@@ -68,6 +67,7 @@ from .comb import (
 )
 from .errors import CompositeVerificationFailed, InterfaceMismatch
 from .lp import Feasible, Infeasible, LinearProgram, LpBuilder, LpOutcome, Optimal
+from .record import Record
 from .scalars import ONE, ZERO, Scalar
 from .stoch import index_projection, make_kernel, ports_size
 
@@ -249,8 +249,7 @@ def solve_checked(bld: LpBuilder, what: str):
 # the unknown comb's shape
 
 
-@dataclass(frozen=True)
-class CombShape:
+class CombShape(Record):
     """An unknown comb's place in a network of known nodes: its node label,
     its signature, its wires to the known nodes and the network's schedule."""
 
@@ -258,6 +257,14 @@ class CombShape:
     signature: Signature
     wires: tuple[Wire, ...]
     schedule: tuple[ScheduleItem, ...]
+
+    def __init__(
+        self, label: str, signature: Signature, wires: tuple[Wire, ...], schedule: tuple[ScheduleItem, ...]
+    ) -> None:
+        object.__setattr__(self, "label", label)
+        object.__setattr__(self, "signature", signature)
+        object.__setattr__(self, "wires", wires)
+        object.__setattr__(self, "schedule", schedule)
 
 
 class ShapeBuilder:

@@ -10,7 +10,6 @@ argument, so the axiom suite and the OTP checks live together.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -35,6 +34,7 @@ from .comb import (
     tensor_behavior,
 )
 from .errors import DimensionMismatch, InterfaceMismatch, NoIdentity, NotAssociative, NotLatinSquare
+from .record import Record
 from .resources import RES, Converter, Protocol, Resource, apply_protocol
 from .scalars import ONE, Scalar, as_scalar
 from .stoch import (
@@ -58,13 +58,21 @@ from .stoch import (
 )
 
 
-@dataclass(frozen=True)
-class FiniteGroup:
+class FiniteGroup(Record):
     name: str
     order: int
     cayley: tuple[tuple[int, ...], ...]
     identity: int
     inverse: tuple[int, ...]
+
+    def __init__(
+        self, name: str, order: int, cayley: tuple[tuple[int, ...], ...], identity: int, inverse: tuple[int, ...]
+    ) -> None:
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "cayley", cayley)
+        object.__setattr__(self, "identity", identity)
+        object.__setattr__(self, "inverse", inverse)
 
     def mul(self, a: int, b: int) -> int:
         return self.cayley[a][b]
@@ -165,9 +173,11 @@ def group_kernels(g: FiniteGroup) -> dict[str, Kernel]:
     }
 
 
-@dataclass(frozen=True)
-class HopfReport:
+class HopfReport(Record):
     axioms: tuple[tuple[str, bool], ...]
+
+    def __init__(self, axioms: tuple[tuple[str, bool], ...]) -> None:
+        object.__setattr__(self, "axioms", axioms)
 
     @property
     def all_pass(self) -> bool:
@@ -229,8 +239,7 @@ ALICE, BOB, EVE = "alice", "bob", "eve"
 PARTIES = (ALICE, BOB, EVE)
 
 
-@dataclass(frozen=True)
-class OtpInstance:
+class OtpInstance(Record):
     group: FiniteGroup
     alphabet: Alphabet
     key: Resource
@@ -239,6 +248,26 @@ class OtpInstance:
     protocol: Protocol
     target: Resource
     sigma: Simulator
+
+    def __init__(
+        self,
+        group: FiniteGroup,
+        alphabet: Alphabet,
+        key: Resource,
+        auth_channel: Resource,
+        source: Resource,
+        protocol: Protocol,
+        target: Resource,
+        sigma: Simulator,
+    ) -> None:
+        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "alphabet", alphabet)
+        object.__setattr__(self, "key", key)
+        object.__setattr__(self, "auth_channel", auth_channel)
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "protocol", protocol)
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "sigma", sigma)
 
 
 def key_resource(g: FiniteGroup, weights: Optional[Sequence[Scalar]] = None) -> Resource:
@@ -396,10 +425,13 @@ def otp_security(inst: OtpInstance) -> SecurityReport:
 # stream cipher: key expansion composed with the one-time pad
 
 
-@dataclass(frozen=True)
-class StreamCipherReport:
+class StreamCipherReport(Record):
     expansion_epsilon: Scalar
     composite: SecurityReport
+
+    def __init__(self, expansion_epsilon: Scalar, composite: SecurityReport) -> None:
+        object.__setattr__(self, "expansion_epsilon", expansion_epsilon)
+        object.__setattr__(self, "composite", composite)
 
 
 def short_key_resource(h: Alphabet, name: str = "short_key") -> Resource:

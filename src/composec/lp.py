@@ -10,8 +10,9 @@ the dense matrix `a` is a view built on first read.
 A row with no pair is empty, `()`: it says 0 = b_i.  Such rows keep their
 place, so row indexes and Farkas vectors count them, but no pass walks
 them: `LpBuilder.add_empty` appends a run of them at once, and validation,
-preprocessing and `verify` step only through the nonempty rows (`_nonempty`),
-reading each right-hand side once to find an empty row whose b_i is not 0.
+preprocessing and `verify` step only through the nonempty rows (`_nonempty`).
+To find an empty row whose b_i is not 0, they pass over the right-hand sides
+that are the shared `ZERO` without a step each and test only the others.
 A program that is mostly empty rows, as a simulator search's match rows
 are, costs what its nonempty rows cost.
 
@@ -44,15 +45,16 @@ trusting the solver.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import compress
+from itertools import compress, repeat
 from math import gcd, lcm
 from numbers import Rational
+from operator import is_not
 from typing import Optional, Union
 
 from .errors import DimensionMismatch, ProblemTooLarge
+from .record import Record
 from .scalars import ONE, ZERO, Scalar
 
 # Largest variables x kept rows `_solve` hands to the simplex.
@@ -63,18 +65,29 @@ CAP = 2_000_000
 Row = tuple[tuple[int, Scalar], ...]
 
 
-@dataclass(frozen=True)
-class LinearProgram:
+class LinearProgram(Record):
     """`rows[i]` lists the nonzero coefficients of constraint i as (column,
     value) pairs in increasing column order; absent coefficients are 0."""
 
     n: int
     rows: tuple[Row, ...]
     b: tuple[Scalar, ...]
-    objective: Optional[tuple[Scalar, ...]] = None
-    lower_bounds: Optional[tuple[Scalar, ...]] = None
+    objective: Optional[tuple[Scalar, ...]]
+    lower_bounds: Optional[tuple[Scalar, ...]]
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        n: int,
+        rows: tuple[Row, ...],
+        b: tuple[Scalar, ...],
+        objective: Optional[tuple[Scalar, ...]] = None,
+        lower_bounds: Optional[tuple[Scalar, ...]] = None,
+    ) -> None:
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "objective", objective)
+        object.__setattr__(self, "lower_bounds", lower_bounds)
         if len(self.rows) != len(self.b):
             raise DimensionMismatch(f"{len(self.rows)} rows vs {len(self.b)} right-hand sides")
         for i in _nonempty(self.rows):
@@ -106,30 +119,41 @@ class LinearProgram:
         return tuple(dense)
 
 
-@dataclass(frozen=True)
-class FarkasCert:
+class FarkasCert(Record):
     y: tuple[Scalar, ...]
 
+    def __init__(self, y: tuple[Scalar, ...]) -> None:
+        object.__setattr__(self, "y", y)
 
-@dataclass(frozen=True)
-class Feasible:
+
+class Feasible(Record):
     point: tuple[Scalar, ...]
 
+    def __init__(self, point: tuple[Scalar, ...]) -> None:
+        object.__setattr__(self, "point", point)
 
-@dataclass(frozen=True)
-class Optimal:
+
+class Optimal(Record):
     point: tuple[Scalar, ...]
     value: Scalar
 
+    def __init__(self, point: tuple[Scalar, ...], value: Scalar) -> None:
+        object.__setattr__(self, "point", point)
+        object.__setattr__(self, "value", value)
 
-@dataclass(frozen=True)
-class Infeasible:
+
+class Infeasible(Record):
     cert: FarkasCert
 
+    def __init__(self, cert: FarkasCert) -> None:
+        object.__setattr__(self, "cert", cert)
 
-@dataclass(frozen=True)
-class Unbounded:
+
+class Unbounded(Record):
     ray: tuple[Scalar, ...]
+
+    def __init__(self, ray: tuple[Scalar, ...]) -> None:
+        object.__setattr__(self, "ray", ray)
 
 
 LpOutcome = Union[Feasible, Optimal, Infeasible, Unbounded]
@@ -146,8 +170,11 @@ def _nonempty(rows):
 
 
 def _empty_with_rhs(rows, b) -> int:
-    """The first empty row with a nonzero right-hand side, or -1."""
-    return next((i for i in compress(range(len(b)), b) if not rows[i]), -1)
+    """The first empty row with a nonzero right-hand side, or -1.  Entries
+    that are the shared `ZERO` (every `LpBuilder.add_empty` row's) are passed
+    over inside `compress`; only the others are tested."""
+    maybe = compress(range(len(b)), map(is_not, b, repeat(ZERO)))
+    return next((i for i in maybe if b[i] and not rows[i]), -1)
 
 
 def _shift_bounds(lp: LinearProgram):

@@ -31,7 +31,6 @@ Every `NogoVerdict` keeps the program it was decided on, feasible or not.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from typing import Optional, Sequence
@@ -49,6 +48,7 @@ from .comb import (
 from .distinguisher import CombShape, ShapeBuilder, fill, solve_checked, solve_comb, verify_or_raise
 from .errors import CompositeVerificationFailed, InterfaceMismatch, ShapeMismatch
 from .lp import FarkasCert, Infeasible, LpBuilder
+from .record import Record
 from .resources import Resource
 from .scalars import ONE, ZERO, Scalar
 from .stoch import (
@@ -68,12 +68,23 @@ RECEIPT = Alphabet("receipt", 1)
 MEDIATOR = "mediator"
 
 
-@dataclass(frozen=True)
-class NogoVerdict:
+class NogoVerdict(Record):
     feasible: bool
-    witness: Optional[dict] = None  # a feasible verdict: {"g": mediator}, or the tables by name
-    cert: Optional[FarkasCert] = None  # the Farkas certificate of an infeasible verdict
-    lp: Optional[lpmod.LinearProgram] = None  # the program solved, on every verdict
+    witness: Optional[dict]  # a feasible verdict: {"g": mediator}, or the tables by name
+    cert: Optional[FarkasCert]  # the Farkas certificate of an infeasible verdict
+    lp: Optional[lpmod.LinearProgram]  # the program solved, on every verdict
+
+    def __init__(
+        self,
+        feasible: bool,
+        witness: Optional[dict] = None,
+        cert: Optional[FarkasCert] = None,
+        lp: Optional[lpmod.LinearProgram] = None,
+    ) -> None:
+        object.__setattr__(self, "feasible", feasible)
+        object.__setattr__(self, "witness", witness)
+        object.__setattr__(self, "cert", cert)
+        object.__setattr__(self, "lp", lp)
 
 
 # ---------------------------------------------------------------------------
@@ -381,13 +392,26 @@ def tripartite_completion(r: Resource, d_table: Sequence[Sequence[Scalar]]) -> N
     return _tripartite_verdict(bld, shapes, first, "completion")
 
 
-@dataclass(frozen=True)
-class OracleReport:
+class OracleReport(Record):
     contradiction: bool
     charlie_forced: tuple[Scalar, ...]
     alice_forced: tuple[Scalar, ...]
     required_agreement: Scalar
     achievable_agreement: Scalar
+
+    def __init__(
+        self,
+        contradiction: bool,
+        charlie_forced: tuple[Scalar, ...],
+        alice_forced: tuple[Scalar, ...],
+        required_agreement: Scalar,
+        achievable_agreement: Scalar,
+    ) -> None:
+        object.__setattr__(self, "contradiction", contradiction)
+        object.__setattr__(self, "charlie_forced", charlie_forced)
+        object.__setattr__(self, "alice_forced", alice_forced)
+        object.__setattr__(self, "required_agreement", required_agreement)
+        object.__setattr__(self, "achievable_agreement", achievable_agreement)
 
     def __str__(self) -> str:
         if not self.contradiction:

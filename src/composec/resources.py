@@ -15,7 +15,6 @@ declared target's.  `apply_protocol` therefore only computes tables.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Optional
 
 from .comb import (
@@ -32,48 +31,67 @@ from .errors import (
     NotDeterministic,
     WiringMismatch,
 )
+from .record import Record
 
 RES = "res"
 
 
-@dataclass(frozen=True)
-class Resource:
+class Resource(Record):
     behavior: Behavior
-    name: str = ""
+    name: str
+
+    def __init__(self, behavior: Behavior, name: str = "") -> None:
+        object.__setattr__(self, "behavior", behavior)
+        object.__setattr__(self, "name", name)
 
     @property
     def signature(self) -> Signature:
         return self.behavior.signature
 
 
-@dataclass(frozen=True)
-class Converter:
+class Converter(Record):
     """One party's local process.  `wiring` pairs a comb port with the
     resource port it consumes or feeds; unpaired comb ports are the new
     outer interface."""
 
     party: str
     comb: Behavior
-    wiring: tuple[tuple[str, str], ...] = ()
+    wiring: tuple[tuple[str, str], ...]
+
+    def __init__(self, party: str, comb: Behavior, wiring: tuple[tuple[str, str], ...] = ()) -> None:
+        object.__setattr__(self, "party", party)
+        object.__setattr__(self, "comb", comb)
+        object.__setattr__(self, "wiring", wiring)
 
     def outer_ids(self) -> tuple[str, ...]:
         wired = {c for c, _ in self.wiring}
         return tuple(p.id for p in self.comb.signature.ports if p.id not in wired)
 
 
-@dataclass(frozen=True)
-class Protocol:
+class Protocol(Record):
     """`attacks.dummy_attack` memoises the dummy-attacked view of `source`
-    on the object, by dishonest set."""
+    on the object, by dishonest set, in `_views`."""
 
     source: Resource
     target: Resource
     converters: tuple[Converter, ...]
     schedule: tuple[ScheduleItem, ...]
-    name: str = ""
-    _views: dict[tuple[str, ...], Behavior] = field(default_factory=dict, init=False, repr=False, compare=False)
+    name: str
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        source: Resource,
+        target: Resource,
+        converters: tuple[Converter, ...],
+        schedule: tuple[ScheduleItem, ...],
+        name: str = "",
+    ) -> None:
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "converters", converters)
+        object.__setattr__(self, "schedule", schedule)
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "_views", {})
         parties = [c.party for c in self.converters]
         if len(set(parties)) != len(parties):
             raise WiringMismatch(f"multiple converters for one party: {parties}")

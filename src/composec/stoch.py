@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Iterable, Iterator, Sequence
@@ -38,6 +37,7 @@ from .errors import (
     InterfaceMismatch,
     NegativeEntry,
 )
+from .record import Record
 from .scalars import ONE, ZERO, Scalar, as_scalar
 
 # Dense tables given to make_kernel only; guards against accidentally huge
@@ -48,16 +48,17 @@ SIZE_CAP = 1 << 20
 Column = tuple[tuple[int, Scalar], ...]
 
 
-@dataclass(frozen=True)
-class Alphabet:
+class Alphabet(Record):
     """A named finite set {0, ..., size - 1}."""
 
     name: str
     size: int
 
-    def __post_init__(self) -> None:
-        if self.size < 1:
-            raise ValueError(f"alphabet {self.name!r} must have size >= 1")
+    def __init__(self, name: str, size: int) -> None:
+        if size < 1:
+            raise ValueError(f"alphabet {name!r} must have size >= 1")
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "size", size)
 
 
 UNIT = Alphabet("unit", 1)
@@ -111,8 +112,7 @@ def index_projection(ports: Sequence[Alphabet], picks: Sequence[int]) -> Callabl
     return index
 
 
-@dataclass(frozen=True)
-class Kernel:
+class Kernel(Record):
     """Column-stochastic matrix with typed ports.  Immutable; share freely.
 
     `cols[j]` lists the nonzero entries of domain column j as (codomain
@@ -122,6 +122,11 @@ class Kernel:
     dom: tuple[Alphabet, ...]
     cod: tuple[Alphabet, ...]
     cols: tuple[Column, ...]
+
+    def __init__(self, dom: tuple[Alphabet, ...], cod: tuple[Alphabet, ...], cols: tuple[Column, ...]) -> None:
+        object.__setattr__(self, "dom", dom)
+        object.__setattr__(self, "cod", cod)
+        object.__setattr__(self, "cols", cols)
 
     @property
     def n_dom(self) -> int:
@@ -164,17 +169,18 @@ class Kernel:
         return ZERO
 
 
-@dataclass(frozen=True)
-class Dist:
+class Dist(Record):
     """A probability distribution over one alphabet."""
 
     alphabet: Alphabet
     weights: tuple[Scalar, ...]
 
-    def __post_init__(self) -> None:
-        if len(self.weights) != self.alphabet.size:
-            raise DimensionMismatch(f"{len(self.weights)} weights for alphabet of size {self.alphabet.size}")
-        _check_column(self.weights, 0)
+    def __init__(self, alphabet: Alphabet, weights: tuple[Scalar, ...]) -> None:
+        if len(weights) != alphabet.size:
+            raise DimensionMismatch(f"{len(weights)} weights for alphabet of size {alphabet.size}")
+        _check_column(weights, 0)
+        object.__setattr__(self, "alphabet", alphabet)
+        object.__setattr__(self, "weights", weights)
 
     def as_kernel(self) -> Kernel:
         col = tuple((i, w) for i, w in enumerate(self.weights) if w)

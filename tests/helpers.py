@@ -7,7 +7,6 @@ written cell by cell over dense forms, and the tripartite no-go program
 written out row by row."""
 
 import itertools
-from dataclasses import replace
 from fractions import Fraction
 
 from composec.attacks import derive_simulator_shape
@@ -96,8 +95,10 @@ def trivial_behavior() -> Behavior:
 
 
 def rename_ports(b: Behavior, mapping: dict[str, str]) -> Behavior:
-    ports = tuple(replace(p, id=mapping.get(p.id, p.id)) for p in b.signature.ports)
-    return Behavior(replace(b.signature, ports=ports), b.kernel)
+    ports = tuple(
+        PortSpec(mapping.get(p.id, p.id), p.party, p.alphabet, p.direction, p.round) for p in b.signature.ports
+    )
+    return Behavior(Signature(b.signature.parties, b.signature.rounds, ports), b.kernel)
 
 
 def mix_resources(r1: Resource, r2: Resource, weight, name: str = "") -> Resource:

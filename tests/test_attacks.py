@@ -1,4 +1,3 @@
-import dataclasses
 import random
 from fractions import Fraction
 
@@ -41,7 +40,7 @@ from composec.comb import (
     observationally_equal,
 )
 from composec.errors import CompositeVerificationFailed, InterfaceMismatch, ShapeMismatch, WiringMismatch
-from composec.hopf import build_otp, group_make, otp_security
+from composec.hopf import OtpInstance, build_otp, group_make, otp_security
 from composec.resources import Converter, Protocol, Resource, apply_protocol
 from composec.stoch import Alphabet, Kernel, index_tuple, make_kernel, marginalize, ports_size
 
@@ -702,7 +701,16 @@ def test_transfer_probe_fails_where_linking_each_attack_fails(wrong, seed):
     else:
         # a secure search with a wrong supplied simulator is refused
         inst = build_otp(group_make(("cyclic", 3)))
-        inst = dataclasses.replace(inst, sigma=_point_mass_simulator(inst))
+        inst = OtpInstance(
+            inst.group,
+            inst.alphabet,
+            inst.key,
+            inst.auth_channel,
+            inst.source,
+            inst.protocol,
+            inst.target,
+            _point_mass_simulator(inst),
+        )
         assert not _linked_transfer(inst, 5, seed)
         with pytest.raises(InterfaceMismatch, match="LP search found a simulator but the supplied one fails"):
             otp_security(inst)

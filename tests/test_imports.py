@@ -3,10 +3,15 @@ imported name is used by the module that imports it (a package's `__all__`
 counts as a use), no module imports another module's private name, the
 program over an unknown comb's table is built in `distinguisher` only, nodes
 are linked onto a view in `attacks` only, only `lp` refuses a program as too
-large, no function body imports anything, and no module checks anything
-with `assert`, which `python -O` strips."""
+large, no function body imports anything, no module checks anything with
+`assert`, which `python -O` strips, and no module imports `dataclasses`,
+whose decorator compiles each class's methods at import; a fresh
+`import composec.cli` loads neither `dataclasses` nor `inspect`."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -153,6 +158,28 @@ def test_no_assert_statement(path):
     assert not found, f"{path.name} checks with assert, which python -O drops: {found}"
 
 
+def _dataclasses(tree: ast.Module) -> list[str]:
+    lines = {line for _bound, _name, module, line in _imports(tree) if module == "dataclasses"}
+    return [f"line {line}" for line in sorted(lines)]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
+def test_no_dataclasses_import(path):
+    found = _dataclasses(ast.parse(path.read_text(), filename=str(path)))
+    assert not found, f"{path.name} imports dataclasses; build records on record.Record: {found}"
+
+
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    # -S: no site hook runs, so only what composec imports is loaded
+    code = "import sys, composec.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    path = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", code], env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"
+
+
 def test_the_checks_see_an_unused_and_a_private_import():
     tree = ast.parse(
         "from __future__ import annotations\n"
@@ -170,3 +197,6 @@ def test_the_checks_see_an_unused_and_a_private_import():
     assert _too_large(
         ast.parse("if n * m > cap:\n    raise ProblemTooLarge('big')\nraise errors.ProblemTooLarge\nraise ValueError\n")
     ) == ["line 2", "line 3"]
+    assert _dataclasses(
+        ast.parse("import dataclasses\nfrom dataclasses import dataclass, field\nfrom .record import Record\n")
+    ) == ["line 1", "line 2"]

@@ -20,6 +20,7 @@ from composec.lp import (
     solve_feasible,
     verify,
 )
+from composec.scalars import ZERO
 
 from tests.helpers import DenseSimplex, dense_minimize, dense_solve_feasible
 
@@ -231,6 +232,42 @@ def test_duplicate_and_empty_rows_certificate_lifts():
     out = solve_feasible(prog)
     assert isinstance(out, Infeasible)
     assert verify(out, prog)
+
+
+@pytest.mark.parametrize("zero", [F(0), 0], ids=["Fraction", "int"])
+def test_an_empty_row_with_a_separate_zero_is_not_reported(zero):
+    """Only the shared ZERO of `add_empty` rows is passed over unread; a zero
+    that is another object is read, and it is still 0 = 0."""
+    assert zero is not ZERO
+    bld = LpBuilder()
+    x = bld.new_vars(2)
+    bld.add_empty(3)
+    bld.add_eq({}, zero)
+    bld.add_eq({x[0]: F(1), x[1]: F(1)}, F(1))
+    bld.add_empty(2)
+    prog = bld.build()
+    assert prog.rows[3] == () and prog.b[3] is zero
+    assert solve_feasible(prog) == Feasible((F(1), F(0)))
+    assert verify(Feasible((F(0), F(1))), prog)
+
+
+@pytest.mark.parametrize("rhs", [F(2), F(-1, 3)], ids=["positive", "negative"])
+def test_an_empty_row_after_a_run_of_empty_rows_gets_its_own_certificate(rhs):
+    """0 = b_i with b_i != 0 after `add_empty` rows: the Farkas vector is
+    +-e_i at once, and no point passes `verify`."""
+    bld = LpBuilder()
+    x = bld.new_vars(2)
+    bld.add_eq({x[0]: F(1)}, F(1))
+    bld.add_empty(4)
+    bld.add_eq({}, rhs)
+    bld.add_empty(2)
+    prog = bld.build()
+    y = [F(0)] * 8
+    y[5] = F(1) if rhs > 0 else F(-1)
+    out = solve_feasible(prog)
+    assert out == Infeasible(FarkasCert(tuple(y)))
+    assert verify(out, prog)
+    assert not verify(Feasible((F(1), F(0))), prog)
 
 
 def test_builder_inequalities():
