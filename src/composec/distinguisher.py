@@ -26,7 +26,7 @@ re-check of every Farkas certificate against the raw program, so a verdict
 of infeasibility never rests on the solver alone.  That re-check guards the
 solver only; the program's own rows are taken as written.  The size guard
 is the solver's own: `lp.CAP` bounds variables x the rows left after
-preprocessing, so empty and duplicate rows do not count.  A table found by
+preprocessing, so 0 = 0 and duplicate rows do not count.  A table found by
 `solve_comb` is re-checked by substitution: the network evaluated with the
 table in place must be at `behavior_distance` from the target exactly the
 program's value (0 for feasibility), which guards the match rows, the tree
@@ -34,11 +34,12 @@ rows and the solver together.
 
 Match rows cost what the reachable cells cost.  `canonical_forms` keeps a
 form only for a cell some execution reaches, and `add_match_rows` visits
-only those cells and the target's nonzero entries; the cells in between go
-in as runs of empty rows (`LpBuilder.add_empty`), so every row keeps the
-index of its cell (j, i).  A reached cell with a zero target entry is a row
-`form = 0`; an unreached cell with a nonzero one is an empty row `0 = b`,
-which preprocessing turns into an immediate Farkas certificate.
+only those cells and the target's nonzero entries; the cells in between are
+rows 0 = 0 that the program counts and does not store
+(`LpBuilder.add_empty`), so every row keeps the index of its cell (j, i).
+A reached cell with a zero target entry is a row `form = 0`; an unreached
+cell with a nonzero one is a row `0 = b` with no coefficient, which
+preprocessing turns into an immediate Farkas certificate.
 """
 
 from __future__ import annotations
@@ -154,7 +155,7 @@ def table_behavior(sig: Signature, point) -> Behavior:
 def add_match_rows(bld: LpBuilder, aligned: LinearForms, target: Behavior) -> None:
     """Every linear form equals the target's table entry: one row per cell
     (j, i), in that order.  Only the cells with a form or a nonzero target
-    entry are visited; the runs of cells between them are empty rows 0 = 0."""
+    entry are visited; the runs of cells between them are counted rows 0 = 0."""
     n_y = target.kernel.n_cod
     for forms, entries in zip(aligned, target.kernel.cols):
         values = dict(entries)

@@ -2,32 +2,32 @@
 
 Canonical form: equality constraints A x = b over x >= lower_bounds
 (componentwise, default 0).  Callers encode inequalities through slack
-variables; `LpBuilder` below does that bookkeeping.  A program holds each
-row of A sparsely, as its nonzero (column, value) pairs in increasing column
-order; bound shifting, preprocessing and `verify` read only those pairs, and
-the dense matrix `a` is a view built on first read.
+variables; `LpBuilder` below does that bookkeeping.
 
-A row with no pair is empty, `()`: it says 0 = b_i.  Such rows keep their
-place, so row indexes and Farkas vectors count them, but no pass walks
-them: `LpBuilder.add_empty` appends a run of them at once, and validation,
-preprocessing and `verify` step only through the nonempty rows (`_nonempty`).
-To find an empty row whose b_i is not 0, they pass over the right-hand sides
-that are the shared `ZERO` without a step each and test only the others.
-A program that is mostly empty rows, as a simulator search's match rows
-are, costs what its nonempty rows cost.
+A program has `m` constraints and stores only those that say something:
+`rows` lists (index, pairs, b_i) by increasing index, `pairs` being the
+row's nonzero (column, value) coefficients in increasing column order, and
+a row is stored when it has a pair or b_i is not 0.  Every other index
+below `m` is a row 0 = 0: it is counted, so row indexes and Farkas vectors
+include it, but it is held nowhere and no pass visits it.  Validation, bound
+shifting, preprocessing and `verify` walk the stored rows; the dense `a` and
+`b` are views built on first read.  A program that is mostly 0 = 0 rows, as
+a simulator search's match rows are, costs what its stored rows cost.  A
+stored row with no pair says 0 = b_i with b_i not 0; preprocessing answers
+it at once with the Farkas vector +-e_i.
 
 `solve_feasible` and `minimize` share one path, `_solve`: shift the lower
-bounds to 0, drop empty and duplicate rows, run phase 1 and, given an
-objective, phase 2, then shift the point back.  With no row left, phase 1
-is feasible at once and phase 2 stops at 0 or on a negative cost's ray.
+bounds to 0, drop duplicate rows, run phase 1 and, given an objective,
+phase 2, then shift the point back.  With no row left, phase 1 is feasible
+at once and phase 2 stops at 0 or on a negative cost's ray.
 
 `_solve` is also where the one size guard lives: a program whose variables
 times the rows left after preprocessing exceed `CAP` raises
 `ProblemTooLarge`.  That product is the cell count of a dense tableau, a
 bound on the simplex's work per pivot, not what it holds: the tableau is
-sparse and keeps far fewer cells.  Empty and duplicate rows never reach the
-simplex, so they do not count.  Building a program is not guarded; the
-builder holds every row before `_solve` counts.
+sparse and keeps far fewer cells.  Counted and duplicate rows never reach
+the simplex, so they do not count.  Building a program is not guarded; the
+builder holds every stored row before `_solve` counts.
 
 The solver is a two-phase tableau simplex with Bland's rule, which cannot
 cycle.  Each tableau row is held as integers: a dict of its
@@ -47,10 +47,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from itertools import compress, repeat
 from math import gcd, lcm
 from numbers import Rational
-from operator import is_not
 from typing import Optional, Union
 
 from .errors import DimensionMismatch, ProblemTooLarge
@@ -61,61 +59,73 @@ from .scalars import ONE, ZERO, Scalar
 CAP = 2_000_000
 
 
-# The nonzero entries (column, value) of one constraint row, by column.
-Row = tuple[tuple[int, Scalar], ...]
+# One stored constraint: its index, its nonzero (column, value) pairs by
+# column, and its right-hand side.
+Pairs = tuple[tuple[int, Scalar], ...]
+Row = tuple[int, Pairs, Scalar]
 
 
 class LinearProgram(Record):
-    """`rows[i]` lists the nonzero coefficients of constraint i as (column,
-    value) pairs in increasing column order; absent coefficients are 0."""
+    """`m` constraints over `n` variables; `rows` holds those that are not
+    0 = 0, as (index, pairs, b_i) in increasing index order."""
 
     n: int
+    m: int
     rows: tuple[Row, ...]
-    b: tuple[Scalar, ...]
     objective: Optional[tuple[Scalar, ...]]
     lower_bounds: Optional[tuple[Scalar, ...]]
 
     def __init__(
         self,
         n: int,
+        m: int,
         rows: tuple[Row, ...],
-        b: tuple[Scalar, ...],
         objective: Optional[tuple[Scalar, ...]] = None,
         lower_bounds: Optional[tuple[Scalar, ...]] = None,
     ) -> None:
         object.__setattr__(self, "n", n)
+        object.__setattr__(self, "m", m)
         object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "b", b)
         object.__setattr__(self, "objective", objective)
         object.__setattr__(self, "lower_bounds", lower_bounds)
-        if len(self.rows) != len(self.b):
-            raise DimensionMismatch(f"{len(self.rows)} rows vs {len(self.b)} right-hand sides")
-        for i in _nonempty(self.rows):
-            last = -1
-            for j, v in self.rows[i]:
-                if not last < j < self.n:
+        last = -1
+        for i, pairs, bi in self.rows:
+            if i <= last:
+                raise DimensionMismatch(f"row {i} after row {last}: indexes out of order")
+            if not (pairs or bi):
+                raise DimensionMismatch(f"row {i} is 0 = 0, which is counted, not stored")
+            col = -1
+            for j, v in pairs:
+                if not col < j < self.n:
                     raise DimensionMismatch(f"row {i}: column {j} out of order or out of range")
                 if not v:
                     raise DimensionMismatch(f"row {i}: explicit zero at column {j}")
-                last = j
+                col = j
+            last = i
+        if last >= self.m:
+            raise DimensionMismatch(f"row {last} needs {last + 1} rows vs {self.m}")
         if self.objective is not None and len(self.objective) != self.n:
             raise DimensionMismatch("objective length mismatch")
         if self.lower_bounds is not None and len(self.lower_bounds) != self.n:
             raise DimensionMismatch("lower_bounds length mismatch")
 
-    @property
-    def m(self) -> int:
-        return len(self.rows)
-
     @cached_property
     def a(self) -> tuple[tuple[Scalar, ...], ...]:
         """Dense view, a[row][column], built on first use."""
-        dense = []
-        for row in self.rows:
+        dense = [(ZERO,) * self.n] * self.m
+        for i, pairs, _ in self.rows:
             out = [ZERO] * self.n
-            for j, v in row:
+            for j, v in pairs:
                 out[j] = v
-            dense.append(tuple(out))
+            dense[i] = tuple(out)
+        return tuple(dense)
+
+    @cached_property
+    def b(self) -> tuple[Scalar, ...]:
+        """Dense right-hand side, built on first use."""
+        dense = [ZERO] * self.m
+        for i, _, bi in self.rows:
+            dense[i] = bi
         return tuple(dense)
 
 
@@ -159,44 +169,29 @@ class Unbounded(Record):
 LpOutcome = Union[Feasible, Optimal, Infeasible, Unbounded]
 
 
-def _dot(row: Row, x) -> Scalar:
-    return sum(c * x[j] for j, c in row)
-
-
-def _nonempty(rows):
-    """Indices of the rows with a coefficient, in increasing order; the empty
-    rows are passed over inside `compress`, without a Python step each."""
-    return compress(range(len(rows)), rows)
-
-
-def _empty_with_rhs(rows, b) -> int:
-    """The first empty row with a nonzero right-hand side, or -1.  Entries
-    that are the shared `ZERO` (every `LpBuilder.add_empty` row's) are passed
-    over inside `compress`; only the others are tested."""
-    maybe = compress(range(len(b)), map(is_not, b, repeat(ZERO)))
-    return next((i for i in maybe if b[i] and not rows[i]), -1)
+def _dot(pairs: Pairs, x) -> Scalar:
+    return sum(c * x[j] for j, c in pairs)
 
 
 def _shift_bounds(lp: LinearProgram):
-    """Substitute x = x' + lb so the solver only sees x' >= 0."""
+    """Substitute x = x' + lb so the solver only sees x' >= 0; returns the
+    stored rows with b_i - A_i lb for b_i, and lb (None when it is 0)."""
     if lp.lower_bounds is None or all(v == 0 for v in lp.lower_bounds):
-        return lp.b, None
+        return lp.rows, None
     lb = lp.lower_bounds
-    return tuple(bi - sum(c * lb[j] for j, c in row if lb[j] != 0) for row, bi in zip(lp.rows, lp.b)), lb
+    return tuple((i, pairs, bi - sum(c * lb[j] for j, c in pairs if lb[j] != 0)) for i, pairs, bi in lp.rows), lb
 
 
-def _preprocess(rows, b):
-    """Drop empty and duplicate rows; returns (pairs, rhs, keep), or
-    Infeasible when an empty row has a nonzero right-hand side."""
-    i = _empty_with_rhs(rows, b)
-    if i >= 0:
-        y = [ZERO] * len(rows)
-        y[i] = ONE if b[i] > 0 else -ONE
-        return Infeasible(FarkasCert(tuple(y)))
+def _preprocess(rows, m):
+    """Drop duplicate rows; returns (pairs, rhs, keep), or Infeasible when a
+    row has no pair, since its right-hand side is not 0."""
     seen = set()
     kept, rhs, keep = [], [], []
-    for i in _nonempty(rows):
-        pairs, bi = rows[i], b[i]
+    for i, pairs, bi in rows:
+        if not pairs:
+            y = [ZERO] * m
+            y[i] = ONE if bi > 0 else -ONE
+            return Infeasible(FarkasCert(tuple(y)))
         size = len(seen)
         seen.add((pairs, bi))  # one hash per row
         if len(seen) == size:
@@ -390,8 +385,8 @@ def _solve(lp: LinearProgram, objective: Optional[tuple[Scalar, ...]]) -> LpOutc
     """Phase 1 on the shifted, preprocessed rows, then phase 2 when an
     objective is given; the point is shifted back to the lower bounds.
     Refuses a program past `CAP` variables x kept rows."""
-    b, lb = _shift_bounds(lp)
-    pre = _preprocess(lp.rows, b)
+    shifted, lb = _shift_bounds(lp)
+    pre = _preprocess(shifted, lp.m)
     if isinstance(pre, Infeasible):
         return pre
     rows, rhs, keep = pre
@@ -445,8 +440,7 @@ def verify(outcome: LpOutcome, lp: LinearProgram) -> bool:
     lb = lp.lower_bounds or (ZERO,) * lp.n
 
     def residual(x):
-        rows, b = lp.rows, lp.b
-        return _empty_with_rhs(rows, b) < 0 and all(_dot(rows[i], x) == b[i] for i in _nonempty(rows))
+        return all(_dot(pairs, x) == bi for _, pairs, bi in lp.rows)
 
     def objective(x):
         return sum(c * x[j] for j, c in enumerate(lp.objective) if c)
@@ -460,21 +454,23 @@ def verify(outcome: LpOutcome, lp: LinearProgram) -> bool:
         if not residual(x):
             return False
         if isinstance(outcome, Optimal):
-            return objective(x) == outcome.value
+            return lp.objective is not None and objective(x) == outcome.value
         return True
     if isinstance(outcome, Infeasible):
         y = outcome.cert.y
         if len(y) != lp.m:
             return False
         # yT A column by column and yT (b - A lb), adding each column's terms
-        # in increasing row order, over the rows with a nonzero multiplier
+        # in increasing row order, over the stored rows with a nonzero
+        # multiplier; a 0 = 0 row adds nothing
         cols = [0] * lp.n
         shift = 0
-        for i in compress(range(lp.m), y):
-            yi, row, bi = y[i], lp.rows[i], lp.b[i]
-            for j, c in row:
-                cols[j] += yi * c
-            shift += yi * (bi - _dot(row, lb) if lp.lower_bounds else bi)
+        for i, pairs, bi in lp.rows:
+            yi = y[i]
+            if yi:
+                for j, c in pairs:
+                    cols[j] += yi * c
+                shift += yi * (bi - _dot(pairs, lb) if lp.lower_bounds else bi)
         if any(s > 0 for s in cols):
             return False
         return shift > 0
@@ -484,7 +480,7 @@ def verify(outcome: LpOutcome, lp: LinearProgram) -> bool:
         d = outcome.ray
         if any(v < 0 for v in d):
             return False
-        if any(_dot(lp.rows[i], d) != 0 for i in _nonempty(lp.rows)):
+        if any(_dot(pairs, d) != 0 for _, pairs, _ in lp.rows):
             return False
         return objective(d) < 0
     return False
@@ -500,8 +496,8 @@ class LpBuilder:
 
     def __init__(self) -> None:
         self.n = 0
+        self.m = 0
         self.rows: list[Row] = []
-        self.rhs: list[Scalar] = []
         self.objective: Optional[dict[int, Scalar]] = None
 
     def new_vars(self, count: int) -> range:
@@ -510,17 +506,19 @@ class LpBuilder:
         return range(start, start + count)
 
     def add_eq(self, coeffs: dict[int, Scalar], rhs: Scalar) -> None:
-        self.rows.append(tuple(sorted((j, v) for j, v in coeffs.items() if v)))
-        self.rhs.append(rhs)
+        """One row; stored unless it is 0 = 0."""
+        pairs = tuple(sorted((j, v) for j, v in coeffs.items() if v))
+        if pairs or rhs:
+            self.rows.append((self.m, pairs, rhs))
+        self.m += 1
 
     def add_ge(self, coeffs: dict[int, Scalar], rhs: Scalar) -> None:
         """coeffs . x - s = rhs, with a new slack variable s."""
         self.add_eq({**coeffs, self.new_vars(1)[0]: -ONE}, rhs)
 
     def add_empty(self, count: int) -> None:
-        """`count` rows 0 = 0, added without a step each."""
-        self.rows += [()] * count
-        self.rhs += [ZERO] * count
+        """`count` rows 0 = 0, counted and not stored."""
+        self.m += count
 
     def set_objective(self, coeffs: dict[int, Scalar]) -> None:
         self.objective = dict(coeffs)
@@ -530,4 +528,4 @@ class LpBuilder:
         obj = None
         if self.objective is not None:
             obj = tuple(self.objective.get(j, ZERO) for j in range(self.n))
-        return LinearProgram(self.n, tuple(self.rows), tuple(self.rhs), obj, None)
+        return LinearProgram(self.n, self.m, tuple(self.rows), obj, None)

@@ -297,6 +297,19 @@ def dense_channel_distance(f, g):
 # same bound shift, row preprocessing and certificate lifting
 
 
+def dense_program(n, a, b, objective=None, lower_bounds=None):
+    """The `LinearProgram` with dense rows `a` and right-hand sides `b`: each
+    row stored as its nonzero (column, value) pairs, unless it is 0 = 0."""
+    from composec.lp import LinearProgram
+
+    rows = []
+    for i, (row, bi) in enumerate(zip(a, b)):
+        pairs = tuple((j, v) for j, v in enumerate(row) if v)
+        if pairs or bi:
+            rows.append((i, pairs, bi))
+    return LinearProgram(n, len(a), tuple(rows), objective, lower_bounds)
+
+
 def dense_solve_feasible(lp):
     """`lp.solve_feasible` on a dense `Fraction` tableau."""
     from composec.lp import FarkasCert, Feasible, Infeasible

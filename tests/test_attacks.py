@@ -431,6 +431,35 @@ def test_min_epsilon_z6_is_the_keys_distance_from_uniform():
     assert rep.verdict == "epsilon" and rep.epsilon == F(1, 3)
 
 
+def test_min_epsilon_is_the_keys_distance_from_uniform_on_random_keys():
+    """epsilon = 1/2 sum_k |w_k - 1/n| for an OTP over a group of order n with
+    key weights w, on seeded random keys, zeros allowed.
+
+    Why: Eve sees c = m k, whose law given the message m is w translated by
+    m, L_m w; in the ideal world she sees a flag that says nothing, so a
+    simulator is one law q on ciphertexts, and the best distinguisher picks
+    the worst m: f(q) = max_m 1/2 |L_m w - q|_1.  f is convex, and it is
+    unchanged when q is translated by a group element, since that only
+    relabels the messages.  The average of q's n translates is the uniform
+    law u, so f(u) <= the average of f over the translates = f(q): the
+    uniform simulator is optimal, and f(u) = 1/2 |w - u|_1 for every m."""
+    rng = random.Random(21)
+    zeros = 0
+    for source, keys in ((("cyclic", 2), 4), (("cyclic", 3), 4), (("cyclic", 4), 3), (("cyclic", 5), 2), ("symmetric3", 2)):
+        g = group_make(source)
+        n = g.order
+        for _ in range(keys):
+            raw = [0] * n
+            while not any(raw):
+                raw = [rng.randint(0, 4) for _ in range(n)]
+            zeros += raw.count(0)
+            w = [F(v, sum(raw)) for v in raw]
+            inst = build_otp(g, w)
+            rep = min_epsilon(inst.protocol, inst.source, inst.target, ("eve",))
+            assert rep.epsilon == sum(abs(v - F(1, n)) for v in w) / 2, (g.name, w)
+    assert zeros >= 3
+
+
 def test_search_simulator_colluding_pair():
     # two dishonest parties at once: the simulator undoes both bijections
     rng = random.Random(62)

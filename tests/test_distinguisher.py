@@ -388,7 +388,7 @@ def test_an_unreached_cell_with_a_target_entry_is_an_immediate_certificate():
         bld = table_lp(sig)
         add(bld, aligned, target)
         prog = bld.build()
-        assert prog.rows[2] == ()
+        assert prog.m == 3 and prog.rows[-1] == (2, (), Fraction(1, 2))
         out = lpmod.solve_feasible(prog)
         assert lpmod.verify(out, prog)
         outs.append((_program(prog), out))
@@ -398,8 +398,8 @@ def test_an_unreached_cell_with_a_target_entry_is_an_immediate_certificate():
 
 def test_otp_z8_search_builds_only_the_reached_match_rows(monkeypatch):
     """The Z8 simulator program has 513 rows, but only the stochastic row and
-    the 64 reached cells are built from a coefficient map; the rest are runs
-    of empty rows."""
+    the 64 reached cells are built from a coefficient map and stored; the
+    rest are runs of 0 = 0 rows, counted and not stored."""
     inst = build_otp(group_make(("cyclic", 8)))
     real = dummy_attack(inst.protocol, inst.source, ("eve",))
     _sig, aligned = simulator_forms(real, inst.target, ("eve",))
@@ -415,4 +415,5 @@ def test_otp_z8_search_builds_only_the_reached_match_rows(monkeypatch):
     monkeypatch.setattr(LpBuilder, "add_eq", counted)
     rep = search_simulator(inst.protocol, inst.source, inst.target, ("eve",))
     assert rep.lp.m == 513
+    assert len(rep.lp.rows) == 1 + 64
     assert len(maps) <= 1 + 64

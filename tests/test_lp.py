@@ -20,18 +20,17 @@ from composec.lp import (
     solve_feasible,
     verify,
 )
-from composec.scalars import ZERO
 
-from tests.helpers import DenseSimplex, dense_minimize, dense_solve_feasible
+from tests.helpers import DenseSimplex, dense_minimize, dense_program, dense_solve_feasible
 
 F = Fraction
 
 
 def lp(n, a, b, c=None, lb=None):
-    return LinearProgram(
+    return dense_program(
         n,
-        tuple(tuple((j, F(v)) for j, v in enumerate(row) if v) for row in a),
-        tuple(F(v) for v in b),
+        [[F(v) for v in row] for row in a],
+        [F(v) for v in b],
         None if c is None else tuple(F(v) for v in c),
         None if lb is None else tuple(F(v) for v in lb),
     )
@@ -122,6 +121,15 @@ def test_verify_rejects_wrong_point():
     assert verify(Feasible((F(1), F(0))), prog)
     # no point satisfies an empty row 0 = 1
     assert not verify(Feasible((F(1), F(0))), lp(2, [[1, -1], [0, 0]], [1, 1]))
+
+
+def test_verify_rejects_an_optimum_of_a_program_without_objective():
+    """An optimum needs an objective to be checked against: without one,
+    `verify` returns False instead of raising."""
+    prog = lp(2, [[1, 1]], [1])
+    assert prog.objective is None
+    assert verify(Feasible((F(0), F(1))), prog)
+    assert not verify(Optimal((F(0), F(1)), F(0)), prog)
 
 
 def test_verify_rejects_inexact_entries_in_rational_mode():
@@ -236,25 +244,28 @@ def test_duplicate_and_empty_rows_certificate_lifts():
 
 @pytest.mark.parametrize("zero", [F(0), 0], ids=["Fraction", "int"])
 def test_an_empty_row_with_a_separate_zero_is_not_reported(zero):
-    """Only the shared ZERO of `add_empty` rows is passed over unread; a zero
-    that is another object is read, and it is still 0 = 0."""
-    assert zero is not ZERO
+    """`add_eq` with no coefficient, or only zero ones, and a zero right-hand
+    side is a row 0 = 0: counted like the `add_empty` rows around it, not
+    stored, and never reported."""
     bld = LpBuilder()
     x = bld.new_vars(2)
     bld.add_empty(3)
     bld.add_eq({}, zero)
     bld.add_eq({x[0]: F(1), x[1]: F(1)}, F(1))
+    bld.add_eq({x[1]: zero}, zero)
     bld.add_empty(2)
     prog = bld.build()
-    assert prog.rows[3] == () and prog.b[3] is zero
+    assert prog.m == 8
+    assert prog.rows == ((4, ((0, F(1)), (1, F(1))), F(1)),)
+    assert prog.b == (0, 0, 0, 0, 1, 0, 0, 0)
     assert solve_feasible(prog) == Feasible((F(1), F(0)))
     assert verify(Feasible((F(0), F(1))), prog)
 
 
 @pytest.mark.parametrize("rhs", [F(2), F(-1, 3)], ids=["positive", "negative"])
 def test_an_empty_row_after_a_run_of_empty_rows_gets_its_own_certificate(rhs):
-    """0 = b_i with b_i != 0 after `add_empty` rows: the Farkas vector is
-    +-e_i at once, and no point passes `verify`."""
+    """0 = b_i with b_i != 0 after `add_empty` rows is stored with no pair:
+    the Farkas vector is +-e_i at once, and no point passes `verify`."""
     bld = LpBuilder()
     x = bld.new_vars(2)
     bld.add_eq({x[0]: F(1)}, F(1))
@@ -262,6 +273,7 @@ def test_an_empty_row_after_a_run_of_empty_rows_gets_its_own_certificate(rhs):
     bld.add_eq({}, rhs)
     bld.add_empty(2)
     prog = bld.build()
+    assert prog.m == 8 and prog.rows[1:] == ((5, (), rhs),)
     y = [F(0)] * 8
     y[5] = F(1) if rhs > 0 else F(-1)
     out = solve_feasible(prog)
@@ -296,17 +308,19 @@ def test_builder_inequalities():
 )
 def test_program_rejects_malformed_rows(row):
     with pytest.raises(DimensionMismatch):
-        LinearProgram(2, (((0, F(1)),), row), (F(1), F(1)))
+        LinearProgram(2, 2, ((0, ((0, F(1)),), F(1)), (1, row, F(1))))
 
 
 def test_program_rows_and_dense_view():
-    prog = lp(3, [[0, 2, 0], [1, 0, -1]], [1, 0])
-    assert prog.rows == (((1, F(2)),), ((0, F(1)), (2, F(-1))))
-    assert prog.m == 2
-    assert prog.a == ((0, F(2), 0), (F(1), 0, F(-1)))
-    assert prog.a is prog.a
+    """The row 0 = 0 is counted in `m` and in the dense views, not stored."""
+    prog = lp(3, [[0, 2, 0], [0, 0, 0], [1, 0, -1]], [1, 0, 0])
+    assert prog.rows == ((0, ((1, F(2)),), F(1)), (2, ((0, F(1)), (2, F(-1))), F(0)))
+    assert prog.m == 3
+    assert prog.a == ((0, F(2), 0), (0, 0, 0), (F(1), 0, F(-1)))
+    assert prog.b == (F(1), 0, 0)
+    assert prog.a is prog.a and prog.b is prog.b
     with pytest.raises(DimensionMismatch):
-        LinearProgram(3, prog.rows, (F(1),))
+        LinearProgram(3, 2, prog.rows)
 
 
 def _adaptive_checks():
@@ -323,21 +337,32 @@ def _adaptive_checks():
 
 
 def test_dense_view_equals_the_dense_build_on_an_adaptive_pass(monkeypatch):
-    """`lp.a` holds what `LpBuilder.build` wrote when rows were dense, on
-    every program of the benchmark's `adaptive` checks."""
+    """`lp.a` and `lp.b` hold every row the builder was given, 0 = 0 rows
+    included, on every program of the benchmark's `adaptive` checks."""
     built = []
-    build = LpBuilder.build
+    add_eq, add_empty, build = LpBuilder.add_eq, LpBuilder.add_empty, LpBuilder.build
+
+    def eq(self, coeffs, rhs):
+        vars(self).setdefault("written", []).append((coeffs, rhs))
+        add_eq(self, coeffs, rhs)
+
+    def empty(self, count):
+        vars(self).setdefault("written", []).extend([({}, F(0))] * count)
+        add_empty(self, count)
 
     def recording(self):
-        dense = tuple(tuple(dict(row).get(j, F(0)) for j in range(self.n)) for row in self.rows)
-        built.append((dense, build(self)))
-        return built[-1][1]
+        written = vars(self).get("written", [])
+        dense = tuple(tuple(coeffs.get(j, F(0)) for j in range(self.n)) for coeffs, _ in written)
+        built.append((dense, tuple(rhs for _, rhs in written), build(self)))
+        return built[-1][2]
 
+    monkeypatch.setattr(LpBuilder, "add_eq", eq)
+    monkeypatch.setattr(LpBuilder, "add_empty", empty)
     monkeypatch.setattr(LpBuilder, "build", recording)
     _adaptive_checks()
     assert len(built) >= 10
-    for dense, prog in built:
-        assert prog.a == dense
+    for a, b, prog in built:
+        assert prog.a == a and prog.b == b
 
 
 def _q(rng):

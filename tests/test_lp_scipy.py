@@ -7,7 +7,9 @@ from fractions import Fraction
 
 import pytest
 
-from composec.lp import Infeasible, LinearProgram, Optimal, Unbounded, minimize, verify
+from composec.lp import Infeasible, Optimal, Unbounded, minimize, verify
+
+from tests.helpers import dense_program
 
 
 def _highs(linprog, a, b, c, lb):
@@ -43,7 +45,7 @@ def test_exact_simplex_agrees_with_highs():
         n = draw(st.integers(min_value=1, max_value=8))
         a = [[draw(small) for _ in range(n)] for _ in range(m)]
         b = [draw(rationals(-5, 5)) for _ in range(m)]
-        # all-zero rows, which the program holds as (): 0 = 0 or 0 = b_i
+        # all-zero rows: 0 = 0, which the program counts, or 0 = b_i, which it stores
         for i in range(m):
             if draw(st.booleans()):
                 a[i] = [Fraction(0)] * n
@@ -62,8 +64,7 @@ def test_exact_simplex_agrees_with_highs():
     @given(programs())
     def agrees(prog):
         a, b, c, lb = prog
-        rows = tuple(tuple((j, v) for j, v in enumerate(row) if v) for row in a)
-        lp = LinearProgram(len(c), rows, tuple(b), tuple(c), None if lb is None else tuple(lb))
+        lp = dense_program(len(c), a, b, tuple(c), None if lb is None else tuple(lb))
         out = minimize(lp)
         assert verify(out, lp)
         verdict, value = _highs(linprog, a, b, c, lb)

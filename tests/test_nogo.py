@@ -357,8 +357,8 @@ def _split_check_program(monkeypatch, r):
 
 
 def _typed(prog):
-    rows = [[(j, type(v), v) for j, v in row] for row in prog.rows]
-    return prog.n, rows, [(type(v), v) for v in prog.b]
+    rows = [(i, [(j, type(v), v) for j, v in pairs], type(bi), bi) for i, pairs, bi in prog.rows]
+    return prog.n, prog.m, rows
 
 
 @pytest.mark.parametrize(

@@ -55,7 +55,7 @@ RECORDS = {
     "lp.FarkasCert": ("y", {}),
     "lp.Feasible": ("point", {}),
     "lp.Infeasible": ("cert", {}),
-    "lp.LinearProgram": ("n rows b objective lower_bounds", {"objective": None, "lower_bounds": None}),
+    "lp.LinearProgram": ("n m rows objective lower_bounds", {"objective": None, "lower_bounds": None}),
     "lp.Optimal": ("point value", {}),
     "lp.Unbounded": ("ray", {}),
     "nogo.NogoVerdict": ("feasible witness cert lp", {"witness": None, "cert": None, "lp": None}),
@@ -173,9 +173,10 @@ def test_cached_views_are_built_once_and_stay_out_of_equality():
     assert k.matrix is k.matrix and k.scaled is k.scaled
     assert k.scaled == (2, (((0, 1), (1, 1)), ((1, 2),)))
     assert k == Kernel(k.dom, k.cod, k.cols) and hash(k) == hash(Kernel(k.dom, k.cod, k.cols))
-    prog = LinearProgram(2, (((0, F(1)),), ()), (F(1), F(0)))
+    prog = LinearProgram(2, 2, ((0, ((0, F(1)),), F(1)),))
     assert prog.a is prog.a and prog.a == ((F(1), F(0)), (F(0), F(0)))
-    assert prog == LinearProgram(2, prog.rows, prog.b)
+    assert prog.b is prog.b and prog.b == (F(1), F(0))
+    assert prog == LinearProgram(2, 2, prog.rows)
 
 
 def test_each_protocol_has_its_own_view_memo():
@@ -201,9 +202,11 @@ def test_each_protocol_has_its_own_view_memo():
         (lambda: Dist(BIT, (F(1), F(1))), ColumnNotStochastic, "sums to 2"),
         (lambda: Colluding(frozenset()), ValueError, "nonempty"),
         (lambda: CombKernels(_echo().signature, (UNIT,), ()), ChainMismatch, "need k kernels"),
-        (lambda: LinearProgram(1, ((),), ()), DimensionMismatch, "1 rows vs 0"),
-        (lambda: LinearProgram(1, (((1, F(1)),),), (F(0),)), DimensionMismatch, "out of order or out of range"),
-        (lambda: LinearProgram(1, (), (), objective=()), DimensionMismatch, "objective length"),
+        (lambda: LinearProgram(1, 0, ((0, ((0, F(1)),), F(1)),)), DimensionMismatch, "1 rows vs 0"),
+        (lambda: LinearProgram(1, 1, ((0, (), F(0)),)), DimensionMismatch, "0 = 0, which is counted, not stored"),
+        (lambda: LinearProgram(1, 2, ((1, (), F(1)), (0, (), F(1)))), DimensionMismatch, "indexes out of order"),
+        (lambda: LinearProgram(1, 1, ((0, ((1, F(1)),), F(0)),)), DimensionMismatch, "out of order or out of range"),
+        (lambda: LinearProgram(1, 0, (), objective=()), DimensionMismatch, "objective length"),
         (
             lambda: Protocol(*[Resource(_echo())] * 2, (Converter("a", _echo()),) * 2, ()),
             WiringMismatch,
