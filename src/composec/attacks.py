@@ -82,9 +82,6 @@ class Maximal(Record):
 class PerParty(Record):
     models: tuple[Union[Minimal, Maximal], ...]
 
-    def __init__(self, models: tuple[Union[Minimal, Maximal], ...]) -> None:
-        object.__setattr__(self, "models", models)
-
 
 class Colluding(Record):
     parties: frozenset[str]
@@ -92,7 +89,7 @@ class Colluding(Record):
     def __init__(self, parties: frozenset[str]) -> None:
         if not parties:
             raise ValueError("a colluding set must be nonempty")
-        object.__setattr__(self, "parties", parties)
+        super().__init__(parties)
 
 
 AttackModelSpec = Union[Minimal, Maximal, PerParty, Colluding]
@@ -105,11 +102,6 @@ class Attack(Record):
     comb: Behavior
     wiring: tuple[tuple[str, str], ...]  # (attack port id, exposed view port id)
 
-    def __init__(self, j_parties: tuple[str, ...], comb: Behavior, wiring: tuple[tuple[str, str], ...]) -> None:
-        object.__setattr__(self, "j_parties", j_parties)
-        object.__setattr__(self, "comb", comb)
-        object.__setattr__(self, "wiring", wiring)
-
 
 class Simulator(Record):
     """Ideal-side wrapper: nodes wired onto the ideal resource ("res") and
@@ -118,44 +110,21 @@ class Simulator(Record):
     nodes: tuple[tuple[str, Behavior], ...]
     wires: tuple[Wire, ...]
 
-    def __init__(self, nodes: tuple[tuple[str, Behavior], ...], wires: tuple[Wire, ...]) -> None:
-        object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "wires", wires)
-
 
 class SimulatorCert(Record):
     j_parties: tuple[str, ...]
     simulator: Simulator
     residual: Scalar  # distinguisher advantage between the real and simulated views
 
-    def __init__(self, j_parties: tuple[str, ...], simulator: Simulator, residual: Scalar) -> None:
-        object.__setattr__(self, "j_parties", j_parties)
-        object.__setattr__(self, "simulator", simulator)
-        object.__setattr__(self, "residual", residual)
-
 
 class SecurityReport(Record):
     verdict: str  # "secure" | "insecure" | "epsilon"
-    epsilon: Optional[Scalar]
-    cert: Optional[SimulatorCert]
-    farkas: Optional[FarkasCert]
+    epsilon: Optional[Scalar] = None
+    cert: Optional[SimulatorCert] = None
+    farkas: Optional[FarkasCert] = None
     # the program a search solved, on every verdict; None when no program
     # was solved (a supplied or composed simulator checked directly)
-    lp: Optional[lpmod.LinearProgram]
-
-    def __init__(
-        self,
-        verdict: str,
-        epsilon: Optional[Scalar] = None,
-        cert: Optional[SimulatorCert] = None,
-        farkas: Optional[FarkasCert] = None,
-        lp: Optional[lpmod.LinearProgram] = None,
-    ) -> None:
-        object.__setattr__(self, "verdict", verdict)
-        object.__setattr__(self, "epsilon", epsilon)
-        object.__setattr__(self, "cert", cert)
-        object.__setattr__(self, "farkas", farkas)
-        object.__setattr__(self, "lp", lp)
+    lp: Optional[lpmod.LinearProgram] = None
 
     @property
     def secure(self) -> bool:
@@ -475,19 +444,11 @@ def _prefixed(sim: Simulator, prefix: str, res_ref=lambda end: end) -> tuple[tup
 class AxiomCheck(Record):
     name: str
     passed: bool
-    detail: str
-
-    def __init__(self, name: str, passed: bool, detail: str = "") -> None:
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "passed", passed)
-        object.__setattr__(self, "detail", detail)
+    detail: str = ""
 
 
 class AxiomSuiteReport(Record):
     checks: tuple[AxiomCheck, ...]
-
-    def __init__(self, checks: tuple[AxiomCheck, ...]) -> None:
-        object.__setattr__(self, "checks", checks)
 
     @property
     def ok(self) -> bool:

@@ -115,16 +115,9 @@ class Statement(Record):
     line: int
     tokens: tuple[str, ...]
 
-    def __init__(self, line: int, tokens: tuple[str, ...]) -> None:
-        object.__setattr__(self, "line", line)
-        object.__setattr__(self, "tokens", tokens)
-
 
 class SpecFileAst(Record):
     statements: tuple[Statement, ...]
-
-    def __init__(self, statements: tuple[Statement, ...]) -> None:
-        object.__setattr__(self, "statements", statements)
 
 
 def parse_spec(text: str) -> SpecFileAst:
@@ -591,10 +584,6 @@ def run_check(env: Env, line: int, tokens: tuple[str, ...]) -> dict:
 class RunResult(Record):
     report: dict
     exit_code: int
-
-    def __init__(self, report: dict, exit_code: int) -> None:
-        object.__setattr__(self, "report", report)
-        object.__setattr__(self, "exit_code", exit_code)
 
 
 def run(ast: SpecFileAst, no_meta: bool = False) -> RunResult:

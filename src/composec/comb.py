@@ -73,11 +73,7 @@ class PortSpec(Record):
             raise ValueError(f"port {id!r}: direction must be 'in' or 'out'")
         if round < 1:
             raise ValueError(f"port {id!r}: round must be >= 1")
-        object.__setattr__(self, "id", id)
-        object.__setattr__(self, "party", party)
-        object.__setattr__(self, "alphabet", alphabet)
-        object.__setattr__(self, "direction", direction)
-        object.__setattr__(self, "round", round)
+        super().__init__(id, party, alphabet, direction, round)
 
     def in_round(self, round: int) -> PortSpec:
         """The same port moved to another round."""
@@ -100,9 +96,7 @@ class Signature(Record):
                 raise ValueError(f"port {p.id!r} in round {p.round} > {rounds}")
             if p.party not in parties:
                 raise ValueError(f"port {p.id!r} names unknown party {p.party!r}")
-        object.__setattr__(self, "parties", parties)
-        object.__setattr__(self, "rounds", rounds)
-        object.__setattr__(self, "ports", ports)
+        super().__init__(parties, rounds, ports)
 
     def ins(self) -> tuple[PortSpec, ...]:
         return tuple(p for p in self.ports if p.direction == IN)
@@ -138,10 +132,6 @@ class Behavior(Record):
     kernel: Kernel
     _comb = None  # the memo, set on the object by `realize`
 
-    def __init__(self, signature: Signature, kernel: Kernel) -> None:
-        object.__setattr__(self, "signature", signature)
-        object.__setattr__(self, "kernel", kernel)
-
 
 def make_behavior(signature: Signature, kernel: Kernel, check: bool = True) -> Behavior:
     ins = tuple(p.alphabet for p in signature.ins())
@@ -168,13 +158,6 @@ class CausalityViolation(Record):
     x_prefix: tuple[tuple[str, int], ...]
     x_pair: tuple[tuple[int, ...], tuple[int, ...]]
 
-    def __init__(
-        self, round: int, x_prefix: tuple[tuple[str, int], ...], x_pair: tuple[tuple[int, ...], tuple[int, ...]]
-    ) -> None:
-        object.__setattr__(self, "round", round)
-        object.__setattr__(self, "x_prefix", x_prefix)
-        object.__setattr__(self, "x_pair", x_pair)
-
     def __str__(self) -> str:
         pre = ", ".join(f"{pid}={v}" for pid, v in self.x_prefix)
         return (
@@ -186,10 +169,6 @@ class CausalityViolation(Record):
 class CausalityReport(Record):
     ok: bool
     violations: tuple[CausalityViolation, ...]
-
-    def __init__(self, ok: bool, violations: tuple[CausalityViolation, ...]) -> None:
-        object.__setattr__(self, "ok", ok)
-        object.__setattr__(self, "violations", violations)
 
 
 def causality_report(b: Behavior) -> CausalityReport:
@@ -243,19 +222,17 @@ class CombKernels(Record):
     kernels: tuple[Kernel, ...]
 
     def __init__(self, signature: Signature, memories: tuple[Alphabet, ...], kernels: tuple[Kernel, ...]) -> None:
-        object.__setattr__(self, "signature", signature)
-        object.__setattr__(self, "memories", memories)
-        object.__setattr__(self, "kernels", kernels)
-        k = self.signature.rounds
-        if len(self.memories) != k + 1 or len(self.kernels) != k:
+        k = signature.rounds
+        if len(memories) != k + 1 or len(kernels) != k:
             raise ChainMismatch("need k kernels and k+1 memories")
-        if self.memories[0].size != 1 or self.memories[-1].size != 1:
+        if memories[0].size != 1 or memories[-1].size != 1:
             raise ChainMismatch("first and last memories must be trivial")
-        for i, f in enumerate(self.kernels, start=1):
-            want_dom = (self.memories[i - 1],) + tuple(p.alphabet for p in self.signature.round_ins(i))
-            want_cod = tuple(p.alphabet for p in self.signature.round_outs(i)) + (self.memories[i],)
+        for i, f in enumerate(kernels, start=1):
+            want_dom = (memories[i - 1],) + tuple(p.alphabet for p in signature.round_ins(i))
+            want_cod = tuple(p.alphabet for p in signature.round_outs(i)) + (memories[i],)
             if f.dom != want_dom or f.cod != want_cod:
                 raise ChainMismatch(f"round {i} kernel interface does not chain")
+        super().__init__(signature, memories, kernels)
 
 
 def flatten(c: CombKernels) -> Behavior:

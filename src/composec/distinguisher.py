@@ -259,14 +259,6 @@ class CombShape(Record):
     wires: tuple[Wire, ...]
     schedule: tuple[ScheduleItem, ...]
 
-    def __init__(
-        self, label: str, signature: Signature, wires: tuple[Wire, ...], schedule: tuple[ScheduleItem, ...]
-    ) -> None:
-        object.__setattr__(self, "label", label)
-        object.__setattr__(self, "signature", signature)
-        object.__setattr__(self, "wires", wires)
-        object.__setattr__(self, "schedule", schedule)
-
 
 class ShapeBuilder:
     """Opens an unknown comb's rounds while the caller, in network order,

@@ -65,15 +65,6 @@ class FiniteGroup(Record):
     identity: int
     inverse: tuple[int, ...]
 
-    def __init__(
-        self, name: str, order: int, cayley: tuple[tuple[int, ...], ...], identity: int, inverse: tuple[int, ...]
-    ) -> None:
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "cayley", cayley)
-        object.__setattr__(self, "identity", identity)
-        object.__setattr__(self, "inverse", inverse)
-
     def mul(self, a: int, b: int) -> int:
         return self.cayley[a][b]
 
@@ -176,9 +167,6 @@ def group_kernels(g: FiniteGroup) -> dict[str, Kernel]:
 class HopfReport(Record):
     axioms: tuple[tuple[str, bool], ...]
 
-    def __init__(self, axioms: tuple[tuple[str, bool], ...]) -> None:
-        object.__setattr__(self, "axioms", axioms)
-
     @property
     def all_pass(self) -> bool:
         return all(ok for _n, ok in self.axioms)
@@ -248,26 +236,6 @@ class OtpInstance(Record):
     protocol: Protocol
     target: Resource
     sigma: Simulator
-
-    def __init__(
-        self,
-        group: FiniteGroup,
-        alphabet: Alphabet,
-        key: Resource,
-        auth_channel: Resource,
-        source: Resource,
-        protocol: Protocol,
-        target: Resource,
-        sigma: Simulator,
-    ) -> None:
-        object.__setattr__(self, "group", group)
-        object.__setattr__(self, "alphabet", alphabet)
-        object.__setattr__(self, "key", key)
-        object.__setattr__(self, "auth_channel", auth_channel)
-        object.__setattr__(self, "source", source)
-        object.__setattr__(self, "protocol", protocol)
-        object.__setattr__(self, "target", target)
-        object.__setattr__(self, "sigma", sigma)
 
 
 def key_resource(g: FiniteGroup, weights: Optional[Sequence[Scalar]] = None) -> Resource:
@@ -428,10 +396,6 @@ def otp_security(inst: OtpInstance) -> SecurityReport:
 class StreamCipherReport(Record):
     expansion_epsilon: Scalar
     composite: SecurityReport
-
-    def __init__(self, expansion_epsilon: Scalar, composite: SecurityReport) -> None:
-        object.__setattr__(self, "expansion_epsilon", expansion_epsilon)
-        object.__setattr__(self, "composite", composite)
 
 
 def short_key_resource(h: Alphabet, name: str = "short_key") -> Resource:

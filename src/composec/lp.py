@@ -83,31 +83,27 @@ class LinearProgram(Record):
         objective: Optional[tuple[Scalar, ...]] = None,
         lower_bounds: Optional[tuple[Scalar, ...]] = None,
     ) -> None:
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "objective", objective)
-        object.__setattr__(self, "lower_bounds", lower_bounds)
         last = -1
-        for i, pairs, bi in self.rows:
+        for i, pairs, bi in rows:
             if i <= last:
                 raise DimensionMismatch(f"row {i} after row {last}: indexes out of order")
             if not (pairs or bi):
                 raise DimensionMismatch(f"row {i} is 0 = 0, which is counted, not stored")
             col = -1
             for j, v in pairs:
-                if not col < j < self.n:
+                if not col < j < n:
                     raise DimensionMismatch(f"row {i}: column {j} out of order or out of range")
                 if not v:
                     raise DimensionMismatch(f"row {i}: explicit zero at column {j}")
                 col = j
             last = i
-        if last >= self.m:
-            raise DimensionMismatch(f"row {last} needs {last + 1} rows vs {self.m}")
-        if self.objective is not None and len(self.objective) != self.n:
+        if last >= m:
+            raise DimensionMismatch(f"row {last} needs {last + 1} rows vs {m}")
+        if objective is not None and len(objective) != n:
             raise DimensionMismatch("objective length mismatch")
-        if self.lower_bounds is not None and len(self.lower_bounds) != self.n:
+        if lower_bounds is not None and len(lower_bounds) != n:
             raise DimensionMismatch("lower_bounds length mismatch")
+        super().__init__(n, m, rows, objective, lower_bounds)
 
     @cached_property
     def a(self) -> tuple[tuple[Scalar, ...], ...]:
@@ -132,38 +128,26 @@ class LinearProgram(Record):
 class FarkasCert(Record):
     y: tuple[Scalar, ...]
 
-    def __init__(self, y: tuple[Scalar, ...]) -> None:
-        object.__setattr__(self, "y", y)
-
 
 class Feasible(Record):
     point: tuple[Scalar, ...]
-
-    def __init__(self, point: tuple[Scalar, ...]) -> None:
-        object.__setattr__(self, "point", point)
 
 
 class Optimal(Record):
     point: tuple[Scalar, ...]
     value: Scalar
 
-    def __init__(self, point: tuple[Scalar, ...], value: Scalar) -> None:
-        object.__setattr__(self, "point", point)
-        object.__setattr__(self, "value", value)
-
 
 class Infeasible(Record):
     cert: FarkasCert
 
-    def __init__(self, cert: FarkasCert) -> None:
-        object.__setattr__(self, "cert", cert)
-
 
 class Unbounded(Record):
-    ray: tuple[Scalar, ...]
+    """A feasible point and a ray from it along which the objective falls
+    without bound."""
 
-    def __init__(self, ray: tuple[Scalar, ...]) -> None:
-        object.__setattr__(self, "ray", ray)
+    point: tuple[Scalar, ...]
+    ray: tuple[Scalar, ...]
 
 
 LpOutcome = Union[Feasible, Optimal, Infeasible, Unbounded]
@@ -344,7 +328,7 @@ class _ExactSimplex:
             ray[unb] = Fraction(1)
             for j, row, den in zip(self.basis, self.rows, self.dens):
                 ray[j] = Fraction(-row.get(unb, 0), den)
-            return Unbounded(tuple(ray))
+            return Unbounded(self.point(), tuple(ray))
         return Optimal(self.point(), Fraction(-self.obj.get(_RHS, 0), self.obj_den))
 
 
@@ -401,9 +385,11 @@ def _solve(lp: LinearProgram, objective: Optional[tuple[Scalar, ...]]) -> LpOutc
             full[i] = v
         return Infeasible(FarkasCert(tuple(full)))
     out = Feasible(sx.point()) if objective is None else sx.phase2(objective)
-    if lb is None or isinstance(out, Unbounded):
+    if lb is None:
         return out
     x = tuple(v + l for v, l in zip(out.point, lb))
+    if isinstance(out, Unbounded):
+        return Unbounded(x, out.ray)
     return Feasible(x) if objective is None else Optimal(x, sum(c * v for c, v in zip(objective, x)))
 
 
@@ -428,7 +414,7 @@ def _entries(outcome: LpOutcome) -> tuple:
     if isinstance(outcome, Infeasible):
         return outcome.cert.y
     if isinstance(outcome, Unbounded):
-        return outcome.ray
+        return (*outcome.point, *outcome.ray)
     return ()
 
 
@@ -445,7 +431,7 @@ def verify(outcome: LpOutcome, lp: LinearProgram) -> bool:
     def objective(x):
         return sum(c * x[j] for j, c in enumerate(lp.objective) if c)
 
-    if isinstance(outcome, (Feasible, Optimal)):
+    if isinstance(outcome, (Feasible, Optimal, Unbounded)):
         x = outcome.point
         if len(x) != lp.n:
             return False
@@ -455,6 +441,11 @@ def verify(outcome: LpOutcome, lp: LinearProgram) -> bool:
             return False
         if isinstance(outcome, Optimal):
             return lp.objective is not None and objective(x) == outcome.value
+        if isinstance(outcome, Unbounded):
+            d = outcome.ray
+            if lp.objective is None or len(d) != lp.n or any(v < 0 for v in d):
+                return False
+            return all(_dot(pairs, d) == 0 for _, pairs, _ in lp.rows) and objective(d) < 0
         return True
     if isinstance(outcome, Infeasible):
         y = outcome.cert.y
@@ -474,15 +465,6 @@ def verify(outcome: LpOutcome, lp: LinearProgram) -> bool:
         if any(s > 0 for s in cols):
             return False
         return shift > 0
-    if isinstance(outcome, Unbounded):
-        if lp.objective is None or len(outcome.ray) != lp.n:
-            return False
-        d = outcome.ray
-        if any(v < 0 for v in d):
-            return False
-        if any(_dot(pairs, d) != 0 for _, pairs, _ in lp.rows):
-            return False
-        return objective(d) < 0
     return False
 
 

@@ -70,21 +70,9 @@ MEDIATOR = "mediator"
 
 class NogoVerdict(Record):
     feasible: bool
-    witness: Optional[dict]  # a feasible verdict: {"g": mediator}, or the tables by name
-    cert: Optional[FarkasCert]  # the Farkas certificate of an infeasible verdict
-    lp: Optional[lpmod.LinearProgram]  # the program solved, on every verdict
-
-    def __init__(
-        self,
-        feasible: bool,
-        witness: Optional[dict] = None,
-        cert: Optional[FarkasCert] = None,
-        lp: Optional[lpmod.LinearProgram] = None,
-    ) -> None:
-        object.__setattr__(self, "feasible", feasible)
-        object.__setattr__(self, "witness", witness)
-        object.__setattr__(self, "cert", cert)
-        object.__setattr__(self, "lp", lp)
+    witness: Optional[dict] = None  # a feasible verdict: {"g": mediator}, or the tables by name
+    cert: Optional[FarkasCert] = None  # the Farkas certificate of an infeasible verdict
+    lp: Optional[lpmod.LinearProgram] = None  # the program solved, on every verdict
 
 
 # ---------------------------------------------------------------------------
@@ -398,20 +386,6 @@ class OracleReport(Record):
     alice_forced: tuple[Scalar, ...]
     required_agreement: Scalar
     achievable_agreement: Scalar
-
-    def __init__(
-        self,
-        contradiction: bool,
-        charlie_forced: tuple[Scalar, ...],
-        alice_forced: tuple[Scalar, ...],
-        required_agreement: Scalar,
-        achievable_agreement: Scalar,
-    ) -> None:
-        object.__setattr__(self, "contradiction", contradiction)
-        object.__setattr__(self, "charlie_forced", charlie_forced)
-        object.__setattr__(self, "alice_forced", alice_forced)
-        object.__setattr__(self, "required_agreement", required_agreement)
-        object.__setattr__(self, "achievable_agreement", achievable_agreement)
 
     def __str__(self) -> str:
         if not self.contradiction:

@@ -38,11 +38,7 @@ RES = "res"
 
 class Resource(Record):
     behavior: Behavior
-    name: str
-
-    def __init__(self, behavior: Behavior, name: str = "") -> None:
-        object.__setattr__(self, "behavior", behavior)
-        object.__setattr__(self, "name", name)
+    name: str = ""
 
     @property
     def signature(self) -> Signature:
@@ -56,12 +52,7 @@ class Converter(Record):
 
     party: str
     comb: Behavior
-    wiring: tuple[tuple[str, str], ...]
-
-    def __init__(self, party: str, comb: Behavior, wiring: tuple[tuple[str, str], ...] = ()) -> None:
-        object.__setattr__(self, "party", party)
-        object.__setattr__(self, "comb", comb)
-        object.__setattr__(self, "wiring", wiring)
+    wiring: tuple[tuple[str, str], ...] = ()
 
     def outer_ids(self) -> tuple[str, ...]:
         wired = {c for c, _ in self.wiring}
@@ -86,11 +77,7 @@ class Protocol(Record):
         schedule: tuple[ScheduleItem, ...],
         name: str = "",
     ) -> None:
-        object.__setattr__(self, "source", source)
-        object.__setattr__(self, "target", target)
-        object.__setattr__(self, "converters", converters)
-        object.__setattr__(self, "schedule", schedule)
-        object.__setattr__(self, "name", name)
+        super().__init__(source, target, converters, schedule, name)
         object.__setattr__(self, "_views", {})
         parties = [c.party for c in self.converters]
         if len(set(parties)) != len(parties):

@@ -57,8 +57,7 @@ class Alphabet(Record):
     def __init__(self, name: str, size: int) -> None:
         if size < 1:
             raise ValueError(f"alphabet {name!r} must have size >= 1")
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "size", size)
+        super().__init__(name, size)
 
 
 UNIT = Alphabet("unit", 1)
@@ -123,11 +122,6 @@ class Kernel(Record):
     cod: tuple[Alphabet, ...]
     cols: tuple[Column, ...]
 
-    def __init__(self, dom: tuple[Alphabet, ...], cod: tuple[Alphabet, ...], cols: tuple[Column, ...]) -> None:
-        object.__setattr__(self, "dom", dom)
-        object.__setattr__(self, "cod", cod)
-        object.__setattr__(self, "cols", cols)
-
     @property
     def n_dom(self) -> int:
         return ports_size(self.dom)
@@ -179,8 +173,7 @@ class Dist(Record):
         if len(weights) != alphabet.size:
             raise DimensionMismatch(f"{len(weights)} weights for alphabet of size {alphabet.size}")
         _check_column(weights, 0)
-        object.__setattr__(self, "alphabet", alphabet)
-        object.__setattr__(self, "weights", weights)
+        super().__init__(alphabet, weights)
 
     def as_kernel(self) -> Kernel:
         col = tuple((i, w) for i, w in enumerate(self.weights) if w)

@@ -339,22 +339,21 @@ def dense_minimize(lp):
     sx, keep, lb = start
     c = list(lp.objective)
     if sx is None:
+        x = list(lb) if lb else [Fraction(0)] * lp.n
         if any(v < 0 for v in c):
             ray = [Fraction(0)] * lp.n
             ray[next(i for i, v in enumerate(c) if v < 0)] = Fraction(1)
-            return Unbounded(tuple(ray))
-        x = list(lb) if lb else [Fraction(0)] * lp.n
+            return Unbounded(tuple(x), tuple(ray))
         return Optimal(tuple(x), sum(ci * xi for ci, xi in zip(c, x)) if lb else Fraction(0))
     status, y = sx.phase1()
     if status == "infeasible":
         return Infeasible(FarkasCert(_dense_lift(y, keep, lp.m)))
-    status, vec, value = sx.phase2(c)
-    if status == "unbounded":
-        return Unbounded(tuple(vec))
-    x = vec
+    status, x, rest = sx.phase2(c)
     if lb:
         x = [v + l for v, l in zip(x, lb)]
-        value = sum(ci * xi for ci, xi in zip(c, x))
+    if status == "unbounded":
+        return Unbounded(tuple(x), tuple(rest))
+    value = sum(ci * xi for ci, xi in zip(c, x)) if lb else rest
     return Optimal(tuple(x), value)
 
 
@@ -476,6 +475,7 @@ class DenseSimplex:
         return x
 
     def phase2(self, c):
+        """("unbounded", point, ray) or ("optimal", point, value)."""
         obj = list(c) + [Fraction(0)]
         for i in range(self.m):
             cb = c[self.basis[i]]
@@ -488,7 +488,7 @@ class DenseSimplex:
             ray[unb] = Fraction(1)
             for i in range(self.m):
                 ray[self.basis[i]] = -self.tab[i][unb]
-            return "unbounded", ray, None
+            return "unbounded", self.point(), ray
         return "optimal", self.point(), -obj[-1]
 
 

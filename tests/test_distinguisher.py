@@ -294,7 +294,7 @@ LP_CHECKS = {
 }
 
 WRONG_OUTCOMES = {
-    "unbounded": lambda prog: Unbounded(tuple(Fraction(0) for _ in range(prog.n))),
+    "unbounded": lambda prog: Unbounded((Fraction(0),) * prog.n, (Fraction(0),) * prog.n),
     "zero-farkas": lambda prog: Infeasible(FarkasCert(tuple(Fraction(0) for _ in range(prog.m)))),
 }
 

@@ -6,7 +6,10 @@ are linked onto a view in `attacks` only, only `lp` refuses a program as too
 large, no function body imports anything, no module checks anything with
 `assert`, which `python -O` strips, and no module imports `dataclasses`,
 whose decorator compiles each class's methods at import; a fresh
-`import composec.cli` loads neither `dataclasses` nor `inspect`."""
+`import composec.cli` loads neither `dataclasses` nor `inspect`.  Records
+set their fields through `Record.__init__` alone: `object.__setattr__`
+writes only the two memos, `_comb` in `comb.realize` and `_views` in
+`Protocol`."""
 
 import ast
 import os
@@ -169,6 +172,36 @@ def test_no_dataclasses_import(path):
     assert not found, f"{path.name} imports dataclasses; build records on record.Record: {found}"
 
 
+def _setattrs(tree: ast.Module) -> list[str]:
+    """Every `object.__setattr__` call, as "line N: Scope.name sets attribute"."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, scope + (child.name,))
+                continue
+            if isinstance(child, ast.Call) and ast.unparse(child.func) == "object.__setattr__":
+                name = child.args[1] if len(child.args) > 1 else None
+                attr = name.value if isinstance(name, ast.Constant) else "?"
+                found.append(f"line {child.lineno}: {'.'.join(scope)} sets {attr}")
+            visit(child, scope)
+
+    visit(tree, ())
+    return found
+
+
+# the one memo each module may keep beside a record's fields
+MEMOS = {"comb": "realize sets _comb", "resources": "Protocol.__init__ sets _views"}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
+def test_records_set_fields_only_through_the_record_constructor(path):
+    found = _setattrs(ast.parse(path.read_text(), filename=str(path)))
+    found = [s for s in found if s.split(": ", 1)[1] != MEMOS.get(path.stem)]
+    assert not found, f"{path.name} sets attributes with object.__setattr__; pass fields to Record.__init__: {found}"
+
+
 def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
     # -S: no site hook runs, so only what composec imports is loaded
     code = "import sys, composec.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
@@ -200,3 +233,13 @@ def test_the_checks_see_an_unused_and_a_private_import():
     assert _dataclasses(
         ast.parse("import dataclasses\nfrom dataclasses import dataclass, field\nfrom .record import Record\n")
     ) == ["line 1", "line 2"]
+    assert _setattrs(
+        ast.parse(
+            "class A(Record):\n"
+            "    def __init__(self, x):\n"
+            "        object.__setattr__(self, 'x', x)\n"
+            "def realize(b):\n"
+            "    object.__setattr__(b, '_comb', 1)\n"
+            "    object.__setattr__(b, name, 2)\n"
+        )
+    ) == ["line 3: A.__init__ sets x", "line 5: realize sets _comb", "line 6: realize sets ?"]

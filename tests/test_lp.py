@@ -73,7 +73,7 @@ def test_program_with_only_empty_rows(rows, lb, c):
     if k is None:
         assert out == Optimal(corner, sum(F(cj) * v for cj, v in zip(c, corner)))
     else:
-        assert out == Unbounded(tuple(F(j == k) for j in range(3)))
+        assert out == Unbounded(corner, tuple(F(j == k) for j in range(3)))
     assert verify(out, prog)
 
 
@@ -115,6 +115,19 @@ def test_unbounded():
     assert verify(out, prog)
 
 
+def test_verify_rejects_a_ray_of_an_infeasible_program():
+    """A ray along which the objective falls proves nothing without a
+    feasible point to start from: x0 = -1 has none, so the ray (0, 1) with
+    the objective -x1 is refused."""
+    prog = LinearProgram(2, 1, ((0, ((0, F(1)),), F(-1)),), (F(0), F(-1)))
+    assert isinstance(minimize(prog), Infeasible)
+    assert not verify(Unbounded((F(-1), F(0)), (F(0), F(1))), prog)
+    assert not verify(Unbounded((F(0), F(0)), (F(0), F(1))), prog)
+    shifted = LinearProgram(2, 1, prog.rows, prog.objective, (F(-1), F(0)))
+    out = minimize(shifted)
+    assert out == Unbounded((F(-1), F(0)), (F(0), F(1))) and verify(out, shifted)
+
+
 def test_verify_rejects_wrong_point():
     prog = lp(2, [[1, -1]], [1])
     assert not verify(Feasible((F(0), F(1))), prog)
@@ -143,8 +156,9 @@ def test_verify_rejects_inexact_entries_in_rational_mode():
     assert verify(Infeasible(FarkasCert((F(-1),))), infeasible)
     assert not verify(Infeasible(FarkasCert((-1.0,))), infeasible)
     unbounded = lp(2, [[1, -1]], [0], c=[-1, 0])
-    assert verify(Unbounded((F(1), F(1))), unbounded)
-    assert not verify(Unbounded((1.0, 1.0)), unbounded)
+    assert verify(Unbounded((F(0), F(0)), (F(1), F(1))), unbounded)
+    assert not verify(Unbounded((F(0), F(0)), (1.0, 1.0)), unbounded)
+    assert not verify(Unbounded((0.0, 0.0), (F(1), F(1))), unbounded)
 
 
 def test_drive_out_enters_first_structural_column():
@@ -152,7 +166,7 @@ def test_drive_out_enters_first_structural_column():
     # ray phase 2 returns depends on which structural column replaces the
     # first one (the first nonzero one), the second row is then dropped.
     prog = lp(4, [[-1, 1, 0, 1], [1, -1, 0, -1]], [0, 0], c=[-1, -1, 0, 0])
-    assert minimize(prog) == dense_minimize(prog) == Unbounded((F(1), F(1), F(0), F(0)))
+    assert minimize(prog) == dense_minimize(prog) == Unbounded((F(0),) * 4, (F(1), F(1), F(0), F(0)))
 
 
 def test_lower_bounds():

@@ -1,15 +1,27 @@
-"""Differential test: the exact simplex against scipy's HiGHS on small
-random programs with rational data.  scipy and hypothesis are test-only
-dependencies, imported inside the test so that collecting the suite does not
-load them into the process the timed acceptance criteria run in."""
+"""Differential tests: the exact simplex against scipy's HiGHS, on small
+random programs with rational data and on the programs composec builds when
+it verifies specs/ and bounds the advantage against a biased one-time pad.
+scipy and hypothesis are test-only dependencies, imported inside the tests
+so that collecting the suite does not load them into the process the timed
+acceptance criteria run in."""
 
+import copy
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from composec.lp import Infeasible, Optimal, Unbounded, minimize, verify
+from composec import distinguisher
+from composec import lp as lpmod
+from composec.attacks import min_epsilon
+from composec.cli import parse_spec, run
+from composec.distinguisher import add_advantage_objective, add_match_rows
+from composec.hopf import build_otp, group_make
+from composec.lp import Feasible, Infeasible, Optimal, Unbounded, minimize, verify
 
-from tests.helpers import dense_program
+from tests.helpers import dense_forms, dense_match_rows, dense_program
+
+SPECS = sorted((Path(__file__).resolve().parent.parent / "specs").glob("*.spec"))
 
 
 def _highs(linprog, a, b, c, lb):
@@ -74,3 +86,72 @@ def test_exact_simplex_agrees_with_highs():
             assert abs(float(out.value) - value) <= 1e-7
 
     agrees()
+
+
+def _sparse_highs(prog):
+    """HiGHS verdict ("feasible" | "optimal" | "infeasible" | "unbounded" or
+    the solver's message) and value on a `scipy.sparse` matrix of the stored
+    rows' float roundings; a program without objective minimizes 0."""
+    from scipy.optimize import linprog
+    from scipy.sparse import csr_matrix
+
+    cells = [(i, j, float(v)) for i, pairs, _ in prog.rows for j, v in pairs]
+    rows, cols, values = zip(*cells) if cells else ((), (), ())
+    a = csr_matrix((values, (rows, cols)), shape=(prog.m, prog.n))
+    c = [0.0] * prog.n if prog.objective is None else [float(v) for v in prog.objective]
+    lb = prog.lower_bounds or (0,) * prog.n
+    res = linprog(c, A_eq=a, b_eq=[float(v) for v in prog.b], bounds=[(float(v), None) for v in lb], method="highs")
+    found = "feasible" if prog.objective is None else "optimal"
+    return {0: found, 2: "infeasible", 3: "unbounded"}.get(res.status, res.message), res.fun
+
+
+def test_exact_outcomes_agree_with_highs_on_the_programs_composec_builds(monkeypatch):
+    """Every simulator, split and advantage program that verifying specs/
+    solves, and the minimum-epsilon program of the OTP over Z4..Z8 with the
+    key (1/2, then uniform): the outcome the exact simplex reached on
+    composec's sparse build has HiGHS's verdict on the dense build of the
+    same forms (the builds are equal, see test_distinguisher), and optima
+    agree within 1e-9."""
+    pytest.importorskip("scipy.optimize")
+    pairs = {"match": [], "objective": []}
+    outcomes = {}
+
+    def both(kind, add, dense):
+        def build(bld, aligned, target):
+            ref = copy.deepcopy(bld)
+            add(bld, aligned, target)
+            dense(ref, aligned, target)
+            pairs[kind].append((bld.build(), ref.build()))
+
+        return build
+
+    def recorded(solve):
+        def solve_and_record(prog):
+            outcomes[prog] = out = solve(prog)
+            return out
+
+        return solve_and_record
+
+    def dense_objective(bld, aligned, target):
+        add_advantage_objective(bld, dense_forms(aligned, target), target)
+
+    monkeypatch.setattr(distinguisher, "add_match_rows", both("match", add_match_rows, dense_match_rows))
+    monkeypatch.setattr(
+        distinguisher, "add_advantage_objective", both("objective", add_advantage_objective, dense_objective)
+    )
+    monkeypatch.setattr(lpmod, "solve_feasible", recorded(lpmod.solve_feasible))
+    monkeypatch.setattr(lpmod, "minimize", recorded(lpmod.minimize))
+    for path in SPECS:
+        assert run(parse_spec(path.read_text()), no_meta=True).exit_code == 0, path.name
+    assert (len(pairs["match"]), len(pairs["objective"])) == (18, 9)
+    for n in range(4, 9):
+        inst = build_otp(group_make(("cyclic", n)), (Fraction(1, 2),) + (Fraction(1, 2 * (n - 1)),) * (n - 1))
+        assert min_epsilon(inst.protocol, inst.source, inst.target, ("eve",)).epsilon == Fraction(n - 2, 2 * n)
+    assert len(pairs["objective"]) == 9 + 5
+    kinds = {Feasible: "feasible", Optimal: "optimal", Infeasible: "infeasible", Unbounded: "unbounded"}
+    for sparse, dense in pairs["match"] + pairs["objective"]:
+        out = outcomes[sparse]
+        verdict, value = _sparse_highs(dense)
+        assert kinds[type(out)] == verdict, (sparse.n, sparse.m, verdict)
+        if verdict == "optimal":
+            assert abs(float(out.value) - value) <= 1e-9, (sparse.n, sparse.m, out.value, value)

@@ -1,11 +1,11 @@
 """Every record class of the package keeps what a frozen dataclass gave it:
-its fields in order, its constructor's parameters and defaults, equality
-and hash over the field tuple (and only between records of one class), the
+its fields in order, a constructor that binds its arguments to them as a
+function with the fields for parameters would, their defaults, equality and
+hash over the field tuple (and only between records of one class), the
 `Name(field=value!r, ...)` repr, refusal to assign or delete, weak
 references, and the memos and cached views that live beside the fields."""
 
 import importlib
-import inspect
 import weakref
 from fractions import Fraction
 
@@ -14,7 +14,7 @@ import pytest
 from composec.attacks import Colluding, Maximal, Minimal
 from composec.comb import IN, OUT, Behavior, CombKernels, PortSpec, Signature, realize
 from composec.errors import ChainMismatch, ColumnNotStochastic, DimensionMismatch, DuplicatePortId, WiringMismatch
-from composec.lp import FarkasCert, Feasible, LinearProgram, Unbounded
+from composec.lp import FarkasCert, Feasible, Infeasible, LinearProgram, Optimal, Unbounded
 from composec.record import Record
 from composec.resources import Converter, Protocol, Resource, identity_protocol
 from composec.stoch import UNIT, Alphabet, Dist, Kernel, make_kernel
@@ -57,7 +57,7 @@ RECORDS = {
     "lp.Infeasible": ("cert", {}),
     "lp.LinearProgram": ("n m rows objective lower_bounds", {"objective": None, "lower_bounds": None}),
     "lp.Optimal": ("point value", {}),
-    "lp.Unbounded": ("ray", {}),
+    "lp.Unbounded": ("point ray", {}),
     "nogo.NogoVerdict": ("feasible witness cert lp", {"witness": None, "cert": None, "lp": None}),
     "nogo.OracleReport": ("contradiction charlie_forced alice_forced required_agreement achievable_agreement", {}),
     "resources.Converter": ("party comb wiring", {"wiring": ()}),
@@ -89,14 +89,49 @@ def test_every_record_class_is_listed():
     assert found == set(RECORDS)
 
 
+def _arguments(name: str) -> tuple:
+    """Field values the constructor of `name` accepts: the fields of a
+    record built by other means where the constructor checks its arguments,
+    else placeholders."""
+    valid = {
+        "attacks.Colluding": lambda: (frozenset({"a"}),),
+        "comb.CombKernels": lambda: realize(_echo())._values,
+        "comb.PortSpec": lambda: _echo().signature.ports[0]._values,
+        "comb.Signature": lambda: _echo().signature._values,
+        "lp.LinearProgram": lambda: (2, 2, ((0, ((0, F(1)),), F(1)),), (F(1), F(0)), (F(0), F(0))),
+        "resources.Protocol": lambda: identity_protocol(Resource(_echo(), name="echo"))._values,
+        "stoch.Alphabet": lambda: ("z2", 2),
+        "stoch.Dist": lambda: (BIT, (F(1, 2), F(1, 2))),
+    }
+    if name in valid:
+        return valid[name]()
+    return tuple(("v", k) for k in range(len(_class(name)._fields)))
+
+
 @pytest.mark.parametrize("name", sorted(RECORDS))
 def test_fields_and_constructor_parameters(name):
+    """The constructor takes the fields in order, positionally or by
+    keyword, fills the pinned defaults, and refuses a call a function with
+    the fields as parameters would refuse."""
     fields, defaults = RECORDS[name]
     cls = _class(name)
     assert cls._fields == tuple(fields.split())
-    params = inspect.signature(cls).parameters.values()
-    assert [p.name for p in params] == list(cls._fields)
-    assert {p.name: p.default for p in params if p.default is not p.empty} == defaults
+    values = _arguments(name)
+    assert cls(*values)._values == values
+    assert cls(**dict(zip(cls._fields, values)))._values == values
+    required = len(cls._fields) - len(defaults)
+    assert cls._fields[required:] == tuple(defaults)
+    assert cls(*values[:required])._values == values[:required] + tuple(defaults.values())
+    with pytest.raises(TypeError):
+        cls(*values, "extra")
+    with pytest.raises(TypeError):
+        cls(*values, unknown=1)
+    if cls._fields:
+        with pytest.raises(TypeError):
+            cls(*values, **{cls._fields[0]: values[0]})
+    if required:
+        with pytest.raises(TypeError):
+            cls(*values[: required - 1])
 
 
 @pytest.mark.parametrize("name", sorted(RECORDS))
@@ -131,10 +166,11 @@ def test_fields_cannot_be_assigned_or_deleted(name):
 
 def test_records_of_different_classes_are_unequal():
     p = (F(1), F(0))
-    records = [Feasible(p), FarkasCert(p), Unbounded(p)]
+    records = [Feasible(p), FarkasCert(p), Infeasible(p)]
     assert len({hash(r) for r in records}) == 1  # the same field tuple
     assert all(r != s for r in records for s in records if r is not s)
     assert len(set(records)) == 3
+    assert Optimal(p, p) != Unbounded(p, p) and hash(Optimal(p, p)) == hash(Unbounded(p, p))
     assert Minimal() == Minimal() and Minimal() != Maximal()
     assert hash(Minimal()) == hash(())
     assert repr(Maximal()) == "Maximal()"
