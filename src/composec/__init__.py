@@ -34,7 +34,6 @@ from .lp import (
     LinearProgram,
     LpBuilder,
     Optimal,
-    Unbounded,
     minimize,
     solve_feasible,
     verify,
@@ -117,7 +116,7 @@ __all__ = [
     "delete", "identity", "make_kernel", "marginalize",
     "permutation", "point", "structural", "swap", "tensor", "uniform",
     "FarkasCert", "Feasible", "Infeasible", "LinearProgram", "LpBuilder",
-    "Optimal", "Unbounded", "minimize", "solve_feasible", "verify",
+    "Optimal", "minimize", "solve_feasible", "verify",
     "Behavior", "CombKernels", "Network", "PortSpec", "Signature",
     "behavior_distance", "behavior_equal", "canonical",
     "flatten", "link", "make_behavior", "make_signature",

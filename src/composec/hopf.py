@@ -409,8 +409,8 @@ def key_expansion_protocol(g: FiniteGroup, expander: Kernel) -> tuple[Protocol, 
     """Alice and Bob push their shared short key through the expander; the
     channel is untouched.  Returns the protocol and its source."""
     a = group_alphabet(g)
-    if expander.cod != (a,):
-        raise InterfaceMismatch("expander must produce the one-time-pad key alphabet")
+    if len(expander.dom) != 1 or expander.cod != (a,):
+        raise InterfaceMismatch(f"expander must map one short-key port to the one-time-pad key alphabet of {g.name}")
     h = expander.dom[0]
     short = short_key_resource(h)
     chan = auth_channel(g)
@@ -450,18 +450,21 @@ def stream_cipher_demo(g: FiniteGroup, expander: Kernel) -> StreamCipherReport:
     the expanded key and a perfect one (the channel part is untouched, so
     that distance bounds the whole view); the composite's true advantage is
     then re-measured and checked against the budget by compose_certs.
+    Refuses an expander that is not one short-key port to the group's key
+    alphabet, and a group whose one-time pad is insecure.
     """
     a = group_alphabet(g)
-    h = expander.dom[0]
-    eps1 = channel_distance(compose(expander, uniform([h])), uniform([a]))
     expansion, source1 = key_expansion_protocol(g, expander)
     otp = build_otp(g)
+    cert_q = otp_security(otp).cert
+    if cert_q is None:
+        raise InterfaceMismatch(f"the one-time pad over {g.name} is insecure: no pad certificate to compose")
+    eps1 = channel_distance(compose(expander, uniform(expander.dom)), uniform([a]))
     real1 = dummy_attack(expansion, source1, (EVE,))
     shape = derive_simulator_shape(real1.signature, expansion.target, (EVE,))
     sigma_p = make_behavior(shape.signature, identity([a]))
     sim_p = Simulator(((shape.label, sigma_p),), shape.wires)
     cert_p = SimulatorCert((EVE,), sim_p, eps1)
-    cert_q = otp_security(otp).cert
     _cert, report = compose_certs(
         cert_p,
         cert_q,

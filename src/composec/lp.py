@@ -1,25 +1,27 @@
 """Exact linear feasibility and minimization with infeasibility certificates.
 
-Canonical form: equality constraints A x = b over x >= lower_bounds
-(componentwise, default 0).  Callers encode inequalities through slack
-variables; `LpBuilder` below does that bookkeeping.
+Canonical form: equality constraints A x = b over x >= 0.  Callers encode
+inequalities through slack variables; `LpBuilder` below does that
+bookkeeping.  Every objective composec builds has nonnegative costs, so its
+minima are bounded below by 0.
 
 A program has `m` constraints and stores only those that say something:
 `rows` lists (index, pairs, b_i) by increasing index, `pairs` being the
 row's nonzero (column, value) coefficients in increasing column order, and
 a row is stored when it has a pair or b_i is not 0.  Every other index
 below `m` is a row 0 = 0: it is counted, so row indexes and Farkas vectors
-include it, but it is held nowhere and no pass visits it.  Validation, bound
-shifting, preprocessing and `verify` walk the stored rows; the dense `a` and
+include it, but it is held nowhere and no pass visits it.  Validation,
+preprocessing and `verify` walk the stored rows; the dense `a` and
 `b` are views built on first read.  A program that is mostly 0 = 0 rows, as
 a simulator search's match rows are, costs what its stored rows cost.  A
 stored row with no pair says 0 = b_i with b_i not 0; preprocessing answers
 it at once with the Farkas vector +-e_i.
 
-`solve_feasible` and `minimize` share one path, `_solve`: shift the lower
-bounds to 0, drop duplicate rows, run phase 1 and, given an objective,
-phase 2, then shift the point back.  With no row left, phase 1 is feasible
-at once and phase 2 stops at 0 or on a negative cost's ray.
+`solve_feasible` and `minimize` share one path, `_solve`: drop duplicate
+rows, run phase 1 and, given an objective, phase 2.  Phase 2 ends at an
+optimum or, when a column enters with no row to leave, refuses the program
+as unbounded below by raising `CompositeVerificationFailed`.  With no row
+left, phase 1 is feasible at once at x = 0.
 
 `_solve` is also where the one size guard lives: a program whose variables
 times the rows left after preprocessing exceed `CAP` raises
@@ -51,7 +53,7 @@ from math import gcd, lcm
 from numbers import Rational
 from typing import Optional, Union
 
-from .errors import DimensionMismatch, ProblemTooLarge
+from .errors import CompositeVerificationFailed, DimensionMismatch, ProblemTooLarge
 from .record import Record
 from .scalars import ONE, ZERO, Scalar
 
@@ -73,7 +75,10 @@ class LinearProgram(Record):
     m: int
     rows: tuple[Row, ...]
     objective: Optional[tuple[Scalar, ...]]
-    lower_bounds: Optional[tuple[Scalar, ...]]
+
+    # Not a field: every variable is >= 0.  The benchmark's answer check
+    # still reads it; ROADMAP item 1a removes that read, then this goes.
+    lower_bounds = None
 
     def __init__(
         self,
@@ -81,7 +86,6 @@ class LinearProgram(Record):
         m: int,
         rows: tuple[Row, ...],
         objective: Optional[tuple[Scalar, ...]] = None,
-        lower_bounds: Optional[tuple[Scalar, ...]] = None,
     ) -> None:
         last = -1
         for i, pairs, bi in rows:
@@ -101,9 +105,7 @@ class LinearProgram(Record):
             raise DimensionMismatch(f"row {last} needs {last + 1} rows vs {m}")
         if objective is not None and len(objective) != n:
             raise DimensionMismatch("objective length mismatch")
-        if lower_bounds is not None and len(lower_bounds) != n:
-            raise DimensionMismatch("lower_bounds length mismatch")
-        super().__init__(n, m, rows, objective, lower_bounds)
+        super().__init__(n, m, rows, objective)
 
     @cached_property
     def a(self) -> tuple[tuple[Scalar, ...], ...]:
@@ -142,28 +144,11 @@ class Infeasible(Record):
     cert: FarkasCert
 
 
-class Unbounded(Record):
-    """A feasible point and a ray from it along which the objective falls
-    without bound."""
-
-    point: tuple[Scalar, ...]
-    ray: tuple[Scalar, ...]
-
-
-LpOutcome = Union[Feasible, Optimal, Infeasible, Unbounded]
+LpOutcome = Union[Feasible, Optimal, Infeasible]
 
 
 def _dot(pairs: Pairs, x) -> Scalar:
     return sum(c * x[j] for j, c in pairs)
-
-
-def _shift_bounds(lp: LinearProgram):
-    """Substitute x = x' + lb so the solver only sees x' >= 0; returns the
-    stored rows with b_i - A_i lb for b_i, and lb (None when it is 0)."""
-    if lp.lower_bounds is None or all(v == 0 for v in lp.lower_bounds):
-        return lp.rows, None
-    lb = lp.lower_bounds
-    return tuple((i, pairs, bi - sum(c * lb[j] for j, c in pairs if lb[j] != 0)) for i, pairs, bi in lp.rows), lb
 
 
 def _preprocess(rows, m):
@@ -267,12 +252,13 @@ class _ExactSimplex:
         cost, leaving row by the smallest ratio rhs_i / N_i[enter] (compared
         by cross-multiplication, the row denominators cancel), tie-broken by
         smallest basis variable.  The ratio test's scan also collects the
-        rows the pivot eliminates.  Returns None or the unbounded column."""
+        rows the pivot eliminates.  Raises when a column enters with no row
+        to leave: the objective is then unbounded below."""
         rows, basis = self.rows, self.basis
         while True:
             enter = min([k for k, v in self.obj.items() if v < 0 and k != _RHS], default=-1)
             if enter < 0:
-                return None
+                return
             hits = []
             leave, best_rhs, best_piv = -1, 0, 1
             for i, row in enumerate(rows):
@@ -285,7 +271,7 @@ class _ExactSimplex:
                         if leave < 0 or lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
                             leave, best_rhs, best_piv = i, b, piv
             if leave < 0:
-                return enter
+                raise CompositeVerificationFailed("LP objective is unbounded below")
             self._pivot(leave, enter, hits)
 
     def phase1(self):
@@ -322,13 +308,7 @@ class _ExactSimplex:
 
     def phase2(self, c):
         self._set_objective({j: v for j, v in enumerate(c) if v})
-        unb = self._iterate()
-        if unb is not None:
-            ray = [Fraction(0)] * self.n
-            ray[unb] = Fraction(1)
-            for j, row, den in zip(self.basis, self.rows, self.dens):
-                ray[j] = Fraction(-row.get(unb, 0), den)
-            return Unbounded(self.point(), tuple(ray))
+        self._iterate()
         return Optimal(self.point(), Fraction(-self.obj.get(_RHS, 0), self.obj_den))
 
 
@@ -366,11 +346,11 @@ def _reduce(row, den):
 
 
 def _solve(lp: LinearProgram, objective: Optional[tuple[Scalar, ...]]) -> LpOutcome:
-    """Phase 1 on the shifted, preprocessed rows, then phase 2 when an
-    objective is given; the point is shifted back to the lower bounds.
-    Refuses a program past `CAP` variables x kept rows."""
-    shifted, lb = _shift_bounds(lp)
-    pre = _preprocess(shifted, lp.m)
+    """Phase 1 on the preprocessed rows over x >= 0, then phase 2 when an
+    objective is given; returns the phase's outcome as it is.  Phase 2 ends
+    at an optimum or raises on an objective unbounded below.  Refuses a
+    program past `CAP` variables x kept rows."""
+    pre = _preprocess(lp.rows, lp.m)
     if isinstance(pre, Infeasible):
         return pre
     rows, rhs, keep = pre
@@ -384,13 +364,7 @@ def _solve(lp: LinearProgram, objective: Optional[tuple[Scalar, ...]]) -> LpOutc
         for v, i in zip(y, keep):
             full[i] = v
         return Infeasible(FarkasCert(tuple(full)))
-    out = Feasible(sx.point()) if objective is None else sx.phase2(objective)
-    if lb is None:
-        return out
-    x = tuple(v + l for v, l in zip(out.point, lb))
-    if isinstance(out, Unbounded):
-        return Unbounded(x, out.ray)
-    return Feasible(x) if objective is None else Optimal(x, sum(c * v for c, v in zip(objective, x)))
+    return Feasible(sx.point()) if objective is None else sx.phase2(objective)
 
 
 def solve_feasible(lp: LinearProgram) -> LpOutcome:
@@ -399,7 +373,8 @@ def solve_feasible(lp: LinearProgram) -> LpOutcome:
 
 
 def minimize(lp: LinearProgram) -> LpOutcome:
-    """Minimize the objective over the feasible region."""
+    """Minimize the objective over the feasible region; raises
+    `CompositeVerificationFailed` when it is unbounded below."""
     if lp.objective is None:
         raise ValueError("minimize requires an objective")
     return _solve(lp, lp.objective)
@@ -413,58 +388,43 @@ def _entries(outcome: LpOutcome) -> tuple:
         return outcome.point
     if isinstance(outcome, Infeasible):
         return outcome.cert.y
-    if isinstance(outcome, Unbounded):
-        return (*outcome.point, *outcome.ray)
     return ()
 
 
 def verify(outcome: LpOutcome, lp: LinearProgram) -> bool:
-    """Re-check an outcome against the raw program data, exactly.  Every
-    entry of the outcome must be an exact rational."""
+    """Re-check an outcome against the raw program data, exactly: a point
+    is >= 0 and solves every row, an optimum's value is the objective at its
+    point, and a Farkas vector y has yT A <= 0 and yT b > 0.  Every entry of
+    the outcome must be an exact rational."""
     if not all(isinstance(v, Rational) for v in _entries(outcome)):
         return False
-    lb = lp.lower_bounds or (ZERO,) * lp.n
-
-    def residual(x):
-        return all(_dot(pairs, x) == bi for _, pairs, bi in lp.rows)
-
-    def objective(x):
-        return sum(c * x[j] for j, c in enumerate(lp.objective) if c)
-
-    if isinstance(outcome, (Feasible, Optimal, Unbounded)):
+    if isinstance(outcome, (Feasible, Optimal)):
         x = outcome.point
-        if len(x) != lp.n:
+        if len(x) != lp.n or any(v < 0 for v in x):
             return False
-        if any(v < l for v, l in zip(x, lb)):
-            return False
-        if not residual(x):
+        if not all(_dot(pairs, x) == bi for _, pairs, bi in lp.rows):
             return False
         if isinstance(outcome, Optimal):
-            return lp.objective is not None and objective(x) == outcome.value
-        if isinstance(outcome, Unbounded):
-            d = outcome.ray
-            if lp.objective is None or len(d) != lp.n or any(v < 0 for v in d):
-                return False
-            return all(_dot(pairs, d) == 0 for _, pairs, _ in lp.rows) and objective(d) < 0
+            return lp.objective is not None and sum(c * x[j] for j, c in enumerate(lp.objective) if c) == outcome.value
         return True
     if isinstance(outcome, Infeasible):
         y = outcome.cert.y
         if len(y) != lp.m:
             return False
-        # yT A column by column and yT (b - A lb), adding each column's terms
-        # in increasing row order, over the stored rows with a nonzero
+        # yT A column by column and yT b, adding each column's terms in
+        # increasing row order, over the stored rows with a nonzero
         # multiplier; a 0 = 0 row adds nothing
         cols = [0] * lp.n
-        shift = 0
+        yb = 0
         for i, pairs, bi in lp.rows:
             yi = y[i]
             if yi:
                 for j, c in pairs:
                     cols[j] += yi * c
-                shift += yi * (bi - _dot(pairs, lb) if lp.lower_bounds else bi)
+                yb += yi * bi
         if any(s > 0 for s in cols):
             return False
-        return shift > 0
+        return yb > 0
     return False
 
 
@@ -510,4 +470,4 @@ class LpBuilder:
         obj = None
         if self.objective is not None:
             obj = tuple(self.objective.get(j, ZERO) for j in range(self.n))
-        return LinearProgram(self.n, self.m, tuple(self.rows), obj, None)
+        return LinearProgram(self.n, self.m, tuple(self.rows), obj)

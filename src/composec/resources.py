@@ -83,6 +83,7 @@ class Protocol(Record):
         if len(set(parties)) != len(parties):
             raise WiringMismatch(f"multiple converters for one party: {parties}")
         src = self.source.signature
+        owners = {p.id: p.party for p in src.ports}
         for c in self.converters:
             if c.party not in src.parties:
                 raise WiringMismatch(f"converter party {c.party!r} not in {src.parties}")
@@ -92,10 +93,10 @@ class Protocol(Record):
                         f"converter for {c.party!r} has a port owned by {port.party!r}"
                     )
             for _cp, rp in c.wiring:
-                if src.port(rp).party != c.party:
-                    raise WiringMismatch(
-                        f"converter for {c.party!r} wires port {rp!r} of party {src.port(rp).party!r}"
-                    )
+                if rp not in owners:
+                    raise WiringMismatch(f"converter for {c.party!r} wires port {rp!r}, which its source lacks")
+                if owners[rp] != c.party:
+                    raise WiringMismatch(f"converter for {c.party!r} wires port {rp!r} of party {owners[rp]!r}")
         wired_res = [rp for c in self.converters for _cp, rp in c.wiring]
         if len(set(wired_res)) != len(wired_res):
             raise WiringMismatch("a resource port is wired twice")

@@ -24,7 +24,7 @@ from composec.comb import (
     make_signature,
 )
 from composec.distinguisher import canonical_forms
-from composec.errors import InterfaceMismatch
+from composec.errors import CompositeVerificationFailed, InterfaceMismatch
 from composec.nogo import mediator_problem
 from composec.resources import Resource
 from composec.stoch import UNIT, Alphabet, all_tuples, index_tuple, make_kernel, ports_size, tuple_index
@@ -294,10 +294,10 @@ def dense_channel_distance(f, g):
 # ---------------------------------------------------------------------------
 # dense rational simplex (oracle for the sparse integer-row solver of `lp`):
 # the two-phase Bland tableau over `Fraction` cells, zeros included, with the
-# same bound shift, row preprocessing and certificate lifting
+# same row preprocessing and certificate lifting
 
 
-def dense_program(n, a, b, objective=None, lower_bounds=None):
+def dense_program(n, a, b, objective=None):
     """The `LinearProgram` with dense rows `a` and right-hand sides `b`: each
     row stored as its nonzero (column, value) pairs, unless it is 0 = 0."""
     from composec.lp import LinearProgram
@@ -307,7 +307,7 @@ def dense_program(n, a, b, objective=None, lower_bounds=None):
         pairs = tuple((j, v) for j, v in enumerate(row) if v)
         if pairs or bi:
             rows.append((i, pairs, bi))
-    return LinearProgram(n, len(a), tuple(rows), objective, lower_bounds)
+    return LinearProgram(n, len(a), tuple(rows), objective)
 
 
 def dense_solve_feasible(lp):
@@ -317,60 +317,44 @@ def dense_solve_feasible(lp):
     start = _dense_start(lp)
     if isinstance(start, Infeasible):
         return start
-    sx, keep, lb = start
+    sx, keep = start
     if sx is None:
-        return Feasible(tuple(lb) if lb else (Fraction(0),) * lp.n)
+        return Feasible((Fraction(0),) * lp.n)
     status, y = sx.phase1()
     if status == "infeasible":
         return Infeasible(FarkasCert(_dense_lift(y, keep, lp.m)))
-    x = sx.point()
-    if lb:
-        x = [v + l for v, l in zip(x, lb)]
-    return Feasible(tuple(x))
+    return Feasible(tuple(sx.point()))
 
 
 def dense_minimize(lp):
-    """`lp.minimize` on a dense `Fraction` tableau."""
-    from composec.lp import FarkasCert, Infeasible, Optimal, Unbounded
+    """`lp.minimize` on a dense `Fraction` tableau; raises
+    `CompositeVerificationFailed` on an objective unbounded below."""
+    from composec.lp import FarkasCert, Infeasible, Optimal
 
     start = _dense_start(lp)
     if isinstance(start, Infeasible):
         return start
-    sx, keep, lb = start
+    sx, keep = start
     c = list(lp.objective)
     if sx is None:
-        x = list(lb) if lb else [Fraction(0)] * lp.n
         if any(v < 0 for v in c):
-            ray = [Fraction(0)] * lp.n
-            ray[next(i for i, v in enumerate(c) if v < 0)] = Fraction(1)
-            return Unbounded(tuple(x), tuple(ray))
-        return Optimal(tuple(x), sum(ci * xi for ci, xi in zip(c, x)) if lb else Fraction(0))
+            raise CompositeVerificationFailed("LP objective is unbounded below")
+        return Optimal((Fraction(0),) * lp.n, Fraction(0))
     status, y = sx.phase1()
     if status == "infeasible":
         return Infeasible(FarkasCert(_dense_lift(y, keep, lp.m)))
-    status, x, rest = sx.phase2(c)
-    if lb:
-        x = [v + l for v, l in zip(x, lb)]
-    if status == "unbounded":
-        return Unbounded(tuple(x), tuple(rest))
-    value = sum(ci * xi for ci, xi in zip(c, x)) if lb else rest
+    x, value = sx.phase2(c)
     return Optimal(tuple(x), value)
 
 
 def _dense_start(lp):
-    """Shift the lower bounds, drop empty and duplicate rows, and set up the
-    tableau: (simplex or None when no row is left, keep, lb) or Infeasible."""
+    """Drop empty and duplicate rows and set up the tableau: (simplex or None
+    when no row is left, keep) or Infeasible."""
     from composec.lp import FarkasCert, Infeasible
 
-    lb = lp.lower_bounds
-    b = lp.b
-    if lb is None or all(v == 0 for v in lb):
-        lb = None
-    else:
-        b = tuple(bi - sum(c * l for c, l in zip(row, lb) if l != 0) for row, bi in zip(lp.a, b))
     seen = set()
     rows, rhs, keep = [], [], []
-    for i, (row, bi) in enumerate(zip(lp.a, b)):
+    for i, (row, bi) in enumerate(zip(lp.a, lp.b)):
         if all(v == 0 for v in row):
             if bi == 0:
                 continue
@@ -384,7 +368,7 @@ def _dense_start(lp):
         rows.append(list(row))
         rhs.append(bi)
         keep.append(i)
-    return (DenseSimplex(rows, rhs, lp.n) if rows else None), keep, lb
+    return (DenseSimplex(rows, rhs, lp.n) if rows else None), keep
 
 
 def _dense_lift(y_red, keep, m_full):
@@ -426,11 +410,11 @@ class DenseSimplex:
         self.basis[r] = col
 
     def _iterate(self, obj, allowed_cols):
-        """Bland's rule; returns None or the unbounded column."""
+        """Bland's rule; raises when a column enters with no row to leave."""
         while True:
             enter = next((j for j in allowed_cols if obj[j] < 0), -1)
             if enter < 0:
-                return None
+                return
             leave, best = -1, None
             for i in range(self.m):
                 piv = self.tab[i][enter]
@@ -439,7 +423,7 @@ class DenseSimplex:
                     if best is None or ratio < best or (ratio == best and self.basis[i] < self.basis[leave]):
                         best, leave = ratio, i
             if leave < 0:
-                return enter
+                raise CompositeVerificationFailed("LP objective is unbounded below")
             self._pivot(obj, leave, enter)
 
     def phase1(self):
@@ -475,21 +459,15 @@ class DenseSimplex:
         return x
 
     def phase2(self, c):
-        """("unbounded", point, ray) or ("optimal", point, value)."""
+        """(point, value) at the optimum."""
         obj = list(c) + [Fraction(0)]
         for i in range(self.m):
             cb = c[self.basis[i]]
             if cb:
                 for k in range(len(obj)):
                     obj[k] -= cb * self.tab[i][k]
-        unb = self._iterate(obj, range(self.n))
-        if unb is not None:
-            ray = [Fraction(0)] * self.n
-            ray[unb] = Fraction(1)
-            for i in range(self.m):
-                ray[self.basis[i]] = -self.tab[i][unb]
-            return "unbounded", self.point(), ray
-        return "optimal", self.point(), -obj[-1]
+        self._iterate(obj, range(self.n))
+        return self.point(), -obj[-1]
 
 
 # ---------------------------------------------------------------------------

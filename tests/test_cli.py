@@ -429,6 +429,47 @@ def test_library_error_in_a_declaration_names_its_line(tmp_path, capsys):
     assert "does not cover each node round exactly once" in captured.err
 
 
+def test_a_converter_wired_to_a_port_its_source_lacks_gives_exit_2(tmp_path, capsys):
+    spec = tmp_path / "bad.spec"
+    spec.write_text(
+        "alphabet b size 2\n"
+        "resource r parties a,b rounds 1 ports x:a:in:b@1 y:b:out:b@1 rows 1 0 ; 0 1\n"
+        "converter a c ports u:in:b@1 v:out:b@1:wire=nosuch rows 1 0 ; 0 1\n"
+        "protocol p from r to r converters c schedule res.1,a.1\n"
+    )
+    code = main(["verify", str(spec), "--no-meta"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "composec: line 4: converter for 'a' wires port 'nosuch', which its source lacks\n"
+
+
+def _q5():
+    """The order-5 loop the corpus ships."""
+    return next(s for s in (SPECS / "axioms_groups.spec").read_text().splitlines() if s.startswith("quasigroup q5 "))
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (
+            "group g cyclic 2\nkernel k gen uniform g\ncheck stream g expander k\n",
+            "expander must map one short-key port to the one-time-pad key alphabet of g",
+        ),
+        (f"{_q5()}\ncheck stream q5 expander identity\n", "the one-time pad over q5 is insecure: "),
+    ],
+    ids=["expander-without-a-domain-port", "pad-over-a-loop"],
+)
+def test_a_stream_check_that_cannot_compose_gives_a_failed_entry(text, message, tmp_path, capsys):
+    spec = tmp_path / "bad.spec"
+    spec.write_text(text)
+    code = main(["verify", str(spec), "--no-meta"])
+    captured = capsys.readouterr()
+    assert code == 1 and "Traceback" not in captured.err
+    (entry,) = json.loads(captured.out)["checks"]
+    assert entry["kind"] == "stream" and entry["pass"] is False
+    assert entry["error"].startswith(message), entry
+
+
 def test_docstring_grammar_matches_what_the_parser_accepts():
     grammar = [line.split() for line in composec.cli.__doc__.splitlines() if line.startswith("    ")]
     heads = [tokens[0] for tokens in grammar]

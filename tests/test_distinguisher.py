@@ -30,7 +30,7 @@ from composec.cli import parse_spec, run
 from composec.distinguisher import add_advantage_objective, add_cell_gaps, add_match_rows, causality_rows, table_lp
 from composec.errors import CompositeVerificationFailed, InterfaceMismatch
 from composec.hopf import build_otp, group_make
-from composec.lp import FarkasCert, Infeasible, LpBuilder, Optimal, Unbounded
+from composec.lp import FarkasCert, Infeasible, LpBuilder, Optimal
 from composec.nogo import (
     broadcast_resource,
     commitment_resource,
@@ -293,19 +293,30 @@ LP_CHECKS = {
     "completion": lambda: tripartite_completion(*_completion_input()),
 }
 
+def _unbounded(prog):
+    raise CompositeVerificationFailed("LP objective is unbounded below")
+
+
+# each wrong outcome, and the message the check must fail with
 WRONG_OUTCOMES = {
-    "unbounded": lambda prog: Unbounded((Fraction(0),) * prog.n, (Fraction(0),) * prog.n),
-    "zero-farkas": lambda prog: Infeasible(FarkasCert(tuple(Fraction(0) for _ in range(prog.m)))),
+    "unbounded": (_unbounded, lambda what: "^LP objective is unbounded below$"),
+    "zero-farkas": (
+        lambda prog: Infeasible(FarkasCert(tuple(Fraction(0) for _ in range(prog.m)))),
+        lambda what: f"^{what} LP",
+    ),
 }
 
 
 @pytest.mark.parametrize("outcome", sorted(WRONG_OUTCOMES))
 @pytest.mark.parametrize("what", sorted(LP_CHECKS))
 def test_every_lp_check_rejects_a_wrong_outcome(monkeypatch, what, outcome):
+    """A forged Farkas certificate fails the check's own re-verification,
+    and the solver's refusal of an unbounded objective is not swallowed."""
     LP_CHECKS[what]()  # passes with the real solver
-    monkeypatch.setattr(lpmod, "solve_feasible", WRONG_OUTCOMES[outcome])
-    monkeypatch.setattr(lpmod, "minimize", WRONG_OUTCOMES[outcome])
-    with pytest.raises(CompositeVerificationFailed, match=f"^{what} LP"):
+    solve, message = WRONG_OUTCOMES[outcome]
+    monkeypatch.setattr(lpmod, "solve_feasible", solve)
+    monkeypatch.setattr(lpmod, "minimize", solve)
+    with pytest.raises(CompositeVerificationFailed, match=message(what)):
         LP_CHECKS[what]()
 
 

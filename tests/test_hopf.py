@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from composec.errors import ComposecError, NoIdentity, NotAssociative, NotLatinSquare
+from composec.errors import ComposecError, InterfaceMismatch, NoIdentity, NotAssociative, NotLatinSquare
 from composec.hopf import (
     FiniteGroup,
     auth_channel,
@@ -19,7 +19,7 @@ from composec.hopf import (
     short_key_resource,
     stream_cipher_demo,
 )
-from composec.stoch import Alphabet, compose, kernel_equal, make_kernel, point, tensor, uniform
+from composec.stoch import Alphabet, compose, identity, kernel_equal, make_kernel, point, tensor, uniform
 
 F = Fraction
 
@@ -252,6 +252,24 @@ def test_stream_cipher_bijection_expander():
     rep = stream_cipher_demo(g, expander)
     assert rep.expansion_epsilon == 0
     assert rep.composite.epsilon == 0
+
+
+@pytest.mark.parametrize(
+    "group, expander, message",
+    [
+        (
+            lambda: group_make(("cyclic", 2)),
+            lambda a: uniform([a]),
+            "^expander must map one short-key port to the one-time-pad key alphabet of z2$",
+        ),
+        (lambda: loop_make(LOOP5, "q5"), lambda a: identity([a]), "^the one-time pad over q5 is insecure: "),
+    ],
+    ids=["expander-without-a-domain-port", "pad-over-a-loop"],
+)
+def test_stream_cipher_refuses_what_it_cannot_compose(group, expander, message):
+    g = group()
+    with pytest.raises(InterfaceMismatch, match=message):
+        stream_cipher_demo(g, expander(group_alphabet(g)))
 
 
 def test_group_kernels_equal_dense_table_builds():

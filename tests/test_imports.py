@@ -9,10 +9,12 @@ whose decorator compiles each class's methods at import; a fresh
 `import composec.cli` loads neither `dataclasses` nor `inspect`.  Records
 set their fields through `Record.__init__` alone: `object.__setattr__`
 writes only the two memos, `_comb` in `comb.realize` and `_views` in
-`Protocol`."""
+`Protocol`.  Every module parses with the grammar of the oldest Python that
+pyproject.toml declares."""
 
 import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -21,6 +23,11 @@ import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "composec"
 MODULES = sorted(SRC.glob("*.py"))
+# the oldest Python the package declares it runs on
+FLOOR = tuple(
+    int(v)
+    for v in re.search(r'requires-python = ">=(\d+)\.(\d+)"', (SRC.parents[1] / "pyproject.toml").read_text()).groups()
+)
 
 
 def _imports(tree: ast.Module):
@@ -202,6 +209,21 @@ def test_records_set_fields_only_through_the_record_constructor(path):
     assert not found, f"{path.name} sets attributes with object.__setattr__; pass fields to Record.__init__: {found}"
 
 
+def _above_floor(source: str) -> list[str]:
+    """The syntax error the grammar of Python `FLOOR` finds, if any."""
+    try:
+        ast.parse(source, feature_version=FLOOR)
+    except SyntaxError as exc:
+        return [f"line {exc.lineno}: {exc.msg}"]
+    return []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
+def test_every_module_parses_at_the_declared_python_floor(path):
+    found = _above_floor(path.read_text())
+    assert not found, f"{path.name} needs a Python newer than {FLOOR}, the declared floor: {found}"
+
+
 def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
     # -S: no site hook runs, so only what composec imports is loaded
     code = "import sys, composec.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
@@ -243,3 +265,7 @@ def test_the_checks_see_an_unused_and_a_private_import():
             "    object.__setattr__(b, name, 2)\n"
         )
     ) == ["line 3: A.__init__ sets x", "line 5: realize sets _comb", "line 6: realize sets ?"]
+    assert FLOOR == (3, 10)
+    assert _above_floor("try:\n    pass\nexcept ValueError:\n    pass\n") == []
+    (found,) = _above_floor("try:\n    pass\nexcept* ValueError:\n    pass\n")
+    assert "Exception groups are only supported in Python 3.11" in found

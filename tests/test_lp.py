@@ -6,7 +6,7 @@ import pytest
 from composec import lp as lpmod
 from composec import nogo
 from composec.attacks import min_epsilon
-from composec.errors import DimensionMismatch, ProblemTooLarge
+from composec.errors import CompositeVerificationFailed, DimensionMismatch, ProblemTooLarge
 from composec.hopf import build_otp, group_make
 from composec.lp import (
     FarkasCert,
@@ -15,7 +15,6 @@ from composec.lp import (
     LinearProgram,
     LpBuilder,
     Optimal,
-    Unbounded,
     minimize,
     solve_feasible,
     verify,
@@ -27,13 +26,30 @@ F = Fraction
 
 
 def lp(n, a, b, c=None, lb=None):
-    return dense_program(
-        n,
-        [[F(v) for v in row] for row in a],
-        [F(v) for v in b],
-        None if c is None else tuple(F(v) for v in c),
-        None if lb is None else tuple(F(v) for v in lb),
-    )
+    """The program over x >= 0 with dense rows `a`, right-hand sides `b` and
+    costs `c`.  A lower bound x_j >= lb_j >= 0 is written as the row
+    x_j - s_j = lb_j with a surplus column s_j >= 0 of cost 0 after the n
+    columns of x."""
+    a = [[F(v) for v in row] for row in a]
+    b = [F(v) for v in b]
+    if lb is not None:
+        assert all(v >= 0 for v in lb), lb
+        a = [row + [F(0)] * n for row in a]
+        a += [[F((k == j) - (k == n + j)) for k in range(2 * n)] for j in range(n)]
+        b += [F(v) for v in lb]
+        c = None if c is None else list(c) + [0] * n
+        n *= 2
+    return dense_program(n, a, b, None if c is None else tuple(F(v) for v in c))
+
+
+def outcome(solve, prog):
+    """The solver's outcome, or "unbounded" when it refuses an objective
+    that is unbounded below."""
+    try:
+        return solve(prog)
+    except CompositeVerificationFailed as exc:
+        assert str(exc) == "LP objective is unbounded below"
+        return "unbounded"
 
 
 def test_feasible_simple():
@@ -63,18 +79,17 @@ def test_zero_system_feasible():
 @pytest.mark.parametrize("lb", [None, [F(1, 2), 0, 2]], ids=["at_0", "at_lb"])
 @pytest.mark.parametrize("c", [[1, 2, 3], [0, 0, 0], [2, -1, -3], [-1, -1, -1]], ids=["positive", "zero", "mixed", "negative"])
 def test_program_with_only_empty_rows(rows, lb, c):
-    """x >= lb free of constraints: feasible at lb, optimal there for
-    nonnegative costs, else unbounded along the first negative cost."""
+    """x >= lb free of other constraints: feasible at lb, optimal there for
+    nonnegative costs, else refused as unbounded below."""
     prog = lp(3, rows, [0] * len(rows), c=c, lb=lb)
     corner = tuple(F(v) for v in lb or [0, 0, 0])
-    assert solve_feasible(prog) == Feasible(corner)
-    out = minimize(prog)
-    k = next((j for j, v in enumerate(c) if v < 0), None)
-    if k is None:
-        assert out == Optimal(corner, sum(F(cj) * v for cj, v in zip(c, corner)))
+    assert solve_feasible(prog).point[:3] == corner
+    out = outcome(minimize, prog)
+    if min(c) < 0:
+        assert out == "unbounded"
     else:
-        assert out == Unbounded(corner, tuple(F(j == k) for j in range(3)))
-    assert verify(out, prog)
+        assert out.point[:3] == corner and verify(out, prog)
+        assert out.value == sum(F(cj) * v for cj, v in zip(c, corner))
 
 
 def test_cap_counts_the_rows_presolve_keeps(monkeypatch):
@@ -109,29 +124,32 @@ def test_minimize_sum():
 
 
 def test_unbounded():
+    """x0 = x1 >= 0 with the cost -x0 falls without bound: phase 2 finds a
+    column to enter and no row to leave, and raises."""
     prog = lp(2, [[1, -1]], [0], c=[-1, 0])
-    out = minimize(prog)
-    assert isinstance(out, Unbounded)
-    assert verify(out, prog)
+    assert solve_feasible(prog) == Feasible((F(0), F(0)))
+    with pytest.raises(CompositeVerificationFailed, match="^LP objective is unbounded below$"):
+        minimize(prog)
 
 
 def test_verify_rejects_a_ray_of_an_infeasible_program():
-    """A ray along which the objective falls proves nothing without a
-    feasible point to start from: x0 = -1 has none, so the ray (0, 1) with
-    the objective -x1 is refused."""
+    """x0 = -1 has no point x >= 0, though the objective -x1 falls along the
+    ray (0, 1): phase 1 proves the program infeasible before phase 2 could
+    meet the ray, and no point on the ray verifies."""
     prog = LinearProgram(2, 1, ((0, ((0, F(1)),), F(-1)),), (F(0), F(-1)))
-    assert isinstance(minimize(prog), Infeasible)
-    assert not verify(Unbounded((F(-1), F(0)), (F(0), F(1))), prog)
-    assert not verify(Unbounded((F(0), F(0)), (F(0), F(1))), prog)
-    shifted = LinearProgram(2, 1, prog.rows, prog.objective, (F(-1), F(0)))
-    out = minimize(shifted)
-    assert out == Unbounded((F(-1), F(0)), (F(0), F(1))) and verify(out, shifted)
+    out = minimize(prog)
+    assert isinstance(out, Infeasible) and verify(out, prog)
+    for t in range(3):
+        assert not verify(Optimal((F(-1), F(t)), F(-t)), prog)
+        assert not verify(Optimal((F(0), F(t)), F(-t)), prog)
 
 
 def test_verify_rejects_wrong_point():
     prog = lp(2, [[1, -1]], [1])
     assert not verify(Feasible((F(0), F(1))), prog)
     assert verify(Feasible((F(1), F(0))), prog)
+    # (-1, -2) solves the row, but x >= 0 fails
+    assert not verify(Feasible((F(-1), F(-2))), prog)
     # no point satisfies an empty row 0 = 1
     assert not verify(Feasible((F(1), F(0))), lp(2, [[1, -1], [0, 0]], [1, 1]))
 
@@ -155,25 +173,23 @@ def test_verify_rejects_inexact_entries_in_rational_mode():
     infeasible = lp(2, [[1, 1]], [-1])
     assert verify(Infeasible(FarkasCert((F(-1),))), infeasible)
     assert not verify(Infeasible(FarkasCert((-1.0,))), infeasible)
-    unbounded = lp(2, [[1, -1]], [0], c=[-1, 0])
-    assert verify(Unbounded((F(0), F(0)), (F(1), F(1))), unbounded)
-    assert not verify(Unbounded((F(0), F(0)), (1.0, 1.0)), unbounded)
-    assert not verify(Unbounded((0.0, 0.0), (F(1), F(1))), unbounded)
 
 
-def test_drive_out_enters_first_structural_column():
+def test_drive_out_enters_first_structural_column(monkeypatch):
     # Phase 1 makes no pivot and leaves both artificials basic at zero; the
-    # ray phase 2 returns depends on which structural column replaces the
-    # first one (the first nonzero one), the second row is then dropped.
-    prog = lp(4, [[-1, 1, 0, 1], [1, -1, 0, -1]], [0, 0], c=[-1, -1, 0, 0])
-    assert minimize(prog) == dense_minimize(prog) == Unbounded((F(0),) * 4, (F(1), F(1), F(0), F(0)))
+    # drive-out replaces the first one by the first structural column with a
+    # nonzero cell, column 0, and the second row, then 0 = 0, is dropped.
+    prog = lp(4, [[-1, 1, 0, 1], [1, -1, 0, -1]], [0, 0], c=[1, 1, 0, 0])
+    log = _log_pivots(monkeypatch)
+    assert _assert_same_pivots(prog, log) == 1 and log["exact"] == [(4, 0)]
+    assert minimize(prog) == Optimal((F(0),) * 4, F(0))
 
 
 def test_lower_bounds():
     prog = lp(2, [[1, 1]], [3], c=[1, 2], lb=[1, 1])
     out = minimize(prog)
     assert isinstance(out, Optimal)
-    assert out.point == (F(2), F(1)) and out.value == 4
+    assert out.point[:2] == (F(2), F(1)) and out.value == 4
     assert verify(out, prog)
 
 
@@ -231,22 +247,26 @@ def test_random_roundtrip_feasibility():
 
 
 def test_random_roundtrip_minimize():
+    """Costs of both signs: a minimum is reached, the program is infeasible,
+    or it is feasible and `minimize` refuses it as unbounded below."""
     rng = random.Random(77)
     kinds = {"opt": 0, "inf": 0, "unb": 0}
     for _ in range(120):
         prog = _random_program(rng, with_obj=True)
-        out = minimize(prog)
+        out = outcome(minimize, prog)
+        if out == "unbounded":
+            assert isinstance(solve_feasible(prog), Feasible), prog
+            kinds["unb"] += 1
+            continue
         assert verify(out, prog), prog
         if isinstance(out, Optimal):
             kinds["opt"] += 1
             # duality spot check: reported value matches the returned point
             val = sum(c * v for c, v in zip(prog.objective, out.point))
             assert val == out.value
-        elif isinstance(out, Infeasible):
-            kinds["inf"] += 1
         else:
-            kinds["unb"] += 1
-    assert kinds["opt"] > 5
+            kinds["inf"] += 1
+    assert min(kinds.values()) > 5, kinds
 
 
 def test_duplicate_and_empty_rows_certificate_lifts():
@@ -388,8 +408,8 @@ def _oracle_program(rng):
     fractions with different denominators in one row, negative right-hand
     sides, zero, duplicate and redundant rows (the redundant one is the sum of
     two others, so a feasible program usually drops a row after phase 1),
-    degenerate vertices (ties in the ratio test), lower bounds, and
-    objectives with free descent directions (unbounded programs)."""
+    degenerate vertices (ties in the ratio test), and objectives with free
+    descent directions (unbounded programs)."""
     n = rng.randint(1, 7)
     m = rng.randint(1, 6)
     a = [[_q(rng) if rng.random() < 0.6 else F(0) for _ in range(n)] for _ in range(m)]
@@ -412,9 +432,8 @@ def _oracle_program(rng):
         b.append(F(0) if rng.random() < 0.7 else _q(rng))
     order = list(range(len(a)))
     rng.shuffle(order)
-    lb = [F(rng.randint(-2, 2), rng.randint(1, 3)) for _ in range(n)] if rng.random() < 0.3 else None
     c = [_q(rng) for _ in range(n)]
-    return lp(n, [a[i] for i in order], [b[i] for i in order], c=c, lb=lb), redundant
+    return lp(n, [a[i] for i in order], [b[i] for i in order], c=c), redundant
 
 
 def _entries(out):
@@ -422,28 +441,31 @@ def _entries(out):
         return (*out.point, out.value)
     if isinstance(out, Feasible):
         return out.point
-    if isinstance(out, Infeasible):
-        return out.cert.y
-    return out.ray
+    return out.cert.y
 
 
 def test_sparse_simplex_matches_dense_oracle():
     """The integer-row solver makes the dense Fraction tableau's pivots, so
-    every outcome and every entry is the same."""
+    every outcome and every entry is the same, and both refuse the same
+    unbounded programs."""
     rng = random.Random(2024)
     kinds = {}
     redundant_feasible = 0
     for _ in range(200):
         prog, redundant = _oracle_program(rng)
         for solve, oracle in ((solve_feasible, dense_solve_feasible), (minimize, dense_minimize)):
-            out, ref = solve(prog), oracle(prog)
+            out, ref = outcome(solve, prog), outcome(oracle, prog)
+            kind = out if out == "unbounded" else type(out).__name__
+            kinds[kind] = kinds.get(kind, 0) + 1
+            if out == "unbounded":
+                assert ref == "unbounded", prog
+                continue
             assert type(out) is type(ref), prog
             assert _entries(out) == _entries(ref), prog
             assert all(type(v) is Fraction for v in _entries(out)), out
             assert verify(out, prog)
-            kinds[type(out).__name__] = kinds.get(type(out).__name__, 0) + 1
         redundant_feasible += redundant and isinstance(out, Optimal)
-    assert min(kinds[k] for k in ("Feasible", "Infeasible", "Optimal", "Unbounded")) >= 20, kinds
+    assert min(kinds[k] for k in ("Feasible", "Infeasible", "Optimal", "unbounded")) >= 20, kinds
     assert redundant_feasible >= 10
 
 
@@ -487,7 +509,7 @@ def _assert_same_pivots(prog, log):
     solve, oracle = (minimize, dense_minimize) if prog.objective is not None else (solve_feasible, dense_solve_feasible)
     log["exact"].clear()
     log["dense"].clear()
-    out, ref = solve(prog), oracle(prog)
+    out, ref = outcome(solve, prog), outcome(oracle, prog)
     assert log["exact"] == log["dense"], prog
     assert out == ref, prog
     return len(log["exact"])

@@ -17,24 +17,24 @@ from composec.attacks import min_epsilon
 from composec.cli import parse_spec, run
 from composec.distinguisher import add_advantage_objective, add_match_rows
 from composec.hopf import build_otp, group_make
-from composec.lp import Feasible, Infeasible, Optimal, Unbounded, minimize, verify
+from composec.errors import CompositeVerificationFailed
+from composec.lp import Feasible, Infeasible, Optimal, minimize, verify
 
 from tests.helpers import dense_forms, dense_match_rows, dense_program
 
 SPECS = sorted((Path(__file__).resolve().parent.parent / "specs").glob("*.spec"))
 
 
-def _highs(linprog, a, b, c, lb):
-    """HiGHS verdict ("optimal" | "infeasible" | "unbounded") and value,
-    on the float roundings of the rational data."""
+def _highs(linprog, a, b, c):
+    """HiGHS verdict ("optimal" | "infeasible" | "unbounded") and value over
+    x >= 0, on the float roundings of the rational data."""
     a = [[float(v) for v in row] for row in a]
     b = [float(v) for v in b]
     c = [float(v) for v in c]
-    bounds = [(0 if lb is None else float(lb[k]), None) for k in range(len(c))]
-    res = linprog(c, A_eq=a, b_eq=b, bounds=bounds, method="highs")
+    res = linprog(c, A_eq=a, b_eq=b, bounds=(0, None), method="highs")
     if res.status == 4:
         # "infeasible or unbounded": a zero objective tells the two apart
-        feas = linprog([0] * len(c), A_eq=a, b_eq=b, bounds=bounds, method="highs")
+        feas = linprog([0] * len(c), A_eq=a, b_eq=b, bounds=(0, None), method="highs")
         return ("unbounded" if feas.status == 0 else "infeasible"), None
     verdict = {0: "optimal", 2: "infeasible", 3: "unbounded"}[res.status]
     return verdict, res.fun if res.status == 0 else None
@@ -63,8 +63,9 @@ def test_exact_simplex_agrees_with_highs():
                 a[i] = [Fraction(0)] * n
                 b[i] = draw(st.sampled_from([Fraction(0), b[i] or Fraction(1)]))
         c = [draw(small) for _ in range(n)]
-        lb = draw(st.one_of(st.none(), st.lists(rationals(-2, 2), min_size=n, max_size=n)))
-        return a, b, c, lb
+        return a, b, c
+
+    verdicts = {"optimal": 0, "infeasible": 0, "unbounded": 0}
 
     @settings(
         max_examples=200,
@@ -75,17 +76,22 @@ def test_exact_simplex_agrees_with_highs():
     )
     @given(programs())
     def agrees(prog):
-        a, b, c, lb = prog
-        lp = dense_program(len(c), a, b, tuple(c), None if lb is None else tuple(lb))
+        a, b, c = prog
+        lp = dense_program(len(c), a, b, tuple(c))
+        verdict, value = _highs(linprog, a, b, c)
+        verdicts[verdict] += 1
+        if verdict == "unbounded":
+            with pytest.raises(CompositeVerificationFailed, match="^LP objective is unbounded below$"):
+                minimize(lp)
+            return
         out = minimize(lp)
         assert verify(out, lp)
-        verdict, value = _highs(linprog, a, b, c, lb)
-        kind = {Optimal: "optimal", Infeasible: "infeasible", Unbounded: "unbounded"}[type(out)]
-        assert kind == verdict
-        if kind == "optimal":
+        assert {Optimal: "optimal", Infeasible: "infeasible"}[type(out)] == verdict
+        if verdict == "optimal":
             assert abs(float(out.value) - value) <= 1e-7
 
     agrees()
+    assert min(verdicts.values()) >= 10, verdicts
 
 
 def _sparse_highs(prog):
@@ -99,22 +105,22 @@ def _sparse_highs(prog):
     rows, cols, values = zip(*cells) if cells else ((), (), ())
     a = csr_matrix((values, (rows, cols)), shape=(prog.m, prog.n))
     c = [0.0] * prog.n if prog.objective is None else [float(v) for v in prog.objective]
-    lb = prog.lower_bounds or (0,) * prog.n
-    res = linprog(c, A_eq=a, b_eq=[float(v) for v in prog.b], bounds=[(float(v), None) for v in lb], method="highs")
+    res = linprog(c, A_eq=a, b_eq=[float(v) for v in prog.b], bounds=(0, None), method="highs")
     found = "feasible" if prog.objective is None else "optimal"
     return {0: found, 2: "infeasible", 3: "unbounded"}.get(res.status, res.message), res.fun
 
 
-def test_exact_outcomes_agree_with_highs_on_the_programs_composec_builds(monkeypatch):
+@pytest.fixture(scope="module")
+def built():
     """Every simulator, split and advantage program that verifying specs/
     solves, and the minimum-epsilon program of the OTP over Z4..Z8 with the
-    key (1/2, then uniform): the outcome the exact simplex reached on
-    composec's sparse build has HiGHS's verdict on the dense build of the
-    same forms (the builds are equal, see test_distinguisher), and optima
-    agree within 1e-9."""
-    pytest.importorskip("scipy.optimize")
+    key (1/2, then uniform): {"match": [...], "objective": [...]} of
+    (composec's sparse build, the dense build of the same forms) pairs, the
+    builds being equal (see test_distinguisher), and the outcome the exact
+    simplex reached on each program `lp.minimize` or `lp.solve_feasible`
+    was given, in call order."""
     pairs = {"match": [], "objective": []}
-    outcomes = {}
+    outcomes = []
 
     def both(kind, add, dense):
         def build(bld, aligned, target):
@@ -127,7 +133,8 @@ def test_exact_outcomes_agree_with_highs_on_the_programs_composec_builds(monkeyp
 
     def recorded(solve):
         def solve_and_record(prog):
-            outcomes[prog] = out = solve(prog)
+            out = solve(prog)
+            outcomes.append((prog, out))
             return out
 
         return solve_and_record
@@ -135,23 +142,43 @@ def test_exact_outcomes_agree_with_highs_on_the_programs_composec_builds(monkeyp
     def dense_objective(bld, aligned, target):
         add_advantage_objective(bld, dense_forms(aligned, target), target)
 
-    monkeypatch.setattr(distinguisher, "add_match_rows", both("match", add_match_rows, dense_match_rows))
-    monkeypatch.setattr(
-        distinguisher, "add_advantage_objective", both("objective", add_advantage_objective, dense_objective)
-    )
-    monkeypatch.setattr(lpmod, "solve_feasible", recorded(lpmod.solve_feasible))
-    monkeypatch.setattr(lpmod, "minimize", recorded(lpmod.minimize))
-    for path in SPECS:
-        assert run(parse_spec(path.read_text()), no_meta=True).exit_code == 0, path.name
-    assert (len(pairs["match"]), len(pairs["objective"])) == (18, 9)
-    for n in range(4, 9):
-        inst = build_otp(group_make(("cyclic", n)), (Fraction(1, 2),) + (Fraction(1, 2 * (n - 1)),) * (n - 1))
-        assert min_epsilon(inst.protocol, inst.source, inst.target, ("eve",)).epsilon == Fraction(n - 2, 2 * n)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(distinguisher, "add_match_rows", both("match", add_match_rows, dense_match_rows))
+        mp.setattr(distinguisher, "add_advantage_objective", both("objective", add_advantage_objective, dense_objective))
+        mp.setattr(lpmod, "solve_feasible", recorded(lpmod.solve_feasible))
+        mp.setattr(lpmod, "minimize", recorded(lpmod.minimize))
+        for path in SPECS:
+            assert run(parse_spec(path.read_text()), no_meta=True).exit_code == 0, path.name
+        assert (len(pairs["match"]), len(pairs["objective"])) == (18, 9)
+        for n in range(4, 9):
+            inst = build_otp(group_make(("cyclic", n)), (Fraction(1, 2),) + (Fraction(1, 2 * (n - 1)),) * (n - 1))
+            assert min_epsilon(inst.protocol, inst.source, inst.target, ("eve",)).epsilon == Fraction(n - 2, 2 * n)
     assert len(pairs["objective"]) == 9 + 5
-    kinds = {Feasible: "feasible", Optimal: "optimal", Infeasible: "infeasible", Unbounded: "unbounded"}
+    return pairs, outcomes
+
+
+def test_exact_outcomes_agree_with_highs_on_the_programs_composec_builds(built):
+    """On every program of `built`, the outcome the exact simplex reached on
+    composec's sparse build has HiGHS's verdict on the dense build, and
+    optima agree within 1e-9."""
+    pytest.importorskip("scipy.optimize")
+    pairs, outcomes = built
+    reached = dict(outcomes)
+    kinds = {Feasible: "feasible", Optimal: "optimal", Infeasible: "infeasible"}
     for sparse, dense in pairs["match"] + pairs["objective"]:
-        out = outcomes[sparse]
+        out = reached[sparse]
         verdict, value = _sparse_highs(dense)
         assert kinds[type(out)] == verdict, (sparse.n, sparse.m, verdict)
         if verdict == "optimal":
             assert abs(float(out.value) - value) <= 1e-9, (sparse.n, sparse.m, out.value, value)
+
+
+def test_every_objective_composec_minimizes_has_nonnegative_costs(built):
+    """Every variable is >= 0, so an objective with no negative cost is
+    bounded below by 0: phase 2's refusal of an unbounded objective cannot
+    be reached from the programs composec builds."""
+    pairs, outcomes = built
+    minimized = [prog for prog, _ in outcomes if prog.objective is not None]
+    assert len(minimized) == len(pairs["objective"])
+    assert all(all(v >= 0 for v in prog.objective) for prog in minimized)
+    assert all(isinstance(out, Optimal) for prog, out in outcomes if prog.objective is not None)

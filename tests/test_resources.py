@@ -112,6 +112,16 @@ def test_bad_target_rejected_at_construction():
         flip_protocol(src, wrong_tgt, "a", "a2")
 
 
+@pytest.mark.parametrize(
+    "wired, message",
+    [("nosuch", "wires port 'nosuch', which its source lacks"), ("b", "wires port 'b' of party 'bob'")],
+    ids=["missing-port", "port-of-another-party"],
+)
+def test_a_converter_wired_to_a_port_it_cannot_use_is_rejected_at_construction(wired, message):
+    with pytest.raises(WiringMismatch, match=f"^converter for 'alice' {message}$"):
+        flip_protocol(shared_pair(), anti_pair(), wired, "a2")
+
+
 def test_seq_compose_functorial():
     src = shared_pair()
     mid = anti_pair()
