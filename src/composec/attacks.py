@@ -444,7 +444,6 @@ def _prefixed(sim: Simulator, prefix: str, res_ref=lambda end: end) -> tuple[tup
 class AxiomCheck(Record):
     name: str
     passed: bool
-    detail: str = ""
 
 
 class AxiomSuiteReport(Record):

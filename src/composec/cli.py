@@ -630,11 +630,12 @@ def run(ast: SpecFileAst, no_meta: bool = False) -> RunResult:
 
 
 def _emit(report: dict, json_path: Optional[str]) -> None:
+    """The report on stdout, then in the file `json_path` if one is given."""
     text = json.dumps(report, indent=2, sort_keys=True, default=scalar_str) + "\n"
+    sys.stdout.write(text)
     if json_path:
         with open(json_path, "w") as fh:
             fh.write(text)
-    sys.stdout.write(text)
 
 
 def _inline_spec(args) -> str:
@@ -671,10 +672,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     if args.command == "verify":
         try:
-            with open(args.file) as fh:
+            with open(args.file, encoding="utf-8") as fh:
                 text = fh.read()
         except OSError as exc:
             sys.stderr.write(f"composec: {exc}\n")
+            return 2
+        except UnicodeDecodeError as exc:
+            sys.stderr.write(f"composec: {args.file}: {exc}\n")
             return 2
         no_meta = args.no_meta
     else:
@@ -691,7 +695,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         sys.stderr.write(f"composec: {result.report['error']}\n")
         if "checks" not in result.report:
             return result.exit_code
-    _emit(result.report, args.json_path if args.command == "verify" else None)
+    try:
+        _emit(result.report, args.json_path if args.command == "verify" else None)
+    except OSError as exc:
+        sys.stderr.write(f"composec: {exc}\n")
+        return 2
     return result.exit_code
 
 

@@ -6,22 +6,24 @@ with a signature assigning each port a party, a direction and a round.  The
 table must be causal: outputs through round i may not depend on inputs of
 later rounds.
 
-Processes are composed by `Network`: a set of behaviors, a wiring between
-output and input ports, and an explicit total order on the rounds of all
-participants.  Evaluation runs the joint process forward, so the result is
-causal by construction.  A network may contain one *symbolic* node, in which
-case evaluation returns, for every transcript, an exact linear form over the
-symbolic node's table entries; this is what turns simulator existence and
-splittability questions into linear programs.
+Processes are composed by `Network`: a set of behaviors or round kernels, a
+wiring between output and input ports, and an explicit total order on the
+rounds of all participants.  Evaluation runs the joint process forward, so
+the result is causal by construction.  It is the only code that runs round
+kernels: `flatten` evaluates a one-node network, and the parallel product
+`tensor_behavior` is the Kronecker product of the two tables.  A network may
+contain one *symbolic* node, in which case evaluation returns, for every
+transcript, an exact linear form over the symbolic node's table entries;
+this is what turns simulator existence and splittability questions into
+linear programs.
 
 A transcript is coded as its table index while it is built: each port adds
-its value times its row-major stride, so `flatten` and `Network` evaluation
-never turn indices into value tuples and back.  A symbolic node's cell
-(column * rows + row) is the sum of its rounds' `decision_rounds` offsets,
-the numbering the advantage LP's decision-tree rows use.  This module alone
-knows the moment order of ports (`moment_order`); every other reordering
-goes through `axis_perms` and `stoch.permute_axes` or
-`stoch.index_projection`.
+its value times its row-major stride, so `Network` evaluation never turns
+indices into value tuples and back.  A symbolic node's cell (column * rows +
+row) is the sum of its rounds' `decision_rounds` offsets, the numbering the
+advantage LP's decision-tree rows use.  This module alone knows the moment
+order of ports (`moment_order`); every other reordering goes through
+`axis_perms` and `stoch.permute_axes` or `stoch.index_projection`.
 """
 
 from __future__ import annotations
@@ -236,37 +238,17 @@ class CombKernels(Record):
 
 
 def flatten(c: CombKernels) -> Behavior:
-    """Sum out the memory wires, producing the conditional transcript table."""
+    """Sum out the memory wires, producing the conditional transcript table:
+    the evaluation of `c` as a one-node network."""
     sig = c.signature
-    ins, outs = sig.ins(), sig.outs()
-    in_alphas = tuple(p.alphabet for p in ins)
-    out_alphas = tuple(p.alphabet for p in outs)
-    rounds = range(1, sig.rounds + 1)
-    x_code = [index_projection(in_alphas, [k for k, p in enumerate(ins) if p.round == r]) for r in rounds]
-    y_offsets = [_round_offsets(outs, r) for r in rounds]
-    # every weight is a numerator over den, the product of the round
-    # kernels' scales
-    scaled = [f.scaled for f in c.kernels]
-    den = 1
-    for scale, _cols in scaled:
-        den *= scale
-    cols = []
-    for j in range(ports_size(in_alphas)):
-        states: dict[tuple[int, int], Scalar] = {(0, 0): 1}  # (row so far, memory)
-        for r, f in enumerate(c.kernels):
-            f_cols = scaled[r][1]
-            n_x, n_mem = len(f_cols) // f.dom[0].size, f.cod[-1].size
-            x, offsets = x_code[r](j), y_offsets[r]
-            new_states: dict[tuple[int, int], Scalar] = {}
-            for (row, mem), w in states.items():
-                for i, p in f_cols[mem * n_x + x]:
-                    y, m = divmod(i, n_mem)
-                    key = (row + offsets[y], m)
-                    new_states[key] = new_states[key] + w * p if key in new_states else w * p
-            states = new_states
-        # the last memory is trivial, so each row is one state
-        cols.append(scaled_column({row: w for (row, _m), w in states.items()}, den))
-    return Behavior(sig, kernel_from_columns(in_alphas, out_alphas, cols))
+    b = Network([("c", c)], [], [("c", r) for r in range(1, sig.rounds + 1)]).evaluate()
+    # the network lists c's ports round by round; `back` puts them in c's
+    # order again (each of c's ports by its position in the network's list)
+    listed = sorted(range(len(sig.ports)), key=lambda i: sig.ports[i].round)
+    if listed == sorted(listed):
+        return b
+    back = sorted(range(len(listed)), key=listed.__getitem__)
+    return Behavior(sig, permute_axes(b.kernel, *axis_perms(b.signature.ports, back)))
 
 
 def realize(b: Behavior) -> CombKernels:
@@ -515,24 +497,13 @@ Wire = tuple[PortRef, PortRef]
 ScheduleItem = tuple[str, int]  # (node label, round)
 
 
-def _check_schedule(schedule: Sequence[ScheduleItem], rounds: dict[str, int]) -> None:
-    """Raise AcausalSchedule unless `schedule` lists every round of every
-    node (label -> round count) exactly once, each node's in order."""
-    expected = {(lab, r) for lab, n in rounds.items() for r in range(1, n + 1)}
-    if set(schedule) != expected or len(schedule) != len(expected):
-        raise AcausalSchedule(f"schedule {list(schedule)} does not cover each node round exactly once")
-    last: dict[str, int] = {}
-    for lab, r in schedule:
-        if r <= last.get(lab, 0):
-            raise AcausalSchedule(f"schedule violates round order of node {lab!r}")
-        last[lab] = r
-
-
 class Network:
-    """Behaviors wired together under an explicit global round order.
+    """Processes wired together under an explicit global round order.
 
-    `nodes` maps labels to Behaviors; at most one label may instead map to a
-    bare Signature, making that node symbolic.  Wires join an out-port to an
+    `nodes` pairs labels with processes of three kinds: a Behavior, which
+    evaluation runs through its round kernels (`realize`); a CombKernels,
+    whose round kernels run as given; and, for at most one label, a bare
+    Signature, making that node symbolic.  Wires join an out-port to an
     in-port of matching alphabet.  The schedule is a total order on all
     (label, round) pairs, consistent with each node's own round order; every
     wire's producer must be scheduled before its consumer.
@@ -540,26 +511,25 @@ class Network:
 
     def __init__(
         self,
-        nodes: Sequence[tuple[str, Union[Behavior, Signature]]],
+        nodes: Sequence[tuple[str, Union[Behavior, CombKernels, Signature]]],
         wires: Sequence[Wire],
         schedule: Sequence[ScheduleItem],
     ) -> None:
         self.labels = [lab for lab, _ in nodes]
         if len(set(self.labels)) != len(self.labels):
             raise DuplicatePortId(f"duplicate node labels {self.labels}")
-        self.behaviors: dict[str, Optional[Behavior]] = {}
+        self.numeric: dict[str, Union[Behavior, CombKernels]] = {}
         self.signatures: dict[str, Signature] = {}
         self.symbolic: Optional[str] = None
         for lab, item in nodes:
-            if isinstance(item, Behavior):
-                self.behaviors[lab] = item
-                self.signatures[lab] = item.signature
-            else:
+            if isinstance(item, Signature):
                 if self.symbolic is not None:
                     raise WiringMismatch("at most one symbolic node is supported")
                 self.symbolic = lab
-                self.behaviors[lab] = None
                 self.signatures[lab] = item
+            else:
+                self.numeric[lab] = item
+                self.signatures[lab] = item.signature
         self.wires = [((a[0], a[1]), (b[0], b[1])) for a, b in wires]
         self.schedule = list(schedule)
         self._validate()
@@ -567,7 +537,14 @@ class Network:
     # -- validation ---------------------------------------------------------
 
     def _validate(self) -> None:
-        _check_schedule(self.schedule, {lab: self.signatures[lab].rounds for lab in self.labels})
+        expected = {(lab, r) for lab in self.labels for r in range(1, self.signatures[lab].rounds + 1)}
+        if set(self.schedule) != expected or len(self.schedule) != len(expected):
+            raise AcausalSchedule(f"schedule {self.schedule} does not cover each node round exactly once")
+        last: dict[str, int] = {}
+        for lab, r in self.schedule:
+            if r <= last.get(lab, 0):
+                raise AcausalSchedule(f"schedule violates round order of node {lab!r}")
+            last[lab] = r
         pos = {item: t for t, item in enumerate(self.schedule)}
         self._wire_out: list[PortRef] = []
         self._wire_in: list[PortRef] = []
@@ -622,11 +599,9 @@ class Network:
     # -- evaluation -----------------------------------------------------------
 
     def _prepare(self) -> Signature:
-        """Realize the numeric nodes and plan every schedule item for `_run`;
+        """Realize the Behavior nodes and plan every schedule item for `_run`;
         returns the result signature."""
-        self._combs = {
-            lab: realize(b) for lab, b in self.behaviors.items() if b is not None
-        }
+        self._combs = {lab: realize(n) if isinstance(n, Behavior) else n for lab, n in self.numeric.items()}
         # _run's weights are numerators over the product of the scales of
         # the kernels it runs (see Kernel.scaled)
         self._den = 1
@@ -861,19 +836,10 @@ def link(
     return Network([("a", a), ("b", b)], wires, schedule).evaluate()
 
 
-def tensor_behavior(a: Behavior, b: Behavior, schedule: Optional[Sequence[ScheduleItem]] = None) -> Behavior:
-    """Parallel composition; by default a's rounds come first."""
-    if schedule is None:
-        schedule = [("a", r) for r in range(1, a.signature.rounds + 1)] + [
-            ("b", r) for r in range(1, b.signature.rounds + 1)
-        ]
-    _check_schedule(schedule, {"a": a.signature.rounds, "b": b.signature.rounds})
-    pos = {item: t + 1 for t, item in enumerate(schedule)}
-    ports = [p.in_round(pos[("a", p.round)]) for p in a.signature.ports] + [
-        p.in_round(pos[("b", p.round)]) for p in b.signature.ports
-    ]
-    parties = list(a.signature.parties) + [
-        p for p in b.signature.parties if p not in a.signature.parties
-    ]
-    sig = Signature(tuple(parties), len(schedule), tuple(ports))
+def tensor_behavior(a: Behavior, b: Behavior) -> Behavior:
+    """Parallel composition: a's rounds, then b's."""
+    shift = a.signature.rounds
+    ports = a.signature.ports + tuple(p.in_round(p.round + shift) for p in b.signature.ports)
+    parties = a.signature.parties + tuple(p for p in b.signature.parties if p not in a.signature.parties)
+    sig = Signature(parties, shift + b.signature.rounds, ports)
     return make_behavior(sig, kernel_tensor(a.kernel, b.kernel), check=False)

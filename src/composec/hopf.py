@@ -304,14 +304,7 @@ def build_otp(g: FiniteGroup, key_weights: Optional[Sequence[Scalar]] = None) ->
     a = ks["alphabet"]
     key = key_resource(g, key_weights)
     chan = auth_channel(g)
-    source = Resource(
-        tensor_behavior(
-            key.behavior,
-            chan.behavior,
-            schedule=[("a", 1), ("b", 1)],
-        ),
-        name=f"key*auth_{g.name}",
-    )
+    source = Resource(tensor_behavior(key.behavior, chan.behavior), name=f"key*auth_{g.name}")
     alice_sig = make_signature(
         (ALICE,),
         1,
@@ -398,11 +391,11 @@ class StreamCipherReport(Record):
     composite: SecurityReport
 
 
-def short_key_resource(h: Alphabet, name: str = "short_key") -> Resource:
+def short_key_resource(h: Alphabet) -> Resource:
     sig = make_signature(
         PARTIES, 1, [PortSpec("ka_s", ALICE, h, OUT, 1), PortSpec("kb_s", BOB, h, OUT, 1)]
     )
-    return Resource(make_behavior(sig, _shared_key(h, [Fraction(1, h.size)] * h.size)), name=name)
+    return Resource(make_behavior(sig, _shared_key(h, [Fraction(1, h.size)] * h.size)), name="short_key")
 
 
 def key_expansion_protocol(g: FiniteGroup, expander: Kernel) -> tuple[Protocol, Resource]:
@@ -414,16 +407,8 @@ def key_expansion_protocol(g: FiniteGroup, expander: Kernel) -> tuple[Protocol, 
     h = expander.dom[0]
     short = short_key_resource(h)
     chan = auth_channel(g)
-    source = Resource(
-        tensor_behavior(short.behavior, chan.behavior, schedule=[("a", 1), ("b", 1)]),
-        name=f"short*auth_{g.name}",
-    )
-    target = Resource(
-        tensor_behavior(
-            key_resource(g).behavior, chan.behavior, schedule=[("a", 1), ("b", 1)]
-        ),
-        name=f"key*auth_{g.name}",
-    )
+    source = Resource(tensor_behavior(short.behavior, chan.behavior), name=f"short*auth_{g.name}")
+    target = Resource(tensor_behavior(key_resource(g).behavior, chan.behavior), name=f"key*auth_{g.name}")
     alice_sig = make_signature(
         (ALICE,), 1, [PortSpec("ka_s_c", ALICE, h, IN, 1), PortSpec("ka", ALICE, a, OUT, 1)]
     )

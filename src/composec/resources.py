@@ -129,9 +129,9 @@ def _sig_brief(sig: Signature) -> str:
     return "[" + ", ".join(f"{p.id}:{p.direction}@{p.round}" for p in sig.ports) + "]"
 
 
-def identity_protocol(r: Resource, name: str = "identity") -> Protocol:
+def identity_protocol(r: Resource) -> Protocol:
     sched = tuple((RES, i) for i in range(1, r.signature.rounds + 1))
-    return Protocol(r, r, (), sched, name)
+    return Protocol(r, r, (), sched, "identity")
 
 
 def apply_protocol(p: Protocol, r: Resource) -> Resource:
@@ -161,7 +161,7 @@ def _positions_by_declared_round(p: Protocol) -> list[int]:
     return emit_before
 
 
-def seq_compose(q: Protocol, p: Protocol, name: str = "") -> Protocol:
+def seq_compose(q: Protocol, p: Protocol) -> Protocol:
     """Party-wise linking: run p, then q on p's target."""
     if p.target.signature != q.source.signature:
         raise InterfaceMismatch("q's source does not match p's target")
@@ -225,7 +225,7 @@ def seq_compose(q: Protocol, p: Protocol, name: str = "") -> Protocol:
         q.target,
         tuple(new_converters),
         tuple(renumbered),
-        name or f"{q.name}.{p.name}",
+        f"{q.name}.{p.name}",
     )
 
 
@@ -233,7 +233,7 @@ def seq_compose(q: Protocol, p: Protocol, name: str = "") -> Protocol:
 # parallel composition
 
 
-def par_compose(p: Protocol, q: Protocol, name: str = "") -> Protocol:
+def par_compose(p: Protocol, q: Protocol) -> Protocol:
     """Tensor of protocols; parties missing a converter on one side are
     implicitly padded with the identity."""
     src = Resource(tensor_behavior(p.source.behavior, q.source.behavior), name=f"{p.source.name}*{q.source.name}")
@@ -262,7 +262,7 @@ def par_compose(p: Protocol, q: Protocol, name: str = "") -> Protocol:
             schedule.append((RES, idx + p.source.signature.rounds))
         else:
             schedule.append((lab, idx + p_rounds.get(lab, 0)))
-    return Protocol(src, tgt, tuple(converters), tuple(schedule), name or f"{p.name}|{q.name}")
+    return Protocol(src, tgt, tuple(converters), tuple(schedule), f"{p.name}|{q.name}")
 
 
 # ---------------------------------------------------------------------------

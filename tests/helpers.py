@@ -75,6 +75,20 @@ def random_comb(rng, parties=("p",), rounds=2, max_size=2, prefix="p", alphabets
     return CombKernels(sig, tuple(mems), tuple(kernels))
 
 
+def shuffle_ports(rng, c):
+    """`c` with its signature's ports in a random order that keeps each
+    round's in-ports, and its out-ports, in their order, so that the round
+    kernels still chain."""
+    sig = c.signature
+    groups = {}
+    for p in sig.ports:
+        groups.setdefault((p.round, p.direction), []).append(p)
+    keys = [(p.round, p.direction) for p in sig.ports]
+    rng.shuffle(keys)
+    ports = [groups[key].pop(0) for key in keys]
+    return CombKernels(make_signature(sig.parties, sig.rounds, ports), c.memories, c.kernels)
+
+
 def random_behavior(rng, parties=("p",), rounds=2, max_size=2, prefix="p"):
     return flatten(random_comb(rng, parties, rounds, max_size, prefix))
 
@@ -500,7 +514,7 @@ def _fraction_run(net, x_ext, symbolic):
             x_vals = tuple(
                 pending.pop(source[(lab, q.id)]) if (lab, q.id) in source else x_ext[q.id] for q in sig.round_ins(r)
             )
-            if net.behaviors[lab] is not None:
+            if lab != net.symbolic:
                 f = net._combs[lab].kernels[r - 1]
                 moves = [(index_tuple(f.cod, i), p) for i, p in f.cols[tuple_index(f.dom, (mems[slot],) + x_vals)]]
             else:

@@ -211,14 +211,8 @@ def test_criterion_05_composition_suite(scorecard):
             q1 = _bijection_protocol(rng, other, 2)
             c3 = search_simulator(q1, other, q1.target, ("eve",)).cert
 
-            def concat(x, y):
-                sched = [("a", r) for r in range(1, x.signature.rounds + 1)] + [
-                    ("b", r) for r in range(1, y.signature.rounds + 1)
-                ]
-                return tensor_behavior(x, y, schedule=sched)
-
-            both_src = Resource(concat(src.behavior, other.behavior))
-            both_tgt = Resource(concat(p1.target.behavior, q1.target.behavior))
+            both_src = Resource(tensor_behavior(src.behavior, other.behavior))
+            both_tgt = Resource(tensor_behavior(p1.target.behavior, q1.target.behavior))
             _c, rep_par = compose_certs(c1, c3, "parallel", (q1, p1), both_src, both_tgt)
             assert rep_par.verdict == "secure"
             composed += 1

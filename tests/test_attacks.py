@@ -292,14 +292,8 @@ def test_compose_certs_sequential_and_parallel():
         c3 = search_simulator(q1, src_b, q1.target, ("eve",)).cert
         from composec.comb import tensor_behavior
 
-        def concat(x, y):
-            sched = [("a", r) for r in range(1, x.signature.rounds + 1)] + [
-                ("b", r) for r in range(1, y.signature.rounds + 1)
-            ]
-            return tensor_behavior(x, y, schedule=sched)
-
-        both_src = Resource(concat(src.behavior, src_b.behavior))
-        both_tgt = Resource(concat(p1.target.behavior, q1.target.behavior))
+        both_src = Resource(tensor_behavior(src.behavior, src_b.behavior))
+        both_tgt = Resource(tensor_behavior(p1.target.behavior, q1.target.behavior))
         cert_par, rep_par = compose_certs(c1, c3, "parallel", (q1, p1), both_src, both_tgt)
         assert rep_par.verdict == "secure"
 

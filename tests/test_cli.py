@@ -119,6 +119,39 @@ def test_main_missing_file():
     assert main(["verify", "/nonexistent/x.spec"]) == 2
 
 
+def _non_utf8_spec(tmp_path):
+    spec = tmp_path / "bad.spec"
+    spec.write_bytes(b"group z2 cyclic 2\n\xff\n")
+    return [str(spec)]
+
+
+FILE_FAILURES = {
+    "missing-file": lambda tmp_path: [str(tmp_path / "missing.spec")],
+    "directory": lambda tmp_path: [str(tmp_path)],
+    "not-utf-8": _non_utf8_spec,
+    "unwritable-json": lambda tmp_path: [str(SPECS / "otp_z2.spec"), "--json", str(tmp_path / "no" / "r.json")],
+}
+
+
+def _verify(*args):
+    return subprocess.run([sys.executable, "-m", "composec.cli", "verify", *args, "--no-meta"], capture_output=True)
+
+
+@pytest.mark.parametrize("case", list(FILE_FAILURES))
+def test_a_file_that_cannot_be_read_or_written_exits_2_with_one_line(case, tmp_path):
+    args = FILE_FAILURES[case](tmp_path)
+    proc = _verify(*args)
+    err = proc.stderr.decode()
+    assert proc.returncode == 2
+    assert len(err.splitlines()) == 1 and err.startswith("composec: ") and "Traceback" not in err
+    if "--json" in args:
+        # the report was made: stdout holds it as a run without --json does
+        plain = _verify(args[0])
+        assert plain.returncode == 0 and proc.stdout == plain.stdout
+    else:
+        assert proc.stdout == b""
+
+
 def test_main_verify_json(tmp_path, capsys):
     spec = tmp_path / "t.spec"
     spec.write_text("group g cyclic 3\ncheck axioms g expect pass\n")

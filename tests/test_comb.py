@@ -63,6 +63,7 @@ from tests.helpers import (
     random_kernel,
     random_network,
     rename_ports,
+    shuffle_ports,
     strategy_count,
     trivial_behavior,
 )
@@ -226,16 +227,16 @@ def test_tensor_unit_law_and_ports():
     assert causality_report(t).ok
 
 
-def test_tensor_schedule_is_checked_like_a_network_schedule():
+def test_network_schedule_covers_each_node_round_once_in_order():
     u = make_behavior(make_signature(["p"], 1, [port("u", "p", BIT, OUT, 1)]), uniform([BIT]))
     v = make_behavior(make_signature(["q"], 1, [port("v", "q", BIT, OUT, 1)]), uniform([BIT]))
     w = make_behavior(make_signature(["q"], 1, [port("w", "q", BIT, OUT, 1)]), uniform([BIT]))
     with pytest.raises(AcausalSchedule, match="does not cover each node round exactly once"):
-        tensor_behavior(u, v, schedule=[("a", 1)])
+        Network([("a", u), ("b", v)], [], [("a", 1)])
     with pytest.raises(AcausalSchedule, match="does not cover each node round exactly once"):
-        tensor_behavior(u, v, schedule=[("a", 1), ("b", 1), ("b", 1)])
+        Network([("a", u), ("b", v)], [], [("a", 1), ("b", 1), ("b", 1)])
     with pytest.raises(AcausalSchedule, match="violates round order of node 'a'"):
-        tensor_behavior(tensor_behavior(u, v), w, schedule=[("a", 2), ("a", 1), ("b", 1)])
+        Network([("a", tensor_behavior(u, v)), ("b", w)], [], [("a", 2), ("a", 1), ("b", 1)])
 
 
 def test_tensor_marginal_recovers_factor():
@@ -570,7 +571,8 @@ def test_randomized_strategies_never_beat_deterministic():
 
 def _simulations():
     """(what, wire count, result, reference) for seeded random networks,
-    symbolic ones and flattened combs."""
+    symbolic ones and flattened combs, some of two parties whose signatures
+    do not list their ports round by round."""
     rng = random.Random(61)
     for _ in range(40):
         net = random_network(rng)
@@ -579,6 +581,10 @@ def _simulations():
         yield "linear_evaluate", len(net.wires), net.linear_evaluate(), fraction_linear_evaluate(net)
         c = random_comb(rng, rounds=3)
         yield "flatten", 0, flatten(c).kernel.cols, fraction_flatten(c)
+        c = shuffle_ports(rng, random_comb(rng, parties=("p", "q"), rounds=rng.randint(2, 3)))
+        rounds = [p.round for p in c.signature.ports]
+        what = "flatten" if rounds == sorted(rounds) else "flatten, ports out of round order"
+        yield what, 0, flatten(c).kernel.cols, fraction_flatten(c)
 
 
 def test_integer_weights_equal_fraction_weights():
@@ -587,6 +593,15 @@ def test_integer_weights_equal_fraction_weights():
         assert got == want, what
         wires[what] = wires.get(what, 0) + n_wires
     assert wires["evaluate"] >= 15 and wires["linear_evaluate"] >= 15 and "flatten" in wires
+    assert "flatten, ports out of round order" in wires
+
+
+def test_network_runs_round_kernels_as_given():
+    rng = random.Random(62)
+    for _ in range(10):
+        net = random_network(rng)
+        as_kernels = Network([(lab, realize(net.numeric[lab])) for lab in net.labels], net.wires, net.schedule)
+        assert as_kernels.evaluate() == net.evaluate()
 
 
 def _prime_kernel(primes, shift):

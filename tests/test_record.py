@@ -26,7 +26,7 @@ F = Fraction
 # module.class: (fields in order, constructor defaults)
 RECORDS = {
     "attacks.Attack": ("j_parties comb wiring", {}),
-    "attacks.AxiomCheck": ("name passed detail", {"detail": ""}),
+    "attacks.AxiomCheck": ("name passed", {}),
     "attacks.AxiomSuiteReport": ("checks", {}),
     "attacks.Colluding": ("parties", {}),
     "attacks.Maximal": ("", {}),

@@ -164,19 +164,9 @@ def test_par_compose_is_tensor():
     p = flip_protocol(r1, anti_pair(), "a", "a2")
     q = flip_protocol(r2, anti_pair("_y"), "a_y", "a2_y")
     pq = par_compose(p, q)
-    src = Resource(
-        tensor_behavior(
-            r1.behavior,
-            r2.behavior,
-            schedule=[("a", 1), ("b", 1)],
-        )
-    )
+    src = Resource(tensor_behavior(r1.behavior, r2.behavior))
     left = apply_protocol(pq, src)
-    right = tensor_behavior(
-        apply_protocol(p, r1).behavior,
-        apply_protocol(q, r2).behavior,
-        schedule=[("a", 1), ("b", 1)],
-    )
+    right = tensor_behavior(apply_protocol(p, r1).behavior, apply_protocol(q, r2).behavior)
     assert observationally_equal(left.behavior, right)
 
 
@@ -185,9 +175,9 @@ def test_par_compose_pads_identity():
     p = flip_protocol(r1, anti_pair(), "a", "a2")
     q = identity_protocol(r2)
     pq = par_compose(p, q)
-    src = Resource(tensor_behavior(r1.behavior, r2.behavior, schedule=[("a", 1), ("b", 1)]))
+    src = Resource(tensor_behavior(r1.behavior, r2.behavior))
     out = apply_protocol(pq, src)
-    want = tensor_behavior(anti_pair().behavior, r2.behavior, schedule=[("a", 1), ("b", 1)])
+    want = tensor_behavior(anti_pair().behavior, r2.behavior)
     assert observationally_equal(out.behavior, want)
 
 
