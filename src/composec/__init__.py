@@ -58,7 +58,6 @@ from .comb import (
 from .resources import (
     Converter,
     Protocol,
-    Resource,
     apply_protocol,
     identity_protocol,
     lift_deterministic,
@@ -121,7 +120,7 @@ __all__ = [
     "behavior_distance", "behavior_equal", "canonical",
     "flatten", "link", "make_behavior", "make_signature",
     "observationally_equal", "realize", "tensor_behavior",
-    "Converter", "Protocol", "Resource", "apply_protocol", "identity_protocol",
+    "Converter", "Protocol", "apply_protocol", "identity_protocol",
     "lift_deterministic", "par_compose", "seq_compose",
     "Attack", "Colluding", "Maximal", "Minimal", "PerParty", "SecurityReport",
     "Simulator", "SimulatorCert", "apply_attack", "attack_model_axiom_suite",

@@ -53,7 +53,7 @@ from .errors import (
 )
 from .lp import FarkasCert
 from .record import Record
-from .resources import RES, Protocol, Resource, apply_protocol, par_compose, seq_compose
+from .resources import RES, Protocol, apply_protocol, par_compose, seq_compose
 from .scalars import ZERO, Scalar
 from .stoch import (
     Kernel,
@@ -135,7 +135,7 @@ class SecurityReport(Record):
 # dummy adversary and attacked executions
 
 
-def dummy_attack(p: Protocol, r: Resource, j_parties: Sequence[str]) -> Behavior:
+def dummy_attack(p: Protocol, r: Behavior, j_parties: Sequence[str]) -> Behavior:
     """Real-world view under the initial attack: honest converters linked,
     every J-party resource port left exposed.  Returned in canonical form.
 
@@ -151,7 +151,7 @@ def dummy_attack(p: Protocol, r: Resource, j_parties: Sequence[str]) -> Behavior
     if r is p.source and key in p._views:
         return p._views[key]
     honest = [c for c in p.converters if c.party not in j]
-    nodes = [(RES, r.behavior)] + [(c.party, c.comb) for c in honest]
+    nodes = [(RES, r)] + [(c.party, c.comb) for c in honest]
     wires = [((c.party, cp), (RES, rp)) for c in honest for cp, rp in c.wiring]
     schedule = [item for item in p.schedule if item[0] == RES or item[0] not in j]
     view = canonical(Network(nodes, wires, schedule).evaluate())
@@ -160,7 +160,7 @@ def dummy_attack(p: Protocol, r: Resource, j_parties: Sequence[str]) -> Behavior
     return view
 
 
-def apply_attack(p: Protocol, r: Resource, a: Attack) -> Behavior:
+def apply_attack(p: Protocol, r: Behavior, a: Attack) -> Behavior:
     """Generic attacked execution: the attack comb linked onto the dummy view."""
     return link_attack(dummy_attack(p, r, a.j_parties), a)
 
@@ -183,7 +183,7 @@ def _onto_view(view: Behavior, nodes: list[tuple[str, Behavior]], wires: list[Wi
 # simulator shape derivation
 
 
-def derive_simulator_shape(real_sig: Signature, s: Resource, j_parties: Sequence[str]) -> CombShape:
+def derive_simulator_shape(real_sig: Signature, s: Behavior, j_parties: Sequence[str]) -> CombShape:
     """Shape of the canonical simulator ("sim"): it consumes the ideal
     resource's J ports (ideal outputs as early as possible, ideal inputs fed
     as late as possible) and carries the real dishonest interface port for
@@ -222,15 +222,15 @@ def derive_simulator_shape(real_sig: Signature, s: Resource, j_parties: Sequence
 # security checks
 
 
-def ideal_view(s: Resource, sim: Simulator, match: Signature) -> Behavior:
+def ideal_view(s: Behavior, sim: Simulator, match: Signature) -> Behavior:
     """The simulator wrapped around the ideal resource, scheduled so that its
     moments follow `match` (the real view's signature), canonicalized."""
-    nodes = [(RES, s.behavior)] + list(sim.nodes)
+    nodes = [(RES, s)] + list(sim.nodes)
     schedule = schedule_to_match(nodes, sim.wires, match)
     return canonical(Network(nodes, list(sim.wires), schedule).evaluate())
 
 
-def simulator_distance(real: Behavior, s: Resource, sim: Simulator) -> Scalar:
+def simulator_distance(real: Behavior, s: Behavior, sim: Simulator) -> Scalar:
     """The distinguisher advantage between the real view and the
     simulator-wrapped ideal view: a simulator certificate's residual."""
     ideal = ideal_view(s, sim, real.signature)
@@ -244,8 +244,8 @@ def simulator_distance(real: Behavior, s: Resource, sim: Simulator) -> Scalar:
 
 def check_secure_with(
     p: Protocol,
-    r: Resource,
-    s: Resource,
+    r: Behavior,
+    s: Behavior,
     j_parties: Sequence[str],
     sim: Simulator,
 ) -> SecurityReport:
@@ -258,13 +258,13 @@ def check_secure_with(
     return SecurityReport("insecure", epsilon=None, cert=cert)
 
 
-def _search(p: Protocol, r: Resource, s: Resource, j_parties: Sequence[str], minimize: bool) -> SecurityReport:
+def _search(p: Protocol, r: Behavior, s: Behavior, j_parties: Sequence[str], minimize: bool) -> SecurityReport:
     """Solve for the simulator's table on the derived simulator shape: a
     perfect simulator, or one of least advantage when `minimize`."""
     real = dummy_attack(p, r, j_parties)
     shape = derive_simulator_shape(real.signature, s, j_parties)
     what = "epsilon" if minimize else "simulator"
-    prog, out, comb = solve_comb([(RES, s.behavior)], shape, real, what, minimize)
+    prog, out, comb = solve_comb([(RES, s)], shape, real, what, minimize)
     if comb is None:
         return SecurityReport("insecure", farkas=out.cert, lp=prog)
     eps = out.value if minimize else ZERO
@@ -274,8 +274,8 @@ def _search(p: Protocol, r: Resource, s: Resource, j_parties: Sequence[str], min
 
 def search_simulator(
     p: Protocol,
-    r: Resource,
-    s: Resource,
+    r: Behavior,
+    s: Behavior,
     j_parties: Sequence[str],
 ) -> SecurityReport:
     """Decide security against the dummy attack by linear feasibility over
@@ -286,8 +286,8 @@ def search_simulator(
 
 def min_epsilon(
     p: Protocol,
-    r: Resource,
-    s: Resource,
+    r: Behavior,
+    s: Behavior,
     j_parties: Sequence[str],
 ) -> SecurityReport:
     """Best achievable distinguisher advantage: minimize over simulators the
@@ -375,8 +375,8 @@ def compose_certs(
     cert_q: SimulatorCert,
     mode: str,
     q_after_p: tuple[Protocol, Protocol],
-    r: Resource,
-    s: Resource,
+    r: Behavior,
+    s: Behavior,
 ) -> tuple[SimulatorCert, SecurityReport]:
     """Compose two simulator certificates along protocol composition and
     RE-VERIFY the composite; `mode` is "sequential" or "parallel".
@@ -458,7 +458,7 @@ def attack_model_axiom_suite(
     spec: AttackModelSpec,
     samples: Sequence[Kernel],
     protocol: Optional[Protocol] = None,
-    resource: Optional[Resource] = None,
+    resource: Optional[Behavior] = None,
 ) -> AxiomSuiteReport:
     """Constructively checkable halves of the attack-model conditions for the
     shipped concrete models.  The factorization halves quantify over infinite
@@ -530,7 +530,7 @@ def attack_model_axiom_suite(
         checks.append(
             AxiomCheck(
                 "honest-inclusion (dummy factorization of the protocol)",
-                observationally_equal(honest, full.behavior),
+                observationally_equal(honest, full),
             )
         )
         checks.append(AxiomCheck("dummy-exposes-J-interface", _exposes_j(view, resource, j)))
@@ -539,13 +539,13 @@ def attack_model_axiom_suite(
     return AxiomSuiteReport(tuple(checks))
 
 
-def _exposes_j(view: Behavior, resource: Resource, j) -> bool:
+def _exposes_j(view: Behavior, resource: Behavior, j) -> bool:
     want = {q.id for q in resource.signature.ports if q.party in j}
     have = {q.id for q in view.signature.ports if q.party in j}
     return want == have
 
 
-def apply_protocol_via_dummy(p: Protocol, r: Resource, j_parties) -> Behavior:
+def apply_protocol_via_dummy(p: Protocol, r: Behavior, j_parties) -> Behavior:
     """Link the J parties' honest converters back onto the dummy view; by
     initiality this reproduces the honest execution."""
     convs = [c for c in map(p.converter_for, j_parties) if c is not None]

@@ -53,7 +53,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .attacks import SimulatorCert, check_secure_with, min_epsilon, search_simulator
-from .comb import IN, OUT, PortSpec, make_behavior, make_signature
+from .comb import IN, OUT, Behavior, PortSpec, make_behavior, make_signature
 from .errors import (
     ComposecError,
     DuplicateName,
@@ -89,7 +89,7 @@ from .nogo import (
     tripartite_split_check,
 )
 from .record import Record
-from .resources import Converter, Protocol, Resource, lift_deterministic
+from .resources import Converter, Protocol, lift_deterministic
 from .scalars import ZERO, parse_number, scalar_str
 from .stoch import STRUCTURAL, UNIT, Alphabet, Kernel, identity, make_kernel, structural
 
@@ -145,13 +145,15 @@ class Env:
         self.alphabets: dict[str, Alphabet] = {}
         self.groups: dict[str, FiniteGroup] = {}  # groups and loops
         self.kernels: dict[str, Kernel] = {}
-        self.resources: dict[str, Resource] = {}
+        self.resources: dict[str, Behavior] = {}
         self.converters: dict[str, Converter] = {}
         self.protocols: dict[str, Protocol] = {}
         self.checks: list[tuple[int, tuple[str, ...]]] = []
 
     def define(self, table: dict, name: str, value, line: int) -> None:
-        if name in table:
+        # alphabets and groups are one namespace (`alphabet` reads both)
+        shared = (self.alphabets, self.groups) if table is self.alphabets or table is self.groups else (table,)
+        if any(name in t for t in shared):
             raise DuplicateName(f"line {line}: name {name!r} already declared")
         table[name] = value
 
@@ -173,7 +175,7 @@ class Env:
     def resolve_group(self, name: str, line: int):
         return self.resolve(self.groups, "group", name, line)
 
-    def resolve_resource(self, name: str, line: int) -> Resource:
+    def resolve_resource(self, name: str, line: int) -> Behavior:
         return self.resolve(self.resources, "resource", name, line)
 
 
@@ -270,7 +272,7 @@ def _take_section(tokens: list[str], keyword: str, line: int) -> list[str]:
     return _take_while(tokens, lambda t: t not in ("cod", "rows", "kernel"))
 
 
-def _from_to(env: Env, tokens: list[str], line: int) -> tuple[Resource, Resource]:
+def _from_to(env: Env, tokens: list[str], line: int) -> tuple[Behavior, Behavior]:
     what = "'from R to S'"
     _keyword(tokens, "from", what, line)
     src = _operand(tokens, what, line)
@@ -358,7 +360,7 @@ def elaborate(env: Env, stmt: Statement) -> None:
                     raise UnresolvedName(f"line {line}: unknown party {port.party!r}")
                 port_specs.append(port)
             sig = make_signature(parties, rounds, port_specs)
-            value = Resource(make_behavior(sig, _kernel_of(env, tokens, sig, line)), name=name)
+            value = make_behavior(sig, _kernel_of(env, tokens, sig, line))
     elif head == "converter":
         party = _operand(tokens, "a party", line)
         name, table = _operand(tokens, "a converter name", line), env.converters
@@ -390,7 +392,7 @@ def elaborate(env: Env, stmt: Statement) -> None:
         for item in _operand(tokens, "'schedule res.1,...'", line).split(","):
             lab, rnd = _name_and_round(item, ".", "a schedule item 'NAME.ROUND'", line)
             schedule.append((by_name.get(lab, lab), rnd))
-        value = Protocol(src, tgt, tuple(convs), tuple(schedule), name=name)
+        value = Protocol(src, tgt, tuple(convs), tuple(schedule))
     else:
         raise ParseError(line, 1, f"unknown statement {head!r}")
     _end(tokens, line)

@@ -4,7 +4,9 @@ A Behavior is the observable content of an interactive process: the
 conditional distribution of all its outputs given all its inputs, together
 with a signature assigning each port a party, a direction and a round.  The
 table must be causal: outputs through round i may not depend on inputs of
-later rounds.
+later rounds.  `causal_rounds` states that rule once; `causality_report`
+checks a table against it and `distinguisher.causality_rows` writes it as
+linear equations over an unknown table.
 
 Processes are composed by `Network`: a set of behaviors or round kernels, a
 wiring between output and input ports, and an explicit total order on the
@@ -29,7 +31,7 @@ order of ports (`moment_order`); every other reordering goes through
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 from .errors import (
     AcausalSchedule,
@@ -50,9 +52,7 @@ from .stoch import (
     Kernel,
     all_tuples,
     index_projection,
-    index_tuple,
     kernel_from_columns,
-    marginalize,
     permute_axes,
     ports_size,
     scaled_column,
@@ -144,10 +144,8 @@ def make_behavior(signature: Signature, kernel: Kernel, check: bool = True) -> B
             f"do not match signature {[a.name for a in ins]} -> {[a.name for a in outs]}"
         )
     b = Behavior(signature, kernel)
-    if check:
-        report = causality_report(b)
-        if not report.ok:
-            raise NotCausal(str(report.violations[0]))
+    if check and (report := causality_report(b)) is not None:
+        raise NotCausal(report)
     return b
 
 
@@ -155,60 +153,53 @@ def make_behavior(signature: Signature, kernel: Kernel, check: bool = True) -> B
 # causality
 
 
-class CausalityViolation(Record):
-    round: int
-    x_prefix: tuple[tuple[str, int], ...]
-    x_pair: tuple[tuple[int, ...], tuple[int, ...]]
-
-    def __str__(self) -> str:
-        pre = ", ".join(f"{pid}={v}" for pid, v in self.x_prefix)
-        return (
-            f"outputs through round {self.round} differ for input suffixes "
-            f"{self.x_pair[0]} vs {self.x_pair[1]} (shared prefix {pre or 'empty'})"
-        )
-
-
-class CausalityReport(Record):
-    ok: bool
-    violations: tuple[CausalityViolation, ...]
-
-
-def causality_report(b: Behavior) -> CausalityReport:
-    """No signalling from the future: for each round i the distribution of
-    outputs up to round i must be the same for all settings of later inputs."""
-    sig = b.signature
-    ins = sig.ins()
-    outs = sig.outs()
-    violations = []
-    for r in range(1, sig.rounds + 1):
-        late = [k for k, p in enumerate(ins) if p.round > r]
-        if not late:
+def causal_rounds(sig: Signature) -> list[tuple[int, Callable[[int], int], Callable[[int], int], int]]:
+    """The comb causality condition (Chiribella, D'Ariano and Perinotti, PRA
+    80, 022339, 2009): no signalling from the future.  One entry for each
+    round r that some input follows: r, the projection of a table column to
+    its inputs through round r, the projection of a row to its outputs
+    through round r, and the number of values of those outputs.  A table is
+    causal when, for every entry, columns with the same projection have the
+    same marginal on the projected rows."""
+    ins, outs = sig.ins(), sig.outs()
+    in_alphas = tuple(p.alphabet for p in ins)
+    out_alphas = tuple(p.alphabet for p in outs)
+    rules = []
+    for r in range(1, sig.rounds):
+        if all(p.round <= r for p in ins):
             continue
         keep = [k for k, p in enumerate(outs) if p.round <= r]
-        marg = marginalize(b.kernel, keep)
-        early = [k for k, p in enumerate(ins) if p.round <= r]
-        groups: dict[tuple[int, ...], int] = {}
-        for j in range(marg.n_dom):
-            x = index_tuple(marg.dom, j)
-            key = tuple(x[k] for k in early)
-            if key not in groups:
-                groups[key] = j
-                continue
-            j0 = groups[key]
-            if marg.cols[j] != marg.cols[j0]:
-                x0 = index_tuple(marg.dom, j0)
-                prefix = tuple((ins[k].id, x[k]) for k in early)
-                violations.append(
-                    CausalityViolation(
-                        r,
-                        prefix,
-                        (tuple(x0[k] for k in late), tuple(x[k] for k in late)),
-                    )
+        early = index_projection(in_alphas, [k for k, p in enumerate(ins) if p.round <= r])
+        prefix = index_projection(out_alphas, keep)
+        rules.append((r, early, prefix, ports_size(tuple(out_alphas[k] for k in keep))))
+    return rules
+
+
+def causality_report(b: Behavior) -> Optional[str]:
+    """None when b is causal (`causal_rounds`); otherwise a line naming the
+    first round whose outputs depend on a later input and two input
+    assignments that disagree there."""
+    ins = b.signature.ins()
+    for r, early, prefix, _n in causal_rounds(b.signature):
+        first: dict[int, tuple[int, dict[int, Scalar]]] = {}  # early inputs -> first column, its marginal
+        for j, col in enumerate(b.kernel.cols):
+            marg: dict[int, Scalar] = {}
+            for i, v in col:
+                k = prefix(i)
+                marg[k] = marg[k] + v if k in marg else v
+            j0, marg0 = first.setdefault(early(j), (j, marg))
+            if marg != marg0:
+                return (
+                    f"outputs through round {r} differ between inputs "
+                    f"{_assignment(ins, j0)} and {_assignment(ins, j)}"
                 )
-                break
-        if violations:
-            break
-    return CausalityReport(not violations, tuple(violations))
+    return None
+
+
+def _assignment(ports: Sequence[PortSpec], j: int) -> str:
+    """The values of `ports` at index j of a table over them, as port=value."""
+    alphas = tuple(p.alphabet for p in ports)
+    return ", ".join(f"{p.id}={index_projection(alphas, [k])(j)}" for k, p in enumerate(ports))
 
 
 # ---------------------------------------------------------------------------
@@ -273,9 +264,8 @@ def _realize(b: Behavior) -> CombKernels:
         # no causality to check
         k = b.kernel
         return CombKernels(sig, (UNIT, UNIT), (Kernel((UNIT,) + k.dom, k.cod + (UNIT,), k.cols),))
-    report = causality_report(b)
-    if not report.ok:
-        raise NotCausal(str(report.violations[0]))
+    if (report := causality_report(b)) is not None:
+        raise NotCausal(report)
     ins, outs = sig.ins(), sig.outs()
     k = sig.rounds
     rounds = range(1, k + 1)
@@ -408,7 +398,7 @@ def align_to(b: Behavior, ref: Signature) -> Behavior:
             raise SignatureMismatch(f"port {p.id!r} differs between signatures")
         perm.append(i)
     aligned = Behavior(ref, permute_axes(b.kernel, *axis_perms(b.signature.ports, perm)))
-    if not causality_report(aligned).ok:
+    if causality_report(aligned) is not None:
         raise SignatureMismatch("round structures are not compatible")
     return aligned
 

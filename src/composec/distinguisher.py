@@ -3,7 +3,8 @@
 Simulator search (`attacks`) and mediator search (`nogo`) both ask about a
 network with one symbolic comb: `Network.linear_evaluate` gives every
 transcript probability as a linear form in the comb's table, and the comb's
-table must be stochastic and causal.  Equating the forms with a target
+table must be stochastic and causal (`causality_rows`, the rule of
+`comb.causal_rounds` as equations).  Equating the forms with a target
 behaviour is a feasibility problem; minimizing the adaptive distinguisher's
 advantage against the target is a minimization.  `solve_comb` is the one
 path for both: it builds the program, solves it, reads the table back and
@@ -63,6 +64,7 @@ from .comb import (
     behavior_distance,
     canonical,
     canonical_rounds,
+    causal_rounds,
     decision_rounds,
     make_behavior,
 )
@@ -93,25 +95,20 @@ def canonical_forms(net: Network) -> tuple[Signature, LinearForms]:
 
 
 def causality_rows(sig: Signature, var: Callable[[int, int], int]) -> list[dict[int, Fraction]]:
-    """Causality of a comb table as linear equations (= 0): the marginal of
-    the first r rounds' outputs must not depend on later inputs."""
-    ins, outs = sig.ins(), sig.outs()
-    in_alphas = tuple(p.alphabet for p in ins)
-    out_alphas = tuple(p.alphabet for p in outs)
-    n_y = ports_size(out_alphas)
+    """Causality of a comb table (`comb.causal_rounds`) as linear equations
+    (= 0): for each column j after the first with the same inputs through
+    round r, j0, and each value of the outputs through round r, the sum of
+    column j's cells with that value minus column j0's."""
+    n_x = ports_size(tuple(p.alphabet for p in sig.ins()))
+    n_y = ports_size(tuple(p.alphabet for p in sig.outs()))
     rows = []
-    for r in range(1, sig.rounds):
-        if all(p.round <= r for p in ins):
-            continue
-        early = index_projection(in_alphas, [k for k, p in enumerate(ins) if p.round <= r])
-        keep = [k for k, p in enumerate(outs) if p.round <= r]
+    for _r, early, prefix, n_prefix in causal_rounds(sig):
         # the rows i of each value of the outputs through round r, increasing
-        prefixes: list[list[int]] = [[] for _ in range(ports_size(tuple(out_alphas[k] for k in keep)))]
-        prefix = index_projection(out_alphas, keep)
+        prefixes: list[list[int]] = [[] for _ in range(n_prefix)]
         for i in range(n_y):
             prefixes[prefix(i)].append(i)
         first: dict[int, int] = {}  # early-input index -> its first column
-        for j in range(ports_size(in_alphas)):
+        for j in range(n_x):
             j0 = first.setdefault(early(j), j)
             if j0 == j:
                 continue
@@ -346,7 +343,8 @@ def solve_comb(
     `minimize`, is the least distinguishable from it.
 
     Returns (program, outcome, comb).  An Infeasible outcome carries a
-    re-verified Farkas certificate and comb is None; otherwise comb is the
+    re-verified Farkas certificate and comb is None (when minimizing it
+    raises CompositeVerificationFailed instead); otherwise comb is the
     table read back from the solver's point, and the network with comb in
     place (`fill`) has been checked to lie at `behavior_distance` exactly
     the outcome's value (0 for feasibility) from `target`."""
@@ -361,6 +359,8 @@ def solve_comb(
         add_match_rows(bld, aligned, target)
     prog, out = solve_checked(bld, what)
     if isinstance(out, Infeasible):
+        if minimize:  # every stochastic causal table is a feasible point
+            raise CompositeVerificationFailed(f"{what} LP returned Infeasible")
         return prog, out, None
     comb = table_behavior(shape.signature, out.point)
     if behavior_distance(fill(known, shape, comb), target) != (out.value if minimize else ZERO):

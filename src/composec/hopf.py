@@ -26,6 +26,7 @@ from .attacks import (
 from .comb import (
     IN,
     OUT,
+    Behavior,
     PortSpec,
     behavior_equal,
     make_behavior,
@@ -35,7 +36,7 @@ from .comb import (
 )
 from .errors import DimensionMismatch, InterfaceMismatch, NoIdentity, NotAssociative, NotLatinSquare
 from .record import Record
-from .resources import RES, Converter, Protocol, Resource, apply_protocol
+from .resources import RES, Converter, Protocol, apply_protocol
 from .scalars import ONE, Scalar, as_scalar
 from .stoch import (
     UNIT,
@@ -230,15 +231,15 @@ PARTIES = (ALICE, BOB, EVE)
 class OtpInstance(Record):
     group: FiniteGroup
     alphabet: Alphabet
-    key: Resource
-    auth_channel: Resource
-    source: Resource
+    key: Behavior
+    auth_channel: Behavior
+    source: Behavior
     protocol: Protocol
-    target: Resource
+    target: Behavior
     sigma: Simulator
 
 
-def key_resource(g: FiniteGroup, weights: Optional[Sequence[Scalar]] = None) -> Resource:
+def key_resource(g: FiniteGroup, weights: Optional[Sequence[Scalar]] = None) -> Behavior:
     """A key drawn from `weights` (uniform by default), copied to Alice and
     Bob."""
     a = group_alphabet(g)
@@ -248,7 +249,7 @@ def key_resource(g: FiniteGroup, weights: Optional[Sequence[Scalar]] = None) -> 
     sig = make_signature(
         PARTIES, 1, [PortSpec("ka", ALICE, a, OUT, 1), PortSpec("kb", BOB, a, OUT, 1)]
     )
-    return Resource(make_behavior(sig, _shared_key(a, weights)), name=f"key_{g.name}")
+    return make_behavior(sig, _shared_key(a, weights))
 
 
 def _shared_key(a: Alphabet, weights: Sequence[Scalar]) -> Kernel:
@@ -260,7 +261,7 @@ def _shared_key(a: Alphabet, weights: Sequence[Scalar]) -> Kernel:
     return kernel_from_columns((), (a, a), (col,))
 
 
-def auth_channel(g: FiniteGroup) -> Resource:
+def auth_channel(g: FiniteGroup) -> Behavior:
     """Authenticated but insecure channel: Alice's input is copied to Bob and
     to Eve.  Tampering is out of scope."""
     a = group_alphabet(g)
@@ -275,10 +276,10 @@ def auth_channel(g: FiniteGroup) -> Resource:
         ],
     )
     kernel = kernel_from_columns((a,), (a, a), [((x * n + x, ONE),) for x in range(n)])
-    return Resource(make_behavior(sig, kernel), name=f"auth_{g.name}")
+    return make_behavior(sig, kernel)
 
 
-def secure_channel(g: FiniteGroup) -> Resource:
+def secure_channel(g: FiniteGroup) -> Behavior:
     """Target: Bob receives Alice's message; Eve's interface is a single
     trivial port (she learns nothing, not even usable timing here)."""
     a = group_alphabet(g)
@@ -293,7 +294,7 @@ def secure_channel(g: FiniteGroup) -> Resource:
         ],
     )
     kernel = kernel_from_columns((a,), (UNIT, a), [((x, ONE),) for x in range(n)])
-    return Resource(make_behavior(sig, kernel), name=f"secure_{g.name}")
+    return make_behavior(sig, kernel)
 
 
 def build_otp(g: FiniteGroup, key_weights: Optional[Sequence[Scalar]] = None) -> OtpInstance:
@@ -304,7 +305,7 @@ def build_otp(g: FiniteGroup, key_weights: Optional[Sequence[Scalar]] = None) ->
     a = ks["alphabet"]
     key = key_resource(g, key_weights)
     chan = auth_channel(g)
-    source = Resource(tensor_behavior(key.behavior, chan.behavior), name=f"key*auth_{g.name}")
+    source = tensor_behavior(key, chan)
     alice_sig = make_signature(
         (ALICE,),
         1,
@@ -334,18 +335,13 @@ def build_otp(g: FiniteGroup, key_weights: Optional[Sequence[Scalar]] = None) ->
     discard = make_kernel([a], [UNIT], [[1] * g.order])
     f_eve = Converter(EVE, make_behavior(eve_sig, discard), (("ce_c", "ce"),))
     target = secure_channel(g)
-    protocol = Protocol(
-        source,
-        target,
-        (f_alice, f_bob, f_eve),
-        ((RES, 1), (ALICE, 1), (RES, 2), (EVE, 1), (BOB, 1)),
-        name=f"otp_{g.name}",
-    )
+    schedule = ((RES, 1), (ALICE, 1), (RES, 2), (EVE, 1), (BOB, 1))
+    protocol = Protocol(source, target, (f_alice, f_bob, f_eve), schedule)
     sigma = uniform_simulator(protocol, source, target)
     return OtpInstance(g, a, key, chan, source, protocol, target, sigma)
 
 
-def uniform_simulator(protocol: Protocol, source: Resource, target: Resource) -> Simulator:
+def uniform_simulator(protocol: Protocol, source: Behavior, target: Behavior) -> Simulator:
     """Eve's canonical simulator: read the trivial flag, emit a fresh uniform
     ciphertext."""
     real = dummy_attack(protocol, source, (EVE,))
@@ -362,7 +358,7 @@ def otp_correctness(inst: OtpInstance) -> bool:
     """Honest execution equals the secure channel exactly: Alice's message
     comes out at Bob's end with probability one."""
     result = apply_protocol(inst.protocol, inst.source)
-    return observationally_equal(result.behavior, inst.target.behavior)
+    return observationally_equal(result, inst.target)
 
 
 def otp_security(inst: OtpInstance) -> SecurityReport:
@@ -391,14 +387,14 @@ class StreamCipherReport(Record):
     composite: SecurityReport
 
 
-def short_key_resource(h: Alphabet) -> Resource:
+def short_key_resource(h: Alphabet) -> Behavior:
     sig = make_signature(
         PARTIES, 1, [PortSpec("ka_s", ALICE, h, OUT, 1), PortSpec("kb_s", BOB, h, OUT, 1)]
     )
-    return Resource(make_behavior(sig, _shared_key(h, [Fraction(1, h.size)] * h.size)), name="short_key")
+    return make_behavior(sig, _shared_key(h, [Fraction(1, h.size)] * h.size))
 
 
-def key_expansion_protocol(g: FiniteGroup, expander: Kernel) -> tuple[Protocol, Resource]:
+def key_expansion_protocol(g: FiniteGroup, expander: Kernel) -> tuple[Protocol, Behavior]:
     """Alice and Bob push their shared short key through the expander; the
     channel is untouched.  Returns the protocol and its source."""
     a = group_alphabet(g)
@@ -407,8 +403,8 @@ def key_expansion_protocol(g: FiniteGroup, expander: Kernel) -> tuple[Protocol, 
     h = expander.dom[0]
     short = short_key_resource(h)
     chan = auth_channel(g)
-    source = Resource(tensor_behavior(short.behavior, chan.behavior), name=f"short*auth_{g.name}")
-    target = Resource(tensor_behavior(key_resource(g).behavior, chan.behavior), name=f"key*auth_{g.name}")
+    source = tensor_behavior(short, chan)
+    target = tensor_behavior(key_resource(g), chan)
     alice_sig = make_signature(
         (ALICE,), 1, [PortSpec("ka_s_c", ALICE, h, IN, 1), PortSpec("ka", ALICE, a, OUT, 1)]
     )
@@ -417,14 +413,7 @@ def key_expansion_protocol(g: FiniteGroup, expander: Kernel) -> tuple[Protocol, 
     )
     conv_a = Converter(ALICE, make_behavior(alice_sig, expander), (("ka_s_c", "ka_s"),))
     conv_b = Converter(BOB, make_behavior(bob_sig, expander), (("kb_s_c", "kb_s"),))
-    protocol = Protocol(
-        source,
-        target,
-        (conv_a, conv_b),
-        ((RES, 1), (ALICE, 1), (BOB, 1), (RES, 2)),
-        name=f"expand_{g.name}",
-    )
-    return protocol, source
+    return Protocol(source, target, (conv_a, conv_b), ((RES, 1), (ALICE, 1), (BOB, 1), (RES, 2))), source
 
 
 def stream_cipher_demo(g: FiniteGroup, expander: Kernel) -> StreamCipherReport:

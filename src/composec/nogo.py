@@ -46,10 +46,9 @@ from .comb import (
     make_signature,
 )
 from .distinguisher import CombShape, ShapeBuilder, fill, solve_checked, solve_comb, verify_or_raise
-from .errors import CompositeVerificationFailed, InterfaceMismatch, ShapeMismatch
+from .errors import InterfaceMismatch, ShapeMismatch
 from .lp import FarkasCert, Infeasible, LpBuilder
 from .record import Record
-from .resources import Resource
 from .scalars import ONE, ZERO, Scalar
 from .stoch import (
     Alphabet,
@@ -79,7 +78,7 @@ class NogoVerdict(Record):
 # canonical two-party resources
 
 
-def commitment_resource() -> Resource:
+def commitment_resource() -> Behavior:
     """Commit-then-reveal: round 1 takes Alice's bit and hands Bob a blank
     receipt; round 2 takes the open signal and reveals the bit to Bob.
     Hiding and binding hold by construction."""
@@ -96,22 +95,18 @@ def commitment_resource() -> Resource:
     table = [[0] * 2 for _ in range(2)]
     for b in range(2):
         table[b][b] = 1  # receipt index is trivial; rows are (receipt, bit_out)
-    return Resource(
-        make_behavior(sig, make_kernel((BIT, GO), (RECEIPT, BIT), table)), name="commitment"
-    )
+    return make_behavior(sig, make_kernel((BIT, GO), (RECEIPT, BIT), table))
 
 
-def coin_commitment_resource() -> Resource:
+def coin_commitment_resource() -> Behavior:
     """Same-signature control: the revealed bit is a fresh coin, ignoring
     Alice's input.  This one is splittable."""
     sig = commitment_resource().signature
     table = [[Fraction(1, 2)] * 2 for _ in range(2)]
-    return Resource(
-        make_behavior(sig, make_kernel((BIT, GO), (RECEIPT, BIT), table)), name="coin_commitment"
-    )
+    return make_behavior(sig, make_kernel((BIT, GO), (RECEIPT, BIT), table))
 
 
-def ot_resource() -> Resource:
+def ot_resource() -> Behavior:
     """One-out-of-two oblivious transfer: Bob learns m_c and nothing else;
     Alice learns nothing about c."""
     sig = make_signature(
@@ -130,41 +125,41 @@ def ot_resource() -> Resource:
             for c in range(2):
                 col = tuple_index((BIT, BIT, BIT), (m0, m1, c))
                 table[(m0, m1)[c]][col] = 1
-    return Resource(make_behavior(sig, make_kernel((BIT, BIT, BIT), (BIT,), table)), name="ot")
+    return make_behavior(sig, make_kernel((BIT, BIT, BIT), (BIT,), table))
 
 
-def identity_channel_resource() -> Resource:
+def identity_channel_resource() -> Behavior:
     sig = make_signature(
         ["alice", "bob"],
         1,
         [PortSpec("x_in", "alice", BIT, IN, 1), PortSpec("y_out", "bob", BIT, OUT, 1)],
     )
     table = [[1, 0], [0, 1]]
-    return Resource(make_behavior(sig, make_kernel((BIT,), (BIT,), table)), name="channel")
+    return make_behavior(sig, make_kernel((BIT,), (BIT,), table))
 
 
-def shared_bit_resource() -> Resource:
+def shared_bit_resource() -> Behavior:
     sig = make_signature(
         ["alice", "bob"],
         1,
         [PortSpec("sa", "alice", BIT, OUT, 1), PortSpec("sb", "bob", BIT, OUT, 1)],
     )
     table = [[Fraction(1, 2)], [0], [0], [Fraction(1, 2)]]
-    return Resource(make_behavior(sig, make_kernel((), (BIT, BIT), table)), name="shared_bit")
+    return make_behavior(sig, make_kernel((), (BIT, BIT), table))
 
 
 # ---------------------------------------------------------------------------
 # bipartite splittability
 
 
-def _two_parties(r: Resource) -> tuple[str, str]:
+def _two_parties(r: Behavior) -> tuple[str, str]:
     with_ports = [p for p in r.signature.parties if any(q.party == p for q in r.signature.ports)]
     if len(with_ports) != 2:
         raise ShapeMismatch(f"splittability needs exactly two parties with ports, got {with_ports}")
     return with_ports[0], with_ports[1]
 
 
-def mediator_problem(r: Resource) -> CombShape:
+def mediator_problem(r: Behavior) -> CombShape:
     """Shape of the mediator g ("mediator" party) in the two-copy gluing
     network: copy "c1" keeps its A interface, copy "c2" its B interface,
     and g plays B to copy 1 and A to copy 2.  Each round of r fires in copy
@@ -184,11 +179,11 @@ def mediator_problem(r: Resource) -> CombShape:
     return g.shape((MEDIATOR,))
 
 
-def _copies(r: Resource) -> list[tuple[str, Behavior]]:
-    return [("c1", r.behavior), ("c2", r.behavior)]
+def _copies(r: Behavior) -> list[tuple[str, Behavior]]:
+    return [("c1", r), ("c2", r)]
 
 
-def split(r: Resource, g: Behavior) -> Behavior:
+def split(r: Behavior, g: Behavior) -> Behavior:
     """Two copies of r glued by the mediator g, canonicalized."""
     shape = mediator_problem(r)
     if [
@@ -198,35 +193,31 @@ def split(r: Resource, g: Behavior) -> Behavior:
     return fill(_copies(r), shape, g)
 
 
-def _split_search(r: Resource, minimize: bool):
+def _split_search(r: Behavior, minimize: bool):
     """Solve for the mediator's table on the two-copy gluing network, with r
     itself as the target: (program, outcome, mediator or None)."""
     what = "advantage" if minimize else "split"
-    return solve_comb(_copies(r), mediator_problem(r), canonical(r.behavior), what, minimize)
+    return solve_comb(_copies(r), mediator_problem(r), canonical(r), what, minimize)
 
 
-def split_check(r: Resource) -> NogoVerdict:
+def split_check(r: Behavior) -> NogoVerdict:
     """Does any stochastic causal mediator make two copies of r equal r?"""
     prog, out, g = _split_search(r, minimize=False)
     witness, cert = (None, out.cert) if g is None else ({"g": g}, None)
     return NogoVerdict(g is not None, witness, cert, prog)
 
 
-def min_split_advantage(r: Resource) -> Scalar:
+def min_split_advantage(r: Behavior) -> Scalar:
     """Exact minimum, over mediators, of the distinguisher advantage between
     r and its split; 0 iff r is splittable."""
-    _prog, out, g = _split_search(r, minimize=True)
-    if g is None:
-        # every stochastic causal mediator is a feasible point
-        raise CompositeVerificationFailed("advantage LP returned Infeasible")
-    return out.value
+    return _split_search(r, minimize=True)[1].value
 
 
 # ---------------------------------------------------------------------------
 # tripartite broadcast
 
 
-def broadcast_resource() -> Resource:
+def broadcast_resource() -> Behavior:
     sig = make_signature(
         ["alice", "bob", "charlie"],
         1,
@@ -239,23 +230,23 @@ def broadcast_resource() -> Resource:
     table = [[0] * 2 for _ in range(4)]
     for b in range(2):
         table[b * 2 + b][b] = 1
-    return Resource(make_behavior(sig, make_kernel((BIT,), (BIT, BIT), table)), name="broadcast")
+    return make_behavior(sig, make_kernel((BIT,), (BIT, BIT), table))
 
 
-def constant_output_resource() -> Resource:
+def constant_output_resource() -> Behavior:
     sig = broadcast_resource().signature
     table = [[0] * 2 for _ in range(4)]
     table[0][0] = table[0][1] = 1
-    return Resource(make_behavior(sig, make_kernel((BIT,), (BIT, BIT), table)), name="constant")
+    return make_behavior(sig, make_kernel((BIT,), (BIT, BIT), table))
 
 
-def product_uniform_resource() -> Resource:
+def product_uniform_resource() -> Behavior:
     sig = broadcast_resource().signature
     table = [[Fraction(1, 4)] * 2 for _ in range(4)]
-    return Resource(make_behavior(sig, make_kernel((BIT,), (BIT, BIT), table)), name="product_uniform")
+    return make_behavior(sig, make_kernel((BIT,), (BIT, BIT), table))
 
 
-def _tripartite_shape(r: Resource):
+def _tripartite_shape(r: Behavior):
     """1-round, Bob input-only, Alice and Charlie output-only."""
     sig = r.signature
     if sig.rounds != 1:
@@ -273,13 +264,13 @@ def _tripartite_shape(r: Resource):
     return b_in, a_out, c_out
 
 
-def _r_entry_fn(r: Resource):
+def _r_entry_fn(r: Behavior):
     """Probability of (alice index, charlie index) given Bob's input index,
     independent of how the signature happens to interleave the out-ports."""
     b_in, a_out, c_out = _tripartite_shape(r)
     out_ports = r.signature.outs()
     alice_first = [k for party in ("alice", "charlie") for k, q in enumerate(out_ports) if q.party == party]
-    kernel = permute_axes(r.behavior.kernel, range(len(b_in)), alice_first)
+    kernel = permute_axes(r.kernel, range(len(b_in)), alice_first)
     columns = [kernel.column(j) for j in range(kernel.n_dom)]
     nb, na, nc = (ports_size(tuple(q.alphabet for q in ports)) for ports in (b_in, a_out, c_out))
 
@@ -289,7 +280,7 @@ def _r_entry_fn(r: Resource):
     return entry, nb, na, nc
 
 
-def _doubled_middle_forms(r: Resource):
+def _doubled_middle_forms(r: Behavior):
     """The doubled-middle system, written once for all its readers.
 
     Returns the shapes {name: (columns, outputs)} of the four conditional
@@ -338,7 +329,7 @@ def _tripartite_verdict(bld: LpBuilder, shapes, first, what: str) -> NogoVerdict
     return NogoVerdict(True, witness=tables, lp=prog)
 
 
-def tripartite_split_check(r: Resource) -> NogoVerdict:
+def tripartite_split_check(r: Behavior) -> NogoVerdict:
     """Feasibility of the doubled-middle system: one joint process D with two
     copies of Bob's input that three single-cheater simulators explain at
     once.  Infeasible for genuine broadcast."""
@@ -351,7 +342,7 @@ def tripartite_split_check(r: Resource) -> NogoVerdict:
     return _tripartite_verdict(bld, shapes, first, "tripartite")
 
 
-def doubled_middle(r: Resource, s_b: Sequence[Sequence[Scalar]]) -> list[list[Scalar]]:
+def doubled_middle(r: Behavior, s_b: Sequence[Sequence[Scalar]]) -> list[list[Scalar]]:
     """Constructive direction: when Bob cheats by answering both middle wires
     with one input to r, the result IS a doubled-middle process.  `s_b` maps
     the middle pair (columns, left input most significant) to Bob's input
@@ -365,7 +356,7 @@ def doubled_middle(r: Resource, s_b: Sequence[Sequence[Scalar]]) -> list[list[Sc
     return d
 
 
-def tripartite_completion(r: Resource, d_table: Sequence[Sequence[Scalar]]) -> NogoVerdict:
+def tripartite_completion(r: Behavior, d_table: Sequence[Sequence[Scalar]]) -> NogoVerdict:
     """Given a fixed doubled-middle process D (indexed as `doubled_middle`
     returns it), do the Alice- and Charlie-cheating simulators explaining D
     exist?"""
@@ -398,7 +389,7 @@ class OracleReport(Record):
         )
 
 
-def broadcast_contradiction_oracle(r: Resource) -> OracleReport:
+def broadcast_contradiction_oracle(r: Behavior) -> OracleReport:
     """Direct derivation, independent of the LP encoding: plug inputs 0 and 1
     into the two middle wires.  The Alice-cheats equation forces Charlie's
     output to follow input 1, the Charlie-cheats equation forces Alice's to
@@ -412,7 +403,7 @@ def broadcast_contradiction_oracle(r: Resource) -> OracleReport:
         raise ShapeMismatch("Bob's input needs at least two values")
     if a_out[0].alphabet.size != c_out[0].alphabet.size:
         raise ShapeMismatch("oracle compares Alice and Charlie outputs pointwise")
-    rk = r.behavior.kernel
+    rk = r.kernel
     out_ports = r.signature.outs()
     a_k = [k for k, q in enumerate(out_ports) if q.party == "alice"][0]
     c_k = [k for k, q in enumerate(out_ports) if q.party == "charlie"][0]

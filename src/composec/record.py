@@ -22,9 +22,9 @@ annotated (a memo set with `object.__setattr__`, a
 part in any of these.  Records keep an instance dict and accept weak
 references.
 
-One pass of the benchmark builds 4,139 records on the spec corpus (1,384
-`PortSpec`, 943 `Kernel`), 252 on the large tables and 620 on the adaptive
-checks.  Against a constructor spelled out per class, the shared one costs
+One pass of the benchmark (seed 101) builds 3,755 records on the spec
+corpus (1,344 `PortSpec`, 906 `Kernel`), 233 on the large tables and 577 on
+the adaptive checks.  Against a constructor spelled out per class, the shared one costs
 between 0.1 us less (a three-field `Kernel`, which it fills in one dict
 update) and 0.15 us more (a `PortSpec`, which checks its arguments first),
 under a millisecond of a corpus pass (timeit, Python 3.11).

@@ -1,12 +1,13 @@
 """n-partite resources and the protocols that transform them.
 
-A Resource is a causal behavior whose ports are owned by parties.  A
-Protocol gives each party a local converter: a comb that consumes some of
-that party's resource ports (its wiring) and exposes fresh ports; resource
-ports left unwired pass through to the target untouched, so the identity
-converter is simply "no converter".  A protocol also fixes the global
-round order in which converter rounds interleave with resource rounds,
-because linking is only defined relative to an explicit schedule.
+A resource is a causal `Behavior` itself: its signature already names the
+party that owns each port.  A Protocol gives each party a local converter:
+a comb that consumes some of that party's resource ports (its wiring) and
+exposes fresh ports; resource ports left unwired pass through to the target
+untouched, so the identity converter is simply "no converter".  A protocol
+also fixes the global round order in which converter rounds interleave with
+resource rounds, because linking is only defined relative to an explicit
+schedule.
 
 Construction validates the whole shape statically: the wired network is
 built (without being evaluated) and its canonical signature must match the
@@ -36,15 +37,6 @@ from .record import Record
 RES = "res"
 
 
-class Resource(Record):
-    behavior: Behavior
-    name: str = ""
-
-    @property
-    def signature(self) -> Signature:
-        return self.behavior.signature
-
-
 class Converter(Record):
     """One party's local process.  `wiring` pairs a comb port with the
     resource port it consumes or feeds; unpaired comb ports are the new
@@ -63,21 +55,19 @@ class Protocol(Record):
     """`attacks.dummy_attack` memoises the dummy-attacked view of `source`
     on the object, by dishonest set, in `_views`."""
 
-    source: Resource
-    target: Resource
+    source: Behavior
+    target: Behavior
     converters: tuple[Converter, ...]
     schedule: tuple[ScheduleItem, ...]
-    name: str
 
     def __init__(
         self,
-        source: Resource,
-        target: Resource,
+        source: Behavior,
+        target: Behavior,
         converters: tuple[Converter, ...],
         schedule: tuple[ScheduleItem, ...],
-        name: str = "",
     ) -> None:
-        super().__init__(source, target, converters, schedule, name)
+        super().__init__(source, target, converters, schedule)
         object.__setattr__(self, "_views", {})
         parties = [c.party for c in self.converters]
         if len(set(parties)) != len(parties):
@@ -100,7 +90,7 @@ class Protocol(Record):
         wired_res = [rp for c in self.converters for _cp, rp in c.wiring]
         if len(set(wired_res)) != len(wired_res):
             raise WiringMismatch("a resource port is wired twice")
-        net = self._network(self.source.behavior)
+        net = self._network(self.source)
         derived = net.result_signature()
         want = canonical_rounds(self.target.signature)[0]
         got = canonical_rounds(derived)[0]
@@ -129,18 +119,17 @@ def _sig_brief(sig: Signature) -> str:
     return "[" + ", ".join(f"{p.id}:{p.direction}@{p.round}" for p in sig.ports) + "]"
 
 
-def identity_protocol(r: Resource) -> Protocol:
+def identity_protocol(r: Behavior) -> Protocol:
     sched = tuple((RES, i) for i in range(1, r.signature.rounds + 1))
-    return Protocol(r, r, (), sched, "identity")
+    return Protocol(r, r, (), sched)
 
 
-def apply_protocol(p: Protocol, r: Resource) -> Resource:
+def apply_protocol(p: Protocol, r: Behavior) -> Behavior:
     """Link every converter onto r; the result carries the declared target
     signature.  r must present the source interface (tables may differ)."""
     if r.signature != p.source.signature:
         raise WiringMismatch("resource does not match the protocol's source interface")
-    out = p._network(r.behavior).evaluate()
-    return Resource(align_to(out, p.target.signature), name=p.target.name)
+    return align_to(p._network(r).evaluate(), p.target.signature)
 
 
 # ---------------------------------------------------------------------------
@@ -150,7 +139,7 @@ def apply_protocol(p: Protocol, r: Resource) -> Resource:
 def _positions_by_declared_round(p: Protocol) -> list[int]:
     """For each round j of p's declared target, the last index in p.schedule
     (1-based) that must have executed before round j is complete."""
-    derived = p._network(p.source.behavior).result_signature()
+    derived = p._network(p.source).result_signature()
     tgt = p.target.signature
     emit_before = [0] * (tgt.rounds + 1)
     for port in derived.ports:
@@ -220,13 +209,7 @@ def seq_compose(q: Protocol, p: Protocol) -> Protocol:
         pair_sched = party_pair_schedules[party]
         comb = Network([("p", pc.comb), ("q", qc.comb)], internal, pair_sched).evaluate()
         new_converters.append(Converter(party, comb, tuple(external)))
-    return Protocol(
-        p.source,
-        q.target,
-        tuple(new_converters),
-        tuple(renumbered),
-        f"{q.name}.{p.name}",
-    )
+    return Protocol(p.source, q.target, tuple(new_converters), tuple(renumbered))
 
 
 # ---------------------------------------------------------------------------
@@ -236,8 +219,8 @@ def seq_compose(q: Protocol, p: Protocol) -> Protocol:
 def par_compose(p: Protocol, q: Protocol) -> Protocol:
     """Tensor of protocols; parties missing a converter on one side are
     implicitly padded with the identity."""
-    src = Resource(tensor_behavior(p.source.behavior, q.source.behavior), name=f"{p.source.name}*{q.source.name}")
-    tgt = Resource(tensor_behavior(p.target.behavior, q.target.behavior), name=f"{p.target.name}*{q.target.name}")
+    src = tensor_behavior(p.source, q.source)
+    tgt = tensor_behavior(p.target, q.target)
     parties = {c.party for c in p.converters} | {c.party for c in q.converters}
     converters = []
     p_rounds: dict[str, int] = {}
@@ -262,7 +245,7 @@ def par_compose(p: Protocol, q: Protocol) -> Protocol:
             schedule.append((RES, idx + p.source.signature.rounds))
         else:
             schedule.append((lab, idx + p_rounds.get(lab, 0)))
-    return Protocol(src, tgt, tuple(converters), tuple(schedule), f"{p.name}|{q.name}")
+    return Protocol(src, tgt, tuple(converters), tuple(schedule))
 
 
 # ---------------------------------------------------------------------------

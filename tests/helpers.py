@@ -26,7 +26,6 @@ from composec.comb import (
 from composec.distinguisher import canonical_forms
 from composec.errors import CompositeVerificationFailed, InterfaceMismatch
 from composec.nogo import mediator_problem
-from composec.resources import Resource
 from composec.stoch import UNIT, Alphabet, all_tuples, index_tuple, make_kernel, ports_size, tuple_index
 
 BIT = Alphabet("bit", 2)
@@ -115,17 +114,17 @@ def rename_ports(b: Behavior, mapping: dict[str, str]) -> Behavior:
     return Behavior(Signature(b.signature.parties, b.signature.rounds, ports), b.kernel)
 
 
-def mix_resources(r1: Resource, r2: Resource, weight, name: str = "") -> Resource:
+def mix_resources(r1: Behavior, r2: Behavior, weight) -> Behavior:
     """Convex mixture of two same-signature resources (weight on r1)."""
     if r1.signature != r2.signature:
         raise InterfaceMismatch("mixture needs identical signatures")
     w = weight
-    k1, k2 = r1.behavior.kernel, r2.behavior.kernel
+    k1, k2 = r1.kernel, r2.kernel
     columns = [
         [w * a + (1 - w) * b for a, b in zip(k1.column(j), k2.column(j))] for j in range(k1.n_dom)
     ]
     kern = make_kernel(k1.dom, k1.cod, list(zip(*columns)))
-    return Resource(make_behavior(r1.signature, kern), name=name or f"mix_{w}")
+    return make_behavior(r1.signature, kern)
 
 
 def format_ast(ast) -> str:
@@ -214,8 +213,8 @@ def split_forms(r):
     """(mediator signature, forms of the split in the mediator's table, the
     canonical r they must match)."""
     shape = mediator_problem(r)
-    target = canonical(r.behavior)
-    nodes = [("c1", r.behavior), (shape.label, shape.signature), ("c2", r.behavior)]
+    target = canonical(r)
+    nodes = [("c1", r), (shape.label, shape.signature), ("c2", r)]
     return shape.signature, _forms_against(nodes, shape.wires, shape.schedule, target), target
 
 
@@ -223,7 +222,7 @@ def simulator_forms(real, s, j_parties):
     """(simulator signature, forms of the simulator-wrapped ideal view in the
     simulator's table), aligned to the real view."""
     shape = derive_simulator_shape(real.signature, s, j_parties)
-    nodes = [("res", s.behavior), (shape.label, shape.signature)]
+    nodes = [("res", s), (shape.label, shape.signature)]
     return shape.signature, _forms_against(nodes, shape.wires, shape.schedule, real)
 
 
@@ -656,7 +655,7 @@ def tripartite_program(r):
     def r_entry(a_idx, c_idx, b_idx):
         a_vals, c_vals = iter(index_tuple(a_alphas, a_idx)), iter(index_tuple(c_alphas, c_idx))
         y = tuple(next(a_vals) if q.party == "alice" else next(c_vals) for q in outs)
-        return r.behavior.kernel.entry(y, index_tuple(b_alphas, b_idx))
+        return r.kernel.entry(y, index_tuple(b_alphas, b_idx))
 
     bld = LpBuilder()
     d_vars = list(bld.new_vars((nb * nb) * (na * nc)))

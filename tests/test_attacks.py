@@ -28,6 +28,7 @@ from composec.attacks import (
 from composec.comb import (
     IN,
     OUT,
+    Behavior,
     Network,
     PortSpec,
     behavior_distance,
@@ -41,7 +42,7 @@ from composec.comb import (
 )
 from composec.errors import CompositeVerificationFailed, InterfaceMismatch, ShapeMismatch, WiringMismatch
 from composec.hopf import OtpInstance, build_otp, group_make, otp_security
-from composec.resources import Converter, Protocol, Resource, apply_protocol
+from composec.resources import Converter, Protocol, apply_protocol
 from composec.stoch import Alphabet, Kernel, index_tuple, make_kernel, marginalize, ports_size
 
 from tests.helpers import BIT, random_kernel, rename_ports
@@ -62,7 +63,7 @@ def three_party_resource(rng, sizes=(2, 2, 2), suffix=""):
         ],
     )
     kernel = random_kernel(rng, (), (a_a, a_b, a_e))
-    return Resource(make_behavior(sig, kernel), name="rnd" + suffix)
+    return make_behavior(sig, kernel)
 
 
 def random_bijection(rng, alphabet):
@@ -99,12 +100,12 @@ def bijection_protocol(rng, src, stage=0):
         ("eve", 1),
     ]
     net = Network(
-        [("res", src.behavior)] + [(c.party, c.comb) for c in converters],
+        [("res", src)] + [(c.party, c.comb) for c in converters],
         [((c.party, cp), ("res", rp)) for c in converters for cp, rp in c.wiring],
         schedule,
     )
-    tgt = Resource(net.evaluate(), name=f"{src.name}_s{stage}")
-    return Protocol(src, tgt, tuple(converters), tuple(schedule), name=f"bij{stage}")
+    tgt = net.evaluate()
+    return Protocol(src, tgt, tuple(converters), tuple(schedule))
 
 
 def test_dummy_attack_empty_j_is_honest_execution():
@@ -113,7 +114,7 @@ def test_dummy_attack_empty_j_is_honest_execution():
     p = bijection_protocol(rng, src)
     view = dummy_attack(p, src, ())
     honest = apply_protocol(p, src)
-    assert observationally_equal(view, honest.behavior)
+    assert observationally_equal(view, honest)
 
 
 def test_dummy_attack_all_parties_is_resource():
@@ -121,7 +122,7 @@ def test_dummy_attack_all_parties_is_resource():
     src = three_party_resource(rng)
     p = bijection_protocol(rng, src)
     view = dummy_attack(p, src, ("alice", "bob", "eve"))
-    assert observationally_equal(view, src.behavior)
+    assert observationally_equal(view, src)
 
 
 def test_dummy_attack_unknown_party():
@@ -146,7 +147,7 @@ def test_dummy_attack_memo_misses_give_fresh_correct_views():
     src = three_party_resource(rng)
     p = bijection_protocol(rng, src)
     # a value-equal resource that is not the protocol's own object
-    twin = Resource(src.behavior, src.name)
+    twin = Behavior(src.signature, src.kernel)
     assert twin == src and twin is not src
     eve = dummy_attack(p, src, ("eve",))
     other = dummy_attack(p, twin, ("eve",))
@@ -155,7 +156,7 @@ def test_dummy_attack_memo_misses_give_fresh_correct_views():
     assert bob is not eve and bob == dummy_attack(p, twin, ("bob",))
     assert dummy_attack(p, src, ("bob",)) is bob
     assert dummy_attack(p, src, ()) == dummy_attack(p, twin, ())
-    assert observationally_equal(dummy_attack(p, src, ()), apply_protocol(p, src).behavior)
+    assert observationally_equal(dummy_attack(p, src, ()), apply_protocol(p, src))
 
 
 def test_dummy_attack_unknown_party_raises_after_memo():
@@ -292,8 +293,8 @@ def test_compose_certs_sequential_and_parallel():
         c3 = search_simulator(q1, src_b, q1.target, ("eve",)).cert
         from composec.comb import tensor_behavior
 
-        both_src = Resource(tensor_behavior(src.behavior, src_b.behavior))
-        both_tgt = Resource(tensor_behavior(p1.target.behavior, q1.target.behavior))
+        both_src = tensor_behavior(src, src_b)
+        both_tgt = tensor_behavior(p1.target, q1.target)
         cert_par, rep_par = compose_certs(c1, c3, "parallel", (q1, p1), both_src, both_tgt)
         assert rep_par.verdict == "secure"
 
@@ -473,7 +474,7 @@ def test_semi_honest_honest_marginal_is_honest_execution():
     keep = [i for i, p in enumerate(out.signature.outs()) if not p.id.startswith("leak__")]
     honest_marginal = marginalize(out.kernel, keep)
     honest = apply_protocol(inst.protocol, inst.source)
-    want = canonical(honest.behavior)
+    want = canonical(honest)
     assert honest_marginal.matrix == want.kernel.matrix
 
 
@@ -537,7 +538,7 @@ def test_multi_round_simulator_search():
             for e1 in range(2):
                 e2 = (e1 + x2) % 2
                 table[a1 * 4 + e1 * 2 + e2][x2] += F(1, 4)
-    r = Resource(make_behavior(sig, make_kernel((BIT,), (a2, a2, a2), table)), "tworound")
+    r = make_behavior(sig, make_kernel((BIT,), (a2, a2, a2), table))
     from composec.resources import identity_protocol
 
     p = identity_protocol(r)
@@ -549,7 +550,7 @@ def test_multi_round_simulator_search():
 
 def test_semi_honest_rejects_a_multi_round_converter():
     src_sig = make_signature(["eve"], 1, [PortSpec("pe", "eve", BIT, OUT, 1)])
-    src = Resource(make_behavior(src_sig, make_kernel((), (BIT,), [[F(1, 2)], [F(1, 2)]])), name="coin")
+    src = make_behavior(src_sig, make_kernel((), (BIT,), [[F(1, 2)], [F(1, 2)]]))
     # Eve reads the coin in round 1 and announces it in round 2
     csig = make_signature(
         ["eve"],
@@ -558,8 +559,8 @@ def test_semi_honest_rejects_a_multi_round_converter():
     )
     conv = Converter("eve", make_behavior(csig, make_kernel((BIT,), (BIT,), [[1, 0], [0, 1]])), (("pe_c", "pe"),))
     schedule = (("res", 1), ("eve", 1), ("eve", 2))
-    net = Network([("res", src.behavior), ("eve", conv.comb)], [(("eve", "pe_c"), ("res", "pe"))], schedule)
-    p = Protocol(src, Resource(net.evaluate(), name="coin_late"), (conv,), schedule, name="delay")
+    net = Network([("res", src), ("eve", conv.comb)], [(("eve", "pe_c"), ("res", "pe"))], schedule)
+    p = Protocol(src, net.evaluate(), (conv,), schedule)
     with pytest.raises(ShapeMismatch, match="single-round"):
         semi_honest_attack(p, ("eve",))
 
@@ -608,7 +609,7 @@ def test_simulator_shape_fires_a_round_of_dishonest_outputs_eagerly():
     for x in range(2):
         for f in range(2):
             table[x ^ f][x * 2 + f] = 1  # leak 0, y = x xor f
-    s = Resource(make_behavior(s_sig, make_kernel((BIT, BIT), (BIT, BIT), table)), "leaky")
+    s = make_behavior(s_sig, make_kernel((BIT, BIT), (BIT, BIT), table))
     real_sig = make_signature(
         ["alice", "eve"],
         2,
@@ -627,7 +628,7 @@ def test_simulator_shape_fires_a_round_of_dishonest_outputs_eagerly():
         [("res", 1), ("sim", 1), ("sim", 2), ("res", 2)],
     )
     # the shape is a causal network whose interface is the real view's
-    net = Network([("res", s.behavior), (shape.label, shape.signature)], shape.wires, shape.schedule)
+    net = Network([("res", s), (shape.label, shape.signature)], shape.wires, shape.schedule)
     assert canonical_rounds(net.result_signature())[0] == canonical_rounds(real_sig)[0]
 
 
@@ -638,7 +639,7 @@ def test_simulator_echoes_an_ideal_output_back():
     from composec.resources import identity_protocol
 
     r_sig = make_signature(["alice", "bob", "eve"], 1, [PortSpec("x", "alice", BIT, IN, 1), PortSpec("y", "bob", BIT, OUT, 1)])
-    r = Resource(make_behavior(r_sig, make_kernel((BIT,), (BIT,), [[1, 0], [0, 1]])), "channel")
+    r = make_behavior(r_sig, make_kernel((BIT,), (BIT,), [[1, 0], [0, 1]]))
     s_sig = make_signature(
         ["alice", "bob", "eve"],
         2,
@@ -653,7 +654,7 @@ def test_simulator_echoes_an_ideal_output_back():
     for x in range(2):
         for back in range(2):
             table[x * 2 + back][x * 2 + back] = 1  # leak = x, y = back
-    s = Resource(make_behavior(s_sig, make_kernel((BIT, BIT), (BIT, BIT), table)), "echo")
+    s = make_behavior(s_sig, make_kernel((BIT, BIT), (BIT, BIT), table))
     assert _shape_rows(derive_simulator_shape(r_sig, s, ("eve",))) == (
         [("sim__leak", "eve", IN, 1), ("sim__back", "eve", OUT, 1)],
         1,

@@ -1,10 +1,12 @@
 """Smoke run of the benchmark on each workload: one pass, answers checked.
 
 It catches a library change that breaks what `bench/` reads (`cli.run`
-keywords, `SecurityReport.lp`, the dense rows of `LinearProgram.a`) before
-a full benchmark run does.
+keywords, `SecurityReport.lp`, the dense rows of `LinearProgram.a`, the
+functions its tracer wraps) before a full benchmark run does.
 """
 
+import importlib
+import importlib.util
 import json
 import subprocess
 import sys
@@ -23,3 +25,20 @@ def test_benchmark_smoke_run(workload):
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     assert result["correct"] is True
     assert result["failed"] == 0
+
+
+def test_every_traced_function_exists():
+    # the tracer skips a target it cannot find, so a renamed function would
+    # read 0 on its per-layer metrics instead of failing
+    spec = importlib.util.spec_from_file_location("bench_tracing", ROOT / "bench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    importlib.import_module("composec.cli")  # imports every module
+    missing = []
+    for metric, module, attr, _count in tracing.TARGETS:
+        holder = sys.modules[f"composec.{module}"]
+        for part in attr.split("."):
+            holder = getattr(holder, part, None)
+        if not callable(holder):
+            missing.append(metric)
+    assert missing == []

@@ -60,6 +60,14 @@ def test_duplicate_name():
         elaborate(env, ast.statements[1])
 
 
+@pytest.mark.parametrize("first, second", [("alphabet x size 3", "group x cyclic 2"), ("group x cyclic 2", "alphabet x size 3")])
+def test_an_alphabet_and_a_group_share_one_namespace(first, second):
+    # a port names its alphabet by either kind of declaration
+    result = run(parse_spec(f"{first}\n{second}\n"), no_meta=True)
+    assert result.exit_code == 2
+    assert result.report["error"] == "line 2: name 'x' already declared"
+
+
 def test_run_reports_check_failure_exit_code():
     text = "group g2 cyclic 2\ncheck axioms g2 expect fail\n"
     result = run(parse_spec(text), no_meta=True)

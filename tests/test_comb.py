@@ -12,6 +12,7 @@ from composec.comb import (
     Network,
     PortSpec,
     Signature,
+    align_to,
     behavior_distance,
     behavior_equal,
     canonical,
@@ -103,17 +104,28 @@ def test_causality_detects_future_signalling():
     table = [[1, 0], [0, 1]]
     b = behavior_from_table(sig, table, check=False)
     report = causality_report(b)
-    assert not report.ok
-    assert report.violations[0].round == 1
-    with pytest.raises(NotCausal):
+    assert report == "outputs through round 1 differ between inputs x2=0 and x2=1"
+    with pytest.raises(NotCausal, match=report):
         behavior_from_table(sig, table, check=True)
+
+
+def test_align_to_refuses_a_round_structure_the_table_breaks():
+    # y copies x within one round; the late signature moves y before x
+    sig = make_signature(["p"], 1, [port("x", "p", BIT, IN, 1), port("y", "p", BIT, OUT, 1)])
+    copy = behavior_from_table(sig, [[1, 0], [0, 1]])
+    late = make_signature(["p"], 2, [port("y", "p", BIT, OUT, 1), port("x", "p", BIT, IN, 2)])
+    coin = behavior_from_table(late, [[F(1, 2), F(1, 2)], [F(1, 2), F(1, 2)]])
+    with pytest.raises(SignatureMismatch, match="round structures are not compatible"):
+        align_to(copy, late)
+    assert observationally_equal(copy, copy) and observationally_equal(coin, coin)
+    assert not observationally_equal(coin, copy)
 
 
 def test_flatten_always_causal():
     rng = random.Random(4)
     for _ in range(40):
         b = flatten(random_comb(rng, rounds=rng.randint(1, 3)))
-        assert causality_report(b).ok
+        assert causality_report(b) is None
 
 
 def test_realize_flatten_roundtrip():
@@ -171,8 +183,8 @@ def _reachable_histories(behavior, r):
     [
         # memory 1 holds the 3 key pairs with ka = kb, not all 9, so round
         # 2 has 3 x 3 columns, not 9 x 3
-        (build_otp(group_make(("cyclic", 3))).source.behavior, (1, 3, 1), (1, 9)),
-        (commitment_resource().behavior, (1, 2, 1), (2, 2)),
+        (build_otp(group_make(("cyclic", 3))).source, (1, 3, 1), (1, 9)),
+        (commitment_resource(), (1, 2, 1), (2, 2)),
     ],
     ids=["otp_source_z3", "commitment"],
 )
@@ -224,7 +236,7 @@ def test_tensor_unit_law_and_ports():
     )
     t = tensor_behavior(b, c)
     assert len(t.signature.ports) == len(b.signature.ports) + len(c.signature.ports)
-    assert causality_report(t).ok
+    assert causality_report(t) is None
 
 
 def test_network_schedule_covers_each_node_round_once_in_order():
@@ -362,7 +374,7 @@ def test_network_output_causal():
         sched = [("b", r) for r in range(1, 3)]
         sched.insert(p0.round, ("a", 1))
         out = link(conv, inner, wiring=[("win", p0.id)], schedule=sched)
-        assert causality_report(out).ok
+        assert causality_report(out) is None
 
 
 def test_behavior_distance_basics():
@@ -420,7 +432,7 @@ def test_behavior_distance_equal_iff_zero():
             for i in range(len(col2)):
                 table[i][0] = col2[i]
             b2 = behavior_from_table(sig, table, check=False)
-            if causality_report(b2).ok:
+            if causality_report(b2) is None:
                 assert behavior_distance(b, b2) > 0
 
 
@@ -453,7 +465,7 @@ def test_canonical_preserves_table_content():
     for _ in range(20):
         b = flatten(random_comb(rng, rounds=3))
         cb = canonical(b)
-        assert causality_report(cb).ok
+        assert causality_report(cb) is None
         assert observationally_equal(b, cb)
 
 

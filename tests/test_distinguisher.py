@@ -39,7 +39,7 @@ from composec.nogo import (
     tripartite_completion,
     tripartite_split_check,
 )
-from composec.resources import Protocol, Resource
+from composec.resources import Protocol
 from composec.stoch import UNIT, Alphabet, Kernel, index_projection
 from tests.helpers import (
     BIT,
@@ -104,7 +104,7 @@ def test_causality_rows_hold_exactly_when_causal():
     seen = {True: 0, False: 0}
     for _ in range(60):
         b = flatten(random_comb(rng, rounds=rng.choice([2, 3])))
-        assert causality_report(b).ok and _satisfies_causality_rows(b)
+        assert causality_report(b) is None and _satisfies_causality_rows(b)
         ins = b.signature.ins()
         early = index_projection(b.kernel.dom, [k for k, p in enumerate(ins) if p.round == 1])
         pairs = [(j1, j2) for j1 in range(b.kernel.n_dom) for j2 in range(j1)]
@@ -113,7 +113,7 @@ def test_causality_rows_hold_exactly_when_causal():
             cols = list(b.kernel.cols)
             cols[j1], cols[j2] = cols[j2], cols[j1]
             swapped = Behavior(b.signature, Kernel(b.kernel.dom, b.kernel.cod, tuple(cols)))
-            ok = causality_report(swapped).ok
+            ok = causality_report(swapped) is None
             assert _satisfies_causality_rows(swapped) == ok
             seen[ok] += 1
     assert seen[True] >= 10 and seen[False] >= 10
@@ -135,7 +135,7 @@ def _enumeration_value(bld, aligned, target) -> Fraction:
     return out.value
 
 
-def _enumerated_split_advantage(r: Resource) -> Fraction:
+def _enumerated_split_advantage(r: Behavior) -> Fraction:
     g_sig, aligned, target = split_forms(r)
     return _enumeration_value(table_lp(g_sig), aligned, target)
 
@@ -164,7 +164,7 @@ SPLIT_SHAPES = (
 )
 
 
-def _random_on(rng, ports) -> Resource:
+def _random_on(rng, ports) -> Behavior:
     sig = make_signature(["alice", "bob"], 2, [PortSpec(pid, pa, BIT, d, r) for pid, pa, d, r in ports])
     mems = (UNIT, BIT, UNIT)
     kernels = []
@@ -172,7 +172,7 @@ def _random_on(rng, ports) -> Resource:
         dom = (mems[r - 1],) + tuple(p.alphabet for p in sig.round_ins(r))
         cod = tuple(p.alphabet for p in sig.round_outs(r)) + (mems[r],)
         kernels.append(random_kernel(rng, dom, cod))
-    return Resource(flatten(CombKernels(sig, mems, tuple(kernels))), name="r")
+    return flatten(CombKernels(sig, mems, tuple(kernels)))
 
 
 def test_split_advantage_matches_enumeration_rows():
@@ -199,16 +199,15 @@ def test_min_epsilon_matches_enumeration_rows():
         sig = real.signature
         if strategy_count(sig) > 64 or not _adaptive(sig):
             continue
-        r = Resource(real, name="r")
         schedule = tuple(("res", t) for t in range(1, sig.rounds + 1))
-        proto = Protocol(r, Resource(ideal, name="s"), (), schedule, name="pid")
+        proto = Protocol(real, ideal, (), schedule)
         j = (rng.choice(["alice", "bob"]),)
         try:
             want = _enumerated_epsilon(proto, j)
         except InterfaceMismatch:
             continue
-        assert min_epsilon(proto, r, proto.target, j).epsilon == want
-        found += want > 0 and _adaptive(dummy_attack(proto, r, j).signature)
+        assert min_epsilon(proto, real, proto.target, j).epsilon == want
+        found += want > 0 and _adaptive(dummy_attack(proto, real, j).signature)
     assert found >= 4
 
 
@@ -220,9 +219,17 @@ def test_min_epsilon_checks_farkas_certificate(monkeypatch):
     monkeypatch.setattr(lpmod, "minimize", bogus)
     with pytest.raises(CompositeVerificationFailed):
         min_epsilon(inst.protocol, inst.source, inst.target, ("eve",))
-    monkeypatch.setattr(lpmod, "verify", lambda out, prog: True)
-    rep = min_epsilon(inst.protocol, inst.source, inst.target, ("eve",))
-    assert rep.verdict == "insecure" and rep.lp is not None and rep.farkas.y == (0,) * rep.lp.m
+
+
+def test_an_infeasible_minimization_is_refused_by_both_searches(monkeypatch):
+    # a solver answer that passes re-verification is still refused: the
+    # minimum epsilon and the minimum split advantage raise, never report
+    inst = build_otp(group_make(("cyclic", 2)))
+    monkeypatch.setattr(distinguisher, "solve_checked", lambda bld, what: (bld.build(), Infeasible(FarkasCert(()))))
+    with pytest.raises(CompositeVerificationFailed, match="epsilon LP returned Infeasible"):
+        min_epsilon(inst.protocol, inst.source, inst.target, ("eve",))
+    with pytest.raises(CompositeVerificationFailed, match="advantage LP returned Infeasible"):
+        min_split_advantage(commitment_resource())
 
 
 def test_min_epsilon_checks_simulator_achieves_value(monkeypatch):

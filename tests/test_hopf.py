@@ -303,11 +303,11 @@ def test_otp_resources_equal_dense_table_builds():
             auth[x * n + x][x] = 1
             secure[x][x] = 1
         uniform_key = [[F(1, n) if i % (n + 1) == 0 else 0] for i in range(n * n)]
-        assert key_resource(g, weights).behavior.kernel == make_kernel([], [a, a], key), g.name
-        assert key_resource(g).behavior.kernel == make_kernel([], [a, a], uniform_key), g.name
-        assert short_key_resource(a).behavior.kernel == make_kernel([], [a, a], uniform_key), g.name
-        assert auth_channel(g).behavior.kernel == make_kernel([a], [a, a], auth), g.name
-        assert secure_channel(g).behavior.kernel.cols == make_kernel([a], [a], secure).cols, g.name
+        assert key_resource(g, weights).kernel == make_kernel([], [a, a], key), g.name
+        assert key_resource(g).kernel == make_kernel([], [a, a], uniform_key), g.name
+        assert short_key_resource(a).kernel == make_kernel([], [a, a], uniform_key), g.name
+        assert auth_channel(g).kernel == make_kernel([a], [a, a], auth), g.name
+        assert secure_channel(g).kernel.cols == make_kernel([a], [a], secure).cols, g.name
 
 
 @pytest.mark.parametrize(
@@ -330,5 +330,5 @@ def test_key_resource_rejects_bad_weights(weights):
 
 def test_key_weights_are_exact():
     g = group_make(("cyclic", 2))
-    key = key_resource(g, [0.25, "3/4"]).behavior.kernel
+    key = key_resource(g, [0.25, "3/4"]).kernel
     assert key.cols == (((0, F(1, 4)), (3, F(3, 4))),)

@@ -6,6 +6,7 @@ import pytest
 from composec.comb import (
     IN,
     OUT,
+    Behavior,
     Network,
     PortSpec,
     canonical,
@@ -36,7 +37,6 @@ from composec.nogo import (
     doubled_middle,
     tripartite_split_check,
 )
-from composec.resources import Resource
 from composec.stoch import Alphabet, index_tuple, make_kernel, marginalize, tuple_index
 from tests.helpers import BIT, TRIT, behavior_from_table, mix_resources, random_kernel, tripartite_program
 
@@ -45,9 +45,9 @@ F = Fraction
 
 def test_commitment_resource_shape():
     r = commitment_resource()
-    assert causality_report(r.behavior).ok
+    assert causality_report(r) is None
     # binding: round-2 output equals round-1 input
-    k = r.behavior.kernel
+    k = r.kernel
     for b in range(2):
         col = tuple_index(k.dom, (b, 0))
         assert k.matrix[tuple_index(k.cod, (0, b))][col] == 1
@@ -58,10 +58,10 @@ def test_commitment_resource_shape():
 
 def test_ot_resource_table():
     r = ot_resource()
-    k = r.behavior.kernel
+    k = r.kernel
     col = tuple_index(k.dom, (0, 1, 1))
     assert k.matrix[1][col] == 1  # m_c with (m0,m1)=(0,1), c=1 -> 1
-    assert causality_report(r.behavior).ok
+    assert causality_report(r) is None
     assert all(v in (0, 1) for row in k.matrix for v in row)
 
 
@@ -75,7 +75,7 @@ def test_mediator_signature_for_commitment():
     ]
 
 
-def _exchange() -> Resource:
+def _exchange() -> Behavior:
     """Both parties have ports in both rounds: Alice's a1 reaches Bob as b1,
     Bob's b2 reaches Alice as a2."""
     sig = make_signature(
@@ -92,7 +92,7 @@ def _exchange() -> Resource:
     for a1 in range(2):
         for b2 in range(2):
             table[a1 * 2 + b2][a1 * 2 + b2] = 1  # b1 = a1, a2 = b2
-    return Resource(make_behavior(sig, make_kernel((BIT, BIT), (BIT, BIT), table)), "exchange")
+    return make_behavior(sig, make_kernel((BIT, BIT), (BIT, BIT), table))
 
 
 def test_mediator_shape_for_a_two_round_exchange():
@@ -117,7 +117,7 @@ def test_mediator_shape_for_a_two_round_exchange():
     ]
     assert list(shape.schedule) == [("c1", 1), ("g", 1), ("c2", 1), ("c2", 2), ("g", 2), ("c1", 2)]
     # a causal network: every wire's producer fires before its consumer
-    Network([("c1", r.behavior), ("c2", r.behavior), (shape.label, shape.signature)], shape.wires, shape.schedule)
+    Network([("c1", r), ("c2", r), (shape.label, shape.signature)], shape.wires, shape.schedule)
 
 
 def test_split_check_forwards_a_two_round_exchange():
@@ -132,7 +132,7 @@ def test_split_identity_channel_with_identity_mediator():
     g_sig = mediator_problem(r).signature
     g = make_behavior(g_sig, make_kernel([p.alphabet for p in g_sig.ins()], [p.alphabet for p in g_sig.outs()], [[1, 0], [0, 1]]))
     glued = split(r, g)
-    assert glued.kernel.matrix == canonical(r.behavior).kernel.matrix
+    assert glued.kernel.matrix == canonical(r).kernel.matrix
 
 
 def test_split_check_identity_channel_feasible():
@@ -144,7 +144,7 @@ def test_split_check_identity_channel_feasible():
 def test_split_check_shared_bit_infeasible():
     # independent oracle: any mediated split is a product of marginals
     r = shared_bit_resource()
-    joint = r.behavior.kernel
+    joint = r.kernel
     pa = marginalize(joint, [0])
     pb = marginalize(joint, [1])
     product = [[pa.matrix[a][0] * pb.matrix[b][0]] for a in range(2) for b in range(2)]
@@ -209,10 +209,10 @@ def test_advantage_monotone_towards_splittable():
 
 def test_broadcast_resource_shape():
     r = broadcast_resource()
-    k = r.behavior.kernel
+    k = r.kernel
     for b in range(2):
         assert k.matrix[b * 2 + b][b] == 1
-    assert causality_report(r.behavior).ok
+    assert causality_report(r) is None
 
 
 def test_tripartite_broadcast_infeasible():
@@ -279,10 +279,10 @@ def test_commitment_realize_roundtrip():
     from composec.comb import flatten, realize
 
     r = commitment_resource()
-    comb = realize(r.behavior)
+    comb = realize(r)
     assert comb.signature.rounds == 2
     again = flatten(comb)
-    assert again.kernel.matrix == r.behavior.kernel.matrix
+    assert again.kernel.matrix == r.kernel.matrix
 
 
 def test_doubled_middle_constructive_on_controls():
@@ -321,12 +321,12 @@ def _interleaved_resource(seed):
         ],
     )
     kernel = random_kernel(random.Random(seed), (TRIT,), (TRIT, BIT, BIT, QUAD))
-    return Resource(make_behavior(sig, kernel), name=f"interleaved_{seed}")
+    return make_behavior(sig, kernel)
 
 
 def test_r_entry_reads_interleaved_out_ports():
     r = _interleaved_resource(31)
-    kernel = r.behavior.kernel
+    kernel = r.kernel
     entry, nb, na, nc = _r_entry_fn(r)
     assert (nb, na, nc) == (3, 6, 8)
     for b in range(nb):
@@ -380,7 +380,7 @@ def _alice_only_resource():
     for b in range(2):
         table[b * 2][b] = 1
     sig = broadcast_resource().signature
-    return Resource(make_behavior(sig, make_kernel((BIT,), (BIT, BIT), table)), name="alice_only")
+    return make_behavior(sig, make_kernel((BIT,), (BIT, BIT), table))
 
 
 def test_witness_check_rejects_mass_moved_within_an_s_b_column(monkeypatch):

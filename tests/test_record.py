@@ -16,7 +16,7 @@ from composec.comb import IN, OUT, Behavior, CombKernels, PortSpec, Signature, r
 from composec.errors import ChainMismatch, ColumnNotStochastic, DimensionMismatch, DuplicatePortId, WiringMismatch
 from composec.lp import FarkasCert, Feasible, Infeasible, LinearProgram
 from composec.record import Record
-from composec.resources import Converter, Protocol, Resource, identity_protocol
+from composec.resources import Converter, Protocol, identity_protocol
 from composec.stoch import UNIT, Alphabet, Dist, Kernel, make_kernel
 
 from tests.helpers import BIT, behavior_from_table
@@ -42,8 +42,6 @@ RECORDS = {
     "cli.SpecFileAst": ("statements", {}),
     "cli.Statement": ("line tokens", {}),
     "comb.Behavior": ("signature kernel", {}),
-    "comb.CausalityReport": ("ok violations", {}),
-    "comb.CausalityViolation": ("round x_prefix x_pair", {}),
     "comb.CombKernels": ("signature memories kernels", {}),
     "comb.PortSpec": ("id party alphabet direction round", {}),
     "comb.Signature": ("parties rounds ports", {}),
@@ -60,8 +58,7 @@ RECORDS = {
     "nogo.NogoVerdict": ("feasible witness cert lp", {"witness": None, "cert": None, "lp": None}),
     "nogo.OracleReport": ("contradiction charlie_forced alice_forced required_agreement achievable_agreement", {}),
     "resources.Converter": ("party comb wiring", {"wiring": ()}),
-    "resources.Protocol": ("source target converters schedule name", {"name": ""}),
-    "resources.Resource": ("behavior name", {"name": ""}),
+    "resources.Protocol": ("source target converters schedule", {}),
     "stoch.Alphabet": ("name size", {}),
     "stoch.Dist": ("alphabet weights", {}),
     "stoch.Kernel": ("dom cod cols", {}),
@@ -98,7 +95,7 @@ def _arguments(name: str) -> tuple:
         "comb.PortSpec": lambda: _echo().signature.ports[0]._values,
         "comb.Signature": lambda: _echo().signature._values,
         "lp.LinearProgram": lambda: (2, 2, ((0, ((0, F(1)),), F(1)),), (F(1), F(0))),
-        "resources.Protocol": lambda: identity_protocol(Resource(_echo(), name="echo"))._values,
+        "resources.Protocol": lambda: identity_protocol(_echo())._values,
         "stoch.Alphabet": lambda: ("z2", 2),
         "stoch.Dist": lambda: (BIT, (F(1, 2), F(1, 2))),
     }
@@ -216,10 +213,10 @@ def test_cached_views_are_built_once_and_stay_out_of_equality():
 
 
 def test_each_protocol_has_its_own_view_memo():
-    r = Resource(_echo(), name="echo")
+    r = _echo()
     p, q = identity_protocol(r), identity_protocol(r)
     assert p._views == {} and p._views is not q._views
-    p._views[("a",)] = r.behavior
+    p._views[("a",)] = r
     assert p == q and hash(p) == hash(q)
     assert "_views" not in repr(p)
 
@@ -244,7 +241,7 @@ def test_each_protocol_has_its_own_view_memo():
         (lambda: LinearProgram(1, 1, ((0, ((1, F(1)),), F(0)),)), DimensionMismatch, "out of order or out of range"),
         (lambda: LinearProgram(1, 0, (), objective=()), DimensionMismatch, "objective length"),
         (
-            lambda: Protocol(*[Resource(_echo())] * 2, (Converter("a", _echo()),) * 2, ()),
+            lambda: Protocol(*[_echo()] * 2, (Converter("a", _echo()),) * 2, ()),
             WiringMismatch,
             "multiple converters",
         ),

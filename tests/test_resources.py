@@ -17,7 +17,6 @@ from composec.errors import InterfaceMismatch, NotDeterministic, WiringMismatch
 from composec.resources import (
     Converter,
     Protocol,
-    Resource,
     apply_protocol,
     identity_protocol,
     is_deterministic,
@@ -45,7 +44,7 @@ def shared_pair(suffix=""):
             PortSpec("b" + suffix, "bob", BIT, OUT, 1),
         ],
     )
-    return Resource(behavior_from_table(sig, [[F(1, 2)], [0], [0], [F(1, 2)]]), "pair" + suffix)
+    return behavior_from_table(sig, [[F(1, 2)], [0], [0], [F(1, 2)]])
 
 
 def anti_pair(suffix=""):
@@ -57,7 +56,7 @@ def anti_pair(suffix=""):
             PortSpec("b" + suffix, "bob", BIT, OUT, 1),
         ],
     )
-    return Resource(behavior_from_table(sig, [[0], [F(1, 2)], [F(1, 2)], [0]]), "anti" + suffix)
+    return behavior_from_table(sig, [[0], [F(1, 2)], [F(1, 2)], [0]])
 
 
 def flip_converter(port_in, port_out, party="alice", table=NOT):
@@ -70,7 +69,7 @@ def flip_converter(port_in, port_out, party="alice", table=NOT):
     return Converter(party, comb, ((port_in, port_in.rstrip("_in")),))
 
 
-def flip_protocol(src, tgt, wired_port, new_port, name="flip"):
+def flip_protocol(src, tgt, wired_port, new_port):
     sig = make_signature(
         ["alice"],
         1,
@@ -78,14 +77,14 @@ def flip_protocol(src, tgt, wired_port, new_port, name="flip"):
     )
     comb = behavior_from_table(sig, NOT)
     conv = Converter("alice", comb, ((wired_port + "_c", wired_port),))
-    return Protocol(src, tgt, (conv,), (("res", 1), ("alice", 1)), name)
+    return Protocol(src, tgt, (conv,), (("res", 1), ("alice", 1)))
 
 
 def test_identity_protocol_noop():
     r = shared_pair()
     p = identity_protocol(r)
     out = apply_protocol(p, r)
-    assert observationally_equal(out.behavior, r.behavior)
+    assert observationally_equal(out, r)
 
 
 def test_apply_flip():
@@ -94,7 +93,7 @@ def test_apply_flip():
     p = flip_protocol(src, tgt, "a", "a2")
     out = apply_protocol(p, src)
     assert out.signature == tgt.signature
-    assert observationally_equal(out.behavior, tgt.behavior)
+    assert observationally_equal(out, tgt)
 
 
 def test_apply_checks_source_interface():
@@ -131,14 +130,14 @@ def test_seq_compose_functorial():
         1,
         [PortSpec("a3", "alice", BIT, OUT, 1), PortSpec("b", "bob", BIT, OUT, 1)],
     )
-    tgt = Resource(behavior_from_table(sig_back, [[F(1, 2)], [0], [0], [F(1, 2)]]), "pair3")
+    tgt = behavior_from_table(sig_back, [[F(1, 2)], [0], [0], [F(1, 2)]])
     p = flip_protocol(src, mid, "a", "a2")
     q = flip_protocol(mid, tgt, "a2", "a3")
     qp = seq_compose(q, p)
     left = apply_protocol(qp, src)
     right = apply_protocol(q, apply_protocol(p, src))
-    assert observationally_equal(left.behavior, right.behavior)
-    assert observationally_equal(left.behavior, tgt.behavior)
+    assert observationally_equal(left, right)
+    assert observationally_equal(left, tgt)
 
 
 def test_seq_compose_with_identity():
@@ -146,10 +145,10 @@ def test_seq_compose_with_identity():
     p = flip_protocol(r, anti_pair(), "a", "a2")
     comp = seq_compose(p, identity_protocol(r))
     out = apply_protocol(comp, r)
-    assert observationally_equal(out.behavior, anti_pair().behavior)
+    assert observationally_equal(out, anti_pair())
     comp2 = seq_compose(identity_protocol(anti_pair()), p)
     out2 = apply_protocol(comp2, r)
-    assert observationally_equal(out2.behavior, anti_pair().behavior)
+    assert observationally_equal(out2, anti_pair())
 
 
 def test_seq_compose_interface_mismatch():
@@ -164,10 +163,10 @@ def test_par_compose_is_tensor():
     p = flip_protocol(r1, anti_pair(), "a", "a2")
     q = flip_protocol(r2, anti_pair("_y"), "a_y", "a2_y")
     pq = par_compose(p, q)
-    src = Resource(tensor_behavior(r1.behavior, r2.behavior))
+    src = tensor_behavior(r1, r2)
     left = apply_protocol(pq, src)
-    right = tensor_behavior(apply_protocol(p, r1).behavior, apply_protocol(q, r2).behavior)
-    assert observationally_equal(left.behavior, right)
+    right = tensor_behavior(apply_protocol(p, r1), apply_protocol(q, r2))
+    assert observationally_equal(left, right)
 
 
 def test_par_compose_pads_identity():
@@ -175,10 +174,10 @@ def test_par_compose_pads_identity():
     p = flip_protocol(r1, anti_pair(), "a", "a2")
     q = identity_protocol(r2)
     pq = par_compose(p, q)
-    src = Resource(tensor_behavior(r1.behavior, r2.behavior))
+    src = tensor_behavior(r1, r2)
     out = apply_protocol(pq, src)
-    want = tensor_behavior(anti_pair().behavior, r2.behavior)
-    assert observationally_equal(out.behavior, want)
+    want = tensor_behavior(anti_pair(), r2)
+    assert observationally_equal(out, want)
 
 
 def test_multi_round_converter_interleaving():
@@ -196,7 +195,7 @@ def test_multi_round_converter_interleaving():
     for r1 in range(2):
         for x2 in range(2):
             table[r1 * 2 + x2][x2] += F(1, 2)
-    r = Resource(behavior_from_table(sig, table), "echo")
+    r = behavior_from_table(sig, table)
     # alice's converter reads r1 and feeds it back into x2
     csig = make_signature(
         ["alice"],
@@ -205,10 +204,10 @@ def test_multi_round_converter_interleaving():
     )
     conv = Converter("alice", behavior_from_table(csig, ID2), (("c_in", "r1"), ("c_out", "x2")))
     tsig = make_signature(["bob"], 1, [PortSpec("y2", "bob", BIT, OUT, 1)])
-    tgt = Resource(behavior_from_table(tsig, [[F(1, 2)], [F(1, 2)]]), "coin")
+    tgt = behavior_from_table(tsig, [[F(1, 2)], [F(1, 2)]])
     p = Protocol(r, tgt, (conv,), (("res", 1), ("alice", 1), ("alice", 2), ("res", 2)))
     out = apply_protocol(p, r)
-    assert observationally_equal(out.behavior, tgt.behavior)
+    assert observationally_equal(out, tgt)
 
 
 def test_lift_deterministic():
@@ -228,9 +227,7 @@ def test_lift_deterministic():
         1,
         [PortSpec("a2", "alice", BIT, OUT, 1), PortSpec("b", "bob", BIT, OUT, 1)],
     )
-    tgt = Resource(
-        behavior_from_table(sig_t, [[F(1, 4)], [F(1, 4)], [F(1, 4)], [F(1, 4)]]), "noise"
-    )
+    tgt = behavior_from_table(sig_t, [[F(1, 4)], [F(1, 4)], [F(1, 4)], [F(1, 4)]])
     noisy = Protocol(r, tgt, (conv,), (("res", 1), ("alice", 1)))
     assert not is_deterministic(comb)
     with pytest.raises(NotDeterministic):
@@ -255,11 +252,11 @@ def test_functoriality_random_suite():
         from composec.comb import Network
 
         net = Network(
-            [("res", r.behavior), ("alice", conv1.comb)],
+            [("res", r), ("alice", conv1.comb)],
             [(("alice", "a_c"), ("res", "a"))],
             [("res", 1), ("alice", 1)],
         )
-        tgt = Resource(net.evaluate())
+        tgt = net.evaluate()
         p1 = Protocol(r, tgt, (conv1,), (("res", 1), ("alice", 1)))
         k2 = random_kernel(rng, (BIT,), (BIT,))
         sig2 = make_signature(
@@ -269,13 +266,13 @@ def test_functoriality_random_suite():
         )
         conv2 = Converter("alice", make_behavior(sig2, k2), (("a2_c", "a2"),))
         net2 = Network(
-            [("res", tgt.behavior), ("alice", conv2.comb)],
+            [("res", tgt), ("alice", conv2.comb)],
             [(("alice", "a2_c"), ("res", "a2"))],
             [("res", 1), ("res", 2), ("alice", 1)],
         )
-        tgt2 = Resource(net2.evaluate())
+        tgt2 = net2.evaluate()
         p2 = Protocol(tgt, tgt2, (conv2,), (("res", 1), ("res", 2), ("alice", 1)))
         qp = seq_compose(p2, p1)
         left = apply_protocol(qp, r)
         right = apply_protocol(p2, apply_protocol(p1, r))
-        assert observationally_equal(left.behavior, right.behavior)
+        assert observationally_equal(left, right)
