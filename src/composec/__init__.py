@@ -11,7 +11,6 @@ with machine-checkable Farkas certificates.
 from .errors import ComposecError
 from .stoch import (
     Alphabet,
-    Dist,
     Kernel,
     channel_distance,
     compose,
@@ -23,7 +22,6 @@ from .stoch import (
     permutation,
     point,
     structural,
-    swap,
     tensor,
     uniform,
 )
@@ -48,7 +46,6 @@ from .comb import (
     behavior_equal,
     canonical,
     flatten,
-    link,
     make_behavior,
     make_signature,
     observationally_equal,
@@ -59,28 +56,19 @@ from .resources import (
     Converter,
     Protocol,
     apply_protocol,
-    identity_protocol,
     lift_deterministic,
     par_compose,
     seq_compose,
 )
 from .attacks import (
-    Attack,
-    Colluding,
-    Maximal,
-    Minimal,
-    PerParty,
     SecurityReport,
     Simulator,
     SimulatorCert,
-    apply_attack,
-    attack_model_axiom_suite,
     check_secure_with,
     compose_certs,
     dummy_attack,
     min_epsilon,
     search_simulator,
-    semi_honest_attack,
 )
 from .hopf import (
     FiniteGroup,
@@ -99,39 +87,35 @@ from .nogo import (
     broadcast_contradiction_oracle,
     broadcast_resource,
     commitment_resource,
-    doubled_middle,
     min_split_advantage,
     ot_resource,
     split,
     split_check,
-    tripartite_completion,
     tripartite_split_check,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Alphabet", "Dist", "Kernel", "channel_distance", "compose", "copy_map",
+    "Alphabet", "Kernel", "channel_distance", "compose", "copy_map",
     "delete", "identity", "make_kernel", "marginalize",
-    "permutation", "point", "structural", "swap", "tensor", "uniform",
+    "permutation", "point", "structural", "tensor", "uniform",
     "FarkasCert", "Feasible", "Infeasible", "LinearProgram", "LpBuilder",
     "Optimal", "minimize", "solve_feasible", "verify",
     "Behavior", "CombKernels", "Network", "PortSpec", "Signature",
     "behavior_distance", "behavior_equal", "canonical",
-    "flatten", "link", "make_behavior", "make_signature",
+    "flatten", "make_behavior", "make_signature",
     "observationally_equal", "realize", "tensor_behavior",
-    "Converter", "Protocol", "apply_protocol", "identity_protocol",
+    "Converter", "Protocol", "apply_protocol",
     "lift_deterministic", "par_compose", "seq_compose",
-    "Attack", "Colluding", "Maximal", "Minimal", "PerParty", "SecurityReport",
-    "Simulator", "SimulatorCert", "apply_attack", "attack_model_axiom_suite",
+    "SecurityReport", "Simulator", "SimulatorCert",
     "check_secure_with", "compose_certs", "dummy_attack", "min_epsilon",
-    "search_simulator", "semi_honest_attack",
+    "search_simulator",
     "FiniteGroup", "OtpInstance", "build_otp", "group_kernels", "group_make",
     "hopf_axiom_suite", "loop_make", "otp_correctness", "otp_security",
     "stream_cipher_demo",
     "NogoVerdict", "broadcast_contradiction_oracle", "broadcast_resource",
-    "commitment_resource", "doubled_middle", "min_split_advantage",
-    "ot_resource", "split", "split_check",
-    "tripartite_completion", "tripartite_split_check",
+    "commitment_resource", "min_split_advantage",
+    "ot_resource", "split", "split_check", "tripartite_split_check",
     "ComposecError",
 ]

@@ -1,106 +1,47 @@
-"""Attack models, the dummy adversary, simulator search, and certificates.
+"""The dummy adversary, simulator search, and certificates.
 
 Security of a protocol against a dishonest subset J is checked against the
 initial (dummy) attack only: the J parties' converters are removed, exposing
-their raw resource ports.  A simulator is a process wrapped around the ideal
-resource's J interface that reproduces that view exactly; searching for one
-is a linear feasibility problem because the attacked ideal execution is
-linear in the simulator's table.  `derive_simulator_shape` says which ideal
-rounds fire when and which real ports the simulator plays, and
-`distinguisher.ShapeBuilder` opens its rounds.  Simulator search and the
-minimum ε solve on that shape through `distinguisher.solve_comb`:
-infeasibility comes back as a re-verified exact Farkas certificate, and a
-simulator is substituted back and must reach the program's value exactly.
-A search's report keeps the program it solved (`SecurityReport.lp`), whatever
-the verdict, so its size and its certificate are read from one record.
-A certificate's residual is always the distinguisher advantage between the
-real and the simulated view (`simulator_distance`), so `compose_certs` adds
-like with like.  Nodes are linked onto a view here only: an attack
-(`link_attack`) or the J parties' converters.
+their raw resource ports.  Every attack factors through that view (linking
+the J parties' own converters back onto it gives the honest execution), so
+a simulator for it covers all attacks.  A simulator is a process wrapped
+around the ideal resource's J interface that reproduces that view exactly;
+searching for one is a linear feasibility problem because the attacked
+ideal execution is linear in the simulator's table.
+`derive_simulator_shape` says which ideal rounds fire when and which real
+ports the simulator plays, and `distinguisher.ShapeBuilder` opens its
+rounds.  Simulator search and the minimum ε solve on that shape through
+`distinguisher.solve_comb`: infeasibility comes back as a re-verified exact
+Farkas certificate, and a simulator is substituted back and must reach the
+program's value exactly.  A search's report keeps the program it solved
+(`SecurityReport.lp`), whatever the verdict, so its size and its
+certificate are read from one record.  A certificate's residual is always
+the distinguisher advantage between the real and the simulated view
+(`simulator_distance`), so `compose_certs` adds like with like.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 from . import lp as lpmod
 from .comb import (
-    IN,
     OUT,
     Behavior,
     Network,
-    PortSpec,
     Signature,
     Wire,
     behavior_distance,
     canonical,
-    make_behavior,
-    make_signature,
-    merge_asap,
     moment_order,
-    observationally_equal,
     schedule_to_match,
 )
 from .distinguisher import CombShape, ShapeBuilder, solve_comb
-from .errors import (
-    ColumnNotStochastic,
-    CompositeVerificationFailed,
-    DimensionMismatch,
-    InterfaceMismatch,
-    NegativeEntry,
-    ShapeMismatch,
-    WiringMismatch,
-)
+from .errors import CompositeVerificationFailed, InterfaceMismatch, WiringMismatch
 from .lp import FarkasCert
 from .record import Record
-from .resources import RES, Protocol, apply_protocol, par_compose, seq_compose
+from .resources import RES, Protocol, par_compose, seq_compose
 from .scalars import ZERO, Scalar
-from .stoch import (
-    Kernel,
-    compose as k_compose,
-    copy_map,
-    identity as k_identity,
-    kernel_equal,
-    make_kernel,
-    tensor as k_tensor,
-    validate_kernel,
-)
-
-
-# ---------------------------------------------------------------------------
-# attack model specifications
-
-
-class Minimal(Record):
-    pass
-
-
-class Maximal(Record):
-    pass
-
-
-class PerParty(Record):
-    models: tuple[Union[Minimal, Maximal], ...]
-
-
-class Colluding(Record):
-    parties: frozenset[str]
-
-    def __init__(self, parties: frozenset[str]) -> None:
-        if not parties:
-            raise ValueError("a colluding set must be nonempty")
-        super().__init__(parties)
-
-
-AttackModelSpec = Union[Minimal, Maximal, PerParty, Colluding]
-
-
-class Attack(Record):
-    """A process linked onto the dummy-exposed interface."""
-
-    j_parties: tuple[str, ...]
-    comb: Behavior
-    wiring: tuple[tuple[str, str], ...]  # (attack port id, exposed view port id)
 
 
 class Simulator(Record):
@@ -158,25 +99,6 @@ def dummy_attack(p: Protocol, r: Behavior, j_parties: Sequence[str]) -> Behavior
     if r is p.source:
         p._views[key] = view
     return view
-
-
-def apply_attack(p: Protocol, r: Behavior, a: Attack) -> Behavior:
-    """Generic attacked execution: the attack comb linked onto the dummy view."""
-    return link_attack(dummy_attack(p, r, a.j_parties), a)
-
-
-def link_attack(view: Behavior, a: Attack) -> Behavior:
-    """The attack comb linked onto `view`, a behaviour with the dummy view's
-    J interface (the real view, or a simulator-wrapped ideal one)."""
-    wires = [(("atk", ap), ("view", vp)) for ap, vp in a.wiring]
-    return _onto_view(view, [("atk", a.comb)], wires).evaluate()
-
-
-def _onto_view(view: Behavior, nodes: list[tuple[str, Behavior]], wires: list[Wire]) -> Network:
-    """`nodes` wired onto `view` ("view"), each round firing as soon as its
-    wired inputs are available."""
-    nodes = [("view", view), *nodes]
-    return Network(nodes, wires, merge_asap(nodes, wires, view_label="view"))
 
 
 # ---------------------------------------------------------------------------
@@ -297,76 +219,6 @@ def min_epsilon(
 
 
 # ---------------------------------------------------------------------------
-# semi-honest (honest-but-curious) attacks
-
-
-def semi_honest_attack(p: Protocol, j_parties: Sequence[str]) -> Attack:
-    """The initial honest-but-curious attack: J parties follow their
-    converters but copy every value exchanged with the resource (and every
-    passed-through port) to a leak interface.
-
-    Supported for single-round J converters, which covers the protocols
-    shipped here.
-    """
-    j = list(j_parties)
-    src = p.source.signature
-    nodes: list[tuple[str, Behavior]] = []
-    internal: list[Wire] = []
-    wiring: list[tuple[str, str]] = []
-    order: list[str] = []
-
-    def gadget(label: str, pid: str, alphabet, party, fwd_id: str, leak_id: str, out_id: str):
-        sig = make_signature(
-            [party],
-            1,
-            [
-                PortSpec(pid, party, alphabet, IN, 1),
-                PortSpec(fwd_id, party, alphabet, OUT, 1),
-                PortSpec(leak_id, party, alphabet, OUT, 1),
-            ],
-        )
-        nodes.append((label, make_behavior(sig, copy_map((alphabet,)))))
-        order.append(label)
-
-    for party in j:
-        conv = p.converter_for(party)
-        party_ports = [q for q in src.ports if q.party == party]
-        wired = {rp: cp for cp, rp in (conv.wiring if conv else ())}
-        if conv is not None and conv.comb.signature.rounds != 1:
-            raise ShapeMismatch("semi-honest attacks support single-round converters only")
-        if conv is not None:
-            nodes.append((party, conv.comb))
-        for q in party_ports:
-            lab = f"g_{party}_{q.id}"
-            if q.direction == OUT:
-                # resource emits; attack consumes the exposed port
-                gadget(lab, f"tap__{q.id}", q.alphabet, party, f"fwd__{q.id}", f"leak__{q.id}", q.id)
-                wiring.append((f"tap__{q.id}", q.id))
-                if q.id in wired:
-                    internal.append(((lab, f"fwd__{q.id}"), (party, wired[q.id])))
-                # unwired: fwd__ stays outer, same data as the honest pass-through
-            else:
-                # resource consumes; attack must feed the exposed port
-                gadget(lab, f"src__{q.id}", q.alphabet, party, q.id + "__fwd", f"leak__{q.id}", q.id)
-                wiring.append((q.id + "__fwd", q.id))
-                if q.id in wired:
-                    internal.append(((lab, f"src__{q.id}"), (party, wired[q.id])))
-                # unwired in-port: src__ stays outer for the environment
-        if conv is not None:
-            order.append(party)
-
-    if not nodes:
-        sig = make_signature(["env"], 1, ())
-        comb = make_behavior(sig, make_kernel((), (), [[1]]))
-        return Attack(tuple(j), comb, ())
-    # order: feeding gadgets and converters sorted so converters run after
-    # their tap gadgets; merge_asap at application time does the real work
-    schedule = merge_asap(nodes, internal, view_label=order[0]) if len(nodes) > 1 else [(nodes[0][0], 1)]
-    comb = Network(nodes, internal, schedule).evaluate()
-    return Attack(tuple(j), comb, tuple(wiring))
-
-
-# ---------------------------------------------------------------------------
 # certificate composition
 
 
@@ -436,118 +288,3 @@ def _prefixed(sim: Simulator, prefix: str, res_ref=lambda end: end) -> tuple[tup
 
     return nodes, tuple((ref(a), ref(b)) for a, b in sim.wires)
 
-
-# ---------------------------------------------------------------------------
-# attack model axiom suite
-
-
-class AxiomCheck(Record):
-    name: str
-    passed: bool
-
-
-class AxiomSuiteReport(Record):
-    checks: tuple[AxiomCheck, ...]
-
-    @property
-    def ok(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-
-def attack_model_axiom_suite(
-    spec: AttackModelSpec,
-    samples: Sequence[Kernel],
-    protocol: Optional[Protocol] = None,
-    resource: Optional[Behavior] = None,
-) -> AxiomSuiteReport:
-    """Constructively checkable halves of the attack-model conditions for the
-    shipped concrete models.  The factorization halves quantify over infinite
-    classes; for the colluding model they are witnessed through the dummy
-    factorization (any attacked execution is an attack comb linked onto the
-    dummy view), which is checked when a protocol is supplied."""
-    checks: list[AxiomCheck] = []
-
-    def membership(model, k: Kernel) -> bool:
-        """Whether the model admits k.  The minimal model admits only the
-        honest kernel, so its only attack is the trivial one: composing with
-        identities and tensoring with the trivial kernel must give k back.
-        The maximal model admits every stochastic kernel."""
-        if isinstance(model, Minimal):
-            unit = k_identity(())
-            return (
-                kernel_equal(k_compose(k_identity(k.cod), k), k)
-                and kernel_equal(k_compose(k, k_identity(k.dom)), k)
-                and kernel_equal(k_tensor(k, unit), k)
-                and kernel_equal(k_tensor(unit, k), k)
-            )
-        if isinstance(model, Maximal):
-            try:
-                validate_kernel(k)
-            except (ColumnNotStochastic, DimensionMismatch, NegativeEntry):
-                return False
-            return True
-        raise ValueError(model)
-
-    composable = [(f, g) for f in samples for g in samples if f.cod == g.dom]
-    if isinstance(spec, (Minimal, Maximal)):
-        checks.append(AxiomCheck("honest-inclusion", all(membership(spec, f) for f in samples)))
-        checks.append(
-            AxiomCheck(
-                "sequential-closure",
-                all(membership(spec, k_compose(g, f)) for f, g in composable),
-            )
-        )
-        checks.append(
-            AxiomCheck(
-                "parallel-closure",
-                all(membership(spec, k_tensor(f, g)) for f in samples for g in samples),
-            )
-        )
-    elif isinstance(spec, PerParty):
-        checks.append(
-            AxiomCheck(
-                "honest-inclusion",
-                all(membership(m, f) for m in spec.models for f in samples),
-            )
-        )
-        checks.append(
-            AxiomCheck(
-                "componentwise-closure",
-                all(membership(m, k_compose(g, f)) for m in spec.models for f, g in composable),
-            )
-        )
-    elif isinstance(spec, Colluding):
-        if protocol is None or resource is None:
-            raise ValueError("the colluding model is checked against a protocol execution")
-        j = tuple(sorted(spec.parties))
-        if not set(j) < set(resource.signature.parties):
-            raise ValueError("colluding set must be a proper subset of the parties")
-        view = dummy_attack(protocol, resource, j)
-        # honest inclusion: replaying the J converters on the dummy view
-        # reproduces the honest execution
-        honest = apply_protocol_via_dummy(protocol, resource, j)
-        full = apply_protocol(protocol, resource)
-        checks.append(
-            AxiomCheck(
-                "honest-inclusion (dummy factorization of the protocol)",
-                observationally_equal(honest, full),
-            )
-        )
-        checks.append(AxiomCheck("dummy-exposes-J-interface", _exposes_j(view, resource, j)))
-    else:
-        raise ValueError(f"unknown attack model {spec!r}")
-    return AxiomSuiteReport(tuple(checks))
-
-
-def _exposes_j(view: Behavior, resource: Behavior, j) -> bool:
-    want = {q.id for q in resource.signature.ports if q.party in j}
-    have = {q.id for q in view.signature.ports if q.party in j}
-    return want == have
-
-
-def apply_protocol_via_dummy(p: Protocol, r: Behavior, j_parties) -> Behavior:
-    """Link the J parties' honest converters back onto the dummy view; by
-    initiality this reproduces the honest execution."""
-    convs = [c for c in map(p.converter_for, j_parties) if c is not None]
-    wires = [((c.party, cp), ("view", rp)) for c in convs for cp, rp in c.wiring]
-    return _onto_view(dummy_attack(p, r, j_parties), [(c.party, c.comb) for c in convs], wires).evaluate()

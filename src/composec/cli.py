@@ -32,6 +32,10 @@ insecure one.  The dummy attack is initial, and `hopf.otp_security` says
 exactly, so every attack on Eve transfers; no attack is drawn, and `seed S`
 is read but changes nothing.
 
+The names `unit` (the one-valued alphabet) and `identity` (the identity
+expander of `check stream`) are built in: declaring an alphabet or group
+`unit`, or a kernel `identity`, is a `DuplicateName` error.
+
 Digits after `gen KIND` are read only by `point` and `permutation`.
 `expect_at_most` belongs to `stream` only; every other check takes
 `expect`.  A token left over after a statement's operands is a parse
@@ -151,8 +155,13 @@ class Env:
         self.checks: list[tuple[int, tuple[str, ...]]] = []
 
     def define(self, table: dict, name: str, value, line: int) -> None:
-        # alphabets and groups are one namespace (`alphabet` reads both)
-        shared = (self.alphabets, self.groups) if table is self.alphabets or table is self.groups else (table,)
+        # alphabets and groups are one namespace (`alphabet` reads both);
+        # `unit` names the built-in trivial alphabet and `identity` the
+        # built-in expander of `check stream`, so neither can be redefined
+        alphabetic = table is self.alphabets or table is self.groups
+        shared = (self.alphabets, self.groups) if alphabetic else (table,)
+        if name == ("unit" if alphabetic else "identity" if table is self.kernels else None):
+            raise DuplicateName(f"line {line}: name {name!r} is built in")
         if any(name in t for t in shared):
             raise DuplicateName(f"line {line}: name {name!r} already declared")
         table[name] = value

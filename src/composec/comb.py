@@ -780,52 +780,6 @@ def schedule_to_match(
     return schedule
 
 
-def merge_asap(
-    node_items: Sequence[tuple[str, Union[Behavior, Signature]]],
-    wires: Sequence[Wire],
-    view_label: str,
-) -> list[ScheduleItem]:
-    """Total order firing non-view rounds as soon as their wired inputs are
-    available, advancing the view only when nothing else can run."""
-    signatures = {
-        lab: (item.signature if isinstance(item, Behavior) else item) for lab, item in node_items
-    }
-    deps = _wire_deps(signatures, wires)
-    fired: set[tuple[str, int]] = set()
-    next_round = {lab: 1 for lab in signatures}
-    others = [lab for lab in signatures if lab != view_label]
-    schedule: list[ScheduleItem] = []
-    total = sum(sig.rounds for sig in signatures.values())
-    while len(schedule) < total:
-        progressed = False
-        for lab in others + [view_label]:
-            r = next_round[lab]
-            if r > signatures[lab].rounds:
-                continue
-            if all(d in fired for d in deps.get((lab, r), ())):
-                schedule.append((lab, r))
-                fired.add((lab, r))
-                next_round[lab] = r + 1
-                progressed = True
-                break
-        if not progressed:
-            raise AcausalSchedule("wiring admits no causal schedule")
-    return schedule
-
-
-def link(
-    a: Behavior,
-    b: Behavior,
-    wiring: Sequence[tuple[str, str]],
-    schedule: Sequence[ScheduleItem],
-) -> Behavior:
-    """Wire two behaviors together; `wiring` pairs an a-port id with a b-port
-    id (directions inferred), and `schedule` totally orders the rounds using
-    labels "a" and "b"."""
-    wires = [(("a", pa), ("b", pb)) for pa, pb in wiring]
-    return Network([("a", a), ("b", b)], wires, schedule).evaluate()
-
-
 def tensor_behavior(a: Behavior, b: Behavior) -> Behavior:
     """Parallel composition: a's rounds, then b's."""
     shift = a.signature.rounds

@@ -10,10 +10,8 @@ advantage between the functionality and its best split.
 Tripartite: a broadcast-like functionality realizable from pairwise
 channels admits a doubled-middle process that three single-cheater attacks
 explain simultaneously; infeasibility of that linear system rules out
-broadcast.  One generator, `_doubled_middle_forms`, writes that system's
-equations; the split check, its completion and `doubled_middle` all read
-them.  An independent combinatorial oracle cross-checks the LP verdict on
-broadcast-shaped resources.
+broadcast.  An independent combinatorial oracle cross-checks the LP verdict
+on broadcast-shaped resources.
 
 Every program here is solved through `distinguisher.solve_checked`, which
 re-verifies each Farkas certificate.  `mediator_problem` says which copy's
@@ -23,9 +21,9 @@ a given mediator there through `distinguisher.fill`.  The split check and
 the split advantage go through `distinguisher.solve_comb` on that shape,
 which substitutes the mediator back and requires the split to be
 at exactly the program's value from r (0 for feasibility); that guards the
-encoding and the solver.  The tripartite split check and its completion
-re-check their points with `lp.verify` against the program they solved, so
-they guard the solver; the oracle is what guards the tripartite encoding.
+encoding and the solver.  The tripartite split check re-checks its point
+with `lp.verify` against the program it solved, so it guards the solver;
+the oracle is what guards the tripartite encoding.
 Every `NogoVerdict` keeps the program it was decided on, feasible or not.
 """
 
@@ -33,7 +31,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
-from typing import Optional, Sequence
+from typing import Optional
 
 from . import lp as lpmod
 from .comb import (
@@ -281,7 +279,7 @@ def _r_entry_fn(r: Behavior):
 
 
 def _doubled_middle_forms(r: Behavior):
-    """The doubled-middle system, written once for all its readers.
+    """The doubled-middle system.
 
     Returns the shapes {name: (columns, outputs)} of the four conditional
     tables, whose cell (column, output) is column * outputs + output: D
@@ -304,71 +302,30 @@ def _doubled_middle_forms(r: Behavior):
     return shapes, equations
 
 
-def _table_vars(bld: LpBuilder, shapes, names, groups) -> dict[str, int]:
-    """Allocate the named tables' cells in order and return each table's
-    first variable; then add, group by group, one row per column saying it
-    sums to 1.  The tables of one group share their columns and take turns."""
-    first = {name: bld.new_vars(shapes[name][0] * shapes[name][1]).start for name in names}
-    for group in groups:
+def tripartite_split_check(r: Behavior) -> NogoVerdict:
+    """Feasibility of the doubled-middle system: one joint process D with two
+    copies of Bob's input that three single-cheater simulators explain at
+    once.  Infeasible for genuine broadcast.  The four tables' cells are
+    allocated in order, then one row per column says it sums to 1 (D and s_B
+    share their columns and take turns), then the system's equations; a
+    feasible point is re-checked with `lp.verify` and cut into the tables."""
+    shapes, equations = _doubled_middle_forms(r)
+    bld = LpBuilder()
+    first = {name: bld.new_vars(cols * outs).start for name, (cols, outs) in shapes.items()}
+    for group in (("D", "s_B"), ("s_A",), ("s_C",)):
         for col in range(shapes[group[0]][0]):
             for name in group:
                 outs = shapes[name][1]
                 bld.add_eq({first[name] + col * outs + o: ONE for o in range(outs)}, ONE)
-    return first
-
-
-def _tripartite_verdict(bld: LpBuilder, shapes, first, what: str) -> NogoVerdict:
-    """Solve the built program: infeasible with its re-verified Farkas
-    certificate, or feasible with each allocated table's cells, cut out of a
-    point that `lp.verify` re-checks."""
-    prog, out = solve_checked(bld, what)
-    if isinstance(out, Infeasible):
-        return NogoVerdict(False, cert=out.cert, lp=prog)
-    verify_or_raise(out, prog, what)
-    tables = {name: out.point[s : s + shapes[name][0] * shapes[name][1]] for name, s in first.items()}
-    return NogoVerdict(True, witness=tables, lp=prog)
-
-
-def tripartite_split_check(r: Behavior) -> NogoVerdict:
-    """Feasibility of the doubled-middle system: one joint process D with two
-    copies of Bob's input that three single-cheater simulators explain at
-    once.  Infeasible for genuine broadcast."""
-    shapes, equations = _doubled_middle_forms(r)
-    bld = LpBuilder()
-    first = _table_vars(bld, shapes, shapes, (("D", "s_B"), ("s_A",), ("s_C",)))
     for d_cell, forms in equations:
         for name, form in forms.items():
             bld.add_eq({first["D"] + d_cell: ONE, **{first[name] + k: -w for k, w in form.items()}}, ZERO)
-    return _tripartite_verdict(bld, shapes, first, "tripartite")
-
-
-def doubled_middle(r: Behavior, s_b: Sequence[Sequence[Scalar]]) -> list[list[Scalar]]:
-    """Constructive direction: when Bob cheats by answering both middle wires
-    with one input to r, the result IS a doubled-middle process.  `s_b` maps
-    the middle pair (columns, left input most significant) to Bob's input
-    (rows).  Returns D's table indexed [a * nc + c][bl * nb + br]."""
-    shapes, equations = _doubled_middle_forms(r)
-    (n_col, n_out), nb = shapes["D"], shapes["s_B"][1]
-    d = [[ZERO] * n_col for _ in range(n_out)]
-    for d_cell, forms in equations:
-        col, row = divmod(d_cell, n_out)
-        d[row][col] = sum((w * s_b[k % nb][k // nb] for k, w in forms["s_B"].items()), ZERO)
-    return d
-
-
-def tripartite_completion(r: Behavior, d_table: Sequence[Sequence[Scalar]]) -> NogoVerdict:
-    """Given a fixed doubled-middle process D (indexed as `doubled_middle`
-    returns it), do the Alice- and Charlie-cheating simulators explaining D
-    exist?"""
-    shapes, equations = _doubled_middle_forms(r)
-    bld = LpBuilder()
-    first = _table_vars(bld, shapes, ("s_A", "s_C"), (("s_A",), ("s_C",)))
-    n_out = shapes["D"][1]
-    for d_cell, forms in equations:
-        col, row = divmod(d_cell, n_out)
-        for name in first:
-            bld.add_eq({first[name] + k: w for k, w in forms[name].items()}, d_table[row][col])
-    return _tripartite_verdict(bld, shapes, first, "completion")
+    prog, out = solve_checked(bld, "tripartite")
+    if isinstance(out, Infeasible):
+        return NogoVerdict(False, cert=out.cert, lp=prog)
+    verify_or_raise(out, prog, "tripartite")
+    tables = {name: out.point[s : s + shapes[name][0] * shapes[name][1]] for name, s in first.items()}
+    return NogoVerdict(True, witness=tables, lp=prog)
 
 
 class OracleReport(Record):

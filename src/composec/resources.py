@@ -119,11 +119,6 @@ def _sig_brief(sig: Signature) -> str:
     return "[" + ", ".join(f"{p.id}:{p.direction}@{p.round}" for p in sig.ports) + "]"
 
 
-def identity_protocol(r: Behavior) -> Protocol:
-    sched = tuple((RES, i) for i in range(1, r.signature.rounds + 1))
-    return Protocol(r, r, (), sched)
-
-
 def apply_protocol(p: Protocol, r: Behavior) -> Behavior:
     """Link every converter onto r; the result carries the declared target
     signature.  r must present the source interface (tables may differ)."""

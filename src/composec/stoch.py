@@ -1,10 +1,11 @@
-"""Finite alphabets, distributions and column-stochastic kernels.
+"""Finite alphabets and column-stochastic kernels.
 
 A Kernel is a morphism of the category of finite sets and stochastic maps:
 an ordered list of domain ports, an ordered list of codomain ports, and a
 matrix indexed (codomain tuple, domain tuple).  Tuples are enumerated
 row-major with the leftmost port most significant; every module in this
-package inherits that convention.
+package inherits that convention.  A distribution is a kernel with no
+domain port.
 
 The matrix is stored by columns and sparsely: for every domain index, the
 (codomain index, value) pairs of its nonzero entries in increasing codomain
@@ -82,13 +83,6 @@ def tuple_index(ports: Sequence[Alphabet], values: Sequence[int]) -> int:
     return idx
 
 
-def index_tuple(ports: Sequence[Alphabet], index: int) -> tuple[int, ...]:
-    values = [0] * len(ports)
-    for k in range(len(ports) - 1, -1, -1):
-        index, values[k] = divmod(index, ports[k].size)
-    return tuple(values)
-
-
 def all_tuples(ports: Sequence[Alphabet]) -> Iterable[tuple[int, ...]]:
     return itertools.product(*(range(a.size) for a in ports))
 
@@ -161,23 +155,6 @@ class Kernel(Record):
             if k == i:
                 return v
         return ZERO
-
-
-class Dist(Record):
-    """A probability distribution over one alphabet."""
-
-    alphabet: Alphabet
-    weights: tuple[Scalar, ...]
-
-    def __init__(self, alphabet: Alphabet, weights: tuple[Scalar, ...]) -> None:
-        if len(weights) != alphabet.size:
-            raise DimensionMismatch(f"{len(weights)} weights for alphabet of size {alphabet.size}")
-        _check_column(weights, 0)
-        super().__init__(alphabet, weights)
-
-    def as_kernel(self) -> Kernel:
-        col = tuple((i, w) for i, w in enumerate(self.weights) if w)
-        return Kernel((), (self.alphabet,), (col,))
 
 
 def _check_column(values: Iterable[Scalar], col: int) -> None:
@@ -367,10 +344,6 @@ def permutation(ports: Sequence[Alphabet], perm: Sequence[int]) -> Kernel:
         raise BadPermutation(f"{perm} is not a permutation of 0..{len(ports) - 1}")
     cod = tuple(ports[p] for p in perm)
     return _deterministic(ports, cod, map(index_projection(ports, perm), range(ports_size(ports))))
-
-
-def swap(a: Alphabet, b: Alphabet) -> Kernel:
-    return permutation((a, b), (1, 0))
 
 
 def copy_map(ports: Sequence[Alphabet]) -> Kernel:

@@ -3,13 +3,16 @@ small constructors that only tests use, and the slow, plain implementations
 that serve as test oracles: exhaustive
 strategy enumeration for the adaptive distinguisher, dense kernel algebra,
 a dense simplex, network simulation on scalar weights, the match rows
-written cell by cell over dense forms, and the tripartite no-go program
-written out row by row."""
+written cell by cell over dense forms, the tripartite no-go program
+written out row by row, and the linker of nodes onto a view, which
+replays the J parties' converters (the dummy factorization) and links
+random attacks onto the real and the simulated view."""
 
 import itertools
 from fractions import Fraction
 
-from composec.attacks import derive_simulator_shape
+from composec import attacks
+from composec.attacks import derive_simulator_shape, ideal_view
 from composec.comb import (
     IN,
     OUT,
@@ -18,15 +21,17 @@ from composec.comb import (
     Network,
     PortSpec,
     Signature,
+    behavior_equal,
     canonical,
     flatten,
     make_behavior,
     make_signature,
 )
 from composec.distinguisher import canonical_forms
-from composec.errors import CompositeVerificationFailed, InterfaceMismatch
+from composec.errors import AcausalSchedule, CompositeVerificationFailed, InterfaceMismatch
 from composec.nogo import mediator_problem
-from composec.stoch import UNIT, Alphabet, all_tuples, index_tuple, make_kernel, ports_size, tuple_index
+from composec.resources import RES, Protocol
+from composec.stoch import UNIT, Alphabet, all_tuples, make_kernel, ports_size, tuple_index
 
 BIT = Alphabet("bit", 2)
 TRIT = Alphabet("trit", 3)
@@ -130,6 +135,77 @@ def mix_resources(r1: Behavior, r2: Behavior, weight) -> Behavior:
 def format_ast(ast) -> str:
     """A parsed spec file written back, one statement per line."""
     return "\n".join(" ".join(s.tokens) for s in ast.statements) + "\n"
+
+
+def index_tuple(ports, index: int) -> tuple[int, ...]:
+    """The values at `index` of a table over `ports`, leftmost port most
+    significant: the inverse of `stoch.tuple_index`."""
+    values = [0] * len(ports)
+    for k in range(len(ports) - 1, -1, -1):
+        index, values[k] = divmod(index, ports[k].size)
+    return tuple(values)
+
+
+def identity_protocol(r: Behavior) -> Protocol:
+    """The protocol with no converter, from r to r."""
+    return Protocol(r, r, (), tuple((RES, i) for i in range(1, r.signature.rounds + 1)))
+
+
+# ---------------------------------------------------------------------------
+# nodes linked onto a view
+
+
+def merge_asap(view: Behavior, nodes, wires) -> Behavior:
+    """`nodes` wired onto `view` (labelled "view") and evaluated: the first
+    node round whose wired inputs are all available fires next, and the view
+    advances only when no node round can."""
+    items = [("view", view), *nodes]
+    sigs = {lab: b.signature for lab, b in items}
+    deps: dict[tuple[str, int], list[tuple[str, int]]] = {}
+    for pair in wires:
+        ends = [(lab, sigs[lab].port(pid)) for lab, pid in pair]
+        (src, ps), (dst, pd) = ends if ends[0][1].direction == OUT else ends[::-1]
+        deps.setdefault((dst, pd.round), []).append((src, ps.round))
+    next_round = dict.fromkeys(sigs, 1)
+    schedule = []
+    while len(schedule) < sum(sig.rounds for sig in sigs.values()):
+        for lab in [*(lab for lab, _ in nodes), "view"]:
+            r = next_round[lab]
+            if r <= sigs[lab].rounds and all(next_round[d] > k for d, k in deps.get((lab, r), ())):
+                break
+        else:
+            raise AcausalSchedule("wiring admits no causal schedule")
+        schedule.append((lab, r))
+        next_round[lab] = r + 1
+    return Network(items, list(wires), schedule).evaluate()
+
+
+def apply_protocol_via_dummy(p: Protocol, r: Behavior, j_parties) -> Behavior:
+    """The J parties' converters linked back onto the dummy view
+    `attacks.dummy_attack(p, r, J)`; the dummy factorization says this is
+    the honest execution `apply_protocol(p, r)`."""
+    convs = [c for c in map(p.converter_for, j_parties) if c is not None]
+    wires = [((c.party, cp), ("view", rp)) for c in convs for cp, rp in c.wiring]
+    return merge_asap(attacks.dummy_attack(p, r, j_parties), [(c.party, c.comb) for c in convs], wires)
+
+
+def attack_transfers(inst, n: int, draw) -> list[bool]:
+    """For each of `n` attacks on Eve's ciphertext in the OTP instance
+    `inst`, whether linking it onto the real view and onto the ideal view
+    wrapped in `inst.sigma` gives the same canonical table.  `draw(c)` gives
+    an attack's kernel from the ciphertext alphabet c to one leak port."""
+    real = attacks.dummy_attack(inst.protocol, inst.source, ("eve",))
+    ideal = ideal_view(inst.target, inst.sigma, match=real.signature)
+    assert ideal.signature == real.signature
+    (pe,) = [q for q in real.signature.ports if q.party == "eve"]
+    wires = [(("atk", "a_in"), ("view", pe.id))]
+    verdicts = []
+    for _ in range(n):
+        k = draw(pe.alphabet)
+        ports = [PortSpec("a_in", "eve", pe.alphabet, IN, 1), PortSpec("a_out", "eve", k.cod[0], OUT, 1)]
+        comb = make_behavior(make_signature(["eve"], 1, ports), k)
+        verdicts.append(behavior_equal(*(canonical(merge_asap(view, [("atk", comb)], wires)) for view in (real, ideal))))
+    return verdicts
 
 
 # ---------------------------------------------------------------------------

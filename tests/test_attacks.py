@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -6,24 +7,14 @@ import pytest
 from composec import attacks, distinguisher
 from composec import lp as lpmod
 from composec.attacks import (
-    Attack,
-    Colluding,
-    Maximal,
-    Minimal,
-    PerParty,
-    SecurityReport,
     Simulator,
-    apply_attack,
-    attack_model_axiom_suite,
     check_secure_with,
     compose_certs,
     derive_simulator_shape,
     dummy_attack,
     ideal_view,
-    link_attack,
     min_epsilon,
     search_simulator,
-    semi_honest_attack,
 )
 from composec.comb import (
     IN,
@@ -32,20 +23,27 @@ from composec.comb import (
     Network,
     PortSpec,
     behavior_distance,
-    behavior_equal,
     canonical,
     canonical_rounds,
     make_behavior,
     make_signature,
-    merge_asap,
     observationally_equal,
 )
-from composec.errors import CompositeVerificationFailed, InterfaceMismatch, ShapeMismatch, WiringMismatch
+from composec.errors import CompositeVerificationFailed, InterfaceMismatch, WiringMismatch
 from composec.hopf import OtpInstance, build_otp, group_make, otp_security
 from composec.resources import Converter, Protocol, apply_protocol
-from composec.stoch import Alphabet, Kernel, index_tuple, make_kernel, marginalize, ports_size
+from composec.stoch import Alphabet, all_tuples, compose, copy_map, make_kernel, marginalize, ports_size, tuple_index
 
-from tests.helpers import BIT, random_kernel, rename_ports
+from tests.helpers import (
+    BIT,
+    apply_protocol_via_dummy,
+    attack_transfers,
+    identity_protocol,
+    index_tuple,
+    merge_asap,
+    random_kernel,
+    rename_ports,
+)
 
 F = Fraction
 
@@ -167,7 +165,78 @@ def test_dummy_attack_unknown_party_raises_after_memo():
             dummy_attack(p, p.source, ("eve", "mallory"))
 
 
+# ---------------------------------------------------------------------------
+# the dummy factorization, on which every `secure` verdict rests: the dummy
+# view exposes exactly the J parties' resource ports, and their own
+# converters linked back onto it give the honest execution
+
+
+def _dummy_factorization_failures(p, r):
+    """The proper nonempty colluding sets J on which the law fails."""
+    honest = apply_protocol(p, r)
+    parties = r.signature.parties
+    failures = []
+    for k in range(1, len(parties)):
+        for j in itertools.combinations(parties, k):
+            exposed = {q.id for q in attacks.dummy_attack(p, r, j).signature.ports if q.party in j}
+            owned = {q.id for q in r.signature.ports if q.party in j}
+            if exposed != owned or not observationally_equal(apply_protocol_via_dummy(p, r, j), honest):
+                failures.append(j)
+    return failures
+
+
+def _factorization_cases():
+    """(is a one-time pad, protocol, resource): the shipped pads over Z2 and
+    Z3, then seeded random relabelings of random three-party resources."""
+    for order in (2, 3):
+        inst = build_otp(group_make(("cyclic", order)))
+        yield True, inst.protocol, inst.source
+    rng = random.Random(65)
+    for _ in range(3):
+        src = three_party_resource(rng, sizes=(2, 3, 2))
+        yield False, bijection_protocol(rng, src), src
+
+
+def test_the_dummy_factorization_holds():
+    for _pad, p, r in _factorization_cases():
+        assert _dummy_factorization_failures(p, r) == []
+
+
+def _drop_a_j_port(view, j_parties):
+    """The view with its first J output port summed out."""
+    outs = view.signature.outs()
+    k = next(k for k, q in enumerate(outs) if q.party in j_parties)
+    ports = [q for q in view.signature.ports if q is not outs[k]]
+    sig = make_signature(view.signature.parties, view.signature.rounds, ports)
+    return make_behavior(sig, marginalize(view.kernel, [i for i in range(len(outs)) if i != k]))
+
+
+def _shift_a_j_port(view, j_parties):
+    """The view with its first J output port's value moved up by one."""
+    k = next(k for k, q in enumerate(view.signature.outs()) if q.party in j_parties)
+    cod = view.kernel.cod
+    rows = [[0] * ports_size(cod) for _ in range(ports_size(cod))]
+    for y in all_tuples(cod):
+        rows[tuple_index(cod, y[:k] + ((y[k] + 1) % cod[k].size,) + y[k + 1 :])][tuple_index(cod, y)] = 1
+    return make_behavior(view.signature, compose(make_kernel(cod, cod, rows), view.kernel))
+
+
+@pytest.mark.parametrize("wrong", [_drop_a_j_port, _shift_a_j_port], ids=["drop-a-j-port", "shift-a-j-port"])
+def test_the_dummy_factorization_fails_on_a_wrong_dummy_view(monkeypatch, wrong):
+    # a dropped port leaves the exposed interface short; a shifted one
+    # keeps it and changes what J's converters compute, except on the pad
+    # for Eve alone, whose honest converter discards her ciphertext
+    dummy = attacks.dummy_attack
+    monkeypatch.setattr(attacks, "dummy_attack", lambda p, r, j: wrong(dummy(p, r, j), j))
+    for pad, p, r in _factorization_cases():
+        parties = r.signature.parties
+        proper = [j for k in range(1, len(parties)) for j in itertools.combinations(parties, k)]
+        unseen = [("eve",)] if pad and wrong is _shift_a_j_port else []
+        assert _dummy_factorization_failures(p, r) == [j for j in proper if j not in unseen]
+
+
 def test_apply_attack_identity_is_dummy():
+    # an attack is a comb linked onto the dummy view
     rng = random.Random(54)
     src = three_party_resource(rng)
     p = bijection_protocol(rng, src)
@@ -179,8 +248,8 @@ def test_apply_attack_identity_is_dummy():
         [PortSpec("in0", "eve", pe.alphabet, IN, 1), PortSpec("out0", "eve", pe.alphabet, OUT, 1)],
     )
     idt = [[1 if i == j else 0 for j in range(pe.alphabet.size)] for i in range(pe.alphabet.size)]
-    atk = Attack(("eve",), make_behavior(csig, make_kernel([pe.alphabet], [pe.alphabet], idt)), (("in0", pe.id),))
-    out = apply_attack(p, src, atk)
+    atk = make_behavior(csig, make_kernel([pe.alphabet], [pe.alphabet], idt))
+    out = merge_asap(view, [("atk", atk)], [(("atk", "in0"), ("view", pe.id))])
     assert observationally_equal(out, rename_ports(view, {pe.id: "out0"}))
 
 
@@ -192,8 +261,7 @@ def test_apply_attack_delete_gives_honest_marginal():
     pe = [q for q in view.signature.ports if q.party == "eve"][0]
     csig = make_signature(["eve"], 1, [PortSpec("in0", "eve", pe.alphabet, IN, 1)])
     deleter = make_behavior(csig, make_kernel([pe.alphabet], [], [[1] * pe.alphabet.size]))
-    atk = Attack(("eve",), deleter, (("in0", pe.id),))
-    out = apply_attack(p, src, atk)
+    out = merge_asap(view, [("atk", deleter)], [(("atk", "in0"), ("view", pe.id))])
     keep = [i for i, q in enumerate(view.signature.outs()) if q.id != pe.id]
     marg = marginalize(view.kernel, keep)
     assert canonical(out).kernel.matrix == marg.matrix
@@ -213,8 +281,6 @@ def test_search_simulator_finds_inverse_bijection():
 def test_search_simulator_identity_on_trivial_protocol():
     rng = random.Random(57)
     src = three_party_resource(rng)
-    from composec.resources import identity_protocol
-
     p = identity_protocol(src)
     rep = search_simulator(p, src, src, ("eve",))
     assert rep.secure
@@ -224,57 +290,8 @@ def test_theorem2_transfer_random_attacks():
     # a simulator for the dummy attack transfers to arbitrary attacks
     rng = random.Random(58)
     inst = build_otp(group_make(("cyclic", 2)))
-    real = dummy_attack(inst.protocol, inst.source, ("eve",))
-    ideal = ideal_view(inst.target, inst.sigma, match=real.signature)
-    assert ideal.signature == real.signature
-    pe = [q for q in real.signature.ports if q.party == "eve"][0]
-    leak_a = Alphabet("leak", 3)
-    for i in range(25):
-        k = random_kernel(rng, (pe.alphabet,), (leak_a,))
-        csig = make_signature(
-            ["eve"],
-            1,
-            [PortSpec("a_in", "eve", pe.alphabet, IN, 1), PortSpec("a_out", "eve", leak_a, OUT, 1)],
-        )
-        comb = make_behavior(csig, k)
-        wires = [(("atk", "a_in"), ("view", pe.id))]
-        out_real = Network(
-            [("view", real), ("atk", comb)], wires, merge_asap([("view", real), ("atk", comb)], wires, "view")
-        ).evaluate()
-        out_ideal = Network(
-            [("view", ideal), ("atk", comb)], wires, merge_asap([("view", ideal), ("atk", comb)], wires, "view")
-        ).evaluate()
-        assert behavior_equal(canonical(out_real), canonical(out_ideal))
-
-
-def test_semi_honest_eve_otp():
-    inst = build_otp(group_make(("cyclic", 2)))
-    atk = semi_honest_attack(inst.protocol, ("eve",))
-    out = apply_attack(inst.protocol, inst.source, atk)
-    sig = canonical(out).signature
-    leak_ports = [p.id for p in sig.ports if p.id.startswith("leak__")]
-    assert leak_ports == ["leak__ce"]
-    # honest marginal (dropping the leak and tapped forward) equals the
-    # honest execution's message channel
-    out_c = canonical(out)
-    outs = out_c.signature.outs()
-    keep = [i for i, p in enumerate(outs) if p.id == "m_out"]
-    marg = marginalize(out_c.kernel, keep)
-    n = 2
-    for m in range(n):
-        col = [marg.matrix[i][m] for i in range(n)]
-        assert col == [1 if y == m else 0 for y in range(n)]
-    # the leak is exactly the ciphertext: uniform, and equal to the flag port
-    keep_leak = [i for i, p in enumerate(outs) if p.id == "leak__ce"]
-    leak_marg = marginalize(out_c.kernel, keep_leak)
-    for m in range(n):
-        assert [leak_marg.matrix[i][m] for i in range(n)] == [F(1, 2), F(1, 2)]
-
-
-def test_semi_honest_empty_j():
-    inst = build_otp(group_make(("cyclic", 2)))
-    atk = semi_honest_attack(inst.protocol, ())
-    assert atk.comb.signature.ports == ()
+    leak = Alphabet("leak", 3)
+    assert attack_transfers(inst, 25, lambda c: random_kernel(rng, (c,), (leak,))) == [True] * 25
 
 
 def test_compose_certs_sequential_and_parallel():
@@ -331,46 +348,6 @@ def test_lifting_deterministic_simulator_transfers():
     assert rep.secure
 
 
-def test_axiom_suite_minimal_maximal():
-    rng = random.Random(61)
-    a2, a3 = Alphabet("m2", 2), Alphabet("m3", 3)
-    samples = [
-        random_kernel(rng, (a2,), (a3,)),
-        random_kernel(rng, (a3,), (a2,)),
-        random_kernel(rng, (a2,), (a2,)),
-    ]
-    assert attack_model_axiom_suite(Minimal(), samples).ok
-    assert attack_model_axiom_suite(Maximal(), samples).ok
-    assert attack_model_axiom_suite(PerParty((Minimal(), Maximal())), samples).ok
-
-
-def test_axiom_suite_maximal_reports_non_stochastic_samples():
-    a2 = Alphabet("m2", 2)
-    good = random_kernel(random.Random(63), (a2,), (a2,))
-    leaky = Kernel((a2,), (a2,), (((0, F(1, 2)),), ((1, F(1)),)))  # column 0 sums to 1/2
-    assert attack_model_axiom_suite(Maximal(), [good]).ok
-    rep = attack_model_axiom_suite(Maximal(), [good, leaky])
-    assert {c.name: c.passed for c in rep.checks} == {
-        "honest-inclusion": False,
-        "sequential-closure": False,
-        "parallel-closure": False,
-    }
-    assert not attack_model_axiom_suite(PerParty((Minimal(), Maximal())), [good, leaky]).ok
-
-
-def test_axiom_suite_minimal_checks_unit_laws():
-    # rows out of order: composing with an identity sorts them, so the unit
-    # laws fail to give the kernel back; its self-composite is well formed
-    a2 = Alphabet("m2", 2)
-    shuffled = Kernel((a2,), (a2,), (((1, F(1, 2)), (0, F(1, 2))), ((1, F(1)),)))
-    rep = attack_model_axiom_suite(Minimal(), [shuffled])
-    assert {c.name: c.passed for c in rep.checks} == {
-        "honest-inclusion": False,
-        "sequential-closure": True,
-        "parallel-closure": False,
-    }
-
-
 def test_search_simulator_evaluates_real_view_once(monkeypatch):
     inst = build_otp(group_make(("cyclic", 2)))
     calls = []
@@ -391,14 +368,6 @@ def test_search_simulator_rechecks_lp_simulator(monkeypatch):
     monkeypatch.setattr(distinguisher, "table_behavior", constant_simulator)
     with pytest.raises(CompositeVerificationFailed, match="^simulator LP's table does not achieve its value"):
         search_simulator(inst.protocol, inst.source, inst.target, ("eve",))
-
-
-def test_axiom_suite_colluding_on_otp():
-    inst = build_otp(group_make(("cyclic", 2)))
-    rep = attack_model_axiom_suite(
-        Colluding(frozenset(["eve"])), [], protocol=inst.protocol, resource=inst.source
-    )
-    assert rep.ok
 
 
 def test_min_epsilon_perfect_otp_is_zero():
@@ -467,20 +436,7 @@ def test_search_simulator_colluding_pair():
         assert again.secure
 
 
-def test_semi_honest_honest_marginal_is_honest_execution():
-    inst = build_otp(group_make(("cyclic", 2)))
-    atk = semi_honest_attack(inst.protocol, ("eve",))
-    out = canonical(apply_attack(inst.protocol, inst.source, atk))
-    keep = [i for i, p in enumerate(out.signature.outs()) if not p.id.startswith("leak__")]
-    honest_marginal = marginalize(out.kernel, keep)
-    honest = apply_protocol(inst.protocol, inst.source)
-    want = canonical(honest)
-    assert honest_marginal.matrix == want.kernel.matrix
-
-
 def test_copy_ciphertext_attack_duplicates_view():
-    from composec.stoch import copy_map
-
     inst = build_otp(group_make(("cyclic", 2)))
     view = dummy_attack(inst.protocol, inst.source, ("eve",))
     pe = [q for q in view.signature.ports if q.party == "eve"][0]
@@ -493,14 +449,12 @@ def test_copy_ciphertext_attack_duplicates_view():
             PortSpec("c2", "eve", pe.alphabet, OUT, 1),
         ],
     )
-    atk = Attack(("eve",), make_behavior(csig, copy_map([pe.alphabet])), (("c_in", pe.id),))
-    out = canonical(apply_attack(inst.protocol, inst.source, atk))
+    atk = make_behavior(csig, copy_map([pe.alphabet]))
+    out = canonical(merge_asap(view, [("atk", atk)], [(("atk", "c_in"), ("view", pe.id))]))
     k = out.kernel
     outs = out.signature.outs()
     i1 = [i for i, p in enumerate(outs) if p.id == "c1"][0]
     i2 = [i for i, p in enumerate(outs) if p.id == "c2"][0]
-    from composec.stoch import all_tuples, index_tuple
-
     for col in range(k.n_dom):
         for row in range(k.n_cod):
             y = index_tuple(k.cod, row)
@@ -539,30 +493,11 @@ def test_multi_round_simulator_search():
                 e2 = (e1 + x2) % 2
                 table[a1 * 4 + e1 * 2 + e2][x2] += F(1, 4)
     r = make_behavior(sig, make_kernel((BIT,), (a2, a2, a2), table))
-    from composec.resources import identity_protocol
-
     p = identity_protocol(r)
     rep = search_simulator(p, r, r, ("eve",))
     assert rep.secure
     sim_comb = rep.cert.simulator.nodes[0][1]
     assert sim_comb.signature.rounds >= 2
-
-
-def test_semi_honest_rejects_a_multi_round_converter():
-    src_sig = make_signature(["eve"], 1, [PortSpec("pe", "eve", BIT, OUT, 1)])
-    src = make_behavior(src_sig, make_kernel((), (BIT,), [[F(1, 2)], [F(1, 2)]]))
-    # Eve reads the coin in round 1 and announces it in round 2
-    csig = make_signature(
-        ["eve"],
-        2,
-        [PortSpec("pe_c", "eve", BIT, IN, 1), PortSpec("pe_s", "eve", BIT, OUT, 2)],
-    )
-    conv = Converter("eve", make_behavior(csig, make_kernel((BIT,), (BIT,), [[1, 0], [0, 1]])), (("pe_c", "pe"),))
-    schedule = (("res", 1), ("eve", 1), ("eve", 2))
-    net = Network([("res", src), ("eve", conv.comb)], [(("eve", "pe_c"), ("res", "pe"))], schedule)
-    p = Protocol(src, net.evaluate(), (conv,), schedule)
-    with pytest.raises(ShapeMismatch, match="single-round"):
-        semi_honest_attack(p, ("eve",))
 
 
 def _shape_rows(shape):
@@ -636,8 +571,6 @@ def test_simulator_echoes_an_ideal_output_back():
     # r is a bare channel x -> y and Eve has no port; the ideal s hands Eve
     # leak = x in round 1 and takes back, with y = back, in round 2.  The
     # simulator takes leak before it feeds back, so echoing it is perfect
-    from composec.resources import identity_protocol
-
     r_sig = make_signature(["alice", "bob", "eve"], 1, [PortSpec("x", "alice", BIT, IN, 1), PortSpec("y", "bob", BIT, OUT, 1)])
     r = make_behavior(r_sig, make_kernel((BIT,), (BIT,), [[1, 0], [0, 1]]))
     s_sig = make_signature(
@@ -671,29 +604,11 @@ def test_simulator_echoes_an_ideal_output_back():
 
 
 def _linked_transfer(inst, n, seed):
-    """The numeric reference: `n` seeded random attacks on Eve's ciphertext,
-    each linked onto the real view and onto the ideal view wrapped in
-    `inst.sigma`, the canonical tables compared exactly."""
+    """The numeric reference: whether `n` seeded random attacks on Eve's
+    ciphertext all transfer from the real view to the simulated one."""
     rng = random.Random(seed)
-    real = dummy_attack(inst.protocol, inst.source, ("eve",))
-    ideal = ideal_view(inst.target, inst.sigma, match=real.signature)
-    pe = [q for q in real.signature.ports if q.party == "eve"][0]
     leak = Alphabet("leak", 3)
-    csig = make_signature(
-        ["eve"], 1, [PortSpec("a_in", "eve", pe.alphabet, IN, 1), PortSpec("a_out", "eve", leak, OUT, 1)]
-    )
-    for _ in range(n):
-        cols = []
-        for _c in range(pe.alphabet.size):
-            raw = [rng.randint(0, 5) for _ in range(leak.size)]
-            if sum(raw) == 0:
-                raw[0] = 1
-            cols.append([Fraction(v, sum(raw)) for v in raw])
-        comb = make_behavior(csig, make_kernel([pe.alphabet], [leak], list(zip(*cols))))
-        atk = Attack(("eve",), comb, (("a_in", pe.id),))
-        if not behavior_equal(*(canonical(link_attack(view, atk)) for view in (real, ideal))):
-            return False
-    return True
+    return all(attack_transfers(inst, n, lambda c: random_kernel(rng, (c,), (leak,))))
 
 
 def _point_mass_simulator(inst):

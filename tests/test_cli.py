@@ -68,6 +68,34 @@ def test_an_alphabet_and_a_group_share_one_namespace(first, second):
     assert result.report["error"] == "line 2: name 'x' already declared"
 
 
+RESERVED = {
+    # a declared `unit` would give every later `unit@1` port its 3 values
+    "unit-alphabet": (
+        "alphabet unit size 3\nresource r parties a rounds 1 ports y:a:out:unit@1 rows 1 ; 0 ; 0\n",
+        "line 1: name 'unit' is built in",
+    ),
+    "unit-group": ("group unit cyclic 2\n", "line 1: name 'unit' is built in"),
+    # the built-in identity expander would shadow this kernel, `exp24` of
+    # specs/stream_cipher.spec, whose expansion epsilon is 1/2, not 0
+    "identity-kernel": (
+        "group z4 cyclic 4\nalphabet h2 size 2\nkernel identity dom h2 cod z4 rows 1 0 ; 0 0 ; 0 1 ; 0 0\n"
+        "check stream z4 expander identity expect_at_most 0\n",
+        "line 3: name 'identity' is built in",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(RESERVED))
+def test_a_built_in_name_cannot_be_declared(case, tmp_path, capsys):
+    text, message = RESERVED[case]
+    spec = tmp_path / "reserved.spec"
+    spec.write_text(text)
+    code = main(["verify", str(spec), "--no-meta"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"composec: {message}\n"
+
+
 def test_run_reports_check_failure_exit_code():
     text = "group g2 cyclic 2\ncheck axioms g2 expect fail\n"
     result = run(parse_spec(text), no_meta=True)

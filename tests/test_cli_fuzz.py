@@ -17,7 +17,8 @@ from composec.cli import main, parse_spec  # noqa: E402
 
 ALL_SPECS = sorted((Path(__file__).resolve().parent.parent / "specs").glob("*.spec"))
 
-FUZZ_POOL = ["0", "-1", "x", "1/0", ";", "expect", "rows", "junk"]
+# `unit` and `identity` are the spec language's built-in names
+FUZZ_POOL = ["0", "-1", "x", "1/0", ";", "expect", "rows", "junk", "unit", "identity"]
 
 
 @st.composite

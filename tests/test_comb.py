@@ -18,7 +18,6 @@ from composec.comb import (
     canonical,
     causality_report,
     flatten,
-    link,
     make_behavior,
     make_signature,
     observationally_equal,
@@ -39,7 +38,6 @@ from composec.stoch import (
     all_tuples,
     channel_distance,
     identity,
-    index_tuple,
     make_kernel,
     tuple_index,
     uniform,
@@ -60,6 +58,7 @@ from tests.helpers import (
     fraction_evaluate,
     fraction_flatten,
     fraction_linear_evaluate,
+    index_tuple,
     random_comb,
     random_kernel,
     random_network,
@@ -276,12 +275,7 @@ def test_link_identity_converter_noop():
         [p0.party], 1, [port("win", p0.party, p0.alphabet, IN, 1), port(p0.id + "_out", p0.party, p0.alphabet, OUT, 1)]
     )
     conv = make_behavior(conv_sig, identity([p0.alphabet]))
-    out = link(
-        conv,
-        inner,
-        wiring=[("win", p0.id)],
-        schedule=[("b", 1), ("a", 1)],
-    )
+    out = Network([("a", conv), ("b", inner)], [(("a", "win"), ("b", p0.id))], [("b", 1), ("a", 1)]).evaluate()
     can_out = canonical(out)
     renamed = canonical(inner)
     # identity wrapping only renames the port
@@ -317,8 +311,14 @@ def test_link_otp_correctness_z2():
         ),
         xor.matrix,
     )
-    step1 = link(fa, src, wiring=[("ka_in", "ka"), ("c_out", "cin")], schedule=[("b", 1), ("a", 1), ("b", 2)])
-    step2 = link(fb, step1, wiring=[("kb_in", "kb"), ("cb_in", "cb")], schedule=[("b", 1), ("b", 2), ("b", 3), ("a", 1)])
+    step1 = Network(
+        [("a", fa), ("b", src)], [(("a", "ka_in"), ("b", "ka")), (("a", "c_out"), ("b", "cin"))], [("b", 1), ("a", 1), ("b", 2)]
+    ).evaluate()
+    step2 = Network(
+        [("a", fb), ("b", step1)],
+        [(("a", "kb_in"), ("b", "kb")), (("a", "cb_in"), ("b", "cb"))],
+        [("b", 1), ("b", 2), ("b", 3), ("a", 1)],
+    ).evaluate()
     # expected: Alice->Bob identity channel; Eve's port carries m + k (uniform)
     # brute-force oracle over (m, k)
     expect = {}
@@ -333,8 +333,6 @@ def test_link_otp_correctness_z2():
     assert set(ids) == {"ce", "m_out"}
     for m in range(2):
         for yv in range(step2.kernel.n_cod):
-            from composec.stoch import index_tuple
-
             y = index_tuple(step2.kernel.cod, yv)
             vals = dict(zip(ids, y))
             want = expect.get((m, vals["ce"], vals["m_out"]), F(0))
@@ -345,14 +343,14 @@ def test_link_alphabet_mismatch():
     a = one_round_behavior(identity([BIT]))
     b = one_round_behavior(identity([TRIT]), party="q")
     with pytest.raises(AlphabetMismatch):
-        link(a, b, wiring=[("y0", "x0")], schedule=[("a", 1), ("b", 1)])
+        Network([("a", a), ("b", b)], [(("a", "y0"), ("b", "x0"))], [("a", 1), ("b", 1)]).evaluate()
 
 
 def test_link_acausal_schedule_rejected():
     a = one_round_behavior(identity([BIT]))
     b = one_round_behavior(identity([BIT]), party="q")
     with pytest.raises(AcausalSchedule):
-        link(a, b, wiring=[("y0", "x0")], schedule=[("b", 1), ("a", 1)])
+        Network([("a", a), ("b", b)], [(("a", "y0"), ("b", "x0"))], [("b", 1), ("a", 1)]).evaluate()
 
 
 def test_network_output_causal():
@@ -373,7 +371,7 @@ def test_network_output_causal():
         conv = make_behavior(conv_sig, random_kernel(rng, (p0.alphabet,), (BIT,)), check=False)
         sched = [("b", r) for r in range(1, 3)]
         sched.insert(p0.round, ("a", 1))
-        out = link(conv, inner, wiring=[("win", p0.id)], schedule=sched)
+        out = Network([("a", conv), ("b", inner)], [(("a", "win"), ("b", p0.id))], sched).evaluate()
         assert causality_report(out) is None
 
 
@@ -482,10 +480,11 @@ def test_link_associativity():
         b1 = make_behavior(s1, k1)
         b2 = make_behavior(s2, k2)
         b3 = make_behavior(s3, k3)
-        left_inner = link(b2, b1, wiring=[("i2", "o1")], schedule=[("b", 1), ("a", 1)])
-        left = link(b3, left_inner, wiring=[("i3", "o2")], schedule=[("b", 1), ("b", 2), ("a", 1)])
-        right_inner = link(b3, b2, wiring=[("i3", "o2")], schedule=[("b", 1), ("a", 1)])
-        right = link(right_inner, b1, wiring=[("i2", "o1")], schedule=[("b", 1), ("a", 1), ("a", 2)])
+        w12, w23 = [(("a", "i2"), ("b", "o1"))], [(("a", "i3"), ("b", "o2"))]
+        left_inner = Network([("a", b2), ("b", b1)], w12, [("b", 1), ("a", 1)]).evaluate()
+        left = Network([("a", b3), ("b", left_inner)], w23, [("b", 1), ("b", 2), ("a", 1)]).evaluate()
+        right_inner = Network([("a", b3), ("b", b2)], w23, [("b", 1), ("a", 1)]).evaluate()
+        right = Network([("a", right_inner), ("b", b1)], w12, [("b", 1), ("a", 1), ("a", 2)]).evaluate()
         assert observationally_equal(left, right)
 
 

@@ -36,7 +36,6 @@ from composec.nogo import (
     commitment_resource,
     min_split_advantage,
     split_check,
-    tripartite_completion,
     tripartite_split_check,
 )
 from composec.resources import Protocol
@@ -284,20 +283,12 @@ def _otp_z2():
     return inst.protocol, inst.source, inst.target, ("eve",)
 
 
-def _completion_input():
-    from composec.nogo import constant_output_resource, doubled_middle
-
-    r = constant_output_resource()
-    return r, doubled_middle(r, [[1, 1, 0, 0], [0, 0, 1, 1]])
-
-
 LP_CHECKS = {
     "simulator": lambda: search_simulator(*_otp_z2()),
     "epsilon": lambda: min_epsilon(*_otp_z2()),
     "split": lambda: split_check(commitment_resource()),
     "advantage": lambda: min_split_advantage(commitment_resource()),
     "tripartite": lambda: tripartite_split_check(broadcast_resource()),
-    "completion": lambda: tripartite_completion(*_completion_input()),
 }
 
 def _unbounded(prog):
@@ -325,14 +316,6 @@ def test_every_lp_check_rejects_a_wrong_outcome(monkeypatch, what, outcome):
     monkeypatch.setattr(lpmod, "minimize", solve)
     with pytest.raises(CompositeVerificationFailed, match=message(what)):
         LP_CHECKS[what]()
-
-
-def test_completion_rechecks_its_feasible_point(monkeypatch):
-    r, d = _completion_input()
-    assert tripartite_completion(r, d).feasible
-    monkeypatch.setattr(lpmod, "verify", lambda out, prog: False)
-    with pytest.raises(CompositeVerificationFailed, match="completion LP's feasible point"):
-        tripartite_completion(r, d)
 
 
 # ---------------------------------------------------------------------------

@@ -124,7 +124,7 @@ def test_otp_real_eve_view_uniform():
     sig = view.signature
     outs = sig.outs()
     ce_pos = [i for i, p in enumerate(outs) if p.id == "ce"][0]
-    from composec.stoch import index_tuple, marginalize
+    from composec.stoch import marginalize
 
     marg = marginalize(view.kernel, [ce_pos])
     for col in range(marg.n_dom):

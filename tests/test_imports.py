@@ -1,9 +1,10 @@
 """Import hygiene of the package, read from its source with `ast`: every
 imported name is used by the module that imports it (a package's `__all__`
-counts as a use), no module imports another module's private name, the
-program over an unknown comb's table is built in `distinguisher` only, nodes
-are linked onto a view in `attacks` only, only `lp` refuses a program as too
-large, no function body imports anything, no module checks anything with
+counts as a use), no module imports another module's private name, every
+top-level name is reached from the command line's `main`, the program over
+an unknown comb's table is built in `distinguisher` only, no module but
+`attacks` imports a linker of nodes onto a view, only `lp` refuses a
+program as too large, no function body imports anything, no module checks anything with
 `assert`, which `python -O` strips, and no module imports `dataclasses`,
 whose decorator compiles each class's methods at import; a fresh
 `import composec.cli` loads neither `dataclasses` nor `inspect`.  Records
@@ -109,7 +110,9 @@ def test_only_distinguisher_builds_the_comb_program(path):
     assert not found, f"{path.name} builds an unknown comb's program itself: {found}"
 
 
-# the schedule of nodes linked onto a view, which `attacks` alone builds
+# the linker of nodes onto a view lives in tests/helpers.py, where it links
+# attacks onto the dummy view `attacks.dummy_attack` builds; no other module
+# of the package may bring one back
 NOT_ATTACKS = [p for p in MODULES if p.stem != "attacks"]
 
 
@@ -117,6 +120,49 @@ NOT_ATTACKS = [p for p in MODULES if p.stem != "attacks"]
 def test_only_attacks_links_onto_a_view(path):
     found = _imported(ast.parse(path.read_text(), filename=str(path)), ("merge_asap",))
     assert not found, f"{path.name} links nodes onto a view itself; use attacks: {found}"
+
+
+def _top_level(tree: ast.Module):
+    """(name, node) for every top-level def, class and assigned name,
+    dunders excluded."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            continue
+        yield from ((name, node) for name in names if not (name.startswith("__") and name.endswith("__")))
+
+
+def _unreached(trees: dict[str, ast.Module]) -> list[str]:
+    """"module.name" for every top-level name outside the closure of
+    `cli.main`: a reached definition reaches every top-level name, in any
+    module, that it uses as a name or as an attribute."""
+    defined: dict[str, list[tuple[str, ast.AST]]] = {}
+    for module, tree in trees.items():
+        for name, node in _top_level(tree):
+            defined.setdefault(name, []).append((module, node))
+    reached, todo = set(), [("cli", "main")]
+    while todo:
+        module, name = todo.pop()
+        if (module, name) in reached:
+            continue
+        reached.add((module, name))
+        for sub in (sub for m, node in defined[name] if m == module for sub in ast.walk(node)):
+            used = sub.id if isinstance(sub, ast.Name) else getattr(sub, "attr", None)
+            todo.extend((m, used) for m, _n in defined.get(used, ()))
+    return sorted(f"{m}.{name}" for name, defs in defined.items() for m, _n in defs if (m, name) not in reached)
+
+
+# the names no check reaches, each with the reader that keeps it
+UNREACHED = {"comb.flatten": "bench/workloads.py"}
+
+
+def test_every_top_level_name_is_reached_from_the_cli():
+    trees = {p.stem: ast.parse(p.read_text(), filename=str(p)) for p in MODULES}
+    assert _unreached(trees) == sorted(UNREACHED)
 
 
 # the one LP size guard, `lp.CAP`, counted on the rows the simplex keeps
@@ -265,6 +311,11 @@ def test_the_checks_see_an_unused_and_a_private_import():
             "    object.__setattr__(b, name, 2)\n"
         )
     ) == ["line 3: A.__init__ sets x", "line 5: realize sets _comb", "line 6: realize sets ?"]
+    trees = {p.stem: ast.parse(p.read_text()) for p in MODULES}
+    trees["comb"].body += ast.parse("def _stub(b):\n    return flatten(b)\n").body
+    assert _unreached(trees) == ["comb._stub", "comb.flatten"]
+    trees["cli"].body += ast.parse("def main():\n    return comb._stub\n").body
+    assert _unreached(trees) == []
     assert FLOOR == (3, 10)
     assert _above_floor("try:\n    pass\nexcept ValueError:\n    pass\n") == []
     (found,) = _above_floor("try:\n    pass\nexcept* ValueError:\n    pass\n")

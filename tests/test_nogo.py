@@ -34,11 +34,10 @@ from composec.nogo import (
     split,
     split_check,
     _r_entry_fn,
-    doubled_middle,
     tripartite_split_check,
 )
-from composec.stoch import Alphabet, index_tuple, make_kernel, marginalize, tuple_index
-from tests.helpers import BIT, TRIT, behavior_from_table, mix_resources, random_kernel, tripartite_program
+from composec.stoch import Alphabet, make_kernel, marginalize, tuple_index
+from tests.helpers import BIT, TRIT, behavior_from_table, index_tuple, mix_resources, random_kernel, tripartite_program
 
 F = Fraction
 
@@ -188,15 +187,11 @@ def test_min_split_advantage_values():
 
 
 def test_advantage_zero_iff_splittable():
-    for r in [
-        identity_channel_resource(),
-        commitment_resource(),
-        shared_bit_resource(),
-        coin_commitment_resource(),
-    ]:
+    for make in [identity_channel_resource, commitment_resource, shared_bit_resource, coin_commitment_resource]:
+        r = make()
         adv = min_split_advantage(r)
         feasible = split_check(r).feasible
-        assert (adv == 0) == feasible, r.name
+        assert (adv == 0) == feasible, make.__name__
 
 
 def test_advantage_monotone_towards_splittable():
@@ -222,9 +217,9 @@ def test_tripartite_broadcast_infeasible():
 
 
 def test_tripartite_controls_feasible():
-    for r in [constant_output_resource(), product_uniform_resource()]:
-        verdict = tripartite_split_check(r)
-        assert verdict.feasible, r.name
+    for make in [constant_output_resource, product_uniform_resource]:
+        verdict = tripartite_split_check(make())
+        assert verdict.feasible, make.__name__
 
 
 def test_oracle_broadcast_contradiction():
@@ -262,10 +257,11 @@ def test_a_verdict_keeps_the_program_it_was_decided_on(check, make):
 
 
 def test_oracle_and_lp_agree_on_shipped_resources():
-    for r in [broadcast_resource(), constant_output_resource(), product_uniform_resource()]:
+    for make in [broadcast_resource, constant_output_resource, product_uniform_resource]:
+        r = make()
         lp_infeasible = not tripartite_split_check(r).feasible
         oracle = broadcast_contradiction_oracle(r).contradiction
-        assert lp_infeasible == oracle, r.name
+        assert lp_infeasible == oracle, make.__name__
 
 
 def test_oracle_shape_mismatch():
@@ -283,24 +279,6 @@ def test_commitment_realize_roundtrip():
     assert comb.signature.rounds == 2
     again = flatten(comb)
     assert again.kernel.matrix == r.kernel.matrix
-
-
-def test_doubled_middle_constructive_on_controls():
-    # Running Bob's attack across the middle wires builds a D that the other
-    # two attacks can explain for the feasible controls, never for broadcast.
-    from composec.nogo import doubled_middle, tripartite_completion
-
-    s_b = [[1, 1, 0, 0], [0, 0, 1, 1]]  # b' = left middle input
-    for r, expect in [
-        (constant_output_resource(), True),
-        (product_uniform_resource(), True),
-        (broadcast_resource(), False),
-    ]:
-        d = doubled_middle(r, s_b)
-        verdict = tripartite_completion(r, d)
-        assert verdict.feasible == expect, r.name
-        if not verdict.feasible:
-            assert verdict.cert is not None
 
 
 QUAD = Alphabet("quad", 4)
@@ -403,12 +381,3 @@ def test_witness_check_rejects_mass_moved_within_an_s_b_column(monkeypatch):
     assert sum(s_b[:2]) == 1
     with pytest.raises(CompositeVerificationFailed, match="tripartite LP's feasible point"):
         check_with(s_b)
-
-
-def test_doubled_middle_entries_are_fractions():
-    for r in [broadcast_resource(), constant_output_resource(), product_uniform_resource(), _interleaved_resource(31)]:
-        nb = _r_entry_fn(r)[1]
-        s_b = [[int(col // nb == b) for col in range(nb * nb)] for b in range(nb)]  # b = left middle input
-        d = doubled_middle(r, s_b)
-        assert {type(v) for row in d for v in row} == {Fraction}, r.name
-        assert all(sum(d[row][col] for row in range(len(d))) == 1 for col in range(nb * nb))

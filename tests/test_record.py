@@ -11,27 +11,19 @@ from fractions import Fraction
 
 import pytest
 
-from composec.attacks import Colluding, Maximal, Minimal
 from composec.comb import IN, OUT, Behavior, CombKernels, PortSpec, Signature, realize
-from composec.errors import ChainMismatch, ColumnNotStochastic, DimensionMismatch, DuplicatePortId, WiringMismatch
+from composec.errors import ChainMismatch, DimensionMismatch, DuplicatePortId, WiringMismatch
 from composec.lp import FarkasCert, Feasible, Infeasible, LinearProgram
 from composec.record import Record
-from composec.resources import Converter, Protocol, identity_protocol
-from composec.stoch import UNIT, Alphabet, Dist, Kernel, make_kernel
+from composec.resources import Converter, Protocol
+from composec.stoch import UNIT, Alphabet, Kernel, make_kernel
 
-from tests.helpers import BIT, behavior_from_table
+from tests.helpers import BIT, behavior_from_table, identity_protocol
 
 F = Fraction
 
 # module.class: (fields in order, constructor defaults)
 RECORDS = {
-    "attacks.Attack": ("j_parties comb wiring", {}),
-    "attacks.AxiomCheck": ("name passed", {}),
-    "attacks.AxiomSuiteReport": ("checks", {}),
-    "attacks.Colluding": ("parties", {}),
-    "attacks.Maximal": ("", {}),
-    "attacks.Minimal": ("", {}),
-    "attacks.PerParty": ("models", {}),
     "attacks.SecurityReport": (
         "verdict epsilon cert farkas lp",
         {"epsilon": None, "cert": None, "farkas": None, "lp": None},
@@ -60,7 +52,6 @@ RECORDS = {
     "resources.Converter": ("party comb wiring", {"wiring": ()}),
     "resources.Protocol": ("source target converters schedule", {}),
     "stoch.Alphabet": ("name size", {}),
-    "stoch.Dist": ("alphabet weights", {}),
     "stoch.Kernel": ("dom cod cols", {}),
 }
 
@@ -90,14 +81,12 @@ def _arguments(name: str) -> tuple:
     record built by other means where the constructor checks its arguments,
     else placeholders."""
     valid = {
-        "attacks.Colluding": lambda: (frozenset({"a"}),),
         "comb.CombKernels": lambda: realize(_echo())._values,
         "comb.PortSpec": lambda: _echo().signature.ports[0]._values,
         "comb.Signature": lambda: _echo().signature._values,
         "lp.LinearProgram": lambda: (2, 2, ((0, ((0, F(1)),), F(1)),), (F(1), F(0))),
         "resources.Protocol": lambda: identity_protocol(_echo())._values,
         "stoch.Alphabet": lambda: ("z2", 2),
-        "stoch.Dist": lambda: (BIT, (F(1, 2), F(1, 2))),
     }
     if name in valid:
         return valid[name]()
@@ -166,9 +155,6 @@ def test_records_of_different_classes_are_unequal():
     assert len({hash(r) for r in records}) == 1  # the same field tuple
     assert all(r != s for r in records for s in records if r is not s)
     assert len(set(records)) == 3
-    assert Minimal() == Minimal() and Minimal() != Maximal()
-    assert hash(Minimal()) == hash(())
-    assert repr(Maximal()) == "Maximal()"
 
 
 def test_repr():
@@ -231,9 +217,6 @@ def test_each_protocol_has_its_own_view_memo():
         (lambda: Signature(("a",), 1, (PortSpec("x", "a", BIT, IN, 1),) * 2), DuplicatePortId, "duplicate"),
         (lambda: Signature(("a",), 1, (PortSpec("x", "a", BIT, IN, 2),)), ValueError, "in round 2 > 1"),
         (lambda: Signature(("a",), 1, (PortSpec("x", "b", BIT, IN, 1),)), ValueError, "unknown party"),
-        (lambda: Dist(BIT, (F(1),)), DimensionMismatch, "1 weights"),
-        (lambda: Dist(BIT, (F(1), F(1))), ColumnNotStochastic, "sums to 2"),
-        (lambda: Colluding(frozenset()), ValueError, "nonempty"),
         (lambda: CombKernels(_echo().signature, (UNIT,), ()), ChainMismatch, "need k kernels"),
         (lambda: LinearProgram(1, 0, ((0, ((0, F(1)),), F(1)),)), DimensionMismatch, "1 rows vs 0"),
         (lambda: LinearProgram(1, 1, ((0, (), F(0)),)), DimensionMismatch, "0 = 0, which is counted, not stored"),

@@ -18,7 +18,6 @@ from composec.resources import (
     Converter,
     Protocol,
     apply_protocol,
-    identity_protocol,
     is_deterministic,
     lift_deterministic,
     par_compose,
@@ -26,7 +25,7 @@ from composec.resources import (
 )
 from composec.stoch import Alphabet, make_kernel
 
-from tests.helpers import BIT, behavior_from_table, random_kernel
+from tests.helpers import BIT, behavior_from_table, identity_protocol, random_kernel
 
 F = Fraction
 

@@ -14,14 +14,12 @@ from composec.errors import (
 )
 from composec.stoch import (
     Alphabet,
-    Dist,
     channel_distance,
     compose,
     compose_tensor,
     copy_map,
     delete,
     identity,
-    index_tuple,
     kernel_equal,
     make_kernel,
     marginalize,
@@ -29,7 +27,6 @@ from composec.stoch import (
     permute_axes,
     point,
     structural,
-    swap,
     tensor,
     tuple_index,
     uniform,
@@ -42,6 +39,7 @@ from tests.helpers import (
     dense_marginalize,
     dense_permute_axes,
     dense_tensor,
+    index_tuple,
 )
 
 BIT = Alphabet("bit", 2)
@@ -137,8 +135,8 @@ def test_tensor_shapes():
 
 
 def test_structural_swap_involution():
-    s = swap(BIT, TRIT)
-    s2 = swap(TRIT, BIT)
+    s = structural("swap", [BIT, TRIT])
+    s2 = structural("swap", [TRIT, BIT])
     assert kernel_equal(compose(s2, s), identity([BIT, TRIT]))
 
 
@@ -232,25 +230,21 @@ def test_outputs_pass_invariants():
 
 
 def test_dist_validation():
-    d = Dist(BIT, (Fraction(1, 2), Fraction(1, 2)))
-    assert kernel_equal(d.as_kernel(), uniform([BIT]))
+    # a distribution is a kernel with no domain port
+    assert kernel_equal(make_kernel([], [BIT], [["1/2"], ["1/2"]]), uniform([BIT]))
     with pytest.raises(ColumnNotStochastic):
-        Dist(BIT, (Fraction(1, 2), Fraction(1, 3)))
+        make_kernel([], [BIT], [["1/2"], ["1/3"]])
 
 
 def test_column_check_is_exact():
     with pytest.raises(ColumnNotStochastic) as exc:
-        Dist(TRIT, (Fraction(1, 3), Fraction(1, 3), Fraction(0)))
+        make_kernel([], [TRIT], [["1/3"], ["1/3"], [0]])
     assert exc.value.total == Fraction(2, 3) and type(exc.value.total) is Fraction
     with pytest.raises(ColumnNotStochastic) as exc:
         make_kernel([BIT], [TRIT], [["1/3", "1/2"], ["1/3", "1/3"], ["1/3", "1/7"]])
     assert (exc.value.column, exc.value.total) == (1, Fraction(41, 42))
     with pytest.raises(NegativeEntry):
         make_kernel([], [TRIT], [["-1/2"], ["1"], ["1/2"]])
-    with pytest.raises(NegativeEntry):
-        Dist(BIT, (Fraction(3, 2), Fraction(-1, 2)))
-    assert Dist(TRIT, (0, 1, 0)).as_kernel().cols == (((1, 1),),)
-    assert kernel_equal(Dist(BIT, (1, 0)).as_kernel(), stoch.point([BIT], [0]))
 
 
 def test_scaled_view_holds_numerators_over_the_lcm():
