@@ -14,7 +14,7 @@ number in a report is an exact rational written `p/q`):
     resource NAME parties P1,P2 rounds K ports id:party:dir:alpha@r ... rows ...|kernel K
     resource NAME builtin BUILTIN
     converter PARTY NAME ports id:dir:alpha@r[:wire=RESPORT] ... rows ...|kernel K
-    protocol NAME from R to S converters C1,C2|none schedule res.1,PARTY.1,...
+    protocol NAME from R to S converters C1,C2|none schedule res.1,NAME.ROUND,...
     check secure PROTO [from R to S] dishonest P1,P2 [expect secure|insecure]
     check epsilon PROTO [from R to S] dishonest P1,P2 [expect VALUE]
     check split R [expect feasible|infeasible]
@@ -32,9 +32,12 @@ insecure one.  The dummy attack is initial, and `hopf.otp_security` says
 exactly, so every attack on Eve transfers; no attack is drawn, and `seed S`
 is read but changes nothing.
 
-The names `unit` (the one-valued alphabet) and `identity` (the identity
-expander of `check stream`) are built in: declaring an alphabet or group
-`unit`, or a kernel `identity`, is a `DuplicateName` error.
+The names `unit` (the one-valued alphabet), `identity` (the identity
+expander of `check stream`) and `res` (the resource node of a schedule) are
+built in.  Declared names of every kind share one namespace with them:
+declaring a name twice, or declaring or naming a party with a built-in
+name, is a `DuplicateName` error.  A schedule item `NAME.ROUND` names
+`res`, one of the protocol's converters, or a converter's party.
 
 Digits after `gen KIND` are read only by `point` and `permutation`.
 `expect_at_most` belongs to `stream` only; every other check takes
@@ -66,7 +69,6 @@ from .errors import (
     UnresolvedName,
 )
 from .hopf import (
-    FiniteGroup,
     build_otp,
     group_alphabet,
     group_kernels,
@@ -93,7 +95,7 @@ from .nogo import (
     tripartite_split_check,
 )
 from .record import Record
-from .resources import Converter, Protocol, lift_deterministic
+from .resources import RES, Converter, Protocol, lift_deterministic
 from .scalars import ZERO, parse_number, scalar_str
 from .stoch import STRUCTURAL, UNIT, Alphabet, Kernel, identity, make_kernel, structural
 
@@ -144,48 +146,40 @@ def parse_spec(text: str) -> SpecFileAst:
 # elaboration: names -> library objects
 
 
+# the built-in names, each as (kind, value) like a declared one; the
+# `identity` expander is built per check, on the check's key alphabet
+BUILTINS: dict[str, tuple[str, object]] = {
+    "unit": ("alphabet", UNIT),
+    "identity": ("expander", None),
+    RES: ("node", None),
+}
+
+
+def _not_built_in(name: str, line: int) -> None:
+    if name in BUILTINS:
+        raise DuplicateName(f"line {line}: name {name!r} is built in")
+
+
 class Env:
     def __init__(self) -> None:
-        self.alphabets: dict[str, Alphabet] = {}
-        self.groups: dict[str, FiniteGroup] = {}  # groups and loops
-        self.kernels: dict[str, Kernel] = {}
-        self.resources: dict[str, Behavior] = {}
-        self.converters: dict[str, Converter] = {}
-        self.protocols: dict[str, Protocol] = {}
+        self.names: dict[str, tuple[str, object]] = {}  # name -> (kind, value)
         self.checks: list[tuple[int, tuple[str, ...]]] = []
 
-    def define(self, table: dict, name: str, value, line: int) -> None:
-        # alphabets and groups are one namespace (`alphabet` reads both);
-        # `unit` names the built-in trivial alphabet and `identity` the
-        # built-in expander of `check stream`, so neither can be redefined
-        alphabetic = table is self.alphabets or table is self.groups
-        shared = (self.alphabets, self.groups) if alphabetic else (table,)
-        if name == ("unit" if alphabetic else "identity" if table is self.kernels else None):
-            raise DuplicateName(f"line {line}: name {name!r} is built in")
-        if any(name in t for t in shared):
+    def define(self, kind: str, name: str, value, line: int) -> None:
+        _not_built_in(name, line)
+        if name in self.names:
             raise DuplicateName(f"line {line}: name {name!r} already declared")
-        table[name] = value
+        self.names[name] = (kind, value)
 
-    def alphabet(self, name: str, line: int) -> Alphabet:
-        if name in self.alphabets:
-            return self.alphabets[name]
-        if name in self.groups:
-            return group_alphabet(self.groups[name])
-        if name == "unit":
-            return UNIT
-        raise UnresolvedName(f"line {line}: unknown alphabet {name!r}")
-
-    @staticmethod
-    def resolve(table: dict, what: str, name: str, line: int):
-        if name not in table:
-            raise UnresolvedName(f"line {line}: unknown {what} {name!r}")
-        return table[name]
-
-    def resolve_group(self, name: str, line: int):
-        return self.resolve(self.groups, "group", name, line)
-
-    def resolve_resource(self, name: str, line: int) -> Behavior:
-        return self.resolve(self.resources, "resource", name, line)
+    def get(self, kind: str, name: str, line: int):
+        """The value of `name`, which must be of `kind`, except that a group
+        reads as an alphabet and a kernel as an expander."""
+        have, value = self.names.get(name) or BUILTINS.get(name, (None, None))
+        if (have, kind) == ("group", "alphabet"):
+            return group_alphabet(value)
+        if have != kind and (have, kind) != ("kernel", "expander"):
+            raise UnresolvedName(f"line {line}: unknown {kind} {name!r}")
+        return value
 
 
 def _operand(tokens: list[str], what: str, line: int) -> str:
@@ -272,7 +266,7 @@ def _port(env: Env, pid: str, party: str, direction: str, rest: str, what: str, 
     alpha_name, rnd = _name_and_round(rest, "@", what, line)
     if rnd < 1:
         raise ParseError(line, 1, "a port round of at least 1")
-    return PortSpec(pid, party, env.alphabet(alpha_name, line), direction, rnd)
+    return PortSpec(pid, party, env.get("alphabet", alpha_name, line), direction, rnd)
 
 
 def _take_section(tokens: list[str], keyword: str, line: int) -> list[str]:
@@ -286,7 +280,7 @@ def _from_to(env: Env, tokens: list[str], line: int) -> tuple[Behavior, Behavior
     _keyword(tokens, "from", what, line)
     src = _operand(tokens, what, line)
     _keyword(tokens, "to", what, line)
-    return env.resolve_resource(src, line), env.resolve_resource(_operand(tokens, what, line), line)
+    return env.get("resource", src, line), env.get("resource", _operand(tokens, what, line), line)
 
 
 def _kernel_of(env: Env, tokens: list[str], sig, line: int) -> Kernel:
@@ -295,7 +289,7 @@ def _kernel_of(env: Env, tokens: list[str], sig, line: int) -> Kernel:
         ins, outs = (tuple(p.alphabet for p in ports) for ports in (sig.ins(), sig.outs()))
         return make_kernel(ins, outs, _rows(tokens, line))
     _keyword(tokens, "kernel", "'kernel NAME' or 'rows ...'", line)
-    return env.resolve(env.kernels, "kernel", _operand(tokens, "a kernel name after 'kernel'", line), line)
+    return env.get("kernel", _operand(tokens, "a kernel name after 'kernel'", line), line)
 
 
 def elaborate(env: Env, stmt: Statement) -> None:
@@ -307,52 +301,55 @@ def elaborate(env: Env, stmt: Statement) -> None:
             raise ParseError(line, 1, "a check kind")
         env.checks.append((line, tuple(tokens)))  # read when the check runs
         return
+    if head == "converter":
+        party = _operand(tokens, "a party", line)
+        _not_built_in(party, line)
+    name = _operand(tokens, f"an {head} name" if head == "alphabet" else f"a {head} name", line)
     if head == "alphabet":
-        name, table = _operand(tokens, "an alphabet name", line), env.alphabets
         _keyword(tokens, "size", "'size N'", line)
         size = _integer(tokens, "a size after 'size'", line)
         if size < 1:
             raise ParseError(line, 1, "a positive size after 'size'")
         value = Alphabet(name, size)
     elif head in ("group", "quasigroup"):
-        name, table = _operand(tokens, f"a {head} name", line), env.groups
         kind = _operand(tokens, "'cyclic N', 'symmetric3' or 'table ...'", line)
         if head == "group" and kind == "cyclic":
-            g = group_make(("cyclic", _integer(tokens, "an order after 'cyclic'", line)), name)
+            value = group_make(("cyclic", _integer(tokens, "an order after 'cyclic'", line)), name)
         elif head == "group" and kind == "symmetric3":
-            g = group_make("symmetric3", name)
+            value = group_make("symmetric3", name)
         elif kind == "table":
             rows = _rows(tokens, line, _element)
-            g = group_make(rows, name) if head == "group" else loop_make(rows, name)
+            value = group_make(rows, name) if head == "group" else loop_make(rows, name)
         else:
             raise ParseError(line, 1, "'cyclic N', 'symmetric3' or 'table ...'")
-        value = g
     elif head == "kernel":
-        name, table = _operand(tokens, "a kernel name", line), env.kernels
         if _accept(tokens, "gen"):
             kind = _operand(tokens, "a generator kind after 'gen'", line)
             if kind in ("mult", "inv", "unit"):
-                value = group_kernels(env.resolve_group(_operand(tokens, "a group name", line), line))[kind]
+                value = group_kernels(env.get("group", _operand(tokens, "a group name", line), line))[kind]
             elif kind not in STRUCTURAL:
                 raise ParseError(line, 1, f"a generator kind after 'gen', got {kind!r}")
             else:
-                alphas = [env.alphabet(t, line) for t in _take_while(tokens, lambda t: not t.isdecimal())]
+                alphas = [env.get("alphabet", t, line) for t in _take_while(tokens, lambda t: not t.isdecimal())]
                 takes = {"point": "values", "permutation": "perm"}
                 kw = {takes[kind]: [int(t) for t in _take_while(tokens, str.isdecimal)]} if kind in takes else {}
                 value = structural(kind, alphas, **kw)
         else:
-            dom = [env.alphabet(t, line) for t in _take_section(tokens, "dom", line)]
-            cod = [env.alphabet(t, line) for t in _take_section(tokens, "cod", line)]
+            dom = [env.get("alphabet", t, line) for t in _take_section(tokens, "dom", line)]
+            cod = [env.get("alphabet", t, line) for t in _take_section(tokens, "cod", line)]
             _keyword(tokens, "rows", "'rows ...'", line)
             value = make_kernel(dom, cod, _rows(tokens, line))
     elif head == "resource":
-        name, table = _operand(tokens, "a resource name", line), env.resources
         if _accept(tokens, "builtin"):
             builtin = _operand(tokens, "a builtin resource after 'builtin'", line)
-            value = env.resolve(BUILTIN_RESOURCES, "builtin resource", builtin, line)()
+            if builtin not in BUILTIN_RESOURCES:
+                raise UnresolvedName(f"line {line}: unknown builtin resource {builtin!r}")
+            value = BUILTIN_RESOURCES[builtin]()
         else:
             _keyword(tokens, "parties", "'parties' section", line)
             parties = _operand(tokens, "a party list", line).split(",")
+            for party in parties:
+                _not_built_in(party, line)
             _keyword(tokens, "rounds", "'rounds' section", line)
             rounds = _integer(tokens, "a round count after 'rounds'", line)
             if rounds < 1:
@@ -371,8 +368,6 @@ def elaborate(env: Env, stmt: Statement) -> None:
             sig = make_signature(parties, rounds, port_specs)
             value = make_behavior(sig, _kernel_of(env, tokens, sig, line))
     elif head == "converter":
-        party = _operand(tokens, "a party", line)
-        name, table = _operand(tokens, "a converter name", line), env.converters
         port_specs = []
         wiring = []
         for spec in _take_section(tokens, "ports", line):
@@ -388,13 +383,12 @@ def elaborate(env: Env, stmt: Statement) -> None:
         sig = make_signature([party], max((p.round for p in port_specs), default=1), port_specs)
         value = Converter(party, make_behavior(sig, _kernel_of(env, tokens, sig, line)), tuple(wiring))
     elif head == "protocol":
-        name, table = _operand(tokens, "a protocol name", line), env.protocols
         src, tgt = _from_to(env, tokens, line)
         what = "'converters C1,C2' (or 'converters none')"
         _keyword(tokens, "converters", what, line)
         names = _operand(tokens, what, line)
         names = [] if names == "none" else names.split(",")
-        convs = [env.resolve(env.converters, "converter", c, line) for c in names]
+        convs = [env.get("converter", c, line) for c in names]
         _keyword(tokens, "schedule", "'schedule res.1,...'", line)
         by_name = {c: conv.party for c, conv in zip(names, convs)}
         schedule = []
@@ -405,7 +399,7 @@ def elaborate(env: Env, stmt: Statement) -> None:
     else:
         raise ParseError(line, 1, f"unknown statement {head!r}")
     _end(tokens, line)
-    env.define(table, name, value, line)
+    env.define("group" if head == "quasigroup" else head, name, value, line)
 
 
 # ---------------------------------------------------------------------------
@@ -450,6 +444,10 @@ EXPECTS: dict[str, Optional[tuple[str, ...]]] = {
     "stream": None,
 }
 
+# the expectation of a check written without `expect`; the other kinds then
+# pass whatever they measure
+DEFAULT_EXPECT = {"secure": "secure", "axioms": "pass", "otp": "secure", "lift": "pass"}
+
 
 def _expectation(tokens: list[str], kind: str, line: int) -> Optional[str]:
     """Pop 'expect VALUE' ('expect_at_most VALUE' for stream) from wherever
@@ -478,6 +476,7 @@ def run_check(env: Env, line: int, tokens: tuple[str, ...]) -> dict:
         raise ParseError(line, 1, f"unknown check kind {kind!r}")
     expected = _expectation(toks, kind, line)
     entry: dict = {"kind": kind, "line": line, "args": " ".join(tokens)}
+    ok = True  # the check's own side condition, whatever it measured
 
     def operand(what: str) -> str:
         return _operand(toks, what, line)
@@ -489,52 +488,42 @@ def run_check(env: Env, line: int, tokens: tuple[str, ...]) -> dict:
         return token
 
     if kind in ("secure", "epsilon"):
-        proto = env.resolve(env.protocols, "protocol", operand("a protocol name"), line)
+        proto = env.get("protocol", operand("a protocol name"), line)
         src, tgt = _from_to(env, toks, line) if toks[:1] == ["from"] else (proto.source, proto.target)
         _keyword(toks, "dishonest", "'dishonest P1,P2'", line)
         j = tuple(last("'dishonest P1,P2'").split(","))
         if kind == "secure":
             rep = search_simulator(proto, src, tgt, j)
-            entry["verdict"] = rep.verdict
+            measured = rep.verdict
             entry["lp_size"] = [rep.lp.n, rep.lp.m]
-            _certify(entry, rep.farkas, rep.cert)
-            entry["pass"] = rep.verdict == (expected or "secure")
         else:
             rep = min_epsilon(proto, src, tgt, j)
-            entry["verdict"] = rep.verdict
+            measured = rep.epsilon
             entry["epsilon"] = scalar_str(rep.epsilon)
-            _certify(entry, rep.farkas, rep.cert)
-            entry["pass"] = expected is None or rep.epsilon == _number(expected, line)
+        entry["verdict"] = rep.verdict
+        _certify(entry, rep.farkas, rep.cert)
     elif kind == "split":
-        r = env.resolve_resource(last("a resource name"), line)
-        verdict = split_check(r)
-        entry["verdict"] = "feasible" if verdict.feasible else "infeasible"
+        verdict = split_check(env.get("resource", last("a resource name"), line))
+        measured = entry["verdict"] = "feasible" if verdict.feasible else "infeasible"
         entry["lp_size"] = [verdict.lp.n, verdict.lp.m]
         _certify(entry, verdict.cert)
-        entry["pass"] = expected is None or entry["verdict"] == expected
     elif kind == "advantage":
-        r = env.resolve_resource(last("a resource name"), line)
-        adv = min_split_advantage(r)
-        entry["advantage"] = scalar_str(adv)
-        entry["pass"] = expected is None or adv == _number(expected, line)
+        measured = min_split_advantage(env.get("resource", last("a resource name"), line))
+        entry["advantage"] = scalar_str(measured)
     elif kind == "broadcast":
-        r = env.resolve_resource(last("a resource name"), line)
+        r = env.get("resource", last("a resource name"), line)
         verdict = tripartite_split_check(r)
         oracle = broadcast_contradiction_oracle(r)
-        entry["verdict"] = "feasible" if verdict.feasible else "infeasible"
+        measured = entry["verdict"] = "feasible" if verdict.feasible else "infeasible"
         entry["oracle_contradiction"] = oracle.contradiction
-        entry["methods_agree"] = (not verdict.feasible) == oracle.contradiction
+        ok = entry["methods_agree"] = (not verdict.feasible) == oracle.contradiction
         _certify(entry, verdict.cert)
-        entry["pass"] = bool(entry["methods_agree"]) and (
-            expected is None or entry["verdict"] == expected
-        )
     elif kind == "axioms":
-        rep = hopf_axiom_suite(env.resolve_group(last("a group name"), line))
-        entry["verdict"] = "pass" if rep.all_pass else "fail"
+        rep = hopf_axiom_suite(env.get("group", last("a group name"), line))
+        measured = entry["verdict"] = "pass" if rep.all_pass else "fail"
         entry["failed_axioms"] = list(rep.failed())
-        entry["pass"] = entry["verdict"] == (expected or "pass")
     elif kind == "otp":
-        g = env.resolve_group(operand("a group name"), line)
+        g = env.get("group", operand("a group name"), line)
         weights = None
         if _accept(toks, "key"):
             weights = [_number(t, line) for t in _take_while(toks, lambda t: t != "attacks")]
@@ -547,48 +536,46 @@ def run_check(env: Env, line: int, tokens: tuple[str, ...]) -> dict:
                 _integer(toks, "a seed after 'seed'", line)
         _end(toks, line)
         inst = build_otp(g, weights)
-        correct = otp_correctness(inst)
+        entry["correct"] = otp_correctness(inst)
         rep = otp_security(inst)
-        entry["correct"] = correct
-        entry["verdict"] = rep.verdict
+        ok = entry["correct"] or weights is not None
+        measured = entry["verdict"] = rep.verdict
         _certify(entry, rep.farkas, rep.cert)
-        ok = correct if weights is None else True
         if n_attacks is not None:
             # a secure verdict means the supplied simulator's view is the
             # real view (`otp_security`), so every attack transfers
             entry["attacks_checked"] = n_attacks if rep.verdict == "secure" else 0
-        entry["pass"] = ok and rep.verdict == (expected or "secure")
     elif kind == "otp_epsilon":
-        g = env.resolve_group(operand("a group name"), line)
+        g = env.get("group", operand("a group name"), line)
         _keyword(toks, "key", "'key w w ...'", line)
-        weights = [_number(t, line) for t in toks]
-        inst = build_otp(g, weights)
+        inst = build_otp(g, [_number(t, line) for t in toks])
         rep = min_epsilon(inst.protocol, inst.source, inst.target, ("eve",))
+        measured = rep.epsilon
         entry["epsilon"] = scalar_str(rep.epsilon)
         entry["verdict"] = rep.verdict
-        entry["pass"] = expected is None or rep.epsilon == _number(expected, line)
     elif kind == "lift":
-        inst = build_otp(env.resolve_group(last("a group name"), line))
+        inst = build_otp(env.get("group", last("a group name"), line))
         lifted = lift_deterministic(inst.protocol)
         rep = check_secure_with(lifted, inst.source, inst.target, ("eve",), inst.sigma)
-        entry["verdict"] = "pass" if rep.secure else "fail"
-        entry["pass"] = entry["verdict"] == (expected or "pass")
+        measured = entry["verdict"] = "pass" if rep.secure else "fail"
     elif kind == "stream":
-        g = env.resolve_group(operand("a group name"), line)
+        g = env.get("group", operand("a group name"), line)
         _keyword(toks, "expander", "'expander KERNEL'", line)
-        kname = last("'expander KERNEL'")
-        if kname == "identity":
-            expander = identity([group_alphabet(g)])
-        else:
-            expander = env.resolve(env.kernels, "kernel", kname, line)
+        expander = env.get("expander", last("'expander KERNEL'"), line) or identity([group_alphabet(g)])
         rep = stream_cipher_demo(g, expander)
+        measured = rep.composite.epsilon
         entry["expansion_epsilon"] = scalar_str(rep.expansion_epsilon)
-        entry["composite_epsilon"] = scalar_str(rep.composite.epsilon)
-        bound_ok = rep.composite.epsilon <= rep.expansion_epsilon
-        entry["bound_holds"] = bound_ok
-        entry["pass"] = bound_ok and (expected is None or rep.composite.epsilon <= _number(expected, line))
+        entry["composite_epsilon"] = scalar_str(measured)
+        ok = entry["bound_holds"] = measured <= rep.expansion_epsilon
+    want = expected or DEFAULT_EXPECT.get(kind)
+    if isinstance(measured, str) and want:
+        ok = ok and measured == want
+    elif want:  # a number; `stream` is held to at most its expectation
+        value = _number(want, line)
+        ok = ok and (measured <= value if kind == "stream" else measured == value)
     if expected is not None:
         entry["expected"] = expected
+    entry["pass"] = ok
     return entry
 
 

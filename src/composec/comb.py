@@ -36,6 +36,7 @@ from typing import Callable, Optional, Sequence, Union
 from .errors import (
     AcausalSchedule,
     AlphabetMismatch,
+    BadParties,
     ChainMismatch,
     DimensionMismatch,
     DirectionMismatch,
@@ -90,6 +91,8 @@ class Signature(Record):
     def __init__(self, parties: tuple[str, ...], rounds: int, ports: tuple[PortSpec, ...]) -> None:
         if rounds < 1:
             raise ValueError("a signature has at least one round")
+        if len(set(parties)) != len(parties) or "" in parties:
+            raise BadParties(f"parties must be distinct nonempty names, got {list(parties)}")
         ids = [p.id for p in ports]
         if len(set(ids)) != len(ids):
             raise DuplicatePortId(f"duplicate port ids in signature: {sorted(ids)}")

@@ -68,6 +68,10 @@ class DuplicatePortId(ComposecError):
     pass
 
 
+class BadParties(ComposecError):
+    pass
+
+
 # -- protocols, attacks, no-go ------------------------------------------------
 
 class WiringMismatch(ComposecError):

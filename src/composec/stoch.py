@@ -386,12 +386,12 @@ def _bad_swap(ports):
 
 
 def structural(kind: str, ports: Sequence[Alphabet], **kwargs) -> Kernel:
-    """Named generator dispatch; see the individual constructors."""
-    try:
-        builder = STRUCTURAL[kind]
-    except KeyError:
-        raise ValueError(f"unknown structural kernel kind {kind!r}") from None
-    return builder(tuple(ports), **kwargs)
+    """Named generator dispatch; see the individual constructors.  Refuses
+    ports of more than SIZE_CAP values before building anything."""
+    n = ports_size(ports)
+    if n > SIZE_CAP:
+        raise DimensionMismatch(f"{kind} kernel over {n} port values exceeds size cap {SIZE_CAP}")
+    return STRUCTURAL[kind](tuple(ports), **kwargs)
 
 
 # ---------------------------------------------------------------------------

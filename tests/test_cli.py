@@ -1,4 +1,5 @@
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -6,8 +7,9 @@ from pathlib import Path
 import pytest
 
 import composec.cli
-from composec.cli import DECLARATIONS, EXPECTS, Env, elaborate, main, parse_spec, run, run_check
+from composec.cli import BUILTINS, DECLARATIONS, EXPECTS, Env, elaborate, main, parse_spec, run, run_check
 from composec.comb import Network
+from composec.stoch import SIZE_CAP
 from composec.errors import ComposecError, DuplicateName, ParseError, UnresolvedName
 
 from tests.helpers import format_ast
@@ -41,8 +43,8 @@ def test_two_line_file():
     env = Env()
     for stmt in ast.statements:
         elaborate(env, stmt)
-    assert env.alphabets["bit"].size == 2
-    assert env.groups["g2"].order == 2
+    assert env.get("alphabet", "bit", 3).size == 2
+    assert env.get("group", "g2", 3).order == 2
 
 
 def test_unresolved_name():
@@ -68,6 +70,12 @@ def test_an_alphabet_and_a_group_share_one_namespace(first, second):
     assert result.report["error"] == "line 2: name 'x' already declared"
 
 
+def test_a_name_declared_as_two_kinds_is_refused():
+    result = run(parse_spec("kernel x gen uniform unit\nresource x builtin commitment\n"), no_meta=True)
+    assert result.exit_code == 2
+    assert result.report["error"] == "line 2: name 'x' already declared"
+
+
 RESERVED = {
     # a declared `unit` would give every later `unit@1` port its 3 values
     "unit-alphabet": (
@@ -81,6 +89,20 @@ RESERVED = {
         "group z4 cyclic 4\nalphabet h2 size 2\nkernel identity dom h2 cod z4 rows 1 0 ; 0 0 ; 0 1 ; 0 0\n"
         "check stream z4 expander identity expect_at_most 0\n",
         "line 3: name 'identity' is built in",
+    ),
+    # `res` is the resource node of a schedule: a party or a converter of
+    # that name would make `res.1` name two nodes
+    "res-party": (
+        "alphabet bit size 2\n"
+        "resource r parties res,b rounds 1 ports x:res:out:bit@1 y:b:out:bit@1 rows 1/2 ; 0 ; 0 ; 1/2\n"
+        "converter res c ports xc:in:bit@1:wire=x xo:out:bit@1 rows 0 1 ; 1 0\n",
+        "line 2: name 'res' is built in",
+    ),
+    "res-converter": (
+        "alphabet bit size 2\nresource r parties a rounds 1 ports x:a:out:bit@1 rows 1/2 ; 1/2\n"
+        "converter a res ports xc:in:bit@1:wire=x xo:out:bit@1 rows 1 0 ; 0 1\n"
+        "protocol p from r to r converters res schedule res.1,res.1\n",
+        "line 3: name 'res' is built in",
     ),
 }
 
@@ -473,7 +495,7 @@ def test_permutation_generator_takes_its_digits():
     text = "alphabet bit size 2\nkernel p gen permutation bit bit 1 0\nkernel s gen swap bit bit\n"
     for stmt in parse_spec(text).statements:
         elaborate(env, stmt)
-    assert env.kernels["p"] == env.kernels["s"]
+    assert env.get("kernel", "p", 4) == env.get("kernel", "s", 4)
 
 
 def test_permutation_generator_without_digits_gives_exit_2(tmp_path, capsys):
@@ -484,6 +506,26 @@ def test_permutation_generator_without_digits_gives_exit_2(tmp_path, capsys):
     assert code == 2
     assert captured.err.startswith("composec: line 2: ") and "not a permutation" in captured.err
     assert "Traceback" not in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize("parties", ["a,a", "a,"], ids=["repeated", "empty"])
+def test_repeated_or_empty_party_names_give_exit_2(parties, tmp_path, capsys):
+    spec = tmp_path / "bad.spec"
+    spec.write_text(f"alphabet bit size 2\nresource r parties {parties} rounds 1 ports x:a:out:bit@1 rows 1/2 ; 1/2\n")
+    code = main(["verify", str(spec), "--no-meta"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("composec: line 2: parties must be distinct nonempty names")
+
+
+def test_a_generated_kernel_over_the_size_cap_gives_exit_2(tmp_path, capsys):
+    # refused before a column is built, as a `rows` table of that size is
+    spec = tmp_path / "big.spec"
+    spec.write_text(f"alphabet a size {SIZE_CAP + 1}\nkernel k gen uniform a\n")
+    code = main(["verify", str(spec), "--no-meta"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"composec: line 2: uniform kernel over {SIZE_CAP + 1} port values exceeds size cap {SIZE_CAP}\n"
 
 
 def test_library_error_in_a_declaration_names_its_line(tmp_path, capsys):
@@ -540,7 +582,10 @@ def test_a_stream_check_that_cannot_compose_gives_a_failed_entry(text, message, 
 
 
 def test_docstring_grammar_matches_what_the_parser_accepts():
-    grammar = [line.split() for line in composec.cli.__doc__.splitlines() if line.startswith("    ")]
+    doc = composec.cli.__doc__
+    grammar = [line.split() for line in doc.splitlines() if line.startswith("    ")]
+    built_in = next(p for p in doc.split("\n\n") if "built in" in p)
+    assert re.findall(r"`(\w+)` \(", built_in) == list(BUILTINS)
     heads = [tokens[0] for tokens in grammar]
     assert set(heads) == set(DECLARATIONS)
     for head in DECLARATIONS:

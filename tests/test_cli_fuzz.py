@@ -17,21 +17,23 @@ from composec.cli import main, parse_spec  # noqa: E402
 
 ALL_SPECS = sorted((Path(__file__).resolve().parent.parent / "specs").glob("*.spec"))
 
-# `unit` and `identity` are the spec language's built-in names
-FUZZ_POOL = ["0", "-1", "x", "1/0", ";", "expect", "rows", "junk", "unit", "identity"]
+# `unit`, `identity` and `res` are the spec language's built-in names
+FUZZ_POOL = ["0", "-1", "x", "1/0", ";", "expect", "rows", "junk", "unit", "identity", "res"]
 
 
 @st.composite
 def mutated_specs(draw):
     path = draw(st.sampled_from(ALL_SPECS))
     statements = parse_spec(path.read_text()).statements
+    # every name the spec declares, so that one can stand where another kind is read
+    declared = [s.tokens[2 if s.tokens[0] == "converter" else 1] for s in statements if s.tokens[0] != "check"]
     k = draw(st.integers(0, len(statements) - 1))
     tokens = list(statements[k].tokens)
     how = draw(st.sampled_from(["truncate", "append", "substitute"]))
     if how == "truncate":
         tokens = tokens[: draw(st.integers(1, len(tokens) - 1))]
     else:
-        token = draw(st.sampled_from(FUZZ_POOL + tokens))
+        token = draw(st.sampled_from(FUZZ_POOL + declared + tokens))
         if how == "append":
             tokens.append(token)
         else:
