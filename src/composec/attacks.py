@@ -86,16 +86,10 @@ def dummy_attack(p: Protocol, r: Behavior, j_parties: Sequence[str]) -> Behavior
     unknown = j - set(r.signature.parties)
     if unknown:
         raise WiringMismatch(f"dishonest parties {sorted(unknown)} not in the resource")
-    if r.signature != p.source.signature:
-        raise WiringMismatch("resource does not match the protocol's source interface")
     key = tuple(sorted(j))
     if r is p.source and key in p._views:
         return p._views[key]
-    honest = [c for c in p.converters if c.party not in j]
-    nodes = [(RES, r)] + [(c.party, c.comb) for c in honest]
-    wires = [((c.party, cp), (RES, rp)) for c in honest for cp, rp in c.wiring]
-    schedule = [item for item in p.schedule if item[0] == RES or item[0] not in j]
-    view = canonical(Network(nodes, wires, schedule).evaluate())
+    view = canonical(p.network(r, j).evaluate())
     if r is p.source:
         p._views[key] = view
     return view

@@ -37,9 +37,11 @@ expander of `check stream`) and `res` (the resource node of a schedule) are
 built in.  Declared names of every kind share one namespace with them:
 declaring a name twice, or declaring or naming a party with a built-in
 name, is a `DuplicateName` error.  A schedule item `NAME.ROUND` names
-`res`, one of the protocol's converters, or a converter's party.
+`res`, one of the protocol's converters, or a converter's party, so no
+listed converter may be named like another listed converter's party.
 
-Digits after `gen KIND` are read only by `point` and `permutation`.
+Digits after `gen KIND` are read only by `point` and `permutation`.  A
+group's or quasigroup's order is at most 1,024, as its table has n x n cells.
 `expect_at_most` belongs to `stream` only; every other check takes
 `expect`.  A token left over after a statement's operands is a parse
 error.  A malformed or unresolvable check line becomes a failed entry with
@@ -391,6 +393,9 @@ def elaborate(env: Env, stmt: Statement) -> None:
         convs = [env.get("converter", c, line) for c in names]
         _keyword(tokens, "schedule", "'schedule res.1,...'", line)
         by_name = {c: conv.party for c, conv in zip(names, convs)}
+        for c in names:
+            if by_name[c] != c and c in by_name.values():
+                raise DuplicateName(f"line {line}: converter {c!r} is named like another converter's party")
         schedule = []
         for item in _operand(tokens, "'schedule res.1,...'", line).split(","):
             lab, rnd = _name_and_round(item, ".", "a schedule item 'NAME.ROUND'", line)

@@ -39,6 +39,7 @@ from .record import Record
 from .resources import RES, Converter, Protocol, apply_protocol
 from .scalars import ONE, Scalar, as_scalar
 from .stoch import (
+    SIZE_CAP,
     UNIT,
     Alphabet,
     Kernel,
@@ -70,8 +71,15 @@ class FiniteGroup(Record):
         return self.cayley[a][b]
 
 
+def _check_order(n: int) -> None:
+    """Refuse an order whose n x n table `stoch.SIZE_CAP` would refuse."""
+    if n * n > SIZE_CAP:
+        raise DimensionMismatch(f"order {n} needs a table of {n * n} entries, over size cap {SIZE_CAP}")
+
+
 def _check_latin(table: Sequence[Sequence[int]]) -> int:
     n = len(table)
+    _check_order(n)
     want = set(range(n))
     for i, row in enumerate(table):
         if len(row) != n:
@@ -119,6 +127,7 @@ def group_make(source, name: Optional[str] = None) -> FiniteGroup:
         n = int(source[1])
         if n < 1:
             raise NotLatinSquare("cyclic group order must be >= 1")
+        _check_order(n)
         table = [[(i + j) % n for j in range(n)] for i in range(n)]
         return group_make(table, name or f"z{n}")
     if source == "symmetric3":

@@ -9,14 +9,19 @@ also fixes the global round order in which converter rounds interleave with
 resource rounds, because linking is only defined relative to an explicit
 schedule.
 
-Construction validates the whole shape statically: the wired network is
-built (without being evaluated) and its canonical signature must match the
-declared target's.  `apply_protocol` therefore only computes tables.
+Construction validates the whole shape statically: the wired network
+(`Protocol.network`) is built without being evaluated, and its canonical
+signature must match the declared target's.  `apply_protocol` therefore
+only computes tables.
+
+Sequential and parallel composition are one construction, `_stack`: a
+lower and an upper layer of converters run in one order of rounds, and a
+party with a converter in both layers runs the two linked as one.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Collection
 
 from .comb import (
     Behavior,
@@ -90,8 +95,7 @@ class Protocol(Record):
         wired_res = [rp for c in self.converters for _cp, rp in c.wiring]
         if len(set(wired_res)) != len(wired_res):
             raise WiringMismatch("a resource port is wired twice")
-        net = self._network(self.source)
-        derived = net.result_signature()
+        derived = self.network(self.source).result_signature()
         want = canonical_rounds(self.target.signature)[0]
         got = canonical_rounds(derived)[0]
         if want != got:
@@ -99,20 +103,17 @@ class Protocol(Record):
                 f"protocol produces interface {_sig_brief(got)}, target declares {_sig_brief(want)}"
             )
 
-    def _network(self, resource_behavior: Behavior) -> Network:
-        nodes = [(RES, resource_behavior)]
-        wires = []
-        for c in self.converters:
-            nodes.append((c.party, c.comb))
-            for cp, rp in c.wiring:
-                wires.append(((c.party, cp), (RES, rp)))
-        return Network(nodes, wires, list(self.schedule))
-
-    def converter_for(self, party: str) -> Optional[Converter]:
-        for c in self.converters:
-            if c.party == party:
-                return c
-        return None
+    def network(self, r: Behavior, dishonest: Collection[str] = ()) -> Network:
+        """r, which must present the source interface, linked to the honest
+        parties' converters; the dishonest parties' rounds are left out of
+        the schedule, so their resource ports stay exposed."""
+        if r.signature != self.source.signature:
+            raise WiringMismatch("resource does not match the protocol's source interface")
+        honest = [c for c in self.converters if c.party not in dishonest]
+        nodes = [(RES, r)] + [(c.party, c.comb) for c in honest]
+        wires = [((c.party, cp), (RES, rp)) for c in honest for cp, rp in c.wiring]
+        schedule = [item for item in self.schedule if item[0] == RES or item[0] not in dishonest]
+        return Network(nodes, wires, schedule)
 
 
 def _sig_brief(sig: Signature) -> str:
@@ -120,21 +121,52 @@ def _sig_brief(sig: Signature) -> str:
 
 
 def apply_protocol(p: Protocol, r: Behavior) -> Behavior:
-    """Link every converter onto r; the result carries the declared target
-    signature.  r must present the source interface (tables may differ)."""
-    if r.signature != p.source.signature:
-        raise WiringMismatch("resource does not match the protocol's source interface")
-    return align_to(p._network(r).evaluate(), p.target.signature)
+    """Link every converter onto r; the result carries the declared target signature."""
+    return align_to(p.network(r).evaluate(), p.target.signature)
 
 
 # ---------------------------------------------------------------------------
-# sequential composition
+# composition: a lower layer of converters and an upper one on top of it
+
+
+def _stack(
+    source: Behavior,
+    target: Behavior,
+    lower: tuple[Converter, ...],
+    upper: tuple[Converter, ...],
+    inner: set[tuple[str, str]],
+    order: list[tuple[str, str, int]],
+) -> Protocol:
+    """The protocol from `source` to `target` running the `lower` ("p") and
+    `upper` ("q") converters.  An upper converter's wire to a (party, port)
+    in `inner` links it to its party's lower converter.  `order` lists the
+    rounds as (layer, label, round) triples, resource rounds numbered as in
+    `source`; each party's rounds are counted afresh."""
+    items: dict[str, list[ScheduleItem]] = {}  # each party's items of `order`
+    schedule: list[ScheduleItem] = []
+    for layer, lab, idx in order:
+        if lab != RES:
+            items.setdefault(lab, []).append((layer, idx))
+            idx = len(items[lab])
+        schedule.append((lab, idx))
+    low, up = {c.party: c for c in lower}, {c.party: c for c in upper}
+    converters = []
+    for party in sorted(low.keys() | up.keys()):
+        if party not in low or party not in up:
+            converters.append(low.get(party) or up[party])
+            continue
+        pc, qc = low[party], up[party]
+        wires = [(("q", cp), ("p", rp)) for cp, rp in qc.wiring if (party, rp) in inner]
+        external = pc.wiring + tuple(w for w in qc.wiring if (party, w[1]) not in inner)
+        comb = Network([("p", pc.comb), ("q", qc.comb)], wires, items[party]).evaluate()
+        converters.append(Converter(party, comb, external))
+    return Protocol(source, target, tuple(converters), tuple(schedule))
 
 
 def _positions_by_declared_round(p: Protocol) -> list[int]:
     """For each round j of p's declared target, the last index in p.schedule
     (1-based) that must have executed before round j is complete."""
-    derived = p._network(p.source).result_signature()
+    derived = p.network(p.source).result_signature()
     tgt = p.target.signature
     emit_before = [0] * (tgt.rounds + 1)
     for port in derived.ports:
@@ -146,101 +178,33 @@ def _positions_by_declared_round(p: Protocol) -> list[int]:
 
 
 def seq_compose(q: Protocol, p: Protocol) -> Protocol:
-    """Party-wise linking: run p, then q on p's target."""
+    """Party-wise linking: run p, then q on p's target.  Each resource round
+    in q's schedule runs p's schedule up to where that round of p's target
+    is complete.  q's wires to its party's p converter are inner."""
     if p.target.signature != q.source.signature:
         raise InterfaceMismatch("q's source does not match p's target")
     emit_before = _positions_by_declared_round(p)
-    # interleave p's and q's schedules, expanding q's view of the middle
-    # resource into p's execution order
-    combined: list[tuple[str, tuple[str, int]]] = []  # (origin, item)
-    pointer = 0
-
-    def emit_p_through(limit: int) -> None:
-        nonlocal pointer
-        while pointer < limit:
-            combined.append(("p", p.schedule[pointer]))
-            pointer += 1
-
-    for item in q.schedule:
-        lab, idx = item
+    order, done = [], 0  # `done` items of p.schedule are in `order`
+    for lab, idx in q.schedule:
         if lab == RES:
-            emit_p_through(emit_before[idx])
+            order += [("p", *item) for item in p.schedule[done : emit_before[idx]]]
+            done = emit_before[idx]
         else:
-            combined.append(("q", item))
-    emit_p_through(len(p.schedule))
-
-    # per-party interleavings for the composite converter combs
-    parties = {c.party for c in p.converters} | {c.party for c in q.converters}
-    new_converters = []
-    party_counts: dict[str, int] = {}
-    renumbered: list[tuple[str, int]] = []
-    party_pair_schedules: dict[str, list[tuple[str, int]]] = {pt: [] for pt in parties}
-    for origin, (lab, idx) in combined:
-        if lab == RES:  # q's middle rounds were expanded into p's
-            renumbered.append((RES, idx))
-        else:
-            party_pair_schedules[lab].append((origin, idx))
-            n = party_counts.get(lab, 0) + 1
-            party_counts[lab] = n
-            renumbered.append((lab, n))
-
-    for party in sorted(parties):
-        pc = p.converter_for(party)
-        qc = q.converter_for(party)
-        if pc is None or qc is None:
-            new_converters.append(qc if pc is None else pc)
-            continue
-        # q's wires are internal if they hit an outer port of p's converter;
-        # any other port of the party's is one p passed through, under the
-        # same id
-        outer = set(pc.outer_ids())
-        internal = []
-        external = list(pc.wiring)
-        for cp, rp in qc.wiring:
-            if rp in outer:
-                internal.append((("q", cp), ("p", rp)))
-            else:
-                external.append((cp, rp))
-        pair_sched = party_pair_schedules[party]
-        comb = Network([("p", pc.comb), ("q", qc.comb)], internal, pair_sched).evaluate()
-        new_converters.append(Converter(party, comb, tuple(external)))
-    return Protocol(p.source, q.target, tuple(new_converters), tuple(renumbered))
-
-
-# ---------------------------------------------------------------------------
-# parallel composition
+            order.append(("q", lab, idx))
+    order += [("p", *item) for item in p.schedule[done:]]
+    inner = {(c.party, port) for c in p.converters for port in c.outer_ids()}
+    return _stack(p.source, q.target, p.converters, q.converters, inner, order)
 
 
 def par_compose(p: Protocol, q: Protocol) -> Protocol:
-    """Tensor of protocols; parties missing a converter on one side are
-    implicitly padded with the identity."""
-    src = tensor_behavior(p.source, q.source)
-    tgt = tensor_behavior(p.target, q.target)
-    parties = {c.party for c in p.converters} | {c.party for c in q.converters}
-    converters = []
-    p_rounds: dict[str, int] = {}
-    for party in sorted(parties):
-        pc = p.converter_for(party)
-        qc = q.converter_for(party)
-        if pc is not None and qc is None:
-            converters.append(pc)
-            p_rounds[party] = pc.comb.signature.rounds
-        elif pc is None and qc is not None:
-            converters.append(qc)
-            p_rounds[party] = 0
-        else:
-            comb = tensor_behavior(pc.comb, qc.comb)
-            converters.append(Converter(party, comb, pc.wiring + qc.wiring))
-            p_rounds[party] = pc.comb.signature.rounds
-    schedule: list[ScheduleItem] = []
-    for lab, idx in p.schedule:
-        schedule.append((lab, idx))
-    for lab, idx in q.schedule:
-        if lab == RES:
-            schedule.append((RES, idx + p.source.signature.rounds))
-        else:
-            schedule.append((lab, idx + p_rounds.get(lab, 0)))
-    return Protocol(src, tgt, tuple(converters), tuple(schedule))
+    """Tensor of protocols: p's schedule, then q's on the resource rounds
+    after p's.  A party with a converter on both sides runs the two side by
+    side; one with a converter on one side only is padded with the identity."""
+    shift = p.source.signature.rounds
+    order = [("p", lab, idx) for lab, idx in p.schedule]
+    order += [("q", lab, idx + shift if lab == RES else idx) for lab, idx in q.schedule]
+    src, tgt = tensor_behavior(p.source, q.source), tensor_behavior(p.target, q.target)
+    return _stack(src, tgt, p.converters, q.converters, set(), order)
 
 
 # ---------------------------------------------------------------------------

@@ -149,13 +149,6 @@ class Kernel(Record):
             out[i] = v
         return tuple(out)
 
-    def entry(self, out_values: Sequence[int], in_values: Sequence[int]) -> Scalar:
-        i = tuple_index(self.cod, out_values)
-        for k, v in self.cols[tuple_index(self.dom, in_values)]:
-            if k == i:
-                return v
-        return ZERO
-
 
 def _check_column(values: Iterable[Scalar], col: int) -> None:
     """Entries nonnegative and summing to exactly 1; the numerators are

@@ -30,7 +30,7 @@ from composec.comb import (
 from composec.distinguisher import canonical_forms
 from composec.errors import AcausalSchedule, CompositeVerificationFailed, InterfaceMismatch
 from composec.nogo import mediator_problem
-from composec.resources import RES, Protocol
+from composec.resources import RES, Converter, Protocol
 from composec.stoch import UNIT, Alphabet, all_tuples, make_kernel, ports_size, tuple_index
 
 BIT = Alphabet("bit", 2)
@@ -97,6 +97,48 @@ def random_behavior(rng, parties=("p",), rounds=2, max_size=2, prefix="p"):
     return flatten(random_comb(rng, parties, rounds, max_size, prefix))
 
 
+def random_protocol(rng, source: Behavior, prefix: str) -> Protocol:
+    """A random protocol on `source`.  Each party gets, on a biased coin, a
+    converter of one or two rounds, and the schedule interleaves the
+    converters' rounds with the resource's at random.  A converter takes
+    some of its party's resource ports, each in a round of its own that the
+    schedule puts after the port's round for a resource output, before it
+    for an input.  Each of its rounds adds, on a biased coin, an outer bit
+    port whose id starts with `prefix`.  The target is what the protocol
+    makes of `source`."""
+    sig = source.signature
+    rounds = {party: rng.randint(1, 2) for party in sig.parties if rng.random() < 0.7}
+    pending = {RES: list(range(1, sig.rounds + 1))}
+    pending |= {party: list(range(1, k + 1)) for party, k in rounds.items()}
+    schedule = []
+    while any(pending.values()):
+        lab = rng.choice([lab for lab, left in pending.items() if left])
+        schedule.append((lab, pending[lab].pop(0)))
+    pos = {item: t for t, item in enumerate(schedule)}
+    converters = []
+    for party, k in rounds.items():
+        ports, wiring = [], []
+        for q in sig.ports:
+            fits = [c for c in range(1, k + 1) if (pos[(party, c)] > pos[(RES, q.round)]) == (q.direction == OUT)]
+            if q.party == party and fits and rng.random() < 0.7:
+                direction = IN if q.direction == OUT else OUT
+                ports.append(PortSpec(f"{prefix}{party}_{q.id}", party, q.alphabet, direction, rng.choice(fits)))
+                wiring.append((ports[-1].id, q.id))
+        for c in range(1, k + 1):
+            if rng.random() < 0.7:
+                ports.append(PortSpec(f"{prefix}{party}{c}", party, BIT, rng.choice([IN, OUT]), c))
+        csig = make_signature([party], k, ports)
+        mems = (UNIT, *(Alphabet(f"m{c}", rng.randint(1, 2)) for c in range(1, k)), UNIT)
+        kernels = []
+        for c in range(1, k + 1):
+            dom = (mems[c - 1], *(p.alphabet for p in csig.round_ins(c)))
+            kernels.append(random_kernel(rng, dom, (*(p.alphabet for p in csig.round_outs(c)), mems[c])))
+        converters.append(Converter(party, flatten(CombKernels(csig, mems, tuple(kernels))), tuple(wiring)))
+    nodes = [(RES, source)] + [(c.party, c.comb) for c in converters]
+    wires = [((c.party, cp), (RES, rp)) for c in converters for cp, rp in c.wiring]
+    return Protocol(source, Network(nodes, wires, schedule).evaluate(), tuple(converters), tuple(schedule))
+
+
 # ---------------------------------------------------------------------------
 # small constructors
 
@@ -130,6 +172,12 @@ def mix_resources(r1: Behavior, r2: Behavior, weight) -> Behavior:
     ]
     kern = make_kernel(k1.dom, k1.cod, list(zip(*columns)))
     return make_behavior(r1.signature, kern)
+
+
+def kernel_entry(k, out_values, in_values):
+    """The probability of the output values `out_values` given the input
+    values `in_values`."""
+    return k.column(tuple_index(k.dom, in_values))[tuple_index(k.cod, out_values)]
 
 
 def format_ast(ast) -> str:
@@ -184,7 +232,7 @@ def apply_protocol_via_dummy(p: Protocol, r: Behavior, j_parties) -> Behavior:
     """The J parties' converters linked back onto the dummy view
     `attacks.dummy_attack(p, r, J)`; the dummy factorization says this is
     the honest execution `apply_protocol(p, r)`."""
-    convs = [c for c in map(p.converter_for, j_parties) if c is not None]
+    convs = [c for party in j_parties for c in p.converters if c.party == party]
     wires = [((c.party, cp), ("view", rp)) for c in convs for cp, rp in c.wiring]
     return merge_asap(attacks.dummy_attack(p, r, j_parties), [(c.party, c.comb) for c in convs], wires)
 
@@ -731,7 +779,7 @@ def tripartite_program(r):
     def r_entry(a_idx, c_idx, b_idx):
         a_vals, c_vals = iter(index_tuple(a_alphas, a_idx)), iter(index_tuple(c_alphas, c_idx))
         y = tuple(next(a_vals) if q.party == "alice" else next(c_vals) for q in outs)
-        return r.kernel.entry(y, index_tuple(b_alphas, b_idx))
+        return kernel_entry(r.kernel, y, index_tuple(b_alphas, b_idx))
 
     bld = LpBuilder()
     d_vars = list(bld.new_vars((nb * nb) * (na * nc)))

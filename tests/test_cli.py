@@ -528,6 +528,49 @@ def test_a_generated_kernel_over_the_size_cap_gives_exit_2(tmp_path, capsys):
     assert captured.err == f"composec: line 2: uniform kernel over {SIZE_CAP + 1} port values exceeds size cap {SIZE_CAP}\n"
 
 
+@pytest.mark.parametrize(
+    "text",
+    ["group g cyclic 1025\n", "quasigroup q table " + " ; ".join(["0"] * 1025) + "\n"],
+    ids=["cyclic", "table"],
+)
+def test_a_group_over_the_order_cap_gives_exit_2(text, tmp_path, capsys):
+    # refused before its table is built or read, as a kernel of that size is
+    spec = tmp_path / "big.spec"
+    spec.write_text(text)
+    code = main(["verify", str(spec), "--no-meta"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"composec: line 1: order 1025 needs a table of {1025 * 1025} entries, over size cap {SIZE_CAP}\n"
+
+
+def _two_converters(name_a, name_b):
+    """A protocol whose converters, named `name_a` (party a) and `name_b`
+    (party b), each copy their party's bit, scheduled `res.1,a.1,b.1`."""
+    return (
+        "alphabet bit size 2\n"
+        "resource r parties a,b rounds 1 ports x:a:out:bit@1 y:b:out:bit@1 rows 1/2 ; 0 ; 0 ; 1/2\n"
+        f"converter a {name_a} ports ai:in:bit@1:wire=x ao:out:bit@1 rows 1 0 ; 0 1\n"
+        f"converter b {name_b} ports bi:in:bit@1:wire=y bo:out:bit@1 rows 1 0 ; 0 1\n"
+        "resource t parties a,b rounds 1 ports ao:a:out:bit@1 bo:b:out:bit@1 rows 1/2 ; 0 ; 0 ; 1/2\n"
+        f"protocol p from r to t converters {name_a},{name_b} schedule res.1,a.1,b.1\n"
+    )
+
+
+def test_a_converter_named_like_another_converters_party_gives_exit_2(tmp_path, capsys):
+    # `a.1` would name converter `a`, of party b, and run b before a
+    spec = tmp_path / "swapped.spec"
+    spec.write_text(_two_converters("b", "a"))
+    code = main(["verify", str(spec), "--no-meta"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "composec: line 6: converter 'b' is named like another converter's party\n"
+    # converters named after their own parties are not ambiguous
+    env = Env()
+    for stmt in parse_spec(_two_converters("a", "b")).statements:
+        elaborate(env, stmt)
+    assert env.get("protocol", "p", 6).schedule == (("res", 1), ("a", 1), ("b", 1))
+
+
 def test_library_error_in_a_declaration_names_its_line(tmp_path, capsys):
     text = (SPECS / "otp_z2.spec").read_text()
     assert "schedule res.1," in text

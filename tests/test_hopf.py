@@ -147,7 +147,7 @@ def test_otp_corrupted_bob_breaks_correctness():
 
     k = group_kernels(g)
     a = k["alphabet"]
-    bob_sig = inst.protocol.converter_for("bob").comb.signature
+    (bob_sig,) = [c.comb.signature for c in inst.protocol.converters if c.party == "bob"]
     bad_bob = Converter("bob", make_behavior(bob_sig, k["mult"]), (("cb_c", "cb"), ("kb_c", "kb")))
     convs = tuple(
         bad_bob if c.party == "bob" else c for c in inst.protocol.converters

@@ -1,17 +1,17 @@
 """Import hygiene of the package, read from its source with `ast`: every
 imported name is used by the module that imports it (a package's `__all__`
 counts as a use), no module imports another module's private name, every
-top-level name is reached from the command line's `main`, the program over
-an unknown comb's table is built in `distinguisher` only, no module but
-`attacks` imports a linker of nodes onto a view, only `lp` refuses a
-program as too large, no function body imports anything, no module checks anything with
-`assert`, which `python -O` strips, and no module imports `dataclasses`,
-whose decorator compiles each class's methods at import; a fresh
-`import composec.cli` loads neither `dataclasses` nor `inspect`.  Records
-set their fields through `Record.__init__` alone: `object.__setattr__`
-writes only the two memos, `_comb` in `comb.realize` and `_views` in
-`Protocol`.  Every module parses with the grammar of the oldest Python that
-pyproject.toml declares."""
+top-level name and every method is reached from the command line's `main`,
+the program over an unknown comb's table is built in `distinguisher` only,
+no module but `attacks` imports a linker of nodes onto a view, only `lp`
+refuses a program as too large, no function body imports anything, no
+module checks anything with `assert`, which `python -O` strips, and no
+module imports `dataclasses`, whose decorator compiles each class's methods
+at import; a fresh `import composec.cli` loads neither `dataclasses` nor
+`inspect`.  Records set their fields through `Record.__init__` alone:
+`object.__setattr__` writes only the two memos, `_comb` in `comb.realize`
+and `_views` in `Protocol`.  Every module parses with the grammar of the
+oldest Python that pyproject.toml declares."""
 
 import ast
 import os
@@ -136,28 +136,64 @@ def _top_level(tree: ast.Module):
         yield from ((name, node) for name in names if not (name.startswith("__") and name.endswith("__")))
 
 
+def _is_method(node: ast.AST) -> bool:
+    """A function defined in a class body, other than a dunder."""
+    return isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and not (
+        node.name.startswith("__") and node.name.endswith("__")
+    )
+
+
+def _body(node: ast.AST):
+    """`ast.walk(node)`, less the methods of a class, which are reached on
+    their own."""
+    todo = [node]
+    while todo:
+        sub = todo.pop()
+        yield sub
+        todo.extend(c for c in ast.iter_child_nodes(sub) if not (isinstance(sub, ast.ClassDef) and _is_method(c)))
+
+
 def _unreached(trees: dict[str, ast.Module]) -> list[str]:
     """"module.name" for every top-level name outside the closure of
-    `cli.main`: a reached definition reaches every top-level name, in any
-    module, that it uses as a name or as an attribute."""
+    `cli.main`, and "module.Class.method" for every method outside it: a
+    reached definition reaches every top-level name, in any module, that it
+    uses as a name or as an attribute, and every method of a reached class
+    that reached code uses as an attribute.  A class's dunder methods are
+    part of its body."""
     defined: dict[str, list[tuple[str, ast.AST]]] = {}
     for module, tree in trees.items():
         for name, node in _top_level(tree):
             defined.setdefault(name, []).append((module, node))
-    reached, todo = set(), [("cli", "main")]
+            if isinstance(node, ast.ClassDef):
+                for f in filter(_is_method, node.body):
+                    defined.setdefault(f"{name}.{f.name}", []).append((module, f))
+    reached, attrs, todo = set(), set(), [("cli", "main")]
     while todo:
         module, name = todo.pop()
-        if (module, name) in reached:
-            continue
-        reached.add((module, name))
-        for sub in (sub for m, node in defined[name] if m == module for sub in ast.walk(node)):
-            used = sub.id if isinstance(sub, ast.Name) else getattr(sub, "attr", None)
-            todo.extend((m, used) for m, _n in defined.get(used, ()))
+        if (module, name) not in reached:
+            reached.add((module, name))
+            for sub in (sub for m, node in defined[name] if m == module for sub in _body(node)):
+                used = sub.id if isinstance(sub, ast.Name) else getattr(sub, "attr", None)
+                todo.extend((m, used) for m, _n in defined.get(used, ()))
+                attrs.add(getattr(sub, "attr", None))
+        if not todo:  # then every method of a reached class that reached code uses as an attribute
+            todo = [
+                (m, name)
+                for name, defs in defined.items()
+                if name.partition(".")[2] in attrs
+                for m, _n in defs
+                if (m, name.partition(".")[0]) in reached and (m, name) not in reached
+            ]
     return sorted(f"{m}.{name}" for name, defs in defined.items() for m, _n in defs if (m, name) not in reached)
 
 
 # the names no check reaches, each with the reader that keeps it
-UNREACHED = {"comb.flatten": "bench/workloads.py"}
+UNREACHED = {
+    "comb.flatten": "bench/workloads.py",
+    "lp.LinearProgram.a": "bench/answers.py, bench/tracing.py",
+    "lp.LinearProgram.b": "bench/answers.py",
+    "stoch.Kernel.matrix": "bench/tracing.py, bench/workloads.py",
+}
 
 
 def test_every_top_level_name_is_reached_from_the_cli():
@@ -313,8 +349,13 @@ def test_the_checks_see_an_unused_and_a_private_import():
     ) == ["line 3: A.__init__ sets x", "line 5: realize sets _comb", "line 6: realize sets ?"]
     trees = {p.stem: ast.parse(p.read_text()) for p in MODULES}
     trees["comb"].body += ast.parse("def _stub(b):\n    return flatten(b)\n").body
-    assert _unreached(trees) == ["comb._stub", "comb.flatten"]
-    trees["cli"].body += ast.parse("def main():\n    return comb._stub\n").body
+    # a method is reached with its class only when reached code uses it as
+    # an attribute; a dunder method, always
+    (kernel,) = [node for node in trees["stoch"].body if getattr(node, "name", None) == "Kernel"]
+    kernel.body += ast.parse("def stub(self):\n    return _by_method\ndef __len__(self):\n    return _by_dunder\n").body
+    trees["stoch"].body += ast.parse("def _by_method():\n    pass\ndef _by_dunder():\n    pass\n").body
+    assert _unreached(trees) == sorted(["comb._stub", "stoch.Kernel.stub", "stoch._by_method", *UNREACHED])
+    trees["cli"].body += ast.parse("def main():\n    return comb._stub(k.stub, k.matrix, lp.a, lp.b)\n").body
     assert _unreached(trees) == []
     assert FLOOR == (3, 10)
     assert _above_floor("try:\n    pass\nexcept ValueError:\n    pass\n") == []

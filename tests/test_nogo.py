@@ -37,7 +37,16 @@ from composec.nogo import (
     tripartite_split_check,
 )
 from composec.stoch import Alphabet, make_kernel, marginalize, tuple_index
-from tests.helpers import BIT, TRIT, behavior_from_table, index_tuple, mix_resources, random_kernel, tripartite_program
+from tests.helpers import (
+    BIT,
+    TRIT,
+    behavior_from_table,
+    index_tuple,
+    kernel_entry,
+    mix_resources,
+    random_kernel,
+    tripartite_program,
+)
 
 F = Fraction
 
@@ -312,7 +321,7 @@ def test_r_entry_reads_interleaved_out_ports():
             a1, a2 = index_tuple((TRIT, BIT), a)
             for c in range(nc):
                 c1, c2 = index_tuple((BIT, QUAD), c)
-                assert entry(a, c, b) == kernel.entry((a1, c1, a2, c2), (b,))
+                assert entry(a, c, b) == kernel_entry(kernel, (a1, c1, a2, c2), (b,))
 
 
 class _Built(Exception):

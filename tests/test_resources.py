@@ -7,7 +7,10 @@ from composec.comb import (
     IN,
     OUT,
     Behavior,
+    CombKernels,
     PortSpec,
+    align_to,
+    flatten,
     make_behavior,
     make_signature,
     observationally_equal,
@@ -25,7 +28,14 @@ from composec.resources import (
 )
 from composec.stoch import Alphabet, make_kernel
 
-from tests.helpers import BIT, behavior_from_table, identity_protocol, random_kernel
+from tests.helpers import (
+    BIT,
+    behavior_from_table,
+    identity_protocol,
+    random_comb,
+    random_kernel,
+    random_protocol,
+)
 
 F = Fraction
 
@@ -275,3 +285,45 @@ def test_functoriality_random_suite():
         left = apply_protocol(qp, r)
         right = apply_protocol(p2, apply_protocol(p1, r))
         assert observationally_equal(left, right)
+
+
+def _twin(rng, c):
+    """A resource with the signature of the comb `c` and fresh random tables."""
+    return flatten(CombKernels(c.signature, c.memories, tuple(random_kernel(rng, k.dom, k.cod) for k in c.kernels)))
+
+
+def _in_both(p, q):
+    return {c.party for c in p.converters} & {c.party for c in q.converters}
+
+
+def test_seq_compose_law_on_random_multi_round_protocols():
+    rng = random.Random(28)
+    stacked = 0  # trials with a multi-round resource and a party in both layers
+    for _ in range(40):
+        c = random_comb(rng, ("alice", "bob"), rng.randint(1, 3), prefix="r")
+        p = random_protocol(rng, flatten(c), "p")
+        q = random_protocol(rng, p.target, "q")
+        qp = seq_compose(q, p)
+        r = _twin(rng, c)
+        assert observationally_equal(apply_protocol(qp, r), apply_protocol(q, apply_protocol(p, r)))
+        stacked += c.signature.rounds >= 2 and bool(_in_both(p, q))
+    assert stacked >= 10
+
+
+def test_par_compose_law_and_fused_converters_on_random_multi_round_protocols():
+    rng = random.Random(28)
+    fused = 0  # converters of a party in both protocols, over a multi-round resource
+    for _ in range(30):
+        c1, c2 = (random_comb(rng, ("alice", "bob"), rng.randint(1, 3), max_size=1, prefix=x) for x in "rs")
+        p, q = random_protocol(rng, flatten(c1), "p"), random_protocol(rng, flatten(c2), "q")
+        pq = par_compose(p, q)
+        r1, r2 = _twin(rng, c1), _twin(rng, c2)
+        left = apply_protocol(pq, tensor_behavior(r1, r2))
+        assert observationally_equal(left, tensor_behavior(apply_protocol(p, r1), apply_protocol(q, r2)))
+        for party in _in_both(p, q):
+            (pc,), (qc,) = ([c.comb for c in x.converters if c.party == party] for x in (p, q))
+            (comb,) = [c.comb for c in pq.converters if c.party == party]
+            # the fused converter lists its ports round by round
+            assert align_to(tensor_behavior(pc, qc), comb.signature) == comb
+            fused += c1.signature.rounds >= 2
+    assert fused >= 10

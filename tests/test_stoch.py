@@ -40,6 +40,7 @@ from tests.helpers import (
     dense_permute_axes,
     dense_tensor,
     index_tuple,
+    kernel_entry,
 )
 
 BIT = Alphabet("bit", 2)
@@ -260,7 +261,7 @@ def test_permute_axes():
     p = stoch.permute_axes(f, [1, 0], [1, 0])
     for x in stoch.all_tuples((BIT, TRIT)):
         for y in stoch.all_tuples((Z4, BIT)):
-            assert f.entry(y, x) == p.entry((y[1], y[0]), (x[1], x[0]))
+            assert kernel_entry(f, y, x) == kernel_entry(p, (y[1], y[0]), (x[1], x[0]))
 
 
 def test_structural_outputs_pass_invariants():
