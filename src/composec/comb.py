@@ -13,11 +13,11 @@ wiring between output and input ports, and an explicit total order on the
 rounds of all participants.  Evaluation runs the joint process forward, so
 the result is causal by construction.  It is the only code that runs round
 kernels: `flatten` evaluates a one-node network, and the parallel product
-`tensor_behavior` is the Kronecker product of the two tables.  A network may
-contain one *symbolic* node, in which case evaluation returns, for every
-transcript, an exact linear form over the symbolic node's table entries;
-this is what turns simulator existence and splittability questions into
-linear programs.
+`tensor_behavior` is the Kronecker product of the two tables, run through
+its factors' round kernels.  A network may contain one *symbolic* node, in
+which case evaluation returns, for every transcript, an exact linear form
+over the symbolic node's table entries; this is what turns simulator
+existence and splittability questions into linear programs.
 
 A transcript is coded as its table index while it is built: each port adds
 its value times its row-major stride, so `Network` evaluation never turns
@@ -130,12 +130,13 @@ class Behavior(Record):
     """Conditional transcript table P(all outputs | all inputs).
 
     The kernel's domain lists the in-ports and its codomain the out-ports,
-    both in signature order.  `realize` memoises its comb on the object.
+    both in signature order.  Its comb is memoised on the object, by
+    `realize` or, for a tensor, by `tensor_behavior`.
     """
 
     signature: Signature
     kernel: Kernel
-    _comb = None  # the memo, set on the object by `realize`
+    _comb = None  # the memo, set on the object by `_memoise`
 
 
 def make_behavior(signature: Signature, kernel: Kernel, check: bool = True) -> Behavior:
@@ -246,18 +247,24 @@ def flatten(c: CombKernels) -> Behavior:
 
 
 def realize(b: Behavior) -> CombKernels:
-    """Transcript-memory realization: memory i stores everything seen through
-    round i, and round i emits with the conditional P(y_i | x..i, y..i-1).
-
-    Memory i indexes only the histories through round i that have positive
-    probability, in increasing history code, so every column of every round
-    kernel is entered by some execution, and flatten(realize(b)) reproduces
-    b exactly.  The result is memoised on `b` itself; everything is
+    """The round kernels that run b, memoised on `b` itself; everything is
     immutable, so sharing is safe.
+
+    A tensor's comb is its factors' combs, set by `tensor_behavior`.  Any
+    other behaviour gets the transcript-memory realization: memory i stores
+    everything seen through round i, and round i emits with the conditional
+    P(y_i | x..i, y..i-1).  Memory i indexes only the histories through
+    round i that have positive probability, in increasing history code, so
+    every column of every round kernel is entered by some execution, and
+    flatten(realize(b)) reproduces b exactly.
     """
     if b._comb is None:
-        object.__setattr__(b, "_comb", _realize(b))
+        _memoise(b, _realize(b))
     return b._comb
+
+
+def _memoise(b: Behavior, comb: CombKernels) -> None:
+    object.__setattr__(b, "_comb", comb)
 
 
 def _realize(b: Behavior) -> CombKernels:
@@ -383,11 +390,11 @@ def canonical(b: Behavior) -> Behavior:
     return Behavior(new_sig, permute_axes(b.kernel, *axis_perms(b.signature.ports, order)))
 
 
-def align_to(b: Behavior, ref: Signature) -> Behavior:
-    """Permute b's ports into ref's order (matching by id) and adopt ref.
+def permute_to(b: Behavior, ref: Signature) -> Behavior:
+    """Permute b's ports into ref's order (matching by id) and adopt ref,
+    without checking that b's table is causal under ref's rounds.
 
-    Requires identical port data and an order-isomorphic round structure;
-    raises SignatureMismatch otherwise.
+    Requires identical port data; raises SignatureMismatch otherwise.
     """
     by_id = {p.id: (i, p) for i, p in enumerate(b.signature.ports)}
     if set(by_id) != {p.id for p in ref.ports}:
@@ -400,7 +407,13 @@ def align_to(b: Behavior, ref: Signature) -> Behavior:
         if (q.party, q.alphabet, q.direction) != (p.party, p.alphabet, p.direction):
             raise SignatureMismatch(f"port {p.id!r} differs between signatures")
         perm.append(i)
-    aligned = Behavior(ref, permute_axes(b.kernel, *axis_perms(b.signature.ports, perm)))
+    return Behavior(ref, permute_axes(b.kernel, *axis_perms(b.signature.ports, perm)))
+
+
+def align_to(b: Behavior, ref: Signature) -> Behavior:
+    """`permute_to`, for a round structure that b's table must also keep:
+    raises SignatureMismatch when the result is not causal under ref."""
+    aligned = permute_to(b, ref)
     if causality_report(aligned) is not None:
         raise SignatureMismatch("round structures are not compatible")
     return aligned
@@ -616,8 +629,10 @@ class Network:
         # each input's source (a wire, or an external input by position) and
         # weight in the round's input index, and for every column (memory *
         # input count + input index) its moves: (next memory, wire values
-        # set, result row offset, symbolic cell offset, weight)
+        # set, result row offset, symbolic cell offset, weight); and, in
+        # `_outputs`, the output values the moves reach
         self._plan = []
+        self._outputs: list[_Outputs] = []
         for lab, r in self.schedule:
             sig = self.signatures[lab]
             x_ports, y_ports = sig.round_ins(r), sig.round_outs(r)
@@ -627,15 +642,13 @@ class Network:
                     wired.append((wire_in[(lab, p.id)], s))
                 else:
                     external.append((ext_in[p.id], s))
-            outputs = []  # per output value index: (wire values set, result row offset)
-            for y in all_tuples(tuple(p.alphabet for p in y_ports)):
-                sets, d_row = [], 0
-                for p, v in zip(y_ports, y):
-                    if (lab, p.id) in wire_out:
-                        sets.append((wire_out[(lab, p.id)], v))
-                    else:
-                        d_row += v * row_stride[p.id]
-                outputs.append((tuple(sets), d_row))
+            outputs = _Outputs(
+                [
+                    (s, p.alphabet.size, wire_out.get((lab, p.id)), row_stride.get(p.id))
+                    for p, s in zip(y_ports, _strides(y_ports))
+                ]
+            )
+            self._outputs.append(outputs)
             if lab == self.symbolic:
                 # every output value at weight 1; the symbolic table's cell
                 # (column * n_rows + row) moves by the round's offsets
@@ -715,6 +728,29 @@ class Network:
         return sig, columns
 
 
+class _Outputs(dict):
+    """Per output value index of one round: (wire values set, result row
+    offset), each built on first use, so a round plans only the outputs its
+    kernel's nonzeros reach.  `ports` gives, per output port, its weight in
+    the index, its alphabet size, and its wire or, when unwired, its weight
+    in the result row."""
+
+    def __init__(self, ports: list[tuple[int, int, Optional[int], Optional[int]]]) -> None:
+        super().__init__()
+        self.ports = ports
+
+    def __missing__(self, y: int) -> tuple[tuple[tuple[int, int], ...], int]:
+        sets, d_row = [], 0
+        for s, size, wire, row_s in self.ports:
+            v = y // s % size
+            if wire is None:
+                d_row += v * row_s
+            else:
+                sets.append((wire, v))
+        out = self[y] = (tuple(sets), d_row)
+        return out
+
+
 def _wire_deps(signatures: dict[str, Signature], wires: Sequence[Wire]):
     """For each (label, round), the (label, round) items that must fire first
     because they produce a wired input."""
@@ -784,9 +820,17 @@ def schedule_to_match(
 
 
 def tensor_behavior(a: Behavior, b: Behavior) -> Behavior:
-    """Parallel composition: a's rounds, then b's."""
+    """Parallel composition: a's rounds, then b's.
+
+    The table is the Kronecker product of the two, and the comb is a's
+    round kernels followed by b's, memoised on the result: a's last memory
+    and b's first are trivial, and the factors are causal, so the product
+    is realized without a causality pass or a transcript memory."""
     shift = a.signature.rounds
     ports = a.signature.ports + tuple(p.in_round(p.round + shift) for p in b.signature.ports)
     parties = a.signature.parties + tuple(p for p in b.signature.parties if p not in a.signature.parties)
     sig = Signature(parties, shift + b.signature.rounds, ports)
-    return make_behavior(sig, kernel_tensor(a.kernel, b.kernel), check=False)
+    t = make_behavior(sig, kernel_tensor(a.kernel, b.kernel), check=False)
+    ca, cb = realize(a), realize(b)
+    _memoise(t, CombKernels(sig, ca.memories + cb.memories[1:], ca.kernels + cb.kernels))
+    return t

@@ -121,7 +121,10 @@ def group_make(source, name: Optional[str] = None) -> FiniteGroup:
     """Build and validate a finite group.
 
     `source` is either `("cyclic", n)`, `"symmetric3"`, or an explicit n x n
-    Cayley table of element indices.
+    Cayley table of element indices.  Addition mod n and composition of
+    permutations are associative by construction, so their tables get the
+    loop checks alone; only an explicit table runs the n^3 associativity
+    check.
     """
     if isinstance(source, tuple) and len(source) == 2 and source[0] == "cyclic":
         n = int(source[1])
@@ -129,14 +132,14 @@ def group_make(source, name: Optional[str] = None) -> FiniteGroup:
             raise NotLatinSquare("cyclic group order must be >= 1")
         _check_order(n)
         table = [[(i + j) % n for j in range(n)] for i in range(n)]
-        return group_make(table, name or f"z{n}")
+        return loop_make(table, name or f"z{n}")
     if source == "symmetric3":
         perms = sorted(itertools.permutations(range(3)))
         table = [
             [perms.index(tuple(p[q[x]] for x in range(3))) for q in perms]
             for p in perms
         ]
-        return group_make(table, name or "s3")
+        return loop_make(table, name or "s3")
     table = [list(row) for row in source]
     g = loop_make(table, name or "group")
     n = g.order

@@ -28,8 +28,8 @@ from .comb import (
     Network,
     ScheduleItem,
     Signature,
-    align_to,
     canonical_rounds,
+    permute_to,
     tensor_behavior,
 )
 from .errors import (
@@ -121,8 +121,15 @@ def _sig_brief(sig: Signature) -> str:
 
 
 def apply_protocol(p: Protocol, r: Behavior) -> Behavior:
-    """Link every converter onto r; the result carries the declared target signature."""
-    return align_to(p.network(r).evaluate(), p.target.signature)
+    """Link every converter onto r; the result carries the declared target signature.
+
+    The evaluated table is causal under the network's rounds, and
+    `Protocol.__init__` proved that signature's canonical form equal to the
+    target's: the same ports with the same OUT -> IN cut points in moment
+    order, so the same outputs precede the same inputs.  The table is
+    therefore causal under the target's rounds too, and is only permuted.
+    """
+    return permute_to(p.network(r).evaluate(), p.target.signature)
 
 
 # ---------------------------------------------------------------------------

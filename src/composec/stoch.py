@@ -306,6 +306,11 @@ def _tensor_entries(fcol: Column, n: int) -> list[tuple[int, Scalar, bool]]:
 
 
 def _tensor_column(fentries: list[tuple[int, Scalar, bool]], gcol: Column) -> Column:
+    if len(fentries) == 1 and fentries[0][2]:
+        # a one-entry unit column (a deterministic left factor) shifts the
+        # right column
+        base = fentries[0][0]
+        return tuple([(base + i2, b) for i2, b in gcol])
     col = []
     for base, a, unit in fentries:
         if unit:

@@ -93,6 +93,12 @@ def shuffle_ports(rng, c):
     return CombKernels(make_signature(sig.parties, sig.rounds, ports), c.memories, c.kernels)
 
 
+def memo_free(b: Behavior) -> Behavior:
+    """A copy of b without `realize`'s memo: a tensor's copy is realized from
+    its table (transcript memories), not from its factors' combs."""
+    return Behavior(b.signature, b.kernel)
+
+
 def random_behavior(rng, parties=("p",), rounds=2, max_size=2, prefix="p"):
     return flatten(random_comb(rng, parties, rounds, max_size, prefix))
 

@@ -6,16 +6,12 @@ single PASS line (bypassing capture) so the run log shows the scorecard.
 
 import json
 import random
-import sys
 import time
 from fractions import Fraction
 from pathlib import Path
 
-import pytest
-
 from composec import lp as lpmod
 from composec.attacks import (
-    Simulator,
     check_secure_with,
     compose_certs,
     min_epsilon,
@@ -31,7 +27,6 @@ from composec.comb import (
     flatten,
     make_behavior,
     make_signature,
-    observationally_equal,
     realize,
 )
 from composec.stoch import channel_distance
@@ -57,7 +52,7 @@ from composec.nogo import (
     split_check,
     tripartite_split_check,
 )
-from composec.resources import apply_protocol, lift_deterministic
+from composec.resources import lift_deterministic
 from composec.stoch import Alphabet, compose, identity, kernel_equal, make_kernel, tensor
 
 F = Fraction

@@ -543,6 +543,14 @@ def test_a_group_over_the_order_cap_gives_exit_2(text, tmp_path, capsys):
     assert captured.err == f"composec: line 1: order 1025 needs a table of {1025 * 1025} entries, over size cap {SIZE_CAP}\n"
 
 
+def test_the_largest_cyclic_group_elaborates():
+    # a cyclic table is associative by construction: no n^3 check runs
+    env = Env()
+    elaborate(env, parse_spec("group g cyclic 1024\n").statements[0])
+    g = env.get("group", "g", 1)
+    assert (g.order, g.identity, g.inverse[1], g.cayley[1023][2]) == (1024, 0, 1023, 1)
+
+
 def _two_converters(name_a, name_b):
     """A protocol whose converters, named `name_a` (party a) and `name_b`
     (party b), each copy their party's bit, scheduled `res.1,a.1,b.1`."""

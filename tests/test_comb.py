@@ -11,7 +11,6 @@ from composec.comb import (
     CombKernels,
     Network,
     PortSpec,
-    Signature,
     align_to,
     behavior_distance,
     behavior_equal,
@@ -30,7 +29,7 @@ from composec.errors import (
     NotCausal,
     SignatureMismatch,
 )
-from composec.hopf import build_otp, group_make
+from composec.hopf import build_otp, group_alphabet, group_make, key_expansion_protocol
 from composec.nogo import commitment_resource
 from composec.stoch import (
     UNIT,
@@ -59,6 +58,7 @@ from tests.helpers import (
     fraction_flatten,
     fraction_linear_evaluate,
     index_tuple,
+    memo_free,
     random_comb,
     random_kernel,
     random_network,
@@ -180,9 +180,11 @@ def _reachable_histories(behavior, r):
 @pytest.mark.parametrize(
     "behavior,memory_sizes,round_columns",
     [
-        # memory 1 holds the 3 key pairs with ka = kb, not all 9, so round
-        # 2 has 3 x 3 columns, not 9 x 3
-        (build_otp(group_make(("cyclic", 3))).source, (1, 3, 1), (1, 9)),
+        # the source is a tensor, whose own comb is its factors'; its
+        # memo-free copy gets the transcript realization.  Memory 1 holds
+        # the 3 key pairs with ka = kb, not all 9, so round 2 has 3 x 3
+        # columns, not 9 x 3
+        (memo_free(build_otp(group_make(("cyclic", 3))).source), (1, 3, 1), (1, 9)),
         (commitment_resource(), (1, 2, 1), (2, 2)),
     ],
     ids=["otp_source_z3", "commitment"],
@@ -236,6 +238,51 @@ def test_tensor_unit_law_and_ports():
     t = tensor_behavior(b, c)
     assert len(t.signature.ports) == len(b.signature.ports) + len(c.signature.ports)
     assert causality_report(t) is None
+
+
+def test_tensor_comb_is_its_factors_combs():
+    rng = random.Random(29)
+    for _ in range(60):
+        a = flatten(random_comb(rng, parties=("p", "q"), rounds=rng.randint(1, 3), prefix="a"))
+        b = flatten(random_comb(rng, parties=("q", "r"), rounds=rng.randint(1, 3), prefix="b"))
+        t = tensor_behavior(a, b)
+        comb = realize(t)
+        assert comb.kernels == realize(a).kernels + realize(b).kernels
+        assert flatten(comb) == t
+
+
+@pytest.mark.parametrize(
+    "n,expansion",
+    [(n, False) for n in range(2, 7)] + [(4, True)],
+    ids=[f"otp_z{n}" for n in range(2, 7)] + ["key_expansion_z4"],
+)
+def test_networks_over_a_tensor_equal_those_over_its_memo_free_copy(n, expansion):
+    g = group_make(("cyclic", n))
+    if expansion:
+        expander = random_kernel(random.Random(n), (Alphabet("h", 2),), (group_alphabet(g),))
+        protocol, source = key_expansion_protocol(g, expander)
+    else:
+        inst = build_otp(g)
+        protocol, source = inst.protocol, inst.source
+    copy = memo_free(source)
+    assert realize(copy).memories != realize(source).memories
+    for dishonest in [(), ("eve",)]:
+        run = protocol.network(source, dishonest).evaluate()
+        assert run == protocol.network(copy, dishonest).evaluate()
+
+
+def test_network_plans_only_the_outputs_its_kernels_reach():
+    inst = build_otp(group_make(("cyclic", 16)))
+    net = inst.protocol.network(inst.source, ("eve",))
+    net.evaluate()
+    nonzeros = 0
+    for (lab, r), outputs in zip(net.schedule, net._outputs):
+        f = net._combs[lab].kernels[r - 1]
+        n_mem = f.cod[-1].size
+        assert set(outputs) == {i // n_mem for col in f.cols for i, _p in col}
+        nonzeros += sum(map(len, f.cols))
+    # the key and the channel reach 16 of their 256 output pairs
+    assert sum(map(len, net._outputs)) == 4 * 16 < nonzeros
 
 
 def test_network_schedule_covers_each_node_round_once_in_order():

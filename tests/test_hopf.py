@@ -4,7 +4,6 @@ import pytest
 
 from composec.errors import ComposecError, InterfaceMismatch, NoIdentity, NotAssociative, NotLatinSquare
 from composec.hopf import (
-    FiniteGroup,
     auth_channel,
     build_otp,
     group_alphabet,
@@ -141,9 +140,8 @@ def test_otp_corrupted_bob_breaks_correctness():
     # Bob multiplying by the key (not its inverse) is wrong on Z3
     g = group_make(("cyclic", 3))
     inst = build_otp(g)
-    from composec.comb import make_behavior, make_signature
-    from composec.resources import Converter, Protocol, apply_protocol
-    from composec.comb import PortSpec
+    from composec.comb import make_behavior
+    from composec.resources import Converter, Protocol
 
     k = group_kernels(g)
     a = k["alphabet"]
@@ -199,7 +197,6 @@ def test_otp_security_refuses_a_search_that_misses_the_supplied_simulator(monkey
         otp_security(build_otp(group_make(("cyclic", 2))))
 
 def test_otp_zero_entropy_key_insecure():
-    from composec import lp as lpmod
     from composec.attacks import min_epsilon, search_simulator
 
     g = group_make(("cyclic", 2))

@@ -1,7 +1,8 @@
 """Import hygiene of the package, read from its source with `ast`: every
-imported name is used by the module that imports it (a package's `__all__`
-counts as a use), no module imports another module's private name, every
-top-level name and every method is reached from the command line's `main`,
+imported name is used by the module or test file that imports it (a
+package's `__all__` counts as a use), no module imports another module's
+private name, every top-level name and every method is reached from the
+command line's `main`,
 the program over an unknown comb's table is built in `distinguisher` only,
 no module but `attacks` imports a linker of nodes onto a view, only `lp`
 refuses a program as too large, no function body imports anything, no
@@ -9,7 +10,7 @@ module checks anything with `assert`, which `python -O` strips, and no
 module imports `dataclasses`, whose decorator compiles each class's methods
 at import; a fresh `import composec.cli` loads neither `dataclasses` nor
 `inspect`.  Records set their fields through `Record.__init__` alone:
-`object.__setattr__` writes only the two memos, `_comb` in `comb.realize`
+`object.__setattr__` writes only the two memos, `_comb` in `comb._memoise`
 and `_views` in `Protocol`.  Every module parses with the grammar of the
 oldest Python that pyproject.toml declares."""
 
@@ -24,6 +25,7 @@ import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "composec"
 MODULES = sorted(SRC.glob("*.py"))
+TEST_FILES = sorted(Path(__file__).resolve().parent.glob("*.py"))
 # the oldest Python the package declares it runs on
 FLOOR = tuple(
     int(v)
@@ -92,7 +94,9 @@ def _imported(tree: ast.Module, names) -> list[str]:
     return [f"line {line}: {name}" for _bound, name, _module, line in _imports(tree) if name in names]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
+@pytest.mark.parametrize(
+    "path", MODULES + TEST_FILES, ids=[p.stem for p in MODULES] + [f"tests.{p.stem}" for p in TEST_FILES]
+)
 def test_every_import_is_used(path):
     unused = _unused(ast.parse(path.read_text(), filename=str(path)))
     assert not unused, f"{path.name} imports names it never uses: {unused}"
@@ -281,7 +285,7 @@ def _setattrs(tree: ast.Module) -> list[str]:
 
 
 # the one memo each module may keep beside a record's fields
-MEMOS = {"comb": "realize sets _comb", "resources": "Protocol.__init__ sets _views"}
+MEMOS = {"comb": "_memoise sets _comb", "resources": "Protocol.__init__ sets _views"}
 
 
 @pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])

@@ -19,7 +19,6 @@ import composec.nogo
 from composec.errors import CompositeVerificationFailed, NotCausal, ShapeMismatch
 from composec.lp import Feasible, Infeasible
 from composec.nogo import (
-    NogoVerdict,
     broadcast_contradiction_oracle,
     broadcast_resource,
     coin_commitment_resource,
@@ -40,7 +39,6 @@ from composec.stoch import Alphabet, make_kernel, marginalize, tuple_index
 from tests.helpers import (
     BIT,
     TRIT,
-    behavior_from_table,
     index_tuple,
     kernel_entry,
     mix_resources,

@@ -6,7 +6,6 @@ import pytest
 from composec.comb import (
     IN,
     OUT,
-    Behavior,
     CombKernels,
     PortSpec,
     align_to,
@@ -26,8 +25,6 @@ from composec.resources import (
     par_compose,
     seq_compose,
 )
-from composec.stoch import Alphabet, make_kernel
-
 from tests.helpers import (
     BIT,
     behavior_from_table,

@@ -314,9 +314,11 @@ def test_sparse_kernels_match_dense_oracles():
         g = sparse_random_kernel(rng, b, c)
         keep = sorted(rng.sample(range(len(b)), rng.randint(0, len(b))))
         dom_perm, cod_perm = rng.sample(range(len(a)), len(a)), rng.sample(range(len(b)), len(b))
+        d = identity(a[:1])  # one entry 1 in every column
         for sparse, dense in [
             (compose(g, f), dense_compose(g, f)),
             (tensor(f, g), dense_tensor(f, g)),
+            (tensor(d, g), dense_tensor(d, g)),
             (marginalize(f, keep), dense_marginalize(f, keep)),
             (permute_axes(f, dom_perm, cod_perm), dense_permute_axes(f, dom_perm, cod_perm)),
         ]:
