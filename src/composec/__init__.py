@@ -48,7 +48,6 @@ from .comb import (
     flatten,
     make_behavior,
     make_signature,
-    observationally_equal,
     realize,
     tensor_behavior,
 )
@@ -89,7 +88,6 @@ from .nogo import (
     commitment_resource,
     min_split_advantage,
     ot_resource,
-    split,
     split_check,
     tripartite_split_check,
 )
@@ -105,7 +103,7 @@ __all__ = [
     "Behavior", "CombKernels", "Network", "PortSpec", "Signature",
     "behavior_distance", "behavior_equal", "canonical",
     "flatten", "make_behavior", "make_signature",
-    "observationally_equal", "realize", "tensor_behavior",
+    "realize", "tensor_behavior",
     "Converter", "Protocol", "apply_protocol",
     "lift_deterministic", "par_compose", "seq_compose",
     "SecurityReport", "Simulator", "SimulatorCert",
@@ -116,6 +114,6 @@ __all__ = [
     "stream_cipher_demo",
     "NogoVerdict", "broadcast_contradiction_oracle", "broadcast_resource",
     "commitment_resource", "min_split_advantage",
-    "ot_resource", "split", "split_check", "tripartite_split_check",
+    "ot_resource", "split_check", "tripartite_split_check",
     "ComposecError",
 ]

@@ -32,7 +32,6 @@ from .comb import (
     Signature,
     Wire,
     behavior_distance,
-    canonical,
     moment_order,
     schedule_to_match,
 )
@@ -78,7 +77,8 @@ class SecurityReport(Record):
 
 def dummy_attack(p: Protocol, r: Behavior, j_parties: Sequence[str]) -> Behavior:
     """Real-world view under the initial attack: honest converters linked,
-    every J-party resource port left exposed.  Returned in canonical form.
+    every J-party resource port left exposed, evaluated into the network's
+    canonical signature.
 
     The view of the protocol's own source (`r is p.source`) is memoised on
     `p` by dishonest set; everything is immutable, so sharing is safe."""
@@ -89,7 +89,8 @@ def dummy_attack(p: Protocol, r: Behavior, j_parties: Sequence[str]) -> Behavior
     key = tuple(sorted(j))
     if r is p.source and key in p._views:
         return p._views[key]
-    view = canonical(p.network(r, j).evaluate())
+    net = p.network(r, j)
+    view = net.evaluate(net.canonical_signature())
     if r is p.source:
         p._views[key] = view
     return view
@@ -140,10 +141,12 @@ def derive_simulator_shape(real_sig: Signature, s: Behavior, j_parties: Sequence
 
 def ideal_view(s: Behavior, sim: Simulator, match: Signature) -> Behavior:
     """The simulator wrapped around the ideal resource, scheduled so that its
-    moments follow `match` (the real view's signature), canonicalized."""
+    moments follow `match` (the real view's signature), evaluated into its
+    canonical signature."""
     nodes = [(RES, s)] + list(sim.nodes)
     schedule = schedule_to_match(nodes, sim.wires, match)
-    return canonical(Network(nodes, list(sim.wires), schedule).evaluate())
+    net = Network(nodes, list(sim.wires), schedule)
+    return net.evaluate(net.canonical_signature())
 
 
 def simulator_distance(real: Behavior, s: Behavior, sim: Simulator) -> Scalar:

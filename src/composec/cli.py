@@ -33,12 +33,15 @@ exactly, so every attack on Eve transfers; no attack is drawn, and `seed S`
 is read but changes nothing.
 
 The names `unit` (the one-valued alphabet), `identity` (the identity
-expander of `check stream`) and `res` (the resource node of a schedule) are
-built in.  Declared names of every kind share one namespace with them:
-declaring a name twice, or declaring or naming a party with a built-in
-name, is a `DuplicateName` error.  A schedule item `NAME.ROUND` names
-`res`, one of the protocol's converters, or a converter's party, so no
-listed converter may be named like another listed converter's party.
+expander of `check stream`), `res` (the resource node of a schedule),
+`expect` (a check's expected verdict or value) and `expect_at_most` (the
+bound of `check stream`) are built in; a check line reads the last two
+wherever they stand, so they can name nothing else.  Declared names of every
+kind share one namespace with the built-in ones: declaring a name twice, or
+declaring or naming a party with a built-in name, is a `DuplicateName`
+error.  A schedule item `NAME.ROUND` names `res`, one of the protocol's
+converters, or a converter's party, so no listed converter may be named
+like another listed converter's party.
 
 Digits after `gen KIND` are read only by `point` and `permutation`.  A
 group's or quasigroup's order is at most 1,024, as its table has n x n cells.
@@ -154,6 +157,8 @@ BUILTINS: dict[str, tuple[str, object]] = {
     "unit": ("alphabet", UNIT),
     "identity": ("expander", None),
     RES: ("node", None),
+    "expect": ("keyword", None),
+    "expect_at_most": ("keyword", None),
 }
 
 

@@ -21,11 +21,14 @@ existence and splittability questions into linear programs.
 
 A transcript is coded as its table index while it is built: each port adds
 its value times its row-major stride, so `Network` evaluation never turns
-indices into value tuples and back.  A symbolic node's cell (column * rows +
-row) is the sum of its rounds' `decision_rounds` offsets, the numbering the
-advantage LP's decision-tree rows use.  This module alone knows the moment
-order of ports (`moment_order`); every other reordering goes through
-`axis_perms` and `stoch.permute_axes` or `stoch.index_projection`.
+indices into value tuples and back.  The strides are those of the signature
+the caller names (`Network.evaluate(into)`), so a network is evaluated
+straight into its caller's port order and its table is never permuted
+afterwards; `canonical` is left for behaviours that do not come from a
+network.  A symbolic node's cell (column * rows + row) is the sum of its
+rounds' `decision_rounds` offsets, the numbering the advantage LP's
+decision-tree rows use.  This module alone knows the moment order of ports
+(`moment_order`).
 """
 
 from __future__ import annotations
@@ -235,15 +238,7 @@ class CombKernels(Record):
 def flatten(c: CombKernels) -> Behavior:
     """Sum out the memory wires, producing the conditional transcript table:
     the evaluation of `c` as a one-node network."""
-    sig = c.signature
-    b = Network([("c", c)], [], [("c", r) for r in range(1, sig.rounds + 1)]).evaluate()
-    # the network lists c's ports round by round; `back` puts them in c's
-    # order again (each of c's ports by its position in the network's list)
-    listed = sorted(range(len(sig.ports)), key=lambda i: sig.ports[i].round)
-    if listed == sorted(listed):
-        return b
-    back = sorted(range(len(listed)), key=listed.__getitem__)
-    return Behavior(sig, permute_axes(b.kernel, *axis_perms(b.signature.ports, back)))
+    return Network([("c", c)], [], [("c", r) for r in range(1, c.signature.rounds + 1)]).evaluate(c.signature)
 
 
 def realize(b: Behavior) -> CombKernels:
@@ -390,35 +385,6 @@ def canonical(b: Behavior) -> Behavior:
     return Behavior(new_sig, permute_axes(b.kernel, *axis_perms(b.signature.ports, order)))
 
 
-def permute_to(b: Behavior, ref: Signature) -> Behavior:
-    """Permute b's ports into ref's order (matching by id) and adopt ref,
-    without checking that b's table is causal under ref's rounds.
-
-    Requires identical port data; raises SignatureMismatch otherwise.
-    """
-    by_id = {p.id: (i, p) for i, p in enumerate(b.signature.ports)}
-    if set(by_id) != {p.id for p in ref.ports}:
-        raise SignatureMismatch(
-            f"port ids {sorted(by_id)} vs {sorted(p.id for p in ref.ports)}"
-        )
-    perm = []
-    for p in ref.ports:
-        i, q = by_id[p.id]
-        if (q.party, q.alphabet, q.direction) != (p.party, p.alphabet, p.direction):
-            raise SignatureMismatch(f"port {p.id!r} differs between signatures")
-        perm.append(i)
-    return Behavior(ref, permute_axes(b.kernel, *axis_perms(b.signature.ports, perm)))
-
-
-def align_to(b: Behavior, ref: Signature) -> Behavior:
-    """`permute_to`, for a round structure that b's table must also keep:
-    raises SignatureMismatch when the result is not causal under ref."""
-    aligned = permute_to(b, ref)
-    if causality_report(aligned) is not None:
-        raise SignatureMismatch("round structures are not compatible")
-    return aligned
-
-
 # ---------------------------------------------------------------------------
 # comparison
 
@@ -428,16 +394,6 @@ def behavior_equal(a: Behavior, b: Behavior) -> bool:
     if a.signature != b.signature:
         raise SignatureMismatch("behaviors have different signatures")
     return a.kernel.cols == b.kernel.cols
-
-
-def observationally_equal(a: Behavior, b: Behavior) -> bool:
-    """Equality after canonicalization and port alignment."""
-    ca, cb = canonical(a), canonical(b)
-    try:
-        cb = align_to(cb, ca.signature)
-    except SignatureMismatch:
-        return False
-    return behavior_equal(ca, cb)
 
 
 def _strides(ports: Sequence[PortSpec]) -> list[int]:
@@ -555,14 +511,8 @@ class Network:
         self._wire_out: list[PortRef] = []
         self._wire_in: list[PortRef] = []
         used: set[PortRef] = set()
-        for a, b in self.wires:
-            pa, pb = self._port(a), self._port(b)
-            if pa.direction == OUT and pb.direction == IN:
-                src, dst, ps, pd = a, b, pa, pb
-            elif pa.direction == IN and pb.direction == OUT:
-                src, dst, ps, pd = b, a, pb, pa
-            else:
-                raise DirectionMismatch(f"wire {a} -> {b} must join an out-port to an in-port")
+        for wire in self.wires:
+            src, dst, ps, pd = _orient(self.signatures, wire)
             if ps.alphabet != pd.alphabet:
                 raise AlphabetMismatch(f"wire {src} -> {dst}: {ps.alphabet.name} vs {pd.alphabet.name}")
             if src in used or dst in used:
@@ -580,13 +530,6 @@ class Network:
         if len(set(ext_ids)) != len(ext_ids):
             raise DuplicatePortId(f"external port ids clash: {sorted(ext_ids)}")
 
-    def _port(self, ref: PortRef) -> PortSpec:
-        lab, pid = ref
-        try:
-            return self.signatures[lab].port(pid)
-        except KeyError:
-            raise WiringMismatch(f"no port {pid!r} on node {lab!r}") from None
-
     # -- result signature -----------------------------------------------------
 
     def result_signature(self) -> Signature:
@@ -602,11 +545,27 @@ class Network:
                     parties.append(pty)
         return Signature(tuple(parties), max(len(self.schedule), 1), tuple(ports))
 
+    def canonical_signature(self) -> Signature:
+        """The canonical form (`canonical_rounds`) of the result signature."""
+        return canonical_rounds(self.result_signature())[0]
+
     # -- evaluation -----------------------------------------------------------
 
-    def _prepare(self) -> Signature:
-        """Realize the Behavior nodes and plan every schedule item for `_run`;
-        returns the result signature."""
+    def _prepare(self, into: Optional[Signature] = None) -> Signature:
+        """Realize the Behavior nodes and plan every schedule item for `_run`,
+        laying the result's columns and rows out in the port order of `into`
+        (by default the result signature); returns the result's signature.
+
+        `into` must list exactly the network's external ports, with the same
+        id, party, alphabet and direction, in any order and rounds; the
+        caller vouches that the table is causal under its rounds.  Raises
+        SignatureMismatch otherwise."""
+        result = self.result_signature()
+        if into is not None:
+            have, want = ({p.id: (p.party, p.alphabet, p.direction) for p in sig.ports} for sig in (result, into))
+            if bad := sorted(have.keys() ^ want.keys()) or [pid for pid in want if have[pid] != want[pid]]:
+                raise SignatureMismatch(f"ports {bad} differ between the network and the signature asked for")
+            result = into
         self._combs = {lab: realize(n) if isinstance(n, Behavior) else n for lab, n in self.numeric.items()}
         # _run's weights are numerators over the product of the scales of
         # the kernels it runs (see Kernel.scaled)
@@ -616,7 +575,6 @@ class Network:
                 self._den *= self._combs[lab].kernels[r - 1].scaled[0]
         wire_in = {ref: k for k, ref in enumerate(self._wire_in)}
         wire_out = {ref: k for k, ref in enumerate(self._wire_out)}
-        result = self.result_signature()
         ext_in = {p.id: k for k, p in enumerate(result.ins())}
         ext_outs = result.outs()
         row_stride = {p.id: s for p, s in zip(ext_outs, _strides(ext_outs))}
@@ -696,10 +654,12 @@ class Network:
             cells[cell] = cells[cell] + w if cell in cells else w
         return result
 
-    def evaluate(self) -> Behavior:
+    def evaluate(self, into: Optional[Signature] = None) -> Behavior:
+        """The network's table, with the signature `into` when given (see
+        `_prepare`) and the result signature otherwise."""
         if self.symbolic is not None:
             raise WiringMismatch("network contains a symbolic node; use linear_evaluate")
-        sig = self._prepare()
+        sig = self._prepare(into)
         in_alphas = tuple(p.alphabet for p in sig.ins())
         out_alphas = tuple(p.alphabet for p in sig.outs())
         cols = [
@@ -709,9 +669,10 @@ class Network:
         kernel = kernel_from_columns(in_alphas, out_alphas, cols)
         return make_behavior(sig, kernel, check=False)
 
-    def linear_evaluate(self):
+    def linear_evaluate(self, into: Optional[Signature] = None):
         """Returns (signature, columns) where columns[x_index][y_index] is a
-        LinForm over the symbolic node's table entries.
+        LinForm over the symbolic node's table entries, indexed like
+        `evaluate(into)`'s table; a cell no execution reaches has no form.
 
         Variable k stands for entry (column x_sym, row y_sym) of the symbolic
         node's behavior table with k = x_sym * n_rows + y_sym; the symbolic
@@ -720,7 +681,7 @@ class Network:
         """
         if self.symbolic is None:
             raise WiringMismatch("no symbolic node in this network")
-        sig = self._prepare()
+        sig = self._prepare(into)
         columns = [
             {row: {var: Fraction(v, self._den) for var, v in cells.items()} for row, cells in self._run(x).items()}
             for x in all_tuples(tuple(p.alphabet for p in sig.ins()))
@@ -751,17 +712,30 @@ class _Outputs(dict):
         return out
 
 
+def _orient(signatures: dict[str, Signature], wire: Wire) -> tuple[PortRef, PortRef, PortSpec, PortSpec]:
+    """(producer, consumer, producer's port, consumer's port) of a wire.
+    Raises WiringMismatch when a node lacks the port, DirectionMismatch
+    unless the wire joins an out-port to an in-port."""
+    ports = []
+    for lab, pid in wire:
+        try:
+            ports.append(signatures[lab].port(pid))
+        except KeyError:
+            raise WiringMismatch(f"no port {pid!r} on node {lab!r}") from None
+    (a, b), (pa, pb) = wire, ports
+    if pa.direction == OUT and pb.direction == IN:
+        return a, b, pa, pb
+    if pa.direction == IN and pb.direction == OUT:
+        return b, a, pb, pa
+    raise DirectionMismatch(f"wire {a} -> {b} must join an out-port to an in-port")
+
+
 def _wire_deps(signatures: dict[str, Signature], wires: Sequence[Wire]):
     """For each (label, round), the (label, round) items that must fire first
     because they produce a wired input."""
     consumer_deps: dict[tuple[str, int], list[tuple[str, int]]] = {}
-    for a, b in wires:
-        pa = signatures[a[0]].port(a[1])
-        pb = signatures[b[0]].port(b[1])
-        if pa.direction == OUT:
-            src, dst, ps, pd = a, b, pa, pb
-        else:
-            src, dst, ps, pd = b, a, pb, pa
+    for wire in wires:
+        src, dst, ps, pd = _orient(signatures, wire)
         consumer_deps.setdefault((dst[0], pd.round), []).append((src[0], ps.round))
     return consumer_deps
 

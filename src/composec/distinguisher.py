@@ -33,11 +33,13 @@ table in place must be at `behavior_distance` from the target exactly the
 program's value (0 for feasibility), which guards the match rows, the tree
 rows and the solver together.
 
-Match rows cost what the reachable cells cost.  `canonical_forms` keeps a
-form only for a cell some execution reaches, and `add_match_rows` visits
-only those cells and the target's nonzero entries; the cells in between are
-rows 0 = 0 that the program counts and does not store
-(`LpBuilder.add_empty`), so every row keeps the index of its cell (j, i).
+Match rows cost what the reachable cells cost.  `solve_comb` evaluates the
+network straight into its canonical signature, the layout of the canonical
+target, and `Network.linear_evaluate` gives a form only for a cell some
+execution reaches.  `add_match_rows` visits only those cells and the
+target's nonzero entries; the cells in between are rows 0 = 0 that the
+program counts and does not store (`LpBuilder.add_empty`), so every row
+keeps the index of its cell (j, i).
 A reached cell with a zero target entry is a row `form = 0`; an unreached
 cell with a nonzero one is a row `0 = b` with no coefficient, which
 preprocessing turns into an immediate Farkas certificate.
@@ -60,10 +62,7 @@ from .comb import (
     ScheduleItem,
     Signature,
     Wire,
-    axis_perms,
     behavior_distance,
-    canonical,
-    canonical_rounds,
     causal_rounds,
     decision_rounds,
     make_behavior,
@@ -72,26 +71,11 @@ from .errors import CompositeVerificationFailed, InterfaceMismatch
 from .lp import Feasible, Infeasible, LinearProgram, LpBuilder, LpOutcome
 from .record import Record
 from .scalars import ONE, ZERO, Scalar
-from .stoch import index_projection, make_kernel, ports_size
+from .stoch import make_kernel, ports_size
 
 # aligned[j][i]: linear form {table variable: coefficient} of cell (j, i),
 # present only for the cells whose form is not zero
 LinearForms = list[dict[int, dict[int, Scalar]]]
-
-
-def canonical_forms(net: Network) -> tuple[Signature, LinearForms]:
-    """The network's transcript table as linear forms in its symbolic comb's
-    table, indexed like the canonical form of the evaluated network; a cell
-    that no execution reaches has no form."""
-    net_sig, columns = net.linear_evaluate()
-    can_sig, order = canonical_rounds(net_sig)
-    dom_perm, cod_perm = axis_perms(net_sig.ports, order)
-    can_col = index_projection(tuple(p.alphabet for p in net_sig.ins()), dom_perm)
-    can_row = index_projection(tuple(p.alphabet for p in net_sig.outs()), cod_perm)
-    aligned: LinearForms = [{} for _ in columns]
-    for j, col in enumerate(columns):
-        aligned[can_col(j)] = {can_row(i): form for i, form in col.items()}
-    return can_sig, aligned
 
 
 def causality_rows(sig: Signature, var: Callable[[int, int], int]) -> list[dict[int, Fraction]]:
@@ -326,9 +310,9 @@ class ShapeBuilder:
 
 def fill(known: Sequence[tuple[str, Behavior]], shape: CombShape, comb: Behavior) -> Behavior:
     """The network of the `known` nodes with `comb` in the shape's place,
-    evaluated and canonicalized."""
-    nodes = [*known, (shape.label, comb)]
-    return canonical(Network(nodes, shape.wires, shape.schedule).evaluate())
+    evaluated into its canonical signature."""
+    net = Network([*known, (shape.label, comb)], shape.wires, shape.schedule)
+    return net.evaluate(net.canonical_signature())
 
 
 def solve_comb(
@@ -349,7 +333,7 @@ def solve_comb(
     place (`fill`) has been checked to lie at `behavior_distance` exactly
     the outcome's value (0 for feasibility) from `target`."""
     net = Network([*known, (shape.label, shape.signature)], shape.wires, shape.schedule)
-    can_sig, aligned = canonical_forms(net)
+    can_sig, aligned = net.linear_evaluate(net.canonical_signature())
     if can_sig != target.signature:
         raise InterfaceMismatch(f"the {what} network cannot reproduce the target's moment structure")
     bld = table_lp(shape.signature)

@@ -16,11 +16,10 @@ on broadcast-shaped resources.
 Every program here is solved through `distinguisher.solve_checked`, which
 re-verifies each Farkas certificate.  `mediator_problem` says which copy's
 rounds fire when and which ports the mediator plays, and
-`distinguisher.ShapeBuilder` opens the mediator's rounds; `split` evaluates
-a given mediator there through `distinguisher.fill`.  The split check and
-the split advantage go through `distinguisher.solve_comb` on that shape,
-which substitutes the mediator back and requires the split to be
-at exactly the program's value from r (0 for feasibility); that guards the
+`distinguisher.ShapeBuilder` opens the mediator's rounds.  The split check
+and the split advantage go through `distinguisher.solve_comb` on that
+shape, which substitutes the mediator back and requires the split to be at
+exactly the program's value from r (0 for feasibility); that guards the
 encoding and the solver.  The tripartite split check re-checks its point
 with `lp.verify` against the program it solved, so it guards the solver;
 the oracle is what guards the tripartite encoding.
@@ -43,8 +42,8 @@ from .comb import (
     make_behavior,
     make_signature,
 )
-from .distinguisher import CombShape, ShapeBuilder, fill, solve_checked, solve_comb, verify_or_raise
-from .errors import InterfaceMismatch, ShapeMismatch
+from .distinguisher import CombShape, ShapeBuilder, solve_checked, solve_comb, verify_or_raise
+from .errors import ShapeMismatch
 from .lp import FarkasCert, Infeasible, LpBuilder
 from .record import Record
 from .scalars import ONE, ZERO, Scalar
@@ -177,25 +176,11 @@ def mediator_problem(r: Behavior) -> CombShape:
     return g.shape((MEDIATOR,))
 
 
-def _copies(r: Behavior) -> list[tuple[str, Behavior]]:
-    return [("c1", r), ("c2", r)]
-
-
-def split(r: Behavior, g: Behavior) -> Behavior:
-    """Two copies of r glued by the mediator g, canonicalized."""
-    shape = mediator_problem(r)
-    if [
-        (q.id, q.alphabet, q.direction, q.round) for q in g.signature.ports
-    ] != [(q.id, q.alphabet, q.direction, q.round) for q in shape.signature.ports]:
-        raise InterfaceMismatch("mediator does not fit the split interface")
-    return fill(_copies(r), shape, g)
-
-
 def _split_search(r: Behavior, minimize: bool):
     """Solve for the mediator's table on the two-copy gluing network, with r
     itself as the target: (program, outcome, mediator or None)."""
     what = "advantage" if minimize else "split"
-    return solve_comb(_copies(r), mediator_problem(r), canonical(r), what, minimize)
+    return solve_comb([("c1", r), ("c2", r)], mediator_problem(r), canonical(r), what, minimize)
 
 
 def split_check(r: Behavior) -> NogoVerdict:

@@ -29,7 +29,6 @@ from .comb import (
     ScheduleItem,
     Signature,
     canonical_rounds,
-    permute_to,
     tensor_behavior,
 )
 from .errors import (
@@ -121,15 +120,16 @@ def _sig_brief(sig: Signature) -> str:
 
 
 def apply_protocol(p: Protocol, r: Behavior) -> Behavior:
-    """Link every converter onto r; the result carries the declared target signature.
+    """Link every converter onto r; the network is evaluated straight into
+    the declared target signature.
 
-    The evaluated table is causal under the network's rounds, and
-    `Protocol.__init__` proved that signature's canonical form equal to the
-    target's: the same ports with the same OUT -> IN cut points in moment
-    order, so the same outputs precede the same inputs.  The table is
-    therefore causal under the target's rounds too, and is only permuted.
+    The table is causal under the network's rounds, and `Protocol.__init__`
+    proved that signature's canonical form equal to the target's: the same
+    ports with the same OUT -> IN cut points in moment order, so the same
+    outputs precede the same inputs.  The table is therefore causal under
+    the target's rounds too, as `Network.evaluate(into)` requires.
     """
-    return permute_to(p.network(r).evaluate(), p.target.signature)
+    return p.network(r).evaluate(p.target.signature)
 
 
 # ---------------------------------------------------------------------------

@@ -2,11 +2,13 @@
 small constructors that only tests use, and the slow, plain implementations
 that serve as test oracles: exhaustive
 strategy enumeration for the adaptive distinguisher, dense kernel algebra,
-a dense simplex, network simulation on scalar weights, the match rows
-written cell by cell over dense forms, the tripartite no-go program
-written out row by row, and the linker of nodes onto a view, which
-replays the J parties' converters (the dummy factorization) and links
-random attacks onto the real and the simulated view."""
+a dense simplex, network simulation on scalar weights, tables put in
+another port order after they are built (`permute_to`, `align_to` and
+`observationally_equal`), the match rows written cell by cell over dense
+forms, the tripartite no-go program written out row by row, and the linker
+of nodes onto a view, which replays the J parties' converters (the dummy
+factorization) and links random attacks onto the real and the simulated
+view."""
 
 import itertools
 from fractions import Fraction
@@ -21,17 +23,28 @@ from composec.comb import (
     Network,
     PortSpec,
     Signature,
+    axis_perms,
     behavior_equal,
     canonical,
+    causality_report,
     flatten,
     make_behavior,
     make_signature,
 )
-from composec.distinguisher import canonical_forms
-from composec.errors import AcausalSchedule, CompositeVerificationFailed, InterfaceMismatch
+from composec.distinguisher import fill
+from composec.errors import AcausalSchedule, CompositeVerificationFailed, InterfaceMismatch, SignatureMismatch
 from composec.nogo import mediator_problem
 from composec.resources import RES, Converter, Protocol
-from composec.stoch import UNIT, Alphabet, all_tuples, make_kernel, ports_size, tuple_index
+from composec.stoch import (
+    UNIT,
+    Alphabet,
+    all_tuples,
+    index_projection,
+    make_kernel,
+    permute_axes,
+    ports_size,
+    tuple_index,
+)
 
 BIT = Alphabet("bit", 2)
 TRIT = Alphabet("trit", 3)
@@ -206,6 +219,64 @@ def identity_protocol(r: Behavior) -> Protocol:
 
 
 # ---------------------------------------------------------------------------
+# tables put in another port order after they are built: the oracles for a
+# network evaluated straight into a signature (`Network.evaluate(into)`)
+
+
+def _positions(sig: Signature, ref: Signature) -> list[int]:
+    """The position in `sig` of each of ref's ports, matched by id.  Raises
+    SignatureMismatch unless both list the same ports with the same party,
+    alphabet and direction."""
+    by_id = {p.id: (i, p) for i, p in enumerate(sig.ports)}
+    if set(by_id) != {p.id for p in ref.ports}:
+        raise SignatureMismatch(f"port ids {sorted(by_id)} vs {sorted(p.id for p in ref.ports)}")
+    perm = []
+    for p in ref.ports:
+        i, q = by_id[p.id]
+        if (q.party, q.alphabet, q.direction) != (p.party, p.alphabet, p.direction):
+            raise SignatureMismatch(f"port {p.id!r} differs between signatures")
+        perm.append(i)
+    return perm
+
+
+def permute_to(b: Behavior, ref: Signature) -> Behavior:
+    """b's table with its ports in ref's order, under ref, without checking
+    that it is causal under ref's rounds."""
+    return Behavior(ref, permute_axes(b.kernel, *axis_perms(b.signature.ports, _positions(b.signature, ref))))
+
+
+def permute_forms(sig: Signature, columns, ref: Signature):
+    """`permute_to` for the (signature, columns of linear forms) that
+    `Network.linear_evaluate` gives."""
+    dom_perm, cod_perm = axis_perms(sig.ports, _positions(sig, ref))
+    col = index_projection(tuple(p.alphabet for p in sig.ins()), dom_perm)
+    row = index_projection(tuple(p.alphabet for p in sig.outs()), cod_perm)
+    permuted = [{} for _ in columns]
+    for j, forms in enumerate(columns):
+        permuted[col(j)] = {row(i): form for i, form in forms.items()}
+    return ref, permuted
+
+
+def align_to(b: Behavior, ref: Signature) -> Behavior:
+    """`permute_to`, for a round structure that b's table must also keep:
+    raises SignatureMismatch when the result is not causal under ref."""
+    aligned = permute_to(b, ref)
+    if causality_report(aligned) is not None:
+        raise SignatureMismatch("round structures are not compatible")
+    return aligned
+
+
+def observationally_equal(a: Behavior, b: Behavior) -> bool:
+    """Equality after canonicalization and port alignment."""
+    ca, cb = canonical(a), canonical(b)
+    try:
+        cb = align_to(cb, ca.signature)
+    except SignatureMismatch:
+        return False
+    return behavior_equal(ca, cb)
+
+
+# ---------------------------------------------------------------------------
 # nodes linked onto a view
 
 
@@ -333,7 +404,8 @@ def enumerated_distance(a, b):
 def _forms_against(nodes, wires, schedule, target):
     """The network's canonical transcript as linear forms in its symbolic
     node's table; InterfaceMismatch unless its signature is the target's."""
-    sig, forms = canonical_forms(Network(nodes, wires, schedule))
+    net = Network(nodes, wires, schedule)
+    sig, forms = net.linear_evaluate(net.canonical_signature())
     if sig != target.signature:
         raise InterfaceMismatch("the network cannot reproduce the target's moment structure")
     return forms
@@ -348,6 +420,16 @@ def split_forms(r):
     return shape.signature, _forms_against(nodes, shape.wires, shape.schedule, target), target
 
 
+def split(r: Behavior, g: Behavior) -> Behavior:
+    """Two copies of r glued by the mediator g, canonicalized."""
+    shape = mediator_problem(r)
+    if [
+        (q.id, q.alphabet, q.direction, q.round) for q in g.signature.ports
+    ] != [(q.id, q.alphabet, q.direction, q.round) for q in shape.signature.ports]:
+        raise InterfaceMismatch("mediator does not fit the split interface")
+    return fill([("c1", r), ("c2", r)], shape, g)
+
+
 def simulator_forms(real, s, j_parties):
     """(simulator signature, forms of the simulator-wrapped ideal view in the
     simulator's table), aligned to the real view."""
@@ -357,7 +439,7 @@ def simulator_forms(real, s, j_parties):
 
 
 def dense_forms(aligned, target):
-    """The forms as a dense `canonical_forms` gives them: every cell of every
+    """The forms `linear_evaluate` gives, made dense: every cell of every
     column present, with an empty form where no execution reaches it."""
     return [{i: col.get(i, {}) for i in range(target.kernel.n_cod)} for col in aligned]
 

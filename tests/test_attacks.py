@@ -27,7 +27,6 @@ from composec.comb import (
     canonical_rounds,
     make_behavior,
     make_signature,
-    observationally_equal,
 )
 from composec.errors import CompositeVerificationFailed, InterfaceMismatch, WiringMismatch
 from composec.hopf import OtpInstance, build_otp, group_make, otp_security
@@ -41,6 +40,7 @@ from tests.helpers import (
     identity_protocol,
     index_tuple,
     merge_asap,
+    observationally_equal,
     random_kernel,
     rename_ports,
 )
@@ -337,6 +337,16 @@ def test_residual_is_the_distinguisher_advantage():
     ideal = ideal_view(inst.target, inst.sigma, real.signature)
     assert rep.verdict == "insecure"
     assert rep.cert.residual == half == behavior_distance(real, ideal)
+
+
+def test_a_simulator_wire_to_a_missing_port_is_a_wiring_mismatch():
+    # scheduling the ideal view orients the simulator's wires before the
+    # network does, and must refuse a port its node lacks as the network would
+    inst = build_otp(group_make(("cyclic", 2)))
+    ((sim_port, res_port),) = inst.sigma.wires
+    sim = Simulator(inst.sigma.nodes, (((sim_port[0], sim_port[1] + "x"), res_port),))
+    with pytest.raises(WiringMismatch, match="no port 'sim__eve_flagx' on node 'sim'"):
+        check_secure_with(inst.protocol, inst.source, inst.target, ("eve",), sim)
 
 
 def test_lifting_deterministic_simulator_transfers():

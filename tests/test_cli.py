@@ -104,6 +104,24 @@ RESERVED = {
         "protocol p from r to r converters res schedule res.1,res.1\n",
         "line 3: name 'res' is built in",
     ),
+    # a check line pops `expect VALUE` wherever it stands, so a resource or
+    # a party of that name could be declared but never checked
+    "expect-resource": (
+        "resource expect builtin commitment\ncheck split expect\n",
+        "line 1: name 'expect' is built in",
+    ),
+    "expect-party": (
+        "alphabet bit size 2\nresource r parties expect,b rounds 1 ports x:expect:out:bit@1 rows 1/2 ; 1/2\n",
+        "line 2: name 'expect' is built in",
+    ),
+    "expect_at_most-converter": (
+        "alphabet bit size 2\nconverter expect_at_most c ports x:in:bit@1 y:out:bit@1 rows 1 0 ; 0 1\n",
+        "line 2: name 'expect_at_most' is built in",
+    ),
+    "expect_at_most-kernel": (
+        "alphabet bit size 2\nkernel expect_at_most gen uniform bit\n",
+        "line 2: name 'expect_at_most' is built in",
+    ),
 }
 
 
@@ -303,9 +321,9 @@ def test_otp_attacks_evaluate_no_more_networks_than_the_check_alone(monkeypatch)
     counts = []
     prepare = Network._prepare
 
-    def counted(net):
+    def counted(net, into=None):
         counts[-1] += 1
-        return prepare(net)
+        return prepare(net, into)
 
     monkeypatch.setattr(Network, "_prepare", counted)
     for check in ("check otp z2 attacks 50 seed 7", "check otp z2"):
@@ -637,6 +655,8 @@ def test_docstring_grammar_matches_what_the_parser_accepts():
     grammar = [line.split() for line in doc.splitlines() if line.startswith("    ")]
     built_in = next(p for p in doc.split("\n\n") if "built in" in p)
     assert re.findall(r"`(\w+)` \(", built_in) == list(BUILTINS)
+    # the words a check line pops wherever they stand can name nothing
+    assert {tokens[-2].lstrip("[") for tokens in grammar if tokens[0] == "check"} <= set(BUILTINS)
     heads = [tokens[0] for tokens in grammar]
     assert set(heads) == set(DECLARATIONS)
     for head in DECLARATIONS:

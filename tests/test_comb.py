@@ -11,7 +11,6 @@ from composec.comb import (
     CombKernels,
     Network,
     PortSpec,
-    align_to,
     behavior_distance,
     behavior_equal,
     canonical,
@@ -19,7 +18,6 @@ from composec.comb import (
     flatten,
     make_behavior,
     make_signature,
-    observationally_equal,
     realize,
     tensor_behavior,
 )
@@ -37,6 +35,7 @@ from composec.stoch import (
     all_tuples,
     channel_distance,
     identity,
+    kernel_from_columns,
     make_kernel,
     tuple_index,
     uniform,
@@ -53,12 +52,16 @@ def port(pid, party, alphabet, direction, rnd):
 
 
 from tests.helpers import (
+    align_to,
     behavior_from_table,
     fraction_evaluate,
     fraction_flatten,
     fraction_linear_evaluate,
     index_tuple,
     memo_free,
+    observationally_equal,
+    permute_forms,
+    permute_to,
     random_comb,
     random_kernel,
     random_network,
@@ -652,6 +655,53 @@ def test_integer_weights_equal_fraction_weights():
         wires[what] = wires.get(what, 0) + n_wires
     assert wires["evaluate"] >= 15 and wires["linear_evaluate"] >= 15 and "flatten" in wires
     assert "flatten, ports out of round order" in wires
+
+
+def _shuffled(rng, sig):
+    """`sig` with its ports in a random order."""
+    ports = list(sig.ports)
+    rng.shuffle(ports)
+    return make_signature(sig.parties, sig.rounds, ports)
+
+
+def test_a_network_evaluates_straight_into_the_signature_it_is_given():
+    # the oracle evaluates in the network's own port order, with Fraction
+    # weights, and permutes the table afterwards
+    rng = random.Random(63)
+    moved = 0
+    for _ in range(30):
+        net = random_network(rng)
+        sig = net.result_signature()
+        alphas = [tuple(p.alphabet for p in ports) for ports in (sig.ins(), sig.outs())]
+        b = Behavior(sig, kernel_from_columns(*alphas, fraction_evaluate(net)))
+        for into in (net.canonical_signature(), _shuffled(rng, sig)):
+            assert net.evaluate(into) == permute_to(b, into)
+            moved += into.ports != sig.ports
+        net = random_network(rng, symbolic=True)
+        sig = net.result_signature()
+        for into in (net.canonical_signature(), _shuffled(rng, sig)):
+            assert net.linear_evaluate(into) == permute_forms(*fraction_linear_evaluate(net), into)
+            moved += into.ports != sig.ports
+    assert moved >= 90
+
+
+def test_a_network_refuses_a_signature_with_other_ports():
+    copy = one_round_behavior(identity([BIT]))
+    x0, y0 = copy.signature.ports
+    networks = [Network([("n", node)], [], [("n", 1)]) for node in (copy, copy.signature)]
+    assert networks[0].evaluate(make_signature(["p"], 1, [y0, x0])).kernel == copy.kernel
+    cases = [
+        ([x0], "y0"),
+        ([x0, y0, port("z", "p", BIT, OUT, 1)], "z"),
+        ([port("x0", "q", BIT, IN, 1), y0], "x0"),
+        ([port("x0", "p", TRIT, IN, 1), y0], "x0"),
+        ([port("x0", "p", BIT, OUT, 1), y0], "x0"),
+    ]
+    for ports, pid in cases:
+        into = make_signature(sorted({q.party for q in ports}), 1, ports)
+        for net in networks:
+            with pytest.raises(SignatureMismatch, match=rf"ports \['{pid}'\] differ"):
+                net.evaluate(into) if net.symbolic is None else net.linear_evaluate(into)
 
 
 def test_network_runs_round_kernels_as_given():

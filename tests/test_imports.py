@@ -86,7 +86,7 @@ def _private(tree: ast.Module) -> list[str]:
 
 # the builders of the unknown-comb program, which `distinguisher.solve_comb`
 # alone puts together
-COMB_LP = ("table_lp", "table_behavior", "add_match_rows", "add_advantage_objective", "canonical_forms")
+COMB_LP = ("table_lp", "table_behavior", "add_match_rows", "add_advantage_objective")
 OUTSIDE = [p for p in MODULES if p.stem != "distinguisher"]
 
 
@@ -161,10 +161,16 @@ def _unreached(trees: dict[str, ast.Module]) -> list[str]:
     """"module.name" for every top-level name outside the closure of
     `cli.main`, and "module.Class.method" for every method outside it: a
     reached definition reaches every top-level name, in any module, that it
-    uses as a name or as an attribute, and every method of a reached class
-    that reached code uses as an attribute.  A class's dunder methods are
-    part of its body."""
+    uses as a name, every top-level name of a module that it reads as an
+    attribute of that module bound by an import (`lpmod.verify`), and every
+    method of a reached class that reached code uses as an attribute.  A
+    class's dunder methods are part of its body."""
     defined: dict[str, list[tuple[str, ast.AST]]] = {}
+    # per module, each name an import binds to a module of the package
+    bound = {
+        module: {b: name for b, name, source, _line in _imports(tree) if source in (".", "composec") and name in trees}
+        for module, tree in trees.items()
+    }
     for module, tree in trees.items():
         for name, node in _top_level(tree):
             defined.setdefault(name, []).append((module, node))
@@ -177,9 +183,12 @@ def _unreached(trees: dict[str, ast.Module]) -> list[str]:
         if (module, name) not in reached:
             reached.add((module, name))
             for sub in (sub for m, node in defined[name] if m == module for sub in _body(node)):
-                used = sub.id if isinstance(sub, ast.Name) else getattr(sub, "attr", None)
-                todo.extend((m, used) for m, _n in defined.get(used, ()))
-                attrs.add(getattr(sub, "attr", None))
+                if isinstance(sub, ast.Name):
+                    todo.extend((m, sub.id) for m, _n in defined.get(sub.id, ()))
+                elif isinstance(sub, ast.Attribute):
+                    attrs.add(sub.attr)
+                    source = bound[module].get(getattr(sub.value, "id", None))
+                    todo.extend((m, sub.attr) for m, _n in defined.get(sub.attr, ()) if m == source)
         if not todo:  # then every method of a reached class that reached code uses as an attribute
             todo = [
                 (m, name)
@@ -359,7 +368,13 @@ def test_the_checks_see_an_unused_and_a_private_import():
     kernel.body += ast.parse("def stub(self):\n    return _by_method\ndef __len__(self):\n    return _by_dunder\n").body
     trees["stoch"].body += ast.parse("def _by_method():\n    pass\ndef _by_dunder():\n    pass\n").body
     assert _unreached(trees) == sorted(["comb._stub", "stoch.Kernel.stub", "stoch._by_method", *UNREACHED])
-    trees["cli"].body += ast.parse("def main():\n    return comb._stub(k.stub, k.matrix, lp.a, lp.b)\n").body
+    # an attribute reaches a top-level name only when it is read off a
+    # module an import binds: not `"x".split`, nor `comb._stub` before
+    # `from . import comb`
+    trees["nogo"].body += ast.parse("def split(r, g):\n    return r\n").body
+    trees["cli"].body += ast.parse("def main():\n    return comb._stub(k.stub, k.matrix, lp.a, lp.b, 'x'.split(','))\n").body
+    assert _unreached(trees) == ["comb._stub", "comb.flatten", "nogo.split"]
+    trees["cli"].body += ast.parse("from . import comb, nogo as mediators\ndef main():\n    return mediators.split\n").body
     assert _unreached(trees) == []
     assert FLOOR == (3, 10)
     assert _above_floor("try:\n    pass\nexcept ValueError:\n    pass\n") == []

@@ -30,7 +30,6 @@ from composec.nogo import (
     ot_resource,
     product_uniform_resource,
     shared_bit_resource,
-    split,
     split_check,
     _r_entry_fn,
     tripartite_split_check,
@@ -43,6 +42,7 @@ from tests.helpers import (
     kernel_entry,
     mix_resources,
     random_kernel,
+    split,
     tripartite_program,
 )
 

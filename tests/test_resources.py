@@ -8,11 +8,9 @@ from composec.comb import (
     OUT,
     CombKernels,
     PortSpec,
-    align_to,
     flatten,
     make_behavior,
     make_signature,
-    observationally_equal,
     tensor_behavior,
 )
 from composec.errors import InterfaceMismatch, NotDeterministic, WiringMismatch
@@ -27,8 +25,10 @@ from composec.resources import (
 )
 from tests.helpers import (
     BIT,
+    align_to,
     behavior_from_table,
     identity_protocol,
+    observationally_equal,
     random_comb,
     random_kernel,
     random_protocol,
