@@ -19,28 +19,35 @@ which case evaluation returns, for every transcript, an exact linear form
 over the symbolic node's table entries; this is what turns simulator
 existence and splittability questions into linear programs.
 
-A transcript is coded as its table index while it is built: each port adds
-its value times its row-major stride, so `Network` evaluation never turns
-indices into value tuples and back.  The strides are those of the signature
-the caller names (`Network.evaluate(into)`), so a network is evaluated
-straight into its caller's port order and its table is never permuted
-afterwards; `canonical` is left for behaviours that do not come from a
-network.  A symbolic node's cell (column * rows + row) is the sum of its
-rounds' `decision_rounds` offsets, the numbering the advantage LP's
-decision-tree rows use.  This module alone knows the moment order of ports
+`Network` evaluation runs every external input column in one sweep over
+integer state codes.  A state is one mixed-radix integer: a digit per node
+memory and per wire value, then the symbolic node's cell, the result row
+and the result column, each port adding its value times its stride, so
+evaluation never turns indices into value tuples and back.  A wire's digit
+is 0 until its producer runs and is set back to 0 when its consumer reads
+it, so every move is one integer addition and every final state holds only
+its cell, row and column, which evaluation checks.  The row and column
+strides are those of the signature the caller names
+(`Network.evaluate(into)`), so a network is evaluated straight into its
+caller's port order and its table is never permuted afterwards;
+`canonical` is left for behaviours that do not come from a network.  A
+symbolic node's cell (column * rows + row) is the sum of its rounds'
+`decision_rounds` offsets, the numbering the advantage LP's decision-tree
+rows use.  This module alone knows the moment order of ports
 (`moment_order`).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Iterator, Optional, Sequence, Union
 
 from .errors import (
     AcausalSchedule,
     AlphabetMismatch,
     BadParties,
     ChainMismatch,
+    CompositeVerificationFailed,
     DimensionMismatch,
     DirectionMismatch,
     DuplicatePortId,
@@ -59,7 +66,6 @@ from .stoch import (
     kernel_from_columns,
     permute_axes,
     ports_size,
-    scaled_column,
     tensor as kernel_tensor,
 )
 
@@ -494,6 +500,7 @@ class Network:
                 self.signatures[lab] = item.signature
         self.wires = [((a[0], a[1]), (b[0], b[1])) for a, b in wires]
         self.schedule = list(schedule)
+        self._result: Optional[Signature] = None
         self._validate()
 
     # -- validation ---------------------------------------------------------
@@ -533,17 +540,21 @@ class Network:
     # -- result signature -----------------------------------------------------
 
     def result_signature(self) -> Signature:
-        ports = []
-        for t, (lab, r) in enumerate(self.schedule, start=1):
-            for p in self.signatures[lab].ports:
-                if p.round == r and (lab, p.id) not in self._wired:
-                    ports.append(p.in_round(t))
-        parties: list[str] = []
-        for lab in self.labels:
-            for pty in self.signatures[lab].parties:
-                if pty not in parties:
-                    parties.append(pty)
-        return Signature(tuple(parties), max(len(self.schedule), 1), tuple(ports))
+        """The external ports, each in its schedule item's round; built
+        once, since it depends only on the nodes, wires and schedule."""
+        if self._result is None:
+            ports = []
+            for t, (lab, r) in enumerate(self.schedule, start=1):
+                for p in self.signatures[lab].ports:
+                    if p.round == r and (lab, p.id) not in self._wired:
+                        ports.append(p.in_round(t))
+            parties: list[str] = []
+            for lab in self.labels:
+                for pty in self.signatures[lab].parties:
+                    if pty not in parties:
+                        parties.append(pty)
+            self._result = Signature(tuple(parties), max(len(self.schedule), 1), tuple(ports))
+        return self._result
 
     def canonical_signature(self) -> Signature:
         """The canonical form (`canonical_rounds`) of the result signature."""
@@ -552,9 +563,10 @@ class Network:
     # -- evaluation -----------------------------------------------------------
 
     def _prepare(self, into: Optional[Signature] = None) -> Signature:
-        """Realize the Behavior nodes and plan every schedule item for `_run`,
-        laying the result's columns and rows out in the port order of `into`
-        (by default the result signature); returns the result's signature.
+        """Realize the Behavior nodes and plan every schedule item for
+        `_sweep`, laying the result's columns and rows out in the port order
+        of `into` (by default the result signature); returns the result's
+        signature.
 
         `into` must list exactly the network's external ports, with the same
         id, party, alphabet and direction, in any order and rounds; the
@@ -567,92 +579,95 @@ class Network:
                 raise SignatureMismatch(f"ports {bad} differ between the network and the signature asked for")
             result = into
         self._combs = {lab: realize(n) if isinstance(n, Behavior) else n for lab, n in self.numeric.items()}
-        # _run's weights are numerators over the product of the scales of
+        # _sweep's weights are numerators over the product of the scales of
         # the kernels it runs (see Kernel.scaled)
         self._den = 1
         for lab, r in self.schedule:
             if lab in self._combs:
                 self._den *= self._combs[lab].kernels[r - 1].scaled[0]
-        wire_in = {ref: k for k, ref in enumerate(self._wire_in)}
-        wire_out = {ref: k for k, ref in enumerate(self._wire_out)}
-        ext_in = {p.id: k for k, p in enumerate(result.ins())}
-        ext_outs = result.outs()
-        row_stride = {p.id: s for p, s in zip(ext_outs, _strides(ext_outs))}
+        # a state's code: one digit per numeric node's memory and per wire
+        # value, then the symbolic cell, the result row and the result
+        # column; `mem` is each node's digit weight and radix, `at` each
+        # wired port's digit weight and `ext` each external port's
+        stride, mem, at = 1, {}, {}
+        for lab, comb in self._combs.items():
+            mem[lab] = (stride, max(m.size for m in comb.memories))
+            stride *= mem[lab][1]
+        for src, dst in zip(self._wire_out, self._wire_in):
+            at[src] = at[dst] = stride
+            stride *= self.signatures[src[0]].port(src[1]).alphabet.size
+        self._cell_stride = stride
         if self.symbolic is not None:
+            # the symbolic node keeps its table cell (column * n_rows + row)
+            # as its memory digit: each round adds its `decision_rounds`
+            # offsets and no round reads it
             sym = self.signatures[self.symbolic]
             sym_steps = decision_rounds(sym)
             n_rows = ports_size(tuple(p.alphabet for p in sym.outs()))
-        slot = {lab: k for k, lab in enumerate(self.labels)}
-        # per schedule item: the node's memory slot, the round's input count,
-        # each input's source (a wire, or an external input by position) and
-        # weight in the round's input index, and for every column (memory *
-        # input count + input index) its moves: (next memory, wire values
-        # set, result row offset, symbolic cell offset, weight); and, in
-        # `_outputs`, the output values the moves reach
-        self._plan = []
-        self._outputs: list[_Outputs] = []
+            n_cells = ports_size(tuple(p.alphabet for p in sym.ins())) * n_rows
+            mem[self.symbolic] = (stride, 1)
+            stride *= n_cells
+        self._row_stride = stride
+        ext_ins, ext_outs = result.ins(), result.outs()
+        self._col_stride = stride * ports_size(tuple(p.alphabet for p in ext_outs))
+        ext = {p.id: s * self._row_stride for p, s in zip(ext_outs, _strides(ext_outs))}
+        ext |= {p.id: s * self._col_stride for p, s in zip(ext_ins, _strides(ext_ins))}
+        self._plan: list[_Moves] = []
         for lab, r in self.schedule:
             sig = self.signatures[lab]
             x_ports, y_ports = sig.round_ins(r), sig.round_outs(r)
-            wired, external = [], []
+            n_x = ports_size(tuple(p.alphabet for p in x_ports))
+            m_stride, m_size = mem[lab]
+            reads = [(m_stride, m_size, n_x)] if m_size > 1 else []
+            # (kernel column offset, code delta) of each value of the
+            # round's external inputs
+            branches = [(0, 0)]
             for p, s in zip(x_ports, _strides(x_ports)):
-                if (lab, p.id) in wire_in:
-                    wired.append((wire_in[(lab, p.id)], s))
+                if (lab, p.id) in at:
+                    reads.append((at[(lab, p.id)], p.alphabet.size, s))
                 else:
-                    external.append((ext_in[p.id], s))
-            outputs = _Outputs(
-                [
-                    (s, p.alphabet.size, wire_out.get((lab, p.id)), row_stride.get(p.id))
-                    for p, s in zip(y_ports, _strides(y_ports))
-                ]
-            )
-            self._outputs.append(outputs)
+                    branches = [(c + v * s, d + v * ext[p.id]) for c, d in branches for v in range(p.alphabet.size)]
+            outs = [(s, p.alphabet.size, at.get((lab, p.id)) or ext[p.id]) for p, s in zip(y_ports, _strides(y_ports))]
             if lab == self.symbolic:
-                # every output value at weight 1; the symbolic table's cell
-                # (column * n_rows + row) moves by the round's offsets
+                # every output value y at weight 1, its entry y * n_cells +
+                # the cell offset
                 x_offsets, y_offsets = sym_steps[r - 1]
-                moves = [
-                    [(0, *outputs[y], dj * n_rows + di, 1) for y, di in enumerate(y_offsets)]
-                    for dj in x_offsets
-                ]
+                n_mem = n_cells
+                columns = [[(y * n_cells + dj * n_rows + di, 1) for y, di in enumerate(y_offsets)] for dj in x_offsets]
             else:
                 f = self._combs[lab].kernels[r - 1]
-                n_mem = f.cod[-1].size
-                moves = [[(i % n_mem, *outputs[i // n_mem], 0, p) for i, p in col] for col in f.scaled[1]]
-            n_x = ports_size(tuple(p.alphabet for p in x_ports))
-            self._plan.append((slot[lab], n_x, wired, external, moves))
+                n_mem, columns = f.cod[-1].size, f.scaled[1]
+            self._plan.append(_Moves(reads, branches, outs, columns, n_mem, m_stride))
         return result
 
-    def _run(self, x: Sequence[int]) -> dict[int, dict[int, Scalar]]:
-        """Forward-simulate one assignment `x` of the external inputs.
-
-        Returns {row: {cell: weight}}: the weight of each row of the result
-        table, split by the cell of the symbolic node's table that the run
-        went through (cell 0 when there is no symbolic node); every weight
-        is a numerator over `self._den`.
-        """
-        # state: (memories, wire values, result row so far, symbolic cell so far)
-        states: dict[tuple, Scalar] = {((0,) * len(self.labels), (None,) * len(self.wires), 0, 0): 1}
-        for slot, n_x, wired, external, moves in self._plan:
-            x_base = sum(x[k] * s for k, s in external)
-            new_states: dict[tuple, Scalar] = {}
-            for (mems, wvals, row, cell), w in states.items():
-                col, cleared = x_base, list(wvals)
-                for k, s in wired:
-                    col += wvals[k] * s
-                    cleared[k] = None  # consumed
-                for m, sets, d_row, d_cell, p in moves[mems[slot] * n_x + col]:
-                    wv = cleared.copy()
-                    for k, v in sets:
-                        wv[k] = v
-                    key = (mems[:slot] + (m,) + mems[slot + 1 :], tuple(wv), row + d_row, cell + d_cell)
-                    new_states[key] = new_states[key] + w * p if key in new_states else w * p
-            states = new_states
-        result: dict[int, dict[int, Scalar]] = {}
-        for (_m, _wv, row, cell), w in states.items():
-            cells = result.setdefault(row, {})
-            cells[cell] = cells[cell] + w if cell in cells else w
-        return result
+    def _sweep(self) -> Iterator[tuple[int, int, int, Scalar]]:
+        """Run every external input column at once, from the empty state;
+        yields (column, row, symbolic cell, weight) for each final state,
+        the cell 0 when there is no symbolic node.  Weights are summed as
+        numerators over `self._den` and divided at the end, once per
+        distinct weight.  Raises CompositeVerificationFailed when a final
+        state still holds a memory or wire digit."""
+        states = {0: 1}
+        for moves in self._plan:
+            reads, new = moves.reads, {}
+            for code, w in states.items():
+                key = 0
+                for stride, size, weight in reads:
+                    key += code // stride % size * weight
+                for d, p in moves[key]:
+                    c = code + d
+                    new[c] = new[c] + w * p if c in new else w * p
+            states = new
+        weights: dict[int, Fraction] = {}  # one object per distinct weight
+        for code, w in states.items():
+            col, code = divmod(code, self._col_stride)
+            row, code = divmod(code, self._row_stride)
+            cell, left = divmod(code, self._cell_stride)
+            if left:
+                raise CompositeVerificationFailed(f"a final network state holds memory or wire digits ({left})")
+            if (v := weights.get(w)) is None:
+                v = weights[w] = Fraction(w, self._den)
+            yield col, row, cell, v
 
     def evaluate(self, into: Optional[Signature] = None) -> Behavior:
         """The network's table, with the signature `into` when given (see
@@ -662,11 +677,12 @@ class Network:
         sig = self._prepare(into)
         in_alphas = tuple(p.alphabet for p in sig.ins())
         out_alphas = tuple(p.alphabet for p in sig.outs())
-        cols = [
-            scaled_column({row: cells[0] for row, cells in self._run(x).items()}, self._den)
-            for x in all_tuples(in_alphas)
-        ]
-        kernel = kernel_from_columns(in_alphas, out_alphas, cols)
+        cols: dict[int, dict[int, Scalar]] = {}
+        for col, row, _cell, v in self._sweep():
+            cols.setdefault(col, {})[row] = v
+        kernel = kernel_from_columns(
+            in_alphas, out_alphas, [tuple(sorted(cols.pop(j, {}).items())) for j in range(ports_size(in_alphas))]
+        )
         return make_behavior(sig, kernel, check=False)
 
     def linear_evaluate(self, into: Optional[Signature] = None):
@@ -682,34 +698,49 @@ class Network:
         if self.symbolic is None:
             raise WiringMismatch("no symbolic node in this network")
         sig = self._prepare(into)
-        columns = [
-            {row: {var: Fraction(v, self._den) for var, v in cells.items()} for row, cells in self._run(x).items()}
-            for x in all_tuples(tuple(p.alphabet for p in sig.ins()))
-        ]
+        n_cols = ports_size(tuple(p.alphabet for p in sig.ins()))
+        columns: list[dict[int, dict[int, Scalar]]] = [{} for _ in range(n_cols)]
+        for col, row, cell, v in self._sweep():
+            columns[col].setdefault(row, {})[cell] = v
         return sig, columns
 
 
-class _Outputs(dict):
-    """Per output value index of one round: (wire values set, result row
-    offset), each built on first use, so a round plans only the outputs its
-    kernel's nonzeros reach.  `ports` gives, per output port, its weight in
-    the index, its alphabet size, and its wire or, when unwired, its weight
-    in the result row."""
+class _Moves(dict):
+    """One schedule item's moves, by key: the column of its kernel that a
+    state's memory and wired inputs select with every external input at 0.
 
-    def __init__(self, ports: list[tuple[int, int, Optional[int], Optional[int]]]) -> None:
+    `reads` gives, per memory or wired-input digit of a state's code, its
+    weight in the code, its radix and its weight in the key.  A key's moves
+    are built when a state first reaches it: a (code delta, weight) pair for
+    every value of the round's external inputs (`branches`: offset in the
+    kernel column, column digits in the code) and every entry (i, weight) of
+    the column they complete, i being output value * n_mem + next memory.
+    The delta clears the digits the key was read from and adds the next
+    memory (`m_stride` its weight in the code), the outputs' digits (`outs`:
+    weight in the output value, size, weight in the code) and the column
+    digits.  A wire's digit is 0 before its producer runs and after its
+    consumer reads it, so the delta is the same for every state."""
+
+    def __init__(self, reads, branches, outs, columns, n_mem: int, m_stride: int) -> None:
         super().__init__()
-        self.ports = ports
+        self.reads, self.branches, self.outs = reads, branches, outs
+        self.columns, self.n_mem, self.m_stride = columns, n_mem, m_stride
+        self.codes: dict[int, int] = {}  # entry -> its next memory and outputs in the code
 
-    def __missing__(self, y: int) -> tuple[tuple[tuple[int, int], ...], int]:
-        sets, d_row = [], 0
-        for s, size, wire, row_s in self.ports:
-            v = y // s % size
-            if wire is None:
-                d_row += v * row_s
-            else:
-                sets.append((wire, v))
-        out = self[y] = (tuple(sets), d_row)
-        return out
+    def __missing__(self, key: int) -> list[tuple[int, int]]:
+        clear = 0
+        for stride, size, weight in self.reads:
+            clear += key // weight % size * stride
+        moves, codes = [], self.codes
+        for c, d in self.branches:
+            d -= clear
+            for i, p in self.columns[key + c]:
+                if (e := codes.get(i)) is None:
+                    y, m = divmod(i, self.n_mem)
+                    e = codes[i] = m * self.m_stride + sum(y // w % size * stride for w, size, stride in self.outs)
+                moves.append((d + e, p))
+        self[key] = moves
+        return moves
 
 
 def _orient(signatures: dict[str, Signature], wire: Wire) -> tuple[PortRef, PortRef, PortSpec, PortSpec]:

@@ -162,7 +162,9 @@ def _preprocess(rows, m):
             y[i] = ONE if bi > 0 else -ONE
             return Infeasible(FarkasCert(tuple(y)))
         size = len(seen)
-        seen.add((pairs, bi))  # one hash per row
+        # one hash per row, on integers: equal values have equal numerators
+        # and denominators, and hashing a Fraction costs a modular inverse
+        seen.add((bi.numerator, bi.denominator, *[(j, v.numerator, v.denominator) for j, v in pairs]))
         if len(seen) == size:
             continue
         kept.append(pairs)

@@ -16,7 +16,7 @@ the dense loops would.  Every entry is an exact `Fraction`.
 Arithmetic runs on integers where it can.  `Kernel.scaled` holds a
 kernel's entries as integer numerators over one shared denominator (the lcm
 of its entries' denominators), which lets `Network` evaluation carry its
-weights as integers and divide once per output cell (`scaled_column`); a
+weights as integers and divide once per distinct weight at the end; a
 column check sums numerators over the column's lcm instead of adding
 `Fraction`s.
 """
@@ -223,13 +223,6 @@ def validate_kernel(k: Kernel) -> None:
 def sparse_column(acc: dict[int, Scalar]) -> Column:
     """The nonzero entries of an index -> value map, as a Column."""
     return tuple((i, v) for i, v in sorted(acc.items()) if v)
-
-
-def scaled_column(acc: dict[int, int], den: int) -> Column:
-    """The nonzero entries of an index -> numerator map over a common
-    denominator `den` (see `Kernel.scaled`), each divided once, as a
-    Column."""
-    return tuple((i, Fraction(v, den)) for i, v in sorted(acc.items()) if v)
 
 
 # ---------------------------------------------------------------------------

@@ -697,15 +697,17 @@ class DenseSimplex:
 
 # ---------------------------------------------------------------------------
 # Fraction-weight network simulation (oracle for the integer weights of
-# `Network._run` and `flatten`): every state carries its own weight as a
+# `Network`'s sweep and `flatten`): every state carries its own weight as a
 # `Fraction`, summed as it arrives
 
 
-def _fraction_run(net, x_ext, symbolic):
-    """`Network._run` on `net` (prepared) with `Fraction` weights, on value
-    tuples: wire values by producing port, external outputs as a growing
-    tuple, and the symbolic node's history put back in signature order at
-    the end."""
+def _fraction_run(net, x_ext, symbolic, reached=None):
+    """One external input column of `net` (prepared), run alone with
+    `Fraction` weights, on value tuples: wire values by producing port,
+    external outputs as a growing tuple, and the symbolic node's history put
+    back in signature order at the end.  With `reached`, adds to reached[t]
+    each (memory, inputs) of a state at schedule item t, external inputs
+    set to 0."""
     zero_ = Fraction(0)
     source = {}  # consuming port -> producing port, as (label, port id)
     for a, b in net.wires:
@@ -716,7 +718,7 @@ def _fraction_run(net, x_ext, symbolic):
     # state: (memories by label, sorted (producing port, value) pairs not yet
     # consumed, external outputs so far, symbolic node's (inputs, outputs) per round)
     states = {((0,) * len(labels), (), (), ()): Fraction(1)}
-    for lab, r in net.schedule:
+    for t, (lab, r) in enumerate(net.schedule):
         sig = net.signatures[lab]
         slot = labels.index(lab)
         new_states = {}
@@ -725,6 +727,9 @@ def _fraction_run(net, x_ext, symbolic):
             x_vals = tuple(
                 pending.pop(source[(lab, q.id)]) if (lab, q.id) in source else x_ext[q.id] for q in sig.round_ins(r)
             )
+            if reached is not None:
+                wired = (v if (lab, q.id) in source else 0 for q, v in zip(sig.round_ins(r), x_vals))
+                reached[t].add((mems[slot], *wired))
             if lab != net.symbolic:
                 f = net._combs[lab].kernels[r - 1]
                 moves = [(index_tuple(f.cod, i), p) for i, p in f.cols[tuple_index(f.dom, (mems[slot],) + x_vals)]]
@@ -792,6 +797,22 @@ def fraction_linear_evaluate(net):
         run = _fraction_run(net, {p.id: v for p, v in zip(ins, x)}, symbolic=True)
         columns.append({tuple_index(out_alphas, ys): forms for ys, forms in run.items()})
     return sig, columns
+
+
+def reached_keys(net):
+    """For each schedule item of `net`, the kernel columns (memory * inputs'
+    size + inputs' index) that its states select with every external input
+    at 0, over all external input columns: the keys a `Network` plans."""
+    net._prepare()
+    sig = net.result_signature()
+    reached = [set() for _ in net.schedule]
+    for x in all_tuples(tuple(p.alphabet for p in sig.ins())):
+        _fraction_run(net, {p.id: v for p, v in zip(sig.ins(), x)}, net.symbolic is not None, reached)
+    keys = []
+    for (lab, r), found in zip(net.schedule, reached):
+        x_alphas = tuple(p.alphabet for p in net.signatures[lab].round_ins(r))
+        keys.append({m * ports_size(x_alphas) + tuple_index(x_alphas, xs) for m, *xs in found})
+    return keys
 
 
 def fraction_flatten(c):

@@ -1,9 +1,11 @@
 import gc
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
+from composec import comb
 from composec.comb import (
     IN,
     OUT,
@@ -24,6 +26,7 @@ from composec.comb import (
 from composec.errors import (
     AcausalSchedule,
     AlphabetMismatch,
+    CompositeVerificationFailed,
     NotCausal,
     SignatureMismatch,
 )
@@ -65,6 +68,7 @@ from tests.helpers import (
     random_comb,
     random_kernel,
     random_network,
+    reached_keys,
     rename_ports,
     shuffle_ports,
     strategy_count,
@@ -274,18 +278,87 @@ def test_networks_over_a_tensor_equal_those_over_its_memo_free_copy(n, expansion
         assert run == protocol.network(copy, dishonest).evaluate()
 
 
-def test_network_plans_only_the_outputs_its_kernels_reach():
-    inst = build_otp(group_make(("cyclic", 16)))
-    net = inst.protocol.network(inst.source, ("eve",))
-    net.evaluate()
-    nonzeros = 0
-    for (lab, r), outputs in zip(net.schedule, net._outputs):
-        f = net._combs[lab].kernels[r - 1]
-        n_mem = f.cod[-1].size
-        assert set(outputs) == {i // n_mem for col in f.cols for i, _p in col}
-        nonzeros += sum(map(len, f.cols))
-    # the key and the channel reach 16 of their 256 output pairs
-    assert sum(map(len, net._outputs)) == 4 * 16 < nonzeros
+def test_network_plans_only_the_indexes_its_states_reach():
+    # each schedule item plans the moves of exactly the (memory, wired
+    # inputs) indexes that some state reaches, over every external column
+    rng = random.Random(64)
+    nets = [random_network(rng, symbolic=k % 2 == 1) for k in range(20)]
+    # a key on half of Z16 reaches 8 of the 16 key values at Alice and Bob
+    inst = build_otp(group_make(("cyclic", 16)), [F(1, 8)] * 8 + [F(0)] * 8)
+    nets.append(inst.protocol.network(inst.source, ("eve",)))
+    planned = possible = 0
+    for net in nets:
+        keys = reached_keys(net)
+        net.evaluate() if net.symbolic is None else net.linear_evaluate()
+        assert [set(moves) for moves in net._plan] == keys
+        for (lab, r), found in zip(net.schedule, keys):
+            n_mem = net._combs[lab].memories[r - 1].size if lab in net._combs else 1
+            wired = [p.alphabet.size for p in net.signatures[lab].round_ins(r) if (lab, p.id) in net._wired]
+            planned += len(found)
+            possible += n_mem * math.prod(wired)
+    assert planned < possible
+
+
+def _comb(rng, party, rounds, mems):
+    """A random comb of `party`: round r has the ports rounds[r - 1], as
+    (id, alphabet, direction), and memory r has mems[r - 1] values."""
+    ports = [port(pid, party, a, d, r) for r, items in enumerate(rounds, start=1) for pid, a, d in items]
+    sig = make_signature([party], len(rounds), ports)
+    memories = (UNIT, *(Alphabet(f"{party}{r}", n) for r, n in enumerate(mems, start=1)), UNIT)
+    kernels = []
+    for r in range(1, len(rounds) + 1):
+        dom = (memories[r - 1], *(p.alphabet for p in sig.round_ins(r)))
+        kernels.append(random_kernel(rng, dom, (*(p.alphabet for p in sig.round_outs(r)), memories[r])))
+    return CombKernels(sig, memories, tuple(kernels))
+
+
+def _hand_built_networks(rng):
+    """(what, network) pairs, each with a shape the sweep must get right."""
+    # a reads x1, emits y1, then reads x2: external inputs at two items with
+    # an output between; its memory has 3 values, then 2; b consumes a's
+    # wire at the very next item
+    a = _comb(
+        rng,
+        "a",
+        [[("x1", BIT, IN), ("y1", TRIT, OUT)], [("x2", TRIT, IN), ("w", BIT, OUT)], [("y3", BIT, OUT)]],
+        [3, 2],
+    )
+    b = _comb(rng, "b", [[("v", BIT, IN), ("z", TRIT, OUT)]], [])
+    yield "two external reads", Network(
+        [("a", a), ("b", b)], [(("a", "w"), ("b", "v"))], [("a", 1), ("a", 2), ("b", 1), ("a", 3)]
+    )
+    k = _comb(rng, "k", [[("ka", TRIT, OUT), ("kb", TRIT, OUT)]], [])
+    c = _comb(rng, "c", [[("u", TRIT, IN), ("o", BIT, OUT)]], [])
+    d = _comb(rng, "d", [[("v", TRIT, IN), ("q", BIT, OUT)]], [])
+    wires = [(("k", "ka"), ("c", "u")), (("k", "kb"), ("d", "v"))]
+    yield "no external input", Network([("k", k), ("c", c), ("d", d)], wires, [("k", 1), ("c", 1), ("d", 1)])
+    # s has two rounds, the first wired both ways to a
+    a = _comb(rng, "a", [[("x", BIT, IN), ("w", TRIT, OUT)], [("u", BIT, IN), ("y", BIT, OUT)]], [2])
+    s = _comb(rng, "s", [[("si", TRIT, IN), ("so", BIT, OUT)], [("sx", BIT, IN), ("sy", TRIT, OUT)]], [3])
+    wires = [(("a", "w"), ("s", "si")), (("s", "so"), ("a", "u"))]
+    schedule = [("a", 1), ("s", 1), ("a", 2), ("s", 2)]
+    yield "two-round node", Network([("a", a), ("s", s)], wires, schedule)
+    yield "two-round symbolic node", Network([("a", a), ("s", s.signature)], wires, schedule)
+
+
+def test_the_sweep_equals_the_fraction_oracle_on_hand_built_networks():
+    rng = random.Random(65)
+    for _ in range(5):
+        for what, net in _hand_built_networks(rng):
+            if net.symbolic is None:
+                assert net.evaluate().kernel.cols == fraction_evaluate(net), what
+            else:
+                assert net.linear_evaluate() == fraction_linear_evaluate(net), what
+
+
+def test_a_final_state_that_holds_a_wire_digit_is_refused(monkeypatch):
+    # with no digit read, the consumers never clear their wires
+    _what, net = list(_hand_built_networks(random.Random(65)))[1]
+    assert net.evaluate().kernel.cols == fraction_evaluate(net)
+    init = comb._Moves.__init__
+    monkeypatch.setattr(comb._Moves, "__init__", lambda moves, reads, *rest: init(moves, [], *rest))
+    with pytest.raises(CompositeVerificationFailed, match="holds memory or wire digits"):
+        net.evaluate()
 
 
 def test_network_schedule_covers_each_node_round_once_in_order():

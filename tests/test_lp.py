@@ -19,6 +19,7 @@ from composec.lp import (
     solve_feasible,
     verify,
 )
+from composec.scalars import ONE
 
 from tests.helpers import DenseSimplex, dense_minimize, dense_program, dense_solve_feasible
 
@@ -274,6 +275,24 @@ def test_duplicate_and_empty_rows_certificate_lifts():
     out = solve_feasible(prog)
     assert isinstance(out, Infeasible)
     assert verify(out, prog)
+
+
+@pytest.mark.parametrize(
+    "second,kept",
+    [
+        ((((0, F(2, 4)), (1, 1)), ONE), 1),
+        ((((0, F(1, 2)), (1, ONE)), 1), 1),
+        ((((0, F(1, 2)), (1, F(1, 3))), ONE), 2),
+        ((((0, F(1, 2)), (1, ONE)), F(1, 3)), 2),
+    ],
+    ids=["2/4-as-1/2", "int-1-as-ONE", "other-coefficient-denominator", "other-rhs-denominator"],
+)
+def test_preprocess_drops_a_row_equal_to_an_earlier_one(second, kept):
+    # the duplicate set is keyed on integer numerators and denominators; the
+    # first of two equal rows is the one kept
+    first = (((0, F(1, 2)), (1, 1)), 1)
+    pairs, rhs, keep = lpmod._preprocess([(0, *first), (1, *second)], 2)
+    assert keep == [0, 1][:kept] and pairs[0] is first[0] and rhs[0] is first[1]
 
 
 @pytest.mark.parametrize("zero", [F(0), 0], ids=["Fraction", "int"])
