@@ -719,7 +719,8 @@ class _Moves(dict):
     memory (`m_stride` its weight in the code), the outputs' digits (`outs`:
     weight in the output value, size, weight in the code) and the column
     digits.  A wire's digit is 0 before its producer runs and after its
-    consumer reads it, so the delta is the same for every state."""
+    consumer reads it, so one delta serves every state that reaches the
+    key."""
 
     def __init__(self, reads, branches, outs, columns, n_mem: int, m_stride: int) -> None:
         super().__init__()
