@@ -645,19 +645,14 @@ class Network:
         yields (column, row, symbolic cell, weight) for each final state,
         the cell 0 when there is no symbolic node.  Weights are summed as
         numerators over `self._den` and divided at the end, once per
-        distinct weight.  Raises CompositeVerificationFailed when a final
-        state still holds a memory or wire digit."""
-        states = {0: 1}
-        for moves in self._plan:
-            reads, new = moves.reads, {}
-            for code, w in states.items():
-                key = 0
-                for stride, size, weight in reads:
-                    key += code // stride % size * weight
-                for d, p in moves[key]:
-                    c = code + d
-                    new[c] = new[c] + w * p if c in new else w * p
-            states = new
+        distinct weight.  Each item's planned moves are dropped once the
+        item has run.  Raises CompositeVerificationFailed when a final state
+        still holds a memory or wire digit."""
+        states, plan = {0: 1}, self._plan
+        del self._plan
+        plan.reverse()
+        while plan:
+            states = _step(states, plan.pop())
         weights: dict[int, Fraction] = {}  # one object per distinct weight
         for code, w in states.items():
             col, code = divmod(code, self._col_stride)
@@ -703,6 +698,19 @@ class Network:
         for col, row, cell, v in self._sweep():
             columns[col].setdefault(row, {})[cell] = v
         return sig, columns
+
+
+def _step(states: dict[int, int], moves: _Moves) -> dict[int, int]:
+    """The states after one schedule item, by code, with their weights."""
+    reads, new = moves.reads, {}
+    for code, w in states.items():
+        key = 0
+        for stride, size, weight in reads:
+            key += code // stride % size * weight
+        for d, p in moves[key]:
+            c = code + d
+            new[c] = new[c] + w * p if c in new else w * p
+    return new
 
 
 class _Moves(dict):

@@ -13,6 +13,12 @@ order.  Transcript tables are almost all zeros, so every operation here
 works on the support only, and adds the same products in the same order as
 the dense loops would.  Every entry is an exact `Fraction`.
 
+Two compositions go through a tensor product without building it.
+`compose_tensor(g1, g2, f)` builds only the columns of g1 (x) g2 that f's
+support reaches, each once.  `compose_after_tensor(g, f1, f2)` takes g's
+column for each pair of deterministic columns of f1 and f2, and adds the
+products for any other pair.  Each equals its plain form exactly.
+
 Arithmetic runs on integers where it can.  `Kernel.scaled` holds a
 kernel's entries as integer numerators over one shared denominator (the lcm
 of its entries' denominators), which lets `Network` evaluation carry its
@@ -231,22 +237,45 @@ def sparse_column(acc: dict[int, Scalar]) -> Column:
 
 def compose(g: Kernel, f: Kernel) -> Kernel:
     """Sequential composition g after f (matrix product)."""
-    _check_middle(g.dom, f)
+    _check_middle(g.dom, f.cod)
     return Kernel(f.dom, g.cod, _compose_columns(g.cols, f.cols))
 
 
 def compose_tensor(g1: Kernel, g2: Kernel, f: Kernel) -> Kernel:
     """compose(tensor(g1, g2), f), building only the columns of the tensor
     that f's support reaches, each once."""
-    _check_middle(g1.dom + g2.dom, f)
+    _check_middle(g1.dom + g2.dom, f.cod)
     return Kernel(f.dom, g1.cod + g2.cod, _compose_columns(_TensorColumns(g1, g2), f.cols))
 
 
-def _check_middle(g_dom: tuple[Alphabet, ...], f: Kernel) -> None:
-    if g_dom != f.cod:
+def compose_after_tensor(g: Kernel, f1: Kernel, f2: Kernel) -> Kernel:
+    """compose(g, tensor(f1, f2)) without building the tensor: a pair of
+    deterministic columns selects g's column, and any other pair adds the
+    products in `_compose_columns`' order."""
+    _check_middle(g.dom, f1.cod + f2.cod)
+    gcols, n2 = g.cols, f2.n_cod
+    rows2 = [_unit_row(c2) for c2 in f2.cols]
+    cols = []
+    for c1 in f1.cols:
+        i1 = _unit_row(c1)
+        for c2, i2 in zip(f2.cols, rows2):
+            if i1 is None or i2 is None:
+                cols.append(_mix_column(gcols, [(k1 * n2 + k2, a * b) for k1, a in c1 for k2, b in c2]))
+            else:
+                cols.append(gcols[i1 * n2 + i2])
+    return Kernel(f1.dom + f2.dom, g.cod, tuple(cols))
+
+
+def _check_middle(g_dom: tuple[Alphabet, ...], f_cod: tuple[Alphabet, ...]) -> None:
+    if g_dom != f_cod:
         raise InterfaceMismatch(
-            f"cannot compose: middle interface {[a.name for a in f.cod]} vs {[a.name for a in g_dom]}"
+            f"cannot compose: middle interface {[a.name for a in f_cod]} vs {[a.name for a in g_dom]}"
         )
+
+
+def _unit_row(col: Column) -> int | None:
+    """The row of a deterministic column (one entry, 1), else None."""
+    return col[0][0] if len(col) == 1 and col[0][1] == 1 else None
 
 
 def _compose_columns(gcols, fcols: Sequence[Column]) -> tuple[Column, ...]:
@@ -255,14 +284,20 @@ def _compose_columns(gcols, fcols: Sequence[Column]) -> tuple[Column, ...]:
     for fcol in fcols:
         if len(fcol) == 1 and fcol[0][1] == 1:  # deterministic column: g's column
             cols.append(gcols[fcol[0][0]])
-            continue
-        acc: dict[int, Scalar] = {}
-        for k, fkj in fcol:
-            for i, gik in gcols[k]:
-                p = gik * fkj
-                acc[i] = acc[i] + p if i in acc else p
-        cols.append(sparse_column(acc))
+        else:
+            cols.append(_mix_column(gcols, fcol))
     return tuple(cols)
+
+
+def _mix_column(gcols, fcol: Column) -> Column:
+    """The column of g after one column of f: the sum over f's entries
+    (k, f_kj), in order, of g's column k times f_kj."""
+    acc: dict[int, Scalar] = {}
+    for k, fkj in fcol:
+        for i, gik in gcols[k]:
+            p = gik * fkj
+            acc[i] = acc[i] + p if i in acc else p
+    return sparse_column(acc)
 
 
 def tensor(f: Kernel, g: Kernel) -> Kernel:

@@ -2,7 +2,7 @@
 small constructors that only tests use, and the slow, plain implementations
 that serve as test oracles: exhaustive
 strategy enumeration for the adaptive distinguisher, dense kernel algebra,
-a dense simplex, network simulation on scalar weights, tables put in
+the Hopf axiom suite with its tensor products built in full, a dense simplex, network simulation on scalar weights, tables put in
 another port order after they are built (`permute_to`, `align_to` and
 `observationally_equal`), the match rows written cell by cell over dense
 forms, the tripartite no-go program written out row by row, and the linker
@@ -32,6 +32,7 @@ from composec.comb import (
     make_signature,
 )
 from composec.distinguisher import fill
+from composec.hopf import HopfReport, group_kernels
 from composec.errors import AcausalSchedule, CompositeVerificationFailed, InterfaceMismatch, SignatureMismatch
 from composec.nogo import mediator_problem
 from composec.resources import RES, Converter, Protocol
@@ -39,10 +40,14 @@ from composec.stoch import (
     UNIT,
     Alphabet,
     all_tuples,
+    compose,
+    identity,
     index_projection,
+    kernel_equal,
     make_kernel,
     permute_axes,
     ports_size,
+    tensor,
     tuple_index,
 )
 
@@ -501,6 +506,26 @@ def dense_permute_axes(f, dom_perm, cod_perm):
     for i, y in enumerate(all_tuples(f.cod)):
         row_map[tuple_index(new_cod, tuple(y[p] for p in cod_perm))] = i
     return tuple(tuple(f.matrix[oi][col_map[nj]] for nj in range(f.n_dom)) for oi in row_map)
+
+
+def eager_hopf_axiom_suite(g) -> HopfReport:
+    """`hopf.hopf_axiom_suite` in its plain form: every tensor product is
+    built in full and then composed, and the bialgebra law's middle wires
+    are swapped by an axis permutation."""
+    k = group_kernels(g)
+    idk = identity([k["alphabet"]])
+    mult, inv, unit, cpy, dele, unif = (k[n] for n in ("mult", "inv", "unit", "copy", "delete", "uniform"))
+    shuffled = permute_axes(tensor(cpy, cpy), [0, 1], [0, 2, 1, 3])
+    sides = {
+        "H1 associativity": [(compose(mult, tensor(mult, idk)), compose(mult, tensor(idk, mult)))],
+        "H2 unit": [(compose(mult, tensor(unit, idk)), idk), (compose(mult, tensor(idk, unit)), idk)],
+        "H3 coassociativity": [(compose(tensor(cpy, idk), cpy), compose(tensor(idk, cpy), cpy))],
+        "H4 counit": [(compose(tensor(dele, idk), cpy), idk), (compose(tensor(idk, dele), cpy), idk)],
+        "H5 bialgebra": [(compose(cpy, mult), compose(tensor(mult, mult), shuffled))],
+        "H6 antipode": [(compose(mult, compose(tensor(idk, inv), cpy)), compose(unit, dele))],
+        "H7 integral": [(compose(mult, tensor(unif, idk)), compose(unif, dele))],
+    }
+    return HopfReport(tuple((name, all(kernel_equal(*pair) for pair in pairs)) for name, pairs in sides.items()))
 
 
 def dense_channel_distance(f, g):

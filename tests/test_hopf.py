@@ -18,7 +18,21 @@ from composec.hopf import (
     short_key_resource,
     stream_cipher_demo,
 )
-from composec.stoch import Alphabet, compose, identity, kernel_equal, make_kernel, point, tensor, uniform
+from composec import hopf, stoch
+from composec.stoch import (
+    Alphabet,
+    compose,
+    compose_after_tensor,
+    copy_map,
+    identity,
+    kernel_equal,
+    make_kernel,
+    permute_axes,
+    point,
+    tensor,
+    uniform,
+)
+from tests.helpers import eager_hopf_axiom_suite
 
 F = Fraction
 
@@ -97,6 +111,64 @@ def test_hopf_axioms_fail_for_loop():
     assert "H1 associativity" in rep.failed()
     # the integral axiom only needs the Latin square property
     assert "H7 integral" not in rep.failed()
+
+
+def _suite_groups():
+    """Z1..Z12, S3 and the order-5 loop."""
+    return [group_make(("cyclic", n)) for n in range(1, 13)] + [group_make("symmetric3"), loop_make(LOOP5, "q5")]
+
+
+def test_hopf_axiom_suite_equals_the_eager_suite():
+    for g in _suite_groups():
+        assert hopf_axiom_suite(g) == eager_hopf_axiom_suite(g), g.name
+    # the loop's failing associativity, the same both ways
+    assert eager_hopf_axiom_suite(loop_make(LOOP5, "q5")).failed() == ("H1 associativity",)
+
+
+def test_compose_after_tensor_equals_compose_of_tensor_on_group_kernels():
+    for g in _suite_groups():
+        k = group_kernels(g)
+        kernels = [k[n] for n in ("mult", "inv", "unit", "copy", "delete", "uniform")] + [identity([k["alphabet"]])]
+        pairs = 0
+        for f1 in kernels:
+            for f2 in kernels:
+                for h in kernels:
+                    if h.dom == f1.cod + f2.cod:
+                        assert compose_after_tensor(h, f1, f2) == compose(h, tensor(f1, f2)), g.name
+                        pairs += 1
+        assert pairs == 69
+
+
+def test_the_copy_of_a_pair_is_the_pair_of_copies_with_the_middle_swapped():
+    for n in range(1, 9):
+        a = group_alphabet(group_make(("cyclic", n)))
+        cpy = copy_map([a])
+        assert copy_map([a, a]) == permute_axes(tensor(cpy, cpy), [0, 1], [0, 2, 1, 3])
+
+
+def test_the_suite_builds_tensor_columns_only_where_compose_tensor_reaches(monkeypatch):
+    # H1, H2 and H7 compose through their tensor products, and H5 copies
+    # the pair at once: on Z6 no tensor column is built outside
+    # compose_tensor, where eager H1 alone would build 2 * 6**3
+    built = {"inside": 0, "outside": 0}
+    lazy_calls = []
+    column, lazy = stoch._tensor_column, hopf.compose_tensor
+
+    def counted_column(*args):
+        built["inside" if lazy_calls else "outside"] += 1
+        return column(*args)
+
+    def counted_lazy(*args):
+        lazy_calls.append(args)
+        try:
+            return lazy(*args)
+        finally:
+            lazy_calls.pop()
+
+    monkeypatch.setattr(stoch, "_tensor_column", counted_column)
+    monkeypatch.setattr(hopf, "compose_tensor", counted_lazy)
+    assert hopf_axiom_suite(group_make(("cyclic", 6))).all_pass
+    assert built["outside"] == 0 and built["inside"] > 0
 
 
 def test_uniform_over_z4():

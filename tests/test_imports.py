@@ -162,13 +162,20 @@ def _unreached(trees: dict[str, ast.Module]) -> list[str]:
     `cli.main`, and "module.Class.method" for every method outside it: a
     reached definition reaches every top-level name, in any module, that it
     uses as a name, every top-level name of a module that it reads as an
-    attribute of that module bound by an import (`lpmod.verify`), and every
-    method of a reached class that reached code uses as an attribute.  A
-    class's dunder methods are part of its body."""
+    attribute of that module bound by an import (`lpmod.verify`), the name
+    an import alias binds (`kernel_tensor` for `from .stoch import tensor as
+    kernel_tensor`), and every method of a reached class that reached code
+    uses as an attribute.  A class's dunder methods are part of its body."""
     defined: dict[str, list[tuple[str, ast.AST]]] = {}
     # per module, each name an import binds to a module of the package
     bound = {
         module: {b: name for b, name, source, _line in _imports(tree) if source in (".", "composec") and name in trees}
+        for module, tree in trees.items()
+    }
+    # per module, each alias an import binds to a name of a module of the
+    # package, and that (module, name)
+    aliased = {
+        module: {b: (source[1:], name) for b, name, source, _line in _imports(tree) if b != name and source[1:] in trees}
         for module, tree in trees.items()
     }
     for module, tree in trees.items():
@@ -185,6 +192,8 @@ def _unreached(trees: dict[str, ast.Module]) -> list[str]:
             for sub in (sub for m, node in defined[name] if m == module for sub in _body(node)):
                 if isinstance(sub, ast.Name):
                     todo.extend((m, sub.id) for m, _n in defined.get(sub.id, ()))
+                    if sub.id in aliased[module]:
+                        todo.append(aliased[module][sub.id])
                 elif isinstance(sub, ast.Attribute):
                     attrs.add(sub.attr)
                     source = bound[module].get(getattr(sub.value, "id", None))
@@ -375,6 +384,11 @@ def test_the_checks_see_an_unused_and_a_private_import():
     trees["cli"].body += ast.parse("def main():\n    return comb._stub(k.stub, k.matrix, lp.a, lp.b, 'x'.split(','))\n").body
     assert _unreached(trees) == ["comb._stub", "comb.flatten", "nogo.split"]
     trees["cli"].body += ast.parse("from . import comb, nogo as mediators\ndef main():\n    return mediators.split\n").body
+    assert _unreached(trees) == []
+    # an import alias reaches the name it binds
+    trees["stoch"].body += ast.parse("def _by_alias():\n    pass\n").body
+    assert _unreached(trees) == ["stoch._by_alias"]
+    trees["cli"].body += ast.parse("from .stoch import _by_alias as aliased\ndef main():\n    return aliased\n").body
     assert _unreached(trees) == []
     assert FLOOR == (3, 10)
     assert _above_floor("try:\n    pass\nexcept ValueError:\n    pass\n") == []

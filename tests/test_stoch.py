@@ -16,6 +16,7 @@ from composec.stoch import (
     Alphabet,
     channel_distance,
     compose,
+    compose_after_tensor,
     compose_tensor,
     copy_map,
     delete,
@@ -392,6 +393,27 @@ def test_compose_tensor_equals_compose_of_tensor():
         g2 = helpers.random_kernel(rng, d2, c2)
         f = (_random_deterministic if trial % 2 == 0 else helpers.random_kernel)(rng, e, d1 + d2)
         assert compose_tensor(g1, g2, f) == compose(tensor(g1, g2), f)
+
+
+def test_compose_after_tensor_equals_compose_of_tensor():
+    rng = random.Random(8081)
+    alphabets = [stoch.UNIT, BIT, TRIT]
+    for trial in range(120):
+        d1, c1, d2, c2 = ([rng.choice(alphabets) for _ in range(rng.randint(0, 2))] for _ in range(4))
+        e = [rng.choice(alphabets) for _ in range(rng.randint(0, 2))]
+        # deterministic factors take g's columns, random ones (with zero
+        # and non-1 entries) add products, and mixed pairs do both
+        f1 = (_random_deterministic if trial % 2 == 0 else helpers.random_kernel)(rng, d1, c1)
+        f2 = (_random_deterministic if trial % 3 == 0 else helpers.random_kernel)(rng, d2, c2)
+        g = (_random_deterministic if trial % 5 == 0 else helpers.random_kernel)(rng, c1 + c2, e)
+        assert compose_after_tensor(g, f1, f2) == compose(g, tensor(f1, f2))
+
+
+def test_compose_after_tensor_interface_mismatch():
+    with pytest.raises(InterfaceMismatch):
+        compose_after_tensor(identity([BIT, TRIT]), identity([TRIT]), identity([BIT]))
+    with pytest.raises(InterfaceMismatch):
+        compose_after_tensor(identity([BIT]), identity([BIT]), identity([BIT]))
 
 
 def test_compose_tensor_builds_only_reached_columns(monkeypatch):
