@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from composec import hopf, stoch
 from composec.errors import ComposecError, InterfaceMismatch, NoIdentity, NotAssociative, NotLatinSquare
 from composec.hopf import (
     auth_channel,
@@ -18,7 +19,6 @@ from composec.hopf import (
     short_key_resource,
     stream_cipher_demo,
 )
-from composec import hopf, stoch
 from composec.stoch import (
     Alphabet,
     compose,
