@@ -282,10 +282,8 @@ def _compose_columns(gcols, fcols: Sequence[Column]) -> tuple[Column, ...]:
     """The columns of g after f, given g's columns by index in `gcols`."""
     cols = []
     for fcol in fcols:
-        if len(fcol) == 1 and fcol[0][1] == 1:  # deterministic column: g's column
-            cols.append(gcols[fcol[0][0]])
-        else:
-            cols.append(_mix_column(gcols, fcol))
+        i = _unit_row(fcol)
+        cols.append(_mix_column(gcols, fcol) if i is None else gcols[i])
     return tuple(cols)
 
 

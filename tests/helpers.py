@@ -1,14 +1,14 @@
 """Shared randomized generators for the test suite (seeded, deterministic),
 small constructors that only tests use, and the slow, plain implementations
-that serve as test oracles: exhaustive
-strategy enumeration for the adaptive distinguisher, dense kernel algebra,
-the Hopf axiom suite with its tensor products built in full, a dense simplex, network simulation on scalar weights, tables put in
-another port order after they are built (`permute_to`, `align_to` and
-`observationally_equal`), the match rows written cell by cell over dense
-forms, the tripartite no-go program written out row by row, and the linker
-of nodes onto a view, which replays the J parties' converters (the dummy
-factorization) and links random attacks onto the real and the simulated
-view."""
+that serve as test oracles: exhaustive strategy enumeration for the
+adaptive distinguisher, dense kernel algebra, the Hopf axiom suite with its
+tensor products built in full, a dense simplex, network simulation on
+scalar weights, tables put in another port order after they are built
+(`permute_to`, `align_to` and `observationally_equal`), the match rows
+written cell by cell over dense forms, the tripartite no-go program written
+out row by row, and the linker of nodes onto a view, which replays the J
+parties' converters (the dummy factorization) and links random attacks onto
+the real and the simulated view."""
 
 import itertools
 from fractions import Fraction

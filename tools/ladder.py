@@ -1,19 +1,19 @@
-"""Run the scaling ladder rows, each in a fresh process, and print each
-row's wall time and max RSS.
+"""Run the scaling ladder rows on two checkouts, each row in a fresh
+process, and print each run's wall time and max RSS.
 
-    python3 tools/ladder.py [--src DIR] [--rows hopf96,otp128] [--repeat N]
+    python3 tools/ladder.py --parent DIR --change DIR
 
 The rows are `hopf_axiom_suite` over Z64, Z96 and Z128 (`hopf64`,
 `hopf96`, `hopf128`) and the secure `check otp` over Z128 and Z256
 (`otp128`, `otp256`), the latter through `cli.run(no_meta=True)` on a
-one-check spec, as `composec otp --group 'cyclic N'` runs it.  `--src`
-names the `src` directory to import `composec` from (by default this
-checkout's), so two exports can be measured with the same script.  The
-wall time covers the call alone, not the interpreter's start or the
-imports; the max RSS is the child's `getrusage` peak, so it includes the
-interpreter and the imports.  Each row runs `--repeat` times, one process
-after another.  It lives outside `bench/` so that running it never changes
-the benchmark.
+one-check spec, as `composec otp --group 'cyclic N'` runs it.  Each side
+imports `composec` from its own `DIR/src`.  The script makes three passes
+over all rows on each side; the parent runs first in odd-numbered passes
+and the change first in even ones, and each side's range over its three
+processes closes the output.  The wall time covers the call alone, not
+the interpreter's start or the imports; the max RSS is the child's
+`getrusage` peak, so it includes the interpreter and the imports.  It
+lives outside `bench/` so that running it never changes the benchmark.
 """
 
 from __future__ import annotations
@@ -23,6 +23,8 @@ import json
 import os
 import subprocess
 import sys
+
+PASSES = 3
 
 HOPF = """
 from composec.hopf import group_make, hopf_axiom_suite
@@ -58,27 +60,39 @@ ROWS = {
 }
 
 
-def run_row(src: str, row: str) -> dict:
-    env = dict(os.environ, PYTHONPATH=src)
+def run_row(checkout: str, row: str) -> dict:
+    env = dict(os.environ, PYTHONPATH=os.path.join(checkout, "src"))
     code = CHILD.format(body=ROWS[row])
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
+def span(values: list[float], fmt: str) -> str:
+    low, high = format(min(values), fmt), format(max(values), fmt)
+    return low if low == high else f"{low}–{high}"
+
+
 def main() -> int:
-    here = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--src", default=os.path.join(here, "src"))
-    ap.add_argument("--rows", default=",".join(ROWS))
-    ap.add_argument("--repeat", type=int, default=1)
+    ap.add_argument("--parent", required=True)
+    ap.add_argument("--change", required=True)
     args = ap.parse_args()
-    rows = args.rows.split(",")
-    if unknown := [row for row in rows if row not in ROWS]:
-        ap.error(f"unknown rows {unknown}; choose from {', '.join(ROWS)}")
-    for row in rows:
-        for _ in range(args.repeat):
-            r = run_row(os.path.abspath(args.src), row)
-            print(f"{row:8} {r['seconds']:8.3f} s {r['max_rss_mb']:8.1f} MB  {r['result']}", flush=True)
+    sides = {"parent": os.path.abspath(args.parent), "change": os.path.abspath(args.change)}
+    runs: dict[tuple[str, str], list[dict]] = {(side, row): [] for side in sides for row in ROWS}
+    for k in range(1, PASSES + 1):
+        order = ["parent", "change"] if k % 2 else ["change", "parent"]
+        for side in order:
+            for row in ROWS:
+                r = run_row(sides[side], row)
+                runs[side, row].append(r)
+                print(f"{k} {side:6} {row:8} {r['seconds']:8.3f} s {r['max_rss_mb']:8.1f} MB  {r['result']}", flush=True)
+    for row in ROWS:
+        for side in sides:
+            rs = runs[side, row]
+            seconds = span([r["seconds"] for r in rs], ".2f")
+            rss = span([r["max_rss_mb"] for r in rs], ".0f")
+            results = ", ".join(sorted({r["result"] for r in rs}))
+            print(f"{row:8} {side:6} {seconds} s / {rss} MB  {results}")
     return 0
 
 
