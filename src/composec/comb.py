@@ -40,6 +40,7 @@ rows use.  This module alone knows the moment order of ports
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Callable, Iterator, Optional, Sequence, Union
 
 from .errors import (
@@ -438,22 +439,24 @@ def behavior_distance(a: Behavior, b: Behavior) -> Scalar:
     Backward induction over the decision tree: a node's value is the best
     input choice's sum of its children's values, a leaf's value is
     |a[y|x] - b[y|x]|, and the advantage is half the root's value.  This is
-    linear in the table size; equal tables are at distance 0 at once."""
+    linear in the table size; equal tables are at distance 0 at once.  It
+    adds integer numerators over both tables' lcm and divides at the root."""
     if a.signature != b.signature:
         raise SignatureMismatch("behaviors have different signatures")
     if a.kernel.cols == b.kernel.cols:
         return ZERO
     steps = decision_rounds(a.signature)
-    ca = [dict(col) for col in a.kernel.cols]
-    cb = [dict(col) for col in b.kernel.cols]
+    cols = (a.kernel.cols, b.kernel.cols)
+    den = lcm(*{p.denominator for table in cols for col in table for _, p in col})
+    ca, cb = ([{i: p.numerator * (den // p.denominator) for i, p in col} for col in table] for table in cols)
 
-    def value(r: int, j: int, i: int) -> Scalar:
+    def value(r: int, j: int, i: int) -> int:
         if r == len(steps):
-            return abs(ca[j].get(i, ZERO) - cb[j].get(i, ZERO))
+            return abs(ca[j].get(i, 0) - cb[j].get(i, 0))
         xs, ys = steps[r]
         return max(sum(value(r + 1, j + dj, i + di) for di in ys) for dj in xs)
 
-    return value(0, 0, 0) / 2
+    return Fraction(value(0, 0, 0), 2 * den)
 
 
 # ---------------------------------------------------------------------------

@@ -341,6 +341,7 @@ def solve_comb(
         add_advantage_objective(bld, aligned, target)
     else:
         add_match_rows(bld, aligned, target)
+    del aligned  # freed before fill evaluates its network, which sets the peak
     prog, out = solve_checked(bld, what)
     if isinstance(out, Infeasible):
         if minimize:  # every stochastic causal table is a feasible point

@@ -39,14 +39,16 @@ Zero cells are never stored, a pivot combines two rows over the union of
 their supports, and a gcd reduction runs only when a row's denominator
 grows.  The ratio test compares rhs_i / N_i[enter] by cross-multiplication,
 since the row denominators cancel, and its scan also finds the rows the
-pivot changes.  Every pivot is exact, so a Feasible/Optimal
-point satisfies the constraints exactly and an Infeasible outcome carries a
-Farkas certificate y with  yT A <= 0  and  yT b > 0, checkable without
-trusting the solver.
+pivot changes.  A row with a column +-1 that no other row reads, as an
+`add_ge` slack, reads its artificial column through it.  Every pivot is
+exact, so a Feasible/Optimal point satisfies the constraints exactly and an
+Infeasible outcome carries a Farkas certificate y with  yT A <= 0  and
+yT b > 0, checkable without trusting the solver.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
@@ -185,13 +187,23 @@ class _ExactSimplex:
     denominator.  A row is reduced by its gcd only when a pivot grows its
     denominator, so it need not be in lowest terms; nothing read from it
     depends on that.  Every cell equals the `Fraction` a dense tableau would
-    hold, so Bland's rule makes the same pivots."""
+    hold, so Bland's rule makes the same pivots.
+
+    Row i with a column j of coefficient +-1 that no other row has stores no
+    artificial column n + i: `mirror[n + i] = (j, sigma)`, sigma being j's
+    sign after the flip.  Row operations keep column n + i equal to sigma
+    times column j, so Bland's choice, the ratio scan, the pivot entry and
+    the Farkas vector read it through j (its phase-1 reduced cost is
+    obj_den + sigma * obj[j]), and every gcd, integer and pivot stays that
+    of a tableau that stores it."""
 
     def __init__(self, pairs, rhs, n):
         self.n = n
         self.signs = []
         self.rows = []
         self.dens = []
+        self.mirror = {}
+        uses = Counter(j for row in pairs for j, _ in row)
         for i, (row, bi) in enumerate(zip(pairs, rhs)):
             # Flip rows so the right-hand side is nonnegative; remember signs
             # to map Farkas certificates back.
@@ -200,7 +212,11 @@ class _ExactSimplex:
             nums = {j: sign * v.numerator * (den // v.denominator) for j, v in row}
             if bi:
                 nums[_RHS] = sign * bi.numerator * (den // bi.denominator)
-            nums[n + i] = den  # artificial column, cell 1
+            j = next((j for j, _ in row if uses[j] == 1 and abs(nums[j]) == den), -1)
+            if j < 0:
+                nums[n + i] = den  # artificial column, cell 1
+            else:
+                self.mirror[n + i] = (j, nums[j] // den)
             self.signs.append(sign)
             self.rows.append(nums)
             self.dens.append(den)
@@ -224,11 +240,19 @@ class _ExactSimplex:
                     del obj[k]
         self.obj, self.obj_den = obj, _reduce(obj, den)
 
+    def _cost(self, k):
+        """The objective row's numerator in column k, mirrored or not."""
+        if k in self.mirror:
+            j, s = self.mirror[k]
+            return self.obj_den + s * self.obj.get(j, 0)
+        return self.obj.get(k, 0)
+
     def _pivot(self, r, col, hits):
         """Pivot on row r, column col; `hits` lists (i, row, entry) for every
         row with a nonzero entry in col, row r included."""
         prow = self.rows[r]
-        p = prow[col]
+        key, s = self.mirror.get(col, (col, 1))
+        p = s * prow[key]
         if p < 0:
             for k in prow:
                 prow[k] = -prow[k]
@@ -244,7 +268,7 @@ class _ExactSimplex:
             if i != r:
                 dens[i] = _eliminate(row, dens[i], f, prow, p)
         if self.obj is not None:
-            f = self.obj.get(col)
+            f = self._cost(col)
             if f:
                 self.obj_den = _eliminate(self.obj, self.obj_den, f, prow, p)
         self.basis[r] = col
@@ -256,16 +280,21 @@ class _ExactSimplex:
         smallest basis variable.  The ratio test's scan also collects the
         rows the pivot eliminates.  Raises when a column enters with no row
         to leave: the objective is then unbounded below."""
-        rows, basis = self.rows, self.basis
+        rows, basis, mirror = self.rows, self.basis, self.mirror
         while True:
             enter = min([k for k, v in self.obj.items() if v < 0 and k != _RHS], default=-1)
+            if not 0 <= enter < self.n:
+                # no structural column is negative: a mirrored artificial may be first
+                enter = next((a for a in mirror if (enter < 0 or a < enter) and self._cost(a) < 0), enter)
             if enter < 0:
                 return
+            key, s = mirror.get(enter, (enter, 1))
             hits = []
             leave, best_rhs, best_piv = -1, 0, 1
             for i, row in enumerate(rows):
-                piv = row.get(enter)
+                piv = row.get(key)
                 if piv:
+                    piv *= s
                     hits.append((i, row, piv))
                     if piv > 0:
                         b = row.get(_RHS, 0)
@@ -280,11 +309,13 @@ class _ExactSimplex:
         """None when the rows are feasible, else a Farkas vector y for them."""
         n, m = self.n, len(self.rows)
         self._set_objective({n + i: 1 for i in range(m)})
+        for a in self.mirror:  # kept at its cost, as no row stores it
+            del self.obj[a]
         self._iterate()
         # the phase-1 value is minus the objective row's right-hand side
         if self.obj.get(_RHS):
-            obj, den = self.obj, self.obj_den
-            return [Fraction(s * (den - obj.get(n + i, 0)), den) for i, s in enumerate(self.signs)]
+            den = self.obj_den
+            return [Fraction(s * (den - self._cost(n + i)), den) for i, s in enumerate(self.signs)]
         # Drive artificial variables out of the basis; drop redundant rows.
         self.obj = None
         r = 0
@@ -300,6 +331,7 @@ class _ExactSimplex:
                 r += 1
         # Drop artificial columns.
         self.rows = [{k: v for k, v in row.items() if k < n} for row in self.rows]
+        self.mirror = {}
         return None
 
     def point(self):

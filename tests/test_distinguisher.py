@@ -8,6 +8,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from math import lcm
 from pathlib import Path
 
 import pytest
@@ -82,6 +83,22 @@ def test_backward_induction_matches_enumeration():
         assert behavior_distance(a, b) == enumerated_distance(a, b)
         assert behavior_distance(a, a) == 0
     assert wide_rounds and unit_ports
+
+
+def test_distance_on_integers_matches_enumeration_over_mixed_denominators():
+    """`behavior_distance` runs on integer numerators over the lcm of both
+    tables' denominators and divides once, at the root: on seeded pairs whose
+    two tables hold different denominators, with an lcm above each of them,
+    it is the enumerated maximum as a `Fraction`, in either order."""
+    rng = random.Random(3301)
+    mixed = 0
+    for _ in range(30):
+        a, b = _pair(rng, ("p",), 2, [BIT, TRIT])
+        dens = [{v.denominator for col in x.kernel.cols for _, v in col} for x in (a, b)]
+        mixed += dens[0] != dens[1] and lcm(*dens[0], *dens[1]) > max(*dens[0], *dens[1])
+        d = behavior_distance(a, b)
+        assert type(d) is Fraction and d == enumerated_distance(a, b) == behavior_distance(b, a)
+    assert mixed >= 20, mixed
 
 
 def _satisfies_causality_rows(b: Behavior) -> bool:

@@ -455,6 +455,41 @@ def _oracle_program(rng):
     return lp(n, [a[i] for i in order], [b[i] for i in order], c=c), redundant
 
 
+# Programs drawn by `_mirrored_program` in each of the two oracle tests.
+MIRRORED_PROGRAMS = 600
+
+
+def _mirrored_program(rng):
+    """Small program whose rows mostly hold a column of coefficient +-1 that
+    no other row reads, so phase 1 reads the row's artificial column through
+    it: a slack from `add_ge` or an explicit singleton column of either sign,
+    with right-hand sides of both signs.  Half of them are nonnegative: a
+    row with b_i >= 0 and a column -1 is one whose artificial column can
+    enter again after it has left."""
+    bld = LpBuilder()
+    x = bld.new_vars(rng.randint(1, 6))
+    for _ in range(rng.randint(1, 8)):
+        coeffs = {j: _q(rng) for j in x if rng.random() < 0.6}
+        rhs = _q(rng)
+        if rng.random() < 0.5:
+            rhs = abs(rhs)
+        kind = rng.random()
+        if kind < 0.5:
+            bld.add_ge(coeffs, rhs)
+        else:
+            if kind < 0.9:
+                coeffs[bld.new_vars(1)[0]] = F(rng.choice([1, -1]))
+            bld.add_eq(coeffs, rhs)
+    bld.set_objective({j: _q(rng) for j in range(bld.n)})
+    return bld.build()
+
+
+def _mirrored_rows(prog):
+    """How many kept rows of `prog` have no stored artificial column."""
+    pre = lpmod._preprocess(prog.rows, prog.m)
+    return 0 if isinstance(pre, Infeasible) else len(lpmod._ExactSimplex(pre[0], pre[1], prog.n).mirror)
+
+
 def _entries(out):
     if isinstance(out, Optimal):
         return (*out.point, out.value)
@@ -463,41 +498,62 @@ def _entries(out):
     return out.cert.y
 
 
+def _match_oracle(prog, kinds):
+    """Solve for a feasible point and for a minimum, each against the dense
+    oracle; counts each outcome's kind and returns the minimum's."""
+    for solve, oracle in ((solve_feasible, dense_solve_feasible), (minimize, dense_minimize)):
+        out, ref = outcome(solve, prog), outcome(oracle, prog)
+        kind = out if out == "unbounded" else type(out).__name__
+        kinds[kind] = kinds.get(kind, 0) + 1
+        if out == "unbounded":
+            assert ref == "unbounded", prog
+            continue
+        assert type(out) is type(ref), prog
+        assert _entries(out) == _entries(ref), prog
+        assert all(type(v) is Fraction for v in _entries(out)), out
+        assert verify(out, prog)
+    return out
+
+
 def test_sparse_simplex_matches_dense_oracle():
     """The integer-row solver makes the dense Fraction tableau's pivots, so
     every outcome and every entry is the same, and both refuse the same
-    unbounded programs."""
+    unbounded programs; also when rows read their artificial column through
+    a +-1 column of their own, and phase 1 ends Infeasible with such rows."""
     rng = random.Random(2024)
     kinds = {}
     redundant_feasible = 0
     for _ in range(200):
         prog, redundant = _oracle_program(rng)
-        for solve, oracle in ((solve_feasible, dense_solve_feasible), (minimize, dense_minimize)):
-            out, ref = outcome(solve, prog), outcome(oracle, prog)
-            kind = out if out == "unbounded" else type(out).__name__
-            kinds[kind] = kinds.get(kind, 0) + 1
-            if out == "unbounded":
-                assert ref == "unbounded", prog
-                continue
-            assert type(out) is type(ref), prog
-            assert _entries(out) == _entries(ref), prog
-            assert all(type(v) is Fraction for v in _entries(out)), out
-            assert verify(out, prog)
+        out = _match_oracle(prog, kinds)
         redundant_feasible += redundant and isinstance(out, Optimal)
     assert min(kinds[k] for k in ("Feasible", "Infeasible", "Optimal", "unbounded")) >= 20, kinds
     assert redundant_feasible >= 10
+    rng = random.Random(2033)
+    kinds = {}
+    mirrored = infeasible = 0
+    for _ in range(MIRRORED_PROGRAMS):
+        prog = _mirrored_program(rng)
+        rows = _mirrored_rows(prog)
+        out = _match_oracle(prog, kinds)
+        mirrored += rows
+        infeasible += rows > 0 and isinstance(out, Infeasible)
+    assert min(kinds[k] for k in ("Feasible", "Infeasible", "Optimal", "unbounded")) >= 40, kinds
+    assert mirrored >= 2000 and infeasible >= 300, (mirrored, infeasible)
 
 
 def _log_pivots(monkeypatch):
     """Record the (leaving basic variable, entering column) pair of every
     pivot of the integer-row solver and of the dense oracle, and count the
-    eliminations that ran no gcd reduction."""
-    log = {"exact": [], "dense": [], "eliminations": 0, "skipped": 0, "reductions": 0}
+    eliminations that ran no gcd reduction and the pivots that enter a
+    mirrored artificial column, one read through a +-1 column of its row."""
+    log = {"exact": [], "dense": [], "eliminations": 0, "skipped": 0, "reductions": 0, "reentries": 0}
     pivot, dense_pivot = lpmod._ExactSimplex._pivot, DenseSimplex._pivot
     eliminate, reduce = lpmod._eliminate, lpmod._reduce
 
     def exact(self, r, col, hits):
         log["exact"].append((self.basis[r], col))
+        log["reentries"] += col in self.mirror
         pivot(self, r, col, hits)
 
     def dense(self, obj, r, col):
@@ -538,7 +594,9 @@ def test_same_pivots_as_the_dense_oracle(monkeypatch):
     """Each pivot of the integer-row solver leaves and enters where the
     dense `Fraction` tableau does, on the oracle programs and on every
     program of an `adaptive` pass, while most eliminations skip the gcd
-    reduction because their row's denominator does not grow."""
+    reduction because their row's denominator does not grow.  Programs of
+    rows with a +-1 column of their own enter such a row's artificial
+    column, read through that column, again after it has left."""
     built = []
     build = LpBuilder.build
 
@@ -554,4 +612,28 @@ def test_same_pivots_as_the_dense_oracle(monkeypatch):
     oracle_pivots = sum(_assert_same_pivots(_oracle_program(rng)[0], log) for _ in range(200))
     adaptive_pivots = sum(_assert_same_pivots(prog, log) for prog in built)
     assert oracle_pivots >= 200 and adaptive_pivots >= 200, (oracle_pivots, adaptive_pivots)
+    rng = random.Random(2033)
+    mirrored_pivots = sum(_assert_same_pivots(_mirrored_program(rng), log) for _ in range(MIRRORED_PROGRAMS))
+    assert mirrored_pivots >= 1500 and log["reentries"] >= 10, (mirrored_pivots, log["reentries"])
     assert 0 < log["skipped"] < log["eliminations"], log
+
+
+def test_a_stored_artificial_enters_before_a_later_mirrored_one(monkeypatch):
+    """Rows 2 and 3 read their artificial columns 10 and 11 through their -1
+    columns 6 and 7.  After three pivots no structural column is negative,
+    while the stored artificial 9 and the mirrored 11 both are: Bland's rule
+    enters 9, the smaller, as the dense tableau does."""
+    a = [
+        [F(3, 5), F(1, 6), 1, 2, 2, 0, 0, 0],
+        [0, F(3, 2), 0, F(1, 3), 0, 0, 0, 0],
+        [F(-1, 3), F(-1, 3), 1, 0, F(-4, 5), -1, -1, 0],
+        [F(1, 2), -2, F(-1, 2), 0, F(-3, 5), F(1, 2), 0, -1],
+    ]
+    prog = lp(8, a, [4, 1, F(2, 3), F(1, 3)])
+    pairs, rhs, _ = lpmod._preprocess(prog.rows, prog.m)
+    assert lpmod._ExactSimplex(pairs, rhs, prog.n).mirror == {10: (6, -1), 11: (7, -1)}
+    log = _log_pivots(monkeypatch)
+    assert _assert_same_pivots(prog, log) == 4
+    assert log["exact"] == [(11, 0), (9, 1), (8, 2), (10, 9)]
+    out = solve_feasible(prog)
+    assert isinstance(out, Infeasible) and verify(out, prog)

@@ -4,16 +4,19 @@ process, and print each run's wall time and max RSS.
     python3 tools/ladder.py --parent DIR --change DIR
 
 The rows are `hopf_axiom_suite` over Z64, Z96 and Z128 (`hopf64`,
-`hopf96`, `hopf128`) and the secure `check otp` over Z128 and Z256
+`hopf96`, `hopf128`), the secure `check otp` over Z128 and Z256
 (`otp128`, `otp256`), the latter through `cli.run(no_meta=True)` on a
-one-check spec, as `composec otp --group 'cyclic N'` runs it.  Each side
-imports `composec` from its own `DIR/src`.  The script makes three passes
-over all rows on each side; the parent runs first in odd-numbered passes
-and the change first in even ones, and each side's range over its three
-processes closes the output.  The wall time covers the call alone, not
-the interpreter's start or the imports; the max RSS is the child's
-`getrusage` peak, so it includes the interpreter and the imports.  It
-lives outside `bench/` so that running it never changes the benchmark.
+one-check spec, as `composec otp --group 'cyclic N'` runs it, and
+`min_epsilon` for Eve over Z5 and Z8 (`eps5`, `eps8`), the key 0 at
+probability 1/2 and the others uniform, whose time is mostly the exact
+simplex in `lp`.  Each side imports `composec` from its own `DIR/src`.
+The script makes three passes over all rows on each side; the parent
+runs first in odd-numbered passes and the change first in even ones, and
+each side's range over its three processes closes the output.  The wall
+time covers the call alone, not the interpreter's start or the imports;
+the max RSS is the child's `getrusage` peak, so it includes the
+interpreter and the imports.  It lives outside `bench/` so that running
+it never changes the benchmark.
 """
 
 from __future__ import annotations
@@ -44,6 +47,18 @@ seconds = time.perf_counter() - start
 result = "secure" if outcome.exit_code == 0 else "exit " + str(outcome.exit_code)
 """
 
+EPS = """
+from fractions import Fraction
+from composec.attacks import min_epsilon
+from composec.hopf import build_otp, group_make
+key = (Fraction(1, 2),) + (Fraction(1, 2 * ({n} - 1)),) * ({n} - 1)
+inst = build_otp(group_make(("cyclic", {n})), key)
+start = time.perf_counter()
+report = min_epsilon(inst.protocol, inst.source, inst.target, ("eve",))
+seconds = time.perf_counter() - start
+result = "epsilon " + str(report.epsilon)
+"""
+
 CHILD = """
 import json, resource, time
 {body}
@@ -57,6 +72,8 @@ ROWS = {
     "hopf128": HOPF.format(n=128),
     "otp128": OTP.format(n=128),
     "otp256": OTP.format(n=256),
+    "eps5": EPS.format(n=5),
+    "eps8": EPS.format(n=8),
 }
 
 
