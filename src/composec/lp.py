@@ -193,9 +193,9 @@ class _ExactSimplex:
     artificial column n + i: `mirror[n + i] = (j, sigma)`, sigma being j's
     sign after the flip.  Row operations keep column n + i equal to sigma
     times column j, so Bland's choice, the ratio scan, the pivot entry and
-    the Farkas vector read it through j (its phase-1 reduced cost is
-    obj_den + sigma * obj[j]), and every gcd, integer and pivot stays that
-    of a tableau that stores it."""
+    the Farkas vector read it through j (phase-1 reduced cost obj_den +
+    sigma * obj[j]); being integer combinations of stored cells, its cells
+    change no gcd, stored integer or pivot."""
 
     def __init__(self, pairs, rhs, n):
         self.n = n
@@ -309,7 +309,7 @@ class _ExactSimplex:
         """None when the rows are feasible, else a Farkas vector y for them."""
         n, m = self.n, len(self.rows)
         self._set_objective({n + i: 1 for i in range(m)})
-        for a in self.mirror:  # kept at its cost, as no row stores it
+        for a in self.mirror:  # no row cancels its cost; `_cost` reads it through j
             del self.obj[a]
         self._iterate()
         # the phase-1 value is minus the objective row's right-hand side
