@@ -26,6 +26,11 @@ number in a report is an exact rational written `p/q`):
     check lift GROUP [expect pass]
     check stream GROUP expander KERNEL [expect_at_most VALUE]
 
+`check broadcast` records `oracle_contradiction` from the one-sided
+`nogo.broadcast_contradiction_oracle`: a contradiction proves the program
+infeasible and none proves nothing, so `methods_agree` is false, and the
+check fails, only on a contradiction with a feasible program.
+
 `attacks N` records `attacks_checked` N on a `secure` verdict and 0 on an
 insecure one.  The dummy attack is initial, and `hopf.otp_security` says
 `secure` only when the supplied simulator's ideal view equals the real view
@@ -526,7 +531,7 @@ def run_check(env: Env, line: int, tokens: tuple[str, ...]) -> dict:
         oracle = broadcast_contradiction_oracle(r)
         measured = entry["verdict"] = "feasible" if verdict.feasible else "infeasible"
         entry["oracle_contradiction"] = oracle.contradiction
-        ok = entry["methods_agree"] = (not verdict.feasible) == oracle.contradiction
+        ok = entry["methods_agree"] = not (oracle.contradiction and verdict.feasible)
         _certify(entry, verdict.cert)
     elif kind == "axioms":
         rep = hopf_axiom_suite(env.get("group", last("a group name"), line))

@@ -1,16 +1,17 @@
 """Linear programs over the table of an unknown comb.
 
-Simulator search (`attacks`) and mediator search (`nogo`) both ask about a
-network with one symbolic comb: `Network.linear_evaluate` gives every
-transcript probability as a linear form in the comb's table, and the comb's
-table must be stochastic and causal (`causality_rows`, the rule of
-`comb.causal_rounds` as equations).  Equating the forms with a target
-behaviour is a feasibility problem; minimizing the adaptive distinguisher's
-advantage against the target is a minimization.  `solve_comb` is the one
-path for both: it builds the program, solves it, reads the table back and
-substitutes it into the network (`fill`).  The comb's `CombShape` (its
-signature, wires and schedule) comes from one `ShapeBuilder`, for the
-simulator (`attacks.derive_simulator_shape`) and the mediator
+Simulator search (`attacks`), mediator search and the tripartite check's
+single-cheater attacks (`nogo`) ask about networks with one symbolic comb:
+`Network.linear_evaluate` gives every transcript probability as a linear
+form in the comb's table, and the comb's table must be stochastic and
+causal (`causality_rows`, the rule of `comb.causal_rounds` as equations).
+Equating the forms with a target behaviour is a feasibility problem;
+minimizing the adaptive distinguisher's advantage against the target is a
+minimization.  `solve_comb` is the one path for both: it builds the
+program, solves it, reads the table back (`table_behavior`) and substitutes
+it into the network (`fill`).  The comb's `CombShape` (its signature, wires
+and schedule) comes from one `ShapeBuilder`, for the simulator
+(`attacks.derive_simulator_shape`) and the mediator
 (`nogo.mediator_problem`) alike.
 
 The advantage is encoded by backward induction over the distinguisher's

@@ -8,10 +8,12 @@ of infeasibility, and the quantitative version minimizes the distinguisher
 advantage between the functionality and its best split.
 
 Tripartite: a broadcast-like functionality realizable from pairwise
-channels admits a doubled-middle process that three single-cheater attacks
+channels admits a doubled-middle process D that three single-cheater attacks
 explain simultaneously; infeasibility of that linear system rules out
-broadcast.  An independent combinatorial oracle cross-checks the LP verdict
-on broadcast-shaped resources.
+broadcast.  Each attack is a `Network` of r and one symbolic simulator,
+whose `linear_evaluate` forms in D's signature give the rows.  The
+independent combinatorial oracle on broadcast-shaped resources is one-sided:
+a contradiction proves the system infeasible, and none proves nothing.
 
 Every program here is solved through `distinguisher.solve_checked`, which
 re-verifies each Farkas certificate.  `mediator_problem` says which copy's
@@ -21,15 +23,15 @@ and the split advantage go through `distinguisher.solve_comb` on that
 shape, which substitutes the mediator back and requires the split to be at
 exactly the program's value from r (0 for feasibility); that guards the
 encoding and the solver.  The tripartite split check re-checks its point
-with `lp.verify` against the program it solved, so it guards the solver;
-the oracle is what guards the tripartite encoding.
+with `lp.verify` against the program it solved, then substitutes each
+simulator's table into its network, which must evaluate to D; that guards
+the rows built from the forms and the solver.
 Every `NogoVerdict` keeps the program it was decided on, feasible or not.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
 from typing import Optional
 
 from . import lp as lpmod
@@ -37,25 +39,20 @@ from .comb import (
     IN,
     OUT,
     Behavior,
+    Network,
     PortSpec,
+    Signature,
+    behavior_equal,
     canonical,
     make_behavior,
     make_signature,
 )
-from .distinguisher import CombShape, ShapeBuilder, solve_checked, solve_comb, verify_or_raise
-from .errors import ShapeMismatch
+from .distinguisher import CombShape, ShapeBuilder, solve_checked, solve_comb, table_behavior, verify_or_raise
+from .errors import CompositeVerificationFailed, ShapeMismatch
 from .lp import FarkasCert, Infeasible, LpBuilder
 from .record import Record
 from .scalars import ONE, ZERO, Scalar
-from .stoch import (
-    Alphabet,
-    all_tuples,
-    make_kernel,
-    marginalize,
-    permute_axes,
-    ports_size,
-    tuple_index,
-)
+from .stoch import Alphabet, make_kernel, marginalize, ports_size, tuple_index
 
 BIT = Alphabet("bit", 2)
 GO = Alphabet("go", 1)
@@ -230,61 +227,53 @@ def product_uniform_resource() -> Behavior:
 
 
 def _tripartite_shape(r: Behavior):
-    """1-round, Bob input-only, Alice and Charlie output-only."""
+    """The roles of a one-round resource, in `r.signature.parties` order:
+    the one party with ports that are all inputs plays Bob, and the two
+    whose ports are all outputs play Alice, then Charlie.  Returns their
+    ports (Bob's, Alice's, Charlie's)."""
     sig = r.signature
     if sig.rounds != 1:
         raise ShapeMismatch("tripartite check supports single-round resources")
-    parties = {"alice", "bob", "charlie"}
-    if set(q.party for q in sig.ports) - parties:
-        raise ShapeMismatch("expected parties alice, bob, charlie")
-    b_in = [q for q in sig.ports if q.party == "bob"]
-    a_out = [q for q in sig.ports if q.party == "alice"]
-    c_out = [q for q in sig.ports if q.party == "charlie"]
-    if any(q.direction != IN for q in b_in) or not b_in:
-        raise ShapeMismatch("Bob's interface must be input-only")
-    if any(q.direction != OUT for q in a_out) or any(q.direction != OUT for q in c_out):
-        raise ShapeMismatch("Alice and Charlie must be output-only")
-    return b_in, a_out, c_out
+    ports = [ps for p in sig.parties if (ps := [q for q in sig.ports if q.party == p])]
+    ins = [ps for ps in ports if all(q.direction == IN for q in ps)]
+    outs = [ps for ps in ports if all(q.direction == OUT for q in ps)]
+    if len(ins) != 1 or len(outs) != 2 or len(ports) != 3:
+        raise ShapeMismatch("tripartite check needs one input-only party and two output-only parties")
+    return ins[0], outs[0], outs[1]
 
 
-def _r_entry_fn(r: Behavior):
-    """Probability of (alice index, charlie index) given Bob's input index,
-    independent of how the signature happens to interleave the out-ports."""
+def _doubled_middle(r: Behavior):
+    """D's signature and, by simulator name, each single-cheater network's
+    known node and shape.  D maps the left and right middle inputs to
+    Alice's and Charlie's outputs; r's Bob ports play the right input and
+    fresh ports the left.  When Alice cheats, r runs on the right input and
+    s_A maps r's Alice output and the left input to Alice's; when Bob
+    cheats, s_B maps both middle inputs to r's Bob input; Charlie mirrors
+    Alice, r running on the left input.  A simulator's outputs keep the ids
+    of the ports they stand for, so every network evaluates into D's."""
     b_in, a_out, c_out = _tripartite_shape(r)
-    out_ports = r.signature.outs()
-    alice_first = [k for party in ("alice", "charlie") for k, q in enumerate(out_ports) if q.party == party]
-    kernel = permute_axes(r.kernel, range(len(b_in)), alice_first)
-    columns = [kernel.column(j) for j in range(kernel.n_dom)]
-    nb, na, nc = (ports_size(tuple(q.alphabet for q in ports)) for ports in (b_in, a_out, c_out))
+    sig = r.signature
+    pad = "~" * max(len(q.id) for q in sig.ports)  # a fresh id is longer than each of r's
 
-    def entry(a_idx: int, c_idx: int, b_idx: int):
-        return columns[b_idx][a_idx * nc + c_idx]
+    def fresh(tag: str, ports, direction: str) -> list[PortSpec]:
+        return [PortSpec(f"{tag}{pad}{q.id}", q.party, q.alphabet, direction, 1) for q in ports]
 
-    return entry, nb, na, nc
+    def shape(name: str, ports, wired, order) -> CombShape:
+        wires = tuple((("r", q.id), (name, p.id)) for q, p in wired)
+        return CombShape(name, Signature(sig.parties, 1, tuple(ports)), wires, tuple((lab, 1) for lab in order))
+
+    left, b_out = fresh("l", b_in, IN), fresh("c", b_in, OUT)
+    a_in, c_in = fresh("c", a_out, IN), fresh("c", c_out, IN)
+    r_left = Behavior(Signature(sig.parties, 1, tuple(dict(zip(b_in, left)).get(q, q) for q in sig.ports)), r.kernel)
+    return Signature(sig.parties, 1, (*left, *b_in, *a_out, *c_out)), {
+        "s_A": (r, shape("s_A", (*a_in, *left, *a_out), zip(a_out, a_in), ("r", "s_A"))),
+        "s_B": (r, shape("s_B", (*left, *b_in, *b_out), zip(b_in, b_out), ("s_B", "r"))),
+        "s_C": (r_left, shape("s_C", (*c_in, *b_in, *c_out), zip(c_out, c_in), ("r", "s_C"))),
+    }
 
 
-def _doubled_middle_forms(r: Behavior):
-    """The doubled-middle system.
-
-    Returns the shapes {name: (columns, outputs)} of the four conditional
-    tables, whose cell (column, output) is column * outputs + output: D
-    maps the middle pair (b_l, b_r) to (a, c), s_A maps (a', b_l) to a, s_B
-    maps (b_l, b_r) to b, and s_C maps (c', b_r) to c.  Then, for each
-    (b_l, b_r, a, c) in lexicographic order, D's cell and each cheater's
-    linear form {cell: r's probability}, which must equal D's cell: when
-    Alice cheats the honest side drives r with b_r, when Bob cheats both
-    middle inputs feed his simulator, and Charlie mirrors Alice."""
-    r_entry, nb, na, nc = _r_entry_fn(r)
-    shapes = {"D": (nb * nb, na * nc), "s_A": (na * nb, na), "s_B": (nb * nb, nb), "s_C": (nc * nb, nc)}
-    equations = []
-    for d_cell, (bl, br, a, c) in enumerate(product(range(nb), range(nb), range(na), range(nc))):
-        forms = {
-            "s_A": {(ar * nb + bl) * na + a: w for ar in range(na) if (w := r_entry(ar, c, br))},
-            "s_B": {(bl * nb + br) * nb + b: w for b in range(nb) if (w := r_entry(a, c, b))},
-            "s_C": {(cr * nb + br) * nc + c: w for cr in range(nc) if (w := r_entry(a, cr, bl))},
-        }
-        equations.append((d_cell, forms))
-    return shapes, equations
+def _network(known: Behavior, shape: CombShape, node) -> Network:
+    return Network([("r", known), (shape.label, node)], shape.wires, shape.schedule)
 
 
 def tripartite_split_check(r: Behavior) -> NogoVerdict:
@@ -292,9 +281,18 @@ def tripartite_split_check(r: Behavior) -> NogoVerdict:
     copies of Bob's input that three single-cheater simulators explain at
     once.  Infeasible for genuine broadcast.  The four tables' cells are
     allocated in order, then one row per column says it sums to 1 (D and s_B
-    share their columns and take turns), then the system's equations; a
-    feasible point is re-checked with `lp.verify` and cut into the tables."""
-    shapes, equations = _doubled_middle_forms(r)
+    share their columns and take turns), then, per cell of D, one row per
+    cheater says the cell equals its network's linear form there.  A
+    feasible point is re-checked with `lp.verify`, then by substitution:
+    each network with its simulator's table in place must evaluate to D."""
+    d_sig, nets = _doubled_middle(r)
+    forms = {
+        name: _network(known, shape, shape.signature).linear_evaluate(d_sig)[1] for name, (known, shape) in nets.items()
+    }
+    sigs = {"D": d_sig, **{name: shape.signature for name, (_known, shape) in nets.items()}}
+    shapes = {
+        name: [ports_size(tuple(q.alphabet for q in ps)) for ps in (s.ins(), s.outs())] for name, s in sigs.items()
+    }
     bld = LpBuilder()
     first = {name: bld.new_vars(cols * outs).start for name, (cols, outs) in shapes.items()}
     for group in (("D", "s_B"), ("s_A",), ("s_C",)):
@@ -302,14 +300,20 @@ def tripartite_split_check(r: Behavior) -> NogoVerdict:
             for name in group:
                 outs = shapes[name][1]
                 bld.add_eq({first[name] + col * outs + o: ONE for o in range(outs)}, ONE)
-    for d_cell, forms in equations:
-        for name, form in forms.items():
-            bld.add_eq({first["D"] + d_cell: ONE, **{first[name] + k: -w for k, w in form.items()}}, ZERO)
+    n_outs = shapes["D"][1]
+    for cell in range(shapes["D"][0] * n_outs):
+        for name, aligned in forms.items():
+            form = aligned[cell // n_outs].get(cell % n_outs, {})
+            bld.add_eq({first["D"] + cell: ONE, **{first[name] + k: -w for k, w in form.items()}}, ZERO)
     prog, out = solve_checked(bld, "tripartite")
     if isinstance(out, Infeasible):
         return NogoVerdict(False, cert=out.cert, lp=prog)
     verify_or_raise(out, prog, "tripartite")
     tables = {name: out.point[s : s + shapes[name][0] * shapes[name][1]] for name, s in first.items()}
+    d = table_behavior(d_sig, tables["D"])
+    for name, (known, shape) in nets.items():
+        if not behavior_equal(_network(known, shape, table_behavior(sigs[name], tables[name])).evaluate(d_sig), d):
+            raise CompositeVerificationFailed(f"tripartite LP's {name} table does not reproduce D")
     return NogoVerdict(True, witness=tables, lp=prog)
 
 
@@ -347,21 +351,10 @@ def broadcast_contradiction_oracle(r: Behavior) -> OracleReport:
         raise ShapeMismatch("oracle compares Alice and Charlie outputs pointwise")
     rk = r.kernel
     out_ports = r.signature.outs()
-    a_k = [k for k, q in enumerate(out_ports) if q.party == "alice"][0]
-    c_k = [k for k, q in enumerate(out_ports) if q.party == "charlie"][0]
-    charlie_marg = marginalize(rk, [c_k])
-    alice_marg = marginalize(rk, [a_k])
-    charlie_forced = charlie_marg.column(1)  # driven by input 1
-    alice_forced = alice_marg.column(0)  # driven by input 0
-    out_alphas = tuple(q.alphabet for q in out_ports)
-    agree_by_b = []
-    for b in range(b_in[0].alphabet.size):
-        column = rk.column(b)
-        acc = Fraction(0)
-        for y in all_tuples(out_alphas):
-            if y[a_k] == y[c_k]:
-                acc += column[tuple_index(out_alphas, y)]
-        agree_by_b.append(acc)
-    required = min(agree_by_b)
+    a_k, c_k = out_ports.index(a_out[0]), out_ports.index(c_out[0])
+    charlie_forced = marginalize(rk, [c_k]).column(1)  # driven by input 1
+    alice_forced = marginalize(rk, [a_k]).column(0)  # driven by input 0
+    n = a_out[0].alphabet.size  # the outputs agree on the cells (v, v)
+    required = min(sum(rk.column(b)[v * n + v] for v in range(n)) for b in range(b_in[0].alphabet.size))
     achievable = sum(min(a, c) for a, c in zip(alice_forced, charlie_forced))
     return OracleReport(achievable < required, charlie_forced, alice_forced, required, achievable)

@@ -168,6 +168,34 @@ def test_cli_matches_library_verdicts():
     assert result.exit_code == 0
 
 
+# a noisy broadcast whose tripartite program is infeasible although the
+# oracle, a sufficient condition only, finds no contradiction
+NOISY_BROADCAST = (
+    "alphabet bit size 2\n"
+    "resource noisy parties alice,bob,charlie rounds 1 ports b_in:bob:in:bit@1 a_out:alice:out:bit@1 "
+    "c_out:charlie:out:bit@1 rows 1/2 0 ; 1/2 2/9 ; 0 2/3 ; 0 1/9\n"
+    "check broadcast noisy\n"
+)
+
+
+def test_broadcast_passes_a_certified_infeasible_verdict_the_oracle_misses():
+    result = run(parse_spec(NOISY_BROADCAST), no_meta=True)
+    (entry,) = result.report["checks"]
+    assert entry["verdict"] == "infeasible" and entry["certificate"].startswith("sha256:")
+    assert entry["oracle_contradiction"] is False and entry["methods_agree"] is True and entry["pass"] is True
+    assert result.exit_code == 0
+
+
+def test_broadcast_fails_a_feasible_verdict_the_oracle_contradicts(monkeypatch):
+    from composec.nogo import NogoVerdict
+
+    monkeypatch.setattr(composec.cli, "tripartite_split_check", lambda r: NogoVerdict(True))
+    result = run(parse_spec("resource bc builtin broadcast\ncheck broadcast bc\n"), no_meta=True)
+    (entry,) = result.report["checks"]
+    assert entry["oracle_contradiction"] is True and entry["methods_agree"] is False and entry["pass"] is False
+    assert result.exit_code == 1
+
+
 def test_lp_size_is_the_size_of_the_program_solved(monkeypatch):
     reports = []
     for name in ("search_simulator", "split_check"):

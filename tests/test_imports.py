@@ -85,8 +85,9 @@ def _private(tree: ast.Module) -> list[str]:
 
 
 # the builders of the unknown-comb program, which `distinguisher.solve_comb`
-# alone puts together
-COMB_LP = ("table_lp", "table_behavior", "add_match_rows", "add_advantage_objective")
+# alone puts together; `table_behavior`, which reads a table back from a
+# point, is not one of them: `nogo` substitutes its tripartite witness with it
+COMB_LP = ("table_lp", "add_match_rows", "add_advantage_objective")
 OUTSIDE = [p for p in MODULES if p.stem != "distinguisher"]
 
 

@@ -31,15 +31,12 @@ from composec.nogo import (
     product_uniform_resource,
     shared_bit_resource,
     split_check,
-    _r_entry_fn,
     tripartite_split_check,
 )
 from composec.stoch import Alphabet, make_kernel, marginalize, tuple_index
 from tests.helpers import (
     BIT,
     TRIT,
-    index_tuple,
-    kernel_entry,
     mix_resources,
     random_kernel,
     split,
@@ -271,11 +268,33 @@ def test_oracle_and_lp_agree_on_shipped_resources():
         assert lp_infeasible == oracle, make.__name__
 
 
+def _two_receivers_resource():
+    # three parties, but Charlie only sends: two input-only parties and one
+    # output-only, so no party plays Charlie's role
+    sig = make_signature(
+        ["alice", "bob", "charlie"],
+        1,
+        [
+            PortSpec("b_in", "bob", BIT, IN, 1),
+            PortSpec("a_out", "alice", BIT, OUT, 1),
+            PortSpec("c_in", "charlie", BIT, IN, 1),
+        ],
+    )
+    return make_behavior(sig, make_kernel((BIT, BIT), (BIT,), [[1, 1, 1, 1], [0, 0, 0, 0]]))
+
+
 def test_oracle_shape_mismatch():
     with pytest.raises(ShapeMismatch):
         broadcast_contradiction_oracle(commitment_resource())
     with pytest.raises(ShapeMismatch):
         tripartite_split_check(commitment_resource())
+
+
+def test_three_parties_without_the_roles_are_a_shape_mismatch():
+    with pytest.raises(ShapeMismatch):
+        broadcast_contradiction_oracle(_two_receivers_resource())
+    with pytest.raises(ShapeMismatch):
+        tripartite_split_check(_two_receivers_resource())
 
 
 def test_commitment_realize_roundtrip():
@@ -309,19 +328,6 @@ def _interleaved_resource(seed):
     return make_behavior(sig, kernel)
 
 
-def test_r_entry_reads_interleaved_out_ports():
-    r = _interleaved_resource(31)
-    kernel = r.kernel
-    entry, nb, na, nc = _r_entry_fn(r)
-    assert (nb, na, nc) == (3, 6, 8)
-    for b in range(nb):
-        for a in range(na):
-            a1, a2 = index_tuple((TRIT, BIT), a)
-            for c in range(nc):
-                c1, c2 = index_tuple((BIT, QUAD), c)
-                assert entry(a, c, b) == kernel_entry(kernel, (a1, c1, a2, c2), (b,))
-
-
 class _Built(Exception):
     pass
 
@@ -346,15 +352,74 @@ def _typed(prog):
     return prog.n, prog.m, rows
 
 
+def _random_tripartite(seed):
+    """Bob sends two ports, Alice and Charlie receive one or two each, in a
+    random port order, through a random kernel."""
+    rng = random.Random(seed)
+    ports = [PortSpec(f"b{k}", "bob", rng.choice((BIT, TRIT)), IN, 1) for k in range(2)]
+    for party in ("alice", "charlie"):
+        ports += [PortSpec(f"{party[0]}{k}", party, rng.choice((BIT, TRIT)), OUT, 1) for k in range(rng.randint(1, 2))]
+    rng.shuffle(ports)
+    sig = make_signature(["alice", "bob", "charlie"], 1, ports)
+    return make_behavior(sig, random_kernel(rng, [q.alphabet for q in sig.ins()], [q.alphabet for q in sig.outs()]))
+
+
+RANDOM_SEEDS = (40, 41, 42, 43)
+
+
 @pytest.mark.parametrize(
     "make",
     [broadcast_resource, constant_output_resource, product_uniform_resource]
-    + [lambda seed=seed: _interleaved_resource(seed) for seed in (31, 32, 33)],
-    ids=["broadcast", "constant", "product_uniform", "interleaved_31", "interleaved_32", "interleaved_33"],
+    + [lambda seed=seed: _interleaved_resource(seed) for seed in (31, 32, 33)]
+    + [lambda seed=seed: _random_tripartite(seed) for seed in RANDOM_SEEDS],
+    ids=["broadcast", "constant", "product_uniform", "interleaved_31", "interleaved_32", "interleaved_33"]
+    + [f"random_{seed}" for seed in RANDOM_SEEDS],
 )
 def test_split_check_builds_the_hand_written_program(monkeypatch, make):
     r = make()
     assert _typed(_split_check_program(monkeypatch, r)) == _typed(tripartite_program(r))
+
+
+def test_the_roles_come_from_the_resource_not_from_party_names(monkeypatch):
+    """Broadcast among parties named otherwise builds the program of the
+    built-in broadcast and gets the digest of the shipped golden."""
+    from composec.cli import parse_spec, run
+
+    text = (
+        "alphabet bit size 2\n"
+        "resource bc parties ann,bo,cy rounds 1 ports b_in:bo:in:bit@1 a_out:ann:out:bit@1 c_out:cy:out:bit@1 "
+        "rows 1 0 ; 0 0 ; 0 0 ; 0 1\ncheck broadcast bc expect infeasible\n"
+    )
+    (entry,) = run(parse_spec(text), no_meta=True).report["checks"]
+    assert entry["pass"] and entry["certificate"] == "sha256:7796adc20db2afab"
+    names = {"alice": "ann", "bob": "bo", "charlie": "cy"}
+    r = broadcast_resource()
+    ports = [PortSpec(q.id, names[q.party], q.alphabet, q.direction, 1) for q in r.signature.ports]
+    renamed = make_behavior(make_signature(list(names.values()), 1, ports), r.kernel)
+    assert _typed(_split_check_program(monkeypatch, renamed)) == _typed(_split_check_program(monkeypatch, r))
+
+
+def _bit_resource(seed):
+    """Broadcast's signature with a random kernel; on every third seed both
+    columns are the same, so the outputs ignore Bob's input."""
+    rng = random.Random(seed)
+    kernel = random_kernel(rng, (BIT,), (BIT, BIT))
+    if seed % 3 == 2:
+        kernel = make_kernel((BIT,), (BIT, BIT), [[v, v] for v in kernel.column(0)])
+    return make_behavior(broadcast_resource().signature, kernel)
+
+
+def test_an_oracle_contradiction_implies_an_infeasible_program():
+    """The oracle is sufficient for infeasibility, not necessary: on random
+    bit-sized resources a contradiction always comes with an infeasible
+    program, and some infeasible programs come with none."""
+    seen = set()
+    for seed in range(12):
+        r = _bit_resource(seed)
+        verdict, oracle = tripartite_split_check(r), broadcast_contradiction_oracle(r)
+        assert not (oracle.contradiction and verdict.feasible), seed
+        seen.add((verdict.feasible, oracle.contradiction))
+    assert seen == {(True, False), (False, False), (False, True)}
 
 
 def _alice_only_resource():
@@ -388,3 +453,34 @@ def test_witness_check_rejects_mass_moved_within_an_s_b_column(monkeypatch):
     assert sum(s_b[:2]) == 1
     with pytest.raises(CompositeVerificationFailed, match="tripartite LP's feasible point"):
         check_with(s_b)
+
+
+class _SwappedBobNetwork(Network):
+    """An encoding fault: the Bob-cheats forms read s_B's column (b_r, b_l)
+    where (b_l, b_r) is meant, and the other networks' forms are right."""
+
+    def linear_evaluate(self, into=None):
+        sig, columns = super().linear_evaluate(into)
+        if self.symbolic != "s_B":
+            return sig, columns
+
+        def swapped(k):  # cell (b_l * 2 + b_r) * 2 + b over bits
+            col, b = divmod(k, 2)
+            return (col % 2 * 2 + col // 2) * 2 + b
+
+        return sig, [{i: {swapped(k): w for k, w in form.items()} for i, form in col.items()} for col in columns]
+
+
+def test_substitution_catches_an_encoding_fault_that_lp_verify_passes(monkeypatch):
+    """With Bob's rows written against the swapped middle pair, the program
+    forces s_B to pass on the right input, so its solved point satisfies
+    `lp.verify`, but Bob's network with that table in place hands Alice the
+    right input where D gives her the left one."""
+    r = _alice_only_resource()
+    assert tripartite_split_check(r).feasible
+    monkeypatch.setattr(composec.nogo, "Network", _SwappedBobNetwork)
+    verified, verify = [], composec.lp.verify
+    monkeypatch.setattr(composec.lp, "verify", lambda out, prog: verified.append(verify(out, prog)) or verified[-1])
+    with pytest.raises(CompositeVerificationFailed, match="s_B table does not reproduce D"):
+        tripartite_split_check(r)
+    assert verified == [True]

@@ -9,7 +9,11 @@ The rows are `hopf_axiom_suite` over Z64, Z96 and Z128 (`hopf64`,
 one-check spec, as `composec otp --group 'cyclic N'` runs it, and
 `min_epsilon` for Eve over Z5 and Z8 (`eps5`, `eps8`), the key 0 at
 probability 1/2 and the others uniform, whose time is mostly the exact
-simplex in `lp`.  Each side imports `composec` from its own `DIR/src`.
+simplex in `lp`, and `check broadcast` through `cli.run(no_meta=True)` on
+a fixed one-round resource whose Bob sends a trit and whose Alice and
+Charlie each receive a bit (`bcast`): its tripartite program has 87
+variables and 138 rows, past the bit-sized ones of the benchmark.  Each
+side imports `composec` from its own `DIR/src`.
 The script makes three passes over all rows on each side; the parent
 runs first in odd-numbered passes and the change first in even ones, and
 each side's range over its three processes closes the output.  The wall
@@ -59,6 +63,21 @@ seconds = time.perf_counter() - start
 result = "epsilon " + str(report.epsilon)
 """
 
+BCAST = """
+from composec.cli import parse_spec, run
+spec = parse_spec(
+    "alphabet bit size 2\\nalphabet trit size 3\\n"
+    "resource r parties alice,bob,charlie rounds 1 ports b:bob:in:trit@1 a:alice:out:bit@1 c:charlie:out:bit@1 "
+    "rows 1/2 1/6 1/3 ; 1/6 1/6 1/6 ; 1/6 1/6 1/6 ; 1/6 1/2 1/3\\n"
+    "check broadcast r\\n"
+)
+start = time.perf_counter()
+outcome = run(spec, no_meta=True)
+seconds = time.perf_counter() - start
+entry = outcome.report["checks"][0]
+result = entry["verdict"] + (", pass" if entry["pass"] else ", fail")
+"""
+
 CHILD = """
 import json, resource, time
 {body}
@@ -74,6 +93,7 @@ ROWS = {
     "otp256": OTP.format(n=256),
     "eps5": EPS.format(n=5),
     "eps8": EPS.format(n=8),
+    "bcast": BCAST,
 }
 
 
