@@ -29,7 +29,10 @@ number in a report is an exact rational written `p/q`):
 `check broadcast` records `oracle_contradiction` from the one-sided
 `nogo.broadcast_contradiction_oracle`: a contradiction proves the program
 infeasible and none proves nothing, so `methods_agree` is false, and the
-check fails, only on a contradiction with a feasible program.
+check fails, only on a contradiction with a feasible program.  On a
+resource outside the oracle's scope (more than one port per party, Alice
+and Charlie alphabets of different sizes, a one-valued Bob input) the entry
+has no `oracle_contradiction` and the program's verdict stands.
 
 `attacks N` records `attacks_checked` N on a `secure` verdict and 0 on an
 insecure one.  The dummy attack is initial, and `hopf.otp_security` says
@@ -76,6 +79,7 @@ from .errors import (
     DuplicateName,
     ParseError,
     ProblemTooLarge,
+    ShapeMismatch,
     UnresolvedName,
 )
 from .hopf import (
@@ -528,10 +532,12 @@ def run_check(env: Env, line: int, tokens: tuple[str, ...]) -> dict:
     elif kind == "broadcast":
         r = env.get("resource", last("a resource name"), line)
         verdict = tripartite_split_check(r)
-        oracle = broadcast_contradiction_oracle(r)
         measured = entry["verdict"] = "feasible" if verdict.feasible else "infeasible"
-        entry["oracle_contradiction"] = oracle.contradiction
-        ok = entry["methods_agree"] = not (oracle.contradiction and verdict.feasible)
+        try:
+            contradiction = entry["oracle_contradiction"] = broadcast_contradiction_oracle(r).contradiction
+        except ShapeMismatch:  # outside the oracle's scope the program's verdict stands
+            contradiction = False
+        ok = entry["methods_agree"] = not (contradiction and verdict.feasible)
         _certify(entry, verdict.cert)
     elif kind == "axioms":
         rep = hopf_axiom_suite(env.get("group", last("a group name"), line))

@@ -26,10 +26,13 @@ and the result column, each port adding its value times its stride, so
 evaluation never turns indices into value tuples and back.  A wire's digit
 is 0 until its producer runs and is set back to 0 when its consumer reads
 it, so every move is one integer addition and every final state holds only
-its cell, row and column, which evaluation checks.  The row and column
-strides are those of the signature the caller names
-(`Network.evaluate(into)`), so a network is evaluated straight into its
-caller's port order and its table is never permuted afterwards;
+its cell, row and column, which evaluation checks.  A state's weight is an
+integer numerator over `_den`, the product of the scales (`Kernel.scaled`)
+of the kernels the sweep runs; `evaluate` checks every column on those
+integers (weights positive, summing to `_den`) before it divides, once per
+distinct weight.  The row and column strides are those of the signature the
+caller names (`Network.evaluate(into)`), so a network is evaluated straight
+into its caller's port order and its table is never permuted afterwards;
 `canonical` is left for behaviours that do not come from a network.  A
 symbolic node's cell (column * rows + row) is the sum of its rounds'
 `decision_rounds` offsets, the numbering the advantage LP's decision-tree
@@ -643,29 +646,25 @@ class Network:
             self._plan.append(_Moves(reads, branches, outs, columns, n_mem, m_stride))
         return result
 
-    def _sweep(self) -> Iterator[tuple[int, int, int, Scalar]]:
+    def _sweep(self) -> Iterator[tuple[int, int, int, int]]:
         """Run every external input column at once, from the empty state;
         yields (column, row, symbolic cell, weight) for each final state,
-        the cell 0 when there is no symbolic node.  Weights are summed as
-        numerators over `self._den` and divided at the end, once per
-        distinct weight.  Each item's planned moves are dropped once the
-        item has run.  Raises CompositeVerificationFailed when a final state
-        still holds a memory or wire digit."""
+        the cell 0 when there is no symbolic node and the weight an integer
+        numerator over `self._den`.  Each item's planned moves are dropped
+        once the item has run.  Raises CompositeVerificationFailed when a
+        final state still holds a memory or wire digit."""
         states, plan = {0: 1}, self._plan
         del self._plan
         plan.reverse()
         while plan:
             states = _step(states, plan.pop())
-        weights: dict[int, Fraction] = {}  # one object per distinct weight
         for code, w in states.items():
             col, code = divmod(code, self._col_stride)
             row, code = divmod(code, self._row_stride)
             cell, left = divmod(code, self._cell_stride)
             if left:
                 raise CompositeVerificationFailed(f"a final network state holds memory or wire digits ({left})")
-            if (v := weights.get(w)) is None:
-                v = weights[w] = Fraction(w, self._den)
-            yield col, row, cell, v
+            yield col, row, cell, w
 
     def evaluate(self, into: Optional[Signature] = None) -> Behavior:
         """The network's table, with the signature `into` when given (see
@@ -675,12 +674,21 @@ class Network:
         sig = self._prepare(into)
         in_alphas = tuple(p.alphabet for p in sig.ins())
         out_alphas = tuple(p.alphabet for p in sig.outs())
-        cols: dict[int, dict[int, Scalar]] = {}
-        for col, row, _cell, v in self._sweep():
-            cols.setdefault(col, {})[row] = v
-        kernel = kernel_from_columns(
-            in_alphas, out_alphas, [tuple(sorted(cols.pop(j, {}).items())) for j in range(ports_size(in_alphas))]
-        )
+        cols: dict[int, dict[int, int]] = {}
+        for col, row, _cell, w in self._sweep():
+            cols.setdefault(col, {})[row] = w
+        # a column is stochastic when its weights are positive and sum to
+        # _den; otherwise kernel_from_columns raises its Fraction check's
+        # exception for the first column that fails
+        den, quotient, table, stochastic = self._den, _Quotients(self._den), [], True
+        for j in range(ports_size(in_alphas)):
+            col = cols.pop(j, {})
+            stochastic = stochastic and sum(col.values()) == den
+            table.append(tuple((i, quotient[col[i]]) for i in sorted(col)))
+        if stochastic and min(quotient) > 0:
+            kernel = Kernel(in_alphas, out_alphas, tuple(table))
+        else:
+            kernel = kernel_from_columns(in_alphas, out_alphas, table)
         return make_behavior(sig, kernel, check=False)
 
     def linear_evaluate(self, into: Optional[Signature] = None):
@@ -698,9 +706,22 @@ class Network:
         sig = self._prepare(into)
         n_cols = ports_size(tuple(p.alphabet for p in sig.ins()))
         columns: list[dict[int, dict[int, Scalar]]] = [{} for _ in range(n_cols)]
-        for col, row, cell, v in self._sweep():
-            columns[col].setdefault(row, {})[cell] = v
+        quotient = _Quotients(self._den)
+        for col, row, cell, w in self._sweep():
+            columns[col].setdefault(row, {})[cell] = quotient[w]
         return sig, columns
+
+
+class _Quotients(dict):
+    """weight -> Fraction(weight, den), made once per distinct weight."""
+
+    def __init__(self, den: int) -> None:
+        super().__init__()
+        self.den = den
+
+    def __missing__(self, w: int) -> Fraction:
+        v = self[w] = Fraction(w, self.den)
+        return v
 
 
 def _step(states: dict[int, int], moves: _Moves) -> dict[int, int]:

@@ -22,8 +22,9 @@ products for any other pair.  Each equals its plain form exactly.
 Arithmetic runs on integers where it can.  `Kernel.scaled` holds a
 kernel's entries as integer numerators over one shared denominator (the lcm
 of its entries' denominators), which lets `Network` evaluation carry its
-weights as integers and divide once per distinct weight at the end; a
-column check sums numerators over the column's lcm instead of adding
+weights as integers, check its columns on them and divide once per
+distinct weight at the end.  A column check passes one entry equal to 1 at
+once and otherwise sums numerators over the column's lcm instead of adding
 `Fraction`s.
 """
 
@@ -156,13 +157,15 @@ class Kernel(Record):
         return tuple(out)
 
 
-def _check_column(values: Iterable[Scalar], col: int) -> None:
-    """Entries nonnegative and summing to exactly 1; the numerators are
+def _check_column(pairs: Sequence[tuple[int, Scalar]], col: int) -> None:
+    """The (row, value) pairs' values nonnegative and summing to exactly 1.
+    One value equal to 1 passes at once; otherwise the numerators are
     summed over the lcm of the denominators."""
-    values = tuple(values)
-    den = math.lcm(*(v.denominator for v in values))
+    if len(pairs) == 1 and pairs[0][1].numerator == pairs[0][1].denominator:
+        return
+    den = math.lcm(*(v.denominator for _i, v in pairs))
     total = 0
-    for v in values:
+    for _i, v in pairs:
         if v.numerator < 0:
             raise NegativeEntry(f"negative entry {v} in column {col}")
         total += v.numerator * (den // v.denominator)
@@ -193,7 +196,7 @@ def make_kernel(
             if v:
                 cols[j].append((i, v))
     for j, col in enumerate(cols):
-        _check_column((v for _i, v in col), j)
+        _check_column(col, j)
     return Kernel(tuple(dom), tuple(cod), tuple(tuple(c) for c in cols))
 
 
@@ -223,7 +226,7 @@ def validate_kernel(k: Kernel) -> None:
             if not v:
                 raise DimensionMismatch(f"column {j}: explicit zero at row {i}")
             last = i
-        _check_column((v for _i, v in col), j)
+        _check_column(col, j)
 
 
 def sparse_column(acc: dict[int, Scalar]) -> Column:

@@ -186,6 +186,33 @@ def test_broadcast_passes_a_certified_infeasible_verdict_the_oracle_misses():
     assert result.exit_code == 0
 
 
+# two Bob bit ports, outside the oracle's scope: Alice and Charlie output
+# independent uniform bits (feasible), or both output Bob's first bit
+TWO_BOB_PORTS = (
+    "alphabet bit size 2\n"
+    "resource two parties alice,bob,charlie rounds 1 ports b1:bob:in:bit@1 b2:bob:in:bit@1 a_out:alice:out:bit@1 "
+    "c_out:charlie:out:bit@1 rows {rows}\n"
+    "check broadcast two expect {expect}\n"
+)
+
+
+@pytest.mark.parametrize(
+    "rows, expect",
+    [
+        (" ; ".join(["1/4 1/4 1/4 1/4"] * 4), "feasible"),
+        ("1 1 0 0 ; 0 0 0 0 ; 0 0 0 0 ; 0 0 1 1", "infeasible"),
+    ],
+    ids=["uniform", "first_bit"],
+)
+def test_broadcast_outside_the_oracles_scope_reports_the_programs_verdict(rows, expect):
+    result = run(parse_spec(TWO_BOB_PORTS.format(rows=rows, expect=expect)), no_meta=True)
+    (entry,) = result.report["checks"]
+    assert "error" not in entry and "oracle_contradiction" not in entry
+    assert entry["verdict"] == expect and entry["methods_agree"] is True and entry["pass"] is True
+    assert ("certificate" in entry) == (expect == "infeasible")
+    assert result.exit_code == 0
+
+
 def test_broadcast_fails_a_feasible_verdict_the_oracle_contradicts(monkeypatch):
     from composec.nogo import NogoVerdict
 

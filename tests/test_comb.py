@@ -26,7 +26,10 @@ from composec.comb import (
 from composec.errors import (
     AcausalSchedule,
     AlphabetMismatch,
+    ColumnNotStochastic,
     CompositeVerificationFailed,
+    DimensionMismatch,
+    NegativeEntry,
     NotCausal,
     SignatureMismatch,
 )
@@ -35,6 +38,7 @@ from composec.nogo import commitment_resource
 from composec.stoch import (
     UNIT,
     Alphabet,
+    Kernel,
     all_tuples,
     channel_distance,
     identity,
@@ -728,10 +732,18 @@ def _simulations():
         yield what, 0, flatten(c).kernel.cols, fraction_flatten(c)
 
 
+def _entries(what, got):
+    """Every value in a table's columns or in linear_evaluate's forms."""
+    if what == "linear_evaluate":
+        return [v for col in got[1] for forms in col.values() for v in forms.values()]
+    return [v for col in got for _i, v in col]
+
+
 def test_integer_weights_equal_fraction_weights():
     wires = {}
     for what, n_wires, got, want in _simulations():
         assert got == want, what
+        assert all(type(v) is F for v in _entries(what, got)), what
         wires[what] = wires.get(what, 0) + n_wires
     assert wires["evaluate"] >= 15 and wires["linear_evaluate"] >= 15 and "flatten" in wires
     assert "flatten, ports out of round order" in wires
@@ -782,6 +794,31 @@ def test_a_network_refuses_a_signature_with_other_ports():
         for net in networks:
             with pytest.raises(SignatureMismatch, match=rf"ports \['{pid}'\] differ"):
                 net.evaluate(into) if net.symbolic is None else net.linear_evaluate(into)
+
+
+# column 1 of a one-round node's kernel, unvalidated, and how the network's
+# table is refused: the parent's Fraction check, reached from integer weights
+UNSTOCHASTIC_COLUMNS = [
+    (((1, F(1, 2)),), ColumnNotStochastic, (1, F(1, 2))),
+    (((0, F(1, 4)), (1, F(1, 2))), ColumnNotStochastic, (1, F(3, 4))),
+    (((0, F(1, 2)), (1, F(1))), ColumnNotStochastic, (1, F(3, 2))),
+    (((0, F(3, 2)), (1, F(-1, 2))), NegativeEntry, "negative entry -1/2 in column 1"),
+    (((0, F(0)), (1, F(1))), DimensionMismatch, "column 1: explicit zero at row 0"),
+]
+
+
+@pytest.mark.parametrize("column, error, detail", UNSTOCHASTIC_COLUMNS, ids=range(len(UNSTOCHASTIC_COLUMNS)))
+def test_a_network_refuses_a_column_that_is_not_stochastic(column, error, detail):
+    sig = make_signature(["p"], 1, [port("x", "p", BIT, IN, 1), port("y", "p", BIT, OUT, 1)])
+    good = CombKernels(sig, (UNIT, UNIT), (Kernel((UNIT, BIT), (BIT, UNIT), (((0, F(1)),), ((1, F(1)),))),))
+    assert Network([("n", good)], [], [("n", 1)]).evaluate().kernel == identity([BIT])
+    bad = CombKernels(sig, (UNIT, UNIT), (Kernel((UNIT, BIT), (BIT, UNIT), (((0, F(1)),), column)),))
+    with pytest.raises(error) as info:
+        Network([("n", bad)], [], [("n", 1)]).evaluate()
+    if error is ColumnNotStochastic:
+        assert (info.value.column, info.value.total) == detail and type(info.value.total) is F
+    else:
+        assert str(info.value) == detail
 
 
 def test_network_runs_round_kernels_as_given():

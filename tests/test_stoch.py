@@ -358,6 +358,38 @@ def test_columns_hold_only_sorted_nonzero_entries():
         validate_kernel(stoch.Kernel((BIT,), (BIT,), (((0, Fraction(1)),),)))
 
 
+# (value, make_kernel's refusal, validate_kernel's refusal) of a column that
+# holds one entry, `value`: the exception type, and the column and total of
+# a ColumnNotStochastic or the message otherwise
+ONE_ENTRY_REFUSALS = [
+    (Fraction(1, 2), (ColumnNotStochastic, 1, Fraction(1, 2)), (ColumnNotStochastic, 1, Fraction(1, 2))),
+    (Fraction(2), (ColumnNotStochastic, 1, Fraction(2)), (ColumnNotStochastic, 1, Fraction(2))),
+    (Fraction(-1), (NegativeEntry, "negative entry -1 in column 1"), (NegativeEntry, "negative entry -1 in column 1")),
+    # make_kernel keeps no zero, so its column is empty
+    (Fraction(0), (ColumnNotStochastic, 1, Fraction(0)), (DimensionMismatch, "column 1: explicit zero at row 1")),
+]
+
+
+def _assert_refusal(call, refusal):
+    with pytest.raises(refusal[0]) as info:
+        call()
+    if refusal[0] is ColumnNotStochastic:
+        assert (info.value.column, info.value.total) == refusal[1:]
+        assert type(info.value.total) is Fraction
+    else:
+        assert str(info.value) == refusal[1]
+
+
+@pytest.mark.parametrize("value, by_make, by_validate", ONE_ENTRY_REFUSALS, ids=lambda v: str(v))
+def test_a_one_entry_column_is_refused_unless_it_is_one(value, by_make, by_validate):
+    # column 0 is deterministic and passes; column 1 holds `value` at row 1
+    _assert_refusal(lambda: make_kernel([BIT], [BIT], [[1, 0], [0, value]]), by_make)
+    k = stoch.Kernel((BIT,), (BIT,), (((0, Fraction(1)),), ((1, value),)))
+    _assert_refusal(lambda: validate_kernel(k), by_validate)
+    _assert_refusal(lambda: stoch.kernel_from_columns(k.dom, k.cod, k.cols), by_validate)
+    validate_kernel(stoch.Kernel((BIT,), (BIT,), (((0, Fraction(1)),), ((1, Fraction(1)),))))
+
+
 def test_make_kernel_refuses_a_table_past_the_size_cap():
     class Unread:
         """A table of the right length whose rows must never be read."""
