@@ -139,13 +139,16 @@ def derive_simulator_shape(real_sig: Signature, s: Behavior, j_parties: Sequence
 # security checks
 
 
-def ideal_view(s: Behavior, sim: Simulator, match: Signature) -> Behavior:
+def ideal_network(s: Behavior, sim: Simulator, match: Signature) -> Network:
     """The simulator wrapped around the ideal resource, scheduled so that its
-    moments follow `match` (the real view's signature), evaluated into its
-    canonical signature."""
+    moments follow `match` (the real view's signature)."""
     nodes = [(RES, s)] + list(sim.nodes)
-    schedule = schedule_to_match(nodes, sim.wires, match)
-    net = Network(nodes, list(sim.wires), schedule)
+    return Network(nodes, list(sim.wires), schedule_to_match(nodes, sim.wires, match))
+
+
+def ideal_view(s: Behavior, sim: Simulator, match: Signature) -> Behavior:
+    """`ideal_network` evaluated into its canonical signature."""
+    net = ideal_network(s, sim, match)
     return net.evaluate(net.canonical_signature())
 
 

@@ -13,8 +13,8 @@ wiring between output and input ports, and an explicit total order on the
 rounds of all participants.  Evaluation runs the joint process forward, so
 the result is causal by construction.  It is the only code that runs round
 kernels: `flatten` evaluates a one-node network, and the parallel product
-`tensor_behavior` is the Kronecker product of the two tables, run through
-its factors' round kernels.  A network may contain one *symbolic* node, in
+`tensor_behavior` runs through its factors' round kernels, its Kronecker
+table built only when read.  A network may contain one *symbolic* node, in
 which case evaluation returns, for every transcript, an exact linear form
 over the symbolic node's table entries; this is what turns simulator
 existence and splittability questions into linear programs.
@@ -150,6 +150,14 @@ class Behavior(Record):
     signature: Signature
     kernel: Kernel
     _comb = None  # the memo, set on the object by `_memoise`
+
+    def __getattr__(self, name: str):
+        # reached only for a missing attribute: a tensor's table, built from
+        # its factors' on first read (`tensor_behavior`)
+        if name != "kernel" or "_factors" not in self.__dict__:
+            raise AttributeError(name)
+        k = self.__dict__["kernel"] = kernel_tensor(*(f.kernel for f in self.__dict__.pop("_factors")))
+        return k
 
 
 def make_behavior(signature: Signature, kernel: Kernel, check: bool = True) -> Behavior:
@@ -860,15 +868,17 @@ def schedule_to_match(
 def tensor_behavior(a: Behavior, b: Behavior) -> Behavior:
     """Parallel composition: a's rounds, then b's.
 
-    The table is the Kronecker product of the two, and the comb is a's
-    round kernels followed by b's, memoised on the result: a's last memory
-    and b's first are trivial, and the factors are causal, so the product
-    is realized without a causality pass or a transcript memory."""
+    The table is the Kronecker product of the two, built when first read
+    (a `Network` never reads it), and the comb is a's round kernels
+    followed by b's, memoised on the result: a's last memory and b's first
+    are trivial, and the factors are causal, so the product is realized
+    without a causality pass or a transcript memory."""
     shift = a.signature.rounds
     ports = a.signature.ports + tuple(p.in_round(p.round + shift) for p in b.signature.ports)
     parties = a.signature.parties + tuple(p for p in b.signature.parties if p not in a.signature.parties)
     sig = Signature(parties, shift + b.signature.rounds, ports)
-    t = make_behavior(sig, kernel_tensor(a.kernel, b.kernel), check=False)
+    t = Behavior.__new__(Behavior)
+    t.__dict__.update(signature=sig, _factors=(a, b))
     ca, cb = realize(a), realize(b)
     _memoise(t, CombKernels(sig, ca.memories + cb.memories[1:], ca.kernels + cb.kernels))
     return t

@@ -43,7 +43,9 @@ program counts and does not store (`LpBuilder.add_empty`), so every row
 keeps the index of its cell (j, i).
 A reached cell with a zero target entry is a row `form = 0`; an unreached
 cell with a nonzero one is a row `0 = b` with no coefficient, which
-preprocessing turns into an immediate Farkas certificate.
+preprocessing turns into an immediate Farkas certificate.  A repeat of a
+match row (`lp.row_key`) is counted, not stored; preprocessing would drop
+it, so kept rows, pivots and Farkas vectors are unchanged.
 """
 
 from __future__ import annotations
@@ -137,15 +139,19 @@ def table_behavior(sig: Signature, point) -> Behavior:
 def add_match_rows(bld: LpBuilder, aligned: LinearForms, target: Behavior) -> None:
     """Every linear form equals the target's table entry: one row per cell
     (j, i), in that order.  Only the cells with a form or a nonzero target
-    entry are visited; the runs of cells between them are counted rows 0 = 0."""
-    n_y = target.kernel.n_cod
+    entry are visited; the runs of cells between them, and every row equal
+    to an earlier match row (`lp.row_key`), are counted rows 0 = 0."""
+    n_y, seen = target.kernel.n_cod, set()
     for forms, entries in zip(aligned, target.kernel.cols):
         values = dict(entries)
         start = 0
         for i in sorted(forms.keys() | values.keys()):
-            bld.add_empty(i - start)
-            bld.add_eq(forms.get(i, {}), values.get(i, ZERO))
-            start = i + 1
+            form, rhs = forms.get(i, {}), values.get(i, ZERO)
+            if (key := lpmod.row_key(sorted(form.items()), rhs)) not in seen:
+                seen.add(key)
+                bld.add_empty(i - start)
+                bld.add_eq(form, rhs)
+                start = i + 1
         bld.add_empty(n_y - start)
 
 

@@ -29,7 +29,7 @@ from .attacks import (
     compose_certs,
     derive_simulator_shape,
     dummy_attack,
-    ideal_view,
+    ideal_network,
     search_simulator,
 )
 from .comb import (
@@ -391,11 +391,16 @@ def otp_security(inst: OtpInstance) -> SecurityReport:
     real one exactly) AND search for one by LP; both verdicts must agree,
     either way round.  A `secure` verdict therefore means the supplied
     simulator's view is the real view, so every attack linked onto the two
-    gives the same table.  Returns the search report (it carries the
-    certificate)."""
+    gives the same table.  When the search found the supplied simulator on
+    the same schedule, its substitution re-check has already evaluated that
+    very network against the real view.  Returns the search report (it
+    carries the certificate)."""
     real = dummy_attack(inst.protocol, inst.source, (EVE,))
-    supplied = behavior_equal(ideal_view(inst.target, inst.sigma, real.signature), real)
     searched = search_simulator(inst.protocol, inst.source, inst.target, (EVE,))
+    net = ideal_network(inst.target, inst.sigma, real.signature)
+    shape = derive_simulator_shape(real.signature, inst.target, (EVE,))
+    same = searched.secure and searched.cert.simulator == inst.sigma and net.schedule == list(shape.schedule)
+    supplied = same or behavior_equal(net.evaluate(net.canonical_signature()), real)
     if supplied and not searched.secure:
         raise InterfaceMismatch("supplied simulator verified but LP search found none")
     if searched.secure and not supplied:

@@ -153,9 +153,14 @@ def _dot(pairs: Pairs, x) -> Scalar:
     return sum(c * x[j] for j, c in pairs)
 
 
+def row_key(pairs: Pairs, bi: Scalar) -> tuple:
+    """A row's key on integers; hashing a Fraction costs a modular inverse."""
+    return (bi.numerator, bi.denominator, *[(j, v.numerator, v.denominator) for j, v in pairs])
+
+
 def _preprocess(rows, m):
-    """Drop duplicate rows; returns (pairs, rhs, keep), or Infeasible when a
-    row has no pair, since its right-hand side is not 0."""
+    """Drop duplicate rows (`row_key`); returns (pairs, rhs, keep), or
+    Infeasible when a row has no pair, since its right-hand side is not 0."""
     seen = set()
     kept, rhs, keep = [], [], []
     for i, pairs, bi in rows:
@@ -164,9 +169,7 @@ def _preprocess(rows, m):
             y[i] = ONE if bi > 0 else -ONE
             return Infeasible(FarkasCert(tuple(y)))
         size = len(seen)
-        # one hash per row, on integers: equal values have equal numerators
-        # and denominators, and hashing a Fraction costs a modular inverse
-        seen.add((bi.numerator, bi.denominator, *[(j, v.numerator, v.denominator) for j, v in pairs]))
+        seen.add(row_key(pairs, bi))
         if len(seen) == size:
             continue
         kept.append(pairs)

@@ -450,12 +450,20 @@ def dense_forms(aligned, target):
 
 
 def dense_match_rows(bld, aligned, target):
-    """`distinguisher.add_match_rows` over the dense forms: one `add_eq` per
-    cell, in (column, row) order, empty forms included."""
+    """`distinguisher.add_match_rows` over the dense forms: one row per cell,
+    in (column, row) order, empty forms included; a cell whose dense row
+    (every coefficient and the right-hand side) equals an earlier cell's is
+    a counted row 0 = 0, and every other cell is one `add_eq`."""
+    seen = set()
     for j, col in enumerate(dense_forms(aligned, target)):
         values = target.kernel.column(j)
         for i, form in col.items():
-            bld.add_eq(form, values[i])
+            row = (tuple(form.get(k, 0) for k in range(bld.n)), values[i])
+            if row in seen:
+                bld.add_empty(1)
+            else:
+                seen.add(row)
+                bld.add_eq(form, values[i])
 
 
 # ---------------------------------------------------------------------------

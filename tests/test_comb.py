@@ -262,6 +262,33 @@ def test_tensor_comb_is_its_factors_combs():
         assert flatten(comb) == t
 
 
+def test_a_tensor_table_is_the_kronecker_product_built_on_first_read(monkeypatch):
+    """A network over a tensor runs its factors' combs and builds no table;
+    the first read of `.kernel`, or an equality, hash or repr, builds
+    `stoch.tensor` of the factors' tables once, and the tensor then equals
+    a behaviour given that table."""
+    from composec.stoch import tensor
+
+    built = []
+    monkeypatch.setattr(comb, "kernel_tensor", lambda f, g: built.append(1) or tensor(f, g))
+    rng = random.Random(29)
+    for k in range(60):
+        a = flatten(random_comb(rng, parties=("p", "q"), rounds=rng.randint(1, 3), prefix="a"))
+        b = flatten(random_comb(rng, parties=("q", "r"), rounds=rng.randint(1, 3), prefix="b"))
+        table = tensor(a.kernel, b.kernel)
+        t = tensor_behavior(a, b)
+        view = Network([("t", t)], [], [("t", r) for r in range(1, t.signature.rounds + 1)]).evaluate(t.signature)
+        assert not built
+        eager = Behavior(t.signature, table)
+        read = [lambda: t.kernel, lambda: t == eager, lambda: hash(t), lambda: repr(t)][k % 4]
+        read()
+        assert built == [1]
+        assert t.kernel == table and view == t == eager
+        assert hash(t) == hash(eager) and repr(t) == repr(eager)
+        assert built == [1]
+        built.clear()
+
+
 @pytest.mark.parametrize(
     "n,expansion",
     [(n, False) for n in range(2, 7)] + [(4, True)],

@@ -414,10 +414,71 @@ def test_an_unreached_cell_with_a_target_entry_is_an_immediate_certificate():
     assert outs[0][1] == Infeasible(FarkasCert((0, 0, 1)))
 
 
+def _every_match_row(bld, aligned, target):
+    """The match rows with every visited cell's row stored, repeats
+    included, as they were built before repeats were counted."""
+    n_y = target.kernel.n_cod
+    for forms, entries in zip(aligned, target.kernel.cols):
+        values = dict(entries)
+        start = 0
+        for i in sorted(forms.keys() | values.keys()):
+            bld.add_empty(i - start)
+            bld.add_eq(forms.get(i, {}), values.get(i, Fraction(0)))
+            start = i + 1
+        bld.add_empty(n_y - start)
+
+
+def _assert_solves_as_every_row_does(prog, full):
+    """`prog` stores `full`'s rows less later repeats of a stored row, and
+    preprocessing keeps the same rows of both, and the simplex reaches the
+    same point, value or Farkas vector."""
+    assert (prog.n, prog.m, prog.objective) == (full.n, full.m, full.objective)
+    assert set(prog.rows) <= set(full.rows)
+    first = {(pairs, b): i for i, pairs, b in reversed(prog.rows)}
+    for i, pairs, b in set(full.rows) - set(prog.rows):
+        assert first.get((pairs, b), i) < i
+    assert lpmod._preprocess(prog.rows, prog.m) == lpmod._preprocess(full.rows, full.m)
+    assert lpmod.solve_feasible(prog) == lpmod.solve_feasible(full)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_stored_match_rows_solve_as_every_row_does_on_otp(n):
+    for key in _otp_keys(n):
+        inst = build_otp(group_make(("cyclic", n)), key)
+        real = dummy_attack(inst.protocol, inst.source, ("eve",))
+        sig, aligned = simulator_forms(real, inst.target, ("eve",))
+        bld, full = table_lp(sig), table_lp(sig)
+        add_match_rows(bld, aligned, real)
+        _every_match_row(full, aligned, real)
+        prog = bld.build()
+        # the uniform key gives each of the n distinct rows n times
+        assert key is not None or len(prog.rows) == len(full.rows) - n * (n - 1)
+        _assert_solves_as_every_row_does(prog, full.build())
+
+
+def test_stored_match_rows_solve_as_every_row_does_on_every_spec(monkeypatch):
+    """Every match program that verifying specs/ builds."""
+    built = []
+
+    def both(bld, aligned, target):
+        full = copy.deepcopy(bld)
+        add_match_rows(bld, aligned, target)
+        _every_match_row(full, aligned, target)
+        built.append((bld.build(), full.build()))
+
+    monkeypatch.setattr(distinguisher, "add_match_rows", both)
+    for path in SPECS:
+        assert run(parse_spec(path.read_text()), no_meta=True).exit_code == 0, path.name
+    assert len(built) >= 10 and any(len(prog.rows) < len(full.rows) for prog, full in built)
+    for prog, full in built:
+        _assert_solves_as_every_row_does(prog, full)
+
+
 def test_otp_z8_search_builds_only_the_reached_match_rows(monkeypatch):
     """The Z8 simulator program has 513 rows, but only the stochastic row and
-    the 64 reached cells are built from a coefficient map and stored; the
-    rest are runs of 0 = 0 rows, counted and not stored."""
+    the 8 distinct rows of the 64 reached cells are built from a coefficient
+    map and stored; the rest are runs of 0 = 0 rows and repeats of a stored
+    match row, counted and not stored."""
     inst = build_otp(group_make(("cyclic", 8)))
     real = dummy_attack(inst.protocol, inst.source, ("eve",))
     _sig, aligned = simulator_forms(real, inst.target, ("eve",))
@@ -433,5 +494,5 @@ def test_otp_z8_search_builds_only_the_reached_match_rows(monkeypatch):
     monkeypatch.setattr(LpBuilder, "add_eq", counted)
     rep = search_simulator(inst.protocol, inst.source, inst.target, ("eve",))
     assert rep.lp.m == 513
-    assert len(rep.lp.rows) == 1 + 64
-    assert len(maps) <= 1 + 64
+    assert len(rep.lp.rows) == 1 + 8
+    assert len(maps) <= 1 + 8

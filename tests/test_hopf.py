@@ -1,8 +1,9 @@
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from composec import hopf, stoch
+from composec import comb, hopf, stoch
 from composec.errors import ComposecError, InterfaceMismatch, NoIdentity, NotAssociative, NotLatinSquare
 from composec.hopf import (
     auth_channel,
@@ -267,6 +268,82 @@ def test_otp_security_refuses_a_search_that_misses_the_supplied_simulator(monkey
     monkeypatch.setattr(hopf, "search_simulator", lambda *_args: SecurityReport("insecure"))
     with pytest.raises(InterfaceMismatch, match="supplied simulator verified but LP search found none"):
         otp_security(build_otp(group_make(("cyclic", 2))))
+
+
+def _counted(monkeypatch, calls, owner, name, key=None):
+    """Count the calls of `owner.name` in `calls[key or name]`."""
+    fn = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls[key or name] += 1
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+
+
+def _with_sigma(inst, node):
+    """`inst` with the supplied simulator's one node replaced by `node`."""
+    from composec.attacks import Simulator
+
+    ((label, _comb),) = inst.sigma.nodes
+    sigma = Simulator(((label, node),), inst.sigma.wires)
+    return hopf.OtpInstance(*[getattr(inst, f) for f in hopf.OtpInstance._fields[:-1]], sigma)
+
+
+def test_secure_otp_z12_evaluates_three_networks_and_builds_no_source_table(monkeypatch):
+    """The real view, the honest run and the searched simulator's view; the
+    supplied simulator is the searched one on the same network, and no
+    network reads the source's Kronecker table."""
+    from composec.cli import parse_spec, run
+
+    calls = Counter()
+    _counted(monkeypatch, calls, comb.Network, "evaluate")
+    _counted(monkeypatch, calls, stoch, "tensor")
+    _counted(monkeypatch, calls, comb, "kernel_tensor", "tensor")
+    outcome = run(parse_spec("group g cyclic 12\ncheck otp g expect secure\n"), no_meta=True)
+    assert outcome.exit_code == 0 and outcome.report["checks"][0]["verdict"] == "secure"
+    assert calls == {"evaluate": 3}
+
+
+def test_otp_security_refuses_a_supplied_simulator_with_a_moved_entry():
+    from composec.comb import Behavior
+
+    inst = build_otp(group_make(("cyclic", 12)))
+    ((_label, node),) = inst.sigma.nodes
+    col = node.kernel.cols[0]
+    moved = ((0, col[0][1] + col[1][1]),) + col[2:]  # ciphertext 1's weight on 0
+    kernel = stoch.kernel_from_columns(node.kernel.dom, node.kernel.cod, [moved])
+    with pytest.raises(InterfaceMismatch, match="LP search found a simulator but the supplied one fails"):
+        otp_security(_with_sigma(inst, Behavior(node.signature, kernel)))
+
+
+@pytest.mark.parametrize("how", ["two rounds", "search schedule"])
+def test_otp_security_evaluates_a_supplied_simulator_on_another_schedule(monkeypatch, how):
+    """The same table on another schedule is another network, so the
+    search's re-check does not stand for it: with the simulator's output
+    in a second round, or with the search's schedule read differently."""
+    from composec.comb import IN, Behavior, Signature
+    from composec.distinguisher import CombShape
+
+    inst = build_otp(group_make(("cyclic", 6)))
+    if how == "two rounds":
+        ((_label, node),) = inst.sigma.nodes
+        sig = node.signature
+        ports = tuple(p.in_round(1 if p.direction == IN else 2) for p in sig.ports)
+        inst = _with_sigma(inst, Behavior(Signature(sig.parties, 2, ports), node.kernel))
+    else:
+        derive = hopf.derive_simulator_shape
+
+        def reversed_schedule(*args):
+            shape = derive(*args)
+            return CombShape(shape.label, shape.signature, shape.wires, shape.schedule[::-1])
+
+        monkeypatch.setattr(hopf, "derive_simulator_shape", reversed_schedule)
+    calls = Counter()
+    _counted(monkeypatch, calls, comb.Network, "evaluate")
+    assert otp_security(inst).verdict == "secure"
+    assert calls == {"evaluate": 2}  # the search's re-check and the supplied view
+
 
 def test_otp_zero_entropy_key_insecure():
     from composec.attacks import min_epsilon, search_simulator

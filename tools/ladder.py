@@ -4,8 +4,8 @@ process, and print each run's wall time and max RSS.
     python3 tools/ladder.py --parent DIR --change DIR
 
 The rows are `hopf_axiom_suite` over Z64, Z96 and Z128 (`hopf64`,
-`hopf96`, `hopf128`), the secure `check otp` over Z128 and Z256
-(`otp128`, `otp256`), the latter through `cli.run(no_meta=True)` on a
+`hopf96`, `hopf128`), the secure `check otp` over Z128, Z256 and Z512
+(`otp128`, `otp256`, `otp512`), through `cli.run(no_meta=True)` on a
 one-check spec, as `composec otp --group 'cyclic N'` runs it, and
 `min_epsilon` for Eve over Z5 and Z8 (`eps5`, `eps8`), the key 0 at
 probability 1/2 and the others uniform, whose time is mostly the exact
@@ -91,6 +91,7 @@ ROWS = {
     "hopf128": HOPF.format(n=128),
     "otp128": OTP.format(n=128),
     "otp256": OTP.format(n=256),
+    "otp512": OTP.format(n=512),
     "eps5": EPS.format(n=5),
     "eps8": EPS.format(n=8),
     "bcast": BCAST,
